@@ -7,7 +7,7 @@ from .zroot5 import QuadraticInt, FourierModulePoint, TAU, SQRT5
 from .combs import WeightedComb, dirac_comb, lattice_comb
 from .inflate import SubstitutionRule, TypedPointSet, builtin_rule, realize_geometric
 from .cps import Window, Interval, cut_and_project, model_set_density
-from .eberlein import AveragingSpec, CorrelationComb, eberlein_convolve, pair_correlation
+from .eberlein import AveragingSpec, eberlein_convolve, pair_correlation
 
 __all__ = [
     "__version__",
@@ -27,7 +27,6 @@ __all__ = [
     "cut_and_project",
     "model_set_density",
     "AveragingSpec",
-    "CorrelationComb",
     "eberlein_convolve",
     "pair_correlation",
 ]

@@ -51,11 +51,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows, cfg: dict,
-               note: str = "") -> None:
+def _write_csv(path: str, header: list[str], rows, cfg: dict) -> None:
     comment = f"# combsplit {__version__} config_hash={_config_hash(cfg)}"
-    if note:
-        comment += f" {note}"
     lines = [comment, ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
@@ -186,10 +183,7 @@ def _k_selection(cfg: dict) -> list:
 def _point_rows(tps: inflate.TypedPointSet):
     for t in tps.types():
         pts = tps.points[t]
-        if tps.grid is None:
-            values = pts[:, 0] + pts[:, 1] * TAU
-        else:
-            values = pts[:, 0].astype(float) * tps.grid
+        values = pts[:, 0] + pts[:, 1] * TAU
         for (m, n), v in zip(pts, values):
             yield (t, int(m), int(n), float(v))
 
@@ -200,7 +194,7 @@ def cmd_generate(cfg: dict) -> int:
     if cfg.get("format", "csv") == "json":
         doc = {
             "range": list(tps.rng),
-            "exact": tps.exact,
+            "exact": True,  # kept for output compatibility: keys are always exact
             "points": [
                 {"type": t, "m": m, "n": n, "value": v}
                 for t, m, n, v in _point_rows(tps)
@@ -208,9 +202,7 @@ def cmd_generate(cfg: dict) -> int:
         }
         _write_json(out, doc, cfg)
     else:
-        note = "" if tps.exact else f"basis=inexact_grid:{tps.grid!r}"
-        _write_csv(out, ["type", "m", "n", "value"], _point_rows(tps), cfg,
-                   note=note)
+        _write_csv(out, ["type", "m", "n", "value"], _point_rows(tps), cfg)
     return 0
 
 
@@ -274,7 +266,7 @@ def cmd_correlate(cfg: dict) -> int:
     rows = []
     for R in _parse_r_grid(cfg):
         corr = eberlein.pair_correlation(mu, nu, shape, R, r_max, variant)
-        for (m, n), d, w in zip(corr.keys, corr.distances, corr.weights):
+        for (m, n), d, w in zip(corr.keys, corr.positions, corr.weights):
             wc = complex(w)
             rows.append((int(m), int(n), float(d), wc.real, wc.imag, R, variant))
     _write_csv(
@@ -526,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge(args, _load_config(args.config))
         return _COMMANDS[args.command](cfg)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error), file=sys.stderr)
         return 1

@@ -5,10 +5,6 @@ for the position m + n*tau (pure integers use n = 0), together with a
 coverage interval on which the atom list is complete.  Combs of point sets
 generated on a half line carry coverage (-inf, R]: there really are no
 atoms to the left, and correlation kernels rely on that.
-
-Combs built from inexact (non-Z[tau]) geometry use a uniform grid basis
-instead: key m then means position m * grid, with positions merged at the
-grid resolution.
 """
 
 from __future__ import annotations
@@ -34,6 +30,7 @@ __all__ = [
 ]
 
 _CODE_SHIFT = np.int64(2**32)
+_KEY_BOUND = 2**31
 
 
 class ContainmentError(ValueError):
@@ -45,7 +42,13 @@ class ContainmentError(ValueError):
 
 
 def _encode(keys: np.ndarray) -> np.ndarray:
-    # single int64 per (m, n) key; safe for |m| < 2^30, |n| < 2^31
+    """One int64 code per (m, n) key, ordered like the keys lexicographically.
+
+    Codes are distinct while |m| and |n| stay below 2**31; larger keys raise
+    ValueError instead of wrapping into collisions.
+    """
+    if len(keys) and (keys.min() <= -_KEY_BOUND or keys.max() >= _KEY_BOUND):
+        raise ValueError("exact key out of range: |m| and |n| must be below 2**31")
     return keys[:, 0] * _CODE_SHIFT + keys[:, 1]
 
 
@@ -56,13 +59,11 @@ class WeightedComb:
     keys      (N, 2) int64, positions sorted ascending
     weights   (N,) float64 or complex128, no exact zeros
     coverage  interval on which the atom list is complete
-    grid      None for Z[tau] keys; else the spacing of a real-valued grid
     """
 
     keys: np.ndarray
     weights: np.ndarray
     coverage: tuple[float, float]
-    grid: float | None = None
 
     def __post_init__(self):
         if self.keys.ndim != 2 or self.keys.shape[1] != 2:
@@ -77,16 +78,14 @@ class WeightedComb:
 
     @property
     def positions(self) -> np.ndarray:
-        if self.grid is None:
-            return embed_array(self.keys[:, 0], self.keys[:, 1])
-        return self.keys[:, 0].astype(np.float64) * self.grid
+        return embed_array(self.keys[:, 0], self.keys[:, 1])
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def is_integer_supported(self) -> bool:
-        """True when every atom sits on Z (n = 0 throughout, Z[tau] basis)."""
-        return self.grid is None and bool(np.all(self.keys[:, 1] == 0))
+        """True when every atom sits on Z (n = 0 throughout)."""
+        return bool(np.all(self.keys[:, 1] == 0))
 
     def atoms_dict(self) -> dict[tuple[int, int], complex]:
         return {
@@ -109,28 +108,23 @@ class WeightedComb:
         return float(np.abs(self.weights).max()) if len(self) else 0.0
 
 
-def _sorted_comb(keys, weights, coverage, grid) -> WeightedComb:
+def _sorted_comb(keys, weights, coverage) -> WeightedComb:
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
     weights = np.asarray(weights)
-    if grid is None:
-        pos = embed_array(keys[:, 0], keys[:, 1])
-    else:
-        pos = keys[:, 0].astype(np.float64) * grid
-    order = np.argsort(pos, kind="stable")
-    return WeightedComb(keys[order], weights[order], coverage, grid)
+    order = np.argsort(embed_array(keys[:, 0], keys[:, 1]), kind="stable")
+    return WeightedComb(keys[order], weights[order], coverage)
 
 
 def dirac_comb(
     keys: np.ndarray | Sequence[tuple[int, int]],
     coverage: tuple[float, float],
     weight: complex = 1.0,
-    grid: float | None = None,
 ) -> WeightedComb:
     """Comb with a constant weight on each of the given exact points."""
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
     dtype = np.float64 if isinstance(weight, (int, float)) else np.complex128
     weights = np.full(len(keys), weight, dtype=dtype)
-    return _sorted_comb(keys, weights, coverage, grid)
+    return _sorted_comb(keys, weights, coverage)
 
 
 def lattice_comb(lo: int, hi: int, weight: complex = 1.0) -> WeightedComb:
@@ -145,7 +139,7 @@ def reflect_conjugate(mu: WeightedComb) -> WeightedComb:
     keys = -mu.keys[::-1]
     weights = np.conj(mu.weights[::-1])
     lo, hi = mu.coverage
-    return WeightedComb(keys, weights, (-hi, -lo), mu.grid)
+    return WeightedComb(keys, weights, (-hi, -lo))
 
 
 def restrict(mu: WeightedComb, lo: float, hi: float) -> WeightedComb:
@@ -154,18 +148,9 @@ def restrict(mu: WeightedComb, lo: float, hi: float) -> WeightedComb:
     The result is a fully known finite measure, so its coverage is the
     whole line.
     """
-    if lo > hi:
-        return WeightedComb(
-            np.empty((0, 2), dtype=np.int64),
-            mu.weights[:0],
-            (-math.inf, math.inf),
-            mu.grid,
-        )
     pos = mu.positions
     mask = (pos >= lo) & (pos <= hi)
-    return WeightedComb(
-        mu.keys[mask], mu.weights[mask], (-math.inf, math.inf), mu.grid
-    )
+    return WeightedComb(mu.keys[mask], mu.weights[mask], (-math.inf, math.inf))
 
 
 def linear_combine(
@@ -178,10 +163,6 @@ def linear_combine(
     """
     if not terms:
         raise ValueError("linear_combine needs at least one term")
-    grids = {mu.grid for _, mu in terms}
-    if len(grids) != 1:
-        raise ValueError("cannot combine combs with different key bases")
-    grid = grids.pop()
     lo = max(mu.coverage[0] for _, mu in terms)
     hi = min(mu.coverage[1] for _, mu in terms)
 
@@ -200,7 +181,7 @@ def linear_combine(
     weights = np.concatenate(weight_parts)
 
     if len(keys) == 0:
-        return WeightedComb(keys.reshape(0, 2), weights, (lo, hi), grid)
+        return WeightedComb(keys.reshape(0, 2), weights, (lo, hi))
 
     codes = _encode(keys)
     uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
@@ -211,7 +192,7 @@ def linear_combine(
     else:
         np.add.at(merged, inverse, weights)
     keep = merged != 0
-    return _sorted_comb(keys[first][keep], merged[keep], (lo, hi), grid)
+    return _sorted_comb(keys[first][keep], merged[keep], (lo, hi))
 
 
 def split_pp(

@@ -6,9 +6,11 @@ first factor is restricted to the reflected interval, which coincides with
 the usual recipe for symmetric intervals and is the consistent extension
 for one-sided ones.  Two kernels back the convolution: an exact sweep over
 sorted golden-ratio keys, and a sliding dot product over dense arrays when
-both combs live on the integers.  Per-atom sums are correctly rounded
-(math.fsum or numpy pairwise over integer-valued products), so repeated
-runs are bit-identical and counting identities hold exactly.
+both combs live on the integers.  The sweep sums each atom with math.fsum,
+correctly rounded.  The dense kernel sums with numpy's pairwise summation,
+which is exact for integer-valued products (so counting identities hold
+exactly) but not correctly rounded for general weights.  Both are
+order-fixed, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .combs import WeightedComb, reflect_conjugate
-from .zroot5 import TAU, FourierModulePoint, frac_phases
+from .combs import WeightedComb, _encode, reflect_conjugate
+from .zroot5 import FourierModulePoint, embed_array, frac_phases
 
 __all__ = [
     "AveragingSpec",
-    "CorrelationComb",
     "RangeError",
     "eberlein_convolve",
     "pair_correlation",
@@ -38,8 +39,6 @@ __all__ = [
     "smoothed_fb_check",
     "boundary_fraction",
 ]
-
-_CODE_SHIFT = np.int64(2**32)
 
 
 class RangeError(ValueError):
@@ -57,6 +56,8 @@ class AveragingSpec:
         if self.shape not in ("one_sided", "symmetric"):
             raise ValueError(f"unknown averaging shape {self.shape!r}")
         Rs = self.R_list
+        if not all(math.isfinite(R) for R in Rs):
+            raise ValueError("R_list entries must be finite")
         if not Rs or any(b <= a for a, b in zip(Rs, Rs[1:])) or Rs[0] <= 0:
             raise ValueError("R_list must be positive and strictly increasing")
 
@@ -73,39 +74,6 @@ def averaging_interval(shape: str, R: float) -> tuple[float, float]:
 
 def averaging_vol(shape: str, R: float) -> float:
     return AveragingSpec(shape, (R,)).vol(R)
-
-
-@dataclass(frozen=True)
-class CorrelationComb:
-    """Atoms of a finite averaged convolution, keyed by exact distance."""
-
-    keys: np.ndarray  # (N, 2) int64, sorted by distance
-    weights: np.ndarray
-    R: float
-    variant: str
-    grid: float | None = None
-
-    @property
-    def distances(self) -> np.ndarray:
-        if self.grid is None:
-            return self.keys[:, 0] + self.keys[:, 1] * TAU
-        return self.keys[:, 0].astype(np.float64) * self.grid
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.weights).max()) if len(self) else 0.0
-
-    def atom(self, key: tuple[int, int]) -> complex:
-        hit = np.flatnonzero((self.keys[:, 0] == key[0]) & (self.keys[:, 1] == key[1]))
-        return self.weights[hit[0]] if len(hit) else 0.0
-
-    def atoms_dict(self) -> dict[tuple[int, int], complex]:
-        return {(int(m), int(n)): w for (m, n), w in zip(self.keys, self.weights)}
-
-    def total_mass(self) -> complex:
-        return complex(self.weights.sum()) if len(self) else 0.0
 
 
 def _require(cond: bool, msg: str):
@@ -127,7 +95,7 @@ def eberlein_convolve(
     R: float,
     r_max: float = 20.0,
     variant: str = "both",
-) -> CorrelationComb:
+) -> WeightedComb:
     """Finite-R averaged convolution of two combs.
 
     Parameters
@@ -142,8 +110,9 @@ def eberlein_convolve(
 
     Returns
     -------
-    CorrelationComb with weight at s equal to the sum of mu(x) * nu(y) over
-    the admitted pairs with x + y = s, divided by vol(A).
+    WeightedComb on the coverage [-r_max, r_max], with weight at s equal to
+    the sum of mu(x) * nu(y) over the admitted pairs with x + y = s, divided
+    by vol(A).
 
     Raises
     ------
@@ -152,8 +121,6 @@ def eberlein_convolve(
     """
     if variant not in ("both", "one"):
         raise ValueError(f"unknown variant {variant!r}")
-    if mu.grid != nu.grid:
-        raise ValueError("cannot convolve combs with different key bases")
     lo, hi = averaging_interval(shape, R)
     vol = averaging_vol(shape, R)
 
@@ -173,31 +140,27 @@ def eberlein_convolve(
     _, kx, wx = _restrict_arrays(mu, -hi, -lo)
     _, ky, wy = _restrict_arrays(nu, nu_lo, nu_hi)
 
+    coverage = (-r_max, r_max)
     if len(kx) == 0 or len(ky) == 0:
         dtype = np.result_type(wx.dtype, wy.dtype, np.float64)
-        return CorrelationComb(
-            np.empty((0, 2), dtype=np.int64),
-            np.empty(0, dtype=dtype),
-            R,
-            variant,
-            mu.grid,
+        return WeightedComb(
+            np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=dtype), coverage
         )
 
-    integer_case = (
-        mu.grid is None
-        and bool(np.all(kx[:, 1] == 0))
-        and bool(np.all(ky[:, 1] == 0))
-    )
-    if integer_case:
+    if np.all(kx[:, 1] == 0) and np.all(ky[:, 1] == 0):
         keys, weights = _convolve_dense(kx[:, 0], wx, ky[:, 0], wy, r_max)
     else:
-        keys, weights = _convolve_sweep(kx, wx, ky, wy, r_max, mu.grid)
-    return CorrelationComb(keys, weights / vol, R, variant, mu.grid)
+        keys, weights = _convolve_sweep(kx, wx, ky, wy, r_max)
+    # divide real and imaginary parts separately: numpy's complex division
+    # multiplies by a reciprocal and would round twice
+    quotient = (weights.view(np.float64) / vol).view(weights.dtype)
+    return WeightedComb(keys, quotient, coverage)
 
 
 def _convolve_dense(mx, wx, my, wy, r_max):
-    # Sliding dot products over dense integer-indexed arrays; numpy's
-    # pairwise summation keeps integer-valued counts exact.
+    # Sliding dot products over dense integer-indexed arrays.  numpy's
+    # pairwise summation is exact for integer-valued products, so counts
+    # are exact; other weights are not guaranteed to be correctly rounded.
     complex_out = np.iscomplexobj(wx) or np.iscomplexobj(wy)
     dtype = np.complex128 if complex_out else np.float64
     x0, x1 = int(mx[0]), int(mx[-1])
@@ -226,15 +189,11 @@ def _convolve_dense(mx, wx, my, wy, r_max):
     return np.asarray(out_keys, dtype=np.int64), np.asarray(out_weights, dtype=dtype)
 
 
-def _convolve_sweep(kx, wx, ky, wy, r_max, grid):
+def _convolve_sweep(kx, wx, ky, wy, r_max):
     # Exact-key two-pointer sweep: for every x-atom, the admissible y-atoms
     # form a contiguous window of the sorted nu support.
-    if grid is None:
-        px = kx[:, 0] + kx[:, 1] * TAU
-        py = ky[:, 0] + ky[:, 1] * TAU
-    else:
-        px = kx[:, 0].astype(np.float64) * grid
-        py = ky[:, 0].astype(np.float64) * grid
+    px = embed_array(kx[:, 0], kx[:, 1])
+    py = embed_array(ky[:, 0], ky[:, 1])
     lo_idx = np.searchsorted(py, -r_max - px - 1e-9, side="left")
     hi_idx = np.searchsorted(py, r_max - px + 1e-9, side="right")
     counts = hi_idx - lo_idx
@@ -259,7 +218,7 @@ def _convolve_sweep(kx, wx, ky, wy, r_max, grid):
     if len(products) == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=dtype)
 
-    codes = sum_keys[:, 0] * _CODE_SHIFT + sum_keys[:, 1]
+    codes = _encode(sum_keys)
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     products = products[order]
@@ -285,10 +244,7 @@ def _convolve_sweep(kx, wx, ky, wy, r_max, grid):
     keep = weights != 0
     keys = keys[keep]
     weights = weights[keep]
-    if grid is None:
-        order = np.argsort(keys[:, 0] + keys[:, 1] * TAU, kind="stable")
-    else:
-        order = np.argsort(keys[:, 0], kind="stable")
+    order = np.argsort(embed_array(keys[:, 0], keys[:, 1]), kind="stable")
     return keys[order], weights[order]
 
 
@@ -299,7 +255,7 @@ def pair_correlation(
     R: float,
     r_max: float = 20.0,
     variant: str = "both",
-) -> CorrelationComb:
+) -> WeightedComb:
     """Averaged correlation: the reflected conjugate of mu convolved with nu.
 
     Atoms sit at differences y - x of the two supports.
@@ -332,11 +288,9 @@ def fb_coefficient(
     if isinstance(k, FourierModulePoint):
         if k.is_zero():
             phase_factors = np.ones(len(keys))
-        elif mu.grid is None:
+        else:
             phases = frac_phases(k, keys[:, 0].tolist(), keys[:, 1].tolist())
             phase_factors = np.exp(-2j * math.pi * phases)
-        else:
-            phase_factors = np.exp(-2j * math.pi * k.value() * pos)
     else:
         phase_factors = np.exp(-2j * math.pi * float(k) * pos)
     products = weights * phase_factors
@@ -409,11 +363,11 @@ def orthogonality_report(
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    gamma: CorrelationComb
-    s_part: CorrelationComb
-    zero_part: CorrelationComb
-    cross_ij: CorrelationComb
-    cross_ji: CorrelationComb
+    gamma: WeightedComb
+    s_part: WeightedComb
+    zero_part: WeightedComb
+    cross_ij: WeightedComb
+    cross_ji: WeightedComb
     bilinear_residual: float
     cross_sup: float
     zero_fb_max: float
@@ -466,7 +420,7 @@ def decomposition_report(
     cross_sup = max(cross_ij.sup_norm(), cross_ji.sup_norm())
     zero_fb = 0.0
     if module_k and len(zero_part):
-        dist = zero_part.distances
+        dist = zero_part.positions
         for k in module_k:
             kv = k.value() if isinstance(k, FourierModulePoint) else float(k)
             ssum = np.sum(zero_part.weights * np.exp(-2j * math.pi * kv * dist))

@@ -4,8 +4,8 @@ A rule maps each letter to a word (or to a finite set of words with
 probabilities, applied independently per tile and per level).  Realizing a
 rule stretches every tile by the dominant eigenvalue of the substitution
 matrix and subdivides; the typed point set collects the left endpoints of
-the tiles, with exact golden-ratio coordinates whenever the tile lengths
-live in Z[tau].
+the tiles, with exact golden-ratio coordinates: every tile length is an
+element of Z[tau].
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ __all__ = [
     "rule_from_json",
 ]
 
-INEXACT_GRID = 1e-9  # merge resolution for non-Z[tau] tile lengths
-
-
 class RuleError(ValueError):
     """Invalid substitution rule or unsupported use of one."""
 
@@ -52,11 +49,11 @@ class Branch:
 
 @dataclass(frozen=True)
 class SubstitutionRule:
-    """Alphabet, per-letter images (possibly probabilistic), tile lengths."""
+    """Alphabet, per-letter images (possibly probabilistic), exact tile lengths."""
 
     alphabet: tuple[str, ...]
     images: Mapping[str, tuple[Branch, ...]]
-    lengths: Mapping[str, QuadraticInt | float]
+    lengths: Mapping[str, QuadraticInt]
     name: str = "custom"
     inflation_factor: QuadraticInt | None = None
 
@@ -82,6 +79,11 @@ class SubstitutionRule:
                 raise RuleError(f"branch probabilities of {letter!r} sum to {total}")
             if letter not in self.lengths:
                 raise RuleError(f"letter {letter!r} has no tile length")
+            if not isinstance(self.lengths[letter], QuadraticInt):
+                raise RuleError(
+                    f"tile length of {letter!r} must be an exact Z[tau] element, "
+                    f"got {self.lengths[letter]!r}"
+                )
         if not _is_primitive(substitution_matrix(self)):
             raise RuleError("substitution matrix is not primitive")
 
@@ -89,22 +91,14 @@ class SubstitutionRule:
     def is_random(self) -> bool:
         return any(len(brs) > 1 for brs in self.images.values())
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(l, QuadraticInt) for l in self.lengths.values())
-
-    def length_value(self, letter: str) -> float:
-        l = self.lengths[letter]
-        return l.embed() if isinstance(l, QuadraticInt) else float(l)
-
     def check_length_identity(self) -> None:
         """Exact no-drift check: each inflated tile spans factor * length.
 
-        Only meaningful for exact rules with a declared inflation factor;
-        every branch of every letter must satisfy the identity in Z[tau].
+        Needs a declared inflation factor; every branch of every letter must
+        satisfy the identity in Z[tau].
         """
-        if self.inflation_factor is None or not self.is_exact:
-            raise RuleError("length identity needs exact lengths and a factor")
+        if self.inflation_factor is None:
+            raise RuleError("length identity needs an inflation factor")
         for letter in self.alphabet:
             want = self.inflation_factor * self.lengths[letter]
             for br in self.images[letter]:
@@ -123,11 +117,6 @@ class TypedPointSet:
 
     points: dict[str, np.ndarray]  # per type: (N, 2) int64, sorted by position
     rng: tuple[float, float]
-    grid: float | None = None  # None: exact Z[tau] keys; else grid spacing
-
-    @property
-    def exact(self) -> bool:
-        return self.grid is None
 
     def types(self) -> tuple[str, ...]:
         return tuple(self.points)
@@ -140,7 +129,7 @@ class TypedPointSet:
     def merged(self) -> np.ndarray:
         allpts = np.concatenate([p for p in self.points.values()]) \
             if self.points else np.empty((0, 2), dtype=np.int64)
-        pos = _positions(allpts, self.grid)
+        pos = embed_array(allpts[:, 0], allpts[:, 1])
         return allpts[np.argsort(pos, kind="stable")]
 
     def comb(self, name: str | None = None) -> WeightedComb:
@@ -150,13 +139,7 @@ class TypedPointSet:
         coverage extends to -inf on the left.
         """
         pts = self.merged() if name is None else self.points[name]
-        return dirac_comb(pts, (-math.inf, self.rng[1]), grid=self.grid)
-
-
-def _positions(keys: np.ndarray, grid: float | None) -> np.ndarray:
-    if grid is None:
-        return embed_array(keys[:, 0], keys[:, 1])
-    return keys[:, 0].astype(np.float64) * grid
+        return dirac_comb(pts, (-math.inf, self.rng[1]))
 
 
 def substitution_matrix(rule: SubstitutionRule) -> np.ndarray:
@@ -266,14 +249,12 @@ def realize_geometric(
 
     Returns
     -------
-    TypedPointSet with exact Z[tau] coordinates when all tile lengths are
-    in Z[tau]; otherwise positions are merged on a 1e-9 grid and the set is
-    flagged inexact via its grid attribute.
+    TypedPointSet with exact Z[tau] coordinates.
     """
     if seed not in rule.alphabet:
         raise RuleError(f"seed {seed!r} not in alphabet")
-    if R < 0:
-        raise RuleError("R must be nonnegative")
+    if not math.isfinite(R) or R < 0:
+        raise RuleError(f"R must be finite and nonnegative, got {R!r}")
     if not rule.is_random:
         first = rule.images[seed][0].word[0]
         if first != seed:
@@ -292,7 +273,7 @@ def realize_geometric(
         np.cumsum([br.prob for br in rule.images[l]]) for l in rule.alphabet
     ]
     lengths = [rule.lengths[l] for l in rule.alphabet]
-    len_values = np.array([rule.length_value(l) for l in rule.alphabet])
+    len_values = np.array([l.embed() for l in lengths])
 
     word = np.array([idx[seed]], dtype=np.int16)
     level = 0
@@ -302,19 +283,12 @@ def realize_geometric(
         if level > 128:
             raise RuleError("inflation did not reach the requested length")
 
-    if rule.is_exact:
-        lm = np.array([l.m for l in lengths], dtype=np.int64)
-        ln = np.array([l.n for l in lengths], dtype=np.int64)
-        pos_m = np.concatenate(([0], np.cumsum(lm[word])[:-1]))
-        pos_n = np.concatenate(([0], np.cumsum(ln[word])[:-1]))
-        keys = np.stack([pos_m, pos_n], axis=1)
-        values = embed_array(pos_m, pos_n)
-        grid = None
-    else:
-        values = np.concatenate(([0.0], np.cumsum(len_values[word])[:-1]))
-        quantized = np.round(values / INEXACT_GRID).astype(np.int64)
-        keys = np.stack([quantized, np.zeros_like(quantized)], axis=1)
-        grid = INEXACT_GRID
+    lm = np.array([l.m for l in lengths], dtype=np.int64)
+    ln = np.array([l.n for l in lengths], dtype=np.int64)
+    pos_m = np.concatenate(([0], np.cumsum(lm[word])[:-1]))
+    pos_n = np.concatenate(([0], np.cumsum(ln[word])[:-1]))
+    keys = np.stack([pos_m, pos_n], axis=1)
+    values = embed_array(pos_m, pos_n)
 
     keep = values <= R
     word = word[keep]
@@ -322,7 +296,7 @@ def realize_geometric(
     points = {
         letter: keys[word == i] for letter, i in idx.items()
     }
-    return TypedPointSet(points, (0.0, float(R)), grid)
+    return TypedPointSet(points, (0.0, float(R)))
 
 
 def _inflate_word(word, br_words, br_cumprob, rng_seed, stream, level):
@@ -440,13 +414,19 @@ def builtin_rule(name: str, p: float = 0.5) -> SubstitutionRule:
     raise RuleError(f"unknown built-in rule {name!r}")
 
 
-def _length_from_json(obj) -> QuadraticInt | float:
+def _json_int(obj) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise RuleError(f"expected a JSON integer, got {obj!r}")
+    return obj
+
+
+def _length_from_json(obj) -> QuadraticInt:
     if isinstance(obj, dict):
         extra = set(obj) - {"m", "n"}
         if extra:
             raise RuleError(f"unknown length keys {sorted(extra)}")
-        return QuadraticInt(int(obj.get("m", 0)), int(obj.get("n", 0)))
-    return float(obj)
+        return QuadraticInt(_json_int(obj.get("m", 0)), _json_int(obj.get("n", 0)))
+    return QuadraticInt(_json_int(obj), 0)
 
 
 def rule_from_json(obj: dict) -> SubstitutionRule:
@@ -454,7 +434,9 @@ def rule_from_json(obj: dict) -> SubstitutionRule:
 
     Schema: {"name"?: str, "alphabet": [letters], "images": {letter: word
     or [{"prob": p, "word": [...]}, ...]}, "lengths": {letter: {"m", "n"}
-    or number}, "inflation_factor"?: {"m", "n"}}.
+    or integer}, "inflation_factor"?: {"m", "n"} or integer}.  Lengths and
+    factors are exact: a plain integer k means k + 0*tau, and any other
+    number is rejected.
     """
     known = {"name", "alphabet", "images", "lengths", "inflation_factor"}
     extra = set(obj) - known
@@ -472,10 +454,7 @@ def rule_from_json(obj: dict) -> SubstitutionRule:
     lengths = {l: _length_from_json(v) for l, v in obj["lengths"].items()}
     factor = None
     if "inflation_factor" in obj:
-        f = _length_from_json(obj["inflation_factor"])
-        if not isinstance(f, QuadraticInt):
-            raise RuleError("inflation_factor must be an exact pair")
-        factor = f
+        factor = _length_from_json(obj["inflation_factor"])
     return SubstitutionRule(
         alphabet=alphabet,
         images=images,

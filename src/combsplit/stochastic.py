@@ -179,8 +179,8 @@ def empirical_pp_split(
         for k in K
     }
 
-    lo, hi = (0.0, R_final) if spec.shape == "one_sided" else (-R_final, R_final)
-    vol = R_final if spec.shape == "one_sided" else 2 * R_final
+    lo, hi = spec.interval(R_final)
+    vol = spec.vol(R_final)
     total = 0.0
     for t in tps.types():
         pos = tps.comb(t).positions

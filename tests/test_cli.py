@@ -168,3 +168,30 @@ def test_run_suite_all_aggregates(monkeypatch):
         suites, "_SUITES", {"x": fake("x", True), "y": fake("y", False)}
     )
     assert [r.passed for r in suites.run_suite("all")] == [True, False]
+
+
+def test_memory_error_reported_as_json(monkeypatch, capsys):
+    from combsplit import cli
+
+    def exhausted(cfg):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setitem(cli._COMMANDS, "generate", exhausted)
+    assert run("generate", "--system", "fibonacci", "--R", "10") == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "MemoryError", "message": "cannot allocate"}
+
+
+def test_non_finite_R_rejected_before_inflating(monkeypatch, tmp_path, capsys):
+    from combsplit import inflate
+
+    def no_inflation(*args):
+        raise AssertionError("inflated a word for a non-finite R")
+
+    monkeypatch.setattr(inflate, "_inflate_word", no_inflation)
+    for R in ("nan", "inf"):
+        out = tmp_path / f"{R}.csv"
+        assert run("generate", "--system", "fibonacci", "--R", R,
+                   "--out", str(out)) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "RuleError"
+        assert not out.exists()

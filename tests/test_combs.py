@@ -163,3 +163,20 @@ def test_zero_weight_atoms_are_dropped():
     nu = small_comb([((0, 0), -1.0)])
     out = linear_combine([(1.0, mu), (1.0, nu)])
     assert out.atoms_dict() == {(1, 0): 2.0}
+
+
+def test_keys_beyond_encoder_range_raise():
+    # m = 2**31 would alias (m - 1, n + 2**32) in a wrapped int64 code
+    big = small_comb([((2**31, 0), 1.0), ((0, 0), 1.0)],
+                     coverage=(-math.inf, math.inf))
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        linear_combine([(1.0, big)])
+    pts = np.array([[0, 0], [2**31, 0]], dtype=np.int64)
+    with pytest.raises(ValueError, match=r"2\*\*31") as err:
+        split_pp(pts, cps.fibonacci_windows()["a"], 1.0, (0.0, 3e9),
+                 model_points=pts)
+    assert not isinstance(err.value, ContainmentError)
+    # just inside the bound the codes stay distinct
+    edge = small_comb([((2**31 - 1, 0), 1.0), ((-(2**31) + 1, 2**31 - 1), 2.0)],
+                      coverage=(-math.inf, math.inf))
+    assert linear_combine([(1.0, edge)]).atoms_dict() == edge.atoms_dict()

@@ -167,3 +167,11 @@ def test_exact_boundary_membership():
 def test_cut_and_project_rejects_unbounded():
     with pytest.raises(ValueError):
         cut_and_project(fibonacci_windows()["a"], (0, math.inf))
+
+    class Untouchable:
+        def __getattr__(self, name):
+            raise AssertionError(f"window.{name} read before the range check")
+
+    for rng in ((0.0, math.nan), (math.nan, 10.0), (-math.inf, 10.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="bounded range"):
+            cut_and_project(Untouchable(), rng)

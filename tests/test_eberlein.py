@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from combsplit import cps, inflate
 from combsplit.combs import (
@@ -24,7 +25,7 @@ from combsplit.eberlein import (
     pair_correlation,
     smoothed_fb_check,
 )
-from combsplit.zroot5 import TAU, FourierModulePoint
+from combsplit.zroot5 import TAU, FourierModulePoint, sign_of
 
 
 def brute_convolve(mu, nu, shape, R, r_max):
@@ -313,6 +314,85 @@ def test_averaging_spec_validation():
         AveragingSpec("round", (1.0, 2.0))
     with pytest.raises(ValueError):
         AveragingSpec("symmetric", (10.0, 5.0))
+    for R_list in ((math.nan,), (1.0, math.nan), (1.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            AveragingSpec("one_sided", R_list)
     spec = AveragingSpec("one_sided", (1.0, 2.0))
     assert spec.interval(2.0) == (0.0, 2.0)
     assert spec.vol(2.0) == 2.0
+
+
+def test_sweep_rejects_keys_beyond_encoder_range():
+    # both atoms sit near the origin, but their difference key has m = 2**31
+    far = dirac_comb([(-(2**31), round(2**31 / TAU))], (-math.inf, math.inf))
+    near = dirac_comb([(0, 1)], (-math.inf, math.inf))
+    assert abs(far.positions[0]) < 1.0
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        pair_correlation(far, near, "symmetric", 10.0, 5.0)
+
+
+def exact_pair_correlation(mu, nu, shape, R, r_max, variant):
+    """O(N^2) oracle over exact key differences; bounds are integers, so
+    every comparison is an exact sign in Z[tau]."""
+    lo, hi = (0, R) if shape == "one_sided" else (-R, R)
+    nu_lo, nu_hi = (lo, hi) if variant == "both" else (lo - r_max, hi + r_max)
+
+    def inside(key, a, b):
+        m, n = key
+        return sign_of(m - a, n) >= 0 and sign_of(m - b, n) <= 0
+
+    sums = {}
+    for x, wx in mu.items():
+        if not inside(x, lo, hi):
+            continue
+        for y, wy in nu.items():
+            d = (y[0] - x[0], y[1] - x[1])
+            if inside(y, nu_lo, nu_hi) and inside(d, -r_max, r_max):
+                sums[d] = sums.get(d, 0) + wx.conjugate() * wy
+    vol = R if shape == "one_sided" else 2 * R
+    return {d: complex(w) / vol for d, w in sums.items() if w != 0}
+
+
+def exact_comb(atoms):
+    keys = np.array(list(atoms), dtype=np.int64).reshape(-1, 2)
+    weights = np.array(list(atoms.values()))
+    order = np.argsort(keys[:, 0] + keys[:, 1] * TAU, kind="stable")
+    return WeightedComb(keys[order], weights[order], (-math.inf, math.inf))
+
+
+# dyadic weights keep every product and every per-atom sum exact
+dyadic_st = st.integers(-8, 8).filter(bool).map(lambda k: k / 4)
+real_w_st = st.one_of(st.just(1.0), dyadic_st)
+complex_w_st = st.builds(complex, dyadic_st, dyadic_st)
+
+
+@st.composite
+def atoms_st(draw, integer, weight_st):
+    n_st = st.just(0) if integer else st.integers(-6, 6)
+    keys = st.tuples(st.integers(-15, 15), n_st)
+    return draw(st.dictionaries(keys, weight_st, max_size=14))
+
+
+@given(
+    st.data(),
+    st.booleans(),
+    st.sampled_from([real_w_st, complex_w_st]),
+    st.sampled_from(["one_sided", "symmetric"]),
+    st.sampled_from(["both", "one"]),
+    st.sampled_from([3, 5, 8, 13]),
+    st.sampled_from([1, 2, 4, 7]),
+)
+@settings(max_examples=200, deadline=None)
+def test_pair_correlation_matches_exact_oracle(
+    data, integer, weight_st, shape, variant, R, r_max
+):
+    # integer supports go to the dense kernel, mixed ones to the sweep
+    mu_atoms = data.draw(atoms_st(integer, weight_st))
+    nu_atoms = data.draw(atoms_st(integer, real_w_st))
+    corr = pair_correlation(
+        exact_comb(mu_atoms), exact_comb(nu_atoms), shape, float(R), r_max, variant
+    )
+    want = exact_pair_correlation(mu_atoms, nu_atoms, shape, R, r_max, variant)
+    assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
+    assert corr.coverage == (-r_max, r_max)
+    assert np.all(np.diff(corr.positions) > 0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -198,18 +199,40 @@ def test_rule_from_json_probabilistic():
     assert tps.count() > 100
 
 
-def test_inexact_lengths_flagged_and_merged():
-    rule = SubstitutionRule(
-        alphabet=("a", "b"),
-        images={"a": (Branch(1.0, ("a", "b")),), "b": (Branch(1.0, ("a",)),)},
-        lengths={"a": 1.5, "b": 1.0},
-    )
-    tps = realize_geometric(rule, "a", 20)
-    assert not tps.exact
-    assert tps.grid == pytest.approx(1e-9)
-    merged = tps.merged()
-    values = merged[:, 0] * tps.grid
-    assert np.all(np.diff(values) > 0)
+def test_float_lengths_rejected():
+    images = {"a": (Branch(1.0, ("a", "b")),), "b": (Branch(1.0, ("a",)),)}
+    for lengths in ({"a": 1.5, "b": 1.0}, {"a": 4.294967296, "b": 1.0},
+                    {"a": QuadraticInt(0, 1), "b": 1}):
+        with pytest.raises(RuleError, match="exact"):
+            SubstitutionRule(alphabet=("a", "b"), images=images, lengths=lengths)
+    doc = {"alphabet": ["a", "b"], "images": {"a": ["a", "b"], "b": ["a"]}}
+    for bad in (4.294967296, 1.0, True, "1", None):
+        for lengths in ({"a": bad, "b": 1}, {"a": {"m": 0, "n": bad}, "b": 1}):
+            with pytest.raises(RuleError):
+                rule_from_json({**doc, "lengths": lengths})
+
+
+def test_json_integer_lengths_load_exactly():
+    doc = {"alphabet": ["a", "b"], "images": {"a": ["a", "b"], "b": ["b", "a"]},
+           "lengths": {"a": 1, "b": 1}, "inflation_factor": 2}
+    rule = rule_from_json(doc)
+    assert rule.lengths == {"a": QuadraticInt(1, 0), "b": QuadraticInt(1, 0)}
+    assert rule.inflation_factor == QuadraticInt(2, 0)
+    rule.check_length_identity()
+    got = realize_geometric(rule, "a", 100.0)
+    want = realize_geometric(inflate.thue_morse_rule(), "a", 100.0)
+    for t in ("a", "b"):
+        assert np.array_equal(got.points[t], want.points[t])
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, -1.0])
+def test_realize_rejects_bad_R_before_inflating(monkeypatch, R):
+    def no_inflation(*args):
+        raise AssertionError("inflated a word for an invalid R")
+
+    monkeypatch.setattr(inflate, "_inflate_word", no_inflation)
+    with pytest.raises(RuleError, match="finite and nonnegative"):
+        realize_geometric(inflate.fibonacci_rule(), "a", R)
 
 
 def test_builtin_rule_unknown_name():
