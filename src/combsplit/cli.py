@@ -13,9 +13,10 @@ import argparse
 import hashlib
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
-from . import __version__, combs, cps, eberlein, inflate, spectra, stochastic, suites
+from . import __version__, cps, eberlein, inflate, spectra, stochastic, suites
 from .zroot5 import TAU, FourierModulePoint, QuadraticInt
 
 # every flag that may come from the config document
@@ -27,6 +28,9 @@ _CONFIG_KEYS = {
 }
 
 _PRESET_SYSTEMS = ("fibonacci", "twisted_fibonacci", "thue_morse", "random_fibonacci")
+
+# rows per block when array columns become Python scalars for a writer
+_ROW_BLOCK = 4096
 
 
 class CliError(ValueError):
@@ -45,18 +49,16 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path: str, header: list[str], rows, cfg: dict) -> None:
-    comment = f"# combsplit {__version__} config_hash={_config_hash(cfg)}"
-    lines = [comment, ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Stream rows of Python scalars to a CSV file.
+
+    Cells are written with str, which for Python floats is the shortest
+    repr; callers pass columns through .tolist(), never numpy scalars.
+    """
+    with open(path, "w") as fh:
+        fh.write(f"# combsplit {__version__} config_hash={_config_hash(cfg)}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _write_json(path: str, obj: dict, cfg: dict) -> None:
@@ -183,9 +185,20 @@ def _k_selection(cfg: dict) -> list:
 def _point_rows(tps: inflate.TypedPointSet):
     for t in tps.types():
         pts = tps.points[t]
-        values = pts[:, 0] + pts[:, 1] * TAU
-        for (m, n), v in zip(pts, values):
-            yield (t, int(m), int(n), float(v))
+        for row in _key_rows(pts, pts[:, 0] + pts[:, 1] * TAU):
+            yield (t, *row)
+
+
+def _key_rows(keys, values, *columns):
+    """Rows (m, n, value, *columns) of Python scalars from array columns.
+
+    Columns are converted a block of rows at a time, so a large comb never
+    holds all of its cells as Python objects at once.
+    """
+    for lo in range(0, len(keys), _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        yield from zip(keys[block, 0].tolist(), keys[block, 1].tolist(),
+                       values[block].tolist(), *(c[block].tolist() for c in columns))
 
 
 def cmd_generate(cfg: dict) -> int:
@@ -213,8 +226,7 @@ def cmd_project(cfg: dict) -> int:
         raise CliError(f"no window for type {t!r}")
     R = _need(cfg, "R", float)
     pts = cps.cut_and_project(windows[t], (0.0, R))
-    values = pts[:, 0] + pts[:, 1] * TAU if len(pts) else []
-    rows = [(int(m), int(n), float(v)) for (m, n), v in zip(pts, values)]
+    rows = _key_rows(pts, pts[:, 0] + pts[:, 1] * TAU)
     out = _need(cfg, "out", str)
     if cfg.get("format", "csv") == "json":
         _write_json(out, {"type": t, "points": [
@@ -225,13 +237,6 @@ def cmd_project(cfg: dict) -> int:
     return 0
 
 
-def _comb_rows(comb: combs.WeightedComb):
-    values = comb.positions
-    for (m, n), v, w in zip(comb.keys, values, comb.weights):
-        wc = complex(w)
-        yield (int(m), int(n), float(v), wc.real, wc.imag)
-
-
 def cmd_split(cfg: dict) -> int:
     system = _need(cfg, "system", str)
     R = _need(cfg, "R", float)
@@ -240,8 +245,9 @@ def cmd_split(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     header = ["m", "n", "value", "re_weight", "im_weight"]
     for t, (omega, nu) in ctx.splits.items():
-        _write_csv(out_dir / f"omega_{t}.csv", header, _comb_rows(omega), cfg)
-        _write_csv(out_dir / f"nu_{t}.csv", header, _comb_rows(nu), cfg)
+        for name, comb in (("omega", omega), ("nu", nu)):
+            rows = _key_rows(comb.keys, comb.positions, comb.weights.real, comb.weights.imag)
+            _write_csv(out_dir / f"{name}_{t}.csv", header, rows, cfg)
     _write_json(
         out_dir / "splitting.json",
         {"system": system, "R": R, "alphas": ctx.alphas},
@@ -266,9 +272,10 @@ def cmd_correlate(cfg: dict) -> int:
     rows = []
     for R in _parse_r_grid(cfg):
         corr = eberlein.pair_correlation(mu, nu, shape, R, r_max, variant)
-        for (m, n), d, w in zip(corr.keys, corr.positions, corr.weights):
-            wc = complex(w)
-            rows.append((int(m), int(n), float(d), wc.real, wc.imag, R, variant))
+        rows += [
+            (*row, R, variant)
+            for row in _key_rows(corr.keys, corr.positions, corr.weights.real, corr.weights.imag)
+        ]
     _write_csv(
         _need(cfg, "out", str),
         ["m", "n", "distance", "re_weight", "im_weight", "R", "variant"],
@@ -412,7 +419,7 @@ def cmd_sample(cfg: dict) -> int:
             _write_csv(
                 cfg["points_out"],
                 ["m", "n", "value"],
-                ((int(s), 0, float(s)) for s in sites),
+                zip(sites.tolist(), repeat(0), sites.astype(float).tolist()),
                 cfg,
             )
         return 0

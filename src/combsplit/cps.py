@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .zroot5 import (
+    SIGN_ARRAY_BOUND,
     SQRT5,
     TAU,
     TAU_STAR,
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 LATTICE_DENSITY = 1.0 / SQRT5
+# rows of n per cut_and_project block: a window of unit width leaves about
+# 4 candidates per row, so a block's arrays stay near 128 KiB each whatever
+# the range
+ROW_BLOCK = 1 << 12
 
 
 class CalibrationError(ValueError):
@@ -65,30 +70,28 @@ class Interval:
     def volume(self) -> float:
         return self.hi_value() - self.lo_value()
 
-    def contains_star(self, m: int, n: int) -> bool:
+    def contains_star(self, m, n):
         """Membership of the conjugate of m + n*tau, exact on exact endpoints.
 
         The conjugate is (m + n) - n*tau; against an exact endpoint p + q*tau
-        the comparison reduces to the sign of an integer pair.
+        the comparison reduces to the sign of an integer pair.  Python ints
+        give a bool; int64 arrays give a bool array, elementwise, under the
+        bound of the array sign_of.
         """
         sm, sn = m + n, -n
         if isinstance(self.lo, QuadraticInt):
             s = sign_of(sm - self.lo.m, sn - self.lo.n)
-            if s < 0 or (s == 0 and not self.lo_closed):
-                return False
+            lo_ok = (s > 0) | ((s == 0) & self.lo_closed)
         else:
             v = sm + sn * TAU
-            if v < self.lo or (v == self.lo and not self.lo_closed):
-                return False
+            lo_ok = (v > self.lo) | ((v == self.lo) & self.lo_closed)
         if isinstance(self.hi, QuadraticInt):
             s = sign_of(sm - self.hi.m, sn - self.hi.n)
-            if s > 0 or (s == 0 and not self.hi_closed):
-                return False
+            hi_ok = (s < 0) | ((s == 0) & self.hi_closed)
         else:
             v = sm + sn * TAU
-            if v > self.hi or (v == self.hi and not self.hi_closed):
-                return False
-        return True
+            hi_ok = (v < self.hi) | ((v == self.hi) & self.hi_closed)
+        return lo_ok & hi_ok
 
     def with_closure(self, lo_closed: bool, hi_closed: bool) -> "Interval":
         return Interval(self.lo, self.hi, lo_closed, hi_closed)
@@ -121,8 +124,12 @@ class Window:
             return (0.0, 0.0)
         return (self.intervals[0].lo_value(), self.intervals[-1].hi_value())
 
-    def contains_star(self, m: int, n: int) -> bool:
-        return any(iv.contains_star(m, n) for iv in self.intervals)
+    def contains_star(self, m, n):
+        """Membership in any interval; a bool, or a bool array for arrays."""
+        inside = np.zeros(np.shape(m), dtype=bool) if np.ndim(m) else False
+        for iv in self.intervals:
+            inside = inside | iv.contains_star(m, n)
+        return inside
 
     def with_closure(self, lo_closed: bool, hi_closed: bool) -> "Window":
         return Window([iv.with_closure(lo_closed, hi_closed) for iv in self.intervals])
@@ -165,41 +172,54 @@ def cut_and_project(window: Window, rng: tuple[float, float]) -> np.ndarray:
     -------
     (N, 2) int64 array of (m, n) keys, sorted by physical position.
 
-    The solver runs row-by-row in n: the difference of the physical and the
-    internal coordinate pins n to a finite band, and for each n the two
-    linear inequalities leave an integer interval of m, which is then
-    filtered with exact window membership.
+    The difference of the physical and the internal coordinate pins n to a
+    finite band, and for each n the two linear inequalities leave an integer
+    interval of m.  The solver walks the band in blocks of ROW_BLOCK rows of
+    n; each block lays its candidate (n, m) pairs out as arrays and filters
+    them on the range and with exact window membership, so peak memory stays
+    bounded by the block, not by R.
     """
     r_lo, r_hi = float(rng[0]), float(rng[1])
     if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
         raise ValueError("cut_and_project needs a bounded range")
+    # positions of this size put 2m + n at the bound of the array sign_of
+    if max(abs(r_lo), abs(r_hi)) >= SIGN_ARRAY_BOUND:
+        raise ValueError(f"cut_and_project needs a range below {SIGN_ARRAY_BOUND} in magnitude")
     if not window.intervals:
         return np.empty((0, 2), dtype=np.int64)
     w_lo, w_hi = window.hull()
     if r_hi < r_lo:
         return np.empty((0, 2), dtype=np.int64)
 
-    out_m: list[int] = []
-    out_n: list[int] = []
     n_min = math.ceil((r_lo - w_hi) / SQRT5 - 1e-9)
     n_max = math.floor((r_hi - w_lo) / SQRT5 + 1e-9)
-    for n in range(n_min, n_max + 1):
-        m_lo = max(r_lo - n * TAU, w_lo - n * TAU_STAR)
-        m_hi = min(r_hi - n * TAU, w_hi - n * TAU_STAR)
-        for m in range(math.ceil(m_lo - 1e-9) - 1, math.floor(m_hi + 1e-9) + 2):
-            v = m + n * TAU
-            if v < r_lo or v > r_hi:
-                continue
-            if window.contains_star(m, n):
-                out_m.append(m)
-                out_n.append(n)
-
-    keys = np.stack(
-        [np.asarray(out_m, dtype=np.int64), np.asarray(out_n, dtype=np.int64)],
-        axis=1,
-    ) if out_m else np.empty((0, 2), dtype=np.int64)
+    blocks = [
+        _project_rows(window, r_lo, r_hi, np.arange(n0, min(n0 + ROW_BLOCK, n_max + 1)))
+        for n0 in range(n_min, n_max + 1, ROW_BLOCK)
+    ]
+    keys = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
     order = np.argsort(keys[:, 0] + keys[:, 1] * TAU, kind="stable")
     return keys[order]
+
+
+def _project_rows(
+    window: Window, r_lo: float, r_hi: float, ns: np.ndarray
+) -> np.ndarray:
+    """Model points of the rows ns, in (n, m) order, as an (N, 2) key array."""
+    w_lo, w_hi = window.hull()
+    m_lo = np.maximum(r_lo - ns * TAU, w_lo - ns * TAU_STAR)
+    m_hi = np.minimum(r_hi - ns * TAU, w_hi - ns * TAU_STAR)
+    # one integer of slack on each side; the exact filters below trim it
+    first = np.ceil(m_lo - 1e-9).astype(np.int64) - 1
+    counts = np.maximum(np.floor(m_hi + 1e-9).astype(np.int64) + 2 - first, 0)
+    n = np.repeat(ns, counts)
+    row_start = np.cumsum(counts) - counts
+    m = np.repeat(first - row_start, counts) + np.arange(len(n))
+    v = m + n * TAU
+    keep = (v >= r_lo) & (v <= r_hi)
+    m, n = m[keep], n[keep]
+    keep = window.contains_star(m, n)
+    return np.stack([m[keep], n[keep]], axis=1)
 
 
 def fourier_module(k_max: float, kstar_max: float) -> list[FourierModulePoint]:
@@ -269,10 +289,9 @@ def calibrate_closures(
         trial = {t: w.with_closure(lo_c, hi_c) for t, w in windows.items()}
         violations: list[tuple[str, int, int]] = []
         for t, pts in points_by_type.items():
-            w = trial[t]
-            for m, n in pts:
-                if not w.contains_star(int(m), int(n)):
-                    violations.append((t, int(m), int(n)))
+            pts = np.asarray(pts, dtype=np.int64).reshape(-1, 2)
+            outside = ~trial[t].contains_star(pts[:, 0], pts[:, 1])
+            violations += [(t, m, n) for m, n in pts[outside].tolist()]
         if not violations:
             counts = {
                 t: (len(pts), len(cut_and_project(trial[t], rng)))

@@ -124,7 +124,13 @@ def system_context(name: str, R: float) -> SystemContext:
     cal = cps.calibrate_closures(
         cal_tps.points, preset_windows, (0.0, min(R, 1000.0))
     )
-    models = {t: cps.cut_and_project(w, rng) for t, w in cal.windows.items()}
+    # types that share a window share one read-only projection of it
+    projected: dict[tuple[cps.Interval, ...], np.ndarray] = {}
+    for w in cal.windows.values():
+        if w.intervals not in projected:
+            projected[w.intervals] = cps.cut_and_project(w, rng)
+            projected[w.intervals].setflags(write=False)
+    models = {t: projected[w.intervals] for t, w in cal.windows.items()}
     alphas = {
         t: (len(tps.points[t]) / R) / cps.model_set_density(cal.windows[t])
         for t in rule.alphabet

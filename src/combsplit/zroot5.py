@@ -25,6 +25,7 @@ __all__ = [
     "QuadraticInt",
     "FourierModulePoint",
     "sign_of",
+    "SIGN_ARRAY_BOUND",
     "embed_array",
     "embed_star_array",
     "frac_phase",
@@ -43,8 +44,21 @@ _SQRT5_SCALED = math.isqrt(5 * _PHASE_SCALE * _PHASE_SCALE)
 _PHASE_DENOM = 10 * _PHASE_SCALE
 
 
-def sign_of(m: int, n: int) -> int:
-    """Exact sign of m + n*tau, computed with integer arithmetic only."""
+# Array signs square |2m + n| and |n|; below this bound 5*n^2 and u^2 stay
+# far inside int64, so the comparison is exact.
+SIGN_ARRAY_BOUND = 2**30
+
+
+def sign_of(m, n):
+    """Exact sign of m + n*tau, computed with integer arithmetic only.
+
+    Python ints give a Python int and are exact at any size.  int64 arrays
+    give an int64 array of signs, elementwise; they are exact while every
+    |2m + n| and |n| stays below SIGN_ARRAY_BOUND, and a ValueError is
+    raised beyond it instead of wrapping.
+    """
+    if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
+        return _sign_of_array(m, n)
     # 2(m + n*tau) = (2m + n) + n*sqrt(5)
     u = 2 * m + n
     if n >= 0 and u >= 0:
@@ -56,6 +70,24 @@ def sign_of(m: int, n: int) -> int:
     if u > 0:
         return 1 if d > 0 else (-1 if d < 0 else 0)
     return -1 if d > 0 else (1 if d < 0 else 0)
+
+
+def _sign_of_array(m, n) -> np.ndarray:
+    m = np.asarray(m, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    # |m| >= bound with |n| < bound forces |2m + n| > bound, so checking m
+    # and n first is no stricter and keeps 2m + n from wrapping
+    if not (_below(m) and _below(n) and _below(u := 2 * m + n)):
+        raise ValueError(
+            f"sign_of: |n| or |2m + n| reaches {SIGN_ARRAY_BOUND} in an int64 array"
+        )
+    su, sn = np.sign(u), np.sign(n)
+    # equal signs (or a zero) decide at once; otherwise compare u^2 with 5 n^2
+    return np.where(su * sn >= 0, np.sign(su + sn), su * np.sign(u * u - 5 * n * n))
+
+
+def _below(x: np.ndarray) -> bool:
+    return not np.any((x <= -SIGN_ARRAY_BOUND) | (x >= SIGN_ARRAY_BOUND))
 
 
 @total_ordering

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from combsplit import __version__
@@ -195,3 +196,94 @@ def test_non_finite_R_rejected_before_inflating(monkeypatch, tmp_path, capsys):
                    "--out", str(out)) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "RuleError"
         assert not out.exists()
+
+
+# Output runs at small R whose bytes are pinned; a refactor of the writers
+# or of the kernels under them must leave every digest unchanged.
+GOLDEN_RUNS = (
+    ("generate", "--system", "fibonacci", "--R", "2000", "--out", "gen_fib.csv"),
+    ("generate", "--system", "twisted_fibonacci", "--R", "1000", "--format", "json",
+     "--out", "gen_tw.json"),
+    ("project", "--window-preset", "twisted_fibonacci", "--type", "a", "--R", "2000",
+     "--out", "proj_a.csv"),
+    ("project", "--window-preset", "fibonacci", "--type", "b", "--R", "1000",
+     "--format", "json", "--out", "proj_b.json"),
+    ("split", "--system", "twisted_fibonacci", "--R", "2000", "--out", "split"),
+    ("correlate", "--system", "twisted_fibonacci", "--types", "a,b",
+     "--R-grid", "100,1000", "--r-max", "10", "--out", "corr.csv"),
+)
+
+# Digests as written by the per-point projection and the per-cell writers
+# that preceded the array code.  Re-pin only for a deliberate output change,
+# and list that change in CHANGES.md.
+PINNED_DIGESTS = {
+    "corr.csv":
+        "2ea3f2a864bebe244eda5083b7b7b5d0b1e169a7b6526737cb5f9b470bf7f8da",
+    "gen_fib.csv":
+        "6e3630e0c7d6a704a043bfb93dd06041ba57e314902f0a604f3f294c52f91a93",
+    "gen_tw.json":
+        "d37fc7571185993d1d189676d8917f934fc2b34fc579dd4e1fb8a017eaa396ed",
+    "proj_a.csv":
+        "a99bd586d412f7f63e8d5e8032bc81f1398933f0c8700e31b122f2093b6a17d4",
+    "proj_b.json":
+        "023d1816f7c8bbe2e4deb0763e8484e86bed4e5599a573efc9964597b269833c",
+    "split/nu_a.csv":
+        "184bb54f84edacf10f299cef580f232decdf6cb14dd1c2c77c1d7f5bbde11bd6",
+    "split/nu_a_.csv":
+        "2656ca469bd96289ca57df23ebfc692e3cce520862a28c7698753cba1f91fa0d",
+    "split/nu_b.csv":
+        "dfd2c5b5338f12a5e224a59837822cca35a69346b92da79b8d750e2915086152",
+    "split/nu_b_.csv":
+        "240cadaa7fcbfc806bd2096fb71549af6fb6994b1b9668e099d5447511d82901",
+    "split/omega_a.csv":
+        "43f235a314b04864597552e6b5278a7ccf7b25689e86e9c1a1babd8bbf566637",
+    "split/omega_a_.csv":
+        "de22ece6101aeed537e3094fe027383f4c9c06a384af3274eaded768841b222d",
+    "split/omega_b.csv":
+        "d9dac2a8a366b14b637973f138ac82c34396aeb3c2314ba9334d1daf27f5af86",
+    "split/omega_b_.csv":
+        "a9d6a2c3c2c65ebdbd74b2dce0c65e286085b7173aa9727f3cf75f7676c233d0",
+    "split/splitting.json":
+        "85a12a8b740178ccdd8fcaf01894c1e4a17ab1e765df7772cd935256214f4ae1",
+}
+
+
+def golden_digests(out_dir):
+    """SHA-256 of every file the golden runs write into out_dir."""
+    for argv in GOLDEN_RUNS:
+        argv = list(argv)
+        argv[-1] = str(out_dir / argv[-1])
+        assert run(*argv) == 0
+    return {
+        str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.rglob("*")) if p.is_file()
+    }
+
+
+def test_outputs_match_pinned_digests(tmp_path):
+    assert golden_digests(tmp_path) == PINNED_DIGESTS
+
+
+def test_write_csv_matches_per_cell_repr(tmp_path):
+    from combsplit import cli
+
+    def per_cell(header, rows, cfg):
+        # the reference formatting: repr for floats, str for everything else
+        comment = f"# combsplit {__version__} config_hash={cli._config_hash(cfg)}"
+        lines = [comment, ",".join(header)]
+        for row in rows:
+            lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+        return ("\n".join(lines) + "\n").encode()
+
+    cfg = {"system": "fibonacci", "R": 10.0}
+    header = ["k_a", "value", "label", "cauchy_diff"]
+    rows = [
+        (2**40, -0.0, "a_", ""),
+        (-3, 1e-05, "b", 1e16),
+        (0, 5e-324, "", 0.1 + 0.2),
+        (1, float(2**53 + 1), "a", -1.5e-300),
+    ]
+    for case in (rows, []):
+        out = tmp_path / "rows.csv"
+        cli._write_csv(out, header, iter(case), cfg)
+        assert out.read_bytes() == per_cell(header, case, cfg)

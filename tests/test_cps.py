@@ -19,15 +19,33 @@ from combsplit.cps import (
 from combsplit.zroot5 import SQRT5, TAU, FourierModulePoint, QuadraticInt
 
 
-def brute_force_points(window, rng, bound=40):
-    """Exhaustive scan oracle over a coordinate box."""
-    out = []
-    for m in range(-bound, bound + 1):
-        for n in range(-bound, bound + 1):
-            v = m + n * TAU
-            if rng[0] <= v <= rng[1] and window.contains_star(m, n):
-                out.append((m, n))
-    return sorted(out, key=lambda k: k[0] + k[1] * TAU)
+BOX = 40  # the exhaustive scan covers |m|, |n| <= BOX
+
+
+def star_in(window, m, n):
+    """Membership oracle: order the conjugate against each endpoint directly."""
+    star = QuadraticInt(m, n).star()
+
+    def side(e):  # sign of star - e
+        if isinstance(e, QuadraticInt):
+            return (star > e) - (star < e)
+        return (star.embed() > e) - (star.embed() < e)
+
+    return any(
+        (side(iv.lo) > 0 or (side(iv.lo) == 0 and iv.lo_closed))
+        and (side(iv.hi) < 0 or (side(iv.hi) == 0 and iv.hi_closed))
+        for iv in window.intervals
+    )
+
+
+def box_members(window):
+    """Scan-box points whose conjugate lies in the window, by the oracle."""
+    return [
+        (m, n)
+        for m in range(-BOX, BOX + 1)
+        for n in range(-BOX, BOX + 1)
+        if star_in(window, m, n)
+    ]
 
 
 def test_cut_and_project_single_point():
@@ -41,15 +59,52 @@ def test_cut_and_project_empty_window():
 
 
 def test_cut_and_project_matches_exhaustive_scan():
-    for w in (
+    # two-interval windows mixing exact and float endpoints; all but 0.1 sit
+    # on conjugates of box points, so closures decide boundary cases
+    mixed = [
+        Window([
+            Interval(QuadraticInt(-1, 0), QuadraticInt(-2, 1)),
+            Interval(0.1, QuadraticInt(-1, 1)),
+        ]),
+        Window([
+            Interval(-1.0, QuadraticInt(-2, 1)),
+            Interval(QuadraticInt(0, 0), 1.0),
+        ]),
+    ]
+    windows = [
         fibonacci_windows()["a"],
         fibonacci_windows()["b"],
         Window([Interval(-0.7, 0.3)]),
         Window([Interval(QuadraticInt(-1, 0), QuadraticInt(-2, 1), False, True)]),
-    ):
-        for rng in ((0, 30), (-12.5, 17.0)):
-            got = [tuple(p) for p in cut_and_project(w, rng)]
-            assert got == brute_force_points(w, rng)
+        Window([]),
+    ]
+    for w in mixed:
+        closures = [w.with_closure(lo, hi) for lo in (True, False) for hi in (True, False)]
+        assert len({tuple(box_members(c)) for c in closures}) == 4
+        windows += closures
+    ranges = (
+        (0, 30), (-12.5, 17.0), (-30.0, -4.0),
+        (TAU, TAU), (-1.0, -1.0),  # lo == hi on the module points tau and -1
+        (5.0, 2.0),  # hi < lo
+    )
+    box_m, box_n = (
+        a.ravel() for a in np.meshgrid(np.arange(-BOX, BOX + 1), np.arange(-BOX, BOX + 1),
+                                       indexing="ij")
+    )
+    for w in windows:
+        members = box_members(w)
+        inside = w.contains_star(box_m, box_n)
+        assert inside.dtype == bool
+        assert list(zip(box_m[inside].tolist(), box_n[inside].tolist())) == members
+        assert [p for p in zip(box_m.tolist(), box_n.tolist())
+                if w.contains_star(*p)] == members
+        for rng in ranges:
+            expected = sorted(
+                (p for p in members if rng[0] <= p[0] + p[1] * TAU <= rng[1]),
+                key=lambda k: k[0] + k[1] * TAU,
+            )
+            got = [tuple(p) for p in cut_and_project(w, rng).tolist()]
+            assert got == expected, (w, rng)
 
 
 def test_cut_and_project_density():
@@ -175,3 +230,8 @@ def test_cut_and_project_rejects_unbounded():
     for rng in ((0.0, math.nan), (math.nan, 10.0), (-math.inf, 10.0), (0.0, math.inf)):
         with pytest.raises(ValueError, match="bounded range"):
             cut_and_project(Untouchable(), rng)
+    # past the bound of exact array membership the range is refused up front
+    for rng in ((0.0, 2.0**30), (-2.0**30, 0.0), (0.0, 1e300)):
+        with pytest.raises(ValueError, match="below"):
+            cut_and_project(Untouchable(), rng)
+    assert len(cut_and_project(fibonacci_windows()["a"], (1e9, 1e9 + 50))) > 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from combsplit.zroot5 import (
+    SIGN_ARRAY_BOUND,
     SQRT5,
     TAU,
     FourierModulePoint,
@@ -116,6 +117,58 @@ def test_sign_of_matches_embedding(m, n):
         assert m == 0 and n == 0
     elif abs(v) > 1e-6:
         assert s == (1 if v > 0 else -1)
+
+
+@st.composite
+def array_sign_pairs(draw):
+    """(m, n) with |n| and |2m + n| below the array bound, over the whole box."""
+    B = SIGN_ARRAY_BOUND
+    n = draw(st.integers(-B + 1, B - 1))
+    m = draw(st.integers(-((B - 1 + n) // 2), (B - 1 - n) // 2))
+    return m, n
+
+
+def _assert_array_sign_matches_scalar(pairs):
+    ms = np.array([m for m, _ in pairs], dtype=np.int64)
+    ns = np.array([n for _, n in pairs], dtype=np.int64)
+    got = sign_of(ms, ns)
+    assert got.dtype == np.int64
+    assert got.tolist() == [sign_of(m, n) for m, n in pairs]
+
+
+@given(st.lists(array_sign_pairs(), min_size=1, max_size=40))
+def test_array_sign_of_matches_scalar(pairs):
+    _assert_array_sign_matches_scalar(pairs)
+
+
+def test_array_sign_of_on_fibonacci_near_zeros():
+    # F_{k+1} - F_k*tau = (1 - tau)^k is the closest approach to zero at
+    # that size; take it, its negation and its neighbours up to the bound
+    B = SIGN_ARRAY_BOUND
+    fib = [1, 1]
+    while fib[-1] < B:
+        fib.append(fib[-1] + fib[-2])
+    near = [(f1, -f0) for f0, f1 in zip(fib, fib[1:]) if 2 * f1 - f0 < B]
+    assert max(2 * m + n for m, n in near) > B // 2
+    signs = sign_of(np.array([m for m, _ in near]), np.array([n for _, n in near]))
+    assert signs.tolist() == [(-1) ** k for k in range(1, len(near) + 1)]
+    pairs = [
+        (s * (m + dm), s * (n + dn))
+        for m, n in near for dm in (-1, 0, 1) for dn in (-1, 0, 1) for s in (1, -1)
+    ]
+    _assert_array_sign_matches_scalar(
+        [(m, n) for m, n in pairs if abs(2 * m + n) < B and abs(n) < B]
+    )
+
+
+def test_array_sign_of_rejects_the_bound():
+    B = SIGN_ARRAY_BOUND
+    for m, n in ((B // 2, 0), (-B // 2, 0), (-B // 2, B), (B // 2, -B),
+                 (2**62, 0), (-2**63, 0)):
+        with pytest.raises(ValueError, match="2m \\+ n"):
+            sign_of(np.array([0, m], dtype=np.int64), np.array([0, n], dtype=np.int64))
+    # one below the bound on either coordinate is still exact
+    assert sign_of(np.array([B // 2, -B // 2 + 1]), np.array([-1, B - 1])).tolist() == [1, 1]
 
 
 @given(coords, coords, coords, coords)
