@@ -185,12 +185,13 @@ def linear_combine(
 
     codes = _encode(keys)
     uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    merged = np.zeros(len(uniq), dtype=dtype)
+    # bincount adds the weights of each bin in input order
+    merged = np.empty(len(uniq), dtype=dtype)
     if complex_out:
-        np.add.at(merged.real, inverse, weights.real)
-        np.add.at(merged.imag, inverse, weights.imag)
+        merged.real = np.bincount(inverse, weights.real, len(uniq))
+        merged.imag = np.bincount(inverse, weights.imag, len(uniq))
     else:
-        np.add.at(merged, inverse, weights)
+        merged[:] = np.bincount(inverse, weights, len(uniq))
     keep = merged != 0
     return _sorted_comb(keys[first][keep], merged[keep], (lo, hi))
 

@@ -293,8 +293,14 @@ def calibrate_closures(
             outside = ~trial[t].contains_star(pts[:, 0], pts[:, 1])
             violations += [(t, m, n) for m, n in pts[outside].tolist()]
         if not violations:
+            # types that share a window share one projection of it
+            model_sizes: dict[tuple[Interval, ...], int] = {}
+            for t in points_by_type:
+                ivs = trial[t].intervals
+                if ivs not in model_sizes:
+                    model_sizes[ivs] = len(cut_and_project(trial[t], rng))
             counts = {
-                t: (len(pts), len(cut_and_project(trial[t], rng)))
+                t: (len(pts), model_sizes[trial[t].intervals])
                 for t, pts in points_by_type.items()
             }
             return CalibrationResult(trial, (lo_c, hi_c), counts)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cps
 from .combs import WeightedComb
-from .eberlein import RangeError, averaging_interval, averaging_vol
+from .eberlein import AveragingSpec, RangeError
 from .zroot5 import FourierModulePoint
 
 __all__ = [
@@ -213,8 +213,9 @@ def polarisation_zero_check(
     against the expected density product (for point combs, the product of
     the limiting densities) vanishes as R grows.
     """
-    lo, hi = averaging_interval(shape, R)
-    vol = averaging_vol(shape, R)
+    spec = AveragingSpec(shape, (R,))
+    lo, hi = spec.interval(R)
+    vol = spec.vol(R)
     for comb, label in ((P, "first"), (Q, "second")):
         if comb.coverage[0] > lo or comb.coverage[1] < hi:
             raise RangeError(

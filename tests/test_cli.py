@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import numpy as np
+
 from combsplit import __version__
 from combsplit.cli import main
 
@@ -264,7 +266,7 @@ def test_outputs_match_pinned_digests(tmp_path):
     assert golden_digests(tmp_path) == PINNED_DIGESTS
 
 
-def test_write_csv_matches_per_cell_repr(tmp_path):
+def test_write_csv_matches_per_cell_repr(tmp_path, monkeypatch):
     from combsplit import cli
 
     def per_cell(header, rows, cfg):
@@ -287,3 +289,12 @@ def test_write_csv_matches_per_cell_repr(tmp_path):
         out = tmp_path / "rows.csv"
         cli._write_csv(out, header, iter(case), cfg)
         assert out.read_bytes() == per_cell(header, case, cfg)
+    # lines from _key_lines, over full, partial and no blocks, match the rows
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
+    keys = np.array([[2**40, -3], [0, 1], [-7, 0], [5, 5], [1, -1]], dtype=np.int64)
+    values = np.array([-0.0, 1e-05, 5e-324, 0.1 + 0.2, 1e16])
+    extra = np.array([1.5, -1.5e-300, float(2**53 + 1), 0.0, 3.0])
+    for n in (5, 3, 0):
+        columns = (keys[:n], values[:n], extra[:n])
+        cli._write_csv(out, header, cli._key_lines(*columns), cfg)
+        assert out.read_bytes() == per_cell(header, list(cli._key_rows(*columns)), cfg)

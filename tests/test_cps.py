@@ -187,6 +187,25 @@ def test_calibration_accepts_generated_fixed_point():
         assert 0 < n_pts <= n_model
 
 
+def test_calibration_projects_each_distinct_window_once(monkeypatch):
+    tps = inflate.realize_geometric(inflate.twisted_fibonacci_rule(), "a", 1000.0)
+    rng = (0.0, 1000.0)
+    projected = []
+
+    def counting(window, rng):
+        projected.append(window.intervals)
+        return cut_and_project(window, rng)
+
+    monkeypatch.setattr(cps, "cut_and_project", counting)
+    cal = calibrate_closures(tps.points, twisted_fibonacci_windows(), rng)
+    monkeypatch.undo()
+
+    # four types, two windows: a and a_ share one, b and b_ the other
+    assert len(projected) == len(set(projected)) == 2
+    for t, w in cal.windows.items():
+        assert cal.counts[t] == (len(tps.points[t]), len(cut_and_project(w, rng)))
+
+
 def test_calibration_reports_failure():
     tps = inflate.realize_geometric(inflate.fibonacci_rule(), "a", 200.0)
     # shrink the type-a window so its own points no longer fit

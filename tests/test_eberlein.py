@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combsplit import cps, inflate
+from combsplit import cps, eberlein, inflate
 from combsplit.combs import (
     WeightedComb,
     dirac_comb,
@@ -88,34 +89,31 @@ def test_sweep_kernel_matches_brute_force_oracle():
         assert got[k] == pytest.approx(want[k], abs=1e-12)
 
 
-def test_dense_and_sweep_kernels_agree_on_integers():
-    # a lattice comb plus one off-lattice atom forces the sweep path
+def test_dense_and_sweep_kernels_agree_on_integers(monkeypatch):
+    # a lattice comb plus one off-lattice atom forces the golden-ratio pair
+    # counts instead of the integer ones; both count the same integers, also
+    # when tiny blocks make every cell's count a sum over blocks and folds
     z = lattice_comb(-50, 50)
     marked = linear_combine(
         [(1.0, z), (1.0, dirac_comb([(0, 1)], (-50.0, 50.0), weight=0.0 + 0j))]
     )
     dense = eberlein_convolve(z, z, "symmetric", 40.0, 10).atoms_dict()
-    # same atoms, sweep path (complex dtype + off-lattice key)
+    # same atoms, golden-ratio path (complex dtype + off-lattice key)
     z_complex = WeightedComb(z.keys, z.weights.astype(np.complex128), z.coverage)
-    forced = eberlein_convolve(
-        WeightedComb(
-            np.vstack([z.keys, [[0, 1]]])[
-                np.argsort(np.r_[z.positions, [TAU]], kind="stable")
-            ],
-            np.r_[z.weights, [0.0]][
-                np.argsort(np.r_[z.positions, [TAU]], kind="stable")
-            ],
-            z.coverage,
-        ),
-        z_complex,
-        "symmetric",
-        40.0,
-        10,
-    ).atoms_dict()
-    forced = {k: v for k, v in forced.items() if v != 0}
-    assert set(dense) == set(forced)
-    for k in dense:
-        assert complex(dense[k]) == pytest.approx(complex(forced[k]), abs=1e-12)
+    marked_z = WeightedComb(
+        np.vstack([z.keys, [[0, 1]]])[np.argsort(np.r_[z.positions, [TAU]], kind="stable")],
+        np.r_[z.weights, [0.0]][np.argsort(np.r_[z.positions, [TAU]], kind="stable")],
+        z.coverage,
+    )
+    for blocks in (None, (5, 12)):
+        if blocks:
+            monkeypatch.setattr(eberlein, "PAIR_BLOCK", blocks[0])
+            monkeypatch.setattr(eberlein, "FOLD_CELLS", blocks[1])
+        forced = eberlein_convolve(marked_z, z_complex, "symmetric", 40.0, 10).atoms_dict()
+        forced = {k: v for k, v in forced.items() if v != 0}
+        assert set(dense) == set(forced)
+        for k in dense:
+            assert complex(dense[k]) == complex(forced[k])
 
 
 def test_pair_correlation_hermitian_symmetry():
@@ -386,7 +384,7 @@ def atoms_st(draw, integer, weight_st):
 def test_pair_correlation_matches_exact_oracle(
     data, integer, weight_st, shape, variant, R, r_max
 ):
-    # integer supports go to the dense kernel, mixed ones to the sweep
+    # integer supports are counted by lag, mixed ones by exact key
     mu_atoms = data.draw(atoms_st(integer, weight_st))
     nu_atoms = data.draw(atoms_st(integer, real_w_st))
     corr = pair_correlation(
@@ -396,3 +394,127 @@ def test_pair_correlation_matches_exact_oracle(
     assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
     assert corr.coverage == (-r_max, r_max)
     assert np.all(np.diff(corr.positions) > 0)
+
+
+def fsum_pair_correlation(mu, nu, shape, R, r_max, variant):
+    """Oracle: math.fsum of the per-pair products at each difference, over vol.
+
+    Admission is decided exactly, as in exact_pair_correlation.  Products
+    are taken with numpy's array multiply, as in the kernel: for complex
+    weights it may fuse multiply-adds, unlike Python's complex product.
+    """
+    lo, hi = (0, R) if shape == "one_sided" else (-R, R)
+    nu_lo, nu_hi = (lo, hi) if variant == "both" else (lo - r_max, hi + r_max)
+    dtype = np.result_type(mu.weights, nu.weights, np.float64)
+
+    def inside(key, a, b):
+        m, n = key
+        return sign_of(m - a, n) >= 0 and sign_of(m - b, n) <= 0
+
+    pairs = {}
+    for x, wx in zip(map(tuple, mu.keys.tolist()), np.conj(mu.weights)):
+        if not inside(x, lo, hi):
+            continue
+        for y, wy in zip(map(tuple, nu.keys.tolist()), nu.weights):
+            d = (y[0] - x[0], y[1] - x[1])
+            if inside(y, nu_lo, nu_hi) and inside(d, -r_max, r_max):
+                xs, ys = pairs.setdefault(d, ([], []))
+                xs.append(wx)
+                ys.append(wy)
+    vol = float(R if shape == "one_sided" else 2 * R)
+    out = {}
+    for d, (xs, ys) in pairs.items():
+        products = np.array(xs, dtype=mu.weights.dtype).astype(dtype) * np.array(
+            ys, dtype=nu.weights.dtype
+        )
+        re = math.fsum(products.real.tolist())
+        im = math.fsum(products.imag.tolist())
+        if re != 0 or im != 0:
+            out[d] = complex(re / vol, im / vol)
+    return out
+
+
+# non-dyadic weights: products and per-atom sums round
+inexact_real_st = st.sampled_from([0.6, -0.4, 1 / 3, 0.1, -2.7, 1.0])
+inexact_complex_st = st.builds(complex, inexact_real_st, inexact_real_st)
+
+
+@given(
+    st.data(),
+    st.booleans(),
+    st.sampled_from([inexact_real_st, inexact_complex_st]),
+    st.sampled_from([inexact_real_st, inexact_complex_st]),
+    st.sampled_from(["one_sided", "symmetric"]),
+    st.sampled_from(["both", "one"]),
+    st.sampled_from([3, 5, 13]),
+    st.sampled_from([1, 2, 7]),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_atom_is_the_correctly_rounded_pair_sum(
+    data, integer, mu_w_st, nu_w_st, shape, variant, R, r_max
+):
+    mu = exact_comb(data.draw(atoms_st(integer, mu_w_st)))
+    nu = exact_comb(data.draw(atoms_st(integer, nu_w_st)))
+    corr = pair_correlation(mu, nu, shape, float(R), r_max, variant)
+    want = fsum_pair_correlation(mu, nu, shape, R, r_max, variant)
+    assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
+
+
+@pytest.mark.parametrize("blocks", [None, (7, 50)])
+@pytest.mark.parametrize("integer", [True, False])
+def test_many_distinct_weights_are_correctly_rounded(integer, blocks, monkeypatch):
+    # random weights make nearly every pair its own level pair, so integer
+    # supports take the pair sweep too; tiny blocks split one x-atom's pairs
+    # and fold the cell table many times
+    if blocks:
+        monkeypatch.setattr(eberlein, "PAIR_BLOCK", blocks[0])
+        monkeypatch.setattr(eberlein, "FOLD_CELLS", blocks[1])
+    rng = np.random.default_rng(8)
+    if integer:
+        keys = [(m, 0) for m in range(-70, 71)]
+    else:
+        tps = inflate.realize_geometric(inflate.fibonacci_rule(), "a", 70.0)
+        keys = [(m, n) for m, n in tps.points["a"].tolist()]
+        keys += [(-m, -n) for m, n in keys if (m, n) != (0, 0)]
+    weights = rng.normal(size=len(keys))
+    mu = exact_comb(dict(zip(keys, weights + 1j * rng.normal(size=len(keys)))))
+    nu = exact_comb(dict(zip(keys, rng.permutation(weights))))
+    for shape in ("one_sided", "symmetric"):
+        corr = pair_correlation(mu, nu, shape, 60.0, 7)
+        want = fsum_pair_correlation(mu, nu, shape, 60, 7, "both")
+        assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_weights_and_products_raise():
+    z = lattice_comb(-20, 20)
+    for w in (math.nan, math.inf, 1e200):  # 1e200 squared overflows
+        bad = WeightedComb(z.keys, np.r_[z.weights[:-1], w], z.coverage)
+        with pytest.raises(ValueError, match="finite"):
+            pair_correlation(bad, bad, "symmetric", 20.0, 3)
+    # each product 1.69e308 is finite, their sum at lag 0 is not
+    big = WeightedComb(z.keys, np.full(len(z), 1.3e154), z.coverage)
+    with pytest.raises(ValueError, match="finite"):
+        pair_correlation(big, big, "symmetric", 20.0, 3)
+
+
+def test_pair_sweep_memory_is_bounded_by_its_blocks(monkeypatch):
+    # distinct weights on Z take the pair sweep: with small blocks its peak
+    # memory stays below one int64 per pair, and the atoms do not change
+    rng = np.random.default_rng(4)
+    n, r_max = 2000, 20
+    keys = np.stack([np.arange(n), np.zeros(n, dtype=np.int64)], axis=1)
+    mu = WeightedComb(keys, rng.normal(size=n), (0.0, float(n)))
+    nu = WeightedComb(keys, rng.normal(size=n), (0.0, float(n)))
+    whole = pair_correlation(mu, nu, "one_sided", n - 1.0, r_max)
+    monkeypatch.setattr(eberlein, "PAIR_BLOCK", 128)
+    monkeypatch.setattr(eberlein, "FOLD_CELLS", 256)
+    tracemalloc.start()
+    try:
+        blocked = pair_correlation(mu, nu, "one_sided", n - 1.0, r_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(blocked.keys, whole.keys)
+    assert np.array_equal(blocked.weights, whole.weights)
+    assert peak < 8 * n * (2 * r_max + 1), peak
