@@ -329,36 +329,52 @@ def fb_coefficient(
 ) -> complex:
     """Volume-averaged exponential sum of the comb at wave number k.
 
-    Module points are evaluated through the extended-precision fractional
-    phase; generic real k uses the direct product with the embedded
-    positions.  Atoms are consumed in ascending position order and summed
-    with correctly rounded accumulation.
+    Module points are evaluated through the 128-bit fixed-point phases of
+    frac_phases (each within half an ulp plus 2^-96 of frac(k*x)); generic
+    real k uses the direct product with the embedded positions.  The sums
+    of the real and imaginary parts are correctly rounded.  This is the
+    one-R case of fb_scan.
     """
-    spec = AveragingSpec(shape, (R,))
-    lo, hi = spec.interval(R)
-    _require(
-        mu.coverage[0] <= lo and mu.coverage[1] >= hi,
-        f"comb covers {mu.coverage}, needs [{lo}, {hi}]",
-    )
-    pos, keys, weights = _restrict_arrays(mu, lo, hi)
-    vol = spec.vol(R)
-    if len(keys) == 0:
-        return 0.0 + 0.0j
+    return _fb_values(mu, k, AveragingSpec(shape, (R,)))[0]
+
+
+def _fb_values(
+    mu: WeightedComb, k: FourierModulePoint | float, spec: AveragingSpec
+) -> list[complex]:
+    """FB coefficients of mu at k for every R of spec, from one phase pass.
+
+    The comb is restricted to the largest interval once, the products are
+    formed once, and each R sums its own slice of them.  math.fsum is
+    correctly rounded in any order, so every value equals a separate
+    computation at that R.
+    """
+    for R in spec.R_list:
+        lo, hi = spec.interval(R)
+        _require(
+            mu.coverage[0] <= lo and mu.coverage[1] >= hi,
+            f"comb covers {mu.coverage}, needs [{lo}, {hi}]",
+        )
+    pos, keys, weights = _restrict_arrays(mu, *spec.interval(spec.R_list[-1]))
     if isinstance(k, FourierModulePoint):
         if k.is_zero():
             phase_factors = np.ones(len(keys))
         else:
-            phases = frac_phases(k, keys[:, 0].tolist(), keys[:, 1].tolist())
-            phase_factors = np.exp(-2j * math.pi * phases)
+            phase_factors = np.exp(-2j * math.pi * frac_phases(k, keys[:, 0], keys[:, 1]))
     else:
         phase_factors = np.exp(-2j * math.pi * float(k) * pos)
     products = weights * phase_factors
-    if np.iscomplexobj(products):
-        re = math.fsum(products.real.tolist())
-        im = math.fsum(products.imag.tolist())
-    else:
-        re, im = math.fsum(products.tolist()), 0.0
-    return complex(re / vol, im / vol)
+    values = []
+    for R in spec.R_list:
+        lo, hi = spec.interval(R)
+        i = np.searchsorted(pos, lo - 1e-12, side="left")
+        j = np.searchsorted(pos, hi + 1e-12, side="right")
+        part, vol = products[i:j], spec.vol(R)
+        if np.iscomplexobj(part):
+            re, im = math.fsum(part.real.tolist()), math.fsum(part.imag.tolist())
+        else:
+            re, im = math.fsum(part.tolist()), 0.0
+        values.append(complex(re / vol, im / vol))
+    return values
 
 
 @dataclass(frozen=True)
@@ -379,14 +395,14 @@ def fb_scan(
 ) -> list[FBRow]:
     """FB coefficients of a comb over a k-set and a growing R grid.
 
-    Each row also carries the Cauchy difference against the previous R, the
-    finite-size stand-in for convergence of the averaging limit.
+    Each k's phases are computed once, at the largest R.  Each row also
+    carries the Cauchy difference against the previous R, the finite-size
+    stand-in for convergence of the averaging limit.
     """
     rows: list[FBRow] = []
     for k in K:
         prev: complex | None = None
-        for R in spec.R_list:
-            value = fb_coefficient(mu, k, spec.shape, R)
+        for R, value in zip(spec.R_list, _fb_values(mu, k, spec)):
             cauchy = None if prev is None else abs(value - prev)
             rows.append(FBRow(k, R, value, cauchy))
             prev = value

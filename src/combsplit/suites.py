@@ -219,12 +219,9 @@ def suite_nullfb(seed: int | None = None) -> SuiteReport:
     ctx = system_context("twisted_fibonacci", R)
     _, nu_a = ctx.splits["a"]
     ks = preset_k_points()
-    max_small = max(
-        abs(eberlein.fb_coefficient(nu_a, k, "one_sided", 100.0)) for k in ks
-    )
-    max_large = max(
-        abs(eberlein.fb_coefficient(nu_a, k, "one_sided", R)) for k in ks
-    )
+    rows = eberlein.fb_scan(nu_a, ks, eberlein.AveragingSpec("one_sided", (100.0, R)))
+    max_small = max(abs(row.value) for row in rows if row.R == 100.0)
+    max_large = max(abs(row.value) for row in rows if row.R == R)
     checks = (
         Check("max |c_nu(k)| over preset at R=1e4", max_large, 0.05,
               max_large <= 0.05),

@@ -7,14 +7,15 @@ image.  Plain integers live here too, as pairs with n = 0, so lattice
 systems share the same key space.
 
 Python integers are arbitrary precision, so ring operations can never
-overflow silently; products of desk-scale coordinates stay exact.
+overflow silently; products of desk-scale coordinates stay exact.  The
+array paths (sign_of on int64 arrays, frac_phases) are exact inside stated
+bounds and raise ValueError outside them instead of wrapping.
 """
 
 from __future__ import annotations
 
 import math
 from functools import total_ordering
-from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +30,9 @@ __all__ = [
     "embed_array",
     "embed_star_array",
     "frac_phase",
+    "frac_phases",
+    "PHASE_KEY_BOUND",
+    "PHASE_K_BOUND",
 ]
 
 SQRT5: float = math.sqrt(5.0)
@@ -36,8 +40,8 @@ TAU: float = (1.0 + SQRT5) / 2.0
 TAU_STAR: float = (1.0 - SQRT5) / 2.0
 
 # sqrt(5) to 40 decimal digits, held as the integer floor(sqrt(5) * 10^40).
-# This drives the extended-precision phase path; the float constants above
-# are only used for embeddings and coarse bounds.
+# This drives the scalar phase path; the float constants above are only
+# used for embeddings and coarse bounds.
 _PHASE_DIGITS = 40
 _PHASE_SCALE = 10**_PHASE_DIGITS
 _SQRT5_SCALED = math.isqrt(5 * _PHASE_SCALE * _PHASE_SCALE)
@@ -47,6 +51,14 @@ _PHASE_DENOM = 10 * _PHASE_SCALE
 # Array signs square |2m + n| and |n|; below this bound 5*n^2 and u^2 stay
 # far inside int64, so the comparison is exact.
 SIGN_ARRAY_BOUND = 2**30
+
+# frac_phases takes keys with |m|, |n| < PHASE_KEY_BOUND (the key encoder's
+# bound) and module points with |a|, |b| < PHASE_K_BOUND.  Then |2A + B| =
+# |m(2a + b) + n(a + 3b)| < 2^31 * 2^17 = 2^48: inside int64, and small
+# enough that no phase rounds to 1.0 (see frac_phases).
+PHASE_KEY_BOUND = 2**31
+PHASE_K_BOUND = 2**14
+_M128 = (1 << 128) - 1
 
 
 def sign_of(m, n):
@@ -77,7 +89,8 @@ def _sign_of_array(m, n) -> np.ndarray:
     n = np.asarray(n, dtype=np.int64)
     # |m| >= bound with |n| < bound forces |2m + n| > bound, so checking m
     # and n first is no stricter and keeps 2m + n from wrapping
-    if not (_below(m) and _below(n) and _below(u := 2 * m + n)):
+    bound = SIGN_ARRAY_BOUND
+    if not (_below(m, bound) and _below(n, bound) and _below(u := 2 * m + n, bound)):
         raise ValueError(
             f"sign_of: |n| or |2m + n| reaches {SIGN_ARRAY_BOUND} in an int64 array"
         )
@@ -86,8 +99,8 @@ def _sign_of_array(m, n) -> np.ndarray:
     return np.where(su * sn >= 0, np.sign(su + sn), su * np.sign(u * u - 5 * n * n))
 
 
-def _below(x: np.ndarray) -> bool:
-    return not np.any((x <= -SIGN_ARRAY_BOUND) | (x >= SIGN_ARRAY_BOUND))
+def _below(x: np.ndarray, bound: int) -> bool:
+    return not np.any((x <= -bound) | (x >= bound))
 
 
 @total_ordering
@@ -233,7 +246,8 @@ def frac_phase(k: FourierModulePoint, x: QuadraticInt) -> float:
     With A + B*tau = (a + b*tau)(m + n*tau), the product k*x equals
     ((2A + B)*sqrt(5) + 5B) / 10.  The fractional part is taken with
     sqrt(5) held to 40 decimal digits in pure integer arithmetic, so the
-    result is reliable even when the head term is of order 1e18.
+    result is reliable even when the head term is of order 1e18.  This is
+    the scalar reference for frac_phases.
     """
     a, b, m, n = k.a, k.b, x.m, x.n
     A = a * m + b * n
@@ -242,16 +256,85 @@ def frac_phase(k: FourierModulePoint, x: QuadraticInt) -> float:
     return (num % _PHASE_DENOM) / _PHASE_DENOM
 
 
-def frac_phases(k: FourierModulePoint, ms: Iterable[int], ns: Iterable[int]) -> np.ndarray:
-    """Vector of frac_phase(k, m + n*tau) over paired coordinate arrays."""
+def frac_phases(k: FourierModulePoint, ms, ns) -> np.ndarray:
+    """frac_phase(k, m + n*tau) over paired int64 arrays (or lists) ms, ns.
+
+    Exact modular fixed-point arithmetic: k*x = m*k + n*(k*tau), so
+    frac(k*x) = frac(m*F1 + n*F2) with F1 = frac(k), F2 = frac(k*tau).  Both
+    are held once per k as 128-bit fractions (floored, from math.isqrt), and
+    m*F1 + n*F2 is formed mod 2^128 from 32-bit halves on uint64 arrays,
+    where every product fits and wrapping is exact modular arithmetic.  The
+    128-bit result differs from frac(k*x) by less than (|m| + |n|) * 2^-128
+    < 2^-96, and it is converted to the correctly rounded double, so each
+    phase is within half an ulp plus 2^-96 of frac(k*x).
+
+    When q = 2A + B = 0, k*x = B/2 = -A is an integer and the phase is
+    exactly 0.0.  Otherwise k*x = (q*sqrt(5) + 5B)/10 lies |q*sqrt(5) - p|/10
+    from the nearest integer for some integer p with |q*sqrt(5) - p| <= 5,
+    and since sqrt(5) is badly approximable, |q*sqrt(5) - p| =
+    |5q^2 - p^2| / |q*sqrt(5) + p| >= 1 / (4.5|q| + 5).  With |q| < 2^48
+    (see PHASE_K_BOUND), k*x stays more than 2^-54 from every integer: far
+    outside the 2^-96 error, and never close enough to 1 to round to 1.0.
+
+    Raises ValueError when some |m| or |n| reaches PHASE_KEY_BOUND, or |a| or
+    |b| reaches PHASE_K_BOUND, instead of wrapping.
+    """
     a, b = k.a, k.b
-    s5, scale, denom = _SQRT5_SCALED, _PHASE_SCALE, _PHASE_DENOM
-    out = [
-        (((2 * (a * m + b * n) + (a * n + b * m + b * n)) * s5
-          + 5 * (a * n + b * m + b * n) * scale) % denom) / denom
-        for m, n in zip(ms, ns)
-    ]
-    return np.asarray(out, dtype=np.float64)
+    try:
+        m = np.asarray(ms, dtype=np.int64)
+        n = np.asarray(ns, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"frac_phases: keys beyond int64: {exc}") from None
+    if not (_below(m, PHASE_KEY_BOUND) and _below(n, PHASE_KEY_BOUND)):
+        raise ValueError(f"frac_phases: |m| or |n| reaches {PHASE_KEY_BOUND}")
+    if max(abs(a), abs(b)) >= PHASE_K_BOUND:
+        raise ValueError(f"frac_phases: |a| or |b| of {k} reaches {PHASE_K_BOUND}")
+    # k = ((2a + b)*sqrt(5) + 5b)/10 and k*tau = ((a + 3b)*sqrt(5) + 5(a + b))/10
+    f1, f2 = _fixed_frac(2 * a + b, b), _fixed_frac(a + 3 * b, a + b)
+    # m + 2^31 lies in [1, 2^32); the offset comes back as one constant
+    offset = np.uint64(PHASE_KEY_BOUND)
+    hi1, lo1 = _mul_frac(m.view(np.uint64) + offset, f1)
+    hi2, lo2 = _mul_frac(n.view(np.uint64) + offset, f2)
+    hi, lo = _add128(hi1, lo1, hi2, lo2)
+    shift = -PHASE_KEY_BOUND * (f1 + f2) & _M128
+    hi, lo = _add128(hi, lo, np.uint64(shift >> 64), np.uint64(shift & (2**64 - 1)))
+    out = _unit_double(hi, lo)
+    out[m * (2 * a + b) + n * (a + 3 * b) == 0] = 0.0
+    return out
+
+
+def _fixed_frac(c: int, d: int) -> int:
+    """floor(2^128 * frac((c*sqrt(5) + 5d) / 10)) for integers c, d."""
+    root = math.isqrt(5 * c * c << 256)  # floor(|c| * sqrt(5) * 2^128)
+    if c < 0:
+        root = -root - 1  # |c| sqrt(5) is irrational, so the floor is this
+    return (root + (5 * d << 128)) // 10 & _M128
+
+
+def _mul_frac(u: np.ndarray, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) words of u * f mod 2^128 for uint64 u < 2^32, f < 2^128."""
+    f_lo = f & (2**64 - 1)
+    p0 = u * np.uint64(f_lo & 0xFFFFFFFF)
+    p1 = u * np.uint64(f_lo >> 32)
+    lo = p0 + (p1 << np.uint64(32))
+    hi = (p1 >> np.uint64(32)) + (lo < p0) + u * np.uint64(f >> 64)
+    return hi, lo
+
+
+def _add128(hi1, lo1, hi2, lo2) -> tuple[np.ndarray, np.ndarray]:
+    lo = lo1 + lo2
+    return hi1 + hi2 + (lo < lo1), lo
+
+
+def _unit_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Correctly rounded doubles of (hi * 2^64 + lo) / 2^128."""
+    # With hi >= 2^54 the rounding bit of hi lies above bit 0, so folding
+    # every bit of lo into bit 0 (a sticky bit) lets one conversion round
+    # right.  Values below 2^-10 take exact Python-int division instead.
+    out = (hi | (lo != 0)).astype(np.float64) * 2.0**-64
+    for i in np.flatnonzero(hi < np.uint64(2**54)).tolist():
+        out[i] = (int(hi[i]) << 64 | int(lo[i])) / 2**128
+    return out
 
 
 def embed_array(m: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -213,14 +213,27 @@ GOLDEN_RUNS = (
     ("split", "--system", "twisted_fibonacci", "--R", "2000", "--out", "split"),
     ("correlate", "--system", "twisted_fibonacci", "--types", "a,b",
      "--R-grid", "100,1000", "--r-max", "10", "--out", "corr.csv"),
+    ("fb", "--system", "fibonacci", "--k-preset", "module", "--shape", "one_sided",
+     "--R-grid", "100,1000,2000", "--out", "fb_one.csv"),
+    ("fb", "--system", "fibonacci", "--k-preset", "module", "--shape", "symmetric",
+     "--R-grid", "100,1000,2000", "--out", "fb_sym.csv"),
+    ("fb", "--measure", "nu", "--system", "twisted_fibonacci",
+     "--R-grid", "100,1000,2000", "--out", "fb_nu.csv"),
 )
 
 # Digests as written by the per-point projection and the per-cell writers
-# that preceded the array code.  Re-pin only for a deliberate output change,
+# that preceded the array code, and (fb_*) by the 40-digit Python-int phases
+# with one fb_coefficient call per (k, R).  Re-pin only for a deliberate output change,
 # and list that change in CHANGES.md.
 PINNED_DIGESTS = {
     "corr.csv":
         "2ea3f2a864bebe244eda5083b7b7b5d0b1e169a7b6526737cb5f9b470bf7f8da",
+    "fb_nu.csv":
+        "ec3906597e8b468a5767b29affdebe9a3ff0d268316fb2a7ddcb7e1774ddf01a",
+    "fb_one.csv":
+        "59bf688a931801fceafc3f94fece95e609c0562f3806b6edd9a307ab90f5798c",
+    "fb_sym.csv":
+        "5c845696871c1f91807209b319693ed2d11e1ab02272c3d9ab9c2e5319a2e4f4",
     "gen_fib.csv":
         "6e3630e0c7d6a704a043bfb93dd06041ba57e314902f0a604f3f294c52f91a93",
     "gen_tw.json":

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -26,7 +27,7 @@ from combsplit.eberlein import (
     pair_correlation,
     smoothed_fb_check,
 )
-from combsplit.zroot5 import TAU, FourierModulePoint, sign_of
+from combsplit.zroot5 import TAU, FourierModulePoint, QuadraticInt, frac_phase, sign_of
 
 
 def brute_convolve(mu, nu, shape, R, r_max):
@@ -192,6 +193,58 @@ def test_fb_scan_rows_and_cauchy():
     at_0 = {r.R: r.value for r in rows if r.k == 0.0}
     assert at_0[100.0] == pytest.approx(201 / 200)
     assert at_0[1000.0] == pytest.approx(2001 / 2000)
+
+
+def _golden_comb(seed=5):
+    """Complex weights on golden keys at positions in [5, 60], covering [-100, 100]."""
+    rng = np.random.default_rng(seed)
+    keys = np.unique(rng.integers(-40, 41, size=(400, 2)).astype(np.int64), axis=0)
+    pos = keys[:, 0] + keys[:, 1] * TAU
+    keys = keys[(pos >= 5.0) & (pos <= 60.0)]
+    keys = keys[np.argsort(keys[:, 0] + keys[:, 1] * TAU)]
+    w = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    return WeightedComb(keys, w, (-100.0, 100.0))
+
+
+@pytest.mark.parametrize("shape", ["one_sided", "symmetric"])
+def test_fb_scan_rows_equal_per_R_coefficients(shape):
+    comb = _golden_comb()
+    # R = 1 and 3 restrict to no atom; R = 59.99 cuts inside the support, and
+    # an atom 5e-13 above R_edge counts, as in _restrict_arrays
+    edge = float(comb.positions[np.searchsorted(comb.positions, 30.0)])
+    spec = AveragingSpec(shape, (1.0, 3.0, 20.0, edge - 5e-13, 59.99, 100.0))
+    K = [FourierModulePoint(0, 0), FourierModulePoint(1, 0), FourierModulePoint(-3, 2),
+         0.0, 0.37]
+    rows = fb_scan(comb, K, spec)
+    assert [(r.k, r.R) for r in rows] == [(k, R) for k in K for R in spec.R_list]
+    for row in rows:
+        assert row.value == fb_coefficient(comb, row.k, shape, row.R)
+        # independent oracle: scalar phases, one atom at a time
+        lo, hi = spec.interval(row.R)
+        total = 0j
+        for (m, n), w, x in zip(comb.keys.tolist(), comb.weights, comb.positions):
+            if lo - 1e-12 <= x <= hi + 1e-12:
+                if isinstance(row.k, FourierModulePoint):
+                    phase = frac_phase(row.k, QuadraticInt(m, n))
+                else:
+                    phase = row.k * x
+                total += w * cmath.exp(-2j * math.pi * phase)
+        assert row.value == pytest.approx(total / spec.vol(row.R), abs=1e-14)
+    assert all(r.value == 0 for r in rows if r.R < 5.0)
+    at_zero = fb_coefficient(comb, FourierModulePoint(0, 0), shape, 100.0)
+    assert at_zero == pytest.approx(comb.weights.sum() / spec.vol(100.0), abs=1e-14)
+
+
+def test_fb_scan_reports_the_first_uncovered_R():
+    comb = _golden_comb()
+    spec = AveragingSpec("symmetric", (50.0, 120.0, 150.0))
+    with pytest.raises(RangeError) as scan:
+        fb_scan(comb, [FourierModulePoint(1, 0)], spec)
+    with pytest.raises(RangeError) as single:
+        fb_coefficient(comb, FourierModulePoint(1, 0), "symmetric", 120.0)
+    assert str(scan.value) == str(single.value) == (
+        "comb covers (-100.0, 100.0), needs [-120.0, 120.0]")
+    assert fb_scan(comb, [], spec) == []
 
 
 def test_orthogonality_report_zero_remainder():

@@ -1,11 +1,15 @@
 import math
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from combsplit.suites import preset_module_points
 from combsplit.zroot5 import (
+    PHASE_K_BOUND,
+    PHASE_KEY_BOUND,
     SIGN_ARRAY_BOUND,
     SQRT5,
     TAU,
@@ -104,9 +108,93 @@ def test_frac_phase_huge_argument_matches_oracle():
 def test_frac_phases_vectorized_matches_scalar():
     k = FourierModulePoint(1, 1)
     ms, ns = [0, 3, -5, 144], [1, -2, 8, 89]
+    scalar = [frac_phase(k, qi(m, n)) for m, n in zip(ms, ns)]
+    assert frac_phases(k, ms, ns).tolist() == scalar
+    assert frac_phases(k, np.array(ms), np.array(ns)).tolist() == scalar
+    assert frac_phases(k, [], []).shape == (0,)
+
+
+box = st.integers(min_value=-PHASE_KEY_BOUND + 1, max_value=PHASE_KEY_BOUND - 1)
+key_lists = st.lists(st.tuples(box, box), min_size=1, max_size=40)
+module_coords = st.integers(-40, 40)
+
+
+@given(key_lists, module_coords, module_coords)
+def test_frac_phases_equal_scalar_bit_for_bit(keys, a, b):
+    k = FourierModulePoint(a, b)
+    ms, ns = (np.array(c, dtype=np.int64) for c in zip(*keys))
     vec = frac_phases(k, ms, ns)
-    for i, (m, n) in enumerate(zip(ms, ns)):
-        assert vec[i] == frac_phase(k, qi(m, n))
+    assert vec.tolist() == [frac_phase(k, qi(m, n)) for m, n in keys]
+    assert np.all((vec >= 0.0) & (vec < 1.0))
+
+
+def _mp_phase(k: FourierModulePoint, m: int, n: int):
+    A = k.a * m + k.b * n
+    B = k.a * n + k.b * m + k.b * n
+    with mpmath.workdps(60):
+        value = ((2 * A + B) * mpmath.sqrt(5) + 5 * B) / 10
+        return value - mpmath.floor(value)
+
+
+@given(key_lists, st.sampled_from(preset_module_points()))
+def test_frac_phases_within_one_ulp_of_mpmath(keys, k):
+    ms, ns = zip(*keys)
+    for phase, m, n in zip(frac_phases(k, ms, ns).tolist(), ms, ns):
+        with mpmath.workdps(60):
+            assert abs(mpmath.mpf(phase) - _mp_phase(k, m, n)) <= math.ulp(phase)
+
+
+def test_frac_phases_near_integers():
+    # Fibonacci keys put k*x within ~1/|2A + B| of an integer: the phases
+    # below 2^-10 take the exact Python-int conversion
+    fib = [0, 1]
+    while fib[-1] < PHASE_KEY_BOUND:
+        fib.append(fib[-1] + fib[-2])
+    fib = fib[:-1]
+    keys = [(s * f + d, t * g) for f in fib for g in fib
+            for s in (1, -1) for t in (1, -1) for d in (-1, 0, 1)
+            if abs(s * f + d) < PHASE_KEY_BOUND]
+    ms, ns = (np.array(c, dtype=np.int64) for c in zip(*keys))
+    tiny = 0
+    for k in preset_module_points()[:8] + [FourierModulePoint(1, 0), FourierModulePoint(0, 1)]:
+        vec = frac_phases(k, ms, ns)
+        assert vec.tolist() == [frac_phase(k, qi(m, n)) for m, n in keys]
+        assert np.all((vec >= 0.0) & (vec < 1.0))
+        tiny += int(np.sum((vec > 0) & (vec < 2.0**-10)))
+        # the keys closest to an integer (not the exact zeros), against mpmath
+        gap = np.where(vec > 0, np.minimum(vec, 1 - vec), 1.0)
+        for i in np.argsort(gap, kind="stable")[:5].tolist():
+            with mpmath.workdps(60):
+                assert abs(mpmath.mpf(vec[i]) - _mp_phase(k, *keys[i])) <= math.ulp(vec[i])
+    assert tiny > 0
+
+
+@given(module_coords, module_coords, st.integers(-10**6, 10**6))
+def test_rational_phase_keys_are_exactly_zero(a, b, t):
+    # 2A + B = m(2a + b) + n(a + 3b) = 0 makes k*x = -A an integer
+    k = FourierModulePoint(a, b)
+    c, d = 2 * a + b, a + 3 * b
+    g = math.gcd(c, d) or 1
+    m, n = t * d // g, -t * c // g
+    vec = frac_phases(k, np.array([m, 1]), np.array([n, 0]))
+    assert vec[0] == frac_phase(k, qi(m, n)) == 0.0
+
+
+def test_frac_phases_rejects_the_bound():
+    B, k = PHASE_KEY_BOUND, FourierModulePoint(2, -1)
+    for m, n in ((B, 0), (-B, 0), (0, B), (0, -B), (2**62, 0), (-2**63, 0)):
+        with pytest.raises(ValueError, match="reaches"):
+            frac_phases(k, np.array([0, m], dtype=np.int64), np.array([0, n], dtype=np.int64))
+    with pytest.raises(ValueError, match="int64"):
+        frac_phases(k, [0, 2**64], [0, 0])
+    for a, b in ((PHASE_K_BOUND, 0), (0, -PHASE_K_BOUND)):
+        with pytest.raises(ValueError, match="reaches"):
+            frac_phases(FourierModulePoint(a, b), np.array([0, 1]), np.array([0, 1]))
+    # one below every bound is still exact
+    k = FourierModulePoint(PHASE_K_BOUND - 1, -(PHASE_K_BOUND - 1))
+    ms, ns = [B - 1, -(B - 1)], [-(B - 1), B - 1]
+    assert frac_phases(k, ms, ns).tolist() == [
+        frac_phase(k, qi(m, n)) for m, n in zip(ms, ns)]
 
 
 @given(coords, coords)
