@@ -379,7 +379,6 @@ def cmd_diffract(cfg: dict) -> int:
     ctx = suites.system_context(system, R)
     if ctx.windows is None:
         raise CliError(f"system {system!r} has no Euclidean windows")
-    spec = cps.ModelSetSpec(ctx.windows)
     ks = [
         k
         for k in cps.fourier_module(
@@ -388,7 +387,7 @@ def cmd_diffract(cfg: dict) -> int:
     ]
     weights = {t: 1.0 for t in ctx.rule.alphabet}
     rows_out = []
-    for row in spectra.pp_intensity(spec, weights, ks, ctx.alphas):
+    for row in spectra.pp_intensity(ctx.windows, weights, ks, ctx.alphas):
         total = sum(row.amplitudes.values())
         rows_out.append(
             (row.k.value(), complex(total).real, complex(total).imag, row.intensity)

@@ -29,7 +29,6 @@ from .zroot5 import (
 __all__ = [
     "Interval",
     "Window",
-    "ModelSetSpec",
     "CalibrationError",
     "CalibrationResult",
     "cut_and_project",
@@ -141,16 +140,6 @@ class Window:
             for iv in self.intervals
         )
         return f"Window({parts})"
-
-
-@dataclass(frozen=True)
-class ModelSetSpec:
-    """Per-type windows of one cut-and-project family."""
-
-    windows: dict[str, Window]
-
-    def density(self, name: str) -> float:
-        return model_set_density(self.windows[name])
 
 
 def model_set_density(window: Window) -> float:
@@ -268,20 +257,18 @@ def window_amplitude(window: Window, k: FourierModulePoint) -> complex:
 class CalibrationResult:
     windows: dict[str, Window]
     closure: tuple[bool, bool]
-    counts: dict[str, tuple[int, int]]  # per type: (points checked, model points)
 
 
 def calibrate_closures(
     points_by_type: dict[str, np.ndarray],
     windows: dict[str, Window],
-    rng: tuple[float, float],
 ) -> CalibrationResult:
     """Pick endpoint closures so every generated point sits in its model set.
 
     Tries the four uniform closure choices, fully closed first.  Exact
-    containment of the point stars decides; if no choice works, the error
-    lists the offending points of the best candidate instead of patching
-    the windows silently.
+    containment of the point stars decides, so nothing is projected; if no
+    choice works, the error lists the offending points of the best
+    candidate instead of patching the windows silently.
     """
     choices = [(True, True), (True, False), (False, True), (False, False)]
     best_violations: list[tuple[str, int, int]] | None = None
@@ -293,17 +280,7 @@ def calibrate_closures(
             outside = ~trial[t].contains_star(pts[:, 0], pts[:, 1])
             violations += [(t, m, n) for m, n in pts[outside].tolist()]
         if not violations:
-            # types that share a window share one projection of it
-            model_sizes: dict[tuple[Interval, ...], int] = {}
-            for t in points_by_type:
-                ivs = trial[t].intervals
-                if ivs not in model_sizes:
-                    model_sizes[ivs] = len(cut_and_project(trial[t], rng))
-            counts = {
-                t: (len(pts), model_sizes[trial[t].intervals])
-                for t, pts in points_by_type.items()
-            }
-            return CalibrationResult(trial, (lo_c, hi_c), counts)
+            return CalibrationResult(trial, (lo_c, hi_c))
         if best_violations is None or len(violations) < len(best_violations):
             best_violations = violations
     assert best_violations is not None

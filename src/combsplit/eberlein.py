@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combs import WeightedComb, _encode, reflect_conjugate
+from .combs import WeightedComb, _encode, linear_combine, reflect_conjugate
 from .zroot5 import FourierModulePoint, embed_array, frac_phases
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
     "OrthogonalityRow",
     "decomposition_report",
     "DecompositionReport",
-    "smoothed_fb_check",
-    "boundary_fraction",
 ]
 
 
@@ -118,7 +116,8 @@ def eberlein_convolve(
         -A; nu to A itself (variant "both") or left unrestricted within the
         reach of r_max (variant "one").
     shape, R : averaging interval family and radius; A = [0, R] or [-R, R].
-    r_max : only atoms of the result with |distance| <= r_max are kept.
+    r_max : only atoms of the result with |distance| <= r_max are kept;
+        it must be finite and nonnegative.
     variant : "both" or "one".
 
     Returns
@@ -130,10 +129,13 @@ def eberlein_convolve(
     Raises
     ------
     RangeError when a factor's coverage does not contain the interval its
-    restriction needs; nothing is truncated silently.
+    restriction needs; nothing is truncated silently.  ValueError for an
+    r_max that is negative, infinite or NaN.
     """
     if variant not in ("both", "one"):
         raise ValueError(f"unknown variant {variant!r}")
+    if not 0.0 <= r_max < math.inf:
+        raise ValueError(f"r_max must be finite and nonnegative, got {r_max!r}")
     spec = AveragingSpec(shape, (R,))
     lo, hi = spec.interval(R)
     vol = spec.vol(R)
@@ -361,6 +363,8 @@ def _fb_values(
         else:
             phase_factors = np.exp(-2j * math.pi * frac_phases(k, keys[:, 0], keys[:, 1]))
     else:
+        if not math.isfinite(k):
+            raise ValueError(f"wave number must be finite, got {k!r}")
         phase_factors = np.exp(-2j * math.pi * float(k) * pos)
     products = weights * phase_factors
     values = []
@@ -421,18 +425,21 @@ def orthogonality_report(
     nu: WeightedComb,
     spec: AveragingSpec,
     r_max: float = 20.0,
-    variant: str = "both",
 ) -> list[OrthogonalityRow]:
     """Sup norms of the two finite cross correlations along the R grid.
 
     Both numbers should shrink with R when the splitting is orthogonal in
-    the averaged sense.
+    the averaged sense.  They are equal by construction, so each R takes
+    one kernel call, whose sup norm fills both fields.
     """
     rows = []
     for R in spec.R_list:
-        c1 = pair_correlation(omega, nu, spec.shape, R, r_max, variant)
-        c2 = pair_correlation(nu, omega, spec.shape, R, r_max, variant)
-        rows.append(OrthogonalityRow(R, c1.sup_norm(), c2.sup_norm()))
+        # Both factors are restricted to the same interval, so
+        # c_nu_omega(s) = conj(c_omega_nu(-s)) atom for atom: each atom is the
+        # correctly rounded sum of the same products (exactly so when one
+        # factor is real; numpy may fuse complex-by-complex products).
+        sup = pair_correlation(omega, nu, spec.shape, R, r_max).sup_norm()
+        rows.append(OrthogonalityRow(R, sup, sup))
     return rows
 
 
@@ -465,11 +472,13 @@ def decomposition_report(
 
         gamma_ij = s_part + zero_part + cross_ij + cross_ji
 
-    holds atom-for-atom up to final rounding; the largest violation is
-    reported as bilinear_residual.  zero_fb_max is the largest
-    exponential-sum coefficient of the zero part over the supplied wave
-    numbers, normalized by the support length 2 * r_max: the finite proxy
-    for a null FB spectrum of the continuous-part correlation.
+    holds atom-for-atom up to final rounding; the largest violation of
+    linear_combine's atomwise difference is reported as bilinear_residual.
+    zero_fb_max is the largest FB coefficient of the zero part over the
+    supplied wave numbers, from fb_scan on the symmetric interval of radius
+    r_max (so normalized by the support length 2 * r_max, with the exact
+    module-point phases): the finite proxy for a null FB spectrum of the
+    continuous-part correlation.
     """
     omega_i, nu_i = split_i
     omega_j, nu_j = split_j
@@ -480,26 +489,14 @@ def decomposition_report(
     cross_ij = pair_correlation(omega_i, nu_j, *args)
     cross_ji = pair_correlation(nu_i, omega_j, *args)
 
-    merged: dict[tuple[int, int], complex] = {}
-    for part, sign in (
-        (gamma, 1.0),
-        (s_part, -1.0),
-        (zero_part, -1.0),
-        (cross_ij, -1.0),
-        (cross_ji, -1.0),
-    ):
-        for key, w in part.atoms_dict().items():
-            merged[key] = merged.get(key, 0.0) + sign * w
-    residual = max((abs(v) for v in merged.values()), default=0.0)
-
+    residual = linear_combine(
+        [(1, gamma), (-1, s_part), (-1, zero_part), (-1, cross_ij), (-1, cross_ji)]
+    ).sup_norm()
     cross_sup = max(cross_ij.sup_norm(), cross_ji.sup_norm())
     zero_fb = 0.0
-    if module_k and len(zero_part):
-        dist = zero_part.positions
-        for k in module_k:
-            kv = k.value() if isinstance(k, FourierModulePoint) else float(k)
-            ssum = np.sum(zero_part.weights * np.exp(-2j * math.pi * kv * dist))
-            zero_fb = max(zero_fb, abs(complex(ssum)) / (2.0 * r_max))
+    if module_k:
+        rows = fb_scan(zero_part, module_k, AveragingSpec("symmetric", (r_max,)))
+        zero_fb = max(abs(row.value) for row in rows)
     return DecompositionReport(
         gamma,
         s_part,
@@ -510,62 +507,3 @@ def decomposition_report(
         float(cross_sup),
         float(zero_fb),
     )
-
-
-def smoothed_fb_check(
-    mu: WeightedComb,
-    width: float,
-    k: float,
-    shape: str,
-    R: float,
-) -> float:
-    """Residual of the smoothing identity for a triangular kernel.
-
-    Mollifying a comb with the unit triangle of the given width multiplies
-    its FB coefficient by width * sinc^2(pi k width).  The left side is
-    integrated on a grid of spacing width/64 over the averaging interval;
-    the returned residual should shrink as R grows.
-    """
-    spec = AveragingSpec(shape, (R,))
-    lo, hi = spec.interval(R)
-    vol = spec.vol(R)
-    _require(
-        mu.coverage[0] <= lo - width and mu.coverage[1] >= hi + width,
-        "comb must cover the averaging interval plus one kernel width",
-    )
-    h = width / 64.0
-    n_grid = int(round((hi - lo) / h)) + 1
-    t = lo + h * np.arange(n_grid)
-
-    pos, _, weights = _restrict_arrays(mu, lo - width, hi + width)
-    f = np.zeros(n_grid)
-    for x, w in zip(pos, weights.real):
-        j0 = max(0, int(math.ceil((x - width - lo) / h)))
-        j1 = min(n_grid - 1, int(math.floor((x + width - lo) / h)))
-        if j0 > j1:
-            continue
-        tt = t[j0 : j1 + 1]
-        f[j0 : j1 + 1] += w * np.maximum(0.0, 1.0 - np.abs(tt - x) / width)
-
-    integrand = f * np.exp(-2j * math.pi * k * t)
-    lhs = np.trapezoid(integrand, dx=h) / vol
-
-    if k == 0.0:
-        kernel_hat = width
-    else:
-        arg = math.pi * k * width
-        kernel_hat = width * (math.sin(arg) / arg) ** 2
-    rhs = kernel_hat * fb_coefficient(mu, float(k), shape, R)
-    return abs(lhs - rhs)
-
-
-def boundary_fraction(shape: str, R: float, r_max: float) -> float:
-    """Relative volume of the r_max-boundary of the averaging interval.
-
-    Closed form for intervals: the outer collar always has length
-    2 * r_max, the inner one saturates at the interval length.
-    """
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
-    L = AveragingSpec(shape, (R,)).vol(R)
-    return (2.0 * r_max + min(2.0 * r_max, L)) / L

@@ -174,24 +174,24 @@ class IntensityRow:
 
 
 def pp_intensity(
-    spec: cps.ModelSetSpec,
+    windows: dict[str, cps.Window],
     weights: dict[str, complex],
     k_list: Sequence[FourierModulePoint],
     alphas: dict[str, float] | None = None,
 ) -> list[IntensityRow]:
     """Pure-point amplitudes and intensities of a weighted model-set family.
 
-    The per-type amplitude at k is alpha_type times the window transform;
-    the intensity is the squared modulus of the weighted amplitude sum.
-    With alpha = 1 (full model sets), the amplitude at k = 0 is the type
-    density.
+    windows maps each type to its acceptance window.  The per-type
+    amplitude at k is alpha_type times the window transform; the intensity
+    is the squared modulus of the weighted amplitude sum.  With alpha = 1
+    (full model sets), the amplitude at k = 0 is the type density.
     """
     rows = []
     for k in k_list:
         amps = {
             t: (1.0 if alphas is None else alphas[t])
             * cps.window_amplitude(w, k)
-            for t, w in spec.windows.items()
+            for t, w in windows.items()
         }
         total = sum(weights.get(t, 0.0) * a for t, a in amps.items())
         rows.append(IntensityRow(k, amps, abs(total) ** 2))

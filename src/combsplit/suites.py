@@ -121,9 +121,7 @@ def system_context(name: str, R: float) -> SystemContext:
         else cps.twisted_fibonacci_windows()
     )
     cal_tps = inflate.realize_geometric(rule, "a", min(R, 1000.0))
-    cal = cps.calibrate_closures(
-        cal_tps.points, preset_windows, (0.0, min(R, 1000.0))
-    )
+    cal = cps.calibrate_closures(cal_tps.points, preset_windows)
     # types that share a window share one read-only projection of it
     projected: dict[tuple[cps.Interval, ...], np.ndarray] = {}
     for w in cal.windows.values():

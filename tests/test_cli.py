@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from combsplit import __version__
 from combsplit.cli import main
@@ -200,6 +201,30 @@ def test_non_finite_R_rejected_before_inflating(monkeypatch, tmp_path, capsys):
         assert not out.exists()
 
 
+BAD_BOUNDARY_RUNS = (
+    (("correlate", "--system", "fibonacci", "--types", "a,b", "--R-grid", "1e3",
+      "--r-max", "nan"), "r_max must be finite and nonnegative, got nan"),
+    (("correlate", "--system", "thue_morse", "--types", "a,b", "--R-grid", "1e3",
+      "--r-max", "inf"), "r_max must be finite and nonnegative, got inf"),
+    (("correlate", "--system", "fibonacci", "--types", "a,b", "--R-grid", "1e3",
+      "--r-max", "-3"), "r_max must be finite and nonnegative, got -3.0"),
+    (("fb", "--system", "fibonacci", "--R-grid", "1e3", "--k-values", "nan"),
+     "wave number must be finite, got nan"),
+    (("fb", "--system", "fibonacci", "--R-grid", "1e3", "--k-values", "inf"),
+     "wave number must be finite, got inf"),
+)
+
+
+@pytest.mark.parametrize("argv,message", BAD_BOUNDARY_RUNS, ids=[
+    "correlate-r_max-nan", "correlate-r_max-inf", "correlate-r_max-negative",
+    "fb-k-nan", "fb-k-inf"])
+def test_bad_r_max_and_wave_number_fail_at_the_boundary(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", str(out)) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
 # Output runs at small R whose bytes are pinned; a refactor of the writers
 # or of the kernels under them must leave every digest unchanged.
 GOLDEN_RUNS = (
@@ -219,13 +244,19 @@ GOLDEN_RUNS = (
      "--R-grid", "100,1000,2000", "--out", "fb_sym.csv"),
     ("fb", "--measure", "nu", "--system", "twisted_fibonacci",
      "--R-grid", "100,1000,2000", "--out", "fb_nu.csv"),
+    ("sample", "--system", "bernoulli", "--p", "0.6", "--N", "2000", "--seed", "5",
+     "--r-max", "10", "--out", "bern.json"),
+    ("verify", "--suite", "orthogonality", "--out", "verify_orth.json"),
 )
 
 # Digests as written by the per-point projection and the per-cell writers
-# that preceded the array code, and (fb_*) by the 40-digit Python-int phases
-# with one fb_coefficient call per (k, R).  Re-pin only for a deliberate output change,
-# and list that change in CHANGES.md.
+# that preceded the array code, (fb_*) by the 40-digit Python-int phases
+# with one fb_coefficient call per (k, R), and (bern.json, verify_orth.json)
+# by reports that computed both cross correlations.  Re-pin only for a
+# deliberate output change, and list that change in CHANGES.md.
 PINNED_DIGESTS = {
+    "bern.json":
+        "5ed3b46972a285774872ec82405cd8aa6bf4401c2c0673a4d309d1e5c1292249",
     "corr.csv":
         "2ea3f2a864bebe244eda5083b7b7b5d0b1e169a7b6526737cb5f9b470bf7f8da",
     "fb_nu.csv":
@@ -260,6 +291,8 @@ PINNED_DIGESTS = {
         "a9d6a2c3c2c65ebdbd74b2dce0c65e286085b7173aa9727f3cf75f7676c233d0",
     "split/splitting.json":
         "85a12a8b740178ccdd8fcaf01894c1e4a17ab1e765df7772cd935256214f4ae1",
+    "verify_orth.json":
+        "f120bdaff7cd1042078b8c224e5305a83cc9f076767b67b38cd13a04ac13da5a",
 }
 
 

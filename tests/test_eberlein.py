@@ -18,14 +18,12 @@ from combsplit.combs import (
 from combsplit.eberlein import (
     AveragingSpec,
     RangeError,
-    boundary_fraction,
     decomposition_report,
     eberlein_convolve,
     fb_coefficient,
     fb_scan,
     orthogonality_report,
     pair_correlation,
-    smoothed_fb_check,
 )
 from combsplit.zroot5 import TAU, FourierModulePoint, QuadraticInt, frac_phase, sign_of
 
@@ -45,6 +43,18 @@ def brute_convolve(mu, nu, shape, R, r_max):
                 key = (int(mx + my), int(nx + ny))
                 out[key] = out.get(key, 0) + wx * wy
     return {k: v / vol for k, v in out.items() if v != 0}
+
+
+def boundary_fraction(shape, R, r_max):
+    """Relative volume of the r_max-boundary of the averaging interval.
+
+    Closed form for intervals: the outer collar always has length
+    2 * r_max, the inner one saturates at the interval length.
+    """
+    if r_max < 0:
+        raise ValueError("r_max must be nonnegative")
+    L = AveragingSpec(shape, (R,)).vol(R)
+    return (2.0 * r_max + min(2.0 * r_max, L)) / L
 
 
 def test_lattice_convolution_counting_formula_exact():
@@ -265,6 +275,29 @@ def _twisted_splitting(R):
     return tps, splits
 
 
+def test_orthogonality_report_makes_one_kernel_call_per_R(monkeypatch):
+    R = 1000.0
+    _, splits = _twisted_splitting(R)
+    omega, nu = splits["a"]
+    spec = AveragingSpec("one_sided", (10.0, 100.0, R))
+    calls = []
+    convolve = eberlein.eberlein_convolve
+
+    def counting(*args):
+        calls.append(args[3])
+        return convolve(*args)
+
+    monkeypatch.setattr(eberlein, "eberlein_convolve", counting)
+    rows = orthogonality_report(omega, nu, spec, 20.0)
+    monkeypatch.undo()
+    assert calls == list(spec.R_list)
+    # both fields equal the sup norms of the two tables computed directly
+    for row in rows:
+        assert row.sup_omega_nu == pair_correlation(omega, nu, "one_sided", row.R).sup_norm()
+        assert row.sup_nu_omega == pair_correlation(nu, omega, "one_sided", row.R).sup_norm()
+        assert row.sup_omega_nu > 0
+
+
 def test_decomposition_bilinear_identity():
     R = 1000.0
     tps, splits = _twisted_splitting(R)
@@ -281,6 +314,34 @@ def test_decomposition_bilinear_identity():
     assert report.bilinear_residual <= 1e-12
     assert report.cross_sup < 0.05
     assert report.zero_fb_max < 0.05
+
+
+def test_decomposition_zero_fb_uses_exact_phases():
+    # the diagonal case: zero_fb_max is the largest |sum of w * e(-k s)| over
+    # the zero part's atoms, by scalar 40-digit phases, over 2 * r_max
+    R, r_max = 1000.0, 12.0
+    tps, splits = _twisted_splitting(R)
+    ks = [FourierModulePoint(1, 0), FourierModulePoint(-1, 2), 0.3]
+    report = decomposition_report(
+        tps.comb("a"), tps.comb("a"), splits["a"], splits["a"], "one_sided", R, r_max, ks
+    )
+    assert report.bilinear_residual <= 1e-15
+    assert report.cross_sup == max(report.cross_ij.sup_norm(), report.cross_ji.sup_norm())
+    zero = report.zero_part
+    want = 0.0
+    for k in ks:
+        total = 0j
+        for (m, n), w, x in zip(zero.keys.tolist(), zero.weights, zero.positions):
+            if isinstance(k, FourierModulePoint):
+                phase = frac_phase(k, QuadraticInt(m, n))
+            else:
+                phase = k * x
+            total += w * cmath.exp(-2j * math.pi * phase)
+        want = max(want, abs(total) / (2 * r_max))
+    assert report.zero_fb_max == pytest.approx(want, rel=1e-12)
+    assert decomposition_report(
+        tps.comb("a"), tps.comb("a"), splits["a"], splits["a"], "one_sided", R, r_max
+    ).zero_fb_max == 0.0
 
 
 def test_variant_consistency_on_lattice():
@@ -319,21 +380,6 @@ def test_variant_consistency_on_golden_chain():
     assert sup_diffs[1] < sup_diffs[0]
 
 
-def test_smoothed_fb_identity():
-    z = lattice_comb(-1200, 1200)
-    # k = 0, width 1: triangles tile, coefficient is exactly the density
-    res_small = smoothed_fb_check(z, 1.0, 0.0, "symmetric", 100.0)
-    assert res_small < 6e-3
-    # residual shrinks with R at a generic wave number
-    r1 = smoothed_fb_check(z, 1.0, 0.3, "symmetric", 100.0)
-    r2 = smoothed_fb_check(z, 1.0, 0.3, "symmetric", 1000.0)
-    assert r2 < r1
-    # the kernel transform vanishes at k = 1/width, so the residual there
-    # is the smoothed coefficient itself
-    r_zero = smoothed_fb_check(z, 1.0, 1.0, "symmetric", 500.0)
-    assert r_zero < 5e-3
-
-
 def test_model_set_comb_dark_at_non_module_k():
     R = 10_000.0
     model = cps.cut_and_project(cps.fibonacci_windows()["a"], (0.0, R))
@@ -358,6 +404,24 @@ def test_insufficient_coverage_raises():
         eberlein_convolve(z, z, "symmetric", 45.0, 10, "one")
     with pytest.raises(RangeError):
         fb_coefficient(z, 0.0, "symmetric", 60.0)
+
+
+@pytest.mark.parametrize("r_max", [math.nan, math.inf, -3.0])
+def test_bad_r_max_raises(r_max):
+    z = lattice_comb(-50, 50)
+    with pytest.raises(ValueError, match="r_max must be finite and nonnegative"):
+        eberlein_convolve(z, z, "symmetric", 40.0, r_max)
+    with pytest.raises(ValueError, match="r_max must be finite and nonnegative"):
+        pair_correlation(z, z, "one_sided", 40.0, r_max, "one")
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_non_finite_wave_number_raises(k):
+    z = lattice_comb(-50, 50)
+    with pytest.raises(ValueError, match="wave number must be finite"):
+        fb_coefficient(z, k, "symmetric", 40.0)
+    with pytest.raises(ValueError, match="wave number must be finite"):
+        fb_scan(z, [0.5, k], AveragingSpec("one_sided", (10.0, 40.0)))
 
 
 def test_averaging_spec_validation():
@@ -447,6 +511,39 @@ def test_pair_correlation_matches_exact_oracle(
     assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
     assert corr.coverage == (-r_max, r_max)
     assert np.all(np.diff(corr.positions) > 0)
+
+
+# finite random weights, far from overflow; many 1.0 draws leave few weight
+# levels, so integer supports take the bit rows as well as the pair sweep
+random_real_st = st.one_of(st.just(1.0), st.floats(-1e3, 1e3, allow_subnormal=False).filter(bool))
+random_complex_st = st.builds(complex, random_real_st, random_real_st)
+
+
+@given(
+    st.data(),
+    st.booleans(),
+    st.sampled_from([(random_real_st, random_real_st), (random_real_st, random_complex_st),
+                     (random_complex_st, random_real_st)]),
+    st.sampled_from(["one_sided", "symmetric"]),
+    st.sampled_from([3, 5, 13]),
+    st.sampled_from([1, 2, 7]),
+)
+@settings(max_examples=200, deadline=None)
+def test_cross_correlations_mirror_bit_for_bit(data, integer, weight_sts, shape, R, r_max):
+    # With both factors restricted to the same interval, c_nu_omega(s) =
+    # conj(c_omega_nu(-s)): each atom is the correctly rounded sum of the same
+    # products.  One factor is real, as in every split the package builds:
+    # numpy may fuse the multiply-adds of a complex-by-complex product, and
+    # conj(a) * b then need not be the conjugate of conj(b) * a.  Adding +0.0
+    # maps a zero imaginary part that conj made negative back to +0.0.
+    omega = exact_comb(data.draw(atoms_st(integer, weight_sts[0])))
+    nu = exact_comb(data.draw(atoms_st(integer, weight_sts[1])))
+    direct = pair_correlation(nu, omega, shape, float(R), r_max)
+    mirrored = reflect_conjugate(pair_correlation(omega, nu, shape, float(R), r_max))
+    assert np.array_equal(direct.keys, mirrored.keys)
+    assert direct.weights.dtype == mirrored.weights.dtype
+    assert (direct.weights + 0.0).tobytes() == (mirrored.weights + 0.0).tobytes()
+    assert direct.coverage == mirrored.coverage
 
 
 def fsum_pair_correlation(mu, nu, shape, R, r_max, variant):

@@ -95,9 +95,8 @@ def test_pair_prediction_values():
 
 
 def test_pp_intensity_zero_frequency_is_density():
-    spec = cps.ModelSetSpec(cps.fibonacci_windows())
     rows = pp_intensity(
-        spec, {"a": 1.0, "b": 1.0}, [FourierModulePoint(0, 0)]
+        cps.fibonacci_windows(), {"a": 1.0, "b": 1.0}, [FourierModulePoint(0, 0)]
     )
     amps = rows[0].amplitudes
     assert amps["a"].real == pytest.approx(1 / SQRT5)
@@ -106,17 +105,16 @@ def test_pp_intensity_zero_frequency_is_density():
 
 
 def test_pp_intensity_nonnegative():
-    spec = cps.ModelSetSpec(cps.fibonacci_windows())
     ks = cps.fourier_module(2.0, 2.0)
-    rows = pp_intensity(spec, {"a": 1.0, "b": -0.5j}, ks)
+    rows = pp_intensity(cps.fibonacci_windows(), {"a": 1.0, "b": -0.5j}, ks)
     assert all(r.intensity >= 0 for r in rows)
 
 
 def test_pp_intensity_respects_alphas():
-    spec = cps.ModelSetSpec(cps.twisted_fibonacci_windows())
-    alphas = {t: 0.5 for t in spec.windows}
+    windows = cps.twisted_fibonacci_windows()
+    alphas = {t: 0.5 for t in windows}
     rows = pp_intensity(
-        spec, {t: 1.0 for t in spec.windows}, [FourierModulePoint(0, 0)], alphas
+        windows, {t: 1.0 for t in windows}, [FourierModulePoint(0, 0)], alphas
     )
     # four types at half weight add up to the full chain density
     assert sum(rows[0].amplitudes.values()).real == pytest.approx(2 * TAU / SQRT5 / 2)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from combsplit import eberlein, inflate, stochastic
-from combsplit.eberlein import AveragingSpec
+from combsplit.combs import dirac_comb, lattice_comb, linear_combine
+from combsplit.eberlein import AveragingSpec, pair_correlation
 from combsplit.inflate import _inflate_word, random_fibonacci_rule, substitution_matrix
 from combsplit.stochastic import (
     RngSpec,
@@ -55,6 +56,28 @@ def test_bernoulli_verify_structure():
     assert report.cross_sup < 8e-3
     names = [c.name for c in report.checks]
     assert len(names) == len(set(names)) == 4
+
+
+def test_bernoulli_verify_makes_three_correlations(monkeypatch):
+    calls = []
+    convolve = eberlein.eberlein_convolve
+
+    def counting(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(eberlein, "eberlein_convolve", counting)
+    report = bernoulli_verify(0.6, 2000, RngSpec(5), r_max=10)
+    monkeypatch.undo()
+    assert len(calls) == 3
+    # cross_sup is the sup of either cross correlation
+    sites = bernoulli_gas(0.6, 2000, RngSpec(5))
+    lam = dirac_comb(np.stack([sites, np.zeros_like(sites)], axis=1), (-2000.0, 2000.0))
+    omega = lattice_comb(-2000, 2000, weight=0.6)
+    nu = linear_combine([(1.0, lam), (-1.0, omega)])
+    for a, b in ((omega, nu), (nu, omega)):
+        assert report.cross_sup == pair_correlation(a, b, "symmetric", 2000.0, 10).sup_norm()
+    assert report.cross_sup > 0
 
 
 def test_random_fibonacci_reproducible_and_extends():
