@@ -540,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge(args, _load_config(args.config))
         return _COMMANDS[args.command](cfg)
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, OverflowError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error), file=sys.stderr)
         return 1

@@ -26,6 +26,7 @@ __all__ = [
     "linear_combine",
     "restrict",
     "split_pp",
+    "split_remainder",
     "ContainmentError",
 ]
 
@@ -41,14 +42,18 @@ class ContainmentError(ValueError):
         self.offenders = offenders
 
 
+def _check_key_range(keys: np.ndarray) -> None:
+    if len(keys) and (keys.min() <= -_KEY_BOUND or keys.max() >= _KEY_BOUND):
+        raise ValueError("exact key out of range: |m| and |n| must be below 2**31")
+
+
 def _encode(keys: np.ndarray) -> np.ndarray:
     """One int64 code per (m, n) key, ordered like the keys lexicographically.
 
     Codes are distinct while |m| and |n| stay below 2**31; larger keys raise
     ValueError instead of wrapping into collisions.
     """
-    if len(keys) and (keys.min() <= -_KEY_BOUND or keys.max() >= _KEY_BOUND):
-        raise ValueError("exact key out of range: |m| and |n| must be below 2**31")
+    _check_key_range(keys)
     return keys[:, 0] * _CODE_SHIFT + keys[:, 1]
 
 
@@ -196,6 +201,70 @@ def linear_combine(
     return _sorted_comb(keys[first][keep], merged[keep], (lo, hi))
 
 
+def _locate(keys: np.ndarray, pos: np.ndarray, points: np.ndarray) -> np.ndarray:
+    # Index of each point in keys (sorted by their positions pos), or -1.  A
+    # point's position is computed exactly as its key's, so searchsorted
+    # lands on it unless several keys round to the same double; those runs
+    # are searched key by key.
+    found = np.full(len(points), -1, dtype=np.int64)
+    if not len(keys):
+        return found
+    p = embed_array(points[:, 0], points[:, 1])
+    idx = np.minimum(np.searchsorted(pos, p), len(keys) - 1)
+    hit = (keys[idx, 0] == points[:, 0]) & (keys[idx, 1] == points[:, 1])
+    for c in np.flatnonzero(~hit & (pos[idx] == p)):
+        run = np.arange(idx[c], np.searchsorted(pos, p[c], side="right"))
+        match = run[(keys[run] == points[c]).all(axis=1)]
+        if len(match):
+            idx[c], hit[c] = match[0], True
+    found[hit] = idx[hit]
+    return found
+
+
+def split_remainder(
+    points: np.ndarray,
+    coverage: tuple[float, float],
+    omega: WeightedComb,
+    alpha: float,
+) -> WeightedComb:
+    """The remainder nu = delta_points - omega of omega = alpha * delta_M.
+
+    The points must be distinct and lie in the model set M, the support of
+    omega; a point outside M, anywhere on the line, raises ContainmentError
+    with the first 20 offenders in input order.  So nu sits on M itself,
+    with weight 1 - alpha on the points and -alpha on the rest of M, kept on
+    the intersection of the points' coverage with omega's and with exact
+    zeros dropped.  Each weight is the single rounding of 1 - alpha, so
+    omega + nu reproduces the point comb atom for atom.
+    """
+    points = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    alpha = float(alpha)
+    _check_key_range(points)
+    _check_key_range(omega.keys)
+    pos = omega.positions
+    found = _locate(omega.keys, pos, points)
+    missing = found < 0
+    if np.any(missing):
+        offenders = [(int(m), int(n)) for m, n in points[missing][:20]]
+        raise ContainmentError(
+            f"{int(missing.sum())} point(s) outside the model set of the window",
+            offenders,
+        )
+    in_points = np.zeros(len(pos), dtype=bool)
+    in_points[found] = True
+    if np.count_nonzero(in_points) != len(points):
+        raise ValueError("split points must be distinct")
+    lo = max(coverage[0], omega.coverage[0])
+    hi = min(coverage[1], omega.coverage[1])
+    i, j = np.searchsorted(pos, lo), np.searchsorted(pos, hi, side="right")
+    keys = omega.keys[i:j]
+    weights = np.where(in_points[i:j], 1.0 - alpha, -alpha)
+    nonzero = weights != 0
+    if not nonzero.all():  # alpha = 1 empties the points, alpha = 0 the rest
+        keys, weights = keys[nonzero], weights[nonzero]
+    return WeightedComb(keys, weights, (lo, hi))
+
+
 def split_pp(
     points: np.ndarray,
     window: "cps.Window",
@@ -209,21 +278,13 @@ def split_pp(
     nu = delta_points - omega, so that omega + nu reproduces the input comb
     atom-for-atom.  Requires every input point to lie in the model set of
     the window; violations raise ContainmentError with the offenders.
+
+    Both combs are built on the model set's keys, sorted by position: nu
+    takes weight 1 - alpha where the points are and -alpha elsewhere
+    (split_remainder), and membership is a searchsorted on positions
+    followed by an exact key compare, with no hashing and no merge.
     """
-    points = np.asarray(points, dtype=np.int64).reshape(-1, 2)
     if model_points is None:
         model_points = cps.cut_and_project(window, rng)
-    point_codes = _encode(points)
-    model_codes = _encode(model_points)
-    missing = ~np.isin(point_codes, model_codes)
-    if np.any(missing):
-        offenders = [
-            (int(m), int(n)) for m, n in points[missing][:20]
-        ]
-        raise ContainmentError(
-            f"{int(missing.sum())} point(s) outside the model set of the window",
-            offenders,
-        )
     omega = dirac_comb(model_points, rng, weight=float(alpha))
-    nu = linear_combine([(1.0, dirac_comb(points, rng)), (-1.0, omega)])
-    return omega, nu
+    return omega, split_remainder(points, rng, omega, alpha)

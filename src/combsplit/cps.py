@@ -179,6 +179,9 @@ def cut_and_project(window: Window, rng: tuple[float, float]) -> np.ndarray:
     w_lo, w_hi = window.hull()
     if r_hi < r_lo:
         return np.empty((0, 2), dtype=np.int64)
+    from .inflate import check_points_budget  # inflate imports combs, which imports cps
+
+    check_points_budget((r_hi - r_lo) * model_set_density(window), f"projecting [{r_lo:g}, {r_hi:g}]")
 
     n_min = math.ceil((r_lo - w_hi) / SQRT5 - 1e-9)
     n_max = math.floor((r_hi - w_lo) / SQRT5 + 1e-9)

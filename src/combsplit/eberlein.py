@@ -286,13 +286,16 @@ def _fold(tallies, done, vx, vy, dtype):
     # Python ints over 2**-e0: a finite double is an int64 mantissa times
     # 2**(exponent - 53).
     keys, i, j, count = _tally(*map(np.concatenate, zip(*tallies)))
-    products = vx[i].astype(dtype) * vy[j]
-    if not np.all(np.isfinite(products)):
-        raise ValueError(_NOT_FINITE)
     if dtype.kind == "c":
-        parts = np.stack([products.real, products.imag], axis=1)
+        # four real products, one subtraction and one addition, each rounded:
+        # numpy's complex multiply may fuse multiply-adds, which would make
+        # the bits depend on the SIMD loop it picks
+        xr, xi, yr, yi = vx.real[i], vx.imag[i], vy.real[j], vy.imag[j]
+        parts = np.stack([xr * yr - xi * yi, xr * yi + xi * yr], axis=1)
     else:
-        parts = products[:, None]
+        parts = (vx[i] * vy[j])[:, None]
+    if not np.all(np.isfinite(parts)):
+        raise ValueError(_NOT_FINITE)
     mantissa, exponent = np.frexp(parts)
     e0 = int(exponent.min(initial=0)) - 53
     terms = (mantissa * 2.0**53).astype(np.int64).astype(object) * count[:, None].astype(object)
@@ -436,8 +439,8 @@ def orthogonality_report(
     for R in spec.R_list:
         # Both factors are restricted to the same interval, so
         # c_nu_omega(s) = conj(c_omega_nu(-s)) atom for atom: each atom is the
-        # correctly rounded sum of the same products (exactly so when one
-        # factor is real; numpy may fuse complex-by-complex products).
+        # correctly rounded sum of the same products, complex ones included,
+        # since _fold forms those from separately rounded real products.
         sup = pair_correlation(omega, nu, spec.shape, R, r_max).sup_norm()
         rows.append(OrthogonalityRow(R, sup, sup))
     return rows

@@ -35,7 +35,24 @@ __all__ = [
     "random_fibonacci_rule",
     "builtin_rule",
     "rule_from_json",
+    "MAX_POINTS",
+    "check_points_budget",
 ]
+
+# The most points a realization, a projection or a lattice gas may hold:
+# 5e7 points are 0.8 GB of int64 (m, n) keys.  Requests above it fail before
+# anything is allocated.
+MAX_POINTS = 50_000_000
+
+
+def check_points_budget(count: float, what: str) -> None:
+    """Raise ValueError when about count points would exceed MAX_POINTS."""
+    if not count <= MAX_POINTS:
+        raise ValueError(
+            f"{what} needs about {count:.3g} points, over the budget of "
+            f"MAX_POINTS = {MAX_POINTS} points"
+        )
+
 
 class RuleError(ValueError):
     """Invalid substitution rule or unsupported use of one."""
@@ -274,6 +291,9 @@ def realize_geometric(
     ]
     lengths = [rule.lengths[l] for l in rule.alphabet]
     len_values = np.array([l.embed() for l in lengths])
+    # letter frequencies over mean tile length: points per unit length
+    freqs = pf_data(substitution_matrix(rule)).right
+    check_points_budget(R / float(freqs @ len_values), f"realizing {rule.name} on [0, {R:g}]")
 
     word = np.array([idx[seed]], dtype=np.int16)
     level = 0

@@ -13,9 +13,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .combs import dirac_comb, lattice_comb, linear_combine
+from .combs import dirac_comb, lattice_comb, split_remainder
+from .combs import linear_combine  # noqa: F401  (bench/spans.py traces this binding)
 from .eberlein import AveragingSpec, FBRow, fb_scan, pair_correlation
-from .inflate import TypedPointSet, _philox_uniforms, random_fibonacci_rule, realize_geometric
+from .inflate import (
+    TypedPointSet,
+    _philox_uniforms,
+    check_points_budget,
+    random_fibonacci_rule,
+    realize_geometric,
+)
 from .zroot5 import FourierModulePoint
 
 __all__ = [
@@ -52,6 +59,7 @@ def bernoulli_gas(p: float, N: int, rng: RngSpec) -> np.ndarray:
         raise ValueError("p must be in [0, 1]")
     if N < 0:
         raise ValueError("N must be nonnegative")
+    check_points_budget(2 * N + 1, f"a lattice gas on {{-{N}, ..., {N}}}")
     u = _philox_uniforms(rng.seed, rng.stream, 0, 2 * N + 1)
     sites = np.arange(-N, N + 1, dtype=np.int64)
     return sites[u < p]
@@ -93,7 +101,8 @@ def bernoulli_verify(
     keys = np.stack([sites, np.zeros_like(sites)], axis=1)
     lam = dirac_comb(keys, (-float(N), float(N)))
     omega = lattice_comb(-N, N, weight=p)
-    nu = linear_combine([(1.0, lam), (-1.0, omega)])
+    # the sites are a subset of omega's lattice, so nu lives on its keys
+    nu = split_remainder(keys, lam.coverage, omega, p)
 
     R = float(N)
     gamma = pair_correlation(lam, lam, "symmetric", R, r_max)

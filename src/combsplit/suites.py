@@ -108,11 +108,10 @@ def system_context(name: str, R: float) -> SystemContext:
     rng = (0.0, R)
     if name == "thue_morse":
         half_lattice = combs.lattice_comb(0, int(math.floor(R)), 0.5)
-        splits = {}
-        for t in rule.alphabet:
-            delta = combs.dirac_comb(tps.points[t], rng)
-            nu = combs.linear_combine([(1.0, delta), (-1.0, half_lattice)])
-            splits[t] = (half_lattice, nu)
+        splits = {
+            t: (half_lattice, combs.split_remainder(tps.points[t], rng, half_lattice, 0.5))
+            for t in rule.alphabet
+        }
         alphas = {t: 0.5 for t in rule.alphabet}
         return SystemContext(rule, tps, None, None, alphas, splits)
 

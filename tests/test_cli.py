@@ -186,6 +186,33 @@ def test_memory_error_reported_as_json(monkeypatch, capsys):
     assert error == {"error": "MemoryError", "message": "cannot allocate"}
 
 
+def test_overflow_error_reported_as_json(monkeypatch, capsys):
+    from combsplit import cli
+
+    def overflowing(cfg):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setitem(cli._COMMANDS, "generate", overflowing)
+    assert run("generate", "--system", "fibonacci", "--R", "10") == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "OverflowError", "message": "int too large to convert to float"}
+
+
+def test_points_budget_rejects_huge_R_before_inflating(monkeypatch, tmp_path, capsys):
+    from combsplit import inflate
+
+    def no_inflation(*args):
+        raise AssertionError("inflated a word over the points budget")
+
+    monkeypatch.setattr(inflate, "_inflate_word", no_inflation)
+    out = tmp_path / "huge.csv"
+    assert run("generate", "--system", "fibonacci", "--R", "1e12", "--out", str(out)) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValueError"
+    assert f"MAX_POINTS = {inflate.MAX_POINTS}" in error["message"]
+    assert not out.exists()
+
+
 def test_non_finite_R_rejected_before_inflating(monkeypatch, tmp_path, capsys):
     from combsplit import inflate
 
@@ -236,6 +263,7 @@ GOLDEN_RUNS = (
     ("project", "--window-preset", "fibonacci", "--type", "b", "--R", "1000",
      "--format", "json", "--out", "proj_b.json"),
     ("split", "--system", "twisted_fibonacci", "--R", "2000", "--out", "split"),
+    ("split", "--system", "thue_morse", "--R", "2000", "--out", "split_tm"),
     ("correlate", "--system", "twisted_fibonacci", "--types", "a,b",
      "--R-grid", "100,1000", "--r-max", "10", "--out", "corr.csv"),
     ("fb", "--system", "fibonacci", "--k-preset", "module", "--shape", "one_sided",
@@ -252,7 +280,8 @@ GOLDEN_RUNS = (
 # Digests as written by the per-point projection and the per-cell writers
 # that preceded the array code, (fb_*) by the 40-digit Python-int phases
 # with one fb_coefficient call per (k, R), and (bern.json, verify_orth.json)
-# by reports that computed both cross correlations.  Re-pin only for a
+# by reports that computed both cross correlations, and (split_tm/*) by
+# linear_combine's hash-and-merge split.  Re-pin only for a
 # deliberate output change, and list that change in CHANGES.md.
 PINNED_DIGESTS = {
     "bern.json":
@@ -291,6 +320,16 @@ PINNED_DIGESTS = {
         "a9d6a2c3c2c65ebdbd74b2dce0c65e286085b7173aa9727f3cf75f7676c233d0",
     "split/splitting.json":
         "85a12a8b740178ccdd8fcaf01894c1e4a17ab1e765df7772cd935256214f4ae1",
+    "split_tm/nu_a.csv":
+        "4f9aa9230690a1ec174e187465fae283284a36fee35798bde488046a837a69bc",
+    "split_tm/nu_b.csv":
+        "7493a47f3bcabaa8668ba0da7e2d5351565d4edb1a76844e11a57d264edae4c2",
+    "split_tm/omega_a.csv":
+        "33bdb7a2615e74012e868311b170f68daf4855fef686b5021392038b72692f28",
+    "split_tm/omega_b.csv":
+        "33bdb7a2615e74012e868311b170f68daf4855fef686b5021392038b72692f28",
+    "split_tm/splitting.json":
+        "6b61c4261c9cc4422901bfc3adad0d65eb549ae918e9421db6034926e3917496",
     "verify_orth.json":
         "f120bdaff7cd1042078b8c224e5305a83cc9f076767b67b38cd13a04ac13da5a",
 }

@@ -14,7 +14,9 @@ from combsplit.combs import (
     reflect_conjugate,
     restrict,
     split_pp,
+    split_remainder,
 )
+from combsplit.zroot5 import embed_array
 
 
 def small_comb(keys_weights, coverage=(-50.0, 50.0)):
@@ -151,8 +153,10 @@ def test_thue_morse_split_signs():
     R = 100.0
     tps = inflate.realize_geometric(inflate.thue_morse_rule(), "a", R)
     half = lattice_comb(0, 100, 0.5)
-    nu_a = linear_combine([(1.0, tps.comb("a")), (-1.0, half)])
-    nu_b = linear_combine([(1.0, tps.comb("b")), (-1.0, half)])
+    nu_a = split_remainder(tps.points["a"], (0.0, R), half, 0.5)
+    nu_b = split_remainder(tps.points["b"], (0.0, R), half, 0.5)
+    assert nu_a.atoms_dict() == linear_combine(
+        [(1.0, tps.comb("a")), (-1.0, half)]).atoms_dict()
     minus_a = linear_combine([(-1.0, nu_a)])
     assert nu_b.atoms_dict() == minus_a.atoms_dict()
     assert set(np.unique(nu_a.weights.real).tolist()) == {-0.5, 0.5}
@@ -180,3 +184,103 @@ def test_keys_beyond_encoder_range_raise():
     edge = small_comb([((2**31 - 1, 0), 1.0), ((-(2**31) + 1, 2**31 - 1), 2.0)],
                       coverage=(-math.inf, math.inf))
     assert linear_combine([(1.0, edge)]).atoms_dict() == edge.atoms_dict()
+
+
+def _model_set(draw):
+    # a lattice stretch or a Z[tau] model set, each sorted by position
+    if draw(st.booleans()):
+        lo = draw(st.integers(-30, 0))
+        return lattice_comb(lo, lo + draw(st.integers(0, 40))).keys, (float(lo), 40.0)
+    windows = draw(st.sampled_from([cps.fibonacci_windows(), cps.twisted_fibonacci_windows()]))
+    window = windows[draw(st.sampled_from(sorted(windows)))]
+    rng = (draw(st.floats(-40.0, 0.0)), draw(st.floats(0.0, 40.0)))
+    return cps.cut_and_project(window, rng), rng
+
+
+@st.composite
+def split_case_st(draw):
+    model, rng = _model_set(draw)
+    in_points = np.array(draw(st.lists(st.booleans(), min_size=len(model),
+                                       max_size=len(model))), dtype=bool)
+    points = model[in_points]
+    order = draw(st.permutations(range(len(points))))
+    alpha = draw(st.one_of(st.floats(0.0, 1.0), st.just(0.5), st.just(1.0)))
+    # the points' own coverage may cut the model set's on either side
+    coverage = (draw(st.sampled_from([rng[0], rng[0] + 3.5])),
+                draw(st.sampled_from([rng[1], rng[1] - 2.25])))
+    return model, rng, points[list(order)], alpha, coverage
+
+
+@given(split_case_st())
+@settings(max_examples=200, deadline=None)
+def test_split_remainder_matches_dict_oracle(case):
+    model, rng, points, alpha, coverage = case
+    omega = dirac_comb(model, rng, weight=alpha)
+    nu = split_remainder(points, coverage, omega, alpha)
+
+    # oracle: 1_P - alpha * 1_M atom by atom, on the common coverage
+    lo, hi = max(coverage[0], rng[0]), min(coverage[1], rng[1])
+    in_p = set(map(tuple, points.tolist()))
+    inside = {k for k, x in zip(map(tuple, model.tolist()),
+                                embed_array(model[:, 0], model[:, 1])) if lo <= x <= hi}
+    want = {k: (1.0 if k in in_p else 0.0) - alpha for k in inside}
+    want = {k: w for k, w in want.items() if w != 0}
+    keys = list(map(tuple, nu.keys.tolist()))
+    assert nu.coverage == (lo, hi)
+    assert set(keys) == set(want)
+    assert np.array([want[k] for k in keys], dtype=np.float64).tobytes() == nu.weights.tobytes()
+    assert np.all(nu.weights != 0)
+    assert np.all(np.diff(nu.positions) > 0)
+    # omega + nu = delta_points atom for atom on the common coverage
+    sums = dict.fromkeys(inside, 0.0)
+    for comb in (omega, nu):
+        for k, w in comb.atoms_dict().items():
+            if k in sums:
+                sums[k] += w
+    assert {k: w for k, w in sums.items() if w != 0} == dict.fromkeys(in_p & inside, 1.0)
+
+
+def test_split_remainder_drops_zero_atoms():
+    omega = lattice_comb(0, 9, 1.0)
+    points = np.array([[2, 0], [7, 0]])
+    nu = split_remainder(points, (0.0, 9.0), omega, 1.0)
+    assert nu.atoms_dict() == {(m, 0): -1.0 for m in range(10) if m not in (2, 7)}
+    empty = split_remainder(points, (0.0, 9.0), lattice_comb(0, 9, 0.0), 0.0)
+    assert empty.atoms_dict() == {(2, 0): 1.0, (7, 0): 1.0}
+
+
+def test_split_containment_is_checked_outside_the_coverage():
+    omega = lattice_comb(0, 20, 0.5)
+    # (30, 0) and (-4, 0) lie outside M and outside the coverage [0, 10]
+    points = np.array([[3, 0], [30, 0], [5, 0], [-4, 0]])
+    with pytest.raises(ContainmentError, match="^2 point") as err:
+        split_remainder(points, (0.0, 10.0), omega, 0.5)
+    assert err.value.offenders == [(30, 0), (-4, 0)]
+    # a Z[tau] point beyond the window's range, and the first 20 of 25 in order
+    window = cps.fibonacci_windows()["a"]
+    model = cps.cut_and_project(window, (0.0, 50.0))
+    outside = [(m, 0) for m in range(100, 125)]
+    with pytest.raises(ContainmentError, match="^25 point") as err:
+        split_pp(np.vstack([model[:5], outside]), window, 0.5, (0.0, 50.0), model)
+    assert err.value.offenders == outside[:20]
+
+
+def test_split_finds_points_among_keys_of_equal_position():
+    # F_35 tau - F_36 is below half an ulp at 2**30, so these three distinct
+    # keys embed to one double
+    tie = [(2**30, 0), (2**30 - 14930352, 9227465), (2**30 - 24157817, 14930352)]
+    assert len(set(embed_array(*np.array(tie).T).tolist())) == 1
+    for model in (tie[:2], tie[1::-1]):
+        omega = WeightedComb(np.array(model), np.full(2, 0.25), (-math.inf, math.inf))
+        for point in tie[:2]:
+            nu = split_remainder(np.array([point]), omega.coverage, omega, 0.25)
+            assert nu.atoms_dict() == {k: 0.75 if k == point else -0.25 for k in model}
+        with pytest.raises(ContainmentError) as err:
+            split_remainder(np.array([tie[2]]), omega.coverage, omega, 0.25)
+        assert err.value.offenders == [tie[2]]
+
+
+def test_split_rejects_repeated_points():
+    omega = lattice_comb(0, 5, 0.5)
+    with pytest.raises(ValueError, match="distinct"):
+        split_remainder(np.array([[1, 0], [2, 0], [1, 0]]), (0.0, 5.0), omega, 0.5)

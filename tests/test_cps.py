@@ -249,3 +249,21 @@ def test_cut_and_project_rejects_unbounded():
         with pytest.raises(ValueError, match="below"):
             cut_and_project(Untouchable(), rng)
     assert len(cut_and_project(fibonacci_windows()["a"], (1e9, 1e9 + 50))) > 0
+
+
+def test_cut_and_project_checks_points_budget(monkeypatch):
+    window = fibonacci_windows()["a"]
+    per_length = model_set_density(window)
+    budget = inflate.MAX_POINTS
+    monkeypatch.setattr(inflate, "MAX_POINTS", 1000)
+    assert 950 <= len(cut_and_project(window, (0.0, 990.0 / per_length))) <= 1000
+
+    def no_rows(*args):
+        raise AssertionError("projected rows over the points budget")
+
+    monkeypatch.setattr(cps, "_project_rows", no_rows)
+    with pytest.raises(ValueError, match="budget of MAX_POINTS = 1000 points"):
+        cut_and_project(window, (0.0, 1010.0 / per_length))
+    monkeypatch.setattr(inflate, "MAX_POINTS", budget)
+    with pytest.raises(ValueError, match="MAX_POINTS"):
+        cut_and_project(window, (-1e9, 1e9))

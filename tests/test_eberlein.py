@@ -523,7 +523,8 @@ random_complex_st = st.builds(complex, random_real_st, random_real_st)
     st.data(),
     st.booleans(),
     st.sampled_from([(random_real_st, random_real_st), (random_real_st, random_complex_st),
-                     (random_complex_st, random_real_st)]),
+                     (random_complex_st, random_real_st),
+                     (random_complex_st, random_complex_st)]),
     st.sampled_from(["one_sided", "symmetric"]),
     st.sampled_from([3, 5, 13]),
     st.sampled_from([1, 2, 7]),
@@ -532,10 +533,11 @@ random_complex_st = st.builds(complex, random_real_st, random_real_st)
 def test_cross_correlations_mirror_bit_for_bit(data, integer, weight_sts, shape, R, r_max):
     # With both factors restricted to the same interval, c_nu_omega(s) =
     # conj(c_omega_nu(-s)): each atom is the correctly rounded sum of the same
-    # products.  One factor is real, as in every split the package builds:
-    # numpy may fuse the multiply-adds of a complex-by-complex product, and
-    # conj(a) * b then need not be the conjugate of conj(b) * a.  Adding +0.0
-    # maps a zero imaginary part that conj made negative back to +0.0.
+    # products.  That holds when both factors are complex too, because the
+    # kernel forms each complex product from separately rounded real products
+    # and conj(b) * a then has exactly the negated imaginary part of
+    # conj(a) * b.  Adding +0.0 maps a zero imaginary part that conj made
+    # negative back to +0.0.
     omega = exact_comb(data.draw(atoms_st(integer, weight_sts[0])))
     nu = exact_comb(data.draw(atoms_st(integer, weight_sts[1])))
     direct = pair_correlation(nu, omega, shape, float(R), r_max)
@@ -549,9 +551,9 @@ def test_cross_correlations_mirror_bit_for_bit(data, integer, weight_sts, shape,
 def fsum_pair_correlation(mu, nu, shape, R, r_max, variant):
     """Oracle: math.fsum of the per-pair products at each difference, over vol.
 
-    Admission is decided exactly, as in exact_pair_correlation.  Products
-    are taken with numpy's array multiply, as in the kernel: for complex
-    weights it may fuse multiply-adds, unlike Python's complex product.
+    Admission is decided exactly, as in exact_pair_correlation.  Complex
+    products are formed as in the kernel, from four separately rounded real
+    products, one subtraction and one addition.
     """
     lo, hi = (0, R) if shape == "one_sided" else (-R, R)
     nu_lo, nu_hi = (lo, hi) if variant == "both" else (lo - r_max, hi + r_max)
@@ -574,11 +576,10 @@ def fsum_pair_correlation(mu, nu, shape, R, r_max, variant):
     vol = float(R if shape == "one_sided" else 2 * R)
     out = {}
     for d, (xs, ys) in pairs.items():
-        products = np.array(xs, dtype=mu.weights.dtype).astype(dtype) * np.array(
-            ys, dtype=nu.weights.dtype
-        )
-        re = math.fsum(products.real.tolist())
-        im = math.fsum(products.imag.tolist())
+        x = np.array(xs, dtype=mu.weights.dtype).astype(dtype)
+        y = np.array(ys, dtype=nu.weights.dtype).astype(dtype)
+        re = math.fsum((x.real * y.real - x.imag * y.imag).tolist())
+        im = math.fsum((x.real * y.imag + x.imag * y.real).tolist())
         if re != 0 or im != 0:
             out[d] = complex(re / vol, im / vol)
     return out

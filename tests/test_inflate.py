@@ -235,6 +235,26 @@ def test_realize_rejects_bad_R_before_inflating(monkeypatch, R):
         realize_geometric(inflate.fibonacci_rule(), "a", R)
 
 
+def test_points_budget_is_checked_before_inflating(monkeypatch):
+    budget = inflate.MAX_POINTS
+    monkeypatch.setattr(inflate, "MAX_POINTS", 1000)
+    # the doubling chain lays one point per unit length
+    assert realize_geometric(inflate.thue_morse_rule(), "a", 990.0).count() == 991
+
+    def no_inflation(*args):
+        raise AssertionError("inflated a word over the points budget")
+
+    monkeypatch.setattr(inflate, "_inflate_word", no_inflation)
+    # the golden chains lay tau / sqrt(5) = 0.72 points per unit length
+    for rule, R in ((inflate.thue_morse_rule(), 1010.0), (inflate.fibonacci_rule(), 1400.0),
+                    (inflate.twisted_fibonacci_rule(), 1400.0)):
+        with pytest.raises(ValueError, match="budget of MAX_POINTS = 1000 points"):
+            realize_geometric(rule, "a", R)
+    monkeypatch.setattr(inflate, "MAX_POINTS", budget)
+    with pytest.raises(ValueError, match="MAX_POINTS"):
+        realize_geometric(inflate.fibonacci_rule(), "a", 1e12)
+
+
 def test_builtin_rule_unknown_name():
     with pytest.raises(RuleError):
         builtin_rule("penrose")

@@ -80,6 +80,18 @@ def test_bernoulli_verify_makes_three_correlations(monkeypatch):
     assert report.cross_sup > 0
 
 
+def test_bernoulli_gas_checks_points_budget(monkeypatch):
+    monkeypatch.setattr(inflate, "MAX_POINTS", 101)
+    assert len(bernoulli_gas(1.0, 50, RngSpec(1))) == 101
+
+    def no_draws(*args):
+        raise AssertionError("drew sites over the points budget")
+
+    monkeypatch.setattr(stochastic, "_philox_uniforms", no_draws)
+    with pytest.raises(ValueError, match="budget of MAX_POINTS = 101 points"):
+        bernoulli_gas(0.5, 51, RngSpec(1))
+
+
 def test_random_fibonacci_reproducible_and_extends():
     a = random_fibonacci(0.5, 2000.0, RngSpec(7))
     b = random_fibonacci(0.5, 2000.0, RngSpec(7))
