@@ -221,24 +221,18 @@ def _locate(keys: np.ndarray, pos: np.ndarray, points: np.ndarray) -> np.ndarray
     return found
 
 
-def split_remainder(
-    points: np.ndarray,
-    coverage: tuple[float, float],
-    omega: WeightedComb,
-    alpha: float,
-) -> WeightedComb:
+def split_remainder(points: np.ndarray, omega: WeightedComb) -> WeightedComb:
     """The remainder nu = delta_points - omega of omega = alpha * delta_M.
 
     The points must be distinct and lie in the model set M, the support of
     omega; a point outside M, anywhere on the line, raises ContainmentError
     with the first 20 offenders in input order.  So nu sits on M itself,
     with weight 1 - alpha on the points and -alpha on the rest of M, kept on
-    the intersection of the points' coverage with omega's and with exact
-    zeros dropped.  Each weight is the single rounding of 1 - alpha, so
-    omega + nu reproduces the point comb atom for atom.
+    omega's coverage with exact zeros dropped.  Each weight is the single
+    rounding of 1 - alpha, so omega + nu reproduces the point comb atom for
+    atom.
     """
     points = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    alpha = float(alpha)
     _check_key_range(points)
     _check_key_range(omega.keys)
     pos = omega.positions
@@ -254,11 +248,11 @@ def split_remainder(
     in_points[found] = True
     if np.count_nonzero(in_points) != len(points):
         raise ValueError("split points must be distinct")
-    lo = max(coverage[0], omega.coverage[0])
-    hi = min(coverage[1], omega.coverage[1])
+    # omega's atoms may sit a rounding outside its coverage; nu keeps none
+    lo, hi = omega.coverage
     i, j = np.searchsorted(pos, lo), np.searchsorted(pos, hi, side="right")
     keys = omega.keys[i:j]
-    weights = np.where(in_points[i:j], 1.0 - alpha, -alpha)
+    weights = np.where(in_points[i:j], 1.0 - omega.weights[i:j], -omega.weights[i:j])
     nonzero = weights != 0
     if not nonzero.all():  # alpha = 1 empties the points, alpha = 0 the rest
         keys, weights = keys[nonzero], weights[nonzero]
@@ -287,4 +281,4 @@ def split_pp(
     if model_points is None:
         model_points = cps.cut_and_project(window, rng)
     omega = dirac_comb(model_points, rng, weight=float(alpha))
-    return omega, split_remainder(points, rng, omega, alpha)
+    return omega, split_remainder(points, omega)

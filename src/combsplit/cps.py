@@ -38,6 +38,8 @@ __all__ = [
     "calibrate_closures",
     "fibonacci_windows",
     "twisted_fibonacci_windows",
+    "MAX_POINTS",
+    "check_points_budget",
 ]
 
 LATTICE_DENSITY = 1.0 / SQRT5
@@ -45,6 +47,20 @@ LATTICE_DENSITY = 1.0 / SQRT5
 # 4 candidates per row, so a block's arrays stay near 128 KiB each whatever
 # the range
 ROW_BLOCK = 1 << 12
+
+# The most points a realization, a projection or a lattice gas may hold:
+# 5e7 points are 0.8 GB of int64 (m, n) keys.  Requests above it fail before
+# anything is allocated.
+MAX_POINTS = 50_000_000
+
+
+def check_points_budget(count: float, what: str) -> None:
+    """Raise ValueError when about count points would exceed MAX_POINTS."""
+    if not count <= MAX_POINTS:
+        raise ValueError(
+            f"{what} needs about {count:.3g} points, over the budget of "
+            f"MAX_POINTS = {MAX_POINTS} points"
+        )
 
 
 class CalibrationError(ValueError):
@@ -179,8 +195,6 @@ def cut_and_project(window: Window, rng: tuple[float, float]) -> np.ndarray:
     w_lo, w_hi = window.hull()
     if r_hi < r_lo:
         return np.empty((0, 2), dtype=np.int64)
-    from .inflate import check_points_budget  # inflate imports combs, which imports cps
-
     check_points_budget((r_hi - r_lo) * model_set_density(window), f"projecting [{r_lo:g}, {r_hi:g}]")
 
     n_min = math.ceil((r_lo - w_hi) / SQRT5 - 1e-9)

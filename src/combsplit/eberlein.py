@@ -268,6 +268,8 @@ def _exact_sums(tallies, vx, vy, dtype):
     # Per atom, the sum of count * vx[i] * vy[j] over its cells, exact and
     # rounded once.  Tallies are merged and folded into the exact atom sums
     # each time they hold more than FOLD_CELLS cells, and once at the end.
+    # Products are taken in dtype, at least double precision.
+    vx, vy = vx.astype(dtype), vy.astype(dtype)
     done, pending = None, []
     for tally in tallies:
         pending.append(tally)

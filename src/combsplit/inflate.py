@@ -17,6 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .combs import WeightedComb, dirac_comb
+from .cps import MAX_POINTS, check_points_budget  # the budget lives in cps; re-exported
 from .zroot5 import QuadraticInt, embed_array
 
 __all__ = [
@@ -38,21 +39,6 @@ __all__ = [
     "MAX_POINTS",
     "check_points_budget",
 ]
-
-# The most points a realization, a projection or a lattice gas may hold:
-# 5e7 points are 0.8 GB of int64 (m, n) keys.  Requests above it fail before
-# anything is allocated.
-MAX_POINTS = 50_000_000
-
-
-def check_points_budget(count: float, what: str) -> None:
-    """Raise ValueError when about count points would exceed MAX_POINTS."""
-    if not count <= MAX_POINTS:
-        raise ValueError(
-            f"{what} needs about {count:.3g} points, over the budget of "
-            f"MAX_POINTS = {MAX_POINTS} points"
-        )
-
 
 class RuleError(ValueError):
     """Invalid substitution rule or unsupported use of one."""

@@ -15,11 +15,11 @@ import numpy as np
 
 from .combs import dirac_comb, lattice_comb, split_remainder
 from .combs import linear_combine  # noqa: F401  (bench/spans.py traces this binding)
+from .cps import check_points_budget
 from .eberlein import AveragingSpec, FBRow, fb_scan, pair_correlation
 from .inflate import (
     TypedPointSet,
     _philox_uniforms,
-    check_points_budget,
     random_fibonacci_rule,
     realize_geometric,
 )
@@ -102,7 +102,7 @@ def bernoulli_verify(
     lam = dirac_comb(keys, (-float(N), float(N)))
     omega = lattice_comb(-N, N, weight=p)
     # the sites are a subset of omega's lattice, so nu lives on its keys
-    nu = split_remainder(keys, lam.coverage, omega, p)
+    nu = split_remainder(keys, omega)
 
     R = float(N)
     gamma = pair_correlation(lam, lam, "symmetric", R, r_max)

@@ -109,7 +109,7 @@ def system_context(name: str, R: float) -> SystemContext:
     if name == "thue_morse":
         half_lattice = combs.lattice_comb(0, int(math.floor(R)), 0.5)
         splits = {
-            t: (half_lattice, combs.split_remainder(tps.points[t], rng, half_lattice, 0.5))
+            t: (half_lattice, combs.split_remainder(tps.points[t], half_lattice))
             for t in rule.alphabet
         }
         alphas = {t: 0.5 for t in rule.alphabet}

@@ -153,8 +153,8 @@ def test_thue_morse_split_signs():
     R = 100.0
     tps = inflate.realize_geometric(inflate.thue_morse_rule(), "a", R)
     half = lattice_comb(0, 100, 0.5)
-    nu_a = split_remainder(tps.points["a"], (0.0, R), half, 0.5)
-    nu_b = split_remainder(tps.points["b"], (0.0, R), half, 0.5)
+    nu_a = split_remainder(tps.points["a"], half)
+    nu_b = split_remainder(tps.points["b"], half)
     assert nu_a.atoms_dict() == linear_combine(
         [(1.0, tps.comb("a")), (-1.0, half)]).atoms_dict()
     minus_a = linear_combine([(-1.0, nu_a)])
@@ -205,21 +205,18 @@ def split_case_st(draw):
     points = model[in_points]
     order = draw(st.permutations(range(len(points))))
     alpha = draw(st.one_of(st.floats(0.0, 1.0), st.just(0.5), st.just(1.0)))
-    # the points' own coverage may cut the model set's on either side
-    coverage = (draw(st.sampled_from([rng[0], rng[0] + 3.5])),
-                draw(st.sampled_from([rng[1], rng[1] - 2.25])))
-    return model, rng, points[list(order)], alpha, coverage
+    return model, rng, points[list(order)], alpha
 
 
 @given(split_case_st())
 @settings(max_examples=200, deadline=None)
 def test_split_remainder_matches_dict_oracle(case):
-    model, rng, points, alpha, coverage = case
+    model, rng, points, alpha = case
     omega = dirac_comb(model, rng, weight=alpha)
-    nu = split_remainder(points, coverage, omega, alpha)
+    nu = split_remainder(points, omega)
 
-    # oracle: 1_P - alpha * 1_M atom by atom, on the common coverage
-    lo, hi = max(coverage[0], rng[0]), min(coverage[1], rng[1])
+    # oracle: 1_P - alpha * 1_M atom by atom, on omega's coverage
+    lo, hi = rng
     in_p = set(map(tuple, points.tolist()))
     inside = {k for k, x in zip(map(tuple, model.tolist()),
                                 embed_array(model[:, 0], model[:, 1])) if lo <= x <= hi}
@@ -231,7 +228,7 @@ def test_split_remainder_matches_dict_oracle(case):
     assert np.array([want[k] for k in keys], dtype=np.float64).tobytes() == nu.weights.tobytes()
     assert np.all(nu.weights != 0)
     assert np.all(np.diff(nu.positions) > 0)
-    # omega + nu = delta_points atom for atom on the common coverage
+    # omega + nu = delta_points atom for atom on omega's coverage
     sums = dict.fromkeys(inside, 0.0)
     for comb in (omega, nu):
         for k, w in comb.atoms_dict().items():
@@ -243,18 +240,26 @@ def test_split_remainder_matches_dict_oracle(case):
 def test_split_remainder_drops_zero_atoms():
     omega = lattice_comb(0, 9, 1.0)
     points = np.array([[2, 0], [7, 0]])
-    nu = split_remainder(points, (0.0, 9.0), omega, 1.0)
+    nu = split_remainder(points, omega)
     assert nu.atoms_dict() == {(m, 0): -1.0 for m in range(10) if m not in (2, 7)}
-    empty = split_remainder(points, (0.0, 9.0), lattice_comb(0, 9, 0.0), 0.0)
+    empty = split_remainder(points, lattice_comb(0, 9, 0.0))
     assert empty.atoms_dict() == {(2, 0): 1.0, (7, 0): 1.0}
+
+
+def test_split_keeps_nu_inside_omegas_coverage():
+    # a comb may hold atoms up to 1e-9 past its coverage; nu drops them
+    omega = WeightedComb(lattice_comb(0, 9).keys, np.full(10, 0.5), (0.0, 9.0 - 5e-10))
+    nu = split_remainder(np.array([[9, 0], [4, 0]]), omega)
+    assert nu.coverage == omega.coverage
+    assert nu.atoms_dict() == {(m, 0): 0.5 if m == 4 else -0.5 for m in range(9)}
 
 
 def test_split_containment_is_checked_outside_the_coverage():
     omega = lattice_comb(0, 20, 0.5)
-    # (30, 0) and (-4, 0) lie outside M and outside the coverage [0, 10]
+    # (30, 0) and (-4, 0) lie outside M and outside its coverage [0, 20]
     points = np.array([[3, 0], [30, 0], [5, 0], [-4, 0]])
     with pytest.raises(ContainmentError, match="^2 point") as err:
-        split_remainder(points, (0.0, 10.0), omega, 0.5)
+        split_remainder(points, omega)
     assert err.value.offenders == [(30, 0), (-4, 0)]
     # a Z[tau] point beyond the window's range, and the first 20 of 25 in order
     window = cps.fibonacci_windows()["a"]
@@ -273,14 +278,14 @@ def test_split_finds_points_among_keys_of_equal_position():
     for model in (tie[:2], tie[1::-1]):
         omega = WeightedComb(np.array(model), np.full(2, 0.25), (-math.inf, math.inf))
         for point in tie[:2]:
-            nu = split_remainder(np.array([point]), omega.coverage, omega, 0.25)
+            nu = split_remainder(np.array([point]), omega)
             assert nu.atoms_dict() == {k: 0.75 if k == point else -0.25 for k in model}
         with pytest.raises(ContainmentError) as err:
-            split_remainder(np.array([tie[2]]), omega.coverage, omega, 0.25)
+            split_remainder(np.array([tie[2]]), omega)
         assert err.value.offenders == [tie[2]]
 
 
 def test_split_rejects_repeated_points():
     omega = lattice_comb(0, 5, 0.5)
     with pytest.raises(ValueError, match="distinct"):
-        split_remainder(np.array([[1, 0], [2, 0], [1, 0]]), (0.0, 5.0), omega, 0.5)
+        split_remainder(np.array([[1, 0], [2, 0], [1, 0]]), omega)

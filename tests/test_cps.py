@@ -254,8 +254,8 @@ def test_cut_and_project_rejects_unbounded():
 def test_cut_and_project_checks_points_budget(monkeypatch):
     window = fibonacci_windows()["a"]
     per_length = model_set_density(window)
-    budget = inflate.MAX_POINTS
-    monkeypatch.setattr(inflate, "MAX_POINTS", 1000)
+    budget = cps.MAX_POINTS
+    monkeypatch.setattr(cps, "MAX_POINTS", 1000)
     assert 950 <= len(cut_and_project(window, (0.0, 990.0 / per_length))) <= 1000
 
     def no_rows(*args):
@@ -264,6 +264,6 @@ def test_cut_and_project_checks_points_budget(monkeypatch):
     monkeypatch.setattr(cps, "_project_rows", no_rows)
     with pytest.raises(ValueError, match="budget of MAX_POINTS = 1000 points"):
         cut_and_project(window, (0.0, 1010.0 / per_length))
-    monkeypatch.setattr(inflate, "MAX_POINTS", budget)
+    monkeypatch.setattr(cps, "MAX_POINTS", budget)
     with pytest.raises(ValueError, match="MAX_POINTS"):
         cut_and_project(window, (-1e9, 1e9))

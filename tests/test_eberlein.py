@@ -588,13 +588,18 @@ def fsum_pair_correlation(mu, nu, shape, R, r_max, variant):
 # non-dyadic weights: products and per-atom sums round
 inexact_real_st = st.sampled_from([0.6, -0.4, 1 / 3, 0.1, -2.7, 1.0])
 inexact_complex_st = st.builds(complex, inexact_real_st, inexact_real_st)
+# single-precision weights: products are still taken in double precision
+inexact_single_st = st.one_of(
+    inexact_real_st.map(np.float32), inexact_complex_st.map(np.complex64)
+)
+inexact_st = [inexact_real_st, inexact_complex_st, inexact_single_st]
 
 
 @given(
     st.data(),
     st.booleans(),
-    st.sampled_from([inexact_real_st, inexact_complex_st]),
-    st.sampled_from([inexact_real_st, inexact_complex_st]),
+    st.sampled_from(inexact_st),
+    st.sampled_from(inexact_st),
     st.sampled_from(["one_sided", "symmetric"]),
     st.sampled_from(["both", "one"]),
     st.sampled_from([3, 5, 13]),

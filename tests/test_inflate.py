@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from combsplit import inflate
+from combsplit import cps, inflate
 from combsplit.inflate import (
     Branch,
     RuleError,
@@ -236,8 +236,8 @@ def test_realize_rejects_bad_R_before_inflating(monkeypatch, R):
 
 
 def test_points_budget_is_checked_before_inflating(monkeypatch):
-    budget = inflate.MAX_POINTS
-    monkeypatch.setattr(inflate, "MAX_POINTS", 1000)
+    budget = cps.MAX_POINTS
+    monkeypatch.setattr(cps, "MAX_POINTS", 1000)
     # the doubling chain lays one point per unit length
     assert realize_geometric(inflate.thue_morse_rule(), "a", 990.0).count() == 991
 
@@ -250,7 +250,7 @@ def test_points_budget_is_checked_before_inflating(monkeypatch):
                     (inflate.twisted_fibonacci_rule(), 1400.0)):
         with pytest.raises(ValueError, match="budget of MAX_POINTS = 1000 points"):
             realize_geometric(rule, "a", R)
-    monkeypatch.setattr(inflate, "MAX_POINTS", budget)
+    monkeypatch.setattr(cps, "MAX_POINTS", budget)
     with pytest.raises(ValueError, match="MAX_POINTS"):
         realize_geometric(inflate.fibonacci_rule(), "a", 1e12)
 

@@ -81,7 +81,7 @@ def test_bernoulli_verify_makes_three_correlations(monkeypatch):
 
 
 def test_bernoulli_gas_checks_points_budget(monkeypatch):
-    monkeypatch.setattr(inflate, "MAX_POINTS", 101)
+    monkeypatch.setattr(cps, "MAX_POINTS", 101)
     assert len(bernoulli_gas(1.0, 50, RngSpec(1))) == 101
 
     def no_draws(*args):
