@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -104,6 +105,14 @@ def _need(cfg: dict, key: str, cast=None):
     if key not in cfg or cfg[key] is None:
         raise CliError(f"missing required option --{key.replace('_', '-')}")
     return cast(cfg[key]) if cast else cfg[key]
+
+
+def _whole_r_max(cfg: dict, default: int) -> int:
+    # diffract --riesz-depth and sample take r_max as a whole number of sites
+    r_max = float(cfg.get("r_max", default))
+    if not (0.0 <= r_max < math.inf and r_max.is_integer()):
+        raise ValueError(f"r_max must be a finite, nonnegative integer, got {r_max!r}")
+    return int(r_max)
 
 
 def _parse_r_grid(cfg: dict) -> tuple[float, ...]:
@@ -359,7 +368,7 @@ def cmd_diffract(cfg: dict) -> int:
     if cfg.get("riesz_depth") is not None:
         depth = int(cfg["riesz_depth"])
         rz = spectra.riesz_coefficients(depth)
-        m_hi = min(rz.support(), int(cfg.get("r_max", 64)))
+        m_hi = min(rz.support(), _whole_r_max(cfg, 64))
         rows = [
             (
                 m,
@@ -408,7 +417,7 @@ def cmd_sample(cfg: dict) -> int:
         p = float(_need(cfg, "p"))
         N = int(_need(cfg, "N"))
         report = stochastic.bernoulli_verify(
-            p, N, rng, r_max=int(cfg.get("r_max", 50))
+            p, N, rng, r_max=_whole_r_max(cfg, 50)
         )
         doc = {
             "params": {"model": "bernoulli", "p": p, "N": N},

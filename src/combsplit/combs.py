@@ -276,9 +276,15 @@ def split_pp(
     Both combs are built on the model set's keys, sorted by position: nu
     takes weight 1 - alpha where the points are and -alpha elsewhere
     (split_remainder), and membership is a searchsorted on positions
-    followed by an exact key compare, with no hashing and no merge.
+    followed by an exact key compare, with no hashing and no merge.  omega
+    keeps the model points' array itself, so given model_points must be
+    sorted by position (as cut_and_project returns them); unsorted ones
+    raise ValueError.
     """
     if model_points is None:
         model_points = cps.cut_and_project(window, rng)
-    omega = dirac_comb(model_points, rng, weight=float(alpha))
+    model_points = np.asarray(model_points, dtype=np.int64).reshape(-1, 2)
+    if np.any(np.diff(embed_array(model_points[:, 0], model_points[:, 1])) < 0):
+        raise ValueError("model points must be sorted by position")
+    omega = WeightedComb(model_points, np.full(len(model_points), float(alpha)), rng)
     return omega, split_remainder(points, omega)

@@ -9,9 +9,20 @@ into its weight levels, sum_v v * 1_{S_v}, so every atom is a short sum of
 int64 pair counts N_ij(s) times level products.  The counts come from bit
 rows per lag when both combs live on the integers with few levels, and
 otherwise from a pair sweep over exact keys that works block by block, so
-its memory does not grow with the pair count.  Each atom's sum is formed
-exactly and rounded once, so every atom is correctly rounded and reruns are
-bit-identical.
+its memory does not grow with the pair count.
+
+Correlation atoms and FB coefficients share one exact accumulator (a long
+accumulator after Kulisch & Miranker, binned by exponent as in Demmel &
+Hida).  A finite double is an int64 mantissa M, |M| < 2**53, times
+2**(e - 1126), with e = frexp's exponent + 1073 in [0, 2098).  M splits
+into a 27-bit high and a 26-bit low limb; each limb times its int64 count
+is added with np.add.at into a cell (group, part, e), where a part is the
+real or imaginary half of a complex product.  Only the nonzero cells are
+combined as Python ints, and each group is rounded once by int / int, so
+every atom and every FB value is correctly rounded and reruns are
+bit-identical.  A complex product is formed from separately rounded real
+products, never from fused multiply-adds, and a non-finite product or sum
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ FOLD_CELLS = 1 << 18
 # sweep 0.03 s at 10% density, 2.0 s at full; at 256 level pairs and 10%
 # density the sweep was faster (0.04 against 0.12 s).
 ROW_LEVEL_PAIRS = 64
-_NOT_FINITE = "correlation weights, their products and sums must be finite"
+_NOT_FINITE = "weights, their products and sums must be finite"
 
 
 @dataclass(frozen=True)
@@ -162,15 +173,17 @@ def eberlein_convolve(
         empty = np.empty((0, 2), dtype=np.int64)
         return WeightedComb(empty, np.empty(0, dtype=dtype), coverage)
 
-    # atom s is the sum of count * vx[i] * vy[j] over its cells (s, i, j)
+    # atom s is the sum of count * vx[i] * vy[j] over its cells (s, i, j);
+    # products are taken in dtype, at least double precision
     vx, lx = _levels(wx)
     vy, ly = _levels(wy)
+    vx, vy = vx.astype(dtype), vy.astype(dtype)
     integer = not (kx[:, 1].any() or ky[:, 1].any())
     if integer and len(vx) * len(vy) <= ROW_LEVEL_PAIRS:
         tallies = [_count_bits(kx[:, 0], lx, len(vx), ky[:, 0], ly, len(vy), r_max)]
     else:
         tallies = _count_pairs(kx, lx, ky, ly, r_max)
-    keys, sums = _exact_sums(tallies, vx, vy, dtype)
+    keys, sums = _exact_sums(tallies, vx, vy)
     keep = sums.any(axis=1)
     keys, sums = keys[keep], sums[keep]
     order = np.argsort(embed_array(keys[:, 0], keys[:, 1]), kind="stable")
@@ -221,7 +234,9 @@ def _count_bits(mx, lx, nx, my, ly, ny, r_max):
 def _count_pairs(kx, lx, ky, ly, r_max):
     # Any supports: for every x-atom the admissible y-atoms form a contiguous
     # window of the sorted nu support.  Pairs are formed at most PAIR_BLOCK
-    # at a time (one x-atom may exceed it) and tallied block by block.
+    # at a time (one x-atom may exceed it) and tallied block by block; the
+    # tallies are merged and handed on once they hold more than FOLD_CELLS
+    # cells, and at the end.
     px = embed_array(kx[:, 0], kx[:, 1])
     py = embed_array(ky[:, 0], ky[:, 1])
     lo_idx = np.searchsorted(py, -r_max - px - 1e-9, side="left")
@@ -229,7 +244,7 @@ def _count_pairs(kx, lx, ky, ly, r_max):
     per_x = hi_idx - lo_idx
     ends = np.cumsum(per_x)
     starts = ends - per_x
-    a = 0
+    a, pending = 0, []
     while a < len(px):
         b = max(a + 1, int(np.searchsorted(ends, starts[a] + PAIR_BLOCK, side="right")))
         i_rep = np.repeat(np.arange(a, b), per_x[a:b])
@@ -238,8 +253,11 @@ def _count_pairs(kx, lx, ky, ly, r_max):
         keep = np.abs(px[i_rep] + py[j_rep]) <= r_max + 1e-9
         i_rep, j_rep = i_rep[keep], j_rep[keep]
         ones = np.ones(len(i_rep), dtype=np.int64)
-        yield _tally(kx[i_rep] + ky[j_rep], lx[i_rep], ly[j_rep], ones)
+        pending.append(_tally(kx[i_rep] + ky[j_rep], lx[i_rep], ly[j_rep], ones))
         a = b
+        if a == len(px) or sum(len(keys) for keys, *_ in pending) > FOLD_CELLS:
+            yield _tally(*map(np.concatenate, zip(*pending)))
+            pending = []
 
 
 def _tally(keys, i, j, count):
@@ -264,53 +282,61 @@ def _tally(keys, i, j, count):
     return atom_keys[atom], *np.divmod(level_pairs[pair], n_j), total
 
 
-def _exact_sums(tallies, vx, vy, dtype):
+def _exact_sums(tallies, vx, vy):
     # Per atom, the sum of count * vx[i] * vy[j] over its cells, exact and
-    # rounded once.  Tallies are merged and folded into the exact atom sums
-    # each time they hold more than FOLD_CELLS cells, and once at the end.
-    # Products are taken in dtype, at least double precision.
-    vx, vy = vx.astype(dtype), vy.astype(dtype)
-    done, pending = None, []
-    for tally in tallies:
-        pending.append(tally)
-        if sum(len(keys) for keys, *_ in pending) > FOLD_CELLS:
-            done, pending = _fold(pending, done, vx, vy, dtype), []
-    keys, sums, e0 = _fold(pending, done, vx, vy, dtype) if pending else done
-    # Python's int / int is correctly rounded
-    try:
-        return keys, np.array([[int(v) / 2**-e0 for v in row] for row in sums]).reshape(sums.shape)
-    except OverflowError:
-        raise ValueError(_NOT_FINITE) from None
+    # rounded once.  Each tally is folded into the limb rows of the atoms
+    # seen so far.
+    keys, done = np.empty((0, 2), dtype=np.int64), None
+    for new, i, j, count in tallies:
+        keys = np.concatenate([new, keys])
+        codes, first, atom = np.unique(_encode(keys), return_index=True, return_inverse=True)
+        old = None if done is None else (atom[len(new) :], *done)
+        done = _limb_rows(atom[: len(new)], vx[i], vy[j], count, len(codes), old)
+        keys = keys[first]
+    return keys, _rounded(*done)
 
 
-def _fold(tallies, done, vx, vy, dtype):
-    # Per key, the sums done so far plus each new cell's count * product, as
-    # Python ints over 2**-e0: a finite double is an int64 mantissa times
-    # 2**(exponent - 53).
-    keys, i, j, count = _tally(*map(np.concatenate, zip(*tallies)))
-    if dtype.kind == "c":
-        # four real products, one subtraction and one addition, each rounded:
-        # numpy's complex multiply may fuse multiply-adds, which would make
-        # the bits depend on the SIMD loop it picks
-        xr, xi, yr, yi = vx.real[i], vx.imag[i], vy.real[j], vy.imag[j]
+def _limb_rows(group, x, y, count, n_groups, done=None):
+    """The exponents e that occur and the int64 limb rows (n_groups, parts,
+    exponents, 2) of the exact sums of count * x * y per group, as the module
+    docstring describes; done = (group, exponents, rows) adds earlier rows."""
+    if np.iscomplexobj(x) or np.iscomplexobj(y):  # rounded real products, unfused
+        xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
         parts = np.stack([xr * yr - xi * yi, xr * yi + xi * yr], axis=1)
     else:
-        parts = (vx[i] * vy[j])[:, None]
+        parts = (x * y)[:, None]
     if not np.all(np.isfinite(parts)):
         raise ValueError(_NOT_FINITE)
     mantissa, exponent = np.frexp(parts)
-    e0 = int(exponent.min(initial=0)) - 53
-    terms = (mantissa * 2.0**53).astype(np.int64).astype(object) * count[:, None].astype(object)
-    terms <<= (exponent - 53 - e0).astype(object)
+    m, e = (mantissa * 2.0**53).astype(np.int64), exponent + 1073
+    present = np.zeros(2098, dtype=bool)
+    present[e] = True
     if done is not None:
-        done_keys, done_sums, done_e0 = done
-        keys = np.concatenate([keys, done_keys])
-        terms = np.concatenate([terms << max(0, e0 - done_e0), done_sums << max(0, done_e0 - e0)])
-        e0 = min(e0, done_e0)
-    codes, first, atom = np.unique(_encode(keys), return_index=True, return_inverse=True)
-    sums = np.zeros((len(codes), terms.shape[1]), dtype=object)
-    np.add.at(sums, atom, terms)
-    return keys[first], sums, e0
+        present[done[1]] = True
+    exponents, column = np.flatnonzero(present), np.cumsum(present) - 1
+    n_parts = parts.shape[1]
+    rows = np.zeros((n_groups, n_parts, len(exponents), 2), dtype=np.int64)
+    cell = ((group[:, None] * n_parts + np.arange(n_parts)) * len(exponents) + column[e]).ravel()
+    # a cell sums less than 2**27 times the atoms of one factor (or of the
+    # comb), so it cannot wrap below 2**36 atoms
+    for limb, value in zip(rows.reshape(-1, 2).T, (m >> 26, m & (2**26 - 1))):
+        np.add.at(limb, cell, (value * count[:, None]).ravel())
+    if done is not None:
+        rows[done[0][:, None, None], np.arange(n_parts)[:, None], column[done[1]]] += done[2]
+    return exponents, rows
+
+
+def _rounded(exponents, rows):
+    # Per group and part, the exact sum of its nonzero cells as one Python
+    # int, rounded once: Python's int / int is correctly rounded.
+    sums = np.zeros(rows.shape[:2])
+    try:
+        for g, p in zip(*np.nonzero(rows.any(axis=(2, 3)))):
+            cells = zip(exponents.tolist(), rows[g, p].tolist())
+            sums[g, p] = sum(((high << 26) + low) << e for e, (high, low) in cells) / 2**1126
+    except OverflowError:
+        raise ValueError(_NOT_FINITE) from None
+    return sums
 
 
 def pair_correlation(
@@ -339,8 +365,9 @@ def fb_coefficient(
     Module points are evaluated through the 128-bit fixed-point phases of
     frac_phases (each within half an ulp plus 2^-96 of frac(k*x)); generic
     real k uses the direct product with the embedded positions.  The sums
-    of the real and imaginary parts are correctly rounded.  This is the
-    one-R case of fb_scan.
+    of the real and imaginary parts are correctly rounded, and a complex
+    weight's product is formed from separately rounded real products.
+    This is the one-R case of fb_scan.
     """
     return _fb_values(mu, k, AveragingSpec(shape, (R,)))[0]
 
@@ -350,10 +377,11 @@ def _fb_values(
 ) -> list[complex]:
     """FB coefficients of mu at k for every R of spec, from one phase pass.
 
-    The comb is restricted to the largest interval once, the products are
-    formed once, and each R sums its own slice of them.  math.fsum is
-    correctly rounded in any order, so every value equals a separate
-    computation at that R.
+    The comb is restricted to the largest interval once and the products
+    are formed once.  Each atom's limbs are added once, into the bin of the
+    first R that holds it, and a cumsum over the bins gives every R its
+    exact sum, rounded once, so every value equals a separate computation
+    at that R.  A non-finite product or sum raises ValueError.
     """
     for R in spec.R_list:
         lo, hi = spec.interval(R)
@@ -364,26 +392,23 @@ def _fb_values(
     pos, keys, weights = _restrict_arrays(mu, *spec.interval(spec.R_list[-1]))
     if isinstance(k, FourierModulePoint):
         if k.is_zero():
-            phase_factors = np.ones(len(keys))
+            phase_factors = np.ones(len(keys), dtype=complex)
         else:
             phase_factors = np.exp(-2j * math.pi * frac_phases(k, keys[:, 0], keys[:, 1]))
     else:
         if not math.isfinite(k):
             raise ValueError(f"wave number must be finite, got {k!r}")
         phase_factors = np.exp(-2j * math.pi * float(k) * pos)
-    products = weights * phase_factors
-    values = []
-    for R in spec.R_list:
-        lo, hi = spec.interval(R)
-        i = np.searchsorted(pos, lo - 1e-12, side="left")
-        j = np.searchsorted(pos, hi + 1e-12, side="right")
-        part, vol = products[i:j], spec.vol(R)
-        if np.iscomplexobj(part):
-            re, im = math.fsum(part.real.tolist()), math.fsum(part.imag.tolist())
-        else:
-            re, im = math.fsum(part.tolist()), 0.0
-        values.append(complex(re / vol, im / vol))
-    return values
+    # each atom goes to the bin of the first R whose interval holds it; the
+    # intervals nest, so a cumsum over the bins gives each R its sum
+    intervals = [spec.interval(R) for R in spec.R_list]
+    i = np.searchsorted(pos, [lo - 1e-12 for lo, _ in intervals], side="left")
+    j = np.searchsorted(pos, [hi + 1e-12 for _, hi in intervals], side="right")
+    atom = np.arange(len(pos))
+    bins = np.maximum(np.searchsorted(j, atom, side="right"), np.searchsorted(-i, -atom))
+    exponents, rows = _limb_rows(bins, weights, phase_factors, np.ones_like(bins), len(intervals))
+    sums = _rounded(exponents, np.cumsum(rows, axis=0)).tolist()
+    return [complex(re / spec.vol(R), im / spec.vol(R)) for R, (re, im) in zip(spec.R_list, sums)]
 
 
 @dataclass(frozen=True)
@@ -442,7 +467,7 @@ def orthogonality_report(
         # Both factors are restricted to the same interval, so
         # c_nu_omega(s) = conj(c_omega_nu(-s)) atom for atom: each atom is the
         # correctly rounded sum of the same products, complex ones included,
-        # since _fold forms those from separately rounded real products.
+        # since _limb_rows forms those from separately rounded real products.
         sup = pair_correlation(omega, nu, spec.shape, R, r_max).sup_norm()
         rows.append(OrthogonalityRow(R, sup, sup))
     return rows

@@ -10,6 +10,7 @@ element of Z[tau].
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -86,6 +87,10 @@ class SubstitutionRule:
                 raise RuleError(
                     f"tile length of {letter!r} must be an exact Z[tau] element, "
                     f"got {self.lengths[letter]!r}"
+                )
+            if not self.lengths[letter] > 0:
+                raise RuleError(
+                    f"tile length of {letter!r} must be positive, got {self.lengths[letter]}"
                 )
         if not _is_primitive(substitution_matrix(self)):
             raise RuleError("substitution matrix is not primitive")
@@ -289,20 +294,29 @@ def realize_geometric(
         if level > 128:
             raise RuleError("inflation did not reach the requested length")
 
-    lm = np.array([l.m for l in lengths], dtype=np.int64)
-    ln = np.array([l.n for l in lengths], dtype=np.int64)
-    pos_m = np.concatenate(([0], np.cumsum(lm[word])[:-1]))
-    pos_n = np.concatenate(([0], np.cumsum(ln[word])[:-1]))
-    keys = np.stack([pos_m, pos_n], axis=1)
-    values = embed_array(pos_m, pos_n)
-
-    keep = values <= R
-    word = word[keep]
-    keys = keys[keep]
+    keys = _tile_starts(word, lengths, R)
+    word = word[: len(keys)]
     points = {
         letter: keys[word == i] for letter, i in idx.items()
     }
     return TypedPointSet(points, (0.0, float(R)))
+
+
+def _tile_starts(word, lengths, R):
+    # Exact keys of the tile starts on [0, R].  Tiles have positive lengths,
+    # so the starts grow along the word, and so do their embeddings while a
+    # tile is longer than their rounding (under 1e-6 for keys below 2**31).
+    # The starts kept are thus a prefix: its length comes from the exact
+    # tile ends, and keys are built for that prefix only.  The ends, which
+    # span the whole word, are freed on return, before the per-type copies.
+    end_m = np.cumsum(np.array([l.m for l in lengths], dtype=np.int64)[word])
+    end_n = np.cumsum(np.array([l.n for l in lengths], dtype=np.int64)[word])
+    kept = 1 + bisect.bisect_right(
+        range(len(word) - 1), R, key=lambda k: embed_array(end_m[k : k + 1], end_n[k : k + 1])[0]
+    )
+    keys = np.zeros((kept, 2), dtype=np.int64)
+    keys[1:, 0], keys[1:, 1] = end_m[: kept - 1], end_n[: kept - 1]
+    return keys
 
 
 def _inflate_word(word, br_words, br_cumprob, rng_seed, stream, level):

@@ -101,8 +101,11 @@ def system_context(name: str, R: float) -> SystemContext:
 
     Splitting weights come from measured densities over the exact model-set
     densities; for the lattice-based doubling chain the periodic part is
-    half the integer comb directly.
+    half the integer comb directly.  R must be positive, for every system;
+    otherwise ValueError is raised.
     """
+    if R <= 0:
+        raise ValueError(f"R must be positive, got {R!r}")
     rule = inflate.builtin_rule(name)
     tps = inflate.realize_geometric(rule, "a", R)
     rng = (0.0, R)

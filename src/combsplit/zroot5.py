@@ -28,7 +28,6 @@ __all__ = [
     "sign_of",
     "SIGN_ARRAY_BOUND",
     "embed_array",
-    "embed_star_array",
     "frac_phase",
     "frac_phases",
     "PHASE_KEY_BOUND",
@@ -112,10 +111,6 @@ class QuadraticInt:
     def __init__(self, m: int, n: int = 0) -> None:
         self.m = int(m)
         self.n = int(n)
-
-    @classmethod
-    def from_int(cls, x: int) -> "QuadraticInt":
-        return cls(x, 0)
 
     def __repr__(self) -> str:
         return f"QuadraticInt({self.m}, {self.n})"
@@ -340,8 +335,3 @@ def _unit_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 def embed_array(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Vectorized physical embedding of (m, n) coordinate arrays."""
     return m.astype(np.float64) + n.astype(np.float64) * TAU
-
-
-def embed_star_array(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Vectorized internal embedding of (m, n) coordinate arrays."""
-    return m.astype(np.float64) + n.astype(np.float64) * TAU_STAR

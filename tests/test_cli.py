@@ -239,12 +239,21 @@ BAD_BOUNDARY_RUNS = (
      "wave number must be finite, got nan"),
     (("fb", "--system", "fibonacci", "--R-grid", "1e3", "--k-values", "inf"),
      "wave number must be finite, got inf"),
+    (("split", "--system", "twisted_fibonacci", "--R", "0"), "R must be positive, got 0.0"),
+    (("split", "--system", "thue_morse", "--R", "0"), "R must be positive, got 0.0"),
+    (("fb", "--measure", "nu", "--system", "twisted_fibonacci", "--R-grid", "0"),
+     "R must be positive, got 0.0"),
+    (("diffract", "--riesz-depth", "20", "--r-max", "-3"),
+     "r_max must be a finite, nonnegative integer, got -3.0"),
+    (("sample", "--system", "bernoulli", "--seed", "5", "--p", "0.6", "--N", "200",
+      "--r-max", "2.9"), "r_max must be a finite, nonnegative integer, got 2.9"),
 )
 
 
 @pytest.mark.parametrize("argv,message", BAD_BOUNDARY_RUNS, ids=[
     "correlate-r_max-nan", "correlate-r_max-inf", "correlate-r_max-negative",
-    "fb-k-nan", "fb-k-inf"])
+    "fb-k-nan", "fb-k-inf", "split-R-zero", "split-thue_morse-R-zero", "fb-nu-R-zero",
+    "diffract-riesz-r_max-negative", "sample-r_max-fraction"])
 def test_bad_r_max_and_wave_number_fail_at_the_boundary(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", str(out)) == 1

@@ -140,6 +140,14 @@ def test_split_pp_reconstruction_is_exact():
     assert recombined.atoms_dict() == original.atoms_dict()
 
 
+def test_split_pp_rejects_unsorted_model_points():
+    tps, *_ = _twisted_split()
+    window = cps.twisted_fibonacci_windows()["a"]
+    model = cps.cut_and_project(window, (0.0, 500.0))
+    with pytest.raises(ValueError, match="sorted by position"):
+        split_pp(tps.points["a"], window, 0.5, (0.0, 500.0), model[::-1])
+
+
 def test_split_pp_reports_containment_violation():
     tps, *_ = _twisted_split()
     window = cps.twisted_fibonacci_windows()["a"]

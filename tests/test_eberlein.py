@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -674,3 +675,109 @@ def test_pair_sweep_memory_is_bounded_by_its_blocks(monkeypatch):
     assert np.array_equal(blocked.keys, whole.keys)
     assert np.array_equal(blocked.weights, whole.weights)
     assert peak < 8 * n * (2 * r_max + 1), peak
+
+
+# doubles across the whole range: subnormals, signed zeros, mantissas of all
+# ones, and the largest finite values
+special_double_st = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, float(2**53 - 1), -float(2**53 - 1) * 2.0**-1074,
+    float(2**53 - 1) * 2.0**960, 1.0, -1.0, 0.1,
+])
+double_st = st.one_of(st.floats(allow_nan=False, allow_infinity=False), special_double_st)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2), double_st, st.integers(1, 2**29)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_limb_rows_are_the_exact_sums(terms, reach, cancel):
+    # count * x summed per group and rounded once, against exact fractions.
+    # With reach, the counts of the first term's group sum to 2**35, inside
+    # the no-wrap bound; with cancel, group 3 holds terms and their
+    # negations, whatever the magnitudes, and one term that is left over.
+    if reach:
+        g0, x0, _ = terms[0]
+        terms[0] = (g0, x0, 2**35 - sum(c for g, _, c in terms[1:] if g == g0))
+    if cancel:
+        terms += [(3, s * x, min(c, 2**29)) for _, x, c in terms[:20] for s in (1.0, -1.0)]
+        terms.append((3, terms[-1][1] * 2.0**-60, 1))
+    group, x, count = (np.array(column) for column in zip(*terms))
+    count = count.astype(np.int64)
+    assert all(count[group == g].sum() <= 2**35 for g in range(4))
+    rows = eberlein._limb_rows(group, x, np.ones(len(x)), count, 4)
+    want = [sum((Fraction(v) * c for g_, v, c in terms if g_ == g), Fraction(0))
+            for g in range(4)]
+    try:
+        expected = [float(w) for w in want]
+    except OverflowError:
+        with pytest.raises(ValueError, match="finite"):
+            eberlein._rounded(*rows)
+        return
+    got = eberlein._rounded(*rows)
+    assert got.shape == (4, 1)
+    assert got[:, 0].tolist() == expected
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
+            st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
+            st.integers(1, 2**20),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_limb_rows_of_complex_products(terms):
+    # each complex product from separately rounded real products
+    x, y, count = (np.array(column) for column in zip(*terms))
+    re = x.real * y.real - x.imag * y.imag
+    im = x.real * y.imag + x.imag * y.real
+    want = [sum((Fraction(float(v)) * int(c) for v, c in zip(part, count)), Fraction(0))
+            for part in (re, im)]
+    rows = eberlein._limb_rows(np.zeros(len(x), dtype=np.int64), x, y, count.astype(np.int64), 1)
+    assert eberlein._rounded(*rows)[0].tolist() == [float(w) for w in want]
+
+
+@pytest.mark.parametrize("shape", ["one_sided", "symmetric"])
+def test_fb_scan_with_complex_weights_matches_an_fsum_oracle(shape):
+    # every value is the correctly rounded sum of products formed from
+    # separately rounded real products, divided by the volume
+    comb = _golden_comb(seed=9)
+    spec = AveragingSpec(shape, (7.0, 20.0, 41.5, 60.0))
+    K = [FourierModulePoint(1, 0), FourierModulePoint(-3, 2), 0.37]
+    for row in fb_scan(comb, K, spec):
+        lo, hi = spec.interval(row.R)
+        inside = (comb.positions >= lo - 1e-12) & (comb.positions <= hi + 1e-12)
+        keys, w = comb.keys[inside], comb.weights[inside]
+        if isinstance(row.k, FourierModulePoint):
+            f = np.exp(-2j * math.pi * eberlein.frac_phases(row.k, keys[:, 0], keys[:, 1]))
+        else:
+            f = np.exp(-2j * math.pi * row.k * comb.positions[inside])
+        re = math.fsum((w.real * f.real - w.imag * f.imag).tolist())
+        im = math.fsum((w.real * f.imag + w.imag * f.real).tolist())
+        vol = spec.vol(row.R)
+        assert row.value == complex(re / vol, im / vol)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_non_finite_fb_weights_and_sums_raise():
+    z = lattice_comb(-20, 20)
+    for w in (math.nan, math.inf, complex(0.0, math.inf)):
+        bad = WeightedComb(z.keys, np.r_[z.weights[:-1].astype(type(w)), w], z.coverage)
+        for k in (FourierModulePoint(0, 0), FourierModulePoint(1, 0), 0.3):
+            with pytest.raises(ValueError, match="finite"):
+                fb_coefficient(bad, k, "symmetric", 20.0)
+    # each weight is finite, their sum at k = 0 is not
+    big = WeightedComb(z.keys, np.full(len(z), 1.7e308), z.coverage)
+    with pytest.raises(ValueError, match="finite"):
+        fb_scan(big, [FourierModulePoint(0, 0)], AveragingSpec("symmetric", (5.0, 20.0)))

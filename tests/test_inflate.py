@@ -16,7 +16,7 @@ from combsplit.inflate import (
     rule_from_json,
     substitution_matrix,
 )
-from combsplit.zroot5 import QuadraticInt, SQRT5, TAU
+from combsplit.zroot5 import QuadraticInt, SQRT5, TAU, embed_array
 
 TWISTED_MATRIX = np.array(
     [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
@@ -210,6 +210,34 @@ def test_float_lengths_rejected():
         for lengths in ({"a": bad, "b": 1}, {"a": {"m": 0, "n": bad}, "b": 1}):
             with pytest.raises(RuleError):
                 rule_from_json({**doc, "lengths": lengths})
+
+
+def test_non_positive_tile_lengths_rejected():
+    images = {"a": (Branch(1.0, ("a", "b")),), "b": (Branch(1.0, ("a",)),)}
+    # 1 - tau < 0; 2 - tau > 0 has a negative component and is accepted
+    for bad in (QuadraticInt(0, 0), QuadraticInt(-1, 0), QuadraticInt(1, -1)):
+        with pytest.raises(RuleError, match="positive"):
+            SubstitutionRule(alphabet=("a", "b"), images=images,
+                             lengths={"a": QuadraticInt(0, 1), "b": bad})
+    SubstitutionRule(alphabet=("a", "b"), images=images,
+                     lengths={"a": QuadraticInt(1, 0), "b": QuadraticInt(2, -1)})
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "twisted_fibonacci", "thue_morse"])
+def test_realize_keeps_the_starts_up_to_R(name):
+    # The construction that built keys for the whole inflated word and then
+    # kept the starts whose embedding is at most R, applied to a longer
+    # realization of the same fixed point, is the oracle.  R also lands
+    # exactly on a point inside the word, which is kept.
+    rule = builtin_rule(name)
+    longer = realize_geometric(rule, "a", 3000.0)
+    x = np.sort(np.concatenate([embed_array(p[:, 0], p[:, 1]) for p in longer.points.values()]))
+    for R in (0.0, 0.5, 7.5, float(x[100]), float(x[1234]), 2999.9):
+        tps = realize_geometric(rule, "a", R)
+        for t, points in longer.points.items():
+            kept = embed_array(points[:, 0], points[:, 1]) <= R
+            assert np.array_equal(tps.points[t], points[kept])
+        assert tps.count() == np.count_nonzero(x <= R)
 
 
 def test_json_integer_lengths_load_exactly():

@@ -22,6 +22,9 @@ def test_system_context_projects_each_distinct_window_once(monkeypatch):
     assert ctx.models["a"] is ctx.models["a_"]
     assert ctx.models["b"] is ctx.models["b_"]
     assert not ctx.models["a"].flags.writeable
+    # each omega keeps the projection itself, not a sorted copy
+    for t, (omega, _) in ctx.splits.items():
+        assert np.shares_memory(omega.keys, ctx.models[t])
 
     # the same context built with one projection per type
     rng = (0.0, R)
