@@ -57,7 +57,8 @@ class RangeError(ValueError):
 
 # The pair sweep forms at most PAIR_BLOCK pairs at a time and keeps at most
 # FOLD_CELLS (key, level pair) counts before it sums them exactly, so its
-# memory is bounded (about 80 MiB) whatever the pair count.
+# memory is bounded (about 80 MiB) whatever the pair count; the exact
+# accumulator likewise takes at most FOLD_CELLS terms at a time.
 PAIR_BLOCK = 1 << 16
 FOLD_CELLS = 1 << 18
 # Integer supports use bit rows up to this many weight-level pairs.  The
@@ -283,15 +284,17 @@ def _tally(keys, i, j, count):
 
 
 def _exact_sums(tallies, vx, vy):
-    # Per atom, the sum of count * vx[i] * vy[j] over its cells, exact and
-    # rounded once.  Each tally is folded into the limb rows of the atoms
-    # seen so far.
+    # Per atom, the exact sum of count * vx[i] * vy[j] over its cells, rounded
+    # once; each tally is folded into the limb rows of the atoms seen so far.
     keys, done = np.empty((0, 2), dtype=np.int64), None
     for new, i, j, count in tallies:
         keys = np.concatenate([new, keys])
         codes, first, atom = np.unique(_encode(keys), return_index=True, return_inverse=True)
-        old = None if done is None else (atom[len(new) :], *done)
-        done = _limb_rows(atom[: len(new)], vx[i], vy[j], count, len(codes), old)
+        if done is not None:  # the rows so far move to their atoms' new places
+            moved = np.zeros((len(codes), *done[1].shape[1:]), dtype=np.int64)
+            moved[atom[len(new) :]] = done[1]
+            done = done[0], moved
+        done = _limb_rows(atom[: len(new)], vx[i], vy[j], count, len(codes), done)
         keys = keys[first]
     return keys, _rounded(*done)
 
@@ -299,7 +302,12 @@ def _exact_sums(tallies, vx, vy):
 def _limb_rows(group, x, y, count, n_groups, done=None):
     """The exponents e that occur and the int64 limb rows (n_groups, parts,
     exponents, 2) of the exact sums of count * x * y per group, as the module
-    docstring describes; done = (group, exponents, rows) adds earlier rows."""
+    docstring describes; done = (exponents, rows) adds rows of the same groups."""
+    if len(x) > FOLD_CELLS:  # block by block, so that temporaries stay bounded
+        for a in range(0, len(x), FOLD_CELLS):
+            at = slice(a, a + FOLD_CELLS)
+            done = _limb_rows(group[at], x[at], y[at], count[at], n_groups, done)
+        return done
     if np.iscomplexobj(x) or np.iscomplexobj(y):  # rounded real products, unfused
         xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
         parts = np.stack([xr * yr - xi * yi, xr * yi + xi * yr], axis=1)
@@ -312,7 +320,7 @@ def _limb_rows(group, x, y, count, n_groups, done=None):
     present = np.zeros(2098, dtype=bool)
     present[e] = True
     if done is not None:
-        present[done[1]] = True
+        present[done[0]] = True
     exponents, column = np.flatnonzero(present), np.cumsum(present) - 1
     n_parts = parts.shape[1]
     rows = np.zeros((n_groups, n_parts, len(exponents), 2), dtype=np.int64)
@@ -322,13 +330,13 @@ def _limb_rows(group, x, y, count, n_groups, done=None):
     for limb, value in zip(rows.reshape(-1, 2).T, (m >> 26, m & (2**26 - 1))):
         np.add.at(limb, cell, (value * count[:, None]).ravel())
     if done is not None:
-        rows[done[0][:, None, None], np.arange(n_parts)[:, None], column[done[1]]] += done[2]
+        rows[:, :, column[done[0]]] += done[1]
     return exponents, rows
 
 
 def _rounded(exponents, rows):
-    # Per group and part, the exact sum of its nonzero cells as one Python
-    # int, rounded once: Python's int / int is correctly rounded.
+    # Each group and part's nonzero cells as one exact Python int, rounded once
+    # by int / int, which Python rounds correctly.
     sums = np.zeros(rows.shape[:2])
     try:
         for g, p in zip(*np.nonzero(rows.any(axis=(2, 3)))):

@@ -748,10 +748,14 @@ def test_limb_rows_of_complex_products(terms):
     assert eberlein._rounded(*rows)[0].tolist() == [float(w) for w in want]
 
 
+@pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("shape", ["one_sided", "symmetric"])
-def test_fb_scan_with_complex_weights_matches_an_fsum_oracle(shape):
+def test_fb_scan_with_complex_weights_matches_an_fsum_oracle(shape, block, monkeypatch):
     # every value is the correctly rounded sum of products formed from
-    # separately rounded real products, divided by the volume
+    # separately rounded real products, divided by the volume; a tiny block
+    # makes the accumulator carry its rows from block to block
+    if block:
+        monkeypatch.setattr(eberlein, "FOLD_CELLS", block)
     comb = _golden_comb(seed=9)
     spec = AveragingSpec(shape, (7.0, 20.0, 41.5, 60.0))
     K = [FourierModulePoint(1, 0), FourierModulePoint(-3, 2), 0.37]
