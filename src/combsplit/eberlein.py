@@ -407,8 +407,8 @@ def _fb_values(
         if not math.isfinite(k):
             raise ValueError(f"wave number must be finite, got {k!r}")
         phase_factors = np.exp(-2j * math.pi * float(k) * pos)
-    # each atom goes to the bin of the first R whose interval holds it; the
-    # intervals nest, so a cumsum over the bins gives each R its sum
+    # atom t goes to the bin of the first R that holds it, the first R with
+    # j > t and i <= t; the intervals nest, so a cumsum over bins sums each R
     intervals = [spec.interval(R) for R in spec.R_list]
     i = np.searchsorted(pos, [lo - 1e-12 for lo, _ in intervals], side="left")
     j = np.searchsorted(pos, [hi + 1e-12 for _, hi in intervals], side="right")
