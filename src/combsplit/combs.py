@@ -127,16 +127,19 @@ def dirac_comb(
 ) -> WeightedComb:
     """Comb with a constant weight on each of the given exact points."""
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+    return _sorted_comb(keys, _constant(len(keys), weight), coverage)
+
+
+def _constant(n: int, weight: complex) -> np.ndarray:
     dtype = np.float64 if isinstance(weight, (int, float)) else np.complex128
-    weights = np.full(len(keys), weight, dtype=dtype)
-    return _sorted_comb(keys, weights, coverage)
+    return np.full(n, weight, dtype=dtype)
 
 
 def lattice_comb(lo: int, hi: int, weight: complex = 1.0) -> WeightedComb:
     """The comb weight * delta_Z on the integer sites lo..hi inclusive."""
     ms = np.arange(lo, hi + 1, dtype=np.int64)
-    keys = np.stack([ms, np.zeros_like(ms)], axis=1)
-    return dirac_comb(keys, (float(lo), float(hi)), weight)
+    keys = np.stack([ms, np.zeros_like(ms)], axis=1)  # ascending: no sort
+    return WeightedComb(keys, _constant(len(ms), weight), (float(lo), float(hi)))
 
 
 def reflect_conjugate(mu: WeightedComb) -> WeightedComb:

@@ -184,13 +184,20 @@ def eberlein_convolve(
         tallies = [_count_bits(kx[:, 0], lx, len(vx), ky[:, 0], ly, len(vy), r_max)]
     else:
         tallies = _count_pairs(kx, lx, ky, ly, r_max)
+    return _averaged_comb(tallies, vx, vy, vol, coverage)
+
+
+def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
+    """The comb of the correctly rounded atoms sum(count * vx[i] * vy[j]) / vol
+    over the tallied cells (key, i, j, count), all-zero atoms dropped, sorted
+    by position.  Every correlation, whatever counted its pairs, ends here."""
     keys, sums = _exact_sums(tallies, vx, vy)
     keep = sums.any(axis=1)
     keys, sums = keys[keep], sums[keep]
     order = np.argsort(embed_array(keys[:, 0], keys[:, 1]), kind="stable")
     # divide real and imaginary parts separately: numpy's complex division
     # multiplies by a reciprocal and would round twice
-    quotient = (sums[order] / vol).view(dtype).ravel()
+    quotient = (sums[order] / vol).view(np.result_type(vx, vy)).ravel()
     return WeightedComb(keys[order], quotient, coverage)
 
 

@@ -13,10 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .combs import dirac_comb, lattice_comb, split_remainder
 from .combs import linear_combine  # noqa: F401  (bench/spans.py traces this binding)
 from .cps import check_points_budget
-from .eberlein import AveragingSpec, FBRow, fb_scan, pair_correlation
+from .eberlein import AveragingSpec, FBRow, _averaged_comb, _count_bits, fb_scan
+from .eberlein import pair_correlation  # noqa: F401  (bench/spans.py traces this binding)
 from .inflate import (
     TypedPointSet,
     _philox_uniforms,
@@ -61,8 +61,7 @@ def bernoulli_gas(p: float, N: int, rng: RngSpec) -> np.ndarray:
         raise ValueError("N must be nonnegative")
     check_points_budget(2 * N + 1, f"a lattice gas on {{-{N}, ..., {N}}}")
     u = _philox_uniforms(rng.seed, rng.stream, 0, 2 * N + 1)
-    sites = np.arange(-N, N + 1, dtype=np.int64)
-    return sites[u < p]
+    return np.flatnonzero(u < p) - N
 
 
 @dataclass(frozen=True)
@@ -96,21 +95,40 @@ def bernoulli_verify(
     to p(1-p) at zero and nothing elsewhere, with both cross correlations
     against the periodic part near zero.  Both have the same sup norm, so
     one of them is computed.
-    """
-    sites = bernoulli_gas(p, N, rng)
-    keys = np.stack([sites, np.zeros_like(sites)], axis=1)
-    lam = dirac_comb(keys, (-float(N), float(N)))
-    omega = lattice_comb(-N, N, weight=p)
-    # the sites are a subset of omega's lattice, so nu lives on its keys
-    nu = split_remainder(keys, omega)
 
-    R = float(N)
-    gamma = pair_correlation(lam, lam, "symmetric", R, r_max)
-    nu_corr = pair_correlation(nu, nu, "symmetric", R, r_max)
-    # both factors are real and restricted to [-R, R], so the other cross
+    No comb over the 2N + 1 sites is built.  With M = Z on [-N, N] and P
+    the occupied sites, every pair count of the three correlations on
+    [-N, N] comes from set-level tables: N_PP(s) from bit rows of the
+    sites, N_PM(s) = #(P with x + s in M) and N_MP(s) = N_PM(-s) from
+    searchsorted, and the closed form N_MM(s) = 2N + 1 - |s|.  The counts
+    per level pair go through the exact sums of every correlation, so each
+    atom is the one pair_correlation gives for the combs lambda,
+    omega = p * delta_M and nu = lambda - omega, bit for bit.  N must be a
+    whole number >= 1 and r_max a whole number >= 1; ValueError otherwise.
+    """
+    if not (N >= 1 and float(N).is_integer()):
+        raise ValueError(f"N must be a whole number >= 1, got {N!r}")
+    if not (r_max >= 1 and float(r_max).is_integer()):
+        raise ValueError(f"r_max must be a whole number >= 1, got {r_max!r}")
+    N, r_max = int(N), int(r_max)
+    sites = bernoulli_gas(p, N, rng)
+    lags, n_pp, n_pm, n_mp, n_mm = _lattice_gas_tables(sites, N, r_max)
+
+    def correlation(vx, vy, tables):
+        # tables[(i, j)] counts the pairs of levels vx[i] and vy[j] per lag
+        return _averaged_comb([_lag_cells(lags, tables)], vx, vy, 2.0 * N, (-r_max, r_max))
+
+    # levels: lambda {1}; nu {1 - p on P, -p on M \ P}; omega {p}
+    one, nu_levels, omega_level = np.ones(1), np.array([1.0 - p, -p]), np.array([float(p)])
+    gamma = correlation(one, one, {(0, 0): n_pp})
+    nu_corr = correlation(nu_levels, nu_levels, {
+        (0, 0): n_pp, (0, 1): n_pm - n_pp, (1, 0): n_mp - n_pp,
+        (1, 1): n_mm - n_pm - n_mp + n_pp,
+    })
+    # both factors are real and restricted to [-N, N], so the other cross
     # correlation is this one mirrored, c_nu_omega(s) = c_omega_nu(-s), atom
     # for atom: each atom is the correctly rounded sum of the same products
-    cross = pair_correlation(omega, nu, "symmetric", R, r_max)
+    cross = correlation(omega_level, nu_levels, {(0, 0): n_mp, (0, 1): n_mm - n_mp})
 
     g = {int(m): float(w.real) for (m, _), w in gamma.atoms_dict().items()}
     v = {int(m): float(w.real) for (m, _), w in nu_corr.atoms_dict().items()}
@@ -129,6 +147,32 @@ def bernoulli_verify(
         Check("nu~*nu off zero", nu_off, tol_nu, nu_off <= tol_nu),
     )
     return BernoulliReport(p, N, rng, g, v, cross.sup_norm(), checks)
+
+
+def _lattice_gas_tables(sites, N, r_max):
+    """Lags s = -L..L, L = min(r_max, 2N), and the int64 tables N_PP, N_PM,
+    N_MP and N_MM at each: N_AB(s) counts the pairs (x, y) in A x B with
+    y - x = s, for P the sorted sites and M = Z on [-N, N]."""
+    lag = min(r_max, 2 * N)  # no pair of [-N, N] lies farther apart
+    lags = np.arange(-lag, lag + 1)
+    n_pp = np.zeros(len(lags), dtype=np.int64)
+    if len(sites):
+        level = np.zeros(len(sites), dtype=np.int64)
+        keys, _, _, count = _count_bits(-sites[::-1], level, 1, sites, level, 1, r_max)
+        n_pp[keys[:, 0] + lag] = count
+    # the sites x with x + s in M
+    lo, hi = np.maximum(-N, -N - lags), np.minimum(N, N - lags)
+    n_pm = np.searchsorted(sites, hi, side="right") - np.searchsorted(sites, lo)
+    return lags, n_pp, n_pm, n_pm[::-1], 2 * N + 1 - np.abs(lags)
+
+
+def _lag_cells(lags, tables):
+    # the tally of one cell (lag, i, j) per lag and level pair (i, j)
+    pairs = np.array(list(tables), dtype=np.int64)
+    keys = np.zeros((len(pairs) * len(lags), 2), dtype=np.int64)
+    keys[:, 0] = np.tile(lags, len(pairs))
+    i, j = np.repeat(pairs, len(lags), axis=0).T
+    return keys, i, j, np.concatenate(list(tables.values()))
 
 
 def random_fibonacci(p: float, R: float, rng: RngSpec) -> TypedPointSet:

@@ -36,6 +36,10 @@ def test_verify_bernoulli_reports_byte_identical(tmp_path):
     assert run("verify", "--suite", "bernoulli", "--seed", "42",
                "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # as written by three comb correlations over the 2N + 1 sites; an explicit
+    # seed enters the config hash, so this differs from verify_bern.json
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == (
+        "d9d66b80c4ae593d080a59e589ef50db20eb3ad99bf4626ba7dd788965caaaa4")
     doc = json.loads(out1.read_text())
     assert doc["passed"] is True
     assert doc["_meta"]["version"] == __version__
@@ -247,13 +251,18 @@ BAD_BOUNDARY_RUNS = (
      "r_max must be a finite, nonnegative integer, got -3.0"),
     (("sample", "--system", "bernoulli", "--seed", "5", "--p", "0.6", "--N", "200",
       "--r-max", "2.9"), "r_max must be a finite, nonnegative integer, got 2.9"),
+    (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "200", "--seed", "5",
+      "--r-max", "0"), "r_max must be a whole number >= 1, got 0"),
+    (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "0", "--seed", "5"),
+     "N must be a whole number >= 1, got 0"),
 )
 
 
 @pytest.mark.parametrize("argv,message", BAD_BOUNDARY_RUNS, ids=[
     "correlate-r_max-nan", "correlate-r_max-inf", "correlate-r_max-negative",
     "fb-k-nan", "fb-k-inf", "split-R-zero", "split-thue_morse-R-zero", "fb-nu-R-zero",
-    "diffract-riesz-r_max-negative", "sample-r_max-fraction"])
+    "diffract-riesz-r_max-negative", "sample-r_max-fraction", "sample-r_max-zero",
+    "sample-N-zero"])
 def test_bad_r_max_and_wave_number_fail_at_the_boundary(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", str(out)) == 1
@@ -284,13 +293,15 @@ GOLDEN_RUNS = (
     ("sample", "--system", "bernoulli", "--p", "0.6", "--N", "2000", "--seed", "5",
      "--r-max", "10", "--out", "bern.json"),
     ("verify", "--suite", "orthogonality", "--out", "verify_orth.json"),
+    ("verify", "--suite", "bernoulli", "--out", "verify_bern.json"),
 )
 
 # Digests as written by the per-point projection and the per-cell writers
 # that preceded the array code, (fb_*) by the 40-digit Python-int phases
 # with one fb_coefficient call per (k, R), and (bern.json, verify_orth.json)
-# by reports that computed both cross correlations, and (split_tm/*) by
-# linear_combine's hash-and-merge split.  Re-pin only for a
+# by reports that computed both cross correlations, (split_tm/*) by
+# linear_combine's hash-and-merge split, and (verify_bern.json) by three comb
+# correlations over the lattice gas's 2N + 1 sites.  Re-pin only for a
 # deliberate output change, and list that change in CHANGES.md.
 PINNED_DIGESTS = {
     "bern.json":
@@ -339,6 +350,8 @@ PINNED_DIGESTS = {
         "33bdb7a2615e74012e868311b170f68daf4855fef686b5021392038b72692f28",
     "split_tm/splitting.json":
         "6b61c4261c9cc4422901bfc3adad0d65eb549ae918e9421db6034926e3917496",
+    "verify_bern.json":
+        "e57aa1afb53a3e969a67d50e554ab95422849b1c7b018aafaf56753bf3455796",
     "verify_orth.json":
         "f120bdaff7cd1042078b8c224e5305a83cc9f076767b67b38cd13a04ac13da5a",
 }

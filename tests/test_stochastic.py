@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from combsplit import eberlein, inflate, stochastic
-from combsplit.combs import dirac_comb, lattice_comb, linear_combine
+from combsplit import combs, eberlein, inflate, stochastic
+from combsplit.combs import dirac_comb, lattice_comb, linear_combine, split_remainder
 from combsplit.eberlein import AveragingSpec, pair_correlation
 from combsplit.inflate import _inflate_word, random_fibonacci_rule, substitution_matrix
 from combsplit.stochastic import (
@@ -58,18 +59,23 @@ def test_bernoulli_verify_structure():
     assert len(names) == len(set(names)) == 4
 
 
-def test_bernoulli_verify_makes_three_correlations(monkeypatch):
-    calls = []
-    convolve = eberlein.eberlein_convolve
+def test_bernoulli_verify_correlates_without_the_kernel(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("called the correlation kernel")
 
-    def counting(*args):
-        calls.append(args)
-        return convolve(*args)
+    sizes = []
+    check = combs.WeightedComb.__post_init__
 
-    monkeypatch.setattr(eberlein, "eberlein_convolve", counting)
+    def recorded(comb):
+        sizes.append(len(comb))
+        check(comb)
+
+    monkeypatch.setattr(eberlein, "eberlein_convolve", refused)
+    monkeypatch.setattr(combs.WeightedComb, "__post_init__", recorded)
     report = bernoulli_verify(0.6, 2000, RngSpec(5), r_max=10)
     monkeypatch.undo()
-    assert len(calls) == 3
+    # three correlations of at most 2 r_max + 1 atoms, no comb over the sites
+    assert len(sizes) == 3 and max(sizes) <= 21
     # cross_sup is the sup of either cross correlation
     sites = bernoulli_gas(0.6, 2000, RngSpec(5))
     lam = dirac_comb(np.stack([sites, np.zeros_like(sites)], axis=1), (-2000.0, 2000.0))
@@ -78,6 +84,67 @@ def test_bernoulli_verify_makes_three_correlations(monkeypatch):
     for a, b in ((omega, nu), (nu, omega)):
         assert report.cross_sup == pair_correlation(a, b, "symmetric", 2000.0, 10).sup_norm()
     assert report.cross_sup > 0
+
+
+def brute_force_tables(sites, N, lags):
+    # N_AB(s) = #{(x, y) in A x B : y - x = s}, pair by pair
+    P, M = sites.tolist(), range(-N, N + 1)
+    def count(A, B):
+        return [sum(1 for x in A for y in B if y - x == s) for s in lags]
+    return count(P, P), count(P, M), count(M, P), count(M, M)
+
+
+@given(
+    st.integers(1, 60),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_bernoulli_verify_equals_the_comb_correlations(N, p, data, seed):
+    r_max = data.draw(st.integers(1, 3 * N), label="r_max")
+    rng = RngSpec(seed)
+    report = bernoulli_verify(p, N, rng, r_max=r_max)
+    sites = bernoulli_gas(p, N, rng)
+    # the set-level tables against a count of every pair
+    lags, *tables = stochastic._lattice_gas_tables(sites, N, r_max)
+    assert lags.tolist() == list(range(-min(r_max, 2 * N), min(r_max, 2 * N) + 1))
+    assert [t.tolist() for t in tables] == list(brute_force_tables(sites, N, lags.tolist()))
+    # the atoms against the kernel on combs built over the lattice
+    lam = dirac_comb(np.stack([sites, np.zeros_like(sites)], axis=1), (-float(N), float(N)))
+    omega = lattice_comb(-N, N, weight=p)
+    nu = split_remainder(np.stack([sites, np.zeros_like(sites)], axis=1), omega)
+    def atoms(mu, other):
+        corr = pair_correlation(mu, other, "symmetric", float(N), r_max)
+        return {int(m): float(w.real) for (m, _), w in corr.atoms_dict().items()}
+    # bit-equal floats, in the same order: repr tells -0.0 from 0.0
+    assert repr(report.gamma) == repr(atoms(lam, lam))
+    assert repr(report.nu_corr) == repr(atoms(nu, nu))
+    for a, b in ((omega, nu), (nu, omega)):
+        cross = pair_correlation(a, b, "symmetric", float(N), r_max).sup_norm()
+        assert repr(report.cross_sup) == repr(cross)
+
+
+@pytest.mark.parametrize("N,r_max,message", [
+    (0, 5, "N must be a whole number >= 1, got 0"),
+    (-3, 5, "N must be a whole number >= 1, got -3"),
+    (2.5, 5, "N must be a whole number >= 1, got 2.5"),
+    (float("inf"), 5, "N must be a whole number >= 1, got inf"),
+    (10, 0, "r_max must be a whole number >= 1, got 0"),
+    (10, 2.9, "r_max must be a whole number >= 1, got 2.9"),
+    (10, float("nan"), "r_max must be a whole number >= 1, got nan"),
+])
+def test_bernoulli_verify_rejects_empty_ranges(N, r_max, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bernoulli_verify(0.5, N, RngSpec(1), r_max=r_max)
+
+
+def test_bernoulli_gas_matches_the_masked_lattice():
+    for p, N in ((0.37, 5000), (0.0, 3), (1.0, 3), (0.5, 0)):
+        sites = bernoulli_gas(p, N, RngSpec(8, 1))
+        u = inflate._philox_uniforms(8, 1, 0, 2 * N + 1)
+        want = np.arange(-N, N + 1, dtype=np.int64)[u < p]
+        assert sites.dtype == want.dtype and np.array_equal(sites, want)
 
 
 def test_bernoulli_gas_checks_points_budget(monkeypatch):
