@@ -415,10 +415,10 @@ def cmd_sample(cfg: dict) -> int:
     out = _need(cfg, "out", str)
     if model == "bernoulli":
         p = float(_need(cfg, "p"))
-        N = int(_need(cfg, "N"))
-        report = stochastic.bernoulli_verify(
-            p, N, rng, r_max=_whole_r_max(cfg, 50)
-        )
+        N, r_max = stochastic._whole_sizes(int(_need(cfg, "N")), _whole_r_max(cfg, 50))
+        # one draw serves the report and the points file
+        row = stochastic._occupancy(p, N, rng)
+        report = stochastic._verify_occupancy(p, rng, row, r_max)
         doc = {
             "params": {"model": "bernoulli", "p": p, "N": N},
             "seed": {"seed": seed, "stream": stream},
@@ -439,7 +439,7 @@ def cmd_sample(cfg: dict) -> int:
         }
         _write_json(out, doc, cfg)
         if cfg.get("points_out"):
-            sites = stochastic.bernoulli_gas(p, N, rng)
+            sites = stochastic._sites(row)
             _write_csv(
                 cfg["points_out"],
                 ["m", "n", "value"],

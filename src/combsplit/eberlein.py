@@ -239,6 +239,45 @@ def _count_bits(mx, lx, nx, my, ly, ny, r_max):
     return keys, i, j, counts[lag, i, j]
 
 
+def _lattice_tables(occupied, r_max):
+    """Lags s = -L..L, L = min(r_max, n - 1), and the int64 tables N_PP,
+    N_PM, N_MP and N_MM at each, for M the n sites of the bool row occupied
+    and P its True sites: N_AB(s) counts the pairs (x, y) in A x B with
+    y - x = s.  N_PP(s) is the popcount of the row AND the row shifted by s,
+    N_PM(s) is |P| less the occupied sites among the last s sites (the
+    first |s| when s < 0), N_MP(s) = N_PM(-s) and N_MM(s) = n - |s|."""
+    n = len(occupied)
+    lag = min(int(r_max), n - 1)  # no two sites lie farther apart
+    lags = np.arange(-lag, lag + 1)
+    # the row in whole 64-bit words, and eight copies of it shifted by 0..7
+    # sites, with zero bytes behind so that every lag is a byte offset
+    width = -(-n // 64) * 8
+    shifted = np.zeros((min(8, lag + 1), width + lag // 8), dtype=np.uint8)
+    for q, row in enumerate(shifted):
+        packed = np.packbits(occupied[q:])
+        row[: len(packed)] = packed
+    n_pp = np.empty(len(lags), dtype=np.int64)
+    for s in range(lag + 1):
+        window = shifted[s % 8, s // 8 : s // 8 + width]
+        words = (shifted[0, :width] & window).view(np.uint64)
+        n_pp[lag + s] = n_pp[lag - s] = np.bitwise_count(words).sum(dtype=np.int64)
+    size = n_pp[lag]
+    head = np.cumsum(occupied[:lag], dtype=np.int64)
+    tail = np.cumsum(occupied[::-1][:lag], dtype=np.int64)
+    n_pm = np.concatenate([size - head[::-1], [size], size - tail])
+    return lags, n_pp, n_pm, n_pm[::-1], n - np.abs(lags)
+
+
+def _lag_tally(lags, tables):
+    # the tally of one cell (lag, i, j) per lag and level pair (i, j), where
+    # tables[(i, j)] counts the pairs of levels vx[i] and vy[j] per lag
+    pairs = np.array(list(tables), dtype=np.int64)
+    keys = np.zeros((len(pairs) * len(lags), 2), dtype=np.int64)
+    keys[:, 0] = np.tile(lags, len(pairs))
+    i, j = np.repeat(pairs, len(lags), axis=0).T
+    return keys, i, j, np.concatenate(list(tables.values()))
+
+
 def _count_pairs(kx, lx, ky, ly, r_max):
     # Any supports: for every x-atom the admissible y-atoms form a contiguous
     # window of the sorted nu support.  Pairs are formed at most PAIR_BLOCK

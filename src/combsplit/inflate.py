@@ -10,7 +10,6 @@ element of Z[tau].
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -226,14 +225,29 @@ def pf_data(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> PFD
     return PFData(lam, left / left.min(), right / right.sum())
 
 
-def _philox_uniforms(seed: int, stream: int, level: int, count: int) -> np.ndarray:
+def _philox_generator(seed: int, stream: int, level: int) -> np.random.Generator:
     # Stable per-(level, tile-index) stream: one counter-based generator per
     # level, consumed positionally, so larger targets extend earlier draws.
+    # Philox buffers its outputs, so draws taken block by block from one
+    # generator equal one draw of their total size.
     key = ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | (
         (stream * 0x9E3779B97F4A7C15 + level) & 0xFFFFFFFFFFFFFFFF
     )
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(count)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _philox_uniforms(seed: int, stream: int, level: int, count: int) -> np.ndarray:
+    return _philox_generator(seed, stream, level).random(count)
+
+
+# Words are read and written in blocks of an eighth of their letters, at
+# least 1024 and at most LETTER_BLOCK, so that the int64 temporaries of a
+# block stay near the size of the int16 word or below it at every length.
+LETTER_BLOCK = 1 << 16
+
+
+def _block_size(n_letters: int) -> int:
+    return min(LETTER_BLOCK, max(1024, n_letters // 8))
 
 
 def realize_geometric(
@@ -294,61 +308,86 @@ def realize_geometric(
         if level > 128:
             raise RuleError("inflation did not reach the requested length")
 
-    keys = _tile_starts(word, lengths, R)
-    word = word[: len(keys)]
-    points = {
-        letter: keys[word == i] for letter, i in idx.items()
-    }
-    return TypedPointSet(points, (0.0, float(R)))
+    starts = _typed_starts(word, lengths, R, len(idx))
+    return TypedPointSet({letter: starts[i] for letter, i in idx.items()}, (0.0, float(R)))
 
 
-def _tile_starts(word, lengths, R):
-    # Exact keys of the tile starts on [0, R].  Tiles have positive lengths,
-    # so the starts grow along the word, and so do their embeddings while a
-    # tile is longer than their rounding (under 1e-6 for keys below 2**31).
-    # The starts kept are thus a prefix: its length comes from the exact
-    # tile ends, and keys are built for that prefix only.  The ends, which
-    # span the whole word, are freed on return, before the per-type copies.
-    end_m = np.cumsum(np.array([l.m for l in lengths], dtype=np.int64)[word])
-    end_n = np.cumsum(np.array([l.n for l in lengths], dtype=np.int64)[word])
-    kept = 1 + bisect.bisect_right(
-        range(len(word) - 1), R, key=lambda k: embed_array(end_m[k : k + 1], end_n[k : k + 1])[0]
-    )
-    keys = np.zeros((kept, 2), dtype=np.int64)
-    keys[1:, 0], keys[1:, 1] = end_m[: kept - 1], end_n[: kept - 1]
-    return keys
+def _typed_starts(word, lengths, R, n_types):
+    # Exact keys of the tile starts on [0, R], one (count, 2) int64 array per
+    # letter.  Tiles have positive lengths, so the starts grow along the
+    # word, and so do their embeddings while a tile is longer than their
+    # rounding (under 1e-6 for keys below 2**31).  The starts kept are thus a
+    # prefix: start k + 1 is the end of tile k, and the prefix holds the
+    # starts up to the first tile end beyond R (the word's last tile end is
+    # no start).  That end is found from per-block letter counts, then within
+    # its block; each letter's keys are then written block by block from
+    # running tile-end sums, so nothing spans the whole word but the word.
+    len_m = np.array([l.m for l in lengths], dtype=np.int64)
+    len_n = np.array([l.n for l in lengths], dtype=np.int64)
+    block = _block_size(len(word))
+    counts = np.array([
+        np.bincount(word[a : a + block], minlength=n_types)
+        for a in range(0, len(word), block)
+    ])
+    block_m, block_n = np.cumsum(counts @ len_m), np.cumsum(counts @ len_n)
+    b = min(int(np.searchsorted(embed_array(block_m, block_n), R, side="right")), len(counts) - 1)
+    letters = word[b * block : (b + 1) * block]
+    end_m = np.cumsum(len_m[letters]) + (block_m[b - 1] if b else 0)
+    end_n = np.cumsum(len_n[letters]) + (block_n[b - 1] if b else 0)
+    cut = b * block + int(np.searchsorted(embed_array(end_m, end_n), R, side="right"))
+    kept = 1 + min(cut, len(word) - 1)
+
+    full = kept // block
+    per_type = counts[:full].sum(axis=0) + np.bincount(
+        word[full * block : kept], minlength=n_types)
+    starts = [np.empty((count, 2), dtype=np.int64) for count in per_type.tolist()]
+    filled = [0] * n_types
+    start_m = start_n = 0
+    for a in range(0, kept, block):
+        letters = word[a : min(a + block, kept)]
+        step_m, step_n = len_m[letters], len_n[letters]
+        # the start of each tile: the running sum before it
+        m = np.cumsum(step_m)
+        m -= step_m
+        m += start_m
+        n = np.cumsum(step_n)
+        n -= step_n
+        n += start_n
+        start_m, start_n = int(m[-1] + step_m[-1]), int(n[-1] + step_n[-1])
+        for t, out in enumerate(starts):
+            mask = letters == t
+            rows = out[filled[t] : filled[t] + np.count_nonzero(mask)]
+            rows[:, 0], rows[:, 1] = m[mask], n[mask]
+            filled[t] += len(rows)
+    return starts
 
 
 def _inflate_word(word, br_words, br_cumprob, rng_seed, stream, level):
-    n_letters = len(br_words)
-    random_rule = any(len(b) > 1 for b in br_words)
-    if random_rule:
-        u = _philox_uniforms(rng_seed, stream, level, len(word))
-        branch = np.zeros(len(word), dtype=np.int8)
-        for i in range(n_letters):
-            if len(br_words[i]) > 1:
-                mask = word == i
-                chosen = np.searchsorted(br_cumprob[i], u[mask], side="right")
-                branch[mask] = np.minimum(chosen, len(br_words[i]) - 1).astype(
-                    np.int8
-                )
-    else:
-        branch = np.zeros(len(word), dtype=np.int8)
-
-    img_len = np.zeros(len(word), dtype=np.int64)
-    for i in range(n_letters):
-        for b, img in enumerate(br_words[i]):
-            img_len[(word == i) & (branch == b)] = len(img)
-    starts = np.concatenate(([0], np.cumsum(img_len)[:-1]))
-    out = np.empty(int(img_len.sum()), dtype=np.int16)
-    for i in range(n_letters):
-        for b, img in enumerate(br_words[i]):
-            mask = (word == i) & (branch == b)
-            if not mask.any():
-                continue
-            slots = starts[mask][:, None] + np.arange(len(img))[None, :]
-            out[slots.ravel()] = np.tile(img, int(mask.sum()))
-    return out
+    # One padded int16 row per (letter, branch): the image, then -1s.  The
+    # images are looked up block by block, so the index temporaries stay
+    # small, and the padding is dropped at the end.
+    n_branches = max(len(b) for b in br_words)
+    width = max(len(img) for b in br_words for img in b)
+    table = np.full((len(br_words), n_branches, width), -1, dtype=np.int16)
+    for i, images in enumerate(br_words):
+        for b, img in enumerate(images):
+            table[i, b, : len(img)] = img
+    table = table.reshape(-1, width)
+    u = _philox_uniforms(rng_seed, stream, level, len(word)) if n_branches > 1 else None
+    out = np.empty((len(word), width), dtype=np.int16)
+    block = _block_size(len(word))
+    for a in range(0, len(word), block):
+        code = word[a : a + block] * np.int16(n_branches)
+        if u is not None:
+            for i, cumprob in enumerate(br_cumprob):
+                if len(cumprob) > 1:
+                    mask = code == i * n_branches
+                    chosen = np.searchsorted(cumprob, u[a : a + block][mask], side="right")
+                    code[mask] += np.minimum(chosen, len(cumprob) - 1).astype(np.int16)
+        np.take(table, code, axis=0, out=out[a : a + block], mode="clip")
+    if all(len(img) == width for images in br_words for img in images):
+        return out.ravel()
+    return out[out >= 0]
 
 
 def densities(tps: TypedPointSet) -> dict[str, float]:

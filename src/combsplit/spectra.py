@@ -78,20 +78,27 @@ def tm_signed_sequence(n: int) -> np.ndarray:
     Generated from the bit-parity of the index, deliberately independent of
     the substitution machinery it cross-checks.
     """
-    v = np.arange(n, dtype=np.uint32)
-    v = v - ((v >> 1) & np.uint32(0x55555555))
-    v = (v & np.uint32(0x33333333)) + ((v >> 2) & np.uint32(0x33333333))
-    v = (v + (v >> 4)) & np.uint32(0x0F0F0F0F)
-    popcount = (v * np.uint32(0x01010101)) >> 24
-    return (1 - 2 * (popcount & 1)).astype(np.int8)
+    signs = np.bitwise_count(np.arange(n, dtype=np.uint32)).view(np.int8)
+    signs &= 1
+    signs *= -2
+    signs += 1
+    return signs
 
 
 def tm_eta_bruteforce(m_max: int, n_letters: int = 2**20) -> np.ndarray:
-    """Oracle eta values: plain averages t_n t_{n+m} over a long prefix."""
-    t = tm_signed_sequence(n_letters).astype(np.float64)
+    """Oracle eta values: plain averages t_n t_{n+m} over a long prefix.
+
+    With eq of the count = n_letters - m products equal to +1, the average
+    is (2 eq - count) / count.  Both are whole numbers, so the quotient is
+    the correctly rounded double that a float mean of the products gives:
+    every partial sum of +-1 terms is exact.
+    """
+    t = tm_signed_sequence(n_letters)
     out = np.empty(m_max + 1)
     for m in range(m_max + 1):
-        out[m] = float(np.mean(t[: n_letters - m] * t[m:])) if m else 1.0
+        count = n_letters - m
+        eq = int(np.count_nonzero(t[:count] == t[m:])) if m else count
+        out[m] = (2 * eq - count) / count
     return out
 
 
@@ -133,23 +140,25 @@ def riesz_coefficients(L: int, m_max: int | None = None) -> RieszCoefficients:
     """Coefficients of the depth-L cosine product, exactly.
 
     Each level maps c to c - (shift by +2^l + shift by -2^l)/2, tracked as
-    int64 numerators over the growing power-of-two denominator.  Depth is
-    capped at 24 to keep the dense coefficient array in memory.
+    int64 numerators over the growing power-of-two denominator.  Before
+    level l the support is |m| < 2^l, so each level updates that band in
+    place from one copy of it.  Depth is capped at 24 to keep the dense
+    coefficient array in memory.
     """
     if L < 1:
         raise ValueError("depth must be at least 1")
     if L > 24:
         raise ValueError("depth above 24 exceeds the memory budget")
     half = 2**L - 1
-    size = 2 * half + 1
-    num = np.zeros(size, dtype=np.int64)
+    num = np.zeros(2 * half + 1, dtype=np.int64)
     num[half] = 1  # constant polynomial 1, scaled by 2^0
     for level in range(L):
         shift = 2**level
-        new = 2 * num
-        new[shift:] -= num[:-shift]
-        new[:-shift] -= num[shift:]
-        num = new  # denominator doubled
+        lo, hi = half - shift + 1, half + shift  # the band |m| < 2^level
+        band = num[lo:hi].copy()
+        num[lo:hi] *= 2  # denominator doubled
+        num[lo - shift : hi - shift] -= band
+        num[lo + shift : hi + shift] -= band
     coeffs = RieszCoefficients(L, num, 2**L)
     if m_max is not None and m_max > coeffs.support():
         raise ValueError("m_max exceeds the support of the depth-L product")

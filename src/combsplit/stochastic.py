@@ -15,11 +15,11 @@ import numpy as np
 
 from .combs import linear_combine  # noqa: F401  (bench/spans.py traces this binding)
 from .cps import check_points_budget
-from .eberlein import AveragingSpec, FBRow, _averaged_comb, _count_bits, fb_scan
+from .eberlein import AveragingSpec, FBRow, _averaged_comb, _lag_tally, _lattice_tables, fb_scan
 from .eberlein import pair_correlation  # noqa: F401  (bench/spans.py traces this binding)
 from .inflate import (
     TypedPointSet,
-    _philox_uniforms,
+    _philox_generator,
     random_fibonacci_rule,
     realize_geometric,
 )
@@ -53,15 +53,36 @@ class Check:
     passed: bool
 
 
+# the lattice gas is drawn GAS_BLOCK sites at a time
+GAS_BLOCK = 1 << 16
+
+
 def bernoulli_gas(p: float, N: int, rng: RngSpec) -> np.ndarray:
     """Independent site occupation on {-N, ..., N} with probability p."""
+    return _sites(_occupancy(p, N, rng))
+
+
+def _occupancy(p: float, N: int, rng: RngSpec) -> np.ndarray:
+    # The occupied sites of the gas as a bool row over -N..N, from the same
+    # uniforms as one draw of 2N + 1, taken GAS_BLOCK at a time.
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     if N < 0:
         raise ValueError("N must be nonnegative")
     check_points_budget(2 * N + 1, f"a lattice gas on {{-{N}, ..., {N}}}")
-    u = _philox_uniforms(rng.seed, rng.stream, 0, 2 * N + 1)
-    return np.flatnonzero(u < p) - N
+    gen = _philox_generator(rng.seed, rng.stream, 0)
+    row = np.empty(2 * N + 1, dtype=bool)
+    for a in range(0, len(row), GAS_BLOCK):
+        block = row[a : a + GAS_BLOCK]
+        np.less(gen.random(len(block)), p, out=block)
+    return row
+
+
+def _sites(row: np.ndarray) -> np.ndarray:
+    # the occupied sites of a row over -N..N
+    sites = np.flatnonzero(row)
+    sites -= len(row) // 2
+    return sites
 
 
 @dataclass(frozen=True)
@@ -96,27 +117,44 @@ def bernoulli_verify(
     against the periodic part near zero.  Both have the same sup norm, so
     one of them is computed.
 
-    No comb over the 2N + 1 sites is built.  With M = Z on [-N, N] and P
-    the occupied sites, every pair count of the three correlations on
-    [-N, N] comes from set-level tables: N_PP(s) from bit rows of the
-    sites, N_PM(s) = #(P with x + s in M) and N_MP(s) = N_PM(-s) from
-    searchsorted, and the closed form N_MM(s) = 2N + 1 - |s|.  The counts
+    No comb over the 2N + 1 sites is built.  The gas is drawn as a bool row
+    over [-N, N], M its sites and P the occupied ones, and every pair count
+    of the three correlations comes from the set-level tables of that row
+    (eberlein._lattice_tables): N_PP(s) from its popcounts, N_PM(s) =
+    #(P with x + s in M) and N_MP(s) = N_PM(-s) from the occupied sites at
+    its ends, and the closed form N_MM(s) = 2N + 1 - |s|.  The counts
     per level pair go through the exact sums of every correlation, so each
     atom is the one pair_correlation gives for the combs lambda,
     omega = p * delta_M and nu = lambda - omega, bit for bit.  N must be a
     whole number >= 1 and r_max a whole number >= 1; ValueError otherwise.
     """
+    N, r_max = _whole_sizes(N, r_max)
+    return _verify_occupancy(p, rng, _occupancy(p, N, rng), r_max, tol_gamma0, tol_gamma, tol_nu)
+
+
+def _whole_sizes(N, r_max) -> tuple[int, int]:
     if not (N >= 1 and float(N).is_integer()):
         raise ValueError(f"N must be a whole number >= 1, got {N!r}")
     if not (r_max >= 1 and float(r_max).is_integer()):
         raise ValueError(f"r_max must be a whole number >= 1, got {r_max!r}")
-    N, r_max = int(N), int(r_max)
-    sites = bernoulli_gas(p, N, rng)
-    lags, n_pp, n_pm, n_mp, n_mm = _lattice_gas_tables(sites, N, r_max)
+    return int(N), int(r_max)
+
+
+def _verify_occupancy(
+    p: float,
+    rng: RngSpec,
+    row: np.ndarray,
+    r_max: int,
+    tol_gamma0: float = 2e-3,
+    tol_gamma: float = 3e-3,
+    tol_nu: float = 3e-3,
+) -> BernoulliReport:
+    # bernoulli_verify on the gas drawn as the occupancy row over -N..N
+    N = len(row) // 2
+    lags, n_pp, n_pm, n_mp, n_mm = _lattice_tables(row, r_max)
 
     def correlation(vx, vy, tables):
-        # tables[(i, j)] counts the pairs of levels vx[i] and vy[j] per lag
-        return _averaged_comb([_lag_cells(lags, tables)], vx, vy, 2.0 * N, (-r_max, r_max))
+        return _averaged_comb([_lag_tally(lags, tables)], vx, vy, 2.0 * N, (-r_max, r_max))
 
     # levels: lambda {1}; nu {1 - p on P, -p on M \ P}; omega {p}
     one, nu_levels, omega_level = np.ones(1), np.array([1.0 - p, -p]), np.array([float(p)])
@@ -147,32 +185,6 @@ def bernoulli_verify(
         Check("nu~*nu off zero", nu_off, tol_nu, nu_off <= tol_nu),
     )
     return BernoulliReport(p, N, rng, g, v, cross.sup_norm(), checks)
-
-
-def _lattice_gas_tables(sites, N, r_max):
-    """Lags s = -L..L, L = min(r_max, 2N), and the int64 tables N_PP, N_PM,
-    N_MP and N_MM at each: N_AB(s) counts the pairs (x, y) in A x B with
-    y - x = s, for P the sorted sites and M = Z on [-N, N]."""
-    lag = min(r_max, 2 * N)  # no pair of [-N, N] lies farther apart
-    lags = np.arange(-lag, lag + 1)
-    n_pp = np.zeros(len(lags), dtype=np.int64)
-    if len(sites):
-        level = np.zeros(len(sites), dtype=np.int64)
-        keys, _, _, count = _count_bits(-sites[::-1], level, 1, sites, level, 1, r_max)
-        n_pp[keys[:, 0] + lag] = count
-    # the sites x with x + s in M
-    lo, hi = np.maximum(-N, -N - lags), np.minimum(N, N - lags)
-    n_pm = np.searchsorted(sites, hi, side="right") - np.searchsorted(sites, lo)
-    return lags, n_pp, n_pm, n_pm[::-1], 2 * N + 1 - np.abs(lags)
-
-
-def _lag_cells(lags, tables):
-    # the tally of one cell (lag, i, j) per lag and level pair (i, j)
-    pairs = np.array(list(tables), dtype=np.int64)
-    keys = np.zeros((len(pairs) * len(lags), 2), dtype=np.int64)
-    keys[:, 0] = np.tile(lags, len(pairs))
-    i, j = np.repeat(pairs, len(lags), axis=0).T
-    return keys, i, j, np.concatenate(list(tables.values()))
 
 
 def random_fibonacci(p: float, R: float, rng: RngSpec) -> TypedPointSet:

@@ -166,17 +166,16 @@ def suite_tm(seed: int | None = None) -> SuiteReport:
     recursion = spectra.tm_eta(64)
     rec_err = float(np.abs(recursion.as_floats() - brute).max())
 
+    # the realization is freed once correlated, before the Riesz table
     tps = inflate.realize_geometric(inflate.thue_morse_rule(), "a", float(n_letters))
+    correlations = _tm_correlations(tps, float(n_letters), 32)
+    del tps
     worst_atom = 0.0
-    for a in ("a", "b"):
-        for b in ("a", "b"):
-            g = eberlein.pair_correlation(
-                tps.comb(a), tps.comb(b), "one_sided", float(n_letters), 32
-            )
-            sign = 1.0 if a == b else -1.0
-            for m in range(-32, 33):
-                want = 0.25 * (1.0 + sign * brute[abs(m)])
-                worst_atom = max(worst_atom, abs(complex(g.atom((m, 0))) - want))
+    for (a, b), g in correlations.items():
+        sign = 1.0 if a == b else -1.0
+        for m in range(-32, 33):
+            want = 0.25 * (1.0 + sign * brute[abs(m)])
+            worst_atom = max(worst_atom, abs(complex(g.atom((m, 0))) - want))
 
     # wall time stays out of the report so reruns are byte-identical; the
     # acceptance gate asserts the runtime budget separately
@@ -192,6 +191,40 @@ def suite_tm(seed: int | None = None) -> SuiteReport:
               1e-5, riesz_err <= Fraction(1, 100000)),
     )
     return SuiteReport("tm", checks, {"n_letters": n_letters})
+
+
+def _tm_correlations(
+    tps: inflate.TypedPointSet, R: float, r_max: int
+) -> dict[tuple[str, str], combs.WeightedComb]:
+    """The typed pair correlations of a doubling-chain realization on [0, R],
+    one_sided, atom for atom those of pair_correlation on its combs.
+
+    The two types must tile the sites 0..n-1, n their total count (ValueError
+    otherwise).  With M those sites and P = type a, the tables of a's
+    occupancy row give every typed count by inclusion-exclusion: N_aa = N_PP,
+    N_ab = N_PM - N_PP, N_ba = N_MP - N_PP and N_bb = N_MM - N_PM - N_MP + N_PP.
+    """
+    n = tps.count()
+    occupied = np.zeros(n, dtype=bool)
+    for t in ("a", "b"):
+        m = tps.points[t][:, 0]
+        if len(m) and not (
+            m[0] >= 0 and m[-1] < n and (m[1:] > m[:-1]).all()
+            and not tps.points[t][:, 1].any() and not occupied[m].any()
+        ):
+            raise ValueError(f"the doubling chain's types do not tile 0..{n - 1}")
+        occupied[m] = t == "a"
+    lags, n_pp, n_pm, n_mp, n_mm = eberlein._lattice_tables(occupied, r_max)
+    counts = {
+        ("a", "a"): n_pp, ("a", "b"): n_pm - n_pp, ("b", "a"): n_mp - n_pp,
+        ("b", "b"): n_mm - n_pm - n_mp + n_pp,
+    }
+    one = np.ones(1)
+    return {
+        types: eberlein._averaged_comb(
+            [eberlein._lag_tally(lags, {(0, 0): count})], one, one, R, (-r_max, r_max))
+        for types, count in counts.items()
+    }
 
 
 def suite_halfdensity(seed: int | None = None) -> SuiteReport:

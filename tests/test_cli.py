@@ -291,21 +291,26 @@ GOLDEN_RUNS = (
     ("fb", "--measure", "nu", "--system", "twisted_fibonacci",
      "--R-grid", "100,1000,2000", "--out", "fb_nu.csv"),
     ("sample", "--system", "bernoulli", "--p", "0.6", "--N", "2000", "--seed", "5",
-     "--r-max", "10", "--out", "bern.json"),
+     "--r-max", "10", "--points-out", "bern_points.csv", "--out", "bern.json"),
     ("verify", "--suite", "orthogonality", "--out", "verify_orth.json"),
     ("verify", "--suite", "bernoulli", "--out", "verify_bern.json"),
+    ("verify", "--suite", "tm", "--out", "verify_tm.json"),
 )
 
 # Digests as written by the per-point projection and the per-cell writers
 # that preceded the array code, (fb_*) by the 40-digit Python-int phases
 # with one fb_coefficient call per (k, R), and (bern.json, verify_orth.json)
 # by reports that computed both cross correlations, (split_tm/*) by
-# linear_combine's hash-and-merge split, and (verify_bern.json) by three comb
-# correlations over the lattice gas's 2N + 1 sites.  Re-pin only for a
+# linear_combine's hash-and-merge split, (verify_bern.json) by three comb
+# correlations over the lattice gas's 2N + 1 sites, (verify_tm.json) by four
+# comb correlations of the doubling chain, and (bern_points.csv) by a second
+# draw of the gas after its report.  Re-pin only for a
 # deliberate output change, and list that change in CHANGES.md.
 PINNED_DIGESTS = {
     "bern.json":
         "5ed3b46972a285774872ec82405cd8aa6bf4401c2c0673a4d309d1e5c1292249",
+    "bern_points.csv":
+        "b0e6694fbefdd7ae8f495fde6bb24c8286b96458cc4dc8cf5360cac0fe3b235a",
     "corr.csv":
         "2ea3f2a864bebe244eda5083b7b7b5d0b1e169a7b6526737cb5f9b470bf7f8da",
     "fb_nu.csv":
@@ -354,6 +359,8 @@ PINNED_DIGESTS = {
         "e57aa1afb53a3e969a67d50e554ab95422849b1c7b018aafaf56753bf3455796",
     "verify_orth.json":
         "f120bdaff7cd1042078b8c224e5305a83cc9f076767b67b38cd13a04ac13da5a",
+    "verify_tm.json":
+        "7d90a1a05c90e66e09af5b1fb54cea33c03158f93c0e055ef26b6780fa6aaaee",
 }
 
 
@@ -361,7 +368,9 @@ def golden_digests(out_dir):
     """SHA-256 of every file the golden runs write into out_dir."""
     for argv in GOLDEN_RUNS:
         argv = list(argv)
-        argv[-1] = str(out_dir / argv[-1])
+        for i, arg in enumerate(argv[:-1]):
+            if arg in ("--out", "--points-out"):
+                argv[i + 1] = str(out_dir / argv[i + 1])
         assert run(*argv) == 0
     return {
         str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -405,3 +414,18 @@ def test_write_csv_matches_per_cell_repr(tmp_path, monkeypatch):
         columns = (keys[:n], values[:n], extra[:n])
         cli._write_csv(out, header, cli._key_lines(*columns), cfg)
         assert out.read_bytes() == per_cell(header, list(cli._key_rows(*columns)), cfg)
+
+
+def test_sample_points_out_draws_the_gas_once(tmp_path, monkeypatch):
+    philox = np.random.Philox
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    assert run("sample", "--system", "bernoulli", "--p", "0.6", "--N", "2000", "--seed", "5",
+               "--out", str(tmp_path / "bern.json"),
+               "--points-out", str(tmp_path / "bern_points.csv")) == 0
+    assert len(made) == 1

@@ -785,3 +785,23 @@ def test_non_finite_fb_weights_and_sums_raise():
     big = WeightedComb(z.keys, np.full(len(z), 1.7e308), z.coverage)
     with pytest.raises(ValueError, match="finite"):
         fb_scan(big, [FourierModulePoint(0, 0)], AveragingSpec("symmetric", (5.0, 20.0)))
+
+
+@given(
+    # rows across one 64-bit word's edge are drawn as often as short ones
+    st.one_of(st.lists(st.booleans(), min_size=1, max_size=80),
+              st.lists(st.booleans(), min_size=60, max_size=80)),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_lattice_tables_count_every_pair(bits, data):
+    r_max = data.draw(st.integers(1, 2 * len(bits)), label="r_max")
+    occupied = np.array(bits)
+    lags, *tables = eberlein._lattice_tables(occupied, r_max)
+    reach = min(r_max, len(bits) - 1)
+    assert lags.tolist() == list(range(-reach, reach + 1))
+    # N_AB(s) = #{(x, y) in A x B : y - x = s}, pair by pair
+    P, M = np.flatnonzero(occupied).tolist(), range(len(bits))
+    for got, (A, B) in zip(tables, ((P, P), (P, M), (M, P), (M, M))):
+        assert got.dtype == np.int64
+        assert got.tolist() == [sum(1 for x in A for y in B if y - x == s) for s in lags.tolist()]

@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 
@@ -317,3 +318,97 @@ def test_typed_point_set_invariants():
         keys = {tuple(p) for p in pts}
         assert not (keys & seen)  # types pairwise disjoint
         seen |= keys
+
+
+def reference_inflate_word(word, br_words, br_cumprob, rng_seed, stream, level):
+    # the per-(letter, branch) image copy that preceded the padded table
+    branch = np.zeros(len(word), dtype=np.int8)
+    if any(len(b) > 1 for b in br_words):
+        u = inflate._philox_uniforms(rng_seed, stream, level, len(word))
+        for i in range(len(br_words)):
+            if len(br_words[i]) > 1:
+                mask = word == i
+                chosen = np.searchsorted(br_cumprob[i], u[mask], side="right")
+                branch[mask] = np.minimum(chosen, len(br_words[i]) - 1)
+    img_len = np.zeros(len(word), dtype=np.int64)
+    for i, images in enumerate(br_words):
+        for b, img in enumerate(images):
+            img_len[(word == i) & (branch == b)] = len(img)
+    starts = np.concatenate(([0], np.cumsum(img_len)[:-1]))
+    out = np.empty(int(img_len.sum()), dtype=np.int16)
+    for i, images in enumerate(br_words):
+        for b, img in enumerate(images):
+            mask = (word == i) & (branch == b)
+            slots = starts[mask][:, None] + np.arange(len(img))[None, :]
+            out[slots.ravel()] = np.tile(img, int(mask.sum()))
+    return out
+
+
+def reference_tile_starts(word, lengths, R):
+    # the whole-word tile-end sums and the bisection that preceded the blocks
+    end_m = np.cumsum(np.array([l.m for l in lengths], dtype=np.int64)[word])
+    end_n = np.cumsum(np.array([l.n for l in lengths], dtype=np.int64)[word])
+    kept = 1 + bisect.bisect_right(
+        range(len(word) - 1), R, key=lambda k: embed_array(end_m[k : k + 1], end_n[k : k + 1])[0]
+    )
+    keys = np.zeros((kept, 2), dtype=np.int64)
+    keys[1:, 0], keys[1:, 1] = end_m[: kept - 1], end_n[: kept - 1]
+    return keys
+
+
+def reference_realization(rule, R, rng_seed=None):
+    idx = {letter: i for i, letter in enumerate(rule.alphabet)}
+    br_words = [[np.array([idx[s] for s in br.word], dtype=np.int16) for br in rule.images[l]]
+                for l in rule.alphabet]
+    br_cumprob = [np.cumsum([br.prob for br in rule.images[l]]) for l in rule.alphabet]
+    lengths = [rule.lengths[l] for l in rule.alphabet]
+    len_values = np.array([l.embed() for l in lengths])
+    word, level = np.array([0], dtype=np.int16), 0
+    while float(np.bincount(word, minlength=len(idx)) @ len_values) < R:
+        word = reference_inflate_word(word, br_words, br_cumprob, rng_seed, 0, level)
+        level += 1
+    keys = reference_tile_starts(word, lengths, R)
+    word = word[: len(keys)]
+    return {letter: keys[word == i] for letter, i in idx.items()}, word, lengths
+
+
+REALIZED_RULES = (
+    (inflate.fibonacci_rule(), None),
+    (inflate.twisted_fibonacci_rule(), None),
+    (inflate.thue_morse_rule(), None),
+    (SubstitutionRule(  # random, with images of unequal lengths and branch counts
+        alphabet=("a", "b", "c"),
+        images={"a": (Branch(0.3, ("a", "c", "b")), Branch(0.7, ("a", "b", "c"))),
+                "b": (Branch(1.0, ("c",)),),
+                "c": (Branch(0.5, ("a", "b")), Branch(0.25, ("b", "a")), Branch(0.25, ("a", "b")))},
+        lengths={"a": QuadraticInt(0, 1), "b": QuadraticInt(1, 0), "c": QuadraticInt(1, 1)},
+    ), 29),
+)
+
+
+@pytest.mark.parametrize("block", [3, 7])
+@pytest.mark.parametrize("rule,rng_seed", REALIZED_RULES, ids=lambda x: getattr(x, "name", x))
+def test_realize_matches_the_whole_word_path(monkeypatch, block, rule, rng_seed):
+    monkeypatch.setattr(inflate, "LETTER_BLOCK", block)
+    _, word, lengths = reference_realization(rule, 60.0, rng_seed)
+    ends = np.cumsum([lengths[i].embed() for i in word.tolist()])
+    # every tile end (a cut exactly on a start) and every point between two,
+    # so the cut falls at every place relative to the block edges
+    cuts = [0.0, 0.5, *ends.tolist(), *((ends[:-1] + ends[1:]) / 2).tolist()]
+    assert len(cuts) > 60
+    for R in cuts:
+        want, _, _ = reference_realization(rule, R, rng_seed)
+        got = realize_geometric(rule, "a", R, rng_seed=rng_seed)
+        assert list(got.points) == list(want)
+        for t in want:
+            assert got.points[t].dtype == np.int64
+            assert np.array_equal(got.points[t], want[t]), (R, t)
+
+
+@pytest.mark.parametrize("rule,rng_seed", REALIZED_RULES, ids=lambda x: getattr(x, "name", x))
+def test_realize_matches_the_whole_word_path_over_many_blocks(rule, rng_seed):
+    for R in (1024.0, 4096.0, 5000.0, 4.5e4):
+        want, _, _ = reference_realization(rule, R, rng_seed)
+        got = realize_geometric(rule, "a", R, rng_seed=rng_seed)
+        for t in want:
+            assert np.array_equal(got.points[t], want[t]), (R, t)

@@ -171,3 +171,33 @@ def test_decomposition_report_matches_predictions():
             s_got = complex(rep.s_part.atom((m, 0))).real
             assert s_got == pytest.approx(0.25, abs=2e-3)
         assert rep.zero_fb_max < 0.05
+
+
+def dense_riesz_numerators(L):
+    # every level over the whole coefficient array, as before the band update
+    half = 2**L - 1
+    num = np.zeros(2 * half + 1, dtype=np.int64)
+    num[half] = 1
+    for level in range(L):
+        shift = 2**level
+        new = 2 * num
+        new[shift:] -= num[:-shift]
+        new[:-shift] -= num[shift:]
+        num = new
+    return num
+
+
+def test_riesz_numerators_equal_the_dense_update():
+    for L in range(1, 15):
+        rz = riesz_coefficients(L)
+        assert rz.numerators.dtype == np.int64 and rz.denominator == 2**L
+        assert np.array_equal(rz.numerators, dense_riesz_numerators(L))
+
+
+@pytest.mark.parametrize("n_letters", [1, 2, 65, 1000, 4096, 2**20])
+def test_eta_oracle_equals_the_float_mean(n_letters):
+    t = tm_signed_sequence(n_letters).astype(np.float64)
+    m_max = min(64, n_letters - 1)
+    want = [1.0] + [float(np.mean(t[: n_letters - m] * t[m:])) for m in range(1, m_max + 1)]
+    # bit-equal doubles
+    assert repr(tm_eta_bruteforce(m_max, n_letters).tolist()) == repr(want)

@@ -107,7 +107,9 @@ def test_bernoulli_verify_equals_the_comb_correlations(N, p, data, seed):
     report = bernoulli_verify(p, N, rng, r_max=r_max)
     sites = bernoulli_gas(p, N, rng)
     # the set-level tables against a count of every pair
-    lags, *tables = stochastic._lattice_gas_tables(sites, N, r_max)
+    row = np.zeros(2 * N + 1, dtype=bool)
+    row[sites + N] = True
+    lags, *tables = eberlein._lattice_tables(row, r_max)
     assert lags.tolist() == list(range(-min(r_max, 2 * N), min(r_max, 2 * N) + 1))
     assert [t.tolist() for t in tables] == list(brute_force_tables(sites, N, lags.tolist()))
     # the atoms against the kernel on combs built over the lattice
@@ -154,7 +156,7 @@ def test_bernoulli_gas_checks_points_budget(monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew sites over the points budget")
 
-    monkeypatch.setattr(stochastic, "_philox_uniforms", no_draws)
+    monkeypatch.setattr(stochastic, "_philox_generator", no_draws)
     with pytest.raises(ValueError, match="budget of MAX_POINTS = 101 points"):
         bernoulli_gas(0.5, 51, RngSpec(1))
 
@@ -239,3 +241,18 @@ def test_empirical_pp_split_cauchy_stabilizes():
     spec = AveragingSpec("one_sided", (5000.0, 10_000.0))
     report = empirical_pp_split(tps, preset_module_points(5), spec)
     assert report.max_cauchy <= 0.02
+
+
+@pytest.mark.parametrize("block", [5, 8, stochastic.GAS_BLOCK])
+def test_bernoulli_gas_blocks_equal_one_draw(monkeypatch, block):
+    monkeypatch.setattr(stochastic, "GAS_BLOCK", block)
+    # 2N + 1 one short of, on, and one past a whole number of blocks
+    sizes = [k * block + d for k in (1, 2, 3) for d in (-1, 0, 1) if (k * block + d) % 2]
+    for n in sizes:
+        N = n // 2
+        u = inflate._philox_uniforms(4, 2, 0, n)
+        row = stochastic._occupancy(0.45, N, RngSpec(4, 2))
+        assert row.dtype == bool and np.array_equal(row, u < 0.45)
+        sites = bernoulli_gas(0.45, N, RngSpec(4, 2))
+        assert sites.dtype == np.int64
+        assert np.array_equal(sites, np.arange(-N, N + 1)[u < 0.45])

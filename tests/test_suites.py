@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from combsplit import combs, cps, suites
+from combsplit import combs, cps, eberlein, inflate, suites
 
 
 def test_system_context_projects_each_distinct_window_once(monkeypatch):
@@ -37,3 +39,40 @@ def test_system_context_projects_each_distinct_window_once(monkeypatch):
         for got, want in zip(ctx.splits[t], (omega, nu)):
             assert np.array_equal(got.keys, want.keys)
             assert np.array_equal(got.weights, want.weights)
+
+
+@given(
+    st.one_of(st.sampled_from([2**10, 2**11, 2**12]), st.integers(2**10, 2**12)),
+    st.one_of(st.just(32), st.integers(1, 2**13)),
+)
+@settings(max_examples=20, deadline=None)
+def test_tm_correlations_equal_the_comb_correlations(R, r_max):
+    tps = inflate.realize_geometric(inflate.thue_morse_rule(), "a", float(R))
+    got = suites._tm_correlations(tps, float(R), r_max)
+    assert list(got) == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    for (a, b), corr in got.items():
+        want = eberlein.pair_correlation(tps.comb(a), tps.comb(b), "one_sided", float(R), r_max)
+        assert np.array_equal(corr.keys, want.keys)
+        # bit-equal floats: repr tells -0.0 from 0.0
+        assert repr(corr.weights.tolist()) == repr(want.weights.tolist())
+        assert corr.coverage == want.coverage
+
+
+def test_tm_correlations_need_a_tiling():
+    tps = inflate.realize_geometric(inflate.thue_morse_rule(), "a", 64.0)
+    points = dict(tps.points)
+    for broken in (
+        {"a": points["a"], "b": np.concatenate([points["b"][:-1], points["a"][-1:]])},
+        {"a": points["a"] + [[0, 1]], "b": points["b"]},
+        {"a": points["a"], "b": points["b"] + [[1, 0]]},
+    ):
+        with pytest.raises(ValueError, match="do not tile"):
+            suites._tm_correlations(inflate.TypedPointSet(broken, tps.rng), 64.0, 8)
+
+
+def test_tm_suite_makes_no_kernel_call(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("called the correlation kernel")
+
+    monkeypatch.setattr(eberlein, "eberlein_convolve", refused)
+    assert suites.run_suite("tm")[0].passed
