@@ -9,7 +9,6 @@ atoms to the left, and correlation kernels rely on that.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +23,6 @@ __all__ = [
     "lattice_comb",
     "reflect_conjugate",
     "linear_combine",
-    "restrict",
     "split_pp",
     "split_remainder",
     "ContainmentError",
@@ -59,27 +57,48 @@ def _encode(keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedComb:
-    """Atoms at exact positions with complex (or real) weights.
+    """sum_v levels[v] * 1_{S_v}: atoms at exact positions, each weighing one
+    of a few levels (one for a Dirac comb, 1 - alpha and -alpha for nu).
 
     keys      (N, 2) int64, positions sorted ascending
-    weights   (N,) float64 or complex128, no exact zeros
+    levels    (L,) float64 or complex128, distinct; no atom weighs exactly 0
+    level     (N,) smallest unsigned dtype; weights = levels[level] per atom
     coverage  interval on which the atom list is complete
     """
 
     keys: np.ndarray
-    weights: np.ndarray
+    levels: np.ndarray
+    level: np.ndarray
     coverage: tuple[float, float]
 
     def __post_init__(self):
         if self.keys.ndim != 2 or self.keys.shape[1] != 2:
             raise ValueError("keys must have shape (N, 2)")
-        if len(self.keys) != len(self.weights):
-            raise ValueError("keys and weights must have equal length")
+        if self.level.shape != (len(self.keys),) or self.level.dtype.kind != "u":
+            raise ValueError("level must hold one unsigned index per key")
         if len(self.keys):
             pos = self.positions
             lo, hi = self.coverage
             if pos.min() < lo - 1e-9 or pos.max() > hi + 1e-9:
                 raise ValueError("atoms outside the coverage interval")
+
+    @classmethod
+    def from_weights(cls, keys, weights, coverage) -> WeightedComb:
+        """The comb of per-atom weights, sorted by position; its levels are
+        their distinct bit patterns, so weights gives them back bit for bit."""
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        weights = np.asarray(weights)
+        if len(keys) != len(weights):
+            raise ValueError("keys and weights must have equal length")
+        order = np.argsort(embed_array(keys[:, 0], keys[:, 1]), kind="stable")
+        weights = weights[order]
+        bits, level = np.unique(weights.view(f"V{weights.itemsize}"), return_inverse=True)
+        index = np.min_scalar_type(max(len(bits) - 1, 0))
+        return cls(keys[order], bits.view(weights.dtype), level.astype(index), coverage)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.levels[self.level]
 
     @property
     def positions(self) -> np.ndarray:
@@ -104,20 +123,17 @@ class WeightedComb:
         )
         if len(hits) == 0:
             return 0.0
-        return self.weights[hits[0]]
-
-    def total_mass(self) -> complex:
-        return complex(self.weights.sum()) if len(self) else 0.0
+        return self.levels[self.level[hits[0]]]
 
     def sup_norm(self) -> float:
         return float(np.abs(self.weights).max()) if len(self) else 0.0
 
 
-def _sorted_comb(keys, weights, coverage) -> WeightedComb:
-    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-    weights = np.asarray(weights)
-    order = np.argsort(embed_array(keys[:, 0], keys[:, 1]), kind="stable")
-    return WeightedComb(keys[order], weights[order], coverage)
+def _uniform(keys: np.ndarray, weight: complex, coverage) -> WeightedComb:
+    # weight * delta on keys sorted by position: one level, index 0 throughout
+    dtype = np.float64 if isinstance(weight, (int, float)) else np.complex128
+    level = np.zeros(len(keys), dtype=np.uint8)
+    return WeightedComb(keys, np.array([weight], dtype=dtype), level, coverage)
 
 
 def dirac_comb(
@@ -127,38 +143,21 @@ def dirac_comb(
 ) -> WeightedComb:
     """Comb with a constant weight on each of the given exact points."""
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-    return _sorted_comb(keys, _constant(len(keys), weight), coverage)
-
-
-def _constant(n: int, weight: complex) -> np.ndarray:
-    dtype = np.float64 if isinstance(weight, (int, float)) else np.complex128
-    return np.full(n, weight, dtype=dtype)
+    order = np.argsort(embed_array(keys[:, 0], keys[:, 1]), kind="stable")
+    return _uniform(keys[order], weight, coverage)
 
 
 def lattice_comb(lo: int, hi: int, weight: complex = 1.0) -> WeightedComb:
     """The comb weight * delta_Z on the integer sites lo..hi inclusive."""
     ms = np.arange(lo, hi + 1, dtype=np.int64)
     keys = np.stack([ms, np.zeros_like(ms)], axis=1)  # ascending: no sort
-    return WeightedComb(keys, _constant(len(ms), weight), (float(lo), float(hi)))
+    return _uniform(keys, weight, (float(lo), float(hi)))
 
 
 def reflect_conjugate(mu: WeightedComb) -> WeightedComb:
     """Atom w at x becomes conj(w) at -x; coverage is negated."""
-    keys = -mu.keys[::-1]
-    weights = np.conj(mu.weights[::-1])
     lo, hi = mu.coverage
-    return WeightedComb(keys, weights, (-hi, -lo))
-
-
-def restrict(mu: WeightedComb, lo: float, hi: float) -> WeightedComb:
-    """Keep the atoms inside the closed interval [lo, hi].
-
-    The result is a fully known finite measure, so its coverage is the
-    whole line.
-    """
-    pos = mu.positions
-    mask = (pos >= lo) & (pos <= hi)
-    return WeightedComb(mu.keys[mask], mu.weights[mask], (-math.inf, math.inf))
+    return WeightedComb(-mu.keys[::-1], np.conj(mu.levels), mu.level[::-1], (-hi, -lo))
 
 
 def linear_combine(
@@ -188,9 +187,6 @@ def linear_combine(
     keys = np.concatenate(key_parts)
     weights = np.concatenate(weight_parts)
 
-    if len(keys) == 0:
-        return WeightedComb(keys.reshape(0, 2), weights, (lo, hi))
-
     codes = _encode(keys)
     uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     # bincount adds the weights of each bin in input order
@@ -201,7 +197,7 @@ def linear_combine(
     else:
         merged[:] = np.bincount(inverse, weights, len(uniq))
     keep = merged != 0
-    return _sorted_comb(keys[first][keep], merged[keep], (lo, hi))
+    return WeightedComb.from_weights(keys[first][keep], merged[keep], (lo, hi))
 
 
 def _locate(keys: np.ndarray, pos: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -254,12 +250,14 @@ def split_remainder(points: np.ndarray, omega: WeightedComb) -> WeightedComb:
     # omega's atoms may sit a rounding outside its coverage; nu keeps none
     lo, hi = omega.coverage
     i, j = np.searchsorted(pos, lo), np.searchsorted(pos, hi, side="right")
-    keys = omega.keys[i:j]
-    weights = np.where(in_points[i:j], 1.0 - omega.weights[i:j], -omega.weights[i:j])
-    nonzero = weights != 0
+    n = len(omega.levels)
+    levels = np.concatenate([1.0 - omega.levels, -omega.levels])
+    keys, level = omega.keys[i:j], omega.level[i:j].astype(np.min_scalar_type(max(2 * n - 1, 0)))
+    np.add(level, n, out=level, where=~in_points[i:j])
+    nonzero = (levels != 0)[level]
     if not nonzero.all():  # alpha = 1 empties the points, alpha = 0 the rest
-        keys, weights = keys[nonzero], weights[nonzero]
-    return WeightedComb(keys, weights, (lo, hi))
+        keys, level = keys[nonzero], level[nonzero]
+    return WeightedComb(keys, levels, level, (lo, hi))
 
 
 def split_pp(
@@ -289,5 +287,5 @@ def split_pp(
     model_points = np.asarray(model_points, dtype=np.int64).reshape(-1, 2)
     if np.any(np.diff(embed_array(model_points[:, 0], model_points[:, 1])) < 0):
         raise ValueError("model points must be sorted by position")
-    omega = WeightedComb(model_points, np.full(len(model_points), float(alpha)), rng)
+    omega = _uniform(model_points, float(alpha), rng)
     return omega, split_remainder(points, omega)

@@ -4,12 +4,12 @@ Everything here is a finite-R approximant: combs are restricted to an
 averaging interval, convolved, and divided by the interval volume.  The
 first factor is restricted to the reflected interval, which coincides with
 the usual recipe for symmetric intervals and is the consistent extension
-for one-sided ones.  One kernel backs the convolution: each factor splits
-into its weight levels, sum_v v * 1_{S_v}, so every atom is a short sum of
+for one-sided ones.  One kernel backs the convolution: each comb is stored
+as its weight levels, sum_v v * 1_{S_v}, so every atom is a short sum of
 int64 pair counts N_ij(s) times level products.  The counts come from bit
-rows per lag when both combs live on the integers with few levels, and
-otherwise from a pair sweep over exact keys that works block by block, so
-its memory does not grow with the pair count.
+rows per lag when both combs live densely on the integers with few levels,
+and otherwise from a pair sweep over exact keys that works block by block,
+so its memory does not grow with the pair count.
 
 Correlation atoms and FB coefficients share one exact accumulator (a long
 accumulator after Kulisch & Miranker, binned by exponent as in Demmel &
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,11 +62,11 @@ class RangeError(ValueError):
 PAIR_BLOCK = 1 << 16
 FOLD_CELLS = 1 << 18
 # Integer supports use bit rows up to this many weight-level pairs.  The
-# rows take about (x levels + 4 * y levels + level pairs / 8) bytes per site,
-# y being the factor with fewer levels, so at most 76 here.  At 64 level
-# pairs on 2e5 sites with r_max = 20, the rows took 0.03-0.06 s and the pair
-# sweep 0.03 s at 10% density, 2.0 s at full; at 256 level pairs and 10%
-# density the sweep was faster (0.04 against 0.12 s).
+# rows take about (x levels + 4 * y levels + level pairs / 8) bytes per site
+# of the span, y being the factor with fewer levels.  At 64 level pairs on
+# 2e5 sites with r_max = 20, the rows took 0.03-0.06 s and the pair sweep
+# 0.03 s at 10% density (break-even), 2.0 s at full, so supports with under
+# one atom per 16 sites are swept; at 256 level pairs the sweep was faster.
 ROW_LEVEL_PAIRS = 64
 _NOT_FINITE = "weights, their products and sums must be finite"
 
@@ -108,7 +108,7 @@ def _restrict_arrays(comb: WeightedComb, lo: float, hi: float):
     pos = comb.positions
     i = np.searchsorted(pos, lo - 1e-12, side="left")
     j = np.searchsorted(pos, hi + 1e-12, side="right")
-    return pos[i:j], comb.keys[i:j], comb.weights[i:j]
+    return pos[i:j], comb.keys[i:j], comb.level[i:j]
 
 
 def eberlein_convolve(
@@ -165,22 +165,20 @@ def eberlein_convolve(
         f"second factor covers {nu.coverage}, needs [{nu_lo}, {nu_hi}] for R={R}",
     )
 
-    _, kx, wx = _restrict_arrays(mu, -hi, -lo)
-    _, ky, wy = _restrict_arrays(nu, nu_lo, nu_hi)
-
-    dtype = np.result_type(wx.dtype, wy.dtype, np.float64)
-    coverage = (-r_max, r_max)
-    if len(kx) == 0 or len(ky) == 0:
-        empty = np.empty((0, 2), dtype=np.int64)
-        return WeightedComb(empty, np.empty(0, dtype=dtype), coverage)
+    _, kx, lx = _restrict_arrays(mu, -hi, -lo)
+    _, ky, ly = _restrict_arrays(nu, nu_lo, nu_hi)
 
     # atom s is the sum of count * vx[i] * vy[j] over its cells (s, i, j);
     # products are taken in dtype, at least double precision
-    vx, lx = _levels(wx)
-    vy, ly = _levels(wy)
-    vx, vy = vx.astype(dtype), vy.astype(dtype)
+    dtype = np.result_type(mu.levels, nu.levels, np.float64)
+    vx, vy = mu.levels.astype(dtype), nu.levels.astype(dtype)
+    coverage = (-r_max, r_max)
+    if len(kx) == 0 or len(ky) == 0:
+        return WeightedComb.from_weights(kx[:0], np.empty(0, dtype=dtype), coverage)
+
     integer = not (kx[:, 1].any() or ky[:, 1].any())
-    if integer and len(vx) * len(vy) <= ROW_LEVEL_PAIRS:
+    dense = all(16 * len(k) >= k[-1, 0] - k[0, 0] + 1 for k in (kx, ky))
+    if integer and dense and len(vx) * len(vy) <= ROW_LEVEL_PAIRS:
         tallies = [_count_bits(kx[:, 0], lx, len(vx), ky[:, 0], ly, len(vy), r_max)]
     else:
         tallies = _count_pairs(kx, lx, ky, ly, r_max)
@@ -193,25 +191,36 @@ def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
     by position.  Every correlation, whatever counted its pairs, ends here."""
     keys, sums = _exact_sums(tallies, vx, vy)
     keep = sums.any(axis=1)
-    keys, sums = keys[keep], sums[keep]
-    order = np.argsort(embed_array(keys[:, 0], keys[:, 1]), kind="stable")
     # divide real and imaginary parts separately: numpy's complex division
     # multiplies by a reciprocal and would round twice
-    quotient = (sums[order] / vol).view(np.result_type(vx, vy)).ravel()
-    return WeightedComb(keys[order], quotient, coverage)
+    quotient = (sums[keep] / vol).view(np.result_type(vx, vy)).ravel()
+    return WeightedComb.from_weights(keys[keep], quotient, coverage)
 
 
-def _levels(weights):
-    # distinct weights, sorted, and each atom's index; hashing beats a sort
-    values = np.sort(np.unique_values(weights))
-    return values, np.searchsorted(values, weights)
+def _popcounts(a, b, offsets):
+    """counts[c, i, j] = #{t : a[i, t] and b[j, t + offsets[c]]} for the bool
+    rows a and b, b read as False past its end, offsets >= 0.  The a rows
+    fill 64-bit words; eight copies of the b rows, shifted by 0..7 bits, make
+    every offset a byte offset."""
+    reach = int(offsets.max(initial=0))
+    packed = np.packbits(a, axis=1)
+    rows = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))  # whole words
+    shifted = np.zeros((min(8, reach + 1), len(b), rows.shape[1] + reach // 8), dtype=np.uint8)
+    for q, copy in enumerate(shifted):
+        packed = np.packbits(b[:, q:], axis=1)[:, : copy.shape[1]]
+        copy[:, : packed.shape[1]] = packed
+    counts = np.empty((len(offsets), len(a), len(b)), dtype=np.int64)
+    for c, d in enumerate(offsets.tolist()):
+        window = shifted[d % 8, :, d // 8 : d // 8 + rows.shape[1]]
+        words = (rows[:, None, :] & window[None, :, :]).view(np.uint64)
+        counts[c] = np.bitwise_count(words).sum(axis=2, dtype=np.int64)
+    return counts
 
 
 def _count_bits(mx, lx, nx, my, ly, ny, r_max):
     # Integer supports: one bit row per weight level.  Per lag s, the pairs
     # x + y = s of a level pair are the popcount of an x row AND a shifted y
-    # row.  Eight copies of the y rows, shifted by 0..7 bits, make every
-    # shift a byte offset; the x rows fill 64-bit words.
+    # row (_popcounts, which copies the y rows eight times).
     if ny > nx:  # copy the factor with fewer levels
         keys, j, i, count = _count_bits(my, ly, ny, mx, lx, nx, r_max)
         return keys, i, j, count
@@ -219,21 +228,14 @@ def _count_bits(mx, lx, nx, my, ly, ny, r_max):
     r = math.floor(r_max + 1e-9)
     s_hi = min(r, x1 + y1)
     lags = np.arange(max(-r, x0 + y0), s_hi + 1)
-    a = np.zeros((nx, (x1 - x0) // 64 * 64 + 64), dtype=bool)
+    a = np.zeros((nx, x1 - x0 + 1), dtype=bool)
     a[lx, mx - x0] = True
-    a = np.packbits(a, axis=1)
     # the y rows reversed, behind pad zeros: y = s - x sits in column
     # pad + y1 - y = (x - x0) + d with offset d = pad + x0 + y1 - s >= 0
     pad = max(0, s_hi - x0 - y1)
-    b = np.zeros((ny, pad + y1 - y0 + 8 * a.shape[1]), dtype=bool)
+    b = np.zeros((ny, pad + y1 - y0 + 1), dtype=bool)
     b[ly, pad + y1 - my] = True
-    shifted = [np.packbits(b[:, q:], axis=1) for q in range(8)]
-    counts = np.empty((len(lags), nx, ny), dtype=np.int64)
-    for c, s in enumerate(lags.tolist()):
-        d = pad + x0 + y1 - s
-        window = shifted[d % 8][:, d // 8 : d // 8 + a.shape[1]]
-        words = (a[:, None, :] & window[None, :, :]).view(np.uint64)
-        counts[c] = np.bitwise_count(words).sum(axis=2, dtype=np.int64)
+    counts = _popcounts(a, b, pad + x0 + y1 - lags)
     lag, i, j = np.nonzero(counts)
     keys = np.stack([lags[lag], np.zeros_like(lag)], axis=1)
     return keys, i, j, counts[lag, i, j]
@@ -249,18 +251,10 @@ def _lattice_tables(occupied, r_max):
     n = len(occupied)
     lag = min(int(r_max), n - 1)  # no two sites lie farther apart
     lags = np.arange(-lag, lag + 1)
-    # the row in whole 64-bit words, and eight copies of it shifted by 0..7
-    # sites, with zero bytes behind so that every lag is a byte offset
-    width = -(-n // 64) * 8
-    shifted = np.zeros((min(8, lag + 1), width + lag // 8), dtype=np.uint8)
-    for q, row in enumerate(shifted):
-        packed = np.packbits(occupied[q:])
-        row[: len(packed)] = packed
+    row = occupied[None, :]
     n_pp = np.empty(len(lags), dtype=np.int64)
-    for s in range(lag + 1):
-        window = shifted[s % 8, s // 8 : s // 8 + width]
-        words = (shifted[0, :width] & window).view(np.uint64)
-        n_pp[lag + s] = n_pp[lag - s] = np.bitwise_count(words).sum(dtype=np.int64)
+    n_pp[lag:] = _popcounts(row, row, np.arange(lag + 1))[:, 0, 0]
+    n_pp[:lag] = n_pp[: lag : -1]
     size = n_pp[lag]
     head = np.cumsum(occupied[:lag], dtype=np.int64)
     tail = np.cumsum(occupied[::-1][:lag], dtype=np.int64)
@@ -312,12 +306,12 @@ def _tally(keys, i, j, count):
     # added.  Keys and level pairs are ranked first, so a cell index stays
     # below the square of the row count and cannot overflow.  (Asking for
     # counts makes np.unique sort; its hash table is slow on key codes,
-    # whose low 32 bits repeat.)
+    # whose low 32 bits repeat.)  Level indices are widened from uint8/16.
     codes = _encode(keys)
     atoms = np.unique_counts(codes).values
     atom = np.searchsorted(atoms, codes)
     n_j = int(j.max(initial=0)) + 1
-    level_pair = i * n_j + j
+    level_pair = i.astype(np.int64) * n_j + j
     level_pairs = np.unique_counts(level_pair).values
     cell = atom * len(level_pairs) + np.searchsorted(level_pairs, level_pair)
     cells = np.unique_counts(cell).values
@@ -423,36 +417,32 @@ def fb_coefficient(
     weight's product is formed from separately rounded real products.
     This is the one-R case of fb_scan.
     """
-    return _fb_values(mu, k, AveragingSpec(shape, (R,)))[0]
+    return next(_fb_values(mu, [k], AveragingSpec(shape, (R,))))[1][0]
 
 
 def _fb_values(
-    mu: WeightedComb, k: FourierModulePoint | float, spec: AveragingSpec
-) -> list[complex]:
-    """FB coefficients of mu at k for every R of spec, from one phase pass.
+    mu: WeightedComb, K: Sequence[FourierModulePoint | float], spec: AveragingSpec
+) -> Iterator[tuple[FourierModulePoint | float, list[complex]]]:
+    """Per k of K, k and the FB coefficients of mu for every R of spec.
 
-    The comb is restricted to the largest interval once and the products
-    are formed once.  Each atom's limbs are added once, into the bin of the
-    first R that holds it, and a cumsum over the bins gives every R its
-    exact sum, rounded once, so every value equals a separate computation
-    at that R.  A non-finite product or sum raises ValueError.
+    The comb is restricted to the largest interval, its weights gathered and
+    its atoms binned once, and each k's products are formed once.  Each
+    atom's limbs are added once, into the bin of the first R that holds it,
+    and a cumsum over the bins gives every R its exact sum, rounded once, so
+    every value equals a separate computation at that R.  A non-finite
+    product or sum raises ValueError.
     """
+    K = list(K)
+    if not K:  # nothing to scan, and nothing to check
+        return
     for R in spec.R_list:
         lo, hi = spec.interval(R)
         _require(
             mu.coverage[0] <= lo and mu.coverage[1] >= hi,
             f"comb covers {mu.coverage}, needs [{lo}, {hi}]",
         )
-    pos, keys, weights = _restrict_arrays(mu, *spec.interval(spec.R_list[-1]))
-    if isinstance(k, FourierModulePoint):
-        if k.is_zero():
-            phase_factors = np.ones(len(keys), dtype=complex)
-        else:
-            phase_factors = np.exp(-2j * math.pi * frac_phases(k, keys[:, 0], keys[:, 1]))
-    else:
-        if not math.isfinite(k):
-            raise ValueError(f"wave number must be finite, got {k!r}")
-        phase_factors = np.exp(-2j * math.pi * float(k) * pos)
+    pos, keys, level = _restrict_arrays(mu, *spec.interval(spec.R_list[-1]))
+    weights = mu.levels[level]
     # atom t goes to the bin of the first R that holds it, the first R with
     # j > t and i <= t; the intervals nest, so a cumsum over bins sums each R
     intervals = [spec.interval(R) for R in spec.R_list]
@@ -460,9 +450,21 @@ def _fb_values(
     j = np.searchsorted(pos, [hi + 1e-12 for _, hi in intervals], side="right")
     atom = np.arange(len(pos))
     bins = np.maximum(np.searchsorted(j, atom, side="right"), np.searchsorted(-i, -atom))
-    exponents, rows = _limb_rows(bins, weights, phase_factors, np.ones_like(bins), len(intervals))
-    sums = _rounded(exponents, np.cumsum(rows, axis=0)).tolist()
-    return [complex(re / spec.vol(R), im / spec.vol(R)) for R, (re, im) in zip(spec.R_list, sums)]
+    del atom
+    for k in K:
+        if isinstance(k, FourierModulePoint):
+            if k.is_zero():
+                factors = np.ones(len(keys), dtype=complex)
+            else:
+                factors = np.exp(-2j * math.pi * frac_phases(k, keys[:, 0], keys[:, 1]))
+        else:
+            if not math.isfinite(k):
+                raise ValueError(f"wave number must be finite, got {k!r}")
+            factors = np.exp(-2j * math.pi * float(k) * pos)
+        exponents, rows = _limb_rows(bins, weights, factors, np.ones_like(bins), len(intervals))
+        del factors
+        sums = _rounded(exponents, np.cumsum(rows, axis=0)) / [[spec.vol(R)] for R in spec.R_list]
+        yield k, [complex(re, im) for re, im in sums.tolist()]
 
 
 @dataclass(frozen=True)
@@ -488,9 +490,9 @@ def fb_scan(
     stand-in for convergence of the averaging limit.
     """
     rows: list[FBRow] = []
-    for k in K:
+    for k, values in _fb_values(mu, K, spec):
         prev: complex | None = None
-        for R, value in zip(spec.R_list, _fb_values(mu, k, spec)):
+        for R, value in zip(spec.R_list, values):
             cauchy = None if prev is None else abs(value - prev)
             rows.append(FBRow(k, R, value, cauchy))
             prev = value

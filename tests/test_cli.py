@@ -295,6 +295,7 @@ GOLDEN_RUNS = (
     ("verify", "--suite", "orthogonality", "--out", "verify_orth.json"),
     ("verify", "--suite", "bernoulli", "--out", "verify_bern.json"),
     ("verify", "--suite", "tm", "--out", "verify_tm.json"),
+    ("verify", "--suite", "all", "--seed", "41", "--out", "verify_all_41.json"),
 )
 
 # Digests as written by the per-point projection and the per-cell writers
@@ -303,8 +304,9 @@ GOLDEN_RUNS = (
 # by reports that computed both cross correlations, (split_tm/*) by
 # linear_combine's hash-and-merge split, (verify_bern.json) by three comb
 # correlations over the lattice gas's 2N + 1 sites, (verify_tm.json) by four
-# comb correlations of the doubling chain, and (bern_points.csv) by a second
-# draw of the gas after its report.  Re-pin only for a
+# comb correlations of the doubling chain, (bern_points.csv) by a second
+# draw of the gas after its report, and (verify_all_41.json) by combs that
+# stored one weight per atom.  Re-pin only for a
 # deliberate output change, and list that change in CHANGES.md.
 PINNED_DIGESTS = {
     "bern.json":
@@ -355,6 +357,8 @@ PINNED_DIGESTS = {
         "33bdb7a2615e74012e868311b170f68daf4855fef686b5021392038b72692f28",
     "split_tm/splitting.json":
         "6b61c4261c9cc4422901bfc3adad0d65eb549ae918e9421db6034926e3917496",
+    "verify_all_41.json":
+        "bafaf11e04e17d3931430ae7bff6fe93f5803f7c1a7b61de70b64fb2786709ee",
     "verify_bern.json":
         "e57aa1afb53a3e969a67d50e554ab95422849b1c7b018aafaf56753bf3455796",
     "verify_orth.json":

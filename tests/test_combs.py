@@ -12,7 +12,6 @@ from combsplit.combs import (
     lattice_comb,
     linear_combine,
     reflect_conjugate,
-    restrict,
     split_pp,
     split_remainder,
 )
@@ -22,9 +21,15 @@ from combsplit.zroot5 import embed_array
 def small_comb(keys_weights, coverage=(-50.0, 50.0)):
     keys = np.array([k for k, _ in keys_weights], dtype=np.int64).reshape(-1, 2)
     weights = np.array([w for _, w in keys_weights], dtype=np.complex128)
-    pos = keys[:, 0] + keys[:, 1] * ((1 + math.sqrt(5)) / 2)
-    order = np.argsort(pos, kind="stable")
-    return WeightedComb(keys[order], weights[order], coverage)
+    return WeightedComb.from_weights(keys, weights, coverage)
+
+
+def restrict(mu, lo, hi):
+    """Keep the atoms inside the closed interval [lo, hi], as a fully known
+    finite measure, so with the whole line as coverage."""
+    pos = mu.positions
+    mask = (pos >= lo) & (pos <= hi)
+    return WeightedComb(mu.keys[mask], mu.levels, mu.level[mask], (-math.inf, math.inf))
 
 
 key_st = st.tuples(st.integers(-20, 20), st.integers(-12, 12))
@@ -256,7 +261,7 @@ def test_split_remainder_drops_zero_atoms():
 
 def test_split_keeps_nu_inside_omegas_coverage():
     # a comb may hold atoms up to 1e-9 past its coverage; nu drops them
-    omega = WeightedComb(lattice_comb(0, 9).keys, np.full(10, 0.5), (0.0, 9.0 - 5e-10))
+    omega = WeightedComb.from_weights(lattice_comb(0, 9).keys, np.full(10, 0.5), (0.0, 9.0 - 5e-10))
     nu = split_remainder(np.array([[9, 0], [4, 0]]), omega)
     assert nu.coverage == omega.coverage
     assert nu.atoms_dict() == {(m, 0): 0.5 if m == 4 else -0.5 for m in range(9)}
@@ -284,7 +289,8 @@ def test_split_finds_points_among_keys_of_equal_position():
     tie = [(2**30, 0), (2**30 - 14930352, 9227465), (2**30 - 24157817, 14930352)]
     assert len(set(embed_array(*np.array(tie).T).tolist())) == 1
     for model in (tie[:2], tie[1::-1]):
-        omega = WeightedComb(np.array(model), np.full(2, 0.25), (-math.inf, math.inf))
+        omega = WeightedComb(np.array(model), np.array([0.25]), np.zeros(2, np.uint8),
+                             (-math.inf, math.inf))
         for point in tie[:2]:
             nu = split_remainder(np.array([point]), omega)
             assert nu.atoms_dict() == {k: 0.75 if k == point else -0.25 for k in model}
@@ -297,3 +303,42 @@ def test_split_rejects_repeated_points():
     omega = lattice_comb(0, 5, 0.5)
     with pytest.raises(ValueError, match="distinct"):
         split_remainder(np.array([[1, 0], [2, 0], [1, 0]]), omega)
+
+
+@given(st.sampled_from([np.float32, np.float64, np.complex64, np.complex128]),
+       st.integers(1, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_from_weights_returns_the_input_bits(dtype, n_values, seed):
+    # any bit patterns: signed zeros, NaN payloads and subnormals stay apart
+    rng = np.random.default_rng(seed)
+    size = np.dtype(dtype).itemsize
+    pool = rng.integers(0, 256, size=(n_values, size), dtype=np.uint8).view(dtype).ravel()
+    pool[: min(2, n_values)] = np.array([0.0, -0.0], dtype=dtype)[: min(2, n_values)]
+    weights = np.concatenate([pool, pool[rng.integers(0, n_values, size=200)]])
+    keys = lattice_comb(0, len(weights) - 1).keys
+    comb = WeightedComb.from_weights(keys, weights, (0.0, float(len(weights))))
+    assert comb.weights.dtype == dtype
+    assert comb.weights.tobytes() == weights.tobytes()
+    assert len(comb.levels) == len(np.unique(pool.view(f"V{size}")))
+    assert comb.level.dtype == (np.uint8 if len(comb.levels) <= 256 else np.uint16)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 0.25 + 0.5j, *np.random.default_rng(3).random(3)])
+@pytest.mark.parametrize("levels", [1, 5])
+def test_split_remainder_weights_are_one_minus_alpha_and_minus_alpha(alpha, levels):
+    # nu's weights are bit for bit np.where(in_P, 1 - w, -w), zeros dropped,
+    # w being omega's weight per atom, also when omega has several levels
+    window = cps.twisted_fibonacci_windows()["a"]
+    model = cps.cut_and_project(window, (0.0, 300.0))
+    rng = np.random.default_rng(len(model))
+    if levels == 1:
+        omega = dirac_comb(model, (0.0, 300.0), weight=alpha)
+    else:
+        w = np.asarray(alpha) * rng.integers(1, levels + 1, size=len(model))
+        omega = WeightedComb.from_weights(model, w, (0.0, 300.0))
+    in_p = rng.random(len(model)) < 0.5
+    nu = split_remainder(model[in_p], omega)
+    want = np.where(in_p, 1.0 - omega.weights, -omega.weights)
+    assert np.array_equal(nu.keys, model[want != 0])
+    assert nu.weights.dtype == want.dtype
+    assert nu.weights.tobytes() == want[want != 0].tobytes()

@@ -91,8 +91,8 @@ def test_sweep_kernel_matches_brute_force_oracle():
     weights = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
     pos = keys[:, 0] + keys[:, 1] * TAU
     order = np.argsort(pos)
-    mu = WeightedComb(keys[order], weights[order].astype(np.complex128),
-                      (-40.0, 40.0))
+    mu = WeightedComb.from_weights(keys[order], weights[order].astype(np.complex128),
+                                   (-40.0, 40.0))
     nu = reflect_conjugate(mu)
     got = eberlein_convolve(mu, nu, "symmetric", 20.0, 6).atoms_dict()
     want = brute_convolve(mu, nu, "symmetric", 20.0, 6)
@@ -111,8 +111,8 @@ def test_dense_and_sweep_kernels_agree_on_integers(monkeypatch):
     )
     dense = eberlein_convolve(z, z, "symmetric", 40.0, 10).atoms_dict()
     # same atoms, golden-ratio path (complex dtype + off-lattice key)
-    z_complex = WeightedComb(z.keys, z.weights.astype(np.complex128), z.coverage)
-    marked_z = WeightedComb(
+    z_complex = WeightedComb.from_weights(z.keys, z.weights.astype(np.complex128), z.coverage)
+    marked_z = WeightedComb.from_weights(
         np.vstack([z.keys, [[0, 1]]])[np.argsort(np.r_[z.positions, [TAU]], kind="stable")],
         np.r_[z.weights, [0.0]][np.argsort(np.r_[z.positions, [TAU]], kind="stable")],
         z.coverage,
@@ -183,8 +183,8 @@ def test_fb_coefficient_is_linear():
     w1 = (rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys)))
     w2 = (rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys)))
     cov = (-80.0, 80.0)
-    mu = WeightedComb(keys, w1.astype(np.complex128), cov)
-    nu = WeightedComb(keys, w2.astype(np.complex128), cov)
+    mu = WeightedComb.from_weights(keys, w1.astype(np.complex128), cov)
+    nu = WeightedComb.from_weights(keys, w2.astype(np.complex128), cov)
     a, b = 0.7 - 0.2j, -1.3 + 0.4j
     combo = linear_combine([(a, mu), (b, nu)])
     for k in (FourierModulePoint(1, 0), FourierModulePoint(-1, 1), 0.37):
@@ -214,7 +214,7 @@ def _golden_comb(seed=5):
     keys = keys[(pos >= 5.0) & (pos <= 60.0)]
     keys = keys[np.argsort(keys[:, 0] + keys[:, 1] * TAU)]
     w = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
-    return WeightedComb(keys, w, (-100.0, 100.0))
+    return WeightedComb.from_weights(keys, w, (-100.0, 100.0))
 
 
 @pytest.mark.parametrize("shape", ["one_sided", "symmetric"])
@@ -473,7 +473,7 @@ def exact_comb(atoms):
     keys = np.array(list(atoms), dtype=np.int64).reshape(-1, 2)
     weights = np.array(list(atoms.values()))
     order = np.argsort(keys[:, 0] + keys[:, 1] * TAU, kind="stable")
-    return WeightedComb(keys[order], weights[order], (-math.inf, math.inf))
+    return WeightedComb.from_weights(keys[order], weights[order], (-math.inf, math.inf))
 
 
 # dyadic weights keep every product and every per-atom sum exact
@@ -646,11 +646,11 @@ def test_many_distinct_weights_are_correctly_rounded(integer, blocks, monkeypatc
 def test_non_finite_weights_and_products_raise():
     z = lattice_comb(-20, 20)
     for w in (math.nan, math.inf, 1e200):  # 1e200 squared overflows
-        bad = WeightedComb(z.keys, np.r_[z.weights[:-1], w], z.coverage)
+        bad = WeightedComb.from_weights(z.keys, np.r_[z.weights[:-1], w], z.coverage)
         with pytest.raises(ValueError, match="finite"):
             pair_correlation(bad, bad, "symmetric", 20.0, 3)
     # each product 1.69e308 is finite, their sum at lag 0 is not
-    big = WeightedComb(z.keys, np.full(len(z), 1.3e154), z.coverage)
+    big = WeightedComb.from_weights(z.keys, np.full(len(z), 1.3e154), z.coverage)
     with pytest.raises(ValueError, match="finite"):
         pair_correlation(big, big, "symmetric", 20.0, 3)
 
@@ -661,8 +661,8 @@ def test_pair_sweep_memory_is_bounded_by_its_blocks(monkeypatch):
     rng = np.random.default_rng(4)
     n, r_max = 2000, 20
     keys = np.stack([np.arange(n), np.zeros(n, dtype=np.int64)], axis=1)
-    mu = WeightedComb(keys, rng.normal(size=n), (0.0, float(n)))
-    nu = WeightedComb(keys, rng.normal(size=n), (0.0, float(n)))
+    mu = WeightedComb.from_weights(keys, rng.normal(size=n), (0.0, float(n)))
+    nu = WeightedComb.from_weights(keys, rng.normal(size=n), (0.0, float(n)))
     whole = pair_correlation(mu, nu, "one_sided", n - 1.0, r_max)
     monkeypatch.setattr(eberlein, "PAIR_BLOCK", 128)
     monkeypatch.setattr(eberlein, "FOLD_CELLS", 256)
@@ -777,12 +777,13 @@ def test_fb_scan_with_complex_weights_matches_an_fsum_oracle(shape, block, monke
 def test_non_finite_fb_weights_and_sums_raise():
     z = lattice_comb(-20, 20)
     for w in (math.nan, math.inf, complex(0.0, math.inf)):
-        bad = WeightedComb(z.keys, np.r_[z.weights[:-1].astype(type(w)), w], z.coverage)
+        w_bad = np.r_[z.weights[:-1].astype(type(w)), w]
+        bad = WeightedComb.from_weights(z.keys, w_bad, z.coverage)
         for k in (FourierModulePoint(0, 0), FourierModulePoint(1, 0), 0.3):
             with pytest.raises(ValueError, match="finite"):
                 fb_coefficient(bad, k, "symmetric", 20.0)
     # each weight is finite, their sum at k = 0 is not
-    big = WeightedComb(z.keys, np.full(len(z), 1.7e308), z.coverage)
+    big = WeightedComb.from_weights(z.keys, np.full(len(z), 1.7e308), z.coverage)
     with pytest.raises(ValueError, match="finite"):
         fb_scan(big, [FourierModulePoint(0, 0)], AveragingSpec("symmetric", (5.0, 20.0)))
 
@@ -805,3 +806,42 @@ def test_lattice_tables_count_every_pair(bits, data):
     for got, (A, B) in zip(tables, ((P, P), (P, M), (M, P), (M, M))):
         assert got.dtype == np.int64
         assert got.tolist() == [sum(1 for x in A for y in B if y - x == s) for s in lags.tolist()]
+
+
+@pytest.mark.parametrize("integer", [True, False])
+def test_more_than_255_levels_take_a_uint16_index(integer, monkeypatch):
+    # distinct random weights give every atom its own level; on Z the bit
+    # rows are forced as well as the pair sweep, so both read uint16 indices
+    rng = np.random.default_rng(21)
+    if integer:
+        keys = [(m, 0) for m in range(-150, 151)]
+    else:
+        tps = inflate.realize_geometric(inflate.fibonacci_rule(), "a", 200.0)
+        keys = [(m, n) for m, n in tps.comb().keys.tolist()]
+        keys += [(-m, -n) for m, n in keys if (m, n) != (0, 0)]
+    weights = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    mu = exact_comb(dict(zip(keys, weights)))
+    nu = exact_comb(dict(zip(keys, rng.normal(size=len(keys)))))
+    assert len(mu.levels) == len(keys) > 256 and mu.level.dtype == np.uint16
+    rows = [None, 10**6] if integer else [None]
+    for row_level_pairs in rows:
+        if row_level_pairs:
+            monkeypatch.setattr(eberlein, "ROW_LEVEL_PAIRS", row_level_pairs)
+        for other in (nu, lattice_comb(-200, 200, 0.5)):
+            corr = pair_correlation(mu, other, "symmetric", 140.0, 9)
+            want = fsum_pair_correlation(mu, other, "symmetric", 140, 9, "both")
+            assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
+
+
+def test_sparse_integer_supports_take_the_pair_sweep():
+    # bit rows would span all 1e8 sites between three atoms (hundreds of MiB);
+    # supports with fewer than one atom per 16 sites are swept pair by pair
+    comb = dirac_comb([(0, 0), (50_000_000, 0), (100_000_000, 0)], (0.0, 1e8))
+    tracemalloc.start()
+    try:
+        corr = pair_correlation(comb, comb, "one_sided", 1e8, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corr.atoms_dict() == {(0, 0): 3e-08}
+    assert peak < 1 << 20, peak
