@@ -14,8 +14,11 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import ExitStack, contextmanager
 from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, cps, eberlein, inflate, spectra, stochastic, suites
 from .zroot5 import TAU, FourierModulePoint, QuadraticInt
@@ -31,8 +34,11 @@ _CONFIG_KEYS = {
 _PRESET_SYSTEMS = ("fibonacci", "twisted_fibonacci", "thue_morse", "random_fibonacci")
 
 # rows per block when array columns become Python scalars or text for a
-# writer; 4096-row blocks of text raised the peak RSS of `split` at R = 1e5
-# by 2.8 MB and 256-row blocks by none, at the same speed
+# writer.  With `split` writing up to 4 files' text per block, 8 alternating
+# `bench/run.py --workload split_csv` runs (R = 1e5) gave medians of
+# 0.567 s / 39.46 MB at 256 rows, 0.542 s / 39.73 MB at 1024 and
+# 0.564 s / 41.94 MB at 4096 (2-core x86-64, Python 3.11, numpy 2.4): the
+# same speed within the runs' quartiles, and the least memory at 256
 _ROW_BLOCK = 256
 
 
@@ -52,17 +58,34 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _write_csv(path: str, header: list[str], rows, cfg: dict) -> None:
-    """Stream rows of Python scalars, or text from _key_lines, to a CSV file.
+@contextmanager
+def _open_csv(path, header: list[str], cfg: dict):
+    """A new CSV file holding its comment and header lines, open for rows.
+
+    Rows may be computed while they stream out; if that raises, the partial
+    file is removed, so a failed command leaves no truncated output.
+    """
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.write(f"# combsplit {__version__} config_hash={_config_hash(cfg)}\n")
+            fh.write(",".join(header) + "\n")
+            yield fh
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path, header: list[str], rows, cfg: dict) -> None:
+    """Stream rows of Python scalars, or whole lines of text from _key_lines,
+    to a CSV file.
 
     Cells are written with str, which for Python floats is the shortest
     repr; callers pass columns through .tolist(), never numpy scalars.
     """
-    with open(path, "w") as fh:
-        fh.write(f"# combsplit {__version__} config_hash={_config_hash(cfg)}\n")
-        fh.write(",".join(header) + "\n")
+    with _open_csv(path, header, cfg) as fh:
         fh.writelines(
-            (row if isinstance(row, str) else ",".join(map(str, row))) + "\n" for row in rows
+            row if isinstance(row, str) else ",".join(map(str, row)) + "\n" for row in rows
         )
 
 
@@ -202,28 +225,41 @@ def _point_rows(tps: inflate.TypedPointSet):
             yield (t, *row)
 
 
-def _key_rows(keys, values, *columns):
-    """Rows (m, n, value, *columns) of Python scalars from array columns.
+def _key_rows(keys, values):
+    """Rows (m, n, value) of Python scalars from array columns.
 
     Columns are converted a block of rows at a time, so a large comb never
     holds all of its cells as Python objects at once.
     """
     for lo in range(0, len(keys), _ROW_BLOCK):
         block = slice(lo, lo + _ROW_BLOCK)
-        yield from zip(keys[block, 0].tolist(), keys[block, 1].tolist(),
-                       values[block].tolist(), *(c[block].tolist() for c in columns))
+        yield from zip(keys[block, 0].tolist(), keys[block, 1].tolist(), values[block].tolist())
 
 
-def _key_lines(keys, values, *columns):
-    """The CSV lines of _key_rows, joined into one string per block of rows.
+def _level_text(levels, tail: str = "") -> list[str]:
+    """The text ",re,im<tail>\\n" that ends the line of an atom, per level."""
+    return [f",{re!r},{im!r}{tail}\n"
+            for re, im in zip(levels.real.tolist(), levels.imag.tolist())]
 
-    Each block is formatted column by column, so no Python code runs per
-    row or per cell.
+
+def _key_lines(keys, values, tails=((None, ("\n",)),)):
+    """CSV text per block of rows: one string per (level, texts) tail, each
+    line m,n,value followed by texts[level[row]].
+
+    The m,n,value text of a block is formatted once, column by column, and
+    shared by every tail; a tail with one text ignores its level.  So files
+    on the same keys format their keys once, and each distinct weight is
+    formatted once, by _level_text.
     """
     for lo in range(0, len(keys), _ROW_BLOCK):
         block = slice(lo, lo + _ROW_BLOCK)
-        cells = [list(map(str, c[block].tolist())) for c in (keys[:, 0], keys[:, 1], values, *columns)]
-        yield "\n".join(map(",".join, zip(*cells)))
+        cells = [map(str, c[block].tolist()) for c in (keys[:, 0], keys[:, 1], values)]
+        heads = list(map(",".join, zip(*cells)))
+        yield [
+            texts[0].join(heads) + texts[0] if len(texts) == 1
+            else "".join(map(str.__add__, heads, map(texts.__getitem__, level[block].tolist())))
+            for level, texts in tails
+        ]
 
 
 def cmd_generate(cfg: dict) -> int:
@@ -258,8 +294,33 @@ def cmd_project(cfg: dict) -> int:
             {"m": m, "n": n, "value": v} for m, n, v in _key_rows(pts, values)
         ]}, cfg)
     else:
-        _write_csv(out, ["m", "n", "value"], _key_lines(pts, values), cfg)
+        _write_csv(out, ["m", "n", "value"], (t for t, in _key_lines(pts, values)), cfg)
     return 0
+
+
+def _write_comb_csvs(out_dir: Path, named, cfg: dict) -> None:
+    """Write each (stem, comb) to out_dir/<stem>.csv, one row per atom.
+
+    Combs on equal keys (omega and nu of a type, types that share a window)
+    are written together, so each distinct key array is formatted once.
+    """
+    groups: list[list] = []
+    for stem, comb in named:
+        group = next((g for g in groups if np.array_equal(g[0][1].keys, comb.keys)), None)
+        if group is None:
+            groups.append([(stem, comb)])
+        else:
+            group.append((stem, comb))
+    header = ["m", "n", "value", "re_weight", "im_weight"]
+    for group in groups:
+        first = group[0][1]
+        tails = [(comb.level, _level_text(comb.levels)) for _, comb in group]
+        with ExitStack() as stack:
+            files = [stack.enter_context(_open_csv(out_dir / f"{stem}.csv", header, cfg))
+                     for stem, _ in group]
+            for texts in _key_lines(first.keys, first.positions, tails):
+                for fh, text in zip(files, texts):
+                    fh.write(text)
 
 
 def cmd_split(cfg: dict) -> int:
@@ -268,11 +329,11 @@ def cmd_split(cfg: dict) -> int:
     ctx = suites.system_context(system, R)
     out_dir = Path(_need(cfg, "out", str))
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = ["m", "n", "value", "re_weight", "im_weight"]
-    for t, (omega, nu) in ctx.splits.items():
-        for name, comb in (("omega", omega), ("nu", nu)):
-            lines = _key_lines(comb.keys, comb.positions, comb.weights.real, comb.weights.imag)
-            _write_csv(out_dir / f"{name}_{t}.csv", header, lines, cfg)
+    _write_comb_csvs(out_dir, [
+        (f"{name}_{t}", comb)
+        for t, (omega, nu) in ctx.splits.items()
+        for name, comb in (("omega", omega), ("nu", nu))
+    ], cfg)
     _write_json(
         out_dir / "splitting.json",
         {"system": system, "R": R, "alphas": ctx.alphas},
@@ -294,17 +355,21 @@ def cmd_correlate(cfg: dict) -> int:
     r_max = float(cfg.get("r_max", 20.0))
     variant = cfg.get("variant", "both")
     shape = cfg.get("shape", "one_sided")
-    rows = []
-    for R in _parse_r_grid(cfg):
-        corr = eberlein.pair_correlation(mu, nu, shape, R, r_max, variant)
-        rows += [
-            (*row, R, variant)
-            for row in _key_rows(corr.keys, corr.positions, corr.weights.real, corr.weights.imag)
-        ]
+    R_grid = _parse_r_grid(cfg)
+
+    def lines():
+        # each R's atoms stream out as they are correlated, its R,variant
+        # text formatted once into the text of each level
+        for R in R_grid:
+            corr = eberlein.pair_correlation(mu, nu, shape, R, r_max, variant)
+            tail = (corr.level, _level_text(corr.levels, f",{R!r},{variant}"))
+            for text, in _key_lines(corr.keys, corr.positions, [tail]):
+                yield text
+
     _write_csv(
         _need(cfg, "out", str),
         ["m", "n", "distance", "re_weight", "im_weight", "R", "variant"],
-        rows,
+        lines(),
         cfg,
     )
     return 0

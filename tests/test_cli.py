@@ -386,16 +386,46 @@ def test_outputs_match_pinned_digests(tmp_path):
     assert golden_digests(tmp_path) == PINNED_DIGESTS
 
 
-def test_write_csv_matches_per_cell_repr(tmp_path, monkeypatch):
+def per_cell(header, rows, cfg):
+    """The reference formatting: repr for floats, str for everything else."""
     from combsplit import cli
 
-    def per_cell(header, rows, cfg):
-        # the reference formatting: repr for floats, str for everything else
-        comment = f"# combsplit {__version__} config_hash={cli._config_hash(cfg)}"
-        lines = [comment, ",".join(header)]
-        for row in rows:
-            lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-        return ("\n".join(lines) + "\n").encode()
+    comment = f"# combsplit {__version__} config_hash={cli._config_hash(cfg)}"
+    lines = [comment, ",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+COMB_HEADER = ["m", "n", "value", "re_weight", "im_weight"]
+
+
+def comb_rows(comb):
+    """One row (m, n, position, re, im) of Python scalars per atom, gathered
+    atom by atom with no block or level structure."""
+    return [
+        (int(m), int(n), float(x), float(w.real), float(w.imag))
+        for (m, n), x, w in zip(comb.keys, comb.positions, comb.weights.astype(complex))
+    ]
+
+
+def counting_key_lines(monkeypatch):
+    """Record the keys of every _key_lines call; returns the record."""
+    from combsplit import cli
+
+    key_lines, seen = cli._key_lines, []
+
+    def counting(keys, *args):
+        seen.append(keys)
+        return key_lines(keys, *args)
+
+    monkeypatch.setattr(cli, "_key_lines", counting)
+    return seen
+
+
+def test_write_csv_matches_per_cell_repr(tmp_path, monkeypatch):
+    from combsplit import cli
+    from combsplit.combs import WeightedComb
 
     cfg = {"system": "fibonacci", "R": 10.0}
     header = ["k_a", "value", "label", "cauchy_diff"]
@@ -413,11 +443,57 @@ def test_write_csv_matches_per_cell_repr(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
     keys = np.array([[2**40, -3], [0, 1], [-7, 0], [5, 5], [1, -1]], dtype=np.int64)
     values = np.array([-0.0, 1e-05, 5e-324, 0.1 + 0.2, 1e16])
-    extra = np.array([1.5, -1.5e-300, float(2**53 + 1), 0.0, 3.0])
     for n in (5, 3, 0):
-        columns = (keys[:n], values[:n], extra[:n])
-        cli._write_csv(out, header, cli._key_lines(*columns), cfg)
-        assert out.read_bytes() == per_cell(header, list(cli._key_rows(*columns)), cfg)
+        lines = (text for text, in cli._key_lines(keys[:n], values[:n]))
+        cli._write_csv(out, ["m", "n", "value"], lines, cfg)
+        assert out.read_bytes() == per_cell(
+            ["m", "n", "value"], list(cli._key_rows(keys[:n], values[:n])), cfg)
+
+    # the grouped comb writer: one shared group of 300 atoms (1, 2 and 300
+    # levels, real and complex), as many atoms on other keys, a strict slice
+    # of the shared keys (a group of one, 296 atoms, so its last block is
+    # partial), a short complex comb and an empty one
+    ms = np.arange(300, dtype=np.int64)
+    shared = np.stack([3 * ms - 450, ms % 7 - 3], axis=1)
+    shared = shared[np.argsort(shared[:, 0] + shared[:, 1] * (1 + 5**0.5) / 2)]
+    cover = (-1e4, 1e4)
+    third = 0.1 + 0.2
+    spread = (np.arange(300) - 150) * third + 1j * np.where(ms % 2, -0.0, 1.5)
+    spread[:3] = [-0.0 + 5e-324j, 1e16 - 0.0j, 5e-324 + 0j]
+    two = np.where(ms % 3 == 0, 1.0 - third, -third)
+    named = [
+        ("omega_a", WeightedComb.from_weights(shared, np.full(300, third), cover)),
+        ("nu_a", WeightedComb.from_weights(shared, two, cover)),
+        ("spread", WeightedComb.from_weights(shared, spread, cover)),
+        ("shifted", WeightedComb.from_weights(shared + [1, 0], two, cover)),
+        ("nu_slice", WeightedComb.from_weights(shared[2:-2], two[2:-2], cover)),
+        ("short", WeightedComb.from_weights(shared[:7], np.full(7, -0.0 + 1e16j), cover)),
+        ("empty", WeightedComb.from_weights(shared[:0], two[:0], cover)),
+    ]
+    assert [len(c.levels) for _, c in named] == [1, 2, 300, 2, 2, 1, 0]
+    seen = counting_key_lines(monkeypatch)
+    cli._write_comb_csvs(tmp_path, named, cfg)
+    assert [len(k) for k in seen] == [300, 300, 296, 7, 0]
+    for stem, comb in named:
+        written = (tmp_path / f"{stem}.csv").read_bytes()
+        assert written == per_cell(COMB_HEADER, comb_rows(comb), cfg), stem
+
+
+@pytest.mark.parametrize("system,groups", [("twisted_fibonacci", 2), ("thue_morse", 1)])
+def test_split_files_match_per_cell_reference(system, groups, tmp_path, monkeypatch):
+    from combsplit import suites
+
+    seen = counting_key_lines(monkeypatch)
+    assert run("split", "--system", system, "--R", "2000", "--out", str(tmp_path)) == 0
+    # each distinct key array is formatted once, for all the files on it
+    assert len(seen) == groups
+    assert not any(np.array_equal(a, b) for i, a in enumerate(seen) for b in seen[i + 1:])
+    cfg = {"system": system, "R": 2000.0}
+    ctx = suites.system_context(system, 2000.0)
+    for t, (omega, nu) in ctx.splits.items():
+        for name, comb in (("omega", omega), ("nu", nu)):
+            written = (tmp_path / f"{name}_{t}.csv").read_bytes()
+            assert written == per_cell(COMB_HEADER, comb_rows(comb), cfg), f"{name}_{t}"
 
 
 def test_sample_points_out_draws_the_gas_once(tmp_path, monkeypatch):
