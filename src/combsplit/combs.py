@@ -55,6 +55,13 @@ def _encode(keys: np.ndarray) -> np.ndarray:
     return keys[:, 0] * _CODE_SHIFT + keys[:, 1]
 
 
+def _decode(codes: np.ndarray) -> np.ndarray:
+    """The (N, 2) keys of _encode's codes.  The codes of two keys add to the
+    code of their sum while its |m| and |n| stay below 2**31."""
+    m = (codes + _KEY_BOUND) // _CODE_SHIFT
+    return np.stack([m, codes - m * _CODE_SHIFT], axis=1)
+
+
 @dataclass(frozen=True)
 class WeightedComb:
     """sum_v levels[v] * 1_{S_v}: atoms at exact positions, each weighing one

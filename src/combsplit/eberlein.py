@@ -8,8 +8,11 @@ for one-sided ones.  One kernel backs the convolution: each comb is stored
 as its weight levels, sum_v v * 1_{S_v}, so every atom is a short sum of
 int64 pair counts N_ij(s) times level products.  The counts come from bit
 rows per lag when both combs live densely on the integers with few levels,
-and otherwise from a pair sweep over exact keys that works block by block,
-so its memory does not grow with the pair count.
+and otherwise from a pair sweep that works block by block, so its memory
+does not grow with the pair count.  The sweep adds int64 key codes (the
+code of a sum of keys is the sum of their codes, combs._encode), tallies a
+block's cells (code, level pair) by sorting one int64 per pair, and decodes
+the atoms' keys once, at the end.
 
 Correlation atoms and FB coefficients share one exact accumulator (a long
 accumulator after Kulisch & Miranker, binned by exponent as in Demmel &
@@ -21,8 +24,11 @@ real or imaginary half of a complex product.  Only the nonzero cells are
 combined as Python ints, and each group is rounded once by int / int, so
 every atom and every FB value is correctly rounded and reruns are
 bit-identical.  A complex product is formed from separately rounded real
-products, never from fused multiply-adds, and a non-finite product or sum
-raises ValueError.
+products, never from fused multiply-adds (a real weight times a complex
+factor, as in an FB sum, from the two products with the factor's parts),
+and a non-finite product or sum raises ValueError.  An FB scan forms the
+phases, factors and limbs of FB_BLOCK atoms at a time and carries the limb
+rows from block to block.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .combs import WeightedComb, _encode, linear_combine, reflect_conjugate
+from .combs import WeightedComb, _check_key_range, _decode, _encode, linear_combine, reflect_conjugate
 from .zroot5 import FourierModulePoint, embed_array, frac_phases
 
 __all__ = [
@@ -57,10 +63,16 @@ class RangeError(ValueError):
 
 # The pair sweep forms at most PAIR_BLOCK pairs at a time and keeps at most
 # FOLD_CELLS (key, level pair) counts before it sums them exactly, so its
-# memory is bounded (about 80 MiB) whatever the pair count; the exact
-# accumulator likewise takes at most FOLD_CELLS terms at a time.
-PAIR_BLOCK = 1 << 16
+# memory is bounded whatever the pair count; the exact accumulator likewise
+# takes at most FOLD_CELLS terms at a time, and an FB scan FB_BLOCK atoms.
+# Blocks this small keep their temporaries in cache.  On the twisted chain
+# (2-core x86 sandbox, medians of 5-7), orthogonality took 58, 56 and 59 ms
+# at R = 1e5 and 622, 510 and 547 ms at R = 1e6 with pair blocks of 2**14,
+# 2**15 and 2**16; the FB scan took 210, 183 and 242 ms at R = 1e5 with FB
+# blocks of 2**13, 2**14 and 2**15 (1976, 1845 and 1737 ms at R = 1e6).
+PAIR_BLOCK = 1 << 15
 FOLD_CELLS = 1 << 18
+FB_BLOCK = 1 << 14
 # Integer supports use bit rows up to this many weight-level pairs.  The
 # rows take about (x levels + 4 * y levels + level pairs / 8) bytes per site
 # of the span, y being the factor with fewer levels.  At 64 level pairs on
@@ -181,7 +193,7 @@ def eberlein_convolve(
     if integer and dense and len(vx) * len(vy) <= ROW_LEVEL_PAIRS:
         tallies = [_count_bits(kx[:, 0], lx, len(vx), ky[:, 0], ly, len(vy), r_max)]
     else:
-        tallies = _count_pairs(kx, lx, ky, ly, r_max)
+        tallies = _count_pairs(kx, lx, ky, ly, len(vy), r_max)
     return _averaged_comb(tallies, vx, vy, vol, coverage)
 
 
@@ -222,8 +234,8 @@ def _count_bits(mx, lx, nx, my, ly, ny, r_max):
     # x + y = s of a level pair are the popcount of an x row AND a shifted y
     # row (_popcounts, which copies the y rows eight times).
     if ny > nx:  # copy the factor with fewer levels
-        keys, j, i, count = _count_bits(my, ly, ny, mx, lx, nx, r_max)
-        return keys, i, j, count
+        codes, j, i, count = _count_bits(my, ly, ny, mx, lx, nx, r_max)
+        return codes, i, j, count
     x0, x1, y0, y1 = int(mx[0]), int(mx[-1]), int(my[0]), int(my[-1])
     r = math.floor(r_max + 1e-9)
     s_hi = min(r, x1 + y1)
@@ -237,8 +249,7 @@ def _count_bits(mx, lx, nx, my, ly, ny, r_max):
     b[ly, pad + y1 - my] = True
     counts = _popcounts(a, b, pad + x0 + y1 - lags)
     lag, i, j = np.nonzero(counts)
-    keys = np.stack([lags[lag], np.zeros_like(lag)], axis=1)
-    return keys, i, j, counts[lag, i, j]
+    return _lag_codes(lags[lag]), i, j, counts[lag, i, j]
 
 
 def _lattice_tables(occupied, r_max):
@@ -266,18 +277,24 @@ def _lag_tally(lags, tables):
     # the tally of one cell (lag, i, j) per lag and level pair (i, j), where
     # tables[(i, j)] counts the pairs of levels vx[i] and vy[j] per lag
     pairs = np.array(list(tables), dtype=np.int64)
-    keys = np.zeros((len(pairs) * len(lags), 2), dtype=np.int64)
-    keys[:, 0] = np.tile(lags, len(pairs))
     i, j = np.repeat(pairs, len(lags), axis=0).T
-    return keys, i, j, np.concatenate(list(tables.values()))
+    return _lag_codes(np.tile(lags, len(pairs))), i, j, np.concatenate(list(tables.values()))
 
 
-def _count_pairs(kx, lx, ky, ly, r_max):
+def _lag_codes(lags):
+    # the key codes of the integer lags (lag, 0)
+    return _encode(np.stack([lags, np.zeros_like(lags)], axis=1))
+
+
+def _count_pairs(kx, lx, ky, ly, n_j, r_max):
     # Any supports: for every x-atom the admissible y-atoms form a contiguous
     # window of the sorted nu support.  Pairs are formed at most PAIR_BLOCK
-    # at a time (one x-atom may exceed it) and tallied block by block; the
-    # tallies are merged and handed on once they hold more than FOLD_CELLS
-    # cells, and at the end.
+    # at a time (one x-atom may exceed it) as key codes and level pairs,
+    # lx[i] * n_j + ly[j], and tallied block by block; the tallies are
+    # merged and handed on once they hold more than FOLD_CELLS cells, and at
+    # the end.  A pair's code is the sum of its atoms' codes while the sum
+    # key stays in range, so the extremes of the sum keys are checked first.
+    _check_key_range(np.stack([kx.min(axis=0) + ky.min(axis=0), kx.max(axis=0) + ky.max(axis=0)]))
     px = embed_array(kx[:, 0], kx[:, 1])
     py = embed_array(ky[:, 0], ky[:, 1])
     lo_idx = np.searchsorted(py, -r_max - px - 1e-9, side="left")
@@ -285,7 +302,7 @@ def _count_pairs(kx, lx, ky, ly, r_max):
     per_x = hi_idx - lo_idx
     ends = np.cumsum(per_x)
     starts = ends - per_x
-    a, pending = 0, []
+    a, pending, held = 0, [], 0
     while a < len(px):
         b = max(a + 1, int(np.searchsorted(ends, starts[a] + PAIR_BLOCK, side="right")))
         i_rep = np.repeat(np.arange(a, b), per_x[a:b])
@@ -293,62 +310,81 @@ def _count_pairs(kx, lx, ky, ly, r_max):
         # the eps guard above may admit a hair beyond r_max; cut exactly here
         keep = np.abs(px[i_rep] + py[j_rep]) <= r_max + 1e-9
         i_rep, j_rep = i_rep[keep], j_rep[keep]
-        ones = np.ones(len(i_rep), dtype=np.int64)
-        pending.append(_tally(kx[i_rep] + ky[j_rep], lx[i_rep], ly[j_rep], ones))
+        level_pair = lx[i_rep].astype(np.int64) * n_j + ly[j_rep]
+        # windows move left as x grows: the block's y-atoms start at lo_idx[b - 1]
+        y0 = int(lo_idx[b - 1])
+        codes = _encode(kx[a:b])[i_rep - a] + _encode(ky[y0 : hi_idx[a]])[j_rep - y0]
+        pending.append(_tally(codes, level_pair))
+        held += len(pending[-1][0])
         a = b
-        if a == len(px) or sum(len(keys) for keys, *_ in pending) > FOLD_CELLS:
-            yield _tally(*map(np.concatenate, zip(*pending)))
-            pending = []
+        if a == len(px) or held > FOLD_CELLS:
+            codes, level_pair, count = _tally(*map(np.concatenate, zip(*pending)))
+            yield codes, *np.divmod(level_pair, n_j), count
+            pending, held = [], 0
 
 
-def _tally(keys, i, j, count):
-    # One row per distinct cell (key, i, j), with the counts of its rows
-    # added.  Keys and level pairs are ranked first, so a cell index stays
-    # below the square of the row count and cannot overflow.  (Asking for
-    # counts makes np.unique sort; its hash table is slow on key codes,
-    # whose low 32 bits repeat.)  Level indices are widened from uint8/16.
-    codes = _encode(keys)
-    atoms = np.unique_counts(codes).values
-    atom = np.searchsorted(atoms, codes)
-    n_j = int(j.max(initial=0)) + 1
-    level_pair = i.astype(np.int64) * n_j + j
-    level_pairs = np.unique_counts(level_pair).values
-    cell = atom * len(level_pairs) + np.searchsorted(level_pairs, level_pair)
-    cells = np.unique_counts(cell).values
-    total = np.zeros(len(cells), dtype=np.int64)
-    np.add.at(total, np.searchsorted(cells, cell), count)
-    atom_keys = np.empty((len(atoms), 2), dtype=np.int64)
-    atom_keys[atom] = keys
-    atom, pair = np.divmod(cells, len(level_pairs))
-    return atom_keys[atom], *np.divmod(level_pairs[pair], n_j), total
+def _tally(codes, level_pair, count=None):
+    # The distinct cells (code, level pair) of the rows, in order, with the
+    # counts of their rows added (one per row when count is None).  A cell
+    # is one int64, code index * level pairs + level pair index, sorted
+    # once.  An index is the offset from the least value, or the rank where
+    # offsets could take a cell past 2**62; ranks stay below the row count.
+    atom, n_atoms, code_of = _index(codes, 2**62 // (int(level_pair.max(initial=0)) + 1))
+    pair, n_pairs, pair_of = _index(level_pair, 2**62 // n_atoms)
+    cell = atom * n_pairs + pair
+    if count is None:
+        cells, total = np.unique_counts(cell)
+    else:
+        cells, inverse = np.unique(cell, return_inverse=True)
+        total = np.zeros(len(cells), dtype=np.int64)
+        np.add.at(total, inverse, count)
+    atom, pair = np.divmod(cells, n_pairs)
+    return code_of(atom), pair_of(pair), total
+
+
+def _index(values, room):
+    # (index, bound, map back) for int64 values: offsets from the least value
+    # when they stay below room, else ranks
+    lo = int(values.min(initial=0))
+    span = int(values.max(initial=0)) - lo + 1
+    if span <= room:
+        return values - lo, span, lambda index: index + lo
+    distinct, rank = np.unique(values, return_inverse=True)
+    return rank, len(distinct), distinct.__getitem__
 
 
 def _exact_sums(tallies, vx, vy):
     # Per atom, the exact sum of count * vx[i] * vy[j] over its cells, rounded
-    # once; each tally is folded into the limb rows of the atoms seen so far.
-    keys, done = np.empty((0, 2), dtype=np.int64), None
+    # once; each tally is folded into the limb rows of the atoms seen so far,
+    # which are carried as key codes and decoded at the end.
+    codes, done = np.empty(0, dtype=np.int64), None
     for new, i, j, count in tallies:
-        keys = np.concatenate([new, keys])
-        codes, first, atom = np.unique(_encode(keys), return_index=True, return_inverse=True)
+        codes, atom = np.unique(np.concatenate([new, codes]), return_inverse=True)
         if done is not None:  # the rows so far move to their atoms' new places
             moved = np.zeros((len(codes), *done[1].shape[1:]), dtype=np.int64)
             moved[atom[len(new) :]] = done[1]
             done = done[0], moved
         done = _limb_rows(atom[: len(new)], vx[i], vy[j], count, len(codes), done)
-        keys = keys[first]
-    return keys, _rounded(*done)
+    return _decode(codes), _rounded(*done)
 
 
 def _limb_rows(group, x, y, count, n_groups, done=None):
     """The exponents e that occur and the int64 limb rows (n_groups, parts,
     exponents, 2) of the exact sums of count * x * y per group, as the module
-    docstring describes; done = (exponents, rows) adds rows of the same groups."""
+    docstring describes; count None counts each term once, and done =
+    (exponents, rows) adds rows of the same groups."""
     if len(x) > FOLD_CELLS:  # block by block, so that temporaries stay bounded
         for a in range(0, len(x), FOLD_CELLS):
             at = slice(a, a + FOLD_CELLS)
-            done = _limb_rows(group[at], x[at], y[at], count[at], n_groups, done)
+            block = None if count is None else count[at]
+            done = _limb_rows(group[at], x[at], y[at], block, n_groups, done)
         return done
-    if np.iscomplexobj(x) or np.iscomplexobj(y):  # rounded real products, unfused
+    if np.iscomplexobj(y) and not np.iscomplexobj(x):
+        # real weights times complex factors: the real and imaginary parts are
+        # the two products x * y.real and x * y.imag; the unfused formula's
+        # 0 * y terms would add nothing to any limb
+        parts = np.stack([x * y.real, x * y.imag], axis=1)
+    elif np.iscomplexobj(x) or np.iscomplexobj(y):  # rounded real products, unfused
         xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
         parts = np.stack([xr * yr - xi * yi, xr * yi + xi * yr], axis=1)
     else:
@@ -357,18 +393,23 @@ def _limb_rows(group, x, y, count, n_groups, done=None):
         raise ValueError(_NOT_FINITE)
     mantissa, exponent = np.frexp(parts)
     m, e = (mantissa * 2.0**53).astype(np.int64), exponent + 1073
-    present = np.zeros(2098, dtype=bool)
-    present[e] = True
+    present = np.bincount(e.ravel(), minlength=2098).astype(bool)
     if done is not None:
         present[done[0]] = True
-    exponents, column = np.flatnonzero(present), np.cumsum(present) - 1
     n_parts = parts.shape[1]
-    rows = np.zeros((n_groups, n_parts, len(exponents), 2), dtype=np.int64)
-    cell = ((group[:, None] * n_parts + np.arange(n_parts)) * len(exponents) + column[e]).ravel()
+    rows = np.zeros((n_groups, n_parts, int(present.sum()), 2), dtype=np.int64)
+    index = np.int32 if rows.size < 2**31 else np.int64
+    exponents, column = np.flatnonzero(present), np.cumsum(present, dtype=index) - 1
+    # cell (group, part, e) of rows, in place on the exponent columns
+    n_cells = n_parts * len(exponents)
+    cell = column[e]
+    cell += (group * n_cells).astype(index)[:, None]
+    cell += np.arange(n_parts, dtype=index) * len(exponents)
+    cell = cell.ravel()
     # a cell sums less than 2**27 times the atoms of one factor (or of the
     # comb), so it cannot wrap below 2**36 atoms
     for limb, value in zip(rows.reshape(-1, 2).T, (m >> 26, m & (2**26 - 1))):
-        np.add.at(limb, cell, (value * count[:, None]).ravel())
+        np.add.at(limb, cell, (value if count is None else value * count[:, None]).ravel())
     if done is not None:
         rows[:, :, column[done[0]]] += done[1]
     return exponents, rows
@@ -452,17 +493,21 @@ def _fb_values(
     bins = np.maximum(np.searchsorted(j, atom, side="right"), np.searchsorted(-i, -atom))
     del atom
     for k in K:
-        if isinstance(k, FourierModulePoint):
-            if k.is_zero():
-                factors = np.ones(len(keys), dtype=complex)
+        if not (isinstance(k, FourierModulePoint) or math.isfinite(k)):
+            raise ValueError(f"wave number must be finite, got {k!r}")
+        done = None
+        # phases, factors and limbs per block of FB_BLOCK atoms, carrying the
+        # limb rows; at least one block, so an empty comb sums to zero
+        for a in range(0, max(len(pos), 1), FB_BLOCK):
+            at = slice(a, a + FB_BLOCK)
+            if not isinstance(k, FourierModulePoint):
+                factors = np.exp(-2j * math.pi * float(k) * pos[at])
+            elif k.is_zero():
+                factors = np.ones(len(pos[at]), dtype=complex)
             else:
-                factors = np.exp(-2j * math.pi * frac_phases(k, keys[:, 0], keys[:, 1]))
-        else:
-            if not math.isfinite(k):
-                raise ValueError(f"wave number must be finite, got {k!r}")
-            factors = np.exp(-2j * math.pi * float(k) * pos)
-        exponents, rows = _limb_rows(bins, weights, factors, np.ones_like(bins), len(intervals))
-        del factors
+                factors = np.exp(-2j * math.pi * frac_phases(k, keys[at, 0], keys[at, 1]))
+            done = _limb_rows(bins[at], weights[at], factors, None, len(intervals), done)
+        exponents, rows = done
         sums = _rounded(exponents, np.cumsum(rows, axis=0)) / [[spec.vol(R)] for R in spec.R_list]
         yield k, [complex(re, im) for re, im in sums.tolist()]
 

@@ -26,7 +26,7 @@ from combsplit.eberlein import (
     orthogonality_report,
     pair_correlation,
 )
-from combsplit.zroot5 import TAU, FourierModulePoint, QuadraticInt, frac_phase, sign_of
+from combsplit.zroot5 import TAU, FourierModulePoint, QuadraticInt, embed_array, frac_phase, sign_of
 
 
 def brute_convolve(mu, nu, shape, R, r_max):
@@ -677,6 +677,133 @@ def test_pair_sweep_memory_is_bounded_by_its_blocks(monkeypatch):
     assert peak < 8 * n * (2 * r_max + 1), peak
 
 
+@st.composite
+def leveled_comb_st(draw, complex_levels):
+    """Atoms on small random Z[tau] keys, each on one of 1-300 random levels
+    (not all of them used, so level pairs run up to 300 * 300)."""
+    n_levels = draw(st.integers(1, 300), label="levels")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    levels = rng.normal(size=n_levels)
+    if complex_levels:
+        levels = levels + 1j * rng.normal(size=n_levels)
+    keys_st = st.tuples(st.integers(-15, 15), st.integers(-6, 6))
+    atoms = draw(st.dictionaries(keys_st, st.integers(0, n_levels - 1), max_size=24))
+    keys = np.array(list(atoms), dtype=np.int64).reshape(-1, 2)
+    order = np.argsort(keys[:, 0] + keys[:, 1] * TAU, kind="stable")
+    level = np.array(list(atoms.values()), dtype=np.int64).reshape(-1)[order]
+    index = np.min_scalar_type(n_levels - 1)
+    return WeightedComb(keys[order], levels, level.astype(index), (-math.inf, math.inf))
+
+
+@given(
+    st.data(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([None, 1, 3, 7]),
+    st.sampled_from(["one_sided", "symmetric"]),
+    st.sampled_from([3, 13]),
+    st.sampled_from([1, 2, 7]),
+)
+@settings(max_examples=150, deadline=None)
+def test_sweep_and_fb_blocks_match_brute_force_over_many_levels(
+    data, complex_x, complex_y, block, shape, R, r_max
+):
+    # blocks of 1, 3 and 7 pairs (or atoms) leave most blocks with a part of
+    # one x-atom's window, and make every tally and limb row a sum over blocks
+    mu = data.draw(leveled_comb_st(complex_x), label="mu")
+    nu = data.draw(leveled_comb_st(complex_y), label="nu")
+    spec = AveragingSpec(shape, (R / 2, float(R)))
+    K = [FourierModulePoint(0, 0), FourierModulePoint(1, 0), FourierModulePoint(-3, 2), 0.37]
+    with pytest.MonkeyPatch.context() as patch:
+        if block:
+            patch.setattr(eberlein, "PAIR_BLOCK", block)
+            patch.setattr(eberlein, "FB_BLOCK", block)
+        corr = pair_correlation(mu, nu, shape, float(R), r_max)
+        rows = fb_scan(nu, K, spec)
+    want = fsum_pair_correlation(mu, nu, shape, R, r_max, "both")
+    assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
+    for row in rows:
+        assert row.value == fsum_fb_value(nu, row.k, spec, row.R)
+
+
+def test_fb_blocks_equal_one_block(monkeypatch):
+    # the limb rows carried from block to block give the bits of one block
+    tps = inflate.realize_geometric(inflate.fibonacci_rule(), "a", 400.0)
+    keys = tps.comb().keys
+    rng = np.random.default_rng(3)
+    spec = AveragingSpec("one_sided", (40.0, 150.0, 400.0))
+    K = [*(FourierModulePoint(a, b) for a in (-2, 0, 1) for b in (-1, 0, 3)), 0.0, 0.37]
+    for weights in (np.where(rng.random(len(keys)) < 0.4, 0.6, -0.4),
+                    rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))):
+        comb = WeightedComb.from_weights(keys, weights, (0.0, 400.0))
+        monkeypatch.setattr(eberlein, "FB_BLOCK", len(keys))
+        whole = [row.value for row in fb_scan(comb, K, spec)]
+        for block in (1, 3, 7, 100):
+            monkeypatch.setattr(eberlein, "FB_BLOCK", block)
+            blocked = [row.value for row in fb_scan(comb, K, spec)]
+            assert np.array(blocked).tobytes() == np.array(whole).tobytes()
+
+
+def test_sweep_survives_blocks_emptied_by_the_exact_cut(monkeypatch):
+    # Near 2**30 a double is a multiple of 2**-22.  The y-atom at p = 2**30 +
+    # frac sits frac above the x-atom at -2**30; at r_max = frac - 5e-9 the
+    # window search rounds r_max + 2**30 to p and admits the pair, and the
+    # exact cut then drops it, so with one pair per block that block is empty.
+    x_far, y_far = (-(2**30), 0), (2**30 - 1, 1)
+    p = float(embed_array(np.array([y_far[0]]), np.array([y_far[1]]))[0])
+    r_max = (p - 2**30) - 5e-9
+    assert r_max + 2**30 + 1e-9 >= p and abs(p - 2**30) > r_max + 1e-9
+    # two more pairs at lag 0, in blocks of their own
+    mu = exact_comb({x_far: 2.0, (-(2**30) + 3, 0): 1.5, (-(2**30) + 5, 0): -0.5})
+    nu = exact_comb({y_far: 0.25, (2**30 - 3, 0): 3.0, (2**30 - 5, 0): 1.0})
+    R = 2.0**31
+    for block in (1, eberlein.PAIR_BLOCK):
+        monkeypatch.setattr(eberlein, "PAIR_BLOCK", block)
+        got = eberlein_convolve(mu, nu, "symmetric", R, r_max).atoms_dict()
+        want = brute_convolve(mu, nu, "symmetric", R, r_max)
+        assert got == want and got
+        alone = eberlein_convolve(exact_comb({x_far: 2.0}), nu, "symmetric", R, r_max)
+        assert len(alone) == 0 and alone.coverage == (-r_max, r_max)
+
+
+def test_sweep_codes_near_the_key_bound():
+    # keys near 2**30.5 whose positions lie near 0: key sums that stay below
+    # 2**31 are swept exactly (their codes span more than 2**62, so they are
+    # ranked), and sums that reach 2**31 raise instead of wrapping
+    m = int(2**30.5)
+    big = (m, -round(m / TAU))
+    assert abs(big[0] + big[1] * TAU) < 1.0
+    wide = {big: 1.5, (-big[0], -big[1]): -0.75, (-big[0] + 2, -big[1] - 1): 2.0}
+    small = {(0, 0): 1.0, (1, 0): -0.5, (-1, 1): 0.25, (2, -1): 3.0}
+    for mu, nu in ((wide, small), (small, wide)):
+        corr = pair_correlation(exact_comb(mu), exact_comb(nu), "symmetric", 4.0, 3.0)
+        want = exact_pair_correlation(mu, nu, "symmetric", 4, 3, "both")
+        assert corr.atoms_dict() == want and want
+    # the difference big - (-big) has |m| = 2 m > 2**31
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        pair_correlation(exact_comb({(-big[0], -big[1]): 1.0}), exact_comb(wide),
+                         "symmetric", 4.0, 3.0)
+
+
+code_st = st.one_of(st.integers(-50, 50), st.integers(-(2**63) + 2**32, 2**63 - 2**32))
+pair_st = st.one_of(st.integers(0, 20), st.integers(0, 2**62))
+
+
+@given(st.lists(st.tuples(code_st, pair_st, st.integers(1, 2**40)), max_size=60), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_tally_adds_the_rows_of_every_cell(rows, counted):
+    # offsets or ranks, whichever keeps a cell below 2**62, give the same
+    # sorted cells; codes spread over int64 and level pairs up to 2**62
+    # force the ranks
+    codes, pairs, counts = (np.array(c, dtype=np.int64).reshape(-1) for c in zip(*rows or [((), (), ())]))
+    want = {}
+    for c, p, n in zip(codes.tolist(), pairs.tolist(), counts.tolist()):
+        want[c, p] = want.get((c, p), 0) + (n if counted else 1)
+    got = eberlein._tally(codes, pairs, counts if counted else None)
+    assert [g.dtype for g in got] == [np.int64] * 3
+    assert list(zip(*(g.tolist() for g in got))) == [(*cell, n) for cell, n in sorted(want.items())]
+
+
 # doubles across the whole range: subnormals, signed zeros, mantissas of all
 # ones, and the largest finite values
 special_double_st = st.sampled_from([
@@ -748,6 +875,25 @@ def test_limb_rows_of_complex_products(terms):
     assert eberlein._rounded(*rows)[0].tolist() == [float(w) for w in want]
 
 
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2), double_st, st.complex_numbers(max_magnitude=1.0)),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_real_weights_times_complex_factors_take_two_products(terms):
+    # the FB case forms x * y.real and x * y.imag only, counting each term
+    # once: the limb rows of the unfused complex product, whose 0 * y terms
+    # add nothing to any limb
+    group, x, y = (np.array(column) for column in zip(*terms))
+    lean = eberlein._limb_rows(group, x, y, None, 3)
+    unfused = eberlein._limb_rows(group, x.astype(complex), y, np.ones(len(x), dtype=np.int64), 3)
+    assert np.array_equal(lean[0], unfused[0])
+    assert np.array_equal(lean[1], unfused[1])
+
+
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("shape", ["one_sided", "symmetric"])
 def test_fb_scan_with_complex_weights_matches_an_fsum_oracle(shape, block, monkeypatch):
@@ -760,17 +906,23 @@ def test_fb_scan_with_complex_weights_matches_an_fsum_oracle(shape, block, monke
     spec = AveragingSpec(shape, (7.0, 20.0, 41.5, 60.0))
     K = [FourierModulePoint(1, 0), FourierModulePoint(-3, 2), 0.37]
     for row in fb_scan(comb, K, spec):
-        lo, hi = spec.interval(row.R)
-        inside = (comb.positions >= lo - 1e-12) & (comb.positions <= hi + 1e-12)
-        keys, w = comb.keys[inside], comb.weights[inside]
-        if isinstance(row.k, FourierModulePoint):
-            f = np.exp(-2j * math.pi * eberlein.frac_phases(row.k, keys[:, 0], keys[:, 1]))
-        else:
-            f = np.exp(-2j * math.pi * row.k * comb.positions[inside])
-        re = math.fsum((w.real * f.real - w.imag * f.imag).tolist())
-        im = math.fsum((w.real * f.imag + w.imag * f.real).tolist())
-        vol = spec.vol(row.R)
-        assert row.value == complex(re / vol, im / vol)
+        assert row.value == fsum_fb_value(comb, row.k, spec, row.R)
+
+
+def fsum_fb_value(comb, k, spec, R):
+    """Oracle: math.fsum of the products w * exp(-2 pi i phase) over the atoms
+    in the interval of R, over vol; each complex product from separately
+    rounded real products."""
+    lo, hi = spec.interval(R)
+    inside = (comb.positions >= lo - 1e-12) & (comb.positions <= hi + 1e-12)
+    keys, w = comb.keys[inside], comb.weights[inside]
+    if isinstance(k, FourierModulePoint):
+        f = np.exp(-2j * math.pi * eberlein.frac_phases(k, keys[:, 0], keys[:, 1]))
+    else:
+        f = np.exp(-2j * math.pi * k * comb.positions[inside])
+    re = math.fsum((w.real * f.real - w.imag * f.imag).tolist())
+    im = math.fsum((w.real * f.imag + w.imag * f.real).tolist())
+    return complex(re / spec.vol(R), im / spec.vol(R))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
