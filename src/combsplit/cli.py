@@ -218,11 +218,12 @@ def _k_selection(cfg: dict) -> list:
     raise CliError(f"unknown k preset {preset!r}")
 
 
-def _point_rows(tps: inflate.TypedPointSet):
+def _point_lines(tps: inflate.TypedPointSet):
+    """CSV text of the rows type,m,n,value, a block of rows at a time."""
     for t in tps.types():
         pts = tps.points[t]
-        for row in _key_rows(pts, pts[:, 0] + pts[:, 1] * TAU):
-            yield (t, *row)
+        for text, in _key_lines(pts, pts[:, 0] + pts[:, 1] * TAU, lead=(t,)):
+            yield text
 
 
 def _key_rows(keys, values):
@@ -242,9 +243,10 @@ def _level_text(levels, tail: str = "") -> list[str]:
             for re, im in zip(levels.real.tolist(), levels.imag.tolist())]
 
 
-def _key_lines(keys, values, tails=((None, ("\n",)),)):
+def _key_lines(keys, values, tails=((None, ("\n",)),), lead=()):
     """CSV text per block of rows: one string per (level, texts) tail, each
-    line m,n,value followed by texts[level[row]].
+    line m,n,value followed by texts[level[row]], after the constant cells
+    of lead, if any.
 
     The m,n,value text of a block is formatted once, column by column, and
     shared by every tail; a tail with one text ignores its level.  So files
@@ -254,7 +256,7 @@ def _key_lines(keys, values, tails=((None, ("\n",)),)):
     for lo in range(0, len(keys), _ROW_BLOCK):
         block = slice(lo, lo + _ROW_BLOCK)
         cells = [map(str, c[block].tolist()) for c in (keys[:, 0], keys[:, 1], values)]
-        heads = list(map(",".join, zip(*cells)))
+        heads = list(map(",".join, zip(*map(repeat, lead), *cells)))
         yield [
             texts[0].join(heads) + texts[0] if len(texts) == 1
             else "".join(map(str.__add__, heads, map(texts.__getitem__, level[block].tolist())))
@@ -271,12 +273,13 @@ def cmd_generate(cfg: dict) -> int:
             "exact": True,  # kept for output compatibility: keys are always exact
             "points": [
                 {"type": t, "m": m, "n": n, "value": v}
-                for t, m, n, v in _point_rows(tps)
+                for t, pts in tps.points.items()
+                for m, n, v in _key_rows(pts, pts[:, 0] + pts[:, 1] * TAU)
             ],
         }
         _write_json(out, doc, cfg)
     else:
-        _write_csv(out, ["type", "m", "n", "value"], _point_rows(tps), cfg)
+        _write_csv(out, ["type", "m", "n", "value"], _point_lines(tps), cfg)
     return 0
 
 
@@ -432,8 +435,9 @@ def cmd_diffract(cfg: dict) -> int:
         return 0
     if cfg.get("riesz_depth") is not None:
         depth = int(cfg["riesz_depth"])
-        rz = spectra.riesz_coefficients(depth)
-        m_hi = min(rz.support(), _whole_r_max(cfg, 64))
+        # the depth is checked before r_max, then only the rows written are computed
+        m_hi = min(spectra.riesz_coefficients(depth, 0).support(), _whole_r_max(cfg, 64))
+        rz = spectra.riesz_coefficients(depth, m_hi)
         rows = [
             (
                 m,
@@ -505,18 +509,15 @@ def cmd_sample(cfg: dict) -> int:
         _write_json(out, doc, cfg)
         if cfg.get("points_out"):
             sites = stochastic._sites(row)
-            _write_csv(
-                cfg["points_out"],
-                ["m", "n", "value"],
-                zip(sites.tolist(), repeat(0), sites.astype(float).tolist()),
-                cfg,
-            )
+            keys = np.stack([sites, np.zeros_like(sites)], axis=1)
+            _write_csv(cfg["points_out"], ["m", "n", "value"],
+                       (text for text, in _key_lines(keys, sites.astype(float))), cfg)
         return 0
     if model == "random_fibonacci":
         p = float(cfg.get("p", 0.5))
         R = _need(cfg, "R", float)
         tps = stochastic.random_fibonacci(p, R, rng)
-        _write_csv(out, ["type", "m", "n", "value"], _point_rows(tps), cfg)
+        _write_csv(out, ["type", "m", "n", "value"], _point_lines(tps), cfg)
         return 0
     raise CliError(f"unknown stochastic system {model!r}")
 

@@ -28,6 +28,7 @@ __all__ = [
     "substitution_matrix",
     "pf_data",
     "PFData",
+    "realize_word",
     "realize_geometric",
     "densities",
     "fibonacci_rule",
@@ -236,10 +237,6 @@ def _philox_generator(seed: int, stream: int, level: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _philox_uniforms(seed: int, stream: int, level: int, count: int) -> np.ndarray:
-    return _philox_generator(seed, stream, level).random(count)
-
-
 # Words are read and written in blocks of an eighth of their letters, at
 # least 1024 and at most LETTER_BLOCK, so that the int64 temporaries of a
 # block stay near the size of the int16 word or below it at every length.
@@ -250,14 +247,11 @@ def _block_size(n_letters: int) -> int:
     return min(LETTER_BLOCK, max(1024, n_letters // 8))
 
 
-def realize_geometric(
-    rule: SubstitutionRule,
-    seed: str,
-    R: float,
-    rng_seed: int | None = None,
-    stream: int = 0,
-) -> TypedPointSet:
-    """Realize an inflation fixed point on [0, R] as typed left endpoints.
+def realize_word(
+    rule: SubstitutionRule, seed: str, R: float, rng_seed: int | None = None, stream: int = 0
+) -> np.ndarray:
+    """The tiles of an inflation fixed point that start in [0, R], as an int16
+    word of indices into rule.alphabet.
 
     Parameters
     ----------
@@ -265,13 +259,9 @@ def realize_geometric(
     seed : starting letter; for deterministic rules its image must start
         with the letter itself, so a one-sided fixed point exists.
     R : target length; the word is inflated until it covers [0, R' >= R]
-        and points beyond R are cut.
+        and the tiles that start beyond R are cut.
     rng_seed, stream : seed the branch draws of probabilistic rules;
         identical values reproduce the realization bit-for-bit.
-
-    Returns
-    -------
-    TypedPointSet with exact Z[tau] coordinates.
     """
     if seed not in rule.alphabet:
         raise RuleError(f"seed {seed!r} not in alphabet")
@@ -296,55 +286,97 @@ def realize_geometric(
     ]
     lengths = [rule.lengths[l] for l in rule.alphabet]
     len_values = np.array([l.embed() for l in lengths])
+    mat = substitution_matrix(rule)
     # letter frequencies over mean tile length: points per unit length
-    freqs = pf_data(substitution_matrix(rule)).right
+    freqs = pf_data(mat).right
     check_points_budget(R / float(freqs @ len_values), f"realizing {rule.name} on [0, {R:g}]")
 
+    # the letter counts of each level follow from the substitution matrix
     word = np.array([idx[seed]], dtype=np.int16)
+    tally = np.bincount(word, minlength=len(idx))
     level = 0
-    while float(np.bincount(word, minlength=len(idx)) @ len_values) < R:
+    while float(tally @ len_values) < R:
         word = _inflate_word(word, br_words, br_cumprob, rng_seed, stream, level)
+        tally = mat @ tally
         level += 1
         if level > 128:
             raise RuleError("inflation did not reach the requested length")
 
-    starts = _typed_starts(word, lengths, R, len(idx))
-    return TypedPointSet({letter: starts[i] for letter, i in idx.items()}, (0.0, float(R)))
-
-
-def _typed_starts(word, lengths, R, n_types):
-    # Exact keys of the tile starts on [0, R], one (count, 2) int64 array per
-    # letter.  Tiles have positive lengths, so the starts grow along the
-    # word, and so do their embeddings while a tile is longer than their
-    # rounding (under 1e-6 for keys below 2**31).  The starts kept are thus a
-    # prefix: start k + 1 is the end of tile k, and the prefix holds the
-    # starts up to the first tile end beyond R (the word's last tile end is
-    # no start).  That end is found from per-block letter counts, then within
-    # its block; each letter's keys are then written block by block from
-    # running tile-end sums, so nothing spans the whole word but the word.
+    # Tiles have positive lengths, so the starts grow along the word, and so
+    # do their embeddings while a tile is longer than their rounding (under
+    # 1e-6 for keys below 2**31).  The tiles kept are thus a prefix: start
+    # k + 1 is the end of tile k, and the prefix runs up to the first tile
+    # end beyond R (the word's last tile end is no start).  That end is found
+    # from per-block letter counts, then within its block.
     len_m = np.array([l.m for l in lengths], dtype=np.int64)
     len_n = np.array([l.n for l in lengths], dtype=np.int64)
     block = _block_size(len(word))
-    counts = np.array([
-        np.bincount(word[a : a + block], minlength=n_types)
-        for a in range(0, len(word), block)
-    ])
+    counts = np.array([np.bincount(word[a : a + block], minlength=len(idx))
+                       for a in range(0, len(word), block)])
     block_m, block_n = np.cumsum(counts @ len_m), np.cumsum(counts @ len_n)
     b = min(int(np.searchsorted(embed_array(block_m, block_n), R, side="right")), len(counts) - 1)
     letters = word[b * block : (b + 1) * block]
     end_m = np.cumsum(len_m[letters]) + (block_m[b - 1] if b else 0)
     end_n = np.cumsum(len_n[letters]) + (block_n[b - 1] if b else 0)
     cut = b * block + int(np.searchsorted(embed_array(end_m, end_n), R, side="right"))
-    kept = 1 + min(cut, len(word) - 1)
+    return word[: 1 + min(cut, len(word) - 1)]
 
-    full = kept // block
-    per_type = counts[:full].sum(axis=0) + np.bincount(
-        word[full * block : kept], minlength=n_types)
+
+def _inflate_word(word, br_words, br_cumprob, rng_seed, stream, level):
+    # One padded int16 row per (letter, branch): the image, then -1s.  The
+    # images are looked up block by block, so the index temporaries stay
+    # small, and the padding is dropped at the end.  A letter's branch is the
+    # count of its cumulative probabilities, bar the last, that its uniform
+    # reaches; the uniforms are drawn a block at a time.
+    n_branches = max(len(b) for b in br_words)
+    width = max(len(img) for b in br_words for img in b)
+    table = np.full((len(br_words), n_branches, width), -1, dtype=np.int16)
+    for i, images in enumerate(br_words):
+        for b, img in enumerate(images):
+            table[i, b, : len(img)] = img
+    table = table.reshape(-1, width)
+    steps = [(i, c) for i, cumprob in enumerate(br_cumprob) for c in cumprob[:-1].tolist()]
+    gen = _philox_generator(rng_seed, stream, level) if n_branches > 1 else None
+    out = np.empty((len(word), width), dtype=np.int16)
+    block = _block_size(len(word))
+    for a in range(0, len(word), block):
+        letters = word[a : a + block]
+        code = letters * np.int16(n_branches)
+        if gen is not None:
+            u = gen.random(len(code))
+            for i, c in steps:
+                code += (u >= c) & (letters == i)
+        np.take(table, code, axis=0, out=out[a : a + block], mode="clip")
+    if all(len(img) == width for images in br_words for img in images):
+        return out.ravel()
+    return out[out >= 0]
+
+
+def realize_geometric(
+    rule: SubstitutionRule, seed: str, R: float, rng_seed: int | None = None, stream: int = 0
+) -> TypedPointSet:
+    """Realize an inflation fixed point on [0, R] as typed left endpoints
+    with exact Z[tau] coordinates: the tile starts of realize_word's word."""
+    word = realize_word(rule, seed, R, rng_seed, stream)
+    starts = _typed_starts(word, [rule.lengths[l] for l in rule.alphabet])
+    return TypedPointSet(dict(zip(rule.alphabet, starts)), (0.0, float(R)))
+
+
+def _typed_starts(word, lengths):
+    # Exact keys of the tile starts of the word, one (count, 2) int64 array
+    # per letter.  Each letter's keys are written block by block from running
+    # tile-end sums, so nothing spans the whole word but the word.
+    len_m = np.array([l.m for l in lengths], dtype=np.int64)
+    len_n = np.array([l.n for l in lengths], dtype=np.int64)
+    block = _block_size(len(word))
+    per_type = sum(
+        np.bincount(word[a : a + block], minlength=len(lengths)) for a in range(0, len(word), block)
+    )
     starts = [np.empty((count, 2), dtype=np.int64) for count in per_type.tolist()]
-    filled = [0] * n_types
+    filled = [0] * len(lengths)
     start_m = start_n = 0
-    for a in range(0, kept, block):
-        letters = word[a : min(a + block, kept)]
+    for a in range(0, len(word), block):
+        letters = word[a : a + block]
         step_m, step_n = len_m[letters], len_n[letters]
         # the start of each tile: the running sum before it
         m = np.cumsum(step_m)
@@ -360,34 +392,6 @@ def _typed_starts(word, lengths, R, n_types):
             rows[:, 0], rows[:, 1] = m[mask], n[mask]
             filled[t] += len(rows)
     return starts
-
-
-def _inflate_word(word, br_words, br_cumprob, rng_seed, stream, level):
-    # One padded int16 row per (letter, branch): the image, then -1s.  The
-    # images are looked up block by block, so the index temporaries stay
-    # small, and the padding is dropped at the end.
-    n_branches = max(len(b) for b in br_words)
-    width = max(len(img) for b in br_words for img in b)
-    table = np.full((len(br_words), n_branches, width), -1, dtype=np.int16)
-    for i, images in enumerate(br_words):
-        for b, img in enumerate(images):
-            table[i, b, : len(img)] = img
-    table = table.reshape(-1, width)
-    u = _philox_uniforms(rng_seed, stream, level, len(word)) if n_branches > 1 else None
-    out = np.empty((len(word), width), dtype=np.int16)
-    block = _block_size(len(word))
-    for a in range(0, len(word), block):
-        code = word[a : a + block] * np.int16(n_branches)
-        if u is not None:
-            for i, cumprob in enumerate(br_cumprob):
-                if len(cumprob) > 1:
-                    mask = code == i * n_branches
-                    chosen = np.searchsorted(cumprob, u[a : a + block][mask], side="right")
-                    code[mask] += np.minimum(chosen, len(cumprob) - 1).astype(np.int16)
-        np.take(table, code, axis=0, out=out[a : a + block], mode="clip")
-    if all(len(img) == width for images in br_words for img in images):
-        return out.ravel()
-    return out[out >= 0]
 
 
 def densities(tps: TypedPointSet) -> dict[str, float]:

@@ -29,7 +29,6 @@ __all__ = [
     "tm_eta_bruteforce",
     "RieszCoefficients",
     "riesz_coefficients",
-    "tm_pair_prediction",
     "pp_intensity",
     "IntensityRow",
     "polarisation_zero_check",
@@ -44,9 +43,6 @@ class EtaTable:
 
     def __getitem__(self, m: int) -> Fraction:
         return self.values[abs(m)]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def as_floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.values])
@@ -78,7 +74,11 @@ def tm_signed_sequence(n: int) -> np.ndarray:
     Generated from the bit-parity of the index, deliberately independent of
     the substitution machinery it cross-checks.
     """
-    signs = np.bitwise_count(np.arange(n, dtype=np.uint32)).view(np.int8)
+    signs = np.empty(n, dtype=np.int8)
+    block = 1 << 16  # the uint32 indices are made a block at a time
+    for lo in range(0, n, block):
+        index = np.arange(lo, min(lo + block, n), dtype=np.uint32)
+        np.bitwise_count(index, out=signs[lo : lo + block].view(np.uint8))
     signs &= 1
     signs *= -2
     signs += 1
@@ -108,27 +108,34 @@ class RieszCoefficients:
 
     The trigonometric polynomial prod_{l<L} (1 - cos(2^{l+1} pi k)) has
     integer coefficients over the denominator 2^L, supported on |m| < 2^L.
+    The numerators are held for |m| <= window only.
     """
 
     depth: int
-    numerators: np.ndarray  # int64, index m + 2^depth - 1
+    window: int
+    numerators: np.ndarray  # int64, index m + window
     denominator: int
 
     def support(self) -> int:
         return 2**self.depth - 1
 
-    def coefficient(self, m: int) -> Fraction:
+    def _numerator(self, m: int) -> int:
         if abs(m) > self.support():
-            return Fraction(0)
-        return Fraction(int(self.numerators[m + self.support()]), self.denominator)
+            return 0
+        if abs(m) > self.window:
+            raise ValueError(f"coefficient {m} lies outside the window |m| <= {self.window}")
+        return int(self.numerators[m + self.window])
+
+    def coefficient(self, m: int) -> Fraction:
+        return Fraction(self._numerator(m), self.denominator)
 
     def coefficient_float(self, m: int) -> float:
-        if abs(m) > self.support():
-            return 0.0
-        return int(self.numerators[m + self.support()]) / self.denominator
+        return self._numerator(m) / self.denominator
 
     def evaluate_dyadic(self, grid_log2: int) -> np.ndarray:
         """Values on the grid j / 2^grid_log2 via folded coefficients."""
+        if self.window < self.support():
+            raise ValueError("evaluating the product needs the whole support")
         n = 2**grid_log2
         folded = np.zeros(n)
         ms = np.arange(-self.support(), self.support() + 1)
@@ -137,42 +144,34 @@ class RieszCoefficients:
 
 
 def riesz_coefficients(L: int, m_max: int | None = None) -> RieszCoefficients:
-    """Coefficients of the depth-L cosine product, exactly.
+    """Coefficients of the depth-L cosine product for |m| <= m_max (None: the
+    whole support), exactly.
 
-    Each level maps c to c - (shift by +2^l + shift by -2^l)/2, tracked as
-    int64 numerators over the growing power-of-two denominator.  Before
-    level l the support is |m| < 2^l, so each level updates that band in
-    place from one copy of it.  Depth is capped at 24 to keep the dense
-    coefficient array in memory.
+    The numerators f_l of the depth-(L - l) product at 2^l k satisfy f_L(r) =
+    [r = 0], f_l(2r) = 2 f_{l+1}(r) and f_l(2r + 1) = -f_{l+1}(r) - f_{l+1}(r + 1),
+    exact in int64 as |f_l| <= 2^(L - l); level l needs |r| <= (m_max >> l) + 1
+    only.  The depth cap of 24 is no longer a memory bound, but its error
+    text is CLI output and stays as it was.
     """
     if L < 1:
         raise ValueError("depth must be at least 1")
     if L > 24:
         raise ValueError("depth above 24 exceeds the memory budget")
-    half = 2**L - 1
-    num = np.zeros(2 * half + 1, dtype=np.int64)
-    num[half] = 1  # constant polynomial 1, scaled by 2^0
-    for level in range(L):
-        shift = 2**level
-        lo, hi = half - shift + 1, half + shift  # the band |m| < 2^level
-        band = num[lo:hi].copy()
-        num[lo:hi] *= 2  # denominator doubled
-        num[lo - shift : hi - shift] -= band
-        num[lo + shift : hi + shift] -= band
-    coeffs = RieszCoefficients(L, num, 2**L)
-    if m_max is not None and m_max > coeffs.support():
+    support = 2**L - 1
+    m_max = support if m_max is None else m_max
+    if m_max > support:
         raise ValueError("m_max exceeds the support of the depth-L product")
-    return coeffs
-
-
-def tm_pair_prediction(alpha: str, beta: str, m: int, eta: EtaTable | None = None) -> float:
-    """Predicted typed pair-correlation atom (1 + [alpha==beta] * eta(|m|)) / 4."""
-    if alpha not in ("a", "b") or beta not in ("a", "b"):
-        raise ValueError("types must be 'a' or 'b'")
-    if eta is None or len(eta) <= abs(m):
-        eta = tm_eta(abs(m))
-    sign = 1.0 if alpha == beta else -1.0
-    return 0.25 * (1.0 + sign * float(eta[m]))
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
+    f = np.array([0, 1, 0], dtype=np.int64)  # f_L on |r| <= 1
+    for level in range(L - 1, -1, -1):
+        reach = len(f) // 2
+        out = np.empty(2 * len(f) - 1, dtype=np.int64)  # f_level on |r| <= 2 reach
+        out[0::2] = 2 * f
+        out[1::2] = -(f[:-1] + f[1:])
+        keep = (m_max >> level) + (level > 0)
+        f = out[2 * reach - keep : 2 * reach + keep + 1]
+    return RieszCoefficients(L, m_max, f, 2**L)
 
 
 @dataclass(frozen=True)

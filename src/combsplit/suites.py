@@ -17,7 +17,7 @@ import numpy as np
 
 from . import combs, cps, eberlein, inflate, spectra, stochastic
 from .stochastic import Check, RngSpec
-from .zroot5 import SQRT5, TAU, FourierModulePoint
+from .zroot5 import SQRT5, TAU, FourierModulePoint, QuadraticInt
 
 __all__ = [
     "SuiteReport",
@@ -166,10 +166,8 @@ def suite_tm(seed: int | None = None) -> SuiteReport:
     recursion = spectra.tm_eta(64)
     rec_err = float(np.abs(recursion.as_floats() - brute).max())
 
-    # the realization is freed once correlated, before the Riesz table
-    tps = inflate.realize_geometric(inflate.thue_morse_rule(), "a", float(n_letters))
-    correlations = _tm_correlations(tps, float(n_letters), 32)
-    del tps
+    occupied = _tm_occupancy(inflate.thue_morse_rule(), float(n_letters))
+    correlations = _tm_correlations(occupied, float(n_letters), 32)
     worst_atom = 0.0
     for (a, b), g in correlations.items():
         sign = 1.0 if a == b else -1.0
@@ -179,7 +177,7 @@ def suite_tm(seed: int | None = None) -> SuiteReport:
 
     # wall time stays out of the report so reruns are byte-identical; the
     # acceptance gate asserts the runtime budget separately
-    riesz = spectra.riesz_coefficients(20)
+    riesz = spectra.riesz_coefficients(20, 8)
     riesz_err = max(
         abs(riesz.coefficient(m) - recursion[m]) for m in range(0, 9)
     )
@@ -193,27 +191,27 @@ def suite_tm(seed: int | None = None) -> SuiteReport:
     return SuiteReport("tm", checks, {"n_letters": n_letters})
 
 
-def _tm_correlations(
-    tps: inflate.TypedPointSet, R: float, r_max: int
-) -> dict[tuple[str, str], combs.WeightedComb]:
-    """The typed pair correlations of a doubling-chain realization on [0, R],
-    one_sided, atom for atom those of pair_correlation on its combs.
+def _tm_occupancy(rule: inflate.SubstitutionRule, R: float) -> np.ndarray:
+    """Type a's bool row over the sites 0..n-1 of a doubling-chain word on
+    [0, R]: every tile has length 1, so tile k starts at k (else ValueError)."""
+    one = QuadraticInt(1, 0)
+    if any(length != one for length in rule.lengths.values()):
+        raise ValueError(f"the types of {rule.name} do not tile the integers: "
+                         f"tile lengths {dict(rule.lengths)}")
+    return inflate.realize_word(rule, "a", R) == rule.alphabet.index("a")
 
-    The two types must tile the sites 0..n-1, n their total count (ValueError
-    otherwise).  With M those sites and P = type a, the tables of a's
-    occupancy row give every typed count by inclusion-exclusion: N_aa = N_PP,
-    N_ab = N_PM - N_PP, N_ba = N_MP - N_PP and N_bb = N_MM - N_PM - N_MP + N_PP.
+
+def _tm_correlations(
+    occupied: np.ndarray, R: float, r_max: int
+) -> dict[tuple[str, str], combs.WeightedComb]:
+    """The typed pair correlations on [0, R], one_sided, of a doubling-chain
+    realization whose sites 0..n-1 hold type a where occupied is True and
+    type b elsewhere: atom for atom those of pair_correlation on its combs.
+
+    With M the sites and P = type a, the tables of the occupancy row give
+    every typed count by inclusion-exclusion: N_aa = N_PP, N_ab = N_PM - N_PP,
+    N_ba = N_MP - N_PP and N_bb = N_MM - N_PM - N_MP + N_PP.
     """
-    n = tps.count()
-    occupied = np.zeros(n, dtype=bool)
-    for t in ("a", "b"):
-        m = tps.points[t][:, 0]
-        if len(m) and not (
-            m[0] >= 0 and m[-1] < n and (m[1:] > m[:-1]).all()
-            and not tps.points[t][:, 1].any() and not occupied[m].any()
-        ):
-            raise ValueError(f"the doubling chain's types do not tile 0..{n - 1}")
-        occupied[m] = t == "a"
     lags, n_pp, n_pm, n_mp, n_mm = eberlein._lattice_tables(occupied, r_max)
     counts = {
         ("a", "a"): n_pp, ("a", "b"): n_pm - n_pp, ("b", "a"): n_mp - n_pp,

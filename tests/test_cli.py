@@ -6,6 +6,7 @@ import pytest
 
 from combsplit import __version__
 from combsplit.cli import main
+from combsplit.zroot5 import TAU
 
 
 def run(*argv):
@@ -96,6 +97,27 @@ def test_sample_random_fibonacci_points(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[1] == "type,m,n,value"
     assert len(rows) > 300
+
+
+def test_point_files_match_per_cell_repr(tmp_path):
+    # generate and sample write type,m,n,value from _key_lines with a
+    # constant type cell: the bytes of one repr per cell, row by row
+    from combsplit import inflate, stochastic
+
+    runs = (
+        (("generate", "--system", "twisted_fibonacci", "--R", "700"),
+         inflate.realize_geometric(inflate.twisted_fibonacci_rule(), "a", 700.0)),
+        (("sample", "--system", "random_fibonacci", "--R", "700", "--seed", "7"),
+         stochastic.random_fibonacci(0.5, 700.0, stochastic.RngSpec(7))),
+    )
+    for argv, tps in runs:
+        out = tmp_path / f"{argv[0]}.csv"
+        assert run(*argv, "--out", str(out)) == 0
+        want = ["type,m,n,value"] + [
+            f"{t},{m},{n},{m + n * TAU!r}"
+            for t, pts in tps.points.items() for m, n in pts.tolist()
+        ]
+        assert out.read_text().splitlines()[1:] == want, argv[0]
 
 
 def test_sample_bernoulli_report(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from combsplit import cps, inflate
 from combsplit.inflate import (
@@ -324,7 +325,7 @@ def reference_inflate_word(word, br_words, br_cumprob, rng_seed, stream, level):
     # the per-(letter, branch) image copy that preceded the padded table
     branch = np.zeros(len(word), dtype=np.int8)
     if any(len(b) > 1 for b in br_words):
-        u = inflate._philox_uniforms(rng_seed, stream, level, len(word))
+        u = inflate._philox_generator(rng_seed, stream, level).random(len(word))
         for i in range(len(br_words)):
             if len(br_words[i]) > 1:
                 mask = word == i
@@ -397,12 +398,18 @@ def test_realize_matches_the_whole_word_path(monkeypatch, block, rule, rng_seed)
     cuts = [0.0, 0.5, *ends.tolist(), *((ends[:-1] + ends[1:]) / 2).tolist()]
     assert len(cuts) > 60
     for R in cuts:
-        want, _, _ = reference_realization(rule, R, rng_seed)
+        want, want_word, _ = reference_realization(rule, R, rng_seed)
         got = realize_geometric(rule, "a", R, rng_seed=rng_seed)
         assert list(got.points) == list(want)
         for t in want:
             assert got.points[t].dtype == np.int64
             assert np.array_equal(got.points[t], want[t]), (R, t)
+        # the two steps of a realization: the cut word, then its tile starts
+        word = inflate.realize_word(rule, "a", R, rng_seed=rng_seed)
+        assert word.dtype == np.int16 and np.array_equal(word, want_word), R
+        starts = inflate._typed_starts(word, lengths)
+        for t, keys in zip(want, starts):
+            assert np.array_equal(keys, want[t]), (R, t)
 
 
 @pytest.mark.parametrize("rule,rng_seed", REALIZED_RULES, ids=lambda x: getattr(x, "name", x))
@@ -412,3 +419,21 @@ def test_realize_matches_the_whole_word_path_over_many_blocks(rule, rng_seed):
         got = realize_geometric(rule, "a", R, rng_seed=rng_seed)
         for t in want:
             assert np.array_equal(got.points[t], want[t]), (R, t)
+
+
+@given(
+    rule=st.sampled_from([inflate.random_fibonacci_rule(0.5), REALIZED_RULES[3][0]]),
+    rng_seed=st.integers(0, 2**64 - 1),
+    block=st.sampled_from([3, 7, 1024]),
+    R=st.one_of(st.floats(0.0, 3000.0), st.sampled_from([1023.0, 1024.0, 1025.0, 2048.0])),
+)
+@settings(max_examples=40, deadline=None)
+def test_branch_draws_by_block_equal_one_whole_word_draw(rule, rng_seed, block, R):
+    # Philox buffers its outputs, so uniforms drawn block by block from one
+    # generator per level equal one draw over the whole word
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inflate, "LETTER_BLOCK", block)
+        got = realize_geometric(rule, "a", R, rng_seed=rng_seed)
+    want, _, _ = reference_realization(rule, R, rng_seed)
+    for t in want:
+        assert np.array_equal(got.points[t], want[t]), t

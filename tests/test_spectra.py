@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from combsplit import cps, inflate, spectra
 from combsplit.combs import dirac_comb, lattice_comb
@@ -11,7 +12,6 @@ from combsplit.spectra import (
     riesz_coefficients,
     tm_eta,
     tm_eta_bruteforce,
-    tm_pair_prediction,
     tm_signed_sequence,
 )
 from combsplit.zroot5 import SQRT5, TAU, FourierModulePoint
@@ -83,15 +83,6 @@ def test_riesz_positive_on_dyadic_grid():
 def test_riesz_depth_cap():
     with pytest.raises(ValueError):
         riesz_coefficients(25)
-
-
-def test_pair_prediction_values():
-    assert tm_pair_prediction("a", "a", 0) == pytest.approx(0.5)
-    assert tm_pair_prediction("a", "b", 0) == pytest.approx(0.0)
-    assert tm_pair_prediction("a", "a", 1) == pytest.approx(1 / 6)
-    assert tm_pair_prediction("b", "a", 3) == pytest.approx(0.25 * (1 - 1 / 3))
-    with pytest.raises(ValueError):
-        tm_pair_prediction("a", "c", 0)
 
 
 def test_pp_intensity_zero_frequency_is_density():
@@ -192,6 +183,38 @@ def test_riesz_numerators_equal_the_dense_update():
         rz = riesz_coefficients(L)
         assert rz.numerators.dtype == np.int64 and rz.denominator == 2**L
         assert np.array_equal(rz.numerators, dense_riesz_numerators(L))
+
+
+@given(st.integers(1, 14).flatmap(lambda L: st.tuples(st.just(L), st.integers(0, 2**L - 1))))
+@settings(max_examples=60, deadline=None)
+def test_riesz_window_is_a_slice_of_the_dense_update(case):
+    L, m_max = case
+    rz = riesz_coefficients(L, m_max)
+    support = 2**L - 1
+    assert rz.numerators.dtype == np.int64 and rz.denominator == 2**L
+    want = dense_riesz_numerators(L)[support - m_max : support + m_max + 1]
+    assert np.array_equal(rz.numerators, want)
+    # beyond the support every coefficient is 0; inside it, beyond the
+    # window, asking is an error
+    assert rz.coefficient(support + 1) == 0 and rz.coefficient_float(-support - 1) == 0.0
+    if m_max < support:
+        for m in (m_max + 1, -m_max - 1, support):
+            with pytest.raises(ValueError, match="outside the window"):
+                rz.coefficient(m)
+            with pytest.raises(ValueError, match="outside the window"):
+                rz.coefficient_float(m)
+        with pytest.raises(ValueError, match="whole support"):
+            rz.evaluate_dyadic(L)
+    with pytest.raises(ValueError, match="exceeds the support"):
+        riesz_coefficients(L, support + 1)
+
+
+def test_riesz_window_at_depth_20_equals_the_dense_update():
+    dense = dense_riesz_numerators(20)
+    support = 2**20 - 1
+    for m_max in (0, 8, 70):
+        got = riesz_coefficients(20, m_max).numerators
+        assert np.array_equal(got, dense[support - m_max : support + m_max + 1])
 
 
 @pytest.mark.parametrize("n_letters", [1, 2, 65, 1000, 4096, 2**20])

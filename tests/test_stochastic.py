@@ -144,7 +144,7 @@ def test_bernoulli_verify_rejects_empty_ranges(N, r_max, message):
 def test_bernoulli_gas_matches_the_masked_lattice():
     for p, N in ((0.37, 5000), (0.0, 3), (1.0, 3), (0.5, 0)):
         sites = bernoulli_gas(p, N, RngSpec(8, 1))
-        u = inflate._philox_uniforms(8, 1, 0, 2 * N + 1)
+        u = inflate._philox_generator(8, 1, 0).random(2 * N + 1)
         want = np.arange(-N, N + 1, dtype=np.int64)[u < p]
         assert sites.dtype == want.dtype and np.array_equal(sites, want)
 
@@ -250,7 +250,7 @@ def test_bernoulli_gas_blocks_equal_one_draw(monkeypatch, block):
     sizes = [k * block + d for k in (1, 2, 3) for d in (-1, 0, 1) if (k * block + d) % 2]
     for n in sizes:
         N = n // 2
-        u = inflate._philox_uniforms(4, 2, 0, n)
+        u = inflate._philox_generator(4, 2, 0).random(n)
         row = stochastic._occupancy(0.45, N, RngSpec(4, 2))
         assert row.dtype == bool and np.array_equal(row, u < 0.45)
         sites = bernoulli_gas(0.45, N, RngSpec(4, 2))

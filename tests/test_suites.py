@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from combsplit import combs, cps, eberlein, inflate, suites
+from combsplit.zroot5 import QuadraticInt
 
 
 def test_system_context_projects_each_distinct_window_once(monkeypatch):
@@ -47,8 +50,12 @@ def test_system_context_projects_each_distinct_window_once(monkeypatch):
 )
 @settings(max_examples=20, deadline=None)
 def test_tm_correlations_equal_the_comb_correlations(R, r_max):
-    tps = inflate.realize_geometric(inflate.thue_morse_rule(), "a", float(R))
-    got = suites._tm_correlations(tps, float(R), r_max)
+    rule = inflate.thue_morse_rule()
+    tps = inflate.realize_geometric(rule, "a", float(R))
+    occupied = suites._tm_occupancy(rule, float(R))
+    assert np.array_equal(np.flatnonzero(occupied), tps.points["a"][:, 0])
+    assert len(occupied) == tps.count()
+    got = suites._tm_correlations(occupied, float(R), r_max)
     assert list(got) == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
     for (a, b), corr in got.items():
         want = eberlein.pair_correlation(tps.comb(a), tps.comb(b), "one_sided", float(R), r_max)
@@ -59,15 +66,26 @@ def test_tm_correlations_equal_the_comb_correlations(R, r_max):
 
 
 def test_tm_correlations_need_a_tiling():
-    tps = inflate.realize_geometric(inflate.thue_morse_rule(), "a", 64.0)
-    points = dict(tps.points)
-    for broken in (
-        {"a": points["a"], "b": np.concatenate([points["b"][:-1], points["a"][-1:]])},
-        {"a": points["a"] + [[0, 1]], "b": points["b"]},
-        {"a": points["a"], "b": points["b"] + [[1, 0]]},
-    ):
+    # the occupancy row reads tile k as site k, so every tile must have length 1
+    images = inflate.thue_morse_rule().images
+    for lengths in ({"a": QuadraticInt(2, 0), "b": QuadraticInt(1, 0)},
+                    {"a": QuadraticInt(1, 0), "b": QuadraticInt(0, 1)}):
+        rule = inflate.SubstitutionRule(("a", "b"), images, lengths)
         with pytest.raises(ValueError, match="do not tile"):
-            suites._tm_correlations(inflate.TypedPointSet(broken, tps.rng), 64.0, 8)
+            suites._tm_occupancy(rule, 64.0)
+
+
+def test_tm_suite_peak_memory():
+    # the realization is one int16 word and the Riesz check a window of
+    # coefficients; the whole dense table at depth 20 alone took 16 MiB
+    suites.run_suite("tm")
+    tracemalloc.start()
+    try:
+        suites.suite_tm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
 
 
 def test_tm_suite_makes_no_kernel_call(monkeypatch):
