@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .combs import WeightedComb, _check_key_range, _decode, _encode, linear_combine, reflect_conjugate
+from .combs import WeightedComb, _check_key_range, _decode, _encode, reflect_conjugate
 from .zroot5 import FourierModulePoint, embed_array, frac_phases
 
 __all__ = [
@@ -156,13 +156,19 @@ def eberlein_convolve(
     restriction needs; nothing is truncated silently.  ValueError for an
     r_max that is negative, infinite or NaN.
     """
+    tallies, vol = _count(mu, nu, shape, R, r_max, variant)
+    return _averaged_comb(tallies, mu.levels, nu.levels, vol, (-r_max, r_max))
+
+
+def _count(mu, nu, shape, R, r_max, variant):
+    # eberlein_convolve's checks and restriction, and the tallies (key code,
+    # i, j, count) of the factors' pairs per level pair (i, j), with vol(A)
     if variant not in ("both", "one"):
         raise ValueError(f"unknown variant {variant!r}")
     if not 0.0 <= r_max < math.inf:
         raise ValueError(f"r_max must be finite and nonnegative, got {r_max!r}")
     spec = AveragingSpec(shape, (R,))
     lo, hi = spec.interval(R)
-    vol = spec.vol(R)
 
     _require(
         mu.coverage[0] <= -hi and mu.coverage[1] >= -lo,
@@ -179,33 +185,26 @@ def eberlein_convolve(
 
     _, kx, lx = _restrict_arrays(mu, -hi, -lo)
     _, ky, ly = _restrict_arrays(nu, nu_lo, nu_hi)
-
-    # atom s is the sum of count * vx[i] * vy[j] over its cells (s, i, j);
-    # products are taken in dtype, at least double precision
-    dtype = np.result_type(mu.levels, nu.levels, np.float64)
-    vx, vy = mu.levels.astype(dtype), nu.levels.astype(dtype)
-    coverage = (-r_max, r_max)
-    if len(kx) == 0 or len(ky) == 0:
-        return WeightedComb.from_weights(kx[:0], np.empty(0, dtype=dtype), coverage)
-
-    integer = not (kx[:, 1].any() or ky[:, 1].any())
-    dense = all(16 * len(k) >= k[-1, 0] - k[0, 0] + 1 for k in (kx, ky))
-    if integer and dense and len(vx) * len(vy) <= ROW_LEVEL_PAIRS:
-        tallies = [_count_bits(kx[:, 0], lx, len(vx), ky[:, 0], ly, len(vy), r_max)]
-    else:
-        tallies = _count_pairs(kx, lx, ky, ly, len(vy), r_max)
-    return _averaged_comb(tallies, vx, vy, vol, coverage)
+    nx, ny = len(mu.levels), len(nu.levels)
+    # bit rows for nonempty integer supports with an atom per 16 sites or more
+    if nx * ny <= ROW_LEVEL_PAIRS and all(
+        len(k) and not k[:, 1].any() and 16 * len(k) >= k[-1, 0] - k[0, 0] + 1 for k in (kx, ky)
+    ):
+        return [_count_bits(kx[:, 0], lx, nx, ky[:, 0], ly, ny, r_max)], spec.vol(R)
+    return _count_pairs(kx, lx, ky, ly, ny, r_max), spec.vol(R)
 
 
 def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
     """The comb of the correctly rounded atoms sum(count * vx[i] * vy[j]) / vol
     over the tallied cells (key, i, j, count), all-zero atoms dropped, sorted
-    by position.  Every correlation, whatever counted its pairs, ends here."""
-    keys, sums = _exact_sums(tallies, vx, vy)
+    by position.  Every correlation, whatever counted its pairs, ends here.
+    The products are taken in the levels' dtype, at least double precision."""
+    dtype = np.result_type(vx, vy, np.float64)
+    keys, sums = _exact_sums(tallies, vx.astype(dtype), vy.astype(dtype))
     keep = sums.any(axis=1)
     # divide real and imaginary parts separately: numpy's complex division
     # multiplies by a reciprocal and would round twice
-    quotient = (sums[keep] / vol).view(np.result_type(vx, vy)).ravel()
+    quotient = (sums[keep] / vol).view(dtype).ravel()
     return WeightedComb.from_weights(keys[keep], quotient, coverage)
 
 
@@ -252,13 +251,14 @@ def _count_bits(mx, lx, nx, my, ly, ny, r_max):
     return _lag_codes(lags[lag]), i, j, counts[lag, i, j]
 
 
-def _lattice_tables(occupied, r_max):
-    """Lags s = -L..L, L = min(r_max, n - 1), and the int64 tables N_PP,
-    N_PM, N_MP and N_MM at each, for M the n sites of the bool row occupied
-    and P its True sites: N_AB(s) counts the pairs (x, y) in A x B with
-    y - x = s.  N_PP(s) is the popcount of the row AND the row shifted by s,
-    N_PM(s) is |P| less the occupied sites among the last s sites (the
-    first |s| when s < 0), N_MP(s) = N_PM(-s) and N_MM(s) = n - |s|."""
+def _lattice_tally(occupied, r_max):
+    """The tally (key code, i, j, count) of the pairs (x, y) of the n sites M
+    of the bool row occupied per lag s = y - x = -L..L, L = min(r_max, n - 1),
+    and label pair (i, j), label 0 for P, the True sites, and 1 for M \\ P.
+    With N_AB(s) the pairs of A x B at lag s, N_PP(s) is the popcount of the
+    row AND the row shifted by s, N_PM(s) is |P| less the occupied sites
+    among the last s sites (the first |s| when s < 0), N_MP(s) = N_PM(-s)
+    and N_MM(s) = n - |s|; the labels' counts follow by inclusion-exclusion."""
     n = len(occupied)
     lag = min(int(r_max), n - 1)  # no two sites lie farther apart
     lags = np.arange(-lag, lag + 1)
@@ -270,15 +270,10 @@ def _lattice_tables(occupied, r_max):
     head = np.cumsum(occupied[:lag], dtype=np.int64)
     tail = np.cumsum(occupied[::-1][:lag], dtype=np.int64)
     n_pm = np.concatenate([size - head[::-1], [size], size - tail])
-    return lags, n_pp, n_pm, n_pm[::-1], n - np.abs(lags)
-
-
-def _lag_tally(lags, tables):
-    # the tally of one cell (lag, i, j) per lag and level pair (i, j), where
-    # tables[(i, j)] counts the pairs of levels vx[i] and vy[j] per lag
-    pairs = np.array(list(tables), dtype=np.int64)
-    i, j = np.repeat(pairs, len(lags), axis=0).T
-    return _lag_codes(np.tile(lags, len(pairs))), i, j, np.concatenate(list(tables.values()))
+    n_mp, n_mm = n_pm[::-1], n - np.abs(lags)
+    count = np.concatenate([n_pp, n_pm - n_pp, n_mp - n_pp, n_mm - n_pm - n_mp + n_pp])
+    i, j = np.repeat([[0, 0, 1, 1], [0, 1, 0, 1]], len(lags), axis=1)
+    return _lag_codes(np.tile(lags, 4)), i, j, count
 
 
 def _lag_codes(lags):
@@ -294,6 +289,8 @@ def _count_pairs(kx, lx, ky, ly, n_j, r_max):
     # merged and handed on once they hold more than FOLD_CELLS cells, and at
     # the end.  A pair's code is the sum of its atoms' codes while the sum
     # key stays in range, so the extremes of the sum keys are checked first.
+    if not (len(kx) and len(ky)):
+        return
     _check_key_range(np.stack([kx.min(axis=0) + ky.min(axis=0), kx.max(axis=0) + ky.max(axis=0)]))
     px = embed_array(kx[:, 0], kx[:, 1])
     py = embed_array(ky[:, 0], ky[:, 1])
@@ -357,14 +354,14 @@ def _exact_sums(tallies, vx, vy):
     # Per atom, the exact sum of count * vx[i] * vy[j] over its cells, rounded
     # once; each tally is folded into the limb rows of the atoms seen so far,
     # which are carried as key codes and decoded at the end.
-    codes, done = np.empty(0, dtype=np.int64), None
+    codes = np.empty(0, dtype=np.int64)
+    done = codes, np.zeros((0, 1 + (np.result_type(vx, vy).kind == "c"), 0, 2), dtype=np.int64)
     for new, i, j, count in tallies:
         codes, atom = np.unique(np.concatenate([new, codes]), return_inverse=True)
-        if done is not None:  # the rows so far move to their atoms' new places
-            moved = np.zeros((len(codes), *done[1].shape[1:]), dtype=np.int64)
-            moved[atom[len(new) :]] = done[1]
-            done = done[0], moved
-        done = _limb_rows(atom[: len(new)], vx[i], vy[j], count, len(codes), done)
+        # the rows so far move to their atoms' new places
+        moved = np.zeros((len(codes), *done[1].shape[1:]), dtype=np.int64)
+        moved[atom[len(new) :]] = done[1]
+        done = _limb_rows(atom[: len(new)], vx[i], vy[j], count, len(codes), (done[0], moved))
     return _decode(codes), _rounded(*done)
 
 
@@ -587,8 +584,6 @@ class DecompositionReport:
 
 
 def decomposition_report(
-    comb_i: WeightedComb,
-    comb_j: WeightedComb,
     split_i: tuple[WeightedComb, WeightedComb],
     split_j: tuple[WeightedComb, WeightedComb],
     shape: str,
@@ -598,43 +593,55 @@ def decomposition_report(
 ) -> DecompositionReport:
     """Correlation of a typed pair against the pieces of its splitting.
 
-    Computes gamma_ij and the four split correlations with the identical
-    both-restricted kernel, so the bilinear identity
+    Each split is (omega, nu) with omega = alpha * delta_M of one level and
+    nu on omega's keys, as split_pp makes it; ValueError otherwise.  One
+    count pass over reflect(nu_i) x nu_j tallies every pair by nu's level
+    pair, which labels it (a point or the rest of M, on either side), and
+    gamma_ij and the four split correlations are five correctly rounded sums
+    of that tally, each atom for atom the pair_correlation of its combs; the
+    point comb omega + nu weighs fl(alpha + v) at nu's level v, exactly 1 or
+    0 for split_pp's levels.  So the bilinear identity
 
         gamma_ij = s_part + zero_part + cross_ij + cross_ji
 
-    holds atom-for-atom up to final rounding; the largest violation of
-    linear_combine's atomwise difference is reported as bilinear_residual.
-    zero_fb_max is the largest FB coefficient of the zero part over the
-    supplied wave numbers, from fb_scan on the symmetric interval of radius
-    r_max (so normalized by the support length 2 * r_max, with the exact
-    module-point phases): the finite proxy for a null FB spectrum of the
-    continuous-part correlation.
+    holds atom for atom up to final rounding; bilinear_residual is the
+    largest |gamma - s_part - zero_part - cross_ij - cross_ji| over their
+    keys, subtracted in that order.  zero_fb_max is the largest FB
+    coefficient of the zero part over the supplied wave numbers, from
+    fb_scan on the symmetric interval of radius r_max (so normalized by the
+    support length 2 * r_max, with the exact module-point phases): the
+    finite proxy for a null FB spectrum of the continuous-part correlation.
     """
-    omega_i, nu_i = split_i
-    omega_j, nu_j = split_j
-    args = (shape, R, r_max, "both")
-    gamma = pair_correlation(comb_i, comb_j, *args)
-    s_part = pair_correlation(omega_i, omega_j, *args)
-    zero_part = pair_correlation(nu_i, nu_j, *args)
-    cross_ij = pair_correlation(omega_i, nu_j, *args)
-    cross_ji = pair_correlation(nu_i, omega_j, *args)
+    for omega, nu in (split_i, split_j):
+        if len(omega.levels) != 1 or not np.array_equal(omega.keys, nu.keys):
+            raise ValueError("a split must be (omega, nu) with omega = alpha * delta_M "
+                             "of one level and nu on omega's keys")
+    (omega_i, nu_i), (omega_j, nu_j) = split_i, split_j
+    tallies, vol = _count(reflect_conjugate(nu_i), nu_j, shape, R, r_max, "both")
+    tallies = list(tallies)
 
-    residual = linear_combine(
-        [(1, gamma), (-1, s_part), (-1, zero_part), (-1, cross_ij), (-1, cross_ji)]
-    ).sup_norm()
+    def correlation(x, y):  # x, y: levels per level of nu_i, nu_j; x is reflected
+        return _averaged_comb(tallies, np.conj(x), y, vol, (-r_max, r_max))
+
+    alpha_i = np.full(len(nu_i.levels), omega_i.levels[0])
+    alpha_j = np.full(len(nu_j.levels), omega_j.levels[0])
+    parts = (
+        correlation(alpha_i + nu_i.levels, alpha_j + nu_j.levels),
+        correlation(alpha_i, alpha_j),
+        correlation(nu_i.levels, nu_j.levels),
+        correlation(alpha_i, nu_j.levels),
+        correlation(nu_i.levels, alpha_j),
+    )
+    keys = np.unique(np.concatenate([_encode(part.keys) for part in parts]))
+    residual = np.zeros(len(keys), dtype=np.result_type(*(part.levels for part in parts)))
+    for sign, part in zip((1, -1, -1, -1, -1), parts):
+        residual[np.searchsorted(keys, _encode(part.keys))] += sign * part.weights
+    gamma, s_part, zero_part, cross_ij, cross_ji = parts
     cross_sup = max(cross_ij.sup_norm(), cross_ji.sup_norm())
     zero_fb = 0.0
     if module_k:
         rows = fb_scan(zero_part, module_k, AveragingSpec("symmetric", (r_max,)))
         zero_fb = max(abs(row.value) for row in rows)
     return DecompositionReport(
-        gamma,
-        s_part,
-        zero_part,
-        cross_ij,
-        cross_ji,
-        float(residual),
-        float(cross_sup),
-        float(zero_fb),
+        *parts, float(np.abs(residual).max(initial=0.0)), float(cross_sup), float(zero_fb)
     )

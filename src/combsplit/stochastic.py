@@ -15,7 +15,7 @@ import numpy as np
 
 from .combs import linear_combine  # noqa: F401  (bench/spans.py traces this binding)
 from .cps import check_points_budget
-from .eberlein import AveragingSpec, FBRow, _averaged_comb, _lag_tally, _lattice_tables, fb_scan
+from .eberlein import AveragingSpec, FBRow, _averaged_comb, _lattice_tally, fb_scan
 from .eberlein import pair_correlation  # noqa: F401  (bench/spans.py traces this binding)
 from .inflate import (
     TypedPointSet,
@@ -118,15 +118,15 @@ def bernoulli_verify(
     one of them is computed.
 
     No comb over the 2N + 1 sites is built.  The gas is drawn as a bool row
-    over [-N, N], M its sites and P the occupied ones, and every pair count
-    of the three correlations comes from the set-level tables of that row
-    (eberlein._lattice_tables): N_PP(s) from its popcounts, N_PM(s) =
-    #(P with x + s in M) and N_MP(s) = N_PM(-s) from the occupied sites at
-    its ends, and the closed form N_MM(s) = 2N + 1 - |s|.  The counts
-    per level pair go through the exact sums of every correlation, so each
-    atom is the one pair_correlation gives for the combs lambda,
-    omega = p * delta_M and nu = lambda - omega, bit for bit.  N must be a
-    whole number >= 1 and r_max a whole number >= 1; ValueError otherwise.
+    over [-N, N], M its sites and P the occupied ones, and every pair of the
+    three correlations is counted once, in the labelled tally of that row
+    (eberlein._lattice_tally): per lag s and label pair, label 0 for P and
+    1 for M \\ P.  Each correlation weighs that one tally by a level per
+    label, lambda by [1, 0], omega = p * delta_M by [p, p] and
+    nu = lambda - omega by [1 - p, -p], through the exact sums of every
+    correlation, so each atom is the one pair_correlation gives for those
+    combs, bit for bit.  N must be a whole number >= 1 and r_max a whole
+    number >= 1; ValueError otherwise.
     """
     N, r_max = _whole_sizes(N, r_max)
     return _verify_occupancy(p, rng, _occupancy(p, N, rng), r_max, tol_gamma0, tol_gamma, tol_nu)
@@ -151,22 +151,20 @@ def _verify_occupancy(
 ) -> BernoulliReport:
     # bernoulli_verify on the gas drawn as the occupancy row over -N..N
     N = len(row) // 2
-    lags, n_pp, n_pm, n_mp, n_mm = _lattice_tables(row, r_max)
+    tally = [_lattice_tally(row, r_max)]
 
-    def correlation(vx, vy, tables):
-        return _averaged_comb([_lag_tally(lags, tables)], vx, vy, 2.0 * N, (-r_max, r_max))
+    def correlation(vx, vy):
+        return _averaged_comb(tally, vx, vy, 2.0 * N, (-r_max, r_max))
 
-    # levels: lambda {1}; nu {1 - p on P, -p on M \ P}; omega {p}
-    one, nu_levels, omega_level = np.ones(1), np.array([1.0 - p, -p]), np.array([float(p)])
-    gamma = correlation(one, one, {(0, 0): n_pp})
-    nu_corr = correlation(nu_levels, nu_levels, {
-        (0, 0): n_pp, (0, 1): n_pm - n_pp, (1, 0): n_mp - n_pp,
-        (1, 1): n_mm - n_pm - n_mp + n_pp,
-    })
+    # levels per label, P then M \ P
+    lam, nu_levels = np.array([1.0, 0.0]), np.array([1.0 - p, -p])
+    omega_levels = np.full(2, float(p))
+    gamma = correlation(lam, lam)
+    nu_corr = correlation(nu_levels, nu_levels)
     # both factors are real and restricted to [-N, N], so the other cross
     # correlation is this one mirrored, c_nu_omega(s) = c_omega_nu(-s), atom
     # for atom: each atom is the correctly rounded sum of the same products
-    cross = correlation(omega_level, nu_levels, {(0, 0): n_mp, (0, 1): n_mm - n_mp})
+    cross = correlation(omega_levels, nu_levels)
 
     g = {int(m): float(w.real) for (m, _), w in gamma.atoms_dict().items()}
     v = {int(m): float(w.real) for (m, _), w in nu_corr.atoms_dict().items()}
@@ -227,9 +225,11 @@ def empirical_pp_split(
     if weights is None:
         weights = {t: 1.0 for t in tps.types()}
     R_final = spec.R_list[-1]
+    lo, hi = spec.interval(R_final)
+    vol = spec.vol(R_final)
     all_rows: list[FBRow] = []
     amplitudes: dict[str, dict[FourierModulePoint, complex]] = {}
-    max_cauchy = 0.0
+    max_cauchy = total = 0.0
     for t in tps.types():
         comb = tps.comb(t)
         rows = fb_scan(comb, K, spec)
@@ -240,19 +240,15 @@ def empirical_pp_split(
             max_cauchy,
             max((r.cauchy for r in rows if r.cauchy is not None), default=0.0),
         )
+        pos = comb.positions
+        count = int(np.count_nonzero((pos >= lo) & (pos <= hi)))
+        total += abs(weights[t]) ** 2 * count / vol
 
     intensities = {
         k: abs(sum(weights[t] * amplitudes[t][k] for t in tps.types())) ** 2
         for k in K
     }
 
-    lo, hi = spec.interval(R_final)
-    vol = spec.vol(R_final)
-    total = 0.0
-    for t in tps.types():
-        pos = tps.comb(t).positions
-        count = int(np.count_nonzero((pos >= lo) & (pos <= hi)))
-        total += abs(weights[t]) ** 2 * count / vol
     residual = total - sum(intensities.values())
     return PPSplitReport(
         tuple(all_rows),

@@ -208,20 +208,15 @@ def _tm_correlations(
     realization whose sites 0..n-1 hold type a where occupied is True and
     type b elsewhere: atom for atom those of pair_correlation on its combs.
 
-    With M the sites and P = type a, the tables of the occupancy row give
-    every typed count by inclusion-exclusion: N_aa = N_PP, N_ab = N_PM - N_PP,
-    N_ba = N_MP - N_PP and N_bb = N_MM - N_PM - N_MP + N_PP.
+    The labelled tally of the occupancy row (eberlein._lattice_tally: label
+    0 for type a, 1 for type b) counts every typed pair once; type a weighs
+    it by the levels [1, 0] per label and type b by [0, 1].
     """
-    lags, n_pp, n_pm, n_mp, n_mm = eberlein._lattice_tables(occupied, r_max)
-    counts = {
-        ("a", "a"): n_pp, ("a", "b"): n_pm - n_pp, ("b", "a"): n_mp - n_pp,
-        ("b", "b"): n_mm - n_pm - n_mp + n_pp,
-    }
-    one = np.ones(1)
+    tally = [eberlein._lattice_tally(occupied, r_max)]
+    levels = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
     return {
-        types: eberlein._averaged_comb(
-            [eberlein._lag_tally(lags, {(0, 0): count})], one, one, R, (-r_max, r_max))
-        for types, count in counts.items()
+        (a, b): eberlein._averaged_comb(tally, levels[a], levels[b], R, (-r_max, r_max))
+        for a in "ab" for b in "ab"
     }
 
 

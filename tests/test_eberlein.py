@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combsplit import cps, eberlein, inflate
+from combsplit import combs, cps, eberlein, inflate
 from combsplit.combs import (
     WeightedComb,
+    _decode,
     dirac_comb,
     lattice_comb,
     linear_combine,
@@ -301,10 +302,8 @@ def test_orthogonality_report_makes_one_kernel_call_per_R(monkeypatch):
 
 def test_decomposition_bilinear_identity():
     R = 1000.0
-    tps, splits = _twisted_splitting(R)
+    _, splits = _twisted_splitting(R)
     report = decomposition_report(
-        tps.comb("a"),
-        tps.comb("b"),
         splits["a"],
         splits["b"],
         "one_sided",
@@ -321,11 +320,9 @@ def test_decomposition_zero_fb_uses_exact_phases():
     # the diagonal case: zero_fb_max is the largest |sum of w * e(-k s)| over
     # the zero part's atoms, by scalar 40-digit phases, over 2 * r_max
     R, r_max = 1000.0, 12.0
-    tps, splits = _twisted_splitting(R)
+    _, splits = _twisted_splitting(R)
     ks = [FourierModulePoint(1, 0), FourierModulePoint(-1, 2), 0.3]
-    report = decomposition_report(
-        tps.comb("a"), tps.comb("a"), splits["a"], splits["a"], "one_sided", R, r_max, ks
-    )
+    report = decomposition_report(splits["a"], splits["a"], "one_sided", R, r_max, ks)
     assert report.bilinear_residual <= 1e-15
     assert report.cross_sup == max(report.cross_ij.sup_norm(), report.cross_ji.sup_norm())
     zero = report.zero_part
@@ -340,9 +337,103 @@ def test_decomposition_zero_fb_uses_exact_phases():
             total += w * cmath.exp(-2j * math.pi * phase)
         want = max(want, abs(total) / (2 * r_max))
     assert report.zero_fb_max == pytest.approx(want, rel=1e-12)
-    assert decomposition_report(
-        tps.comb("a"), tps.comb("a"), splits["a"], splits["a"], "one_sided", R, r_max
-    ).zero_fb_max == 0.0
+    assert decomposition_report(splits["a"], splits["a"], "one_sided", R, r_max).zero_fb_max == 0.0
+
+
+def _random_split(model, alpha, seed, rng):
+    # the split of a random subset P of the model points, and P
+    chosen = np.random.default_rng(seed).random(len(model)) < 0.5
+    omega, nu = split_pp(model[chosen], cps.fibonacci_windows()["a"], alpha, rng, model)
+    return (omega, nu), model[chosen]
+
+
+def same_atoms(a, b):
+    # bit-equal atoms, in the same order: repr tells -0.0 from 0.0
+    return repr((a.keys.tolist(), a.weights.tolist(), a.coverage)) == repr(
+        (b.keys.tolist(), b.weights.tolist(), b.coverage))
+
+
+@given(
+    st.floats(5.0, 200.0),
+    st.sampled_from(["one_sided", "symmetric"]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 25.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_decomposition_is_five_roundings_of_one_count(R, shape, alpha_i, alpha_j, r_max, seed):
+    spec = AveragingSpec(shape, (R,))
+    rng = spec.interval(R)
+    model = cps.cut_and_project(cps.fibonacci_windows()["a"], rng)
+    split_i, P_i = _random_split(model, alpha_i, seed, rng)
+    split_j, P_j = _random_split(model, alpha_j, seed + 1, rng)
+    tallies = []
+
+    def recorded(count, sweep):
+        def counting(*args):
+            tallies.append(list(count(*args)) if sweep else [count(*args)])
+            return tallies[-1]
+        return counting
+
+    def refused(*args):
+        raise AssertionError("called linear_combine")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eberlein, "_count_pairs", recorded(eberlein._count_pairs, True))
+        patch.setattr(eberlein, "_count_bits", recorded(eberlein._count_bits, False))
+        patch.setattr(eberlein, "linear_combine", refused, raising=False)
+        patch.setattr(combs, "linear_combine", refused)
+        report = decomposition_report(split_i, split_j, shape, R, r_max)
+    assert len(tallies) == 1
+
+    # each piece atom for atom the kernel's correlation of its combs
+    (omega_i, nu_i), (omega_j, nu_j) = split_i, split_j
+    point_i, point_j = dirac_comb(P_i, rng), dirac_comb(P_j, rng)
+    pieces = [(report.gamma, point_i, point_j), (report.s_part, omega_i, omega_j),
+              (report.zero_part, nu_i, nu_j), (report.cross_ij, omega_i, nu_j),
+              (report.cross_ji, nu_i, omega_j)]
+    for got, a, b in pieces:
+        assert same_atoms(got, pair_correlation(a, b, shape, R, r_max))
+    parts = [(1, report.gamma)] + [(-1, got) for got, _, _ in pieces[1:]]
+    assert report.bilinear_residual == linear_combine(parts).sup_norm()
+
+    # the tally of the one count: per lag and label pair (label 0 a point,
+    # label 1 the rest of the model set), the pairs counted one by one
+    pos = model[:, 0] + model[:, 1] * TAU
+    inside = [tuple(k) for k in model[(pos >= rng[0] - 1e-12) & (pos <= rng[1] + 1e-12)].tolist()]
+    points = [set(map(tuple, P.tolist())) for P in (P_i, P_j)]
+    labels = [[(k, int(k not in point)) for k in inside] for point in points]
+    want = {}
+    for (x, a) in labels[0]:
+        for (y, b) in labels[1]:
+            if abs(y[0] - x[0] + (y[1] - x[1]) * TAU) <= r_max + 1e-9:
+                cell = (y[0] - x[0], y[1] - x[1], a, b)
+                want[cell] = want.get(cell, 0) + 1
+    got = {}
+    for codes, i, j, count in tallies[0]:
+        for (m, n), a, b, c in zip(_decode(codes).tolist(), i.tolist(), j.tolist(), count.tolist()):
+            got[m, n, a, b] = got.get((m, n, a, b), 0) + c
+    assert {cell: c for cell, c in got.items() if c} == want
+
+
+def test_decomposition_rejects_other_splits():
+    R = 300.0
+    model = cps.cut_and_project(cps.fibonacci_windows()["a"], (0.0, R))
+    split, _ = _random_split(model, 0.4, 7, (0.0, R))
+    omega, nu = split
+    two_levels = WeightedComb.from_weights(omega.keys, np.r_[0.5, omega.weights[1:]], omega.coverage)
+    points_only = split_pp(model[::2], cps.fibonacci_windows()["a"], 1.0, (0.0, R), model)
+    fewer = WeightedComb(nu.keys[1:], nu.levels, nu.level[1:], nu.coverage)
+    for bad in ((two_levels, nu), (omega, fewer), points_only):
+        for split_i, split_j in ((bad, split), (split, bad)):
+            with pytest.raises(ValueError, match="one level and nu on omega's keys") as info:
+                decomposition_report(split_i, split_j, "one_sided", R)
+            assert not isinstance(info.value, RangeError)
+    # a coverage that misses the interval stays a RangeError
+    for shape, radius in (("one_sided", R + 1.0), ("symmetric", R)):
+        with pytest.raises(RangeError):
+            decomposition_report(split, split, shape, radius)
 
 
 def test_variant_consistency_on_lattice():
@@ -947,17 +1038,21 @@ def test_non_finite_fb_weights_and_sums_raise():
     st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_lattice_tables_count_every_pair(bits, data):
+def test_lattice_tally_counts_every_label_pair(bits, data):
     r_max = data.draw(st.integers(1, 2 * len(bits)), label="r_max")
     occupied = np.array(bits)
-    lags, *tables = eberlein._lattice_tables(occupied, r_max)
+    codes, i, j, count = eberlein._lattice_tally(occupied, r_max)
+    assert count.dtype == np.int64
+    keys = _decode(codes)
+    assert not keys[:, 1].any()
     reach = min(r_max, len(bits) - 1)
-    assert lags.tolist() == list(range(-reach, reach + 1))
-    # N_AB(s) = #{(x, y) in A x B : y - x = s}, pair by pair
-    P, M = np.flatnonzero(occupied).tolist(), range(len(bits))
-    for got, (A, B) in zip(tables, ((P, P), (P, M), (M, P), (M, M))):
-        assert got.dtype == np.int64
-        assert got.tolist() == [sum(1 for x in A for y in B if y - x == s) for s in lags.tolist()]
+    # one cell per lag -L..L and label pair, label 0 the True sites P and
+    # label 1 the rest of M; its count #{(x, y) in A x B : y - x = s}, pair by pair
+    cells = sorted(zip(i.tolist(), j.tolist(), keys[:, 0].tolist()))
+    assert cells == [(a, b, s) for a in (0, 1) for b in (0, 1) for s in range(-reach, reach + 1)]
+    labels = (np.flatnonzero(occupied).tolist(), np.flatnonzero(~occupied).tolist())
+    for a, b, s, got in zip(i.tolist(), j.tolist(), keys[:, 0].tolist(), count.tolist()):
+        assert got == sum(1 for x in labels[a] for y in labels[b] if y - x == s)
 
 
 @pytest.mark.parametrize("integer", [True, False])

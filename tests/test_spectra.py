@@ -148,7 +148,7 @@ def test_decomposition_report_matches_predictions():
     eta = tm_eta(16)
     for a, b in (("a", "a"), ("a", "b")):
         rep = decomposition_report(
-            tps.comb(a), tps.comb(b), splits[a], splits[b],
+            splits[a], splits[b],
             "one_sided", float(n), 16.0,
             module_k=[0.25, 1 / 3],
         )

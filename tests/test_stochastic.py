@@ -86,12 +86,9 @@ def test_bernoulli_verify_correlates_without_the_kernel(monkeypatch):
     assert report.cross_sup > 0
 
 
-def brute_force_tables(sites, N, lags):
-    # N_AB(s) = #{(x, y) in A x B : y - x = s}, pair by pair
-    P, M = sites.tolist(), range(-N, N + 1)
-    def count(A, B):
-        return [sum(1 for x in A for y in B if y - x == s) for s in lags]
-    return count(P, P), count(P, M), count(M, P), count(M, M)
+def brute_force_count(labels, i, j, s):
+    # #{(x, y) in labels[i] x labels[j] : y - x = s}, pair by pair
+    return sum(1 for x in labels[i] for y in labels[j] if y - x == s)
 
 
 @given(
@@ -106,12 +103,18 @@ def test_bernoulli_verify_equals_the_comb_correlations(N, p, data, seed):
     rng = RngSpec(seed)
     report = bernoulli_verify(p, N, rng, r_max=r_max)
     sites = bernoulli_gas(p, N, rng)
-    # the set-level tables against a count of every pair
+    # the labelled tally against a count of every pair, label 0 the occupied
+    # sites P and label 1 the rest of M = -N..N
     row = np.zeros(2 * N + 1, dtype=bool)
     row[sites + N] = True
-    lags, *tables = eberlein._lattice_tables(row, r_max)
-    assert lags.tolist() == list(range(-min(r_max, 2 * N), min(r_max, 2 * N) + 1))
-    assert [t.tolist() for t in tables] == list(brute_force_tables(sites, N, lags.tolist()))
+    codes, i, j, count = eberlein._lattice_tally(row, r_max)
+    lags = combs._decode(codes)[:, 0].tolist()
+    reach = min(r_max, 2 * N)
+    assert sorted(lags) == sorted(list(range(-reach, reach + 1)) * 4)
+    labels = (sites.tolist(), sorted(set(range(-N, N + 1)) - set(sites.tolist())))
+    assert count.tolist() == [
+        brute_force_count(labels, a, b, s) for a, b, s in zip(i.tolist(), j.tolist(), lags)
+    ]
     # the atoms against the kernel on combs built over the lattice
     lam = dirac_comb(np.stack([sites, np.zeros_like(sites)], axis=1), (-float(N), float(N)))
     omega = lattice_comb(-N, N, weight=p)
