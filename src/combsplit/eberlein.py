@@ -8,11 +8,15 @@ for one-sided ones.  One kernel backs the convolution: each comb is stored
 as its weight levels, sum_v v * 1_{S_v}, so every atom is a short sum of
 int64 pair counts N_ij(s) times level products.  The counts come from bit
 rows per lag when both combs live densely on the integers with few levels,
-and otherwise from a pair sweep that works block by block, so its memory
-does not grow with the pair count.  The sweep adds int64 key codes (the
-code of a sum of keys is the sum of their codes, combs._encode), tallies a
-block's cells (code, level pair) by sorting one int64 per pair, and decodes
-the atoms' keys once, at the end.
+and otherwise from a pair sweep.  The sweep takes the first factor's atoms a
+chunk at a time, with the positions of only the chunk and of the atoms of
+the second factor it reaches, and forms the chunk's pairs block by block,
+so its memory grows with neither the pair count nor the factors.  It adds
+int64 key codes (the code of a sum of keys is the sum of their codes,
+combs._encode), tallies a block's cells (code, level pair) by sorting one
+int64 per pair, and decodes the atoms' keys once, at the end.  A
+restriction to an interval is an index range found by binary search over
+single keys' positions, so no kernel builds the positions of a whole comb.
 
 Correlation atoms and FB coefficients share one exact accumulator (a long
 accumulator after Kulisch & Miranker, binned by exponent as in Demmel &
@@ -26,21 +30,23 @@ every atom and every FB value is correctly rounded and reruns are
 bit-identical.  A complex product is formed from separately rounded real
 products, never from fused multiply-adds (a real weight times a complex
 factor, as in an FB sum, from the two products with the factor's parts),
-and a non-finite product or sum raises ValueError.  An FB scan forms the
-phases, factors and limbs of FB_BLOCK atoms at a time and carries the limb
-rows from block to block.
+and a non-finite product or sum raises ValueError.  An FB scan takes
+FB_BLOCK atoms at a time, gathers their weights and bins them once for all
+wave numbers, then forms each wave number's phases, factors and limbs, and
+carries one set of limb rows per wave number from block to block.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .combs import WeightedComb, _check_key_range, _decode, _encode, reflect_conjugate
-from .zroot5 import FourierModulePoint, embed_array, frac_phases
+from .zroot5 import TAU, FourierModulePoint, embed_array, frac_phases
 
 __all__ = [
     "AveragingSpec",
@@ -61,15 +67,17 @@ class RangeError(ValueError):
     """A comb does not cover the interval a kernel needs."""
 
 
-# The pair sweep forms at most PAIR_BLOCK pairs at a time and keeps at most
-# FOLD_CELLS (key, level pair) counts before it sums them exactly, so its
-# memory is bounded whatever the pair count; the exact accumulator likewise
-# takes at most FOLD_CELLS terms at a time, and an FB scan FB_BLOCK atoms.
-# Blocks this small keep their temporaries in cache.  On the twisted chain
-# (2-core x86 sandbox, medians of 5-7), orthogonality took 58, 56 and 59 ms
-# at R = 1e5 and 622, 510 and 547 ms at R = 1e6 with pair blocks of 2**14,
-# 2**15 and 2**16; the FB scan took 210, 183 and 242 ms at R = 1e5 with FB
-# blocks of 2**13, 2**14 and 2**15 (1976, 1845 and 1737 ms at R = 1e6).
+# The pair sweep takes PAIR_BLOCK >> 3 atoms of the first factor at a time,
+# forms at most PAIR_BLOCK pairs at a time and keeps at most FOLD_CELLS
+# (key, level pair) counts before it sums them exactly, so its memory is
+# bounded whatever the pair count and the factors' size; the exact
+# accumulator likewise takes at most FOLD_CELLS terms at a time, and an FB
+# scan FB_BLOCK atoms.  Blocks this small keep their temporaries in cache.
+# On the twisted chain (2-core x86 machine, interleaved medians of 9 at
+# R = 1e5 and 5 at R = 1e6), orthogonality took 50, 51 and 65 ms at R = 1e5
+# and 416, 361 and 401 ms at R = 1e6 with pair blocks of 2**14, 2**15 and
+# 2**16; the FB scan took 168, 177 and 209 ms at R = 1e5 with FB blocks of
+# 2**13, 2**14 and 2**15 (1591, 1347 and 1249 ms at R = 1e6).
 PAIR_BLOCK = 1 << 15
 FOLD_CELLS = 1 << 18
 FB_BLOCK = 1 << 14
@@ -116,11 +124,22 @@ def _require(cond: bool, msg: str):
         raise RangeError(msg)
 
 
+def _search(keys, value, side="left"):
+    """np.searchsorted(positions, value, side) for keys sorted by position,
+    by binary search over one key's position at a time: float(m) + float(n)
+    * TAU is the double embed_array forms, so no positions array is built."""
+    find = bisect_left if side == "left" else bisect_right
+    return find(range(len(keys)), value, key=lambda t: float(keys[t, 0]) + float(keys[t, 1]) * TAU)
+
+
+def _bounds(comb: WeightedComb, lo: float, hi: float) -> tuple[int, int]:
+    # the index range of the comb's atoms in [lo, hi], a rounding either side
+    return _search(comb.keys, lo - 1e-12), _search(comb.keys, hi + 1e-12, "right")
+
+
 def _restrict_arrays(comb: WeightedComb, lo: float, hi: float):
-    pos = comb.positions
-    i = np.searchsorted(pos, lo - 1e-12, side="left")
-    j = np.searchsorted(pos, hi + 1e-12, side="right")
-    return pos[i:j], comb.keys[i:j], comb.level[i:j]
+    i, j = _bounds(comb, lo, hi)
+    return comb.keys[i:j], comb.level[i:j]
 
 
 def eberlein_convolve(
@@ -183,8 +202,8 @@ def _count(mu, nu, shape, R, r_max, variant):
         f"second factor covers {nu.coverage}, needs [{nu_lo}, {nu_hi}] for R={R}",
     )
 
-    _, kx, lx = _restrict_arrays(mu, -hi, -lo)
-    _, ky, ly = _restrict_arrays(nu, nu_lo, nu_hi)
+    kx, lx = _restrict_arrays(mu, -hi, -lo)
+    ky, ly = _restrict_arrays(nu, nu_lo, nu_hi)
     nx, ny = len(mu.levels), len(nu.levels)
     # bit rows for nonempty integer supports with an atom per 16 sites or more
     if nx * ny <= ROW_LEVEL_PAIRS and all(
@@ -283,41 +302,57 @@ def _lag_codes(lags):
 
 def _count_pairs(kx, lx, ky, ly, n_j, r_max):
     # Any supports: for every x-atom the admissible y-atoms form a contiguous
-    # window of the sorted nu support.  Pairs are formed at most PAIR_BLOCK
-    # at a time (one x-atom may exceed it) as key codes and level pairs,
-    # lx[i] * n_j + ly[j], and tallied block by block; the tallies are
-    # merged and handed on once they hold more than FOLD_CELLS cells, and at
-    # the end.  A pair's code is the sum of its atoms' codes while the sum
-    # key stays in range, so the extremes of the sum keys are checked first.
+    # window of the sorted nu support.  The x-atoms are taken PAIR_BLOCK >> 3
+    # at a time, with the positions of only the y-atoms their windows reach,
+    # found by binary search; within a chunk, pairs are formed at most
+    # PAIR_BLOCK at a time (one x-atom may exceed it) as key codes and level
+    # pairs, lx[i] * n_j + ly[j], and tallied block by block.  The tallies
+    # are merged and handed on once they hold more than FOLD_CELLS cells,
+    # and at the end.  A pair's code is the sum of its atoms' codes while
+    # the sum key stays in range, so the extremes of the sum keys are
+    # checked first.
     if not (len(kx) and len(ky)):
         return
     _check_key_range(np.stack([kx.min(axis=0) + ky.min(axis=0), kx.max(axis=0) + ky.max(axis=0)]))
-    px = embed_array(kx[:, 0], kx[:, 1])
-    py = embed_array(ky[:, 0], ky[:, 1])
-    lo_idx = np.searchsorted(py, -r_max - px - 1e-9, side="left")
-    hi_idx = np.searchsorted(py, r_max - px + 1e-9, side="right")
-    per_x = hi_idx - lo_idx
-    ends = np.cumsum(per_x)
-    starts = ends - per_x
-    a, pending, held = 0, [], 0
-    while a < len(px):
-        b = max(a + 1, int(np.searchsorted(ends, starts[a] + PAIR_BLOCK, side="right")))
-        i_rep = np.repeat(np.arange(a, b), per_x[a:b])
-        j_rep = np.arange(starts[a], ends[b - 1]) - np.repeat(starts[a:b] - lo_idx[a:b], per_x[a:b])
-        # the eps guard above may admit a hair beyond r_max; cut exactly here
-        keep = np.abs(px[i_rep] + py[j_rep]) <= r_max + 1e-9
-        i_rep, j_rep = i_rep[keep], j_rep[keep]
-        level_pair = lx[i_rep].astype(np.int64) * n_j + ly[j_rep]
-        # windows move left as x grows: the block's y-atoms start at lo_idx[b - 1]
-        y0 = int(lo_idx[b - 1])
-        codes = _encode(kx[a:b])[i_rep - a] + _encode(ky[y0 : hi_idx[a]])[j_rep - y0]
-        pending.append(_tally(codes, level_pair))
-        held += len(pending[-1][0])
-        a = b
-        if a == len(px) or held > FOLD_CELLS:
-            codes, level_pair, count = _tally(*map(np.concatenate, zip(*pending)))
-            yield codes, *np.divmod(level_pair, n_j), count
-            pending, held = [], 0
+    pending, held, chunk = [], 0, max(PAIR_BLOCK >> 3, 1)
+    for c in range(0, len(kx), chunk):
+        kc, lc = kx[c : c + chunk], lx[c : c + chunk]
+        px = embed_array(kc[:, 0], kc[:, 1])
+        # windows move left as x grows: the last x-atom's starts the reach,
+        # the first x-atom's ends it
+        y0 = _search(ky, -r_max - px[-1] - 1e-9)
+        y1 = _search(ky, r_max - px[0] + 1e-9, "right")
+        kw, lw = ky[y0:y1], ly[y0:y1]
+        py = embed_array(kw[:, 0], kw[:, 1])
+        cx, cy = _encode(kc), _encode(kw)
+        lo_idx = np.searchsorted(py, -r_max - px - 1e-9, side="left")
+        hi_idx = np.searchsorted(py, r_max - px + 1e-9, side="right")
+        per_x = hi_idx - lo_idx
+        ends = np.cumsum(per_x)
+        starts = ends - per_x
+        a = 0
+        while a < len(px):
+            b = max(a + 1, int(np.searchsorted(ends, starts[a] + PAIR_BLOCK, side="right")))
+            i_rep = np.repeat(np.arange(a, b), per_x[a:b])
+            j_rep = np.arange(starts[a], ends[b - 1]) - np.repeat(starts[a:b] - lo_idx[a:b], per_x[a:b])
+            # the eps guard above may admit a hair beyond r_max; cut exactly here
+            keep = np.abs(px[i_rep] + py[j_rep]) <= r_max + 1e-9
+            i_rep, j_rep = i_rep[keep], j_rep[keep]
+            level_pair = lc[i_rep].astype(np.int64) * n_j + lw[j_rep]
+            pending.append(_tally(cx[i_rep] + cy[j_rep], level_pair))
+            held += len(pending[-1][0])
+            a = b
+            if held > FOLD_CELLS:
+                yield _merged(pending, n_j)
+                pending, held = [], 0
+    if pending:
+        yield _merged(pending, n_j)
+
+
+def _merged(pending, n_j):
+    # one tally (code, i, j, count) of the block tallies (code, level pair, count)
+    codes, level_pair, count = _tally(*map(np.concatenate, zip(*pending)))
+    return codes, *np.divmod(level_pair, n_j), count
 
 
 def _tally(codes, level_pair, count=None):
@@ -463,49 +498,51 @@ def _fb_values(
 ) -> Iterator[tuple[FourierModulePoint | float, list[complex]]]:
     """Per k of K, k and the FB coefficients of mu for every R of spec.
 
-    The comb is restricted to the largest interval, its weights gathered and
-    its atoms binned once, and each k's products are formed once.  Each
-    atom's limbs are added once, into the bin of the first R that holds it,
-    and a cumsum over the bins gives every R its exact sum, rounded once, so
-    every value equals a separate computation at that R.  A non-finite
-    product or sum raises ValueError.
+    The comb's atoms in the largest interval are taken FB_BLOCK at a time;
+    a block's weights are gathered and its atoms binned once for all of K,
+    and each k's products are formed once.  Each atom's limbs are added
+    once, into the bin of the first R that holds it, and a cumsum over the
+    bins gives every R its exact sum, rounded once, so every value equals a
+    separate computation at that R.  Every k is checked before the first
+    block; a non-finite product or sum raises ValueError.
     """
     K = list(K)
     if not K:  # nothing to scan, and nothing to check
         return
-    for R in spec.R_list:
-        lo, hi = spec.interval(R)
+    intervals = [spec.interval(R) for R in spec.R_list]
+    for lo, hi in intervals:
         _require(
             mu.coverage[0] <= lo and mu.coverage[1] >= hi,
             f"comb covers {mu.coverage}, needs [{lo}, {hi}]",
         )
-    pos, keys, level = _restrict_arrays(mu, *spec.interval(spec.R_list[-1]))
-    weights = mu.levels[level]
-    # atom t goes to the bin of the first R that holds it, the first R with
-    # j > t and i <= t; the intervals nest, so a cumsum over bins sums each R
-    intervals = [spec.interval(R) for R in spec.R_list]
-    i = np.searchsorted(pos, [lo - 1e-12 for lo, _ in intervals], side="left")
-    j = np.searchsorted(pos, [hi + 1e-12 for _, hi in intervals], side="right")
-    atom = np.arange(len(pos))
-    bins = np.maximum(np.searchsorted(j, atom, side="right"), np.searchsorted(-i, -atom))
-    del atom
     for k in K:
         if not (isinstance(k, FourierModulePoint) or math.isfinite(k)):
             raise ValueError(f"wave number must be finite, got {k!r}")
-        done = None
-        # phases, factors and limbs per block of FB_BLOCK atoms, carrying the
-        # limb rows; at least one block, so an empty comb sums to zero
-        for a in range(0, max(len(pos), 1), FB_BLOCK):
-            at = slice(a, a + FB_BLOCK)
+    # the atoms of each R are i[r] <= t < j[r]; atom t goes to the bin of the
+    # first R that holds it, the first R with j > t and i <= t, and since the
+    # intervals nest, a cumsum over bins sums each R
+    i, j = np.array([_bounds(mu, lo, hi) for lo, hi in intervals]).T
+    first, last = int(i[-1]), int(j[-1])
+    done = [None] * len(K)
+    # weights and bins per block of FB_BLOCK atoms, then each k's phases,
+    # factors and limbs, carrying one limb-row state per k; at least one
+    # block, so an empty comb sums to zero
+    for a in range(first, max(last, first + 1), FB_BLOCK):
+        b = min(a + FB_BLOCK, last)
+        keys, weights = mu.keys[a:b], mu.levels[mu.level[a:b]]
+        atom = np.arange(a, b)
+        bins = np.maximum(np.searchsorted(j, atom, side="right"), np.searchsorted(-i, -atom))
+        for q, k in enumerate(K):
             if not isinstance(k, FourierModulePoint):
-                factors = np.exp(-2j * math.pi * float(k) * pos[at])
+                factors = np.exp(-2j * math.pi * float(k) * embed_array(keys[:, 0], keys[:, 1]))
             elif k.is_zero():
-                factors = np.ones(len(pos[at]), dtype=complex)
+                factors = np.ones(len(keys), dtype=complex)
             else:
-                factors = np.exp(-2j * math.pi * frac_phases(k, keys[at, 0], keys[at, 1]))
-            done = _limb_rows(bins[at], weights[at], factors, None, len(intervals), done)
-        exponents, rows = done
-        sums = _rounded(exponents, np.cumsum(rows, axis=0)) / [[spec.vol(R)] for R in spec.R_list]
+                factors = np.exp(-2j * math.pi * frac_phases(k, keys[:, 0], keys[:, 1]))
+            done[q] = _limb_rows(bins, weights, factors, None, len(intervals), done[q])
+    vols = [[spec.vol(R)] for R in spec.R_list]
+    for k, (exponents, rows) in zip(K, done):
+        sums = _rounded(exponents, np.cumsum(rows, axis=0)) / vols
         yield k, [complex(re, im) for re, im in sums.tolist()]
 
 

@@ -333,5 +333,11 @@ def _unit_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def embed_array(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Vectorized physical embedding of (m, n) coordinate arrays."""
-    return m.astype(np.float64) + n.astype(np.float64) * TAU
+    """Vectorized physical embedding of (m, n) coordinate arrays: per entry
+    float(m) + float(n) * TAU, rounded after each operation, the same double
+    as QuadraticInt.embed.  One array is allocated; m is converted as it is
+    added."""
+    out = n.astype(np.float64)
+    out *= TAU
+    out += m
+    return out

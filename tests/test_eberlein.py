@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from combsplit import combs, cps, eberlein, inflate
+from combsplit import combs, cps, eberlein, inflate, suites
 from combsplit.combs import (
     WeightedComb,
     _decode,
@@ -1092,3 +1092,104 @@ def test_sparse_integer_supports_take_the_pair_sweep():
         tracemalloc.stop()
     assert corr.atoms_dict() == {(0, 0): 3e-08}
     assert peak < 1 << 20, peak
+
+
+@given(
+    st.data(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1, 3, 7, 24]),
+    st.sampled_from([1, 3, 7]),
+    st.sampled_from([1, 3, 7]),
+    st.sampled_from(["one_sided", "symmetric"]),
+    st.sampled_from(["both", "one"]),
+    st.sampled_from([0.25, 3.0, 13.0]),
+    st.sampled_from([1, 2, 7]),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_sizes_change_no_output(
+    data, complex_x, complex_y, pair_block, fold_cells, fb_block, shape, variant, R, r_max
+):
+    # x-chunks of PAIR_BLOCK >> 3 atoms (at least one), pair blocks, folds and
+    # FB blocks of a few pairs, cells or atoms cut every y-window, tally and
+    # limb row somewhere else: a pair dropped or counted twice at a chunk or
+    # block edge changes some bit.  R = 0.25 leaves most restrictions empty.
+    mu = data.draw(leveled_comb_st(complex_x), label="mu")
+    nu = data.draw(leveled_comb_st(complex_y), label="nu")
+    spec = AveragingSpec(shape, (R / 2, R))
+    K = [FourierModulePoint(0, 0), FourierModulePoint(1, 0), FourierModulePoint(-3, 2), 0.37]
+
+    def outputs():
+        corr = pair_correlation(mu, nu, shape, R, r_max, variant)
+        rows = fb_scan(nu, K, spec)
+        return (repr((corr.keys.tolist(), corr.weights.tolist(), corr.coverage)),
+                repr([(row.R, row.value, row.cauchy) for row in rows]))
+
+    default = outputs()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eberlein, "PAIR_BLOCK", pair_block)
+        patch.setattr(eberlein, "FOLD_CELLS", fold_cells)
+        patch.setattr(eberlein, "FB_BLOCK", fb_block)
+        assert outputs() == default
+
+
+F35, F36 = 9227465, 14930352
+
+
+@given(
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(-20, 20), st.integers(0, 2)),
+             max_size=30, unique=True),
+    st.booleans(),
+)
+@example([(0, 0, 0), (0, 0, 1), (0, 0, 2), (5, -3, 1), (-2, 1, 0)], True)
+@settings(max_examples=200, deadline=None)
+def test_binary_search_restriction_equals_searchsorted(offsets, far):
+    # keys near 0, or near 2**30, where a double's ulp is 2**-22 and keys
+    # t * (-F36, F35) apart (F35 tau - F36 is -3e-8) form runs of one double
+    base = 2**30 if far else 0
+    keys = np.array([(base + a - t * F36, b + t * F35) for a, b, t in offsets],
+                    dtype=np.int64).reshape(-1, 2)
+    comb = dirac_comb(keys, (-math.inf, math.inf))
+    pos = comb.positions
+    values = sorted({v for p in pos.tolist() for v in (
+        p - 1e-12, p, p + 1e-12, math.nextafter(p, -math.inf), math.nextafter(p, math.inf))})
+    for v in values or [0.0]:
+        for side in ("left", "right"):
+            assert eberlein._search(comb.keys, v, side) == np.searchsorted(pos, v, side=side)
+    for lo, hi in zip(values, values[::-1]):
+        i, j = np.searchsorted(pos, lo - 1e-12, "left"), np.searchsorted(pos, hi + 1e-12, "right")
+        assert eberlein._bounds(comb, lo, hi) == (i, j)
+        keys_in, level_in = eberlein._restrict_arrays(comb, lo, hi)
+        assert np.array_equal(keys_in, comb.keys[i:j]) and np.array_equal(level_in, comb.level[i:j])
+
+
+def _above_live(run):
+    # the tracemalloc peak of run() above what was live when it started
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_sweep_and_fb_scan_hold_no_whole_factor_arrays():
+    # How much the above-live peaks of one pair_correlation and one fb_scan on
+    # the twisted chain grow per added atom of nu, from R = 4e4 to 2e5.  nu has
+    # 17889 and 89443 atoms there, so both runs fill an FB_BLOCK of 16384 atoms
+    # and an x-chunk, and block temporaries cancel.  What is left grows with
+    # the factors: pair_correlation's reflected key copy (reflect_conjugate,
+    # 16 B/atom).  Positions, windows and bins over a whole factor took 73
+    # B/atom in the pair sweep and 25 B/atom in the FB scan.
+    peaks = []
+    for R in (4e4, 2e5):
+        omega, nu = suites.system_context("twisted_fibonacci", R).splits["a"]
+        spec = AveragingSpec("one_sided", (R / 100, R / 10, R))
+        pair = _above_live(lambda: pair_correlation(omega, nu, "one_sided", R, 20.0))
+        fb = _above_live(lambda: fb_scan(nu, suites.preset_k_points(), spec))
+        peaks.append((len(nu), pair, fb))
+    (n0, pair0, fb0), (n1, pair1, fb1) = peaks
+    assert n0 > eberlein.FB_BLOCK
+    assert (pair1 - pair0) / (n1 - n0) < 24, (pair0, pair1)
+    assert (fb1 - fb0) / (n1 - n0) < 8, (fb0, fb1)

@@ -15,6 +15,7 @@ from combsplit.zroot5 import (
     TAU,
     FourierModulePoint,
     QuadraticInt,
+    embed_array,
     frac_phase,
     frac_phases,
     sign_of,
@@ -274,3 +275,19 @@ def test_module_point_star_sign_convention():
     assert k.star_value() == pytest.approx(-1 / SQRT5)
     assert FourierModulePoint(0, 0).is_zero()
     assert not FourierModulePoint(1, 0).is_zero()
+
+
+@given(
+    st.lists(st.tuples(st.integers(-(2**31) + 1, 2**31 - 1), st.integers(-(2**31) + 1, 2**31 - 1)),
+             max_size=40),
+    st.sampled_from([1, -1, 3]),
+)
+def test_embed_array_rounds_as_the_two_operation_formula(pairs, step):
+    # strided key columns, as a comb's keys[:, 0] and keys[:, 1]
+    keys = np.array(pairs, dtype=np.int64).reshape(-1, 2)[::step]
+    m, n = keys[:, 0], keys[:, 1]
+    before = keys.copy()
+    got = embed_array(m, n)
+    assert got.dtype == np.float64
+    assert got.tobytes() == (m.astype(np.float64) + n.astype(np.float64) * TAU).tobytes()
+    assert np.array_equal(keys, before)
