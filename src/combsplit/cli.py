@@ -23,14 +23,6 @@ import numpy as np
 from . import __version__, cps, eberlein, inflate, spectra, stochastic, suites
 from .zroot5 import TAU, FourierModulePoint, QuadraticInt
 
-# every flag that may come from the config document
-_CONFIG_KEYS = {
-    "system", "rule_file", "R", "p", "N", "seed", "stream", "out", "format",
-    "r_max", "variant", "shape", "R_grid", "k_preset", "k_values", "type",
-    "types", "window_preset", "windows_file", "eta", "riesz_depth",
-    "k_max", "kstar_max", "measure", "points_out", "suite", "seed_letter",
-}
-
 _PRESET_SYSTEMS = ("fibonacci", "twisted_fibonacci", "thue_morse", "random_fibonacci")
 
 # rows per block when array columns become Python scalars or text for a
@@ -101,13 +93,22 @@ def _write_json(path: str, obj: dict, cfg: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
 
 
-def _load_config(path: str | None) -> dict:
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """The dest of every subcommand flag: each may come from the config document."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.dest for command in sub.choices.values() for a in command._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)
+    }
+
+
+def _load_config(path: str | None, keys: set[str]) -> dict:
     if path is None:
         return {}
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - keys
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
     return cfg
@@ -498,11 +499,7 @@ def cmd_sample(cfg: dict) -> int:
             "predictions": {"gamma_0": p, "gamma_off": p * p,
                             "nu_corr_0": p * (1 - p)},
             "residuals": {c.name: c.measured for c in report.checks},
-            "checks": [
-                {"name": c.name, "measured": c.measured,
-                 "threshold": c.threshold, "passed": c.passed}
-                for c in report.checks
-            ],
+            "checks": [c.to_dict() for c in report.checks],
             "cross_sup": report.cross_sup,
             "passed": report.passed,
         }
@@ -613,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge(args, _load_config(args.config))
+        cfg = _merge(args, _load_config(args.config, _config_keys(parser)))
         return _COMMANDS[args.command](cfg)
     except (ValueError, KeyError, OSError, MemoryError, OverflowError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

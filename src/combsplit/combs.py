@@ -4,18 +4,21 @@ A comb is a finite collection of atoms, keyed by exact coordinates (m, n)
 for the position m + n*tau (pure integers use n = 0), together with a
 coverage interval on which the atom list is complete.  Combs of point sets
 generated on a half line carry coverage (-inf, R]: there really are no
-atoms to the left, and correlation kernels rely on that.
+atoms to the left, and correlation kernels rely on that.  The kernels'
+coverage check (_covers) and their cut of a comb to an interval (_search,
+_bounds) are written here once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import cps
-from .zroot5 import embed_array
+from .zroot5 import TAU, embed_array
 
 __all__ = [
     "WeightedComb",
@@ -38,6 +41,10 @@ class ContainmentError(ValueError):
     def __init__(self, message: str, offenders: list[tuple[int, int]]):
         super().__init__(message)
         self.offenders = offenders
+
+
+class RangeError(ValueError):
+    """A comb does not cover the interval a kernel needs."""
 
 
 def _check_key_range(keys: np.ndarray) -> None:
@@ -136,6 +143,25 @@ class WeightedComb:
         return float(np.abs(self.weights).max()) if len(self) else 0.0
 
 
+def _search(keys, value, side="left"):
+    """np.searchsorted(positions, value, side) for keys sorted by position,
+    by binary search over one key's position at a time: float(m) + float(n)
+    * TAU is the double embed_array forms, so no positions array is built."""
+    find = bisect_left if side == "left" else bisect_right
+    return find(range(len(keys)), value, key=lambda t: float(keys[t, 0]) + float(keys[t, 1]) * TAU)
+
+
+def _bounds(comb: WeightedComb, lo: float, hi: float) -> tuple[int, int]:
+    # the index range of the comb's atoms in [lo, hi], a rounding either side
+    return _search(comb.keys, lo - 1e-12), _search(comb.keys, hi + 1e-12, "right")
+
+
+def _covers(comb: WeightedComb, lo: float, hi: float, what: str, tail: str = "") -> None:
+    # RangeError unless the comb's atom list is complete on [lo, hi]
+    if not (comb.coverage[0] <= lo and comb.coverage[1] >= hi):
+        raise RangeError(f"{what} covers {comb.coverage}, needs [{lo}, {hi}]{tail}")
+
+
 def _uniform(keys: np.ndarray, weight: complex, coverage) -> WeightedComb:
     # weight * delta on keys sorted by position: one level, index 0 throughout
     dtype = np.float64 if isinstance(weight, (int, float)) else np.complex128
@@ -207,24 +233,29 @@ def linear_combine(
     return WeightedComb.from_weights(keys[first][keep], merged[keep], (lo, hi))
 
 
-def _locate(keys: np.ndarray, pos: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # Index of each point in keys (sorted by their positions pos), or -1.  A
-    # point's position is computed exactly as its key's, so searchsorted
-    # lands on it unless several keys round to the same double; those runs
-    # are searched key by key.
-    found = np.full(len(points), -1, dtype=np.int64)
-    if not len(keys):
-        return found
-    p = embed_array(points[:, 0], points[:, 1])
-    idx = np.minimum(np.searchsorted(pos, p), len(keys) - 1)
-    hit = (keys[idx, 0] == points[:, 0]) & (keys[idx, 1] == points[:, 1])
-    for c in np.flatnonzero(~hit & (pos[idx] == p)):
-        run = np.arange(idx[c], np.searchsorted(pos, p[c], side="right"))
-        match = run[(keys[run] == points[c]).all(axis=1)]
-        if len(match):
-            idx[c], hit[c] = match[0], True
-    found[hit] = idx[hit]
-    return found
+def _members(points, keys: np.ndarray) -> np.ndarray:
+    # Which keys are points.  Each point's key is found by binary search over
+    # the keys' exact int64 codes in code order (of equal keys, the first in
+    # position order); its own function, so that the codes and the order are
+    # freed before the caller builds its comb.
+    points = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    wanted, codes = _encode(points), _encode(keys)
+    found, missing = wanted, np.ones(len(points), dtype=bool)
+    if len(codes):
+        order = np.argsort(codes, kind="stable")
+        found = order[np.searchsorted(codes, wanted, sorter=order).clip(max=len(codes) - 1)]
+        missing = codes[found] != wanted
+    if np.any(missing):
+        offenders = [(int(m), int(n)) for m, n in points[missing][:20]]
+        raise ContainmentError(
+            f"{int(missing.sum())} point(s) outside the model set of the window",
+            offenders,
+        )
+    in_points = np.zeros(len(codes), dtype=bool)
+    in_points[found] = True
+    if np.count_nonzero(in_points) != len(points):
+        raise ValueError("split points must be distinct")
+    return in_points
 
 
 def split_remainder(points: np.ndarray, omega: WeightedComb) -> WeightedComb:
@@ -236,27 +267,13 @@ def split_remainder(points: np.ndarray, omega: WeightedComb) -> WeightedComb:
     with weight 1 - alpha on the points and -alpha on the rest of M, kept on
     omega's coverage with exact zeros dropped.  Each weight is the single
     rounding of 1 - alpha, so omega + nu reproduces the point comb atom for
-    atom.
+    atom.  Membership compares exact int64 key codes (_encode), never
+    positions, so distinct keys that embed to one double stay apart.
     """
-    points = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    _check_key_range(points)
-    _check_key_range(omega.keys)
-    pos = omega.positions
-    found = _locate(omega.keys, pos, points)
-    missing = found < 0
-    if np.any(missing):
-        offenders = [(int(m), int(n)) for m, n in points[missing][:20]]
-        raise ContainmentError(
-            f"{int(missing.sum())} point(s) outside the model set of the window",
-            offenders,
-        )
-    in_points = np.zeros(len(pos), dtype=bool)
-    in_points[found] = True
-    if np.count_nonzero(in_points) != len(points):
-        raise ValueError("split points must be distinct")
+    in_points = _members(points, omega.keys)
     # omega's atoms may sit a rounding outside its coverage; nu keeps none
     lo, hi = omega.coverage
-    i, j = np.searchsorted(pos, lo), np.searchsorted(pos, hi, side="right")
+    i, j = _search(omega.keys, lo), _search(omega.keys, hi, "right")
     n = len(omega.levels)
     levels = np.concatenate([1.0 - omega.levels, -omega.levels])
     keys, level = omega.keys[i:j], omega.level[i:j].astype(np.min_scalar_type(max(2 * n - 1, 0)))
@@ -283,8 +300,9 @@ def split_pp(
 
     Both combs are built on the model set's keys, sorted by position: nu
     takes weight 1 - alpha where the points are and -alpha elsewhere
-    (split_remainder), and membership is a searchsorted on positions
-    followed by an exact key compare, with no hashing and no merge.  omega
+    (split_remainder), and membership is a binary search over the model
+    keys' exact int64 codes (_encode), with no hashing, no merge and no
+    floating point.  omega
     keeps the model points' array itself, so given model_points must be
     sorted by position (as cut_and_project returns them); unsorted ones
     raise ValueError.

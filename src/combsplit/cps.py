@@ -204,6 +204,7 @@ def cut_and_project(window: Window, rng: tuple[float, float]) -> np.ndarray:
         for n0 in range(n_min, n_max + 1, ROW_BLOCK)
     ]
     keys = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+    del blocks  # the row blocks are in keys: release them before the sort
     order = np.argsort(keys[:, 0] + keys[:, 1] * TAU, kind="stable")
     return keys[order]
 

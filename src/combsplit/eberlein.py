@@ -16,7 +16,8 @@ int64 key codes (the code of a sum of keys is the sum of their codes,
 combs._encode), tallies a block's cells (code, level pair) by sorting one
 int64 per pair, and decodes the atoms' keys once, at the end.  A
 restriction to an interval is an index range found by binary search over
-single keys' positions, so no kernel builds the positions of a whole comb.
+single keys' positions, so no kernel builds the positions of a whole comb;
+that search and the coverage check live in combs (_bounds, _covers).
 
 Correlation atoms and FB coefficients share one exact accumulator (a long
 accumulator after Kulisch & Miranker, binned by exponent as in Demmel &
@@ -39,14 +40,23 @@ carries one set of limb rows per wave number from block to block.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .combs import WeightedComb, _check_key_range, _decode, _encode, reflect_conjugate
-from .zroot5 import TAU, FourierModulePoint, embed_array, frac_phases
+from .combs import (
+    RangeError,
+    WeightedComb,
+    _bounds,
+    _check_key_range,
+    _covers,
+    _decode,
+    _encode,
+    _search,
+    reflect_conjugate,
+)
+from .zroot5 import FourierModulePoint, embed_array, frac_phases
 
 __all__ = [
     "AveragingSpec",
@@ -61,10 +71,6 @@ __all__ = [
     "decomposition_report",
     "DecompositionReport",
 ]
-
-
-class RangeError(ValueError):
-    """A comb does not cover the interval a kernel needs."""
 
 
 # The pair sweep takes PAIR_BLOCK >> 3 atoms of the first factor at a time,
@@ -119,24 +125,6 @@ def averaging_vol(shape: str, R: float) -> float:
     return AveragingSpec(shape, (R,)).vol(R)
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise RangeError(msg)
-
-
-def _search(keys, value, side="left"):
-    """np.searchsorted(positions, value, side) for keys sorted by position,
-    by binary search over one key's position at a time: float(m) + float(n)
-    * TAU is the double embed_array forms, so no positions array is built."""
-    find = bisect_left if side == "left" else bisect_right
-    return find(range(len(keys)), value, key=lambda t: float(keys[t, 0]) + float(keys[t, 1]) * TAU)
-
-
-def _bounds(comb: WeightedComb, lo: float, hi: float) -> tuple[int, int]:
-    # the index range of the comb's atoms in [lo, hi], a rounding either side
-    return _search(comb.keys, lo - 1e-12), _search(comb.keys, hi + 1e-12, "right")
-
-
 def _restrict_arrays(comb: WeightedComb, lo: float, hi: float):
     i, j = _bounds(comb, lo, hi)
     return comb.keys[i:j], comb.level[i:j]
@@ -189,18 +177,12 @@ def _count(mu, nu, shape, R, r_max, variant):
     spec = AveragingSpec(shape, (R,))
     lo, hi = spec.interval(R)
 
-    _require(
-        mu.coverage[0] <= -hi and mu.coverage[1] >= -lo,
-        f"first factor covers {mu.coverage}, needs [{-hi}, {-lo}] for R={R}",
-    )
+    _covers(mu, -hi, -lo, "first factor", f" for R={R}")
     if variant == "both":
         nu_lo, nu_hi = lo, hi
     else:
         nu_lo, nu_hi = lo - r_max, hi + r_max
-    _require(
-        nu.coverage[0] <= nu_lo and nu.coverage[1] >= nu_hi,
-        f"second factor covers {nu.coverage}, needs [{nu_lo}, {nu_hi}] for R={R}",
-    )
+    _covers(nu, nu_lo, nu_hi, "second factor", f" for R={R}")
 
     kx, lx = _restrict_arrays(mu, -hi, -lo)
     ky, ly = _restrict_arrays(nu, nu_lo, nu_hi)
@@ -511,10 +493,7 @@ def _fb_values(
         return
     intervals = [spec.interval(R) for R in spec.R_list]
     for lo, hi in intervals:
-        _require(
-            mu.coverage[0] <= lo and mu.coverage[1] >= hi,
-            f"comb covers {mu.coverage}, needs [{lo}, {hi}]",
-        )
+        _covers(mu, lo, hi, "comb")
     for k in K:
         if not (isinstance(k, FourierModulePoint) or math.isfinite(k)):
             raise ValueError(f"wave number must be finite, got {k!r}")

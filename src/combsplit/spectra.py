@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import cps
-from .combs import WeightedComb
-from .eberlein import AveragingSpec, RangeError
+from .combs import WeightedComb, _bounds, _covers
+from .eberlein import AveragingSpec
 from .zroot5 import FourierModulePoint
 
 __all__ = [
@@ -224,14 +224,9 @@ def polarisation_zero_check(
     spec = AveragingSpec(shape, (R,))
     lo, hi = spec.interval(R)
     vol = spec.vol(R)
-    for comb, label in ((P, "first"), (Q, "second")):
-        if comb.coverage[0] > lo or comb.coverage[1] < hi:
-            raise RangeError(
-                f"{label} comb covers {comb.coverage}, needs [{lo}, {hi}]"
-            )
-    pos_p = P.positions
-    pos_q = Q.positions
-    mass_p = P.weights[(pos_p >= lo) & (pos_p <= hi)].sum() if len(P) else 0.0
-    mass_q = Q.weights[(pos_q >= lo) & (pos_q <= hi)].sum() if len(Q) else 0.0
+    _covers(P, lo, hi, "first comb")
+    _covers(Q, lo, hi, "second comb")
+    # the masses of the atoms fb_scan sums on [lo, hi]
+    mass_p, mass_q = (c.levels[c.level[slice(*_bounds(c, lo, hi))]].sum() for c in (P, Q))
     c0 = np.conj(mass_p) * mass_q / (vol * vol)
     return float(abs(c0 - expected))

@@ -8,11 +8,12 @@ specs reproduce identical point sets bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .combs import _bounds
 from .combs import linear_combine  # noqa: F401  (bench/spans.py traces this binding)
 from .cps import check_points_budget
 from .eberlein import AveragingSpec, FBRow, _averaged_comb, _lattice_tally, fb_scan
@@ -51,6 +52,10 @@ class Check:
     measured: float
     threshold: float
     passed: bool
+
+    def to_dict(self) -> dict:
+        """{name, measured, threshold, passed}, as every JSON report writes a check."""
+        return asdict(self)
 
 
 # the lattice gas is drawn GAS_BLOCK sites at a time
@@ -240,9 +245,8 @@ def empirical_pp_split(
             max_cauchy,
             max((r.cauchy for r in rows if r.cauchy is not None), default=0.0),
         )
-        pos = comb.positions
-        count = int(np.count_nonzero((pos >= lo) & (pos <= hi)))
-        total += abs(weights[t]) ** 2 * count / vol
+        i, j = _bounds(comb, lo, hi)  # the atoms fb_scan sums at the final R
+        total += abs(weights[t]) ** 2 * (j - i) / vol
 
     intensities = {
         k: abs(sum(weights[t] * amplitudes[t][k] for t in tps.types())) ** 2

@@ -56,15 +56,7 @@ class SuiteReport:
         return {
             "suite": self.suite,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "measured": c.measured,
-                    "threshold": c.threshold,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
             "details": self.details,
         }
 
@@ -122,8 +114,9 @@ def system_context(name: str, R: float) -> SystemContext:
         cps.fibonacci_windows() if name == "fibonacci"
         else cps.twisted_fibonacci_windows()
     )
-    cal_tps = inflate.realize_geometric(rule, "a", min(R, 1000.0))
-    cal = cps.calibrate_closures(cal_tps.points, preset_windows)
+    # calibrate on the realized points in [0, min(R, 1000)], a prefix of each type's
+    cal_points = {t: p[: combs._search(p, min(R, 1000.0), "right")] for t, p in tps.points.items()}
+    cal = cps.calibrate_closures(cal_points, preset_windows)
     # types that share a window share one read-only projection of it
     projected: dict[tuple[cps.Interval, ...], np.ndarray] = {}
     for w in cal.windows.values():

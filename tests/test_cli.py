@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from combsplit import __version__
+from combsplit import __version__, cli
 from combsplit.cli import main
 from combsplit.zroot5 import TAU
 
@@ -81,6 +81,26 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")) == 1
     err = json.loads(capsys.readouterr().err)
     assert "bogus" in err["message"]
+
+
+def test_every_flag_is_accepted_from_the_config(tmp_path, capsys):
+    # each subcommand parses to its flags' dests, and every one of them may
+    # come from the config document; the hand-kept list this replaced had 27
+    parser = cli._build_parser()
+    dests = set()
+    for command in cli._COMMANDS:
+        dests |= set(vars(parser.parse_args([command]))) - {"command", "config"}
+    assert len(dests) == 27
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict.fromkeys(dests, 1)))
+    assert cli._load_config(str(cfg), cli._config_keys(parser)) == dict.fromkeys(dests, 1)
+    # anything else is refused with the same message as before
+    cfg.write_text(json.dumps({"system": "fibonacci", "zeta": 1, "bogus": 2, "help": 3}))
+    assert run("--config", str(cfg), "generate", "--R", "10",
+               "--out", str(tmp_path / "x.csv")) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "CliError",
+                   "message": "unknown config keys: ['bogus', 'help', 'zeta']"}
 
 
 def test_missing_required_flag_errors(tmp_path, capsys):

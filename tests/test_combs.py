@@ -199,11 +199,24 @@ def test_keys_beyond_encoder_range_raise():
     assert linear_combine([(1.0, edge)]).atoms_dict() == edge.atoms_dict()
 
 
+F35, F36 = 9227465, 14930352
+
+
 def _model_set(draw):
-    # a lattice stretch or a Z[tau] model set, each sorted by position
-    if draw(st.booleans()):
+    # a lattice stretch, a Z[tau] model set, or keys near 2**30 in runs t *
+    # (-F36, F35) apart (F35 tau - F36 is -3e-8, below half an ulp there), so
+    # that distinct keys of a run embed to one double; each sorted by position
+    kind = draw(st.sampled_from(["lattice", "window", "ties"]))
+    if kind == "lattice":
         lo = draw(st.integers(-30, 0))
         return lattice_comb(lo, lo + draw(st.integers(0, 40))).keys, (float(lo), 40.0)
+    if kind == "ties":
+        runs = draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(-12, 12),
+                                       st.sets(st.integers(0, 2), min_size=1)),
+                             max_size=10, unique_by=lambda run: run[:2]))
+        keys = [(2**30 + a - t * F36, b + t * F35) for a, b, ts in runs for t in ts]
+        rng = (2.0**30 - 40.0, 2.0**30 + 40.0)  # |a + b tau| < 40
+        return dirac_comb(keys, rng).keys, rng
     windows = draw(st.sampled_from([cps.fibonacci_windows(), cps.twisted_fibonacci_windows()]))
     window = windows[draw(st.sampled_from(sorted(windows)))]
     rng = (draw(st.floats(-40.0, 0.0)), draw(st.floats(0.0, 40.0)))
@@ -240,7 +253,10 @@ def test_split_remainder_matches_dict_oracle(case):
     assert set(keys) == set(want)
     assert np.array([want[k] for k in keys], dtype=np.float64).tobytes() == nu.weights.tobytes()
     assert np.all(nu.weights != 0)
-    assert np.all(np.diff(nu.positions) > 0)
+    # nu keeps omega's order: keys of equal position stay in omega's order
+    rank = {k: r for r, k in enumerate(map(tuple, model.tolist()))}
+    assert [rank[k] for k in keys] == sorted(rank[k] for k in keys)
+    assert np.all(np.diff(nu.positions) >= 0)
     # omega + nu = delta_points atom for atom on omega's coverage
     sums = dict.fromkeys(inside, 0.0)
     for comb in (omega, nu):
@@ -297,6 +313,15 @@ def test_split_finds_points_among_keys_of_equal_position():
         with pytest.raises(ContainmentError) as err:
             split_remainder(np.array([tie[2]]), omega)
         assert err.value.offenders == [tie[2]]
+
+
+def test_split_remainder_on_an_empty_model_set():
+    empty = lattice_comb(1, 0, 0.5)
+    assert len(empty) == 0
+    with pytest.raises(ContainmentError, match="^2 point") as err:
+        split_remainder(np.array([[3, 0], [1, 2]]), empty)
+    assert err.value.offenders == [(3, 0), (1, 2)]
+    assert len(split_remainder(np.empty((0, 2), dtype=np.int64), empty)) == 0
 
 
 def test_split_rejects_repeated_points():

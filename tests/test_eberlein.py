@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from combsplit import combs, cps, eberlein, inflate, suites
+from combsplit import combs, cps, eberlein, inflate, spectra, suites
 from combsplit.combs import (
     WeightedComb,
     _decode,
@@ -496,6 +496,27 @@ def test_insufficient_coverage_raises():
         eberlein_convolve(z, z, "symmetric", 45.0, 10, "one")
     with pytest.raises(RangeError):
         fb_coefficient(z, 0.0, "symmetric", 60.0)
+
+
+def test_coverage_errors_keep_their_texts():
+    # one coverage check (combs._covers) writes every kernel's RangeError
+    z, wide = lattice_comb(-10, 10), lattice_comb(-100, 100)
+    cases = [
+        (lambda: eberlein_convolve(z, wide, "one_sided", 20.0, 5.0),
+         "first factor covers (-10.0, 10.0), needs [-20.0, -0.0] for R=20.0"),
+        (lambda: eberlein_convolve(wide, z, "one_sided", 20.0, 5.0, "one"),
+         "second factor covers (-10.0, 10.0), needs [-5.0, 25.0] for R=20.0"),
+        (lambda: fb_coefficient(z, 0.5, "one_sided", 20.0),
+         "comb covers (-10.0, 10.0), needs [0.0, 20.0]"),
+        (lambda: spectra.polarisation_zero_check(z, wide, "one_sided", 20.0, 1.0),
+         "first comb covers (-10.0, 10.0), needs [0.0, 20.0]"),
+        (lambda: spectra.polarisation_zero_check(wide, z, "symmetric", 20.0, 1.0),
+         "second comb covers (-10.0, 10.0), needs [-20.0, 20.0]"),
+    ]
+    for call, text in cases:
+        with pytest.raises(RangeError) as err:
+            call()
+        assert str(err.value) == text
 
 
 @pytest.mark.parametrize("r_max", [math.nan, math.inf, -3.0])
@@ -1155,10 +1176,10 @@ def test_binary_search_restriction_equals_searchsorted(offsets, far):
         p - 1e-12, p, p + 1e-12, math.nextafter(p, -math.inf), math.nextafter(p, math.inf))})
     for v in values or [0.0]:
         for side in ("left", "right"):
-            assert eberlein._search(comb.keys, v, side) == np.searchsorted(pos, v, side=side)
+            assert combs._search(comb.keys, v, side) == np.searchsorted(pos, v, side=side)
     for lo, hi in zip(values, values[::-1]):
         i, j = np.searchsorted(pos, lo - 1e-12, "left"), np.searchsorted(pos, hi + 1e-12, "right")
-        assert eberlein._bounds(comb, lo, hi) == (i, j)
+        assert combs._bounds(comb, lo, hi) == (i, j)
         keys_in, level_in = eberlein._restrict_arrays(comb, lo, hi)
         assert np.array_equal(keys_in, comb.keys[i:j]) and np.array_equal(level_in, comb.level[i:j])
 

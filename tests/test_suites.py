@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combsplit import combs, cps, eberlein, inflate, suites
+from combsplit import combs, cps, eberlein, inflate, stochastic, suites
 from combsplit.zroot5 import QuadraticInt
 
 
@@ -42,6 +43,43 @@ def test_system_context_projects_each_distinct_window_once(monkeypatch):
         for got, want in zip(ctx.splits[t], (omega, nu)):
             assert np.array_equal(got.keys, want.keys)
             assert np.array_equal(got.weights, want.weights)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "twisted_fibonacci"])
+@pytest.mark.parametrize("R", [500.0, 1e3, 1000.3, 1e4, 1.00311e5])
+def test_system_context_calibrates_on_a_prefix_of_its_realization(monkeypatch, name, R):
+    # the calibration points are those of the one realization in [0, 1000],
+    # and equal the points of a realization on [0, min(R, 1000)]
+    seen, realized = [], []
+    calibrate, realize = cps.calibrate_closures, inflate.realize_geometric
+
+    def capturing(points, windows):
+        seen.append(points)
+        return calibrate(points, windows)
+
+    def counting(*args, **kwargs):
+        realized.append(args)
+        return realize(*args, **kwargs)
+
+    monkeypatch.setattr(cps, "calibrate_closures", capturing)
+    monkeypatch.setattr(inflate, "realize_geometric", counting)
+    suites.system_context.__wrapped__(name, R)
+    monkeypatch.undo()
+
+    rule = inflate.builtin_rule(name)
+    assert len(realized) == 1 and len(seen) == 1
+    want = inflate.realize_geometric(rule, "a", min(R, 1000.0)).points
+    assert list(seen[0]) == list(want)
+    for t, points in want.items():
+        assert np.array_equal(seen[0][t], points)
+
+
+def test_check_serializes_its_fields_in_order():
+    check = stochastic.Check("gamma(0) = p", 0.25, 2e-3, False)
+    assert json.dumps(check.to_dict()) == (
+        '{"name": "gamma(0) = p", "measured": 0.25, "threshold": 0.002, "passed": false}')
+    report = suites.SuiteReport("s", (check,), {})
+    assert report.to_dict()["checks"] == [check.to_dict()]
 
 
 @given(
