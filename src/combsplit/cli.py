@@ -488,7 +488,7 @@ def cmd_sample(cfg: dict) -> int:
         N, r_max = stochastic._whole_sizes(int(_need(cfg, "N")), _whole_r_max(cfg, 50))
         # one draw serves the report and the points file
         row = stochastic._occupancy(p, N, rng)
-        report = stochastic._verify_occupancy(p, rng, row, r_max)
+        report = stochastic._verify_occupancy(p, rng, row, N, r_max)
         doc = {
             "params": {"model": "bernoulli", "p": p, "N": N},
             "seed": {"seed": seed, "stream": stream},
@@ -505,10 +505,13 @@ def cmd_sample(cfg: dict) -> int:
         }
         _write_json(out, doc, cfg)
         if cfg.get("points_out"):
-            sites = stochastic._sites(row)
-            keys = np.stack([sites, np.zeros_like(sites)], axis=1)
-            _write_csv(cfg["points_out"], ["m", "n", "value"],
-                       (text for text, in _key_lines(keys, sites.astype(float))), cfg)
+            lines = (
+                text
+                for sites in stochastic._sites(row, N)
+                for text, in _key_lines(np.stack([sites, np.zeros_like(sites)], axis=1),
+                                        sites.astype(float))
+            )
+            _write_csv(cfg["points_out"], ["m", "n", "value"], lines, cfg)
         return 0
     if model == "random_fibonacci":
         p = float(cfg.get("p", 0.5))

@@ -8,10 +8,14 @@ for one-sided ones.  One kernel backs the convolution: each comb is stored
 as its weight levels, sum_v v * 1_{S_v}, so every atom is a short sum of
 int64 pair counts N_ij(s) times level products.  The counts come from bit
 rows per lag when both combs live densely on the integers with few levels,
-and otherwise from a pair sweep.  The sweep takes the first factor's atoms a
-chunk at a time, with the positions of only the chunk and of the atoms of
-the second factor it reaches, and forms the chunk's pairs block by block,
-so its memory grows with neither the pair count nor the factors.  It adds
+and otherwise from a pair sweep.  A bit row holds 64 sites per word, and one
+kernel (_shift_counts) counts a lag's pairs as popcounts of words AND words
+shifted across word boundaries; the lattice rows of the Thue-Morse and
+lattice-gas suites (_lattice_tally) go through it too.  The sweep takes the
+first factor's atoms a chunk at a time, with the positions of only the
+chunk and of the atoms of the second factor it reaches, and forms the
+chunk's pairs block by block, so its memory grows with neither the pair
+count nor the factors.  It adds
 int64 key codes (the code of a sum of keys is the sum of their codes,
 combs._encode), tallies a block's cells (code, level pair) by sorting one
 int64 per pair, and decodes the atoms' keys once, at the end.  A
@@ -87,13 +91,16 @@ __all__ = [
 PAIR_BLOCK = 1 << 15
 FOLD_CELLS = 1 << 18
 FB_BLOCK = 1 << 14
-# Integer supports use bit rows up to this many weight-level pairs.  The
-# rows take about (x levels + 4 * y levels + level pairs / 8) bytes per site
-# of the span, y being the factor with fewer levels.  At 64 level pairs on
-# 2e5 sites with r_max = 20, the rows took 0.03-0.06 s and the pair sweep
-# 0.03 s at 10% density (break-even), 2.0 s at full, so supports with under
-# one atom per 16 sites are swept; at 256 level pairs the sweep was faster.
+# Integer supports use bit rows up to this many weight-level pairs, and
+# supports with under one atom per 16 sites are swept.  The rows take
+# (x levels + y levels) / 8 bytes per site of the span, and they are built
+# and counted about WORD_BLOCK words at a time.  On 2e5 sites with r_max =
+# 20 (2-core x86 machine), at 1/16, 1/10 and full density, the rows took
+# 0.001, 0.001 and 0.005 s with one level pair and 0.02 s throughout with
+# 64; the pair sweep took 0.006, 0.008 and 0.23 s, and 0.004, 0.007 and
+# 0.32 s.
 ROW_LEVEL_PAIRS = 64
+WORD_BLOCK = 1 << 14
 _NOT_FINITE = "weights, their products and sums must be finite"
 
 
@@ -209,67 +216,100 @@ def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
     return WeightedComb.from_weights(keys[keep], quotient, coverage)
 
 
-def _popcounts(a, b, offsets):
-    """counts[c, i, j] = #{t : a[i, t] and b[j, t + offsets[c]]} for the bool
-    rows a and b, b read as False past its end, offsets >= 0.  The a rows
-    fill 64-bit words; eight copies of the b rows, shifted by 0..7 bits, make
-    every offset a byte offset."""
-    reach = int(offsets.max(initial=0))
-    packed = np.packbits(a, axis=1)
-    rows = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))  # whole words
-    shifted = np.zeros((min(8, reach + 1), len(b), rows.shape[1] + reach // 8), dtype=np.uint8)
-    for q, copy in enumerate(shifted):
-        packed = np.packbits(b[:, q:], axis=1)[:, : copy.shape[1]]
-        copy[:, : packed.shape[1]] = packed
-    counts = np.empty((len(offsets), len(a), len(b)), dtype=np.int64)
-    for c, d in enumerate(offsets.tolist()):
-        window = shifted[d % 8, :, d // 8 : d // 8 + rows.shape[1]]
-        words = (rows[:, None, :] & window[None, :, :]).view(np.uint64)
-        counts[c] = np.bitwise_count(words).sum(axis=2, dtype=np.int64)
+def _bit_rows(lead, n_sites, blocks):
+    """Bit rows of n_sites sites, shape lead + (words,), from their bool
+    blocks of shape lead + (sites,), in site order: site t of a row is bit
+    t % 64 of its word t // 64, the words little-endian '<u8', and the bits
+    past n_sites are 0.  No bool row over every site is made.  Each block
+    but the last must hold a whole number of bytes of sites; ValueError
+    otherwise."""
+    words = np.zeros((*lead, -(-n_sites // 64)), dtype="<u8")
+    octets, sites = words.view(np.uint8), 0
+    for block in blocks:
+        if sites % 8:
+            raise ValueError("only the last block of a bit row may end inside a byte")
+        packed = np.packbits(block, axis=-1, bitorder="little")
+        octets[..., sites // 8 : sites // 8 + packed.shape[-1]] = packed
+        sites += block.shape[-1]
+    return words
+
+
+def _packed(n_rows, n_sites, row, site):
+    # The bit rows (_bit_rows) with site[k] set in row row[k], site ascending,
+    # from bool blocks of about 8 * WORD_BLOCK bytes.
+    step = 64 * max(1, WORD_BLOCK // (8 * n_rows))
+
+    def blocks():
+        for s in range(0, n_sites, step):
+            i, j = np.searchsorted(site, [s, s + step])
+            block = np.zeros((n_rows, min(step, n_sites - s)), dtype=bool)
+            block[row[i:j], site[i:j] - s] = True
+            yield block
+
+    return _bit_rows((n_rows,), n_sites, blocks())
+
+
+def _shift_counts(a, b, offsets):
+    """counts[c, i, j] = #{t : site t of row a[i] and site t + offsets[c] of
+    row b[j]} for bit rows laid out as _bit_rows makes them, offsets >= 0.
+    Shifted down by d = 64 q + r sites, word w of a b row is b[w + q] >> r
+    | b[w + q + 1] << (64 - r), so no row is copied per shift; the pairs are
+    the popcounts of a's words AND those.  The words are taken a block at
+    a time, about WORD_BLOCK words over all level pairs, so temporaries stay
+    bounded."""
+    counts = np.zeros((len(offsets), len(a), len(b)), dtype=np.int64)
+    step = max(1, WORD_BLOCK // (len(a) * len(b)))
+    for w in range(0, a.shape[1], step):
+        rows = a[:, None, w : w + step]
+        for c, d in enumerate(offsets.tolist()):
+            q, r = divmod(d, 64)
+            window = b[:, w + q : w + q + rows.shape[2]] >> r  # b's words past its end are 0
+            if r:
+                high = b[:, w + q + 1 : w + q + 1 + window.shape[1]] << (64 - r)
+                window[:, : high.shape[1]] |= high
+            both = rows[:, :, : window.shape[1]] & window[None]
+            counts[c] += np.bitwise_count(both).sum(axis=2, dtype=np.int64)
     return counts
 
 
 def _count_bits(mx, lx, nx, my, ly, ny, r_max):
     # Integer supports: one bit row per weight level.  Per lag s, the pairs
-    # x + y = s of a level pair are the popcount of an x row AND a shifted y
-    # row (_popcounts, which copies the y rows eight times).
-    if ny > nx:  # copy the factor with fewer levels
-        codes, j, i, count = _count_bits(my, ly, ny, mx, lx, nx, r_max)
-        return codes, i, j, count
+    # x + y = s of a level pair are the popcount of an x row AND a y row
+    # shifted by the lag's offset (_shift_counts).
     x0, x1, y0, y1 = int(mx[0]), int(mx[-1]), int(my[0]), int(my[-1])
     r = math.floor(r_max + 1e-9)
     s_hi = min(r, x1 + y1)
     lags = np.arange(max(-r, x0 + y0), s_hi + 1)
-    a = np.zeros((nx, x1 - x0 + 1), dtype=bool)
-    a[lx, mx - x0] = True
-    # the y rows reversed, behind pad zeros: y = s - x sits in column
+    a = _packed(nx, x1 - x0 + 1, lx, mx - x0)
+    # the y rows reversed, behind pad zeros: y = s - x sits at site
     # pad + y1 - y = (x - x0) + d with offset d = pad + x0 + y1 - s >= 0
     pad = max(0, s_hi - x0 - y1)
-    b = np.zeros((ny, pad + y1 - y0 + 1), dtype=bool)
-    b[ly, pad + y1 - my] = True
-    counts = _popcounts(a, b, pad + x0 + y1 - lags)
+    b = _packed(ny, pad + y1 - y0 + 1, ly[::-1], pad + y1 - my[::-1])
+    counts = _shift_counts(a, b, pad + x0 + y1 - lags)
     lag, i, j = np.nonzero(counts)
     return _lag_codes(lags[lag]), i, j, counts[lag, i, j]
 
 
-def _lattice_tally(occupied, r_max):
+def _lattice_tally(row, n, r_max):
     """The tally (key code, i, j, count) of the pairs (x, y) of the n sites M
-    of the bool row occupied per lag s = y - x = -L..L, L = min(r_max, n - 1),
-    and label pair (i, j), label 0 for P, the True sites, and 1 for M \\ P.
-    With N_AB(s) the pairs of A x B at lag s, N_PP(s) is the popcount of the
-    row AND the row shifted by s, N_PM(s) is |P| less the occupied sites
-    among the last s sites (the first |s| when s < 0), N_MP(s) = N_PM(-s)
-    and N_MM(s) = n - |s|; the labels' counts follow by inclusion-exclusion."""
-    n = len(occupied)
+    of the bit row row (laid out as _bit_rows makes them) per lag s = y - x =
+    -L..L, L = min(r_max, n - 1), and label pair (i, j), label 0 for P, the
+    set sites, and 1 for M \\ P.  With N_AB(s) the pairs of A x B at lag s,
+    N_PP(s) is the popcount of the row AND the row shifted by s
+    (_shift_counts), N_PM(s) is |P| less the set sites among the last s
+    sites (the first |s| when s < 0), N_MP(s) = N_PM(-s) and N_MM(s) =
+    n - |s|; the labels' counts follow by inclusion-exclusion.  Only the
+    first and last L sites are unpacked."""
     lag = min(int(r_max), n - 1)  # no two sites lie farther apart
     lags = np.arange(-lag, lag + 1)
-    row = occupied[None, :]
     n_pp = np.empty(len(lags), dtype=np.int64)
-    n_pp[lag:] = _popcounts(row, row, np.arange(lag + 1))[:, 0, 0]
+    n_pp[lag:] = _shift_counts(row[None], row[None], np.arange(lag + 1))[:, 0, 0]
     n_pp[:lag] = n_pp[: lag : -1]
     size = n_pp[lag]
-    head = np.cumsum(occupied[:lag], dtype=np.int64)
-    tail = np.cumsum(occupied[::-1][:lag], dtype=np.int64)
+    octets, first = row.view(np.uint8), (n - lag) // 8  # the byte of site n - lag
+    head = np.cumsum(np.unpackbits(octets, count=lag, bitorder="little"), dtype=np.int64)
+    ends = np.unpackbits(octets[first:], count=n - 8 * first, bitorder="little")
+    tail = np.cumsum(ends[n - lag - 8 * first :][::-1], dtype=np.int64)
     n_pm = np.concatenate([size - head[::-1], [size], size - tail])
     n_mp, n_mm = n_pm[::-1], n - np.abs(lags)
     count = np.concatenate([n_pp, n_pm - n_pp, n_mp - n_pp, n_mm - n_pm - n_mp + n_pp])

@@ -239,8 +239,12 @@ def _philox_generator(seed: int, stream: int, level: int) -> np.random.Generator
 
 # Words are read and written in blocks of an eighth of their letters, at
 # least 1024 and at most LETTER_BLOCK, so that the int64 temporaries of a
-# block stay near the size of the int16 word or below it at every length.
-LETTER_BLOCK = 1 << 16
+# block stay near the size of the int8 word or below it at every length.
+# On the 2**20-letter Thue-Morse word, realize_word's tracemalloc peak was
+# 2.57, 1.82 and 1.66 B per letter with LETTER_BLOCK = 2**16, 2**15 and
+# 2**14 (the word and the previous level take 1.5); the twisted chain's
+# realization at R = 1e7 took the same time with blocks of 2**16 and 2**14.
+LETTER_BLOCK = 1 << 14
 
 
 def _block_size(n_letters: int) -> int:
@@ -250,8 +254,10 @@ def _block_size(n_letters: int) -> int:
 def realize_word(
     rule: SubstitutionRule, seed: str, R: float, rng_seed: int | None = None, stream: int = 0
 ) -> np.ndarray:
-    """The tiles of an inflation fixed point that start in [0, R], as an int16
-    word of indices into rule.alphabet.
+    """The tiles of an inflation fixed point that start in [0, R], as a word
+    of indices into rule.alphabet, in the narrowest signed dtype that holds
+    them: int8 for up to 128 letters, so for every built-in rule, and int16
+    for up to 32768.
 
     Parameters
     ----------
@@ -277,8 +283,10 @@ def realize_word(
         raise RuleError("probabilistic rules need an rng seed")
 
     idx = {letter: i for i, letter in enumerate(rule.alphabet)}
+    # the narrowest signed dtype of the indices and the images' padding -1
+    letter_type = np.min_scalar_type(-len(idx))
     br_words = [
-        [np.array([idx[s] for s in br.word], dtype=np.int16) for br in rule.images[l]]
+        [np.array([idx[s] for s in br.word], dtype=letter_type) for br in rule.images[l]]
         for l in rule.alphabet
     ]
     br_cumprob = [
@@ -292,7 +300,7 @@ def realize_word(
     check_points_budget(R / float(freqs @ len_values), f"realizing {rule.name} on [0, {R:g}]")
 
     # the letter counts of each level follow from the substitution matrix
-    word = np.array([idx[seed]], dtype=np.int16)
+    word = np.array([idx[seed]], dtype=letter_type)
     tally = np.bincount(word, minlength=len(idx))
     level = 0
     while float(tally @ len_values) < R:
@@ -323,25 +331,28 @@ def realize_word(
 
 
 def _inflate_word(word, br_words, br_cumprob, rng_seed, stream, level):
-    # One padded int16 row per (letter, branch): the image, then -1s.  The
-    # images are looked up block by block, so the index temporaries stay
-    # small, and the padding is dropped at the end.  A letter's branch is the
-    # count of its cumulative probabilities, bar the last, that its uniform
-    # reaches; the uniforms are drawn a block at a time.
+    # One padded row per (letter, branch), in the word's dtype: the image,
+    # then -1s.  The images are looked up block by block by (letter, branch)
+    # codes, int16 or wider, so the index temporaries stay small, and the
+    # padding is dropped at the end.  A letter's branch is the count of its
+    # cumulative probabilities, bar the last, that its uniform reaches; the
+    # uniforms are drawn a block at a time.
     n_branches = max(len(b) for b in br_words)
     width = max(len(img) for b in br_words for img in b)
-    table = np.full((len(br_words), n_branches, width), -1, dtype=np.int16)
+    table = np.full((len(br_words), n_branches, width), -1, dtype=word.dtype)
     for i, images in enumerate(br_words):
         for b, img in enumerate(images):
             table[i, b, : len(img)] = img
     table = table.reshape(-1, width)
+    code_type = np.promote_types(np.int16, np.min_scalar_type(-len(table)))
     steps = [(i, c) for i, cumprob in enumerate(br_cumprob) for c in cumprob[:-1].tolist()]
     gen = _philox_generator(rng_seed, stream, level) if n_branches > 1 else None
-    out = np.empty((len(word), width), dtype=np.int16)
+    out = np.empty((len(word), width), dtype=word.dtype)
     block = _block_size(len(word))
     for a in range(0, len(word), block):
         letters = word[a : a + block]
-        code = letters * np.int16(n_branches)
+        code = letters.astype(code_type)
+        code *= n_branches
         if gen is not None:
             u = gen.random(len(code))
             for i, c in steps:

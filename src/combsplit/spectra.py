@@ -34,6 +34,10 @@ __all__ = [
     "polarisation_zero_check",
 ]
 
+# the signed sequence is made, and its products taken, SEQUENCE_BLOCK letters
+# at a time
+SEQUENCE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class EtaTable:
@@ -74,11 +78,16 @@ def tm_signed_sequence(n: int) -> np.ndarray:
     Generated from the bit-parity of the index, deliberately independent of
     the substitution machinery it cross-checks.
     """
-    signs = np.empty(n, dtype=np.int8)
-    block = 1 << 16  # the uint32 indices are made a block at a time
-    for lo in range(0, n, block):
-        index = np.arange(lo, min(lo + block, n), dtype=np.uint32)
-        np.bitwise_count(index, out=signs[lo : lo + block].view(np.uint8))
+    return _signs(0, n)
+
+
+def _signs(lo: int, hi: int) -> np.ndarray:
+    # letters lo..hi-1 of the signed sequence as int8, from the parities of
+    # their uint32 indices, made SEQUENCE_BLOCK at a time
+    signs = np.empty(hi - lo, dtype=np.int8)
+    for a in range(lo, hi, SEQUENCE_BLOCK):
+        index = np.arange(a, min(a + SEQUENCE_BLOCK, hi), dtype=np.uint32)
+        np.bitwise_count(index, out=signs[a - lo : a - lo + SEQUENCE_BLOCK].view(np.uint8))
     signs &= 1
     signs *= -2
     signs += 1
@@ -91,14 +100,22 @@ def tm_eta_bruteforce(m_max: int, n_letters: int = 2**20) -> np.ndarray:
     With eq of the count = n_letters - m products equal to +1, the average
     is (2 eq - count) / count.  Both are whole numbers, so the quotient is
     the correctly rounded double that a float mean of the products gives:
-    every partial sum of +-1 terms is exact.
+    every partial sum of +-1 terms is exact.  The products t_n t_{n+m} are
+    taken for SEQUENCE_BLOCK values of n at a time, from the letters of
+    that block and the m_max after it, by plain equality of the signs (this
+    is the oracle of the bit-row kernel, so it does not use it).
     """
-    t = tm_signed_sequence(n_letters)
+    eq = [0] * (m_max + 1)
+    for a in range(0, n_letters, SEQUENCE_BLOCK):
+        t = _signs(a, min(a + SEQUENCE_BLOCK + m_max, n_letters))
+        for m in range(m_max + 1):
+            k = min(SEQUENCE_BLOCK, n_letters - m - a)  # the products with a <= n < a + k
+            if k > 0:
+                eq[m] += int(np.count_nonzero(t[:k] == t[m : m + k]))
     out = np.empty(m_max + 1)
     for m in range(m_max + 1):
         count = n_letters - m
-        eq = int(np.count_nonzero(t[:count] == t[m:])) if m else count
-        out[m] = (2 * eq - count) / count
+        out[m] = (2 * eq[m] - count) / count
     return out
 
 

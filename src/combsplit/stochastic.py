@@ -9,14 +9,14 @@ specs reproduce identical point sets bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .combs import _bounds
 from .combs import linear_combine  # noqa: F401  (bench/spans.py traces this binding)
 from .cps import check_points_budget
-from .eberlein import AveragingSpec, FBRow, _averaged_comb, _lattice_tally, fb_scan
+from .eberlein import AveragingSpec, FBRow, _averaged_comb, _bit_rows, _lattice_tally, fb_scan
 from .eberlein import pair_correlation  # noqa: F401  (bench/spans.py traces this binding)
 from .inflate import (
     TypedPointSet,
@@ -58,36 +58,45 @@ class Check:
         return asdict(self)
 
 
-# the lattice gas is drawn GAS_BLOCK sites at a time
+# the lattice gas is drawn, packed and unpacked GAS_BLOCK sites at a time,
+# a whole number of bytes of its bit row
 GAS_BLOCK = 1 << 16
 
 
 def bernoulli_gas(p: float, N: int, rng: RngSpec) -> np.ndarray:
     """Independent site occupation on {-N, ..., N} with probability p."""
-    return _sites(_occupancy(p, N, rng))
+    row = _occupancy(p, N, rng)
+    sites = np.empty(int(np.bitwise_count(row).sum()), dtype=np.int64)
+    at = 0
+    for block in _sites(row, N):
+        sites[at : at + len(block)] = block
+        at += len(block)
+    return sites
 
 
 def _occupancy(p: float, N: int, rng: RngSpec) -> np.ndarray:
-    # The occupied sites of the gas as a bool row over -N..N, from the same
-    # uniforms as one draw of 2N + 1, taken GAS_BLOCK at a time.
+    # The occupied sites of the gas as a bit row over -N..N (eberlein._bit_rows'
+    # layout, site -N first), from the same uniforms as one draw of 2N + 1,
+    # drawn and packed GAS_BLOCK at a time.
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     if N < 0:
         raise ValueError("N must be nonnegative")
-    check_points_budget(2 * N + 1, f"a lattice gas on {{-{N}, ..., {N}}}")
+    n = 2 * N + 1
+    check_points_budget(n, f"a lattice gas on {{-{N}, ..., {N}}}")
     gen = _philox_generator(rng.seed, rng.stream, 0)
-    row = np.empty(2 * N + 1, dtype=bool)
-    for a in range(0, len(row), GAS_BLOCK):
-        block = row[a : a + GAS_BLOCK]
-        np.less(gen.random(len(block)), p, out=block)
-    return row
+    blocks = (gen.random(min(GAS_BLOCK, n - a)) < p for a in range(0, n, GAS_BLOCK))
+    return _bit_rows((), n, blocks)
 
 
-def _sites(row: np.ndarray) -> np.ndarray:
-    # the occupied sites of a row over -N..N
-    sites = np.flatnonzero(row)
-    sites -= len(row) // 2
-    return sites
+def _sites(row: np.ndarray, N: int) -> Iterator[np.ndarray]:
+    # the occupied sites of a bit row over -N..N, GAS_BLOCK sites at a time
+    n, octets = 2 * N + 1, row.view(np.uint8)
+    for a in range(0, n, GAS_BLOCK):
+        bits = octets[a // 8 : (a + GAS_BLOCK) // 8]
+        sites = np.flatnonzero(np.unpackbits(bits, count=min(GAS_BLOCK, n - a), bitorder="little"))
+        sites += a - N
+        yield sites
 
 
 @dataclass(frozen=True)
@@ -122,19 +131,20 @@ def bernoulli_verify(
     against the periodic part near zero.  Both have the same sup norm, so
     one of them is computed.
 
-    No comb over the 2N + 1 sites is built.  The gas is drawn as a bool row
-    over [-N, N], M its sites and P the occupied ones, and every pair of the
-    three correlations is counted once, in the labelled tally of that row
-    (eberlein._lattice_tally): per lag s and label pair, label 0 for P and
-    1 for M \\ P.  Each correlation weighs that one tally by a level per
-    label, lambda by [1, 0], omega = p * delta_M by [p, p] and
-    nu = lambda - omega by [1 - p, -p], through the exact sums of every
-    correlation, so each atom is the one pair_correlation gives for those
-    combs, bit for bit.  N must be a whole number >= 1 and r_max a whole
-    number >= 1; ValueError otherwise.
+    No comb over the 2N + 1 sites is built, nor any array of a byte per
+    site.  The gas is drawn as a bit row over [-N, N], 64 sites to a word, M
+    its sites and P the occupied ones, and every pair of the three
+    correlations is counted once, in the labelled tally of that row
+    (eberlein._lattice_tally, by popcounts of shifted words): per lag s and
+    label pair, label 0 for P and 1 for M \\ P.  Each correlation weighs
+    that one tally by a level per label, lambda by [1, 0], omega = p *
+    delta_M by [p, p] and nu = lambda - omega by [1 - p, -p], through the
+    exact sums of every correlation, so each atom is the one
+    pair_correlation gives for those combs, bit for bit.  N must be a
+    whole number >= 1 and r_max a whole number >= 1; ValueError otherwise.
     """
     N, r_max = _whole_sizes(N, r_max)
-    return _verify_occupancy(p, rng, _occupancy(p, N, rng), r_max, tol_gamma0, tol_gamma, tol_nu)
+    return _verify_occupancy(p, rng, _occupancy(p, N, rng), N, r_max, tol_gamma0, tol_gamma, tol_nu)
 
 
 def _whole_sizes(N, r_max) -> tuple[int, int]:
@@ -149,14 +159,14 @@ def _verify_occupancy(
     p: float,
     rng: RngSpec,
     row: np.ndarray,
+    N: int,
     r_max: int,
     tol_gamma0: float = 2e-3,
     tol_gamma: float = 3e-3,
     tol_nu: float = 3e-3,
 ) -> BernoulliReport:
-    # bernoulli_verify on the gas drawn as the occupancy row over -N..N
-    N = len(row) // 2
-    tally = [_lattice_tally(row, r_max)]
+    # bernoulli_verify on the gas drawn as the bit row over -N..N
+    tally = [_lattice_tally(row, 2 * N + 1, r_max)]
 
     def correlation(vx, vy):
         return _averaged_comb(tally, vx, vy, 2.0 * N, (-r_max, r_max))

@@ -40,6 +40,9 @@ PRESET_NONMODULE = (
     math.e / 9,
     math.log(2),
 )
+# the Thue-Morse word is packed into its bit row TM_BLOCK letters at a time
+# (a whole number of bytes of the row)
+TM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -159,8 +162,8 @@ def suite_tm(seed: int | None = None) -> SuiteReport:
     recursion = spectra.tm_eta(64)
     rec_err = float(np.abs(recursion.as_floats() - brute).max())
 
-    occupied = _tm_occupancy(inflate.thue_morse_rule(), float(n_letters))
-    correlations = _tm_correlations(occupied, float(n_letters), 32)
+    row, n = _tm_occupancy(inflate.thue_morse_rule(), float(n_letters))
+    correlations = _tm_correlations(row, n, float(n_letters), 32)
     worst_atom = 0.0
     for (a, b), g in correlations.items():
         sign = 1.0 if a == b else -1.0
@@ -184,28 +187,31 @@ def suite_tm(seed: int | None = None) -> SuiteReport:
     return SuiteReport("tm", checks, {"n_letters": n_letters})
 
 
-def _tm_occupancy(rule: inflate.SubstitutionRule, R: float) -> np.ndarray:
-    """Type a's bool row over the sites 0..n-1 of a doubling-chain word on
-    [0, R]: every tile has length 1, so tile k starts at k (else ValueError)."""
+def _tm_occupancy(rule: inflate.SubstitutionRule, R: float) -> tuple[np.ndarray, int]:
+    """Type a's bit row (eberlein._bit_rows' layout) over the sites 0..n-1 of
+    a doubling-chain word on [0, R], and n: every tile has length 1, so tile
+    k starts at k (else ValueError).  The word is packed a block at a time."""
     one = QuadraticInt(1, 0)
     if any(length != one for length in rule.lengths.values()):
         raise ValueError(f"the types of {rule.name} do not tile the integers: "
                          f"tile lengths {dict(rule.lengths)}")
-    return inflate.realize_word(rule, "a", R) == rule.alphabet.index("a")
+    word, a = inflate.realize_word(rule, "a", R), rule.alphabet.index("a")
+    blocks = (word[s : s + TM_BLOCK] == a for s in range(0, len(word), TM_BLOCK))
+    return eberlein._bit_rows((), len(word), blocks), len(word)
 
 
 def _tm_correlations(
-    occupied: np.ndarray, R: float, r_max: int
+    row: np.ndarray, n: int, R: float, r_max: int
 ) -> dict[tuple[str, str], combs.WeightedComb]:
     """The typed pair correlations on [0, R], one_sided, of a doubling-chain
-    realization whose sites 0..n-1 hold type a where occupied is True and
+    realization whose sites 0..n-1 hold type a where the bit row is set and
     type b elsewhere: atom for atom those of pair_correlation on its combs.
 
-    The labelled tally of the occupancy row (eberlein._lattice_tally: label
-    0 for type a, 1 for type b) counts every typed pair once; type a weighs
-    it by the levels [1, 0] per label and type b by [0, 1].
+    The labelled tally of the bit row (eberlein._lattice_tally: label 0 for
+    type a, 1 for type b) counts every typed pair once; type a weighs it by
+    the levels [1, 0] per label and type b by [0, 1].
     """
-    tally = [eberlein._lattice_tally(occupied, r_max)]
+    tally = [eberlein._lattice_tally(row, n, r_max)]
     levels = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
     return {
         (a, b): eberlein._averaged_comb(tally, levels[a], levels[b], R, (-r_max, r_max))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combsplit import cps, inflate
+from combsplit import combs, cps, inflate
 from combsplit.combs import (
     ContainmentError,
     WeightedComb,
@@ -234,12 +234,15 @@ def split_case_st(draw):
     return model, rng, points[list(order)], alpha
 
 
-@given(split_case_st())
+@given(split_case_st(), st.sampled_from([8, 16, combs.ATOM_BLOCK]))
 @settings(max_examples=200, deadline=None)
-def test_split_remainder_matches_dict_oracle(case):
+def test_split_remainder_matches_dict_oracle(case, block):
+    # blocks of 8 and 16 keys make the membership scan cross block edges
     model, rng, points, alpha = case
-    omega = dirac_comb(model, rng, weight=alpha)
-    nu = split_remainder(points, omega)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(combs, "ATOM_BLOCK", block)
+        omega = dirac_comb(model, rng, weight=alpha)
+        nu = split_remainder(points, omega)
 
     # oracle: 1_P - alpha * 1_M atom by atom, on omega's coverage
     lo, hi = rng
@@ -322,6 +325,43 @@ def test_split_remainder_on_an_empty_model_set():
         split_remainder(np.array([[3, 0], [1, 2]]), empty)
     assert err.value.offenders == [(3, 0), (1, 2)]
     assert len(split_remainder(np.empty((0, 2), dtype=np.int64), empty)) == 0
+
+
+@pytest.mark.parametrize("block", [8, 16, combs.ATOM_BLOCK])
+def test_membership_marks_the_first_of_equal_keys(monkeypatch, block):
+    # a key repeated within and across blocks of 8 and 16 is marked once, at
+    # its first place; the offenders and both errors are those of one scan
+    monkeypatch.setattr(combs, "ATOM_BLOCK", block)
+    keys = np.array([[m, 1] for m in range(20)])
+    keys[[3, 11, 19]] = [4, 0]
+    keys[[9, 10, 17]] = [1, 0]
+
+    def members(points):
+        marked = combs._members(np.array(points), keys)
+        return np.flatnonzero(np.unpackbits(marked, count=len(keys))).tolist()
+
+    assert members([[1, 0], [4, 0]]) == [3, 9]
+    assert members([[12, 1], [4, 0], [0, 1]]) == [0, 3, 12]
+    with pytest.raises(ContainmentError, match="^3 point") as err:
+        combs._members(np.array([[9, 0], [1, 0], [2, 0], [9, 0]]), keys)
+    assert err.value.offenders == [(9, 0), (2, 0), (9, 0)]
+    with pytest.raises(ValueError, match="distinct"):
+        combs._members(np.array([[4, 0], [2, 1], [4, 0]]), keys)
+
+
+@pytest.mark.parametrize("bad", [0, 8, 9, 19])
+def test_coverage_check_reads_every_block(monkeypatch, bad):
+    # twenty atoms in blocks of eight: the one atom outside the coverage, on
+    # either side, is found in whichever block it sits
+    monkeypatch.setattr(combs, "ATOM_BLOCK", 8)
+    keys = lattice_comb(0, 19).keys
+    level = np.zeros(20, dtype=np.uint8)
+    WeightedComb(keys, np.array([1.0]), level, (0.0, 19.0 - 5e-10))
+    for outside in (40, -5):
+        moved = keys.copy()
+        moved[bad, 0] = outside
+        with pytest.raises(ValueError, match="^atoms outside the coverage interval$"):
+            WeightedComb(moved, np.array([1.0]), level, (0.0, 19.0))
 
 
 def test_split_rejects_repeated_points():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -1052,17 +1053,29 @@ def test_non_finite_fb_weights_and_sums_raise():
         fb_scan(big, [FourierModulePoint(0, 0)], AveragingSpec("symmetric", (5.0, 20.0)))
 
 
+def bit_row(bits):
+    # bits packed by numpy: site t as bit t % 64 of the '<u8' word t // 64
+    octets = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+    return np.pad(octets, (0, -len(octets) % 8)).view("<u8")
+
+
+# rows of n sites with n mod 64 in {0, 1, 63}, up to five words
+row_length_st = st.sampled_from([64 * k + d for k in range(5) for d in (0, 1, 63) if 64 * k + d])
+
+
 @given(
     # rows across one 64-bit word's edge are drawn as often as short ones
     st.one_of(st.lists(st.booleans(), min_size=1, max_size=80),
-              st.lists(st.booleans(), min_size=60, max_size=80)),
+              st.lists(st.booleans(), min_size=60, max_size=80),
+              row_length_st.flatmap(lambda n: st.lists(st.booleans(), min_size=n, max_size=n))),
     st.data(),
 )
 @settings(max_examples=200, deadline=None)
 def test_lattice_tally_counts_every_label_pair(bits, data):
+    # r_max from 1 to twice the row: lags of 64 and more, and r_max >= n
     r_max = data.draw(st.integers(1, 2 * len(bits)), label="r_max")
     occupied = np.array(bits)
-    codes, i, j, count = eberlein._lattice_tally(occupied, r_max)
+    codes, i, j, count = eberlein._lattice_tally(bit_row(occupied), len(bits), r_max)
     assert count.dtype == np.int64
     keys = _decode(codes)
     assert not keys[:, 1].any()
@@ -1072,8 +1085,83 @@ def test_lattice_tally_counts_every_label_pair(bits, data):
     cells = sorted(zip(i.tolist(), j.tolist(), keys[:, 0].tolist()))
     assert cells == [(a, b, s) for a in (0, 1) for b in (0, 1) for s in range(-reach, reach + 1)]
     labels = (np.flatnonzero(occupied).tolist(), np.flatnonzero(~occupied).tolist())
+    pairs = {(a, b): Counter(y - x for x in labels[a] for y in labels[b])
+             for a in (0, 1) for b in (0, 1)}
     for a, b, s, got in zip(i.tolist(), j.tolist(), keys[:, 0].tolist(), count.tolist()):
-        assert got == sum(1 for x in labels[a] for y in labels[b] if y - x == s)
+        assert got == pairs[a, b][s]
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 2, None]))
+@settings(max_examples=150, deadline=None)
+def test_shift_counts_equal_a_count_per_site(data, n_a, n_b, word_block):
+    # counts[c, i, j] = #{t : a[i, t] and b[j, t + d_c]}, site by site, for
+    # rows of n mod 64 in {0, 1, 63} sites, offsets across whole words and
+    # past b's end, and word blocks of one or two words
+    def rows(n_rows, label):
+        n = data.draw(row_length_st, label=f"{label} sites")
+        density = data.draw(st.sampled_from([0.05, 0.5, 1.0]), label=f"{label} density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed"))
+        return rng.random((n_rows, n)) < density
+
+    a, b = rows(n_a, "a"), rows(n_b, "b")
+    offsets = data.draw(st.lists(st.integers(0, b.shape[1] + 70), min_size=1, max_size=8),
+                        label="offsets")
+    with pytest.MonkeyPatch.context() as patch:
+        if word_block:
+            patch.setattr(eberlein, "WORD_BLOCK", word_block)
+        got = eberlein._shift_counts(np.stack([bit_row(r) for r in a]),
+                                     np.stack([bit_row(r) for r in b]), np.array(offsets))
+    assert got.shape == (len(offsets), n_a, n_b) and got.dtype == np.int64
+    for c, d in enumerate(offsets):
+        for i in range(n_a):
+            for j in range(n_b):
+                want = sum(1 for t in range(a.shape[1])
+                           if a[i, t] and t + d < b.shape[1] and b[j, t + d])
+                assert got[c, i, j] == want, (c, i, j)
+
+
+def test_bit_rows_take_blocks_of_whole_bytes():
+    bits = np.random.default_rng(3).random((2, 150)) < 0.5
+    rows = eberlein._bit_rows((2,), 150, [bits[:, :8], bits[:, 8:72], bits[:, 72:]])
+    assert rows.dtype == np.dtype("<u8")
+    assert np.array_equal(rows, np.stack([bit_row(b) for b in bits]))
+    row = eberlein._bit_rows((), 150, [bits[0, :64], bits[0, 64:]])
+    assert np.array_equal(row, bit_row(bits[0]))
+    with pytest.raises(ValueError, match="inside a byte"):
+        eberlein._bit_rows((), 150, [bits[0, :5], bits[0, 5:]])
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([0.0, 1.0, 5.5, 70.0, 300.0]), st.sampled_from([1, None]))
+@settings(max_examples=100, deadline=None)
+def test_bit_rows_count_the_pairs_of_the_sweep(data, n_x, n_y, r_max, word_block):
+    # integer supports on several levels: the bit rows' tally (code, i, j,
+    # count) against the pair sweep's, cell by cell; a WORD_BLOCK of one word
+    # builds the rows 64 sites at a time
+    def support(n_levels, label):
+        start = data.draw(st.integers(-150, 0), label=f"{label} start")
+        span = data.draw(st.integers(1, 300), label=f"{label} span")
+        density = data.draw(st.sampled_from([0.1, 0.5, 1.0]), label=f"{label} density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed"))
+        sites = start + np.flatnonzero(rng.random(span) < density)
+        sites = sites if len(sites) else np.array([start])
+        return sites.astype(np.int64), rng.integers(0, n_levels, len(sites)).astype(np.uint8)
+
+    def cells(tallies):
+        total = Counter()
+        for codes, i, j, count in tallies:
+            for code, a, b, c in zip(codes.tolist(), i.tolist(), j.tolist(), count.tolist()):
+                total[code, a, b] += c
+        return total
+
+    (mx, lx), (my, ly) = support(n_x, "x"), support(n_y, "y")
+    with pytest.MonkeyPatch.context() as patch:
+        if word_block:
+            patch.setattr(eberlein, "WORD_BLOCK", word_block)
+        bits = eberlein._count_bits(mx, lx, n_x, my, ly, n_y, r_max)
+    assert bits[3].dtype == np.int64 and bits[3].all()
+    on_z = [np.stack([m, np.zeros_like(m)], axis=1) for m in (mx, my)]
+    assert cells([bits]) == cells(eberlein._count_pairs(on_z[0], lx, on_z[1], ly, n_y, r_max))
 
 
 @pytest.mark.parametrize("integer", [True, False])

@@ -1,6 +1,7 @@
 import bisect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,7 +407,7 @@ def test_realize_matches_the_whole_word_path(monkeypatch, block, rule, rng_seed)
             assert np.array_equal(got.points[t], want[t]), (R, t)
         # the two steps of a realization: the cut word, then its tile starts
         word = inflate.realize_word(rule, "a", R, rng_seed=rng_seed)
-        assert word.dtype == np.int16 and np.array_equal(word, want_word), R
+        assert word.dtype == np.int8 and np.array_equal(word, want_word), R
         starts = inflate._typed_starts(word, lengths)
         for t, keys in zip(want, starts):
             assert np.array_equal(keys, want[t]), (R, t)
@@ -437,3 +438,18 @@ def test_branch_draws_by_block_equal_one_whole_word_draw(rule, rng_seed, block, 
     want, _, _ = reference_realization(rule, R, rng_seed)
     for t in want:
         assert np.array_equal(got.points[t], want[t]), t
+
+
+def test_thue_morse_word_takes_under_two_bytes_per_letter():
+    # the 2**20-letter word of the tm suite: the word, the previous level and
+    # block temporaries; the int16 word with 2**16-letter blocks took 3.6 B
+    rule = inflate.thue_morse_rule()
+    inflate.realize_word(rule, "a", 64.0)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        word = inflate.realize_word(rule, "a", float(2**20))
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert len(word) == 2**20 and peak <= 2 * 2**20, peak

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,12 @@ from combsplit.stochastic import (
 from combsplit.zroot5 import SQRT5, TAU
 
 from combsplit import cps
+
+
+def bit_row(bits):
+    # bits packed by numpy: site t as bit t % 64 of the '<u8' word t // 64
+    octets = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+    return np.pad(octets, (0, -len(octets) % 8)).view("<u8")
 
 
 def test_bernoulli_degenerate_probabilities():
@@ -107,7 +115,7 @@ def test_bernoulli_verify_equals_the_comb_correlations(N, p, data, seed):
     # sites P and label 1 the rest of M = -N..N
     row = np.zeros(2 * N + 1, dtype=bool)
     row[sites + N] = True
-    codes, i, j, count = eberlein._lattice_tally(row, r_max)
+    codes, i, j, count = eberlein._lattice_tally(bit_row(row), len(row), r_max)
     lags = combs._decode(codes)[:, 0].tolist()
     reach = min(r_max, 2 * N)
     assert sorted(lags) == sorted(list(range(-reach, reach + 1)) * 4)
@@ -246,8 +254,9 @@ def test_empirical_pp_split_cauchy_stabilizes():
     assert report.max_cauchy <= 0.02
 
 
-@pytest.mark.parametrize("block", [5, 8, stochastic.GAS_BLOCK])
+@pytest.mark.parametrize("block", [8, 24, stochastic.GAS_BLOCK])
 def test_bernoulli_gas_blocks_equal_one_draw(monkeypatch, block):
+    # blocks are whole bytes of the row; 24 sites end mid-word
     monkeypatch.setattr(stochastic, "GAS_BLOCK", block)
     # 2N + 1 one short of, on, and one past a whole number of blocks
     sizes = [k * block + d for k in (1, 2, 3) for d in (-1, 0, 1) if (k * block + d) % 2]
@@ -255,7 +264,22 @@ def test_bernoulli_gas_blocks_equal_one_draw(monkeypatch, block):
         N = n // 2
         u = inflate._philox_generator(4, 2, 0).random(n)
         row = stochastic._occupancy(0.45, N, RngSpec(4, 2))
-        assert row.dtype == bool and np.array_equal(row, u < 0.45)
+        # the bits of one draw, 64 sites to a word, the bits past the row 0
+        assert row.dtype == np.dtype("<u8") and np.array_equal(row, bit_row(u < 0.45))
         sites = bernoulli_gas(0.45, N, RngSpec(4, 2))
         assert sites.dtype == np.int64
         assert np.array_equal(sites, np.arange(-N, N + 1)[u < 0.45])
+
+
+def test_bernoulli_verify_holds_under_a_byte_per_site():
+    # the suite's gas of 2e6 + 1 sites; a bool row over the sites, and its
+    # eight shifted copies for the popcounts, took 2.5 B per site
+    bernoulli_verify(0.6, 100, RngSpec(42))
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        bernoulli_verify(0.6, 10**6, RngSpec(42), r_max=50)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 10**6 + 1, peak

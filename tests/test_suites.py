@@ -90,10 +90,13 @@ def test_check_serializes_its_fields_in_order():
 def test_tm_correlations_equal_the_comb_correlations(R, r_max):
     rule = inflate.thue_morse_rule()
     tps = inflate.realize_geometric(rule, "a", float(R))
-    occupied = suites._tm_occupancy(rule, float(R))
+    row, n = suites._tm_occupancy(rule, float(R))
+    # one bit per site, 64 to a '<u8' word, the bits past the n sites 0
+    assert row.dtype == np.dtype("<u8") and len(row) == -(-n // 64)
+    occupied = np.unpackbits(row.view(np.uint8), bitorder="little")
     assert np.array_equal(np.flatnonzero(occupied), tps.points["a"][:, 0])
-    assert len(occupied) == tps.count()
-    got = suites._tm_correlations(occupied, float(R), r_max)
+    assert n == tps.count()
+    got = suites._tm_correlations(row, n, float(R), r_max)
     assert list(got) == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
     for (a, b), corr in got.items():
         want = eberlein.pair_correlation(tps.comb(a), tps.comb(b), "one_sided", float(R), r_max)
@@ -114,7 +117,7 @@ def test_tm_correlations_need_a_tiling():
 
 
 def test_tm_suite_peak_memory():
-    # the realization is one int16 word and the Riesz check a window of
+    # the realization is one int8 word and the Riesz check a window of
     # coefficients; the whole dense table at depth 20 alone took 16 MiB
     suites.run_suite("tm")
     tracemalloc.start()
