@@ -23,22 +23,20 @@ restriction to an interval is an index range found by binary search over
 single keys' positions, so no kernel builds the positions of a whole comb;
 that search and the coverage check live in combs (_bounds, _covers).
 
-Correlation atoms and FB coefficients share one exact accumulator (a long
-accumulator after Kulisch & Miranker, binned by exponent as in Demmel &
-Hida).  A finite double is an int64 mantissa M, |M| < 2**53, times
-2**(e - 1126), with e = frexp's exponent + 1073 in [0, 2098).  M splits
-into a 27-bit high and a 26-bit low limb; each limb times its int64 count
-is added with np.add.at into a cell (group, part, e), where a part is the
-real or imaginary half of a complex product.  Only the nonzero cells are
-combined as Python ints, and each group is rounded once by int / int, so
-every atom and every FB value is correctly rounded and reruns are
-bit-identical.  A complex product is formed from separately rounded real
-products, never from fused multiply-adds (a real weight times a complex
-factor, as in an FB sum, from the two products with the factor's parts),
-and a non-finite product or sum raises ValueError.  An FB scan takes
-FB_BLOCK atoms at a time, gathers their weights and bins them once for all
-wave numbers, then forms each wave number's phases, factors and limbs, and
-carries one set of limb rows per wave number from block to block.
+Correlation atoms go through one exact accumulator (a long accumulator
+after Kulisch & Miranker, binned by exponent as in Demmel & Hida).  A
+finite double is an int64 mantissa M, |M| < 2**53, times 2**(e - 1126),
+with e = frexp's exponent + 1073 in [0, 2098).  M splits into a 27-bit high
+and a 26-bit low limb; each limb times its int64 count is added with
+np.add.at into a cell (group, part, e), where a part is the real or
+imaginary half of a complex product.  Only the nonzero cells are combined
+as Python ints, and each group is rounded once by int / int, so every atom
+is correctly rounded and reruns are bit-identical.  A complex product is
+formed from separately rounded real products, never from fused
+multiply-adds, and a non-finite product or sum raises ValueError.  An FB
+coefficient is sum_v v * S_v / vol over the weight levels v, with S_v the
+exact sum of the atoms' Q62 characters at level v (_characters, each within
+2**-51 of exp(-2 pi i frac(k x))), formed as Python ints and rounded once.
 """
 
 from __future__ import annotations
@@ -60,7 +58,8 @@ from .combs import (
     _search,
     reflect_conjugate,
 )
-from .zroot5 import FourierModulePoint, embed_array, frac_phases
+from .zroot5 import FourierModulePoint, _char_table, _key_offsets, _phase_words, embed_array
+from .zroot5 import frac_phases  # noqa: F401  (eberlein.frac_phases stays importable)
 
 __all__ = [
     "AveragingSpec",
@@ -86,19 +85,18 @@ __all__ = [
 # On the twisted chain (2-core x86 machine, interleaved medians of 9 at
 # R = 1e5 and 5 at R = 1e6), orthogonality took 50, 51 and 65 ms at R = 1e5
 # and 416, 361 and 401 ms at R = 1e6 with pair blocks of 2**14, 2**15 and
-# 2**16; the FB scan took 168, 177 and 209 ms at R = 1e5 with FB blocks of
-# 2**13, 2**14 and 2**15 (1591, 1347 and 1249 ms at R = 1e6).
+# 2**16; the FB scan took 69, 61 and 63 ms at R = 1e5 with FB blocks of
+# 2**13, 2**14 and 2**15 (525, 513 and 464 ms at R = 1e6).
 PAIR_BLOCK = 1 << 15
 FOLD_CELLS = 1 << 18
 FB_BLOCK = 1 << 14
-# Integer supports use bit rows up to this many weight-level pairs, and
-# supports with under one atom per 16 sites are swept.  The rows take
-# (x levels + y levels) / 8 bytes per site of the span, and they are built
-# and counted about WORD_BLOCK words at a time.  On 2e5 sites with r_max =
-# 20 (2-core x86 machine), at 1/16, 1/10 and full density, the rows took
-# 0.001, 0.001 and 0.005 s with one level pair and 0.02 s throughout with
-# 64; the pair sweep took 0.006, 0.008 and 0.23 s, and 0.004, 0.007 and
-# 0.32 s.
+# Integer supports use bit rows up to this many weight-level pairs P, where
+# both hold max(1/16, sqrt(P / ROW_LEVEL_PAIRS) / 5) atoms per site of their
+# span or more; the rows take (x levels + y levels) / 8 bytes per site and
+# are built and counted WORD_BLOCK words at a time.  On 2e5 sites, r_max =
+# 20 (2-core x86 machine), with 1, 4, 16 and 64 level pairs, the rows took
+# 2, 2, 9 and 34 ms at any density, the sweep 5, 4, 6 and 6 ms at 1/16, 9,
+# 7, 9 and 10 ms at 1/10 and 21, 27, 30 and 43 ms at 1/4.
 ROW_LEVEL_PAIRS = 64
 WORD_BLOCK = 1 << 14
 _NOT_FINITE = "weights, their products and sums must be finite"
@@ -194,9 +192,11 @@ def _count(mu, nu, shape, R, r_max, variant):
     kx, lx = _restrict_arrays(mu, -hi, -lo)
     ky, ly = _restrict_arrays(nu, nu_lo, nu_hi)
     nx, ny = len(mu.levels), len(nu.levels)
-    # bit rows for nonempty integer supports with an atom per 16 sites or more
+    # bit rows for nonempty integer supports dense enough for their level pairs
+    density = max(1 / 16, math.sqrt(nx * ny / ROW_LEVEL_PAIRS) / 5)
     if nx * ny <= ROW_LEVEL_PAIRS and all(
-        len(k) and not k[:, 1].any() and 16 * len(k) >= k[-1, 0] - k[0, 0] + 1 for k in (kx, ky)
+        len(k) and not k[:, 1].any() and len(k) >= density * (k[-1, 0] - k[0, 0] + 1)
+        for k in (kx, ky)
     ):
         return [_count_bits(kx[:, 0], lx, nx, ky[:, 0], ly, ny, r_max)], spec.vol(R)
     return _count_pairs(kx, lx, ky, ly, ny, r_max), spec.vol(R)
@@ -424,21 +424,14 @@ def _exact_sums(tallies, vx, vy):
 
 def _limb_rows(group, x, y, count, n_groups, done=None):
     """The exponents e that occur and the int64 limb rows (n_groups, parts,
-    exponents, 2) of the exact sums of count * x * y per group, as the module
-    docstring describes; count None counts each term once, and done =
-    (exponents, rows) adds rows of the same groups."""
+    exponents, 2) of the exact sums of count * x * y per group (see the module
+    docstring); done = (exponents, rows) adds rows of the same groups."""
     if len(x) > FOLD_CELLS:  # block by block, so that temporaries stay bounded
         for a in range(0, len(x), FOLD_CELLS):
             at = slice(a, a + FOLD_CELLS)
-            block = None if count is None else count[at]
-            done = _limb_rows(group[at], x[at], y[at], block, n_groups, done)
+            done = _limb_rows(group[at], x[at], y[at], count[at], n_groups, done)
         return done
-    if np.iscomplexobj(y) and not np.iscomplexobj(x):
-        # real weights times complex factors: the real and imaginary parts are
-        # the two products x * y.real and x * y.imag; the unfused formula's
-        # 0 * y terms would add nothing to any limb
-        parts = np.stack([x * y.real, x * y.imag], axis=1)
-    elif np.iscomplexobj(x) or np.iscomplexobj(y):  # rounded real products, unfused
+    if np.iscomplexobj(x) or np.iscomplexobj(y):  # rounded real products, unfused
         xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
         parts = np.stack([xr * yr - xi * yi, xr * yi + xi * yr], axis=1)
     else:
@@ -460,10 +453,10 @@ def _limb_rows(group, x, y, count, n_groups, done=None):
     cell += (group * n_cells).astype(index)[:, None]
     cell += np.arange(n_parts, dtype=index) * len(exponents)
     cell = cell.ravel()
-    # a cell sums less than 2**27 times the atoms of one factor (or of the
-    # comb), so it cannot wrap below 2**36 atoms
+    # a cell sums less than 2**27 times the atoms of one factor, so it
+    # cannot wrap below 2**36 atoms
     for limb, value in zip(rows.reshape(-1, 2).T, (m >> 26, m & (2**26 - 1))):
-        np.add.at(limb, cell, (value if count is None else value * count[:, None]).ravel())
+        np.add.at(limb, cell, (value * count[:, None]).ravel())
     if done is not None:
         rows[:, :, column[done[0]]] += done[1]
     return exponents, rows
@@ -505,12 +498,9 @@ def fb_coefficient(
 ) -> complex:
     """Volume-averaged exponential sum of the comb at wave number k.
 
-    Module points are evaluated through the 128-bit fixed-point phases of
-    frac_phases (each within half an ulp plus 2^-96 of frac(k*x)); generic
-    real k uses the direct product with the embedded positions.  The sums
-    of the real and imaginary parts are correctly rounded, and a complex
-    weight's product is formed from separately rounded real products.
-    This is the one-R case of fb_scan.
+    sum_v v * sum chi / vol over the levels v and their atoms, each chi in
+    Q62 within 2^-51 of exp(-2 pi i frac(k*x)) (of frac(fl(k*x)) at a float
+    k), summed exactly and rounded once.  The one-R case of fb_scan.
     """
     return next(_fb_values(mu, [k], AveragingSpec(shape, (R,))))[1][0]
 
@@ -520,13 +510,11 @@ def _fb_values(
 ) -> Iterator[tuple[FourierModulePoint | float, list[complex]]]:
     """Per k of K, k and the FB coefficients of mu for every R of spec.
 
-    The comb's atoms in the largest interval are taken FB_BLOCK at a time;
-    a block's weights are gathered and its atoms binned once for all of K,
-    and each k's products are formed once.  Each atom's limbs are added
-    once, into the bin of the first R that holds it, and a cumsum over the
-    bins gives every R its exact sum, rounded once, so every value equals a
-    separate computation at that R.  Every k is checked before the first
-    block; a non-finite product or sum raises ValueError.
+    The atoms in the largest interval are taken FB_BLOCK at a time, sorted
+    by group (bin, level) once for all of K.  Per k, the two int64 limbs of
+    their Q62 characters are summed exactly per group; a cumsum over bins
+    gives each R its sums, so every value equals a separate computation at
+    that R.  A non-finite k, level, k * x or value raises ValueError.
     """
     K = list(K)
     if not K:  # nothing to scan, and nothing to check
@@ -542,27 +530,59 @@ def _fb_values(
     # intervals nest, a cumsum over bins sums each R
     i, j = np.array([_bounds(mu, lo, hi) for lo, hi in intervals]).T
     first, last = int(i[-1]), int(j[-1])
-    done = [None] * len(K)
-    # weights and bins per block of FB_BLOCK atoms, then each k's phases,
-    # factors and limbs, carrying one limb-row state per k; at least one
-    # block, so an empty comb sums to zero
-    for a in range(first, max(last, first + 1), FB_BLOCK):
-        b = min(a + FB_BLOCK, last)
-        keys, weights = mu.keys[a:b], mu.levels[mu.level[a:b]]
-        atom = np.arange(a, b)
+    n_levels = len(mu.levels)
+    # per k, limb (high, low) and part (real, imaginary), the sum of each group
+    sums = np.zeros((len(K), 2, 2, len(intervals) * n_levels), dtype=np.int64)
+    for a in range(first, last, FB_BLOCK):
+        atom = np.arange(a, min(a + FB_BLOCK, last))
         bins = np.maximum(np.searchsorted(j, atom, side="right"), np.searchsorted(-i, -atom))
+        group = bins * n_levels + mu.level[atom]
+        order = np.argsort(group, kind="stable")
+        keys, group = mu.keys[atom[order]], group[order]
+        starts = np.flatnonzero(np.diff(group, prepend=-1))
+        offsets, x = _key_offsets(keys[:, 0], keys[:, 1]), embed_array(keys[:, 0], keys[:, 1])
         for q, k in enumerate(K):
-            if not isinstance(k, FourierModulePoint):
-                factors = np.exp(-2j * math.pi * float(k) * embed_array(keys[:, 0], keys[:, 1]))
-            elif k.is_zero():
-                factors = np.ones(len(keys), dtype=complex)
-            else:
-                factors = np.exp(-2j * math.pi * frac_phases(k, keys[:, 0], keys[:, 1]))
-            done[q] = _limb_rows(bins, weights, factors, None, len(intervals), done[q])
-    vols = [[spec.vol(R)] for R in spec.R_list]
-    for k, (exponents, rows) in zip(K, done):
-        sums = _rounded(exponents, np.cumsum(rows, axis=0)) / vols
-        yield k, [complex(re, im) for re, im in sums.tolist()]
+            for p, fixed in enumerate(_characters(k, offsets, x)):
+                sums[q, 0, p, group[starts]] += np.add.reduceat(fixed >> 31, starts)
+                sums[q, 1, p, group[starts]] += np.add.reduceat(fixed & (2**31 - 1), starts)
+    try:  # levels in units of 2**-1074 and sums of 2**-62: values over 2**1136 * vol
+        re, im = ([(n << 1074) // d for n, d in (v.as_integer_ratio() for v in part.tolist())]
+                  for part in (mu.levels.real, mu.levels.imag))
+        vols = [spec.vol(R).as_integer_ratio() for R in spec.R_list]
+        for k, (high, low) in zip(K, sums.reshape(len(K), 2, 2, len(intervals), n_levels)):
+            s_re, s_im = (high.cumsum(axis=1).astype(object) << 31) + low.cumsum(axis=1)
+            yield k, [complex(u * d / (n << 1136), w * d / (n << 1136)) for u, w, (n, d)
+                      in zip(s_re @ re - s_im @ im, s_im @ re + s_re @ im, vols)]
+    except (ValueError, OverflowError):
+        raise ValueError(_NOT_FINITE) from None
+
+
+def _characters(k, offsets, x):
+    """The Q62 int64 parts of exp(-2 pi i phase), the phase a module point's
+    word at the keys of offsets rounded to 64 bits, or frac(fl(k * x)) at
+    the positions x: T[j] * (c - i s), j the nearest 256th and c, s degree-6
+    and -7 Taylor polynomials at the rest, |theta| <= pi / 256 (truncation
+    below 2e-20).  Q62 truncates, exactly for parts of 2**-10 or more."""
+    if isinstance(k, FourierModulePoint):
+        high, low = _phase_words(k, *offsets)
+        word = high + (low >> np.uint64(63))
+        index = (word + np.uint64(1 << 55)) >> np.uint64(56)
+        theta = (word - (index << np.uint64(56))).view(np.int64) * (2 * math.pi / 2**64)
+    else:
+        u = float(k) * x * 256  # 256 fl(k * x), exactly
+        index = np.rint(u)
+        theta = (u - index) * (2 * math.pi / 256)
+        if not np.all(np.isfinite(theta)):
+            raise ValueError(_NOT_FINITE)
+        # from 2**62 up, u is a whole number of turns
+        index = np.where(np.abs(index) < 2.0**62, index, 0.0).astype(np.int64) & 255
+    t = _char_table()[index.view(np.int64)]
+    z = theta * theta
+    c1 = z * (-1 / 2 + z * (1 / 24 - z * (1 / 720)))  # cos(theta) - 1
+    s = theta * (1 + z * (-1 / 6 + z * (1 / 120 - z * (1 / 5040))))
+    re = t.real + (t.real * c1 + t.imag * s)
+    im = t.imag + (t.imag * c1 - t.real * s)
+    return (re * 2.0**62).astype(np.int64), (im * 2.0**62).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,14 @@ systems share the same key space.
 
 Python integers are arbitrary precision, so ring operations can never
 overflow silently; products of desk-scale coordinates stay exact.  The
-array paths (sign_of on int64 arrays, frac_phases) are exact inside stated
-bounds and raise ValueError outside them instead of wrapping.
+array paths (sign_of on int64 arrays, frac_phases and its phase words) are
+exact inside stated bounds and raise ValueError outside them.
 """
 
 from __future__ import annotations
 
 import math
-from functools import total_ordering
+from functools import cache, total_ordering
 
 import numpy as np
 
@@ -252,50 +252,70 @@ def frac_phase(k: FourierModulePoint, x: QuadraticInt) -> float:
 
 
 def frac_phases(k: FourierModulePoint, ms, ns) -> np.ndarray:
-    """frac_phase(k, m + n*tau) over paired int64 arrays (or lists) ms, ns.
+    """frac_phase(k, m + n*tau) over int64 arrays (or lists) ms, ns: the phase
+    words (_phase_words) correctly rounded, in [0, 1) and within half an ulp
+    plus 2^-96; ValueError at PHASE_KEY_BOUND or PHASE_K_BOUND, not wrapping."""
+    return _unit_double(*_phase_words(k, *_key_offsets(ms, ns)))
 
-    Exact modular fixed-point arithmetic: k*x = m*k + n*(k*tau), so
-    frac(k*x) = frac(m*F1 + n*F2) with F1 = frac(k), F2 = frac(k*tau).  Both
-    are held once per k as 128-bit fractions (floored, from math.isqrt), and
-    m*F1 + n*F2 is formed mod 2^128 from 32-bit halves on uint64 arrays,
-    where every product fits and wrapping is exact modular arithmetic.  The
-    128-bit result differs from frac(k*x) by less than (|m| + |n|) * 2^-128
-    < 2^-96, and it is converted to the correctly rounded double, so each
-    phase is within half an ulp plus 2^-96 of frac(k*x).
 
-    When q = 2A + B = 0, k*x = B/2 = -A is an integer and the phase is
-    exactly 0.0.  Otherwise k*x = (q*sqrt(5) + 5B)/10 lies |q*sqrt(5) - p|/10
-    from the nearest integer for some integer p with |q*sqrt(5) - p| <= 5,
-    and since sqrt(5) is badly approximable, |q*sqrt(5) - p| =
-    |5q^2 - p^2| / |q*sqrt(5) + p| >= 1 / (4.5|q| + 5).  With |q| < 2^48
-    (see PHASE_K_BOUND), k*x stays more than 2^-54 from every integer: far
-    outside the 2^-96 error, and never close enough to 1 to round to 1.0.
-
-    Raises ValueError when some |m| or |n| reaches PHASE_KEY_BOUND, or |a| or
-    |b| reaches PHASE_K_BOUND, instead of wrapping.
-    """
-    a, b = k.a, k.b
+def _key_offsets(ms, ns) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 m + 2^31, n + 2^31 in [1, 2^32); ValueError at PHASE_KEY_BOUND."""
     try:
-        m = np.asarray(ms, dtype=np.int64)
-        n = np.asarray(ns, dtype=np.int64)
+        m, n = np.asarray(ms, dtype=np.int64), np.asarray(ns, dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"frac_phases: keys beyond int64: {exc}") from None
     if not (_below(m, PHASE_KEY_BOUND) and _below(n, PHASE_KEY_BOUND)):
         raise ValueError(f"frac_phases: |m| or |n| reaches {PHASE_KEY_BOUND}")
+    offset = np.uint64(PHASE_KEY_BOUND)
+    return m.view(np.uint64) + offset, n.view(np.uint64) + offset
+
+
+def _phase_words(k: FourierModulePoint, um: np.ndarray, un: np.ndarray):
+    """The (hi, lo) uint64 halves of the phase word W ~ 2^128 frac(k*x) at
+    the keys x = m + n*tau that _key_offsets gives as um, un.
+
+    frac(k*x) = frac(m*F1 + n*F2) with F1 = frac(k), F2 = frac(k*tau) held
+    once per k as floored 128-bit fractions (from math.isqrt), and m*F1 +
+    n*F2 is formed mod 2^128 from 32-bit halves on uint64 arrays, where
+    every product fits and wrapping is exact; so W is off by less than |m| +
+    |n| < 2^32.  When q = 2A + B = 0, k*x = B/2 = -A is an integer and W is
+    set to 0.  Otherwise k*x = (q*sqrt(5) + 5B)/10 lies |q*sqrt(5) - p|/10
+    from the nearest integer for some integer p with |q*sqrt(5) - p| <= 5,
+    and since sqrt(5) is badly approximable, |q*sqrt(5) - p| = |5q^2 - p^2|
+    / |q*sqrt(5) + p| >= 1 / (4.5|q| + 5).  With |q| < 2^48 (PHASE_K_BOUND),
+    k*x stays 2^-54 (2^74 in W) from every integer: the integer phases are
+    the words whose hi is 0 or 2^64 - 1, and no phase rounds to 1.  Raises
+    ValueError when |a| or |b| reaches PHASE_K_BOUND.
+    """
+    a, b = k.a, k.b
     if max(abs(a), abs(b)) >= PHASE_K_BOUND:
         raise ValueError(f"frac_phases: |a| or |b| of {k} reaches {PHASE_K_BOUND}")
     # k = ((2a + b)*sqrt(5) + 5b)/10 and k*tau = ((a + 3b)*sqrt(5) + 5(a + b))/10
     f1, f2 = _fixed_frac(2 * a + b, b), _fixed_frac(a + 3 * b, a + b)
-    # m + 2^31 lies in [1, 2^32); the offset comes back as one constant
-    offset = np.uint64(PHASE_KEY_BOUND)
-    hi1, lo1 = _mul_frac(m.view(np.uint64) + offset, f1)
-    hi2, lo2 = _mul_frac(n.view(np.uint64) + offset, f2)
-    hi, lo = _add128(hi1, lo1, hi2, lo2)
+    hi, lo = _add128(*_mul_frac(um, f1), *_mul_frac(un, f2))
     shift = -PHASE_KEY_BOUND * (f1 + f2) & _M128
     hi, lo = _add128(hi, lo, np.uint64(shift >> 64), np.uint64(shift & (2**64 - 1)))
-    out = _unit_double(hi, lo)
-    out[m * (2 * a + b) + n * (a + 3 * b) == 0] = 0.0
-    return out
+    integer = hi + np.uint64(1) <= np.uint64(1)
+    hi[integer] = lo[integer] = 0
+    return hi, lo
+
+
+@cache
+def _char_table() -> np.ndarray:
+    """exp(-2 pi i j / 256) for j < 256, each part correctly rounded (tests
+    check every entry against mpmath), from powers of exp(2 pi i / 256) in
+    2^128 fixed point (pi by Machin's formula) and exact rotations."""
+    one = 1 << 128
+    pi = sum((-1) ** i * (16 * one // 5 ** (2 * i + 1) - 4 * one // 239 ** (2 * i + 1))
+             // (2 * i + 1) for i in range(60))
+    c, s, x, y = 0, 0, one, 0
+    for i in range(1, 40):  # one * (cos, sin)(pi / 128), term by term
+        c, s, x, y = c + x, s + y, -y * pi // (128 * one * i), x * pi // (128 * one * i)
+    quadrant = [z := (one, 0)] + [
+        z := ((z[0] * c - z[1] * s) // one, (z[0] * s + z[1] * c) // one) for _ in range(63)]
+    cos, sin = (np.array([v / one for v in part]) for part in zip(*quadrant))
+    # exact, with every zero +0.0: adding 0.0 and subtracting the 0 * y of 1j * y change no part
+    return np.r_[cos, -sin, -cos, sin] + 0.0 - 1j * np.r_[sin, cos, -sin, -cos]
 
 
 def _fixed_frac(c: int, d: int) -> int:

@@ -341,8 +341,9 @@ GOLDEN_RUNS = (
 )
 
 # Digests as written by the per-point projection and the per-cell writers
-# that preceded the array code, (fb_*) by the 40-digit Python-int phases
-# with one fb_coefficient call per (k, R), and (bern.json, verify_orth.json)
+# that preceded the array code, (fb_*, and the FB values in
+# verify_all_41.json) by table characters of the exact phase words summed
+# per weight level in fixed point, and (bern.json, verify_orth.json)
 # by reports that computed both cross correlations, (split_tm/*) by
 # linear_combine's hash-and-merge split, (verify_bern.json) by three comb
 # correlations over the lattice gas's 2N + 1 sites, (verify_tm.json) by four
@@ -358,11 +359,11 @@ PINNED_DIGESTS = {
     "corr.csv":
         "2ea3f2a864bebe244eda5083b7b7b5d0b1e169a7b6526737cb5f9b470bf7f8da",
     "fb_nu.csv":
-        "ec3906597e8b468a5767b29affdebe9a3ff0d268316fb2a7ddcb7e1774ddf01a",
+        "22b28a84190a7c4f0c936a3d7f14c4608b87ec11607dd3325e79cebc9de06279",
     "fb_one.csv":
-        "59bf688a931801fceafc3f94fece95e609c0562f3806b6edd9a307ab90f5798c",
+        "03157692d5fffa515648d08f627df8dffce412e9aff23a95cf0c6dcb6a7b0601",
     "fb_sym.csv":
-        "5c845696871c1f91807209b319693ed2d11e1ab02272c3d9ab9c2e5319a2e4f4",
+        "6d5b5a68696d54922e99c803e0f1f2c52bbab79d698c01a240b0ed7ce29af663",
     "gen_fib.csv":
         "6e3630e0c7d6a704a043bfb93dd06041ba57e314902f0a604f3f294c52f91a93",
     "gen_tw.json":
@@ -400,7 +401,7 @@ PINNED_DIGESTS = {
     "split_tm/splitting.json":
         "6b61c4261c9cc4422901bfc3adad0d65eb549ae918e9421db6034926e3917496",
     "verify_all_41.json":
-        "bafaf11e04e17d3931430ae7bff6fe93f5803f7c1a7b61de70b64fb2786709ee",
+        "45b6049f23d7f20e5aa4f9d9948ae5f34e1497871084969a59e1ae79ef15cfc5",
     "verify_bern.json":
         "e57aa1afb53a3e969a67d50e554ab95422849b1c7b018aafaf56753bf3455796",
     "verify_orth.json":

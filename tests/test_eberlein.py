@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +29,15 @@ from combsplit.eberlein import (
     orthogonality_report,
     pair_correlation,
 )
-from combsplit.zroot5 import TAU, FourierModulePoint, QuadraticInt, embed_array, frac_phase, sign_of
+from combsplit.zroot5 import (
+    TAU,
+    FourierModulePoint,
+    QuadraticInt,
+    _key_offsets,
+    embed_array,
+    frac_phase,
+    sign_of,
+)
 
 
 def brute_convolve(mu, nu, shape, R, r_max):
@@ -822,7 +831,7 @@ def test_sweep_and_fb_blocks_match_brute_force_over_many_levels(
     data, complex_x, complex_y, block, shape, R, r_max
 ):
     # blocks of 1, 3 and 7 pairs (or atoms) leave most blocks with a part of
-    # one x-atom's window, and make every tally and limb row a sum over blocks
+    # one x-atom's window, and make every tally, limb row and FB sum a sum over blocks
     mu = data.draw(leveled_comb_st(complex_x), label="mu")
     nu = data.draw(leveled_comb_st(complex_y), label="nu")
     spec = AveragingSpec(shape, (R / 2, float(R)))
@@ -836,11 +845,11 @@ def test_sweep_and_fb_blocks_match_brute_force_over_many_levels(
     want = fsum_pair_correlation(mu, nu, shape, R, r_max, "both")
     assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
     for row in rows:
-        assert row.value == fsum_fb_value(nu, row.k, spec, row.R)
+        assert row.value == exact_fb_value(nu, row.k, spec, row.R)
 
 
 def test_fb_blocks_equal_one_block(monkeypatch):
-    # the limb rows carried from block to block give the bits of one block
+    # the level sums carried from block to block give the bits of one block
     tps = inflate.realize_geometric(inflate.fibonacci_rule(), "a", 400.0)
     keys = tps.comb().keys
     rng = np.random.default_rng(3)
@@ -988,54 +997,129 @@ def test_limb_rows_of_complex_products(terms):
     assert eberlein._rounded(*rows)[0].tolist() == [float(w) for w in want]
 
 
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 2), double_st, st.complex_numbers(max_magnitude=1.0)),
-        min_size=1,
-        max_size=40,
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_real_weights_times_complex_factors_take_two_products(terms):
-    # the FB case forms x * y.real and x * y.imag only, counting each term
-    # once: the limb rows of the unfused complex product, whose 0 * y terms
-    # add nothing to any limb
-    group, x, y = (np.array(column) for column in zip(*terms))
-    lean = eberlein._limb_rows(group, x, y, None, 3)
-    unfused = eberlein._limb_rows(group, x.astype(complex), y, np.ones(len(x), dtype=np.int64), 3)
-    assert np.array_equal(lean[0], unfused[0])
-    assert np.array_equal(lean[1], unfused[1])
-
-
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("shape", ["one_sided", "symmetric"])
 def test_fb_scan_with_complex_weights_matches_an_fsum_oracle(shape, block, monkeypatch):
-    # every value is the correctly rounded sum of products formed from
-    # separately rounded real products, divided by the volume; a tiny block
-    # makes the accumulator carry its rows from block to block
+    # every value is the exact sum of the complex weights times their Q62
+    # characters, over the volume, rounded once (exact_fb_value; the name is
+    # kept from an oracle that summed rounded products with math.fsum); a
+    # tiny block makes the sums carry from block to block
     if block:
-        monkeypatch.setattr(eberlein, "FOLD_CELLS", block)
+        monkeypatch.setattr(eberlein, "FB_BLOCK", block)
     comb = _golden_comb(seed=9)
     spec = AveragingSpec(shape, (7.0, 20.0, 41.5, 60.0))
     K = [FourierModulePoint(1, 0), FourierModulePoint(-3, 2), 0.37]
     for row in fb_scan(comb, K, spec):
-        assert row.value == fsum_fb_value(comb, row.k, spec, row.R)
+        assert row.value == exact_fb_value(comb, row.k, spec, row.R)
 
 
-def fsum_fb_value(comb, k, spec, R):
-    """Oracle: math.fsum of the products w * exp(-2 pi i phase) over the atoms
-    in the interval of R, over vol; each complex product from separately
-    rounded real products."""
+def q62_character(k, m, n):
+    """The Q62 character that an FB scan sums for the key (m, n), as a pair
+    of Fractions."""
+    x = embed_array(np.array([m]), np.array([n]))
+    parts = eberlein._characters(k, _key_offsets([m], [n]), x)
+    return tuple(Fraction(int(part[0]), 2**62) for part in parts)
+
+
+def exact_fb_value(comb, k, spec, R):
+    """Oracle: the Fraction sum of w * (Q62 character) over the atoms in the
+    interval of R, one atom at a time, over vol, rounded once per part."""
     lo, hi = spec.interval(R)
-    inside = (comb.positions >= lo - 1e-12) & (comb.positions <= hi + 1e-12)
-    keys, w = comb.keys[inside], comb.weights[inside]
-    if isinstance(k, FourierModulePoint):
-        f = np.exp(-2j * math.pi * eberlein.frac_phases(k, keys[:, 0], keys[:, 1]))
-    else:
-        f = np.exp(-2j * math.pi * k * comb.positions[inside])
-    re = math.fsum((w.real * f.real - w.imag * f.imag).tolist())
-    im = math.fsum((w.real * f.imag + w.imag * f.real).tolist())
-    return complex(re / spec.vol(R), im / spec.vol(R))
+    total_re = total_im = Fraction(0)
+    for (m, n), w, x in zip(comb.keys.tolist(), comb.weights.tolist(), comb.positions.tolist()):
+        if lo - 1e-12 <= x <= hi + 1e-12:
+            re, im = q62_character(k, m, n)
+            a, b = Fraction(complex(w).real), Fraction(complex(w).imag)
+            total_re += a * re - b * im
+            total_im += a * im + b * re
+    vol = Fraction(spec.vol(R))
+    return complex(float(total_re / vol), float(total_im / vol))
+
+
+def character_error(q62, phase):
+    # |chi - exp(-2 pi i frac(phase))| for an mpmath phase, at the working precision
+    exact = mpmath.expjpi(-2 * (phase - mpmath.floor(phase)))
+    re, im = (mpmath.mpf(part.numerator) / part.denominator for part in q62)
+    return abs(mpmath.mpc(re, im) - exact)
+
+
+full_key_st = st.integers(-(2**31) + 1, 2**31 - 1)
+full_keys_st = st.lists(st.tuples(full_key_st, full_key_st), min_size=1, max_size=8)
+
+
+@given(full_keys_st, st.integers(-(2**14) + 1, 2**14 - 1), st.integers(-(2**14) + 1, 2**14 - 1))
+@settings(max_examples=150, deadline=None)
+def test_module_point_characters_are_within_2_to_minus_51(keys, a, b):
+    # against mpmath's exp of the exact phase frac(k * x), at 80 digits
+    k = FourierModulePoint(a, b)
+    for m, n in keys:
+        A, B = a * m + b * n, a * n + b * m + b * n
+        with mpmath.workdps(80):
+            error = character_error(q62_character(k, m, n),
+                                    ((2 * A + B) * mpmath.sqrt(5) + 5 * B) / 10)
+        assert error <= 2.0**-51, (k, m, n, float(error))
+
+
+@given(full_keys_st, st.one_of(st.floats(-1e3, 1e3),
+                               st.sampled_from([-0.0, 0.37, 2.0**-40, 1e15, -3e17])))
+@settings(max_examples=150, deadline=None)
+def test_float_k_characters_are_the_characters_of_the_rounded_phase(keys, k):
+    # a float k's character is that of fl(k * x), x the embedded position
+    for m, n in keys:
+        x = float(embed_array(np.array([m]), np.array([n]))[0])
+        with mpmath.workdps(80):
+            error = character_error(q62_character(k, m, n), mpmath.mpf(k * x))
+        assert error <= 2.0**-51, (k, m, n, float(error))
+
+
+def test_integer_phases_give_the_character_one_exactly():
+    k = FourierModulePoint(1, 1)  # 2a + b = 3 and a + 3b = 4: 2A + B = 0 on t * (4, -3)
+    for t in (1, -7, 10**8):
+        assert q62_character(k, 4 * t, -3 * t) == (1, 0)
+    assert q62_character(FourierModulePoint(0, 0), 2**31 - 1, -(2**31) + 1) == (1, 0)
+    assert q62_character(0.0, 5, 3) == q62_character(0.5, 6, 0) == (1, 0)
+
+
+LEVEL_SETS = {
+    "one": [0.7],
+    "two": [1 - 0.6180339887498949, -0.6180339887498949],
+    "complex": [0.3 + 1.1j, -0.25 - 0.5j, 2.0],
+}
+
+
+def leveled_fibonacci_comb(levels, R, symmetric):
+    # the Fibonacci chain on [0, R] (and its mirror), levels drawn per atom
+    keys = inflate.realize_geometric(inflate.fibonacci_rule(), "a", R).comb().keys
+    if symmetric:
+        keys = np.concatenate([-keys[::-1], keys[1:]])
+    level = np.random.default_rng(len(levels)).integers(0, len(levels), len(keys))
+    return WeightedComb(keys, np.array(levels), level.astype(np.uint8),
+                        (-R if symmetric else 0.0, R))
+
+
+@pytest.mark.parametrize("levels", LEVEL_SETS.values(), ids=LEVEL_SETS)
+@pytest.mark.parametrize("shape", ["one_sided", "symmetric"])
+def test_fb_values_are_the_level_weighted_character_sums(levels, shape, monkeypatch):
+    # sum_v v * sum chi / vol, rounded once, against a Fraction sum one atom
+    # at a time, on a nested grid of three R with FB blocks of 13 atoms
+    comb = leveled_fibonacci_comb(levels, 60.0, symmetric=True)
+    spec = AveragingSpec(shape, (5.0, 21.5, 60.0))
+    K = [FourierModulePoint(1, 0), FourierModulePoint(-3, 2), FourierModulePoint(7, -4), 0.37, -2.5]
+    monkeypatch.setattr(eberlein, "FB_BLOCK", 13)
+    for row in fb_scan(comb, K, spec):
+        assert row.value == exact_fb_value(comb, row.k, spec, row.R)
+
+
+@pytest.mark.parametrize("levels", LEVEL_SETS.values(), ids=LEVEL_SETS)
+def test_fb_at_zero_is_the_level_weighted_count_over_vol(levels):
+    comb = leveled_fibonacci_comb(levels, 100.0, symmetric=False)
+    spec = AveragingSpec("one_sided", (10.0, 45.5, 100.0))
+    for row in fb_scan(comb, [FourierModulePoint(0, 0), 0.0], spec):
+        i, j = combs._bounds(comb, 0.0, row.R)
+        counts = np.bincount(comb.level[i:j], minlength=len(levels)).tolist()
+        re, im = (sum(Fraction(getattr(complex(v), part)) * c for v, c in zip(levels, counts))
+                  / Fraction(row.R) for part in ("real", "imag"))
+        assert row.value == complex(float(re), float(im))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

@@ -15,6 +15,7 @@ from combsplit.zroot5 import (
     TAU,
     FourierModulePoint,
     QuadraticInt,
+    _char_table,
     embed_array,
     frac_phase,
     frac_phases,
@@ -291,3 +292,15 @@ def test_embed_array_rounds_as_the_two_operation_formula(pairs, step):
     assert got.dtype == np.float64
     assert got.tobytes() == (m.astype(np.float64) + n.astype(np.float64) * TAU).tobytes()
     assert np.array_equal(keys, before)
+
+
+def test_char_table_is_correctly_rounded_bit_for_bit():
+    # each part of exp(-2 pi i j / 256) against mpmath's correctly rounded
+    # cospi and sinpi of j / 128 (exact zeros as +0.0)
+    table = _char_table()
+    assert table.dtype == np.complex128 and table.shape == (256,)
+    with mpmath.workprec(256):
+        for j, value in enumerate(table.tolist()):
+            cos, sin = mpmath.cospi(mpmath.mpf(j) / 128), mpmath.sinpi(mpmath.mpf(j) / 128)
+            want = float(cos) + 0.0, float(-sin) + 0.0  # float() rounds to nearest
+            assert (value.real.hex(), value.imag.hex()) == (want[0].hex(), want[1].hex()), j
