@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cps, eberlein, inflate, spectra, stochastic, suites
-from .zroot5 import TAU, FourierModulePoint, QuadraticInt
+from .zroot5 import FourierModulePoint, QuadraticInt, _codes, _key_parts, embed_array
 
 _PRESET_SYSTEMS = ("fibonacci", "twisted_fibonacci", "thue_morse", "random_fibonacci")
 
@@ -221,21 +221,23 @@ def _k_selection(cfg: dict) -> list:
 
 def _point_lines(tps: inflate.TypedPointSet):
     """CSV text of the rows type,m,n,value, a block of rows at a time."""
-    for t in tps.types():
-        pts = tps.points[t]
-        for text, in _key_lines(pts, pts[:, 0] + pts[:, 1] * TAU, lead=(t,)):
+    for t, codes in tps.codes.items():
+        for text, in _key_lines(codes, lead=(t,)):
             yield text
 
 
-def _key_rows(keys, values):
-    """Rows (m, n, value) of Python scalars from array columns.
+def _key_columns(codes):
+    """Per block of rows, the columns m, n and value = m + n*tau of the key
+    codes as lists of Python scalars, so a large comb never holds all of its
+    keys, or its cells as Python objects, at once."""
+    for lo in range(0, len(codes), _ROW_BLOCK):
+        m, n = _key_parts(codes[lo : lo + _ROW_BLOCK])
+        yield m.tolist(), n.tolist(), embed_array(m, n).tolist()
 
-    Columns are converted a block of rows at a time, so a large comb never
-    holds all of its cells as Python objects at once.
-    """
-    for lo in range(0, len(keys), _ROW_BLOCK):
-        block = slice(lo, lo + _ROW_BLOCK)
-        yield from zip(keys[block, 0].tolist(), keys[block, 1].tolist(), values[block].tolist())
+
+def _key_rows(codes):
+    """Rows (m, n, value) of Python scalars from key codes."""
+    return (row for columns in _key_columns(codes) for row in zip(*columns))
 
 
 def _level_text(levels, tail: str = "") -> list[str]:
@@ -244,20 +246,19 @@ def _level_text(levels, tail: str = "") -> list[str]:
             for re, im in zip(levels.real.tolist(), levels.imag.tolist())]
 
 
-def _key_lines(keys, values, tails=((None, ("\n",)),), lead=()):
+def _key_lines(codes, tails=((None, ("\n",)),), lead=()):
     """CSV text per block of rows: one string per (level, texts) tail, each
-    line m,n,value followed by texts[level[row]], after the constant cells
-    of lead, if any.
+    line m,n,value of a key code followed by texts[level[row]], after the
+    constant cells of lead, if any.
 
     The m,n,value text of a block is formatted once, column by column, and
     shared by every tail; a tail with one text ignores its level.  So files
     on the same keys format their keys once, and each distinct weight is
     formatted once, by _level_text.
     """
-    for lo in range(0, len(keys), _ROW_BLOCK):
+    for lo, columns in zip(range(0, len(codes), _ROW_BLOCK), _key_columns(codes)):
         block = slice(lo, lo + _ROW_BLOCK)
-        cells = [map(str, c[block].tolist()) for c in (keys[:, 0], keys[:, 1], values)]
-        heads = list(map(",".join, zip(*map(repeat, lead), *cells)))
+        heads = list(map(",".join, zip(*map(repeat, lead), *(map(str, c) for c in columns))))
         yield [
             texts[0].join(heads) + texts[0] if len(texts) == 1
             else "".join(map(str.__add__, heads, map(texts.__getitem__, level[block].tolist())))
@@ -274,8 +275,8 @@ def cmd_generate(cfg: dict) -> int:
             "exact": True,  # kept for output compatibility: keys are always exact
             "points": [
                 {"type": t, "m": m, "n": n, "value": v}
-                for t, pts in tps.points.items()
-                for m, n, v in _key_rows(pts, pts[:, 0] + pts[:, 1] * TAU)
+                for t, codes in tps.codes.items()
+                for m, n, v in _key_rows(codes)
             ],
         }
         _write_json(out, doc, cfg)
@@ -290,15 +291,14 @@ def cmd_project(cfg: dict) -> int:
     if t not in windows:
         raise CliError(f"no window for type {t!r}")
     R = _need(cfg, "R", float)
-    pts = cps.cut_and_project(windows[t], (0.0, R))
-    values = pts[:, 0] + pts[:, 1] * TAU
+    codes = cps.cut_and_project(windows[t], (0.0, R))
     out = _need(cfg, "out", str)
     if cfg.get("format", "csv") == "json":
         _write_json(out, {"type": t, "points": [
-            {"m": m, "n": n, "value": v} for m, n, v in _key_rows(pts, values)
+            {"m": m, "n": n, "value": v} for m, n, v in _key_rows(codes)
         ]}, cfg)
     else:
-        _write_csv(out, ["m", "n", "value"], (t for t, in _key_lines(pts, values)), cfg)
+        _write_csv(out, ["m", "n", "value"], (t for t, in _key_lines(codes)), cfg)
     return 0
 
 
@@ -306,11 +306,11 @@ def _write_comb_csvs(out_dir: Path, named, cfg: dict) -> None:
     """Write each (stem, comb) to out_dir/<stem>.csv, one row per atom.
 
     Combs on equal keys (omega and nu of a type, types that share a window)
-    are written together, so each distinct key array is formatted once.
+    are written together, so each distinct code array is formatted once.
     """
     groups: list[list] = []
     for stem, comb in named:
-        group = next((g for g in groups if np.array_equal(g[0][1].keys, comb.keys)), None)
+        group = next((g for g in groups if np.array_equal(g[0][1].codes, comb.codes)), None)
         if group is None:
             groups.append([(stem, comb)])
         else:
@@ -322,7 +322,7 @@ def _write_comb_csvs(out_dir: Path, named, cfg: dict) -> None:
         with ExitStack() as stack:
             files = [stack.enter_context(_open_csv(out_dir / f"{stem}.csv", header, cfg))
                      for stem, _ in group]
-            for texts in _key_lines(first.keys, first.positions, tails):
+            for texts in _key_lines(first.codes, tails):
                 for fh, text in zip(files, texts):
                     fh.write(text)
 
@@ -367,7 +367,7 @@ def cmd_correlate(cfg: dict) -> int:
         for R in R_grid:
             corr = eberlein.pair_correlation(mu, nu, shape, R, r_max, variant)
             tail = (corr.level, _level_text(corr.levels, f",{R!r},{variant}"))
-            for text, in _key_lines(corr.keys, corr.positions, [tail]):
+            for text, in _key_lines(corr.codes, [tail]):
                 yield text
 
     _write_csv(
@@ -508,8 +508,7 @@ def cmd_sample(cfg: dict) -> int:
             lines = (
                 text
                 for sites in stochastic._sites(row, N)
-                for text, in _key_lines(np.stack([sites, np.zeros_like(sites)], axis=1),
-                                        sites.astype(float))
+                for text, in _key_lines(_codes(sites, np.zeros_like(sites)))
             )
             _write_csv(cfg["points_out"], ["m", "n", "value"], lines, cfg)
         return 0

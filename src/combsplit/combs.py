@@ -1,7 +1,8 @@
 """Weighted Dirac combs on exact point sets, and the omega/nu splitting.
 
 A comb is a finite collection of atoms, keyed by exact coordinates (m, n)
-for the position m + n*tau (pure integers use n = 0), together with a
+for the position m + n*tau (pure integers use n = 0) and stored as their
+int64 key codes (zroot5._codes), together with a
 coverage interval on which the atom list is complete.  Combs of point sets
 generated on a half line carry coverage (-inf, R]: there really are no
 atoms to the left, and correlation kernels rely on that.  The kernels'
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cps
-from .zroot5 import TAU, embed_array
+from .zroot5 import TAU, _codes, _decode, _encode, _key_parts, embed_array
 
 __all__ = [
     "WeightedComb",
@@ -31,16 +32,13 @@ __all__ = [
     "ContainmentError",
 ]
 
-_CODE_SHIFT = np.int64(2**32)
-_KEY_BOUND = 2**31
-# A comb's coverage check and the split's membership scan take ATOM_BLOCK
-# atoms at a time, a multiple of 8 (the scan packs a block's membership into
-# whole bytes), so neither holds an array of a byte or more per atom.  The scan's
-# temporaries take about 60 B per atom of a block: on the twisted type-a
-# window (2-core x86 machine), split_remainder's tracemalloc peak at
-# R = 1e5 (45k model atoms) was 0.41, 0.62, 1.0 and 2.1 MiB with blocks of
-# 2**12, 2**13, 2**14 and 2**16 (1.24 MiB when it held codes and an argsort
-# over all of M), and its time the same within noise at R = 1e5 and 1e6.
+# A comb's coverage check, its positions and the split's membership search
+# take ATOM_BLOCK atoms at a time, so none holds a temporary of a byte or more
+# per atom.  On the twisted type-a window (2-core x86 machine, medians of 7),
+# split_remainder took 2.3, 2.1, 2.1 and 1.8 ms at R = 1e5 (22k points, 45k
+# model atoms) and 22, 25, 19 and 21 ms at R = 1e6 with blocks of 2**12, 2**13,
+# 2**14 and 2**16, peaking at 0.35, 0.68, 0.92 and 1.6 MiB at R = 1e5 (traced;
+# the scan of sorted point codes it replaced: 2.7 and 28 ms, 0.38 MiB).
 ATOM_BLOCK = 1 << 12
 
 
@@ -56,26 +54,29 @@ class RangeError(ValueError):
     """A comb does not cover the interval a kernel needs."""
 
 
-def _check_key_range(keys: np.ndarray) -> None:
-    if len(keys) and (keys.min() <= -_KEY_BOUND or keys.max() >= _KEY_BOUND):
-        raise ValueError("exact key out of range: |m| and |n| must be below 2**31")
+def _as_codes(points) -> np.ndarray:
+    # the int64 key codes of points given as codes (N,) or as keys (N, 2)
+    points = np.asarray(points, dtype=np.int64)
+    return points if points.ndim == 1 else _encode(points.reshape(-1, 2))
 
 
-def _encode(keys: np.ndarray) -> np.ndarray:
-    """One int64 code per (m, n) key, ordered like the keys lexicographically.
-
-    Codes are distinct while |m| and |n| stay below 2**31; larger keys raise
-    ValueError instead of wrapping into collisions.
-    """
-    _check_key_range(keys)
-    return keys[:, 0] * _CODE_SHIFT + keys[:, 1]
+def _positions(codes: np.ndarray) -> np.ndarray:
+    # embed_array of the codes' keys, decoded ATOM_BLOCK at a time
+    out = np.empty(len(codes))
+    for a in range(0, len(codes), ATOM_BLOCK):
+        out[a : a + ATOM_BLOCK] = embed_array(*_key_parts(codes[a : a + ATOM_BLOCK]))
+    return out
 
 
-def _decode(codes: np.ndarray) -> np.ndarray:
-    """The (N, 2) keys of _encode's codes.  The codes of two keys add to the
-    code of their sum while its |m| and |n| stay below 2**31."""
-    m = (codes + _KEY_BOUND) // _CODE_SHIFT
-    return np.stack([m, codes - m * _CODE_SHIFT], axis=1)
+def _in_position_order(codes: np.ndarray) -> bool:
+    # whether the codes' positions never decrease, read ATOM_BLOCK at a time
+    last = -np.inf
+    for a in range(0, len(codes), ATOM_BLOCK):
+        x = _positions(codes[a : a + ATOM_BLOCK])
+        if x[0] < last or np.any(x[1:] < x[:-1]):
+            return False
+        last = x[-1]
+    return True
 
 
 @dataclass(frozen=True)
@@ -83,42 +84,48 @@ class WeightedComb:
     """sum_v levels[v] * 1_{S_v}: atoms at exact positions, each weighing one
     of a few levels (one for a Dirac comb, 1 - alpha and -alpha for nu).
 
-    keys      (N, 2) int64, positions sorted ascending
+    codes     (N,) int64 key codes (zroot5._codes), positions sorted ascending
     levels    (L,) float64 or complex128, distinct; no atom weighs exactly 0
     level     (N,) smallest unsigned dtype; weights = levels[level] per atom
     coverage  interval on which the atom list is complete
     """
 
-    keys: np.ndarray
+    codes: np.ndarray
     levels: np.ndarray
     level: np.ndarray
     coverage: tuple[float, float]
 
     def __post_init__(self):
-        if self.keys.ndim != 2 or self.keys.shape[1] != 2:
-            raise ValueError("keys must have shape (N, 2)")
-        if self.level.shape != (len(self.keys),) or self.level.dtype.kind != "u":
+        if self.codes.ndim != 1 or self.codes.dtype != np.int64:
+            raise ValueError("codes must be an (N,) int64 array")
+        if self.level.shape != self.codes.shape or self.level.dtype.kind != "u":
             raise ValueError("level must hold one unsigned index per key")
         lo, hi = self.coverage
-        for a in range(0, len(self.keys), ATOM_BLOCK):
-            block = self.keys[a : a + ATOM_BLOCK]
-            pos = embed_array(block[:, 0], block[:, 1])
+        for a in range(0, len(self.codes), ATOM_BLOCK):
+            m, n = _key_parts(self.codes[a : a + ATOM_BLOCK])
+            _codes(m, n)  # ValueError unless every key is in range
+            pos = embed_array(m, n)
             if pos.min() < lo - 1e-9 or pos.max() > hi + 1e-9:
                 raise ValueError("atoms outside the coverage interval")
 
     @classmethod
     def from_weights(cls, keys, weights, coverage) -> WeightedComb:
-        """The comb of per-atom weights, sorted by position; its levels are
-        their distinct bit patterns, so weights gives them back bit for bit."""
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-        weights = np.asarray(weights)
-        if len(keys) != len(weights):
+        """The comb of per-atom weights at keys, (N, 2) or codes (N,), sorted
+        by position; its levels are their distinct bit patterns, so weights
+        gives them back bit for bit."""
+        codes, weights = _as_codes(keys), np.asarray(weights)
+        if len(codes) != len(weights):
             raise ValueError("keys and weights must have equal length")
-        order = np.argsort(embed_array(keys[:, 0], keys[:, 1]), kind="stable")
+        order = np.argsort(_positions(codes), kind="stable")
         weights = weights[order]
         bits, level = np.unique(weights.view(f"V{weights.itemsize}"), return_inverse=True)
         index = np.min_scalar_type(max(len(bits) - 1, 0))
-        return cls(keys[order], bits.view(weights.dtype), level.astype(index), coverage)
+        return cls(codes[order], bits.view(weights.dtype), level.astype(index), coverage)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The (N, 2) int64 keys (m, n), decoded from the codes."""
+        return _decode(self.codes)
 
     @property
     def weights(self) -> np.ndarray:
@@ -126,44 +133,43 @@ class WeightedComb:
 
     @property
     def positions(self) -> np.ndarray:
-        return embed_array(self.keys[:, 0], self.keys[:, 1])
+        return _positions(self.codes)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.codes)
 
     def is_integer_supported(self) -> bool:
         """True when every atom sits on Z (n = 0 throughout)."""
-        return bool(np.all(self.keys[:, 1] == 0))
+        return not np.any(self.codes & (2**32 - 1))
 
     def atoms_dict(self) -> dict[tuple[int, int], complex]:
-        return {
-            (int(m), int(n)): w
-            for (m, n), w in zip(self.keys, self.weights)
-        }
+        return {(m, n): w for (m, n), w in zip(self.keys.tolist(), self.weights)}
 
     def atom(self, key: tuple[int, int]) -> complex:
-        hits = np.flatnonzero(
-            (self.keys[:, 0] == key[0]) & (self.keys[:, 1] == key[1])
-        )
-        if len(hits) == 0:
-            return 0.0
-        return self.levels[self.level[hits[0]]]
+        m, n = key  # a key out of range has no atom, and no code
+        hits = np.flatnonzero(self.codes == (m << 32) + n) if max(abs(m), abs(n)) < 2**31 else []
+        return self.levels[self.level[hits[0]]] if len(hits) else 0.0
 
     def sup_norm(self) -> float:
         return float(np.abs(self.weights).max()) if len(self) else 0.0
 
 
-def _search(keys, value, side="left"):
-    """np.searchsorted(positions, value, side) for keys sorted by position,
+def _search(codes, value, side="left"):
+    """np.searchsorted(positions, value, side) for codes sorted by position,
     by binary search over one key's position at a time: float(m) + float(n)
     * TAU is the double embed_array forms, so no positions array is built."""
     find = bisect_left if side == "left" else bisect_right
-    return find(range(len(keys)), value, key=lambda t: float(keys[t, 0]) + float(keys[t, 1]) * TAU)
+
+    def position(t):  # zroot5._key_parts in Python ints
+        m = (int(codes[t]) + 2**31) >> 32
+        return float(m) + float(int(codes[t]) - (m << 32)) * TAU
+
+    return find(range(len(codes)), value, key=position)
 
 
 def _bounds(comb: WeightedComb, lo: float, hi: float) -> tuple[int, int]:
     # the index range of the comb's atoms in [lo, hi], a rounding either side
-    return _search(comb.keys, lo - 1e-12), _search(comb.keys, hi + 1e-12, "right")
+    return _search(comb.codes, lo - 1e-12), _search(comb.codes, hi + 1e-12, "right")
 
 
 def _covers(comb: WeightedComb, lo: float, hi: float, what: str, tail: str = "") -> None:
@@ -172,11 +178,12 @@ def _covers(comb: WeightedComb, lo: float, hi: float, what: str, tail: str = "")
         raise RangeError(f"{what} covers {comb.coverage}, needs [{lo}, {hi}]{tail}")
 
 
-def _uniform(keys: np.ndarray, weight: complex, coverage) -> WeightedComb:
-    # weight * delta on keys sorted by position: one level, index 0 throughout
+def _uniform(codes: np.ndarray, weight: complex, coverage) -> WeightedComb:
+    # weight * delta on codes sorted by position: one level, and index 0
+    # throughout as a zero-stride view, not a byte per atom
     dtype = np.float64 if isinstance(weight, (int, float)) else np.complex128
-    level = np.zeros(len(keys), dtype=np.uint8)
-    return WeightedComb(keys, np.array([weight], dtype=dtype), level, coverage)
+    level = np.broadcast_to(np.uint8(0), codes.shape)
+    return WeightedComb(codes, np.array([weight], dtype=dtype), level, coverage)
 
 
 def dirac_comb(
@@ -184,23 +191,23 @@ def dirac_comb(
     coverage: tuple[float, float],
     weight: complex = 1.0,
 ) -> WeightedComb:
-    """Comb with a constant weight on each of the given exact points."""
-    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-    order = np.argsort(embed_array(keys[:, 0], keys[:, 1]), kind="stable")
-    return _uniform(keys[order], weight, coverage)
+    """Comb with a constant weight on each of the given exact points, as
+    (N, 2) keys or codes (N,)."""
+    codes = _as_codes(keys)
+    return _uniform(codes[np.argsort(_positions(codes), kind="stable")], weight, coverage)
 
 
 def lattice_comb(lo: int, hi: int, weight: complex = 1.0) -> WeightedComb:
     """The comb weight * delta_Z on the integer sites lo..hi inclusive."""
     ms = np.arange(lo, hi + 1, dtype=np.int64)
-    keys = np.stack([ms, np.zeros_like(ms)], axis=1)  # ascending: no sort
-    return _uniform(keys, weight, (float(lo), float(hi)))
+    return _uniform(_codes(ms, np.zeros_like(ms)), weight, (float(lo), float(hi)))  # ascending
 
 
 def reflect_conjugate(mu: WeightedComb) -> WeightedComb:
-    """Atom w at x becomes conj(w) at -x; coverage is negated."""
+    """Atom w at x becomes conj(w) at -x; coverage is negated.  The code of
+    -k is minus the code of k, so the reflected codes are -codes reversed."""
     lo, hi = mu.coverage
-    return WeightedComb(-mu.keys[::-1], np.conj(mu.levels), mu.level[::-1], (-hi, -lo))
+    return WeightedComb(-mu.codes[::-1], np.conj(mu.levels), mu.level[::-1], (-hi, -lo))
 
 
 def linear_combine(
@@ -216,7 +223,7 @@ def linear_combine(
     lo = max(mu.coverage[0] for _, mu in terms)
     hi = min(mu.coverage[1] for _, mu in terms)
 
-    key_parts = []
+    code_parts = []
     weight_parts = []
     complex_out = any(
         np.iscomplexobj(mu.weights) or isinstance(c, complex) for c, mu in terms
@@ -225,13 +232,10 @@ def linear_combine(
     for c, mu in terms:
         pos = mu.positions
         mask = (pos >= lo) & (pos <= hi)
-        key_parts.append(mu.keys[mask])
+        code_parts.append(mu.codes[mask])
         weight_parts.append(mu.weights[mask].astype(dtype) * c)
-    keys = np.concatenate(key_parts)
     weights = np.concatenate(weight_parts)
-
-    codes = _encode(keys)
-    uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    uniq, inverse = np.unique(np.concatenate(code_parts), return_inverse=True)
     # bincount adds the weights of each bin in input order
     merged = np.empty(len(uniq), dtype=dtype)
     if complex_out:
@@ -240,46 +244,42 @@ def linear_combine(
     else:
         merged[:] = np.bincount(inverse, weights, len(uniq))
     keep = merged != 0
-    return WeightedComb.from_weights(keys[first][keep], merged[keep], (lo, hi))
+    return WeightedComb.from_weights(uniq[keep], merged[keep], (lo, hi))
 
 
-def _members(points, keys: np.ndarray) -> np.ndarray:
-    # Which keys are points, as np.packbits bits.  The points' exact int64
-    # codes are sorted, and the keys' codes are looked up among them
-    # ATOM_BLOCK keys at a time; each point marks the first key of its code
-    # (of equal keys, the first in position order).  Only the points' codes
-    # and the bits span the input, and the offenders are found on the error
-    # path.  Its own function, so that the codes are freed before the caller
-    # unpacks the bits.
-    points = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    wanted = _encode(points)
-    wanted.sort()
-    found = np.zeros(len(points), dtype=bool)  # per sorted code: a key marked
-    marked = np.zeros(-(-len(keys) // 8), dtype=np.uint8)
-    for a in range(0, len(keys), ATOM_BLOCK):
-        codes = _encode(keys[a : a + ATOM_BLOCK])
-        at = np.searchsorted(wanted, codes)
-        hit = np.flatnonzero(at < len(wanted))
-        hit = hit[wanted[at[hit]] == codes[hit]]
-        # the first key of each code not marked before
-        first, index = np.unique(at[hit], return_index=True)
-        new = ~found[first]
-        found[first[new]] = True
-        block = np.zeros(len(codes), dtype=bool)
-        block[hit[index[new]]] = True
-        marked[a // 8 : (a + len(codes) + 7) // 8] = np.packbits(block)
-    # found marks only the first sorted copy of each code, and marks it iff
-    # the code is a key's
-    firsts = np.ones(len(points), dtype=bool)
-    np.not_equal(wanted[1:], wanted[:-1], out=firsts[1:])
-    if not np.array_equal(found, firsts):
-        missing = ~found[np.searchsorted(wanted, _encode(points))]
-        offenders = [(int(m), int(n)) for m, n in points[missing][:20]]
+def _members(points: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    # Which codes (in position order) are points, as np.packbits bits.  The
+    # points are taken in position order (argsorted unless they are in it, as
+    # realizations are), ATOM_BLOCK at a time, and searched by position among
+    # the codes their span reaches; a run of equal positions is walked to the
+    # point's own code.  So each point marks the first code equal to its own,
+    # and beyond the bits only a byte per point spans the input.
+    order = None if _in_position_order(points) else np.argsort(_positions(points), kind="stable")
+    found = np.zeros(len(points), dtype=bool)
+    marked = np.zeros(-(-len(codes) // 8), dtype=np.uint8)
+    for a in range(0, len(points), ATOM_BLOCK):
+        at = slice(a, a + ATOM_BLOCK) if order is None else order[a : a + ATOM_BLOCK]
+        block = points[at]
+        px = _positions(block)
+        i, j = _search(codes, px[0]), _search(codes, px[-1], "right")
+        if i == j:  # no code at these positions
+            continue
+        cm, pm = codes[i:j], _positions(codes[i:j])
+        hit = np.minimum(np.searchsorted(pm, px), j - i - 1)
+        for t in np.flatnonzero((cm[hit] != block) & (pm[hit] == px)).tolist():
+            while cm[hit[t]] != block[t] and hit[t] + 1 < j - i and pm[hit[t] + 1] == px[t]:
+                hit[t] += 1
+        found[at] = ok = cm[hit] == block
+        bits = np.zeros(j - (i & -8), dtype=bool)
+        bits[hit[ok] + (i & 7)] = True
+        marked[i // 8 : (j + 7) // 8] |= np.packbits(bits)
+    if not found.all():
+        offenders = [(m, n) for m, n in _decode(points[~found][:20]).tolist()]
         raise ContainmentError(
-            f"{int(missing.sum())} point(s) outside the model set of the window",
+            f"{len(points) - int(found.sum())} point(s) outside the model set of the window",
             offenders,
         )
-    if not firsts.all():
+    if int(np.bitwise_count(marked).sum()) != len(points):
         raise ValueError("split points must be distinct")
     return marked
 
@@ -287,27 +287,26 @@ def _members(points, keys: np.ndarray) -> np.ndarray:
 def split_remainder(points: np.ndarray, omega: WeightedComb) -> WeightedComb:
     """The remainder nu = delta_points - omega of omega = alpha * delta_M.
 
-    The points must be distinct and lie in the model set M, the support of
-    omega; a point outside M, anywhere on the line, raises ContainmentError
-    with the first 20 offenders in input order.  So nu sits on M itself,
-    with weight 1 - alpha on the points and -alpha on the rest of M, kept on
-    omega's coverage with exact zeros dropped.  Each weight is the single
-    rounding of 1 - alpha, so omega + nu reproduces the point comb atom for
-    atom.  Membership compares exact int64 key codes (_encode), never
-    positions, so distinct keys that embed to one double stay apart.
+    The points, key codes (N,) or keys (N, 2), must be distinct and lie in
+    the model set M, the support of omega; a point outside M, anywhere on the
+    line, raises ContainmentError with the first 20 offenders in input order.
+    So nu sits on M itself, with weight 1 - alpha on the points and -alpha on
+    the rest of M, kept on omega's coverage with exact zeros dropped.  Each
+    weight is the single rounding of 1 - alpha, so omega + nu reproduces the
+    point comb atom for atom.  Membership is decided by exact key codes.
     """
-    in_points = np.unpackbits(_members(points, omega.keys), count=len(omega.keys)).view(bool)
+    in_points = np.unpackbits(_members(_as_codes(points), omega.codes), count=len(omega)).view(bool)
     # omega's atoms may sit a rounding outside its coverage; nu keeps none
     lo, hi = omega.coverage
-    i, j = _search(omega.keys, lo), _search(omega.keys, hi, "right")
+    i, j = _search(omega.codes, lo), _search(omega.codes, hi, "right")
     n = len(omega.levels)
     levels = np.concatenate([1.0 - omega.levels, -omega.levels])
-    keys, level = omega.keys[i:j], omega.level[i:j].astype(np.min_scalar_type(max(2 * n - 1, 0)))
+    codes, level = omega.codes[i:j], omega.level[i:j].astype(np.min_scalar_type(max(2 * n - 1, 0)))
     np.add(level, n, out=level, where=~in_points[i:j])
     nonzero = (levels != 0)[level]
     if not nonzero.all():  # alpha = 1 empties the points, alpha = 0 the rest
-        keys, level = keys[nonzero], level[nonzero]
-    return WeightedComb(keys, levels, level, (lo, hi))
+        codes, level = codes[nonzero], level[nonzero]
+    return WeightedComb(codes, levels, level, (lo, hi))
 
 
 def split_pp(
@@ -324,19 +323,16 @@ def split_pp(
     atom-for-atom.  Requires every input point to lie in the model set of
     the window; violations raise ContainmentError with the offenders.
 
-    Both combs are built on the model set's keys, sorted by position: nu
+    Both combs are built on the model set's codes, sorted by position: nu
     takes weight 1 - alpha where the points are and -alpha elsewhere
-    (split_remainder), and membership is a binary search over the model
-    keys' exact int64 codes (_encode), with no hashing, no merge and no
-    floating point.  omega
-    keeps the model points' array itself, so given model_points must be
-    sorted by position (as cut_and_project returns them); unsorted ones
-    raise ValueError.
+    (split_remainder).  omega keeps the model points' array itself, so given
+    model_points must be sorted by position (as cut_and_project returns
+    them); unsorted ones raise ValueError.
     """
     if model_points is None:
         model_points = cps.cut_and_project(window, rng)
-    model_points = np.asarray(model_points, dtype=np.int64).reshape(-1, 2)
-    if np.any(np.diff(embed_array(model_points[:, 0], model_points[:, 1])) < 0):
+    model_points = _as_codes(model_points)
+    if not _in_position_order(model_points):
         raise ValueError("model points must be sorted by position")
     omega = _uniform(model_points, float(alpha), rng)
     return omega, split_remainder(points, omega)

@@ -23,6 +23,7 @@ from .zroot5 import (
     TAU_STAR,
     FourierModulePoint,
     QuadraticInt,
+    _codes,
     sign_of,
 )
 
@@ -49,7 +50,7 @@ LATTICE_DENSITY = 1.0 / SQRT5
 ROW_BLOCK = 1 << 12
 
 # The most points a realization, a projection or a lattice gas may hold:
-# 5e7 points are 0.8 GB of int64 (m, n) keys.  Requests above it fail before
+# 5e7 points are 0.4 GB of int64 key codes.  Requests above it fail before
 # anything is allocated.
 MAX_POINTS = 50_000_000
 
@@ -175,14 +176,17 @@ def cut_and_project(window: Window, rng: tuple[float, float]) -> np.ndarray:
 
     Returns
     -------
-    (N, 2) int64 array of (m, n) keys, sorted by physical position.
+    (N,) int64 array of the key codes (zroot5._codes) of the points (m, n),
+    sorted by physical position.
 
     The difference of the physical and the internal coordinate pins n to a
     finite band, and for each n the two linear inequalities leave an integer
     interval of m.  The solver walks the band in blocks of ROW_BLOCK rows of
     n; each block lays its candidate (n, m) pairs out as arrays and filters
-    them on the range and with exact window membership, so peak memory stays
-    bounded by the block, not by R.
+    them on the range and with exact window membership.  A row's points lie
+    in a band of positions that moves up with n, so each block is sorted
+    with the points that earlier blocks left below the next band, and only
+    the result spans R.
     """
     r_lo, r_hi = float(rng[0]), float(rng[1])
     if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
@@ -190,29 +194,33 @@ def cut_and_project(window: Window, rng: tuple[float, float]) -> np.ndarray:
     # positions of this size put 2m + n at the bound of the array sign_of
     if max(abs(r_lo), abs(r_hi)) >= SIGN_ARRAY_BOUND:
         raise ValueError(f"cut_and_project needs a range below {SIGN_ARRAY_BOUND} in magnitude")
-    if not window.intervals:
-        return np.empty((0, 2), dtype=np.int64)
+    if not window.intervals or r_hi < r_lo:
+        return np.empty(0, dtype=np.int64)
     w_lo, w_hi = window.hull()
-    if r_hi < r_lo:
-        return np.empty((0, 2), dtype=np.int64)
     check_points_budget((r_hi - r_lo) * model_set_density(window), f"projecting [{r_lo:g}, {r_hi:g}]")
 
     n_min = math.ceil((r_lo - w_hi) / SQRT5 - 1e-9)
     n_max = math.floor((r_hi - w_lo) / SQRT5 + 1e-9)
-    blocks = [
-        _project_rows(window, r_lo, r_hi, np.arange(n0, min(n0 + ROW_BLOCK, n_max + 1)))
-        for n0 in range(n_min, n_max + 1, ROW_BLOCK)
-    ]
-    keys = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
-    del blocks  # the row blocks are in keys: release them before the sort
-    order = np.argsort(keys[:, 0] + keys[:, 1] * TAU, kind="stable")
-    return keys[order]
+    done, codes, x = [], np.empty(0, dtype=np.int64), np.empty(0)
+    for n0 in range(n_min, n_max + 1, ROW_BLOCK):
+        ns = np.arange(n0, min(n0 + ROW_BLOCK, n_max + 1))
+        c, v = _project_rows(window, r_lo, r_hi, ns)
+        codes, x = np.concatenate([codes, c]), np.concatenate([x, v])
+        order = np.argsort(x, kind="stable")
+        codes, x = codes[order], x[order]
+        # a point of row n lies at its conjugate, at least w_lo, plus n*sqrt(5)
+        # (to 2**-22 below 2**30): the points below this bound precede every
+        # later row's, so they are in their final order, the global stable one
+        final = np.searchsorted(x, w_lo + (n0 + ROW_BLOCK) * SQRT5 - 1e-6)
+        done.append(codes[:final])
+        codes, x = codes[final:], x[final:]
+    return np.concatenate([*done, codes])
 
 
 def _project_rows(
     window: Window, r_lo: float, r_hi: float, ns: np.ndarray
-) -> np.ndarray:
-    """Model points of the rows ns, in (n, m) order, as an (N, 2) key array."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Model points of the rows ns, in (n, m) order: their codes and positions."""
     w_lo, w_hi = window.hull()
     m_lo = np.maximum(r_lo - ns * TAU, w_lo - ns * TAU_STAR)
     m_hi = np.minimum(r_hi - ns * TAU, w_hi - ns * TAU_STAR)
@@ -224,9 +232,9 @@ def _project_rows(
     m = np.repeat(first - row_start, counts) + np.arange(len(n))
     v = m + n * TAU
     keep = (v >= r_lo) & (v <= r_hi)
-    m, n = m[keep], n[keep]
+    m, n, v = m[keep], n[keep], v[keep]
     keep = window.contains_star(m, n)
-    return np.stack([m[keep], n[keep]], axis=1)
+    return _codes(m[keep], n[keep]), v[keep]
 
 
 def fourier_module(k_max: float, kstar_max: float) -> list[FourierModulePoint]:

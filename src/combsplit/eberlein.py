@@ -15,10 +15,9 @@ lattice-gas suites (_lattice_tally) go through it too.  The sweep takes the
 first factor's atoms a chunk at a time, with the positions of only the
 chunk and of the atoms of the second factor it reaches, and forms the
 chunk's pairs block by block, so its memory grows with neither the pair
-count nor the factors.  It adds
-int64 key codes (the code of a sum of keys is the sum of their codes,
-combs._encode), tallies a block's cells (code, level pair) by sorting one
-int64 per pair, and decodes the atoms' keys once, at the end.  A
+count nor the factors.  It adds the combs' int64 key codes (the code of a
+sum of keys is the sum of their codes, zroot5._codes) and tallies a block's
+cells (code, level pair) by sorting one int64 per pair.  A
 restriction to an interval is an index range found by binary search over
 single keys' positions, so no kernel builds the positions of a whole comb;
 that search and the coverage check live in combs (_bounds, _covers).
@@ -47,18 +46,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .combs import (
-    RangeError,
-    WeightedComb,
-    _bounds,
-    _check_key_range,
-    _covers,
-    _decode,
-    _encode,
-    _search,
-    reflect_conjugate,
-)
-from .zroot5 import FourierModulePoint, _char_table, _key_offsets, _phase_words, embed_array
+from .combs import RangeError, WeightedComb, _bounds, _covers, _search, reflect_conjugate
+from .zroot5 import FourierModulePoint, _char_table, _codes, _key_offsets, _key_parts, _phase_words
+from .zroot5 import embed_array
 from .zroot5 import frac_phases  # noqa: F401  (eberlein.frac_phases stays importable)
 
 __all__ = [
@@ -86,7 +76,11 @@ __all__ = [
 # R = 1e5 and 5 at R = 1e6), orthogonality took 50, 51 and 65 ms at R = 1e5
 # and 416, 361 and 401 ms at R = 1e6 with pair blocks of 2**14, 2**15 and
 # 2**16; the FB scan took 69, 61 and 63 ms at R = 1e5 with FB blocks of
-# 2**13, 2**14 and 2**15 (525, 513 and 464 ms at R = 1e6).
+# 2**13, 2**14 and 2**15 (525, 513 and 464 ms at R = 1e6).  On key codes
+# (two series, medians of 9 at R = 1e5 and of 5 and 7 at R = 1e6),
+# orthogonality took 38/44, 38/39, 38/41 and 37/48 ms at R = 1e5 and 264/306,
+# 340/291, 259/315 and 262/309 ms at R = 1e6 with FOLD_CELLS of 2**16, 2**17,
+# 2**18 and 2**19: the same within noise.
 PAIR_BLOCK = 1 << 15
 FOLD_CELLS = 1 << 18
 FB_BLOCK = 1 << 14
@@ -132,7 +126,7 @@ def averaging_vol(shape: str, R: float) -> float:
 
 def _restrict_arrays(comb: WeightedComb, lo: float, hi: float):
     i, j = _bounds(comb, lo, hi)
-    return comb.keys[i:j], comb.level[i:j]
+    return comb.codes[i:j], comb.level[i:j]
 
 
 def eberlein_convolve(
@@ -189,17 +183,18 @@ def _count(mu, nu, shape, R, r_max, variant):
         nu_lo, nu_hi = lo - r_max, hi + r_max
     _covers(nu, nu_lo, nu_hi, "second factor", f" for R={R}")
 
-    kx, lx = _restrict_arrays(mu, -hi, -lo)
-    ky, ly = _restrict_arrays(nu, nu_lo, nu_hi)
+    cx, lx = _restrict_arrays(mu, -hi, -lo)
+    cy, ly = _restrict_arrays(nu, nu_lo, nu_hi)
     nx, ny = len(mu.levels), len(nu.levels)
-    # bit rows for nonempty integer supports dense enough for their level pairs
+    # bit rows for nonempty integer supports (codes m << 32) dense enough for their level pairs
     density = max(1 / 16, math.sqrt(nx * ny / ROW_LEVEL_PAIRS) / 5)
     if nx * ny <= ROW_LEVEL_PAIRS and all(
-        len(k) and not k[:, 1].any() and len(k) >= density * (k[-1, 0] - k[0, 0] + 1)
-        for k in (kx, ky)
+        len(c) and not (c & (2**32 - 1)).any()
+        and len(c) >= density * (((int(c[-1]) - int(c[0])) >> 32) + 1)
+        for c in (cx, cy)
     ):
-        return [_count_bits(kx[:, 0], lx, nx, ky[:, 0], ly, ny, r_max)], spec.vol(R)
-    return _count_pairs(kx, lx, ky, ly, ny, r_max), spec.vol(R)
+        return [_count_bits(cx >> 32, lx, nx, cy >> 32, ly, ny, r_max)], spec.vol(R)
+    return _count_pairs(cx, lx, cy, ly, ny, r_max), spec.vol(R)
 
 
 def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
@@ -208,12 +203,12 @@ def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
     by position.  Every correlation, whatever counted its pairs, ends here.
     The products are taken in the levels' dtype, at least double precision."""
     dtype = np.result_type(vx, vy, np.float64)
-    keys, sums = _exact_sums(tallies, vx.astype(dtype), vy.astype(dtype))
+    codes, sums = _exact_sums(tallies, vx.astype(dtype), vy.astype(dtype))
     keep = sums.any(axis=1)
     # divide real and imaginary parts separately: numpy's complex division
     # multiplies by a reciprocal and would round twice
     quotient = (sums[keep] / vol).view(dtype).ravel()
-    return WeightedComb.from_weights(keys[keep], quotient, coverage)
+    return WeightedComb.from_weights(codes[keep], quotient, coverage)
 
 
 def _bit_rows(lead, n_sites, blocks):
@@ -319,10 +314,10 @@ def _lattice_tally(row, n, r_max):
 
 def _lag_codes(lags):
     # the key codes of the integer lags (lag, 0)
-    return _encode(np.stack([lags, np.zeros_like(lags)], axis=1))
+    return _codes(lags, np.zeros_like(lags))
 
 
-def _count_pairs(kx, lx, ky, ly, n_j, r_max):
+def _count_pairs(cx, lx, cy, ly, n_j, r_max):
     # Any supports: for every x-atom the admissible y-atoms form a contiguous
     # window of the sorted nu support.  The x-atoms are taken PAIR_BLOCK >> 3
     # at a time, with the positions of only the y-atoms their windows reach,
@@ -331,22 +326,25 @@ def _count_pairs(kx, lx, ky, ly, n_j, r_max):
     # pairs, lx[i] * n_j + ly[j], and tallied block by block.  The tallies
     # are merged and handed on once they hold more than FOLD_CELLS cells,
     # and at the end.  A pair's code is the sum of its atoms' codes while
-    # the sum key stays in range, so the extremes of the sum keys are
-    # checked first.
-    if not (len(kx) and len(ky)):
+    # the sum key stays in range, so each chunk checks the extremes of its
+    # sum keys first.
+    if not (len(cx) and len(cy)):
         return
-    _check_key_range(np.stack([kx.min(axis=0) + ky.min(axis=0), kx.max(axis=0) + ky.max(axis=0)]))
     pending, held, chunk = [], 0, max(PAIR_BLOCK >> 3, 1)
-    for c in range(0, len(kx), chunk):
-        kc, lc = kx[c : c + chunk], lx[c : c + chunk]
-        px = embed_array(kc[:, 0], kc[:, 1])
+    for c in range(0, len(cx), chunk):
+        cc, lc = cx[c : c + chunk], lx[c : c + chunk]
+        mx, nx = _key_parts(cc)
+        px = embed_array(mx, nx)
         # windows move left as x grows: the last x-atom's starts the reach,
         # the first x-atom's ends it
-        y0 = _search(ky, -r_max - px[-1] - 1e-9)
-        y1 = _search(ky, r_max - px[0] + 1e-9, "right")
-        kw, lw = ky[y0:y1], ly[y0:y1]
-        py = embed_array(kw[:, 0], kw[:, 1])
-        cx, cy = _encode(kc), _encode(kw)
+        y0 = _search(cy, -r_max - px[-1] - 1e-9)
+        y1 = _search(cy, r_max - px[0] + 1e-9, "right")
+        cw, lw = cy[y0:y1], ly[y0:y1]
+        my, ny = _key_parts(cw)
+        py = embed_array(my, ny)
+        if len(cw):  # ValueError unless the extremes of the chunk's sum keys are in range
+            _codes(np.array([mx.min() + my.min(), mx.max() + my.max()]),
+                   np.array([nx.min() + ny.min(), nx.max() + ny.max()]))
         lo_idx = np.searchsorted(py, -r_max - px - 1e-9, side="left")
         hi_idx = np.searchsorted(py, r_max - px + 1e-9, side="right")
         per_x = hi_idx - lo_idx
@@ -361,7 +359,7 @@ def _count_pairs(kx, lx, ky, ly, n_j, r_max):
             keep = np.abs(px[i_rep] + py[j_rep]) <= r_max + 1e-9
             i_rep, j_rep = i_rep[keep], j_rep[keep]
             level_pair = lc[i_rep].astype(np.int64) * n_j + lw[j_rep]
-            pending.append(_tally(cx[i_rep] + cy[j_rep], level_pair))
+            pending.append(_tally(cc[i_rep] + cw[j_rep], level_pair))
             held += len(pending[-1][0])
             a = b
             if held > FOLD_CELLS:
@@ -409,8 +407,8 @@ def _index(values, room):
 
 def _exact_sums(tallies, vx, vy):
     # Per atom, the exact sum of count * vx[i] * vy[j] over its cells, rounded
-    # once; each tally is folded into the limb rows of the atoms seen so far,
-    # which are carried as key codes and decoded at the end.
+    # once, with the atoms' key codes; each tally is folded into the limb
+    # rows of the atoms seen so far.
     codes = np.empty(0, dtype=np.int64)
     done = codes, np.zeros((0, 1 + (np.result_type(vx, vy).kind == "c"), 0, 2), dtype=np.int64)
     for new, i, j, count in tallies:
@@ -419,7 +417,7 @@ def _exact_sums(tallies, vx, vy):
         moved = np.zeros((len(codes), *done[1].shape[1:]), dtype=np.int64)
         moved[atom[len(new) :]] = done[1]
         done = _limb_rows(atom[: len(new)], vx[i], vy[j], count, len(codes), (done[0], moved))
-    return _decode(codes), _rounded(*done)
+    return codes, _rounded(*done)
 
 
 def _limb_rows(group, x, y, count, n_groups, done=None):
@@ -538,9 +536,9 @@ def _fb_values(
         bins = np.maximum(np.searchsorted(j, atom, side="right"), np.searchsorted(-i, -atom))
         group = bins * n_levels + mu.level[atom]
         order = np.argsort(group, kind="stable")
-        keys, group = mu.keys[atom[order]], group[order]
+        (m, n), group = _key_parts(mu.codes[atom[order]]), group[order]
         starts = np.flatnonzero(np.diff(group, prepend=-1))
-        offsets, x = _key_offsets(keys[:, 0], keys[:, 1]), embed_array(keys[:, 0], keys[:, 1])
+        offsets, x = _key_offsets(m, n), embed_array(m, n)
         for q, k in enumerate(K):
             for p, fixed in enumerate(_characters(k, offsets, x)):
                 sums[q, 0, p, group[starts]] += np.add.reduceat(fixed >> 31, starts)
@@ -689,7 +687,7 @@ def decomposition_report(
     finite proxy for a null FB spectrum of the continuous-part correlation.
     """
     for omega, nu in (split_i, split_j):
-        if len(omega.levels) != 1 or not np.array_equal(omega.keys, nu.keys):
+        if len(omega.levels) != 1 or not np.array_equal(omega.codes, nu.codes):
             raise ValueError("a split must be (omega, nu) with omega = alpha * delta_M "
                              "of one level and nu on omega's keys")
     (omega_i, nu_i), (omega_j, nu_j) = split_i, split_j
@@ -708,10 +706,10 @@ def decomposition_report(
         correlation(alpha_i, nu_j.levels),
         correlation(nu_i.levels, alpha_j),
     )
-    keys = np.unique(np.concatenate([_encode(part.keys) for part in parts]))
-    residual = np.zeros(len(keys), dtype=np.result_type(*(part.levels for part in parts)))
+    codes = np.unique(np.concatenate([part.codes for part in parts]))
+    residual = np.zeros(len(codes), dtype=np.result_type(*(part.levels for part in parts)))
     for sign, part in zip((1, -1, -1, -1, -1), parts):
-        residual[np.searchsorted(keys, _encode(part.keys))] += sign * part.weights
+        residual[np.searchsorted(codes, part.codes)] += sign * part.weights
     gamma, s_part, zero_part, cross_ij, cross_ji = parts
     cross_sup = max(cross_ij.sup_norm(), cross_ji.sup_norm())
     zero_fb = 0.0

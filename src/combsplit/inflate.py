@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .combs import WeightedComb, dirac_comb
 from .cps import MAX_POINTS, check_points_budget  # the budget lives in cps; re-exported
-from .zroot5 import QuadraticInt, embed_array
+from .zroot5 import QuadraticInt, _codes, _decode, embed_array
 
 __all__ = [
     "Branch",
@@ -119,26 +119,40 @@ class SubstitutionRule:
                     )
 
 
+class _Derived(Mapping):
+    # the mapping name -> value(name) over the names of names, computed when read
+    def __init__(self, names: Mapping[str, object], value):
+        self._names, self._value = names, value
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._value(name)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
 @dataclass(frozen=True)
 class TypedPointSet:
     """Disjoint per-type sorted point lists covering the range [lo, hi]."""
 
-    points: dict[str, np.ndarray]  # per type: (N, 2) int64, sorted by position
+    codes: Mapping[str, np.ndarray]  # per type: (N,) int64 key codes, sorted by position
     rng: tuple[float, float]
 
+    @property
+    def points(self) -> Mapping[str, np.ndarray]:
+        """Per type, the (N, 2) int64 keys (m, n), decoded when a type is read."""
+        return _Derived(self.codes, lambda t: _decode(self.codes[t]))
+
     def types(self) -> tuple[str, ...]:
-        return tuple(self.points)
+        return tuple(self.codes)
 
     def count(self, name: str | None = None) -> int:
         if name is not None:
-            return len(self.points[name])
-        return sum(len(p) for p in self.points.values())
-
-    def merged(self) -> np.ndarray:
-        allpts = np.concatenate([p for p in self.points.values()]) \
-            if self.points else np.empty((0, 2), dtype=np.int64)
-        pos = embed_array(allpts[:, 0], allpts[:, 1])
-        return allpts[np.argsort(pos, kind="stable")]
+            return len(self.codes[name])
+        return sum(len(c) for c in self.codes.values())
 
     def comb(self, name: str | None = None) -> WeightedComb:
         """Dirac comb of one type (or of the union).
@@ -146,8 +160,9 @@ class TypedPointSet:
         One-sided realizations are complete below their origin, so the
         coverage extends to -inf on the left.
         """
-        pts = self.merged() if name is None else self.points[name]
-        return dirac_comb(pts, (-math.inf, self.rng[1]))
+        codes = self.codes[name] if name is not None else np.concatenate(
+            [np.empty(0, dtype=np.int64), *self.codes.values()])
+        return dirac_comb(codes, (-math.inf, self.rng[1]))
 
 
 def substitution_matrix(rule: SubstitutionRule) -> np.ndarray:
@@ -374,16 +389,16 @@ def realize_geometric(
 
 
 def _typed_starts(word, lengths):
-    # Exact keys of the tile starts of the word, one (count, 2) int64 array
-    # per letter.  Each letter's keys are written block by block from running
-    # tile-end sums, so nothing spans the whole word but the word.
+    # Key codes of the tile starts of the word, one int64 array per letter.
+    # Each letter's codes are written block by block from running tile-end
+    # sums, so nothing spans the whole word but the word.
     len_m = np.array([l.m for l in lengths], dtype=np.int64)
     len_n = np.array([l.n for l in lengths], dtype=np.int64)
     block = _block_size(len(word))
     per_type = sum(
         np.bincount(word[a : a + block], minlength=len(lengths)) for a in range(0, len(word), block)
     )
-    starts = [np.empty((count, 2), dtype=np.int64) for count in per_type.tolist()]
+    starts = [np.empty(count, dtype=np.int64) for count in per_type.tolist()]
     filled = [0] * len(lengths)
     start_m = start_n = 0
     for a in range(0, len(word), block):
@@ -397,10 +412,10 @@ def _typed_starts(word, lengths):
         n -= step_n
         n += start_n
         start_m, start_n = int(m[-1] + step_m[-1]), int(n[-1] + step_n[-1])
+        codes = _codes(m, n)
         for t, out in enumerate(starts):
-            mask = letters == t
-            rows = out[filled[t] : filled[t] + np.count_nonzero(mask)]
-            rows[:, 0], rows[:, 1] = m[mask], n[mask]
+            rows = codes[letters == t]
+            out[filled[t] : filled[t] + len(rows)] = rows
             filled[t] += len(rows)
     return starts
 
@@ -410,7 +425,7 @@ def densities(tps: TypedPointSet) -> dict[str, float]:
     lo, hi = tps.rng
     if hi <= lo:
         raise ValueError("densities need a range of positive length")
-    return {t: len(p) / (hi - lo) for t, p in tps.points.items()}
+    return {t: len(c) / (hi - lo) for t, c in tps.codes.items()}
 
 
 def fibonacci_rule() -> SubstitutionRule:

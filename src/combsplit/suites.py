@@ -17,7 +17,7 @@ import numpy as np
 
 from . import combs, cps, eberlein, inflate, spectra, stochastic
 from .stochastic import Check, RngSpec
-from .zroot5 import SQRT5, TAU, FourierModulePoint, QuadraticInt
+from .zroot5 import SQRT5, TAU, FourierModulePoint, QuadraticInt, _decode
 
 __all__ = [
     "SuiteReport",
@@ -80,14 +80,32 @@ def preset_k_points() -> list:
 
 @dataclass(frozen=True)
 class SystemContext:
-    """One generated system with calibrated windows and its splitting."""
+    """One generated system with calibrated windows, its model sets as key
+    codes, its point counts and its splitting; tps rebuilds the realization."""
 
     rule: inflate.SubstitutionRule
-    tps: inflate.TypedPointSet
+    rng: tuple[float, float]
+    counts: dict[str, int]
     windows: dict[str, cps.Window] | None
     models: dict[str, np.ndarray] | None
     alphas: dict[str, float]
     splits: dict[str, tuple[combs.WeightedComb, combs.WeightedComb]]
+
+    @property
+    def tps(self) -> inflate.TypedPointSet:
+        """The realization, each type's points rebuilt when they are read."""
+        points = inflate._Derived(self.splits, lambda t: _points(*self.splits[t]))
+        return inflate.TypedPointSet(points, self.rng)
+
+
+def _points(omega: combs.WeightedComb, nu: combs.WeightedComb) -> np.ndarray:
+    # a split's points: nu's atoms at level 1 - alpha, or, when alpha = 1
+    # dropped those, omega's atoms on nu's coverage that nu lacks
+    if nu.levels[0] != 0:
+        return nu.codes[nu.level == 0]
+    lo, hi = nu.coverage
+    model = omega.codes[combs._search(omega.codes, lo) : combs._search(omega.codes, hi, "right")]
+    return model[~np.isin(model, nu.codes)]
 
 
 @lru_cache(maxsize=8)
@@ -103,22 +121,23 @@ def system_context(name: str, R: float) -> SystemContext:
         raise ValueError(f"R must be positive, got {R!r}")
     rule = inflate.builtin_rule(name)
     tps = inflate.realize_geometric(rule, "a", R)
-    rng = (0.0, R)
+    rng, counts = (0.0, R), {t: tps.count(t) for t in rule.alphabet}
     if name == "thue_morse":
         half_lattice = combs.lattice_comb(0, int(math.floor(R)), 0.5)
         splits = {
-            t: (half_lattice, combs.split_remainder(tps.points[t], half_lattice))
+            t: (half_lattice, combs.split_remainder(tps.codes[t], half_lattice))
             for t in rule.alphabet
         }
         alphas = {t: 0.5 for t in rule.alphabet}
-        return SystemContext(rule, tps, None, None, alphas, splits)
+        return SystemContext(rule, tps.rng, counts, None, None, alphas, splits)
 
     preset_windows = (
         cps.fibonacci_windows() if name == "fibonacci"
         else cps.twisted_fibonacci_windows()
     )
     # calibrate on the realized points in [0, min(R, 1000)], a prefix of each type's
-    cal_points = {t: p[: combs._search(p, min(R, 1000.0), "right")] for t, p in tps.points.items()}
+    cal_points = {t: _decode(c[: combs._search(c, min(R, 1000.0), "right")])
+                  for t, c in tps.codes.items()}
     cal = cps.calibrate_closures(cal_points, preset_windows)
     # types that share a window share one read-only projection of it
     projected: dict[tuple[cps.Interval, ...], np.ndarray] = {}
@@ -128,14 +147,14 @@ def system_context(name: str, R: float) -> SystemContext:
             projected[w.intervals].setflags(write=False)
     models = {t: projected[w.intervals] for t, w in cal.windows.items()}
     alphas = {
-        t: (len(tps.points[t]) / R) / cps.model_set_density(cal.windows[t])
+        t: (counts[t] / R) / cps.model_set_density(cal.windows[t])
         for t in rule.alphabet
     }
     splits = {
-        t: combs.split_pp(tps.points[t], cal.windows[t], alphas[t], rng, models[t])
+        t: combs.split_pp(tps.codes[t], cal.windows[t], alphas[t], rng, models[t])
         for t in rule.alphabet
     }
-    return SystemContext(rule, tps, cal.windows, models, alphas, splits)
+    return SystemContext(rule, tps.rng, counts, cal.windows, models, alphas, splits)
 
 
 def suite_eberlein_exact(seed: int | None = None) -> SuiteReport:
@@ -224,7 +243,7 @@ def suite_halfdensity(seed: int | None = None) -> SuiteReport:
     R = 10_000.0
     ctx = system_context("twisted_fibonacci", R)
     ratios = {
-        t: len(ctx.tps.points[t]) / len(ctx.models[t]) for t in ctx.rule.alphabet
+        t: ctx.counts[t] / len(ctx.models[t]) for t in ctx.rule.alphabet
     }
     worst = max(abs(r - 0.5) for r in ratios.values())
     checks = (
@@ -350,7 +369,7 @@ def suite_random_fibonacci(seed: int | None = None) -> SuiteReport:
     det = inflate.realize_geometric(inflate.fibonacci_rule(), "a", R)
     pure = stochastic.random_fibonacci(1.0, R, rng)
     mismatches = sum(
-        0 if np.array_equal(det.points[t], pure.points[t]) else 1
+        0 if np.array_equal(det.codes[t], pure.codes[t]) else 1
         for t in ("a", "b")
     )
     checks = (

@@ -51,13 +51,45 @@ _PHASE_DENOM = 10 * _PHASE_SCALE
 # far inside int64, so the comparison is exact.
 SIGN_ARRAY_BOUND = 2**30
 
-# frac_phases takes keys with |m|, |n| < PHASE_KEY_BOUND (the key encoder's
+# frac_phases takes keys with |m|, |n| < PHASE_KEY_BOUND (the key code's
 # bound) and module points with |a|, |b| < PHASE_K_BOUND.  Then |2A + B| =
 # |m(2a + b) + n(a + 3b)| < 2^31 * 2^17 = 2^48: inside int64, and small
 # enough that no phase rounds to 1.0 (see frac_phases).
 PHASE_KEY_BOUND = 2**31
 PHASE_K_BOUND = 2**14
 _M128 = (1 << 128) - 1
+
+
+# A key (m, n) is stored as one int64 code, m * 2**32 + n.  While |m| and |n|
+# stay below 2**31, codes are distinct and order like the keys
+# lexicographically, the code of -k is minus the code of k, and the codes of
+# two keys add to the code of their sum when it stays in range too.
+
+
+def _codes(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The codes of the keys (m[i], n[i]) of int64 arrays; ValueError when |m|
+    or |n| reaches 2**31, instead of wrapping into collisions."""
+    if not (_below(m, PHASE_KEY_BOUND) and _below(n, PHASE_KEY_BOUND)):
+        raise ValueError("exact key out of range: |m| and |n| must be below 2**31")
+    return (m << 32) + n
+
+
+def _encode(keys: np.ndarray) -> np.ndarray:
+    return _codes(keys[:, 0], keys[:, 1])
+
+
+def _key_parts(codes: np.ndarray, m=None, n=None) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 arrays m and n of the keys of codes, into m and n if given."""
+    m = np.add(codes, PHASE_KEY_BOUND, out=m)
+    m >>= 32
+    n = np.left_shift(m, 32, out=n)
+    return m, np.subtract(codes, n, out=n)
+
+
+def _decode(codes: np.ndarray) -> np.ndarray:
+    keys = np.empty((len(codes), 2), dtype=np.int64)
+    _key_parts(codes, *keys.T)  # no temporary beyond the keys
+    return keys
 
 
 def sign_of(m, n):
@@ -99,7 +131,7 @@ def _sign_of_array(m, n) -> np.ndarray:
 
 
 def _below(x: np.ndarray, bound: int) -> bool:
-    return not np.any((x <= -bound) | (x >= bound))
+    return not x.size or bool(-bound < x.min() and x.max() < bound)
 
 
 @total_ordering
@@ -345,9 +377,10 @@ def _unit_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Correctly rounded doubles of (hi * 2^64 + lo) / 2^128."""
     # With hi >= 2^54 the rounding bit of hi lies above bit 0, so folding
     # every bit of lo into bit 0 (a sticky bit) lets one conversion round
-    # right.  Values below 2^-10 take exact Python-int division instead.
+    # right.  Values below 2^-10 take exact Python-int division instead, bar
+    # the exact zeros (integer phases), which convert exactly.
     out = (hi | (lo != 0)).astype(np.float64) * 2.0**-64
-    for i in np.flatnonzero(hi < np.uint64(2**54)).tolist():
+    for i in np.flatnonzero((hi < np.uint64(2**54)) & ((hi | lo) != 0)).tolist():
         out[i] = (int(hi[i]) << 64 | int(lo[i])) / 2**128
     return out
 

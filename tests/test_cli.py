@@ -483,14 +483,17 @@ def test_write_csv_matches_per_cell_repr(tmp_path, monkeypatch):
         cli._write_csv(out, header, iter(case), cfg)
         assert out.read_bytes() == per_cell(header, case, cfg)
     # lines from _key_lines, over full, partial and no blocks, match the rows
+    # of the keys (m, n, m + n*tau), at the ends of the key range too
     monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
-    keys = np.array([[2**40, -3], [0, 1], [-7, 0], [5, 5], [1, -1]], dtype=np.int64)
-    values = np.array([-0.0, 1e-05, 5e-324, 0.1 + 0.2, 1e16])
+    B = 2**31 - 1
+    keys = [(B, -3), (0, 1), (-7, 0), (-B, B), (1, -1)]
+    codes = np.array([(m << 32) + n for m, n in keys], dtype=np.int64)
     for n in (5, 3, 0):
-        lines = (text for text, in cli._key_lines(keys[:n], values[:n]))
+        lines = (text for text, in cli._key_lines(codes[:n]))
         cli._write_csv(out, ["m", "n", "value"], lines, cfg)
-        assert out.read_bytes() == per_cell(
-            ["m", "n", "value"], list(cli._key_rows(keys[:n], values[:n])), cfg)
+        rows = [(m, k, m + k * TAU) for m, k in keys[:n]]
+        assert list(cli._key_rows(codes[:n])) == rows
+        assert out.read_bytes() == per_cell(["m", "n", "value"], rows, cfg)
 
     # the grouped comb writer: one shared group of 300 atoms (1, 2 and 300
     # levels, real and complex), as many atoms on other keys, a strict slice

@@ -15,7 +15,7 @@ from combsplit.combs import (
     split_pp,
     split_remainder,
 )
-from combsplit.zroot5 import embed_array
+from combsplit.zroot5 import _decode, embed_array
 
 
 def small_comb(keys_weights, coverage=(-50.0, 50.0)):
@@ -29,7 +29,7 @@ def restrict(mu, lo, hi):
     finite measure, so with the whole line as coverage."""
     pos = mu.positions
     mask = (pos >= lo) & (pos <= hi)
-    return WeightedComb(mu.keys[mask], mu.levels, mu.level[mask], (-math.inf, math.inf))
+    return WeightedComb(mu.codes[mask], mu.levels, mu.level[mask], (-math.inf, math.inf))
 
 
 key_st = st.tuples(st.integers(-20, 20), st.integers(-12, 12))
@@ -183,11 +183,14 @@ def test_zero_weight_atoms_are_dropped():
 
 
 def test_keys_beyond_encoder_range_raise():
-    # m = 2**31 would alias (m - 1, n + 2**32) in a wrapped int64 code
-    big = small_comb([((2**31, 0), 1.0), ((0, 0), 1.0)],
-                     coverage=(-math.inf, math.inf))
+    # m = 2**31 would alias (m - 1, n + 2**32) in a wrapped int64 code, so no
+    # comb holds it; codes handed over directly are checked as well
     with pytest.raises(ValueError, match=r"2\*\*31"):
-        linear_combine([(1.0, big)])
+        small_comb([((2**31, 0), 1.0), ((0, 0), 1.0)], coverage=(-math.inf, math.inf))
+    for code in (2**63 - 1, -(2**31), -(2**63)):  # m = -2**31, n = -2**31, m = -2**31
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            WeightedComb(np.array([0, code]), np.array([1.0]), np.zeros(2, np.uint8),
+                         (-math.inf, math.inf))
     pts = np.array([[0, 0], [2**31, 0]], dtype=np.int64)
     with pytest.raises(ValueError, match=r"2\*\*31") as err:
         split_pp(pts, cps.fibonacci_windows()["a"], 1.0, (0.0, 3e9),
@@ -197,6 +200,43 @@ def test_keys_beyond_encoder_range_raise():
     edge = small_comb([((2**31 - 1, 0), 1.0), ((-(2**31) + 1, 2**31 - 1), 2.0)],
                       coverage=(-math.inf, math.inf))
     assert linear_combine([(1.0, edge)]).atoms_dict() == edge.atoms_dict()
+
+
+bound_key_st = st.tuples(st.integers(-(2**31) + 1, 2**31 - 1), st.integers(-(2**31) + 1, 2**31 - 1))
+
+
+@given(st.lists(bound_key_st, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_key_codes_round_trip_and_negate(keys):
+    # over the whole key range: a comb's keys are the keys it was given, the
+    # code of -k is minus the code of k, and codes order like the keys
+    keys = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    codes = combs._encode(keys)
+    assert np.array_equal(combs._decode(codes), keys)
+    assert np.array_equal(combs._encode(-keys), -codes)
+    assert [tuple(k) for k in keys[np.argsort(codes, kind="stable")].tolist()] == \
+        sorted(map(tuple, keys.tolist()))
+    comb = WeightedComb.from_weights(keys, np.arange(len(keys)) + 1.0, (-math.inf, math.inf))
+    order = np.argsort(embed_array(keys[:, 0], keys[:, 1]), kind="stable")
+    assert np.array_equal(comb.keys, keys[order]) and np.array_equal(comb.codes, codes[order])
+
+
+@given(st.dictionaries(bound_key_st, weight_st, max_size=30), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_reflected_comb_equals_the_key_pair_oracle(atoms, one_level):
+    # the reflected codes are -codes reversed; the oracle negates the (N, 2)
+    # keys and sorts them by position, stably from the reversed order
+    coverage = (-1e10, 1e10)
+    if one_level:
+        mu = dirac_comb(list(atoms), coverage, weight=2 - 1j)
+    else:
+        mu = small_comb(list(atoms.items()), coverage)
+    r = reflect_conjugate(mu)
+    keys = -mu.keys[::-1]
+    assert np.array_equal(r.keys, keys) and np.array_equal(r.codes, combs._encode(keys))
+    assert np.all(np.diff(embed_array(keys[:, 0], keys[:, 1])) >= 0)
+    assert r.weights.tobytes() == np.conj(mu.weights[::-1]).tobytes()
+    assert r.coverage == (-1e10, 1e10) and len(r.level) == len(r)
 
 
 F35, F36 = 9227465, 14930352
@@ -220,7 +260,7 @@ def _model_set(draw):
     windows = draw(st.sampled_from([cps.fibonacci_windows(), cps.twisted_fibonacci_windows()]))
     window = windows[draw(st.sampled_from(sorted(windows)))]
     rng = (draw(st.floats(-40.0, 0.0)), draw(st.floats(0.0, 40.0)))
-    return cps.cut_and_project(window, rng), rng
+    return _decode(cps.cut_and_project(window, rng)), rng
 
 
 @st.composite
@@ -298,7 +338,7 @@ def test_split_containment_is_checked_outside_the_coverage():
     model = cps.cut_and_project(window, (0.0, 50.0))
     outside = [(m, 0) for m in range(100, 125)]
     with pytest.raises(ContainmentError, match="^25 point") as err:
-        split_pp(np.vstack([model[:5], outside]), window, 0.5, (0.0, 50.0), model)
+        split_pp(np.vstack([_decode(model[:5]), outside]), window, 0.5, (0.0, 50.0), model)
     assert err.value.offenders == outside[:20]
 
 
@@ -308,8 +348,8 @@ def test_split_finds_points_among_keys_of_equal_position():
     tie = [(2**30, 0), (2**30 - 14930352, 9227465), (2**30 - 24157817, 14930352)]
     assert len(set(embed_array(*np.array(tie).T).tolist())) == 1
     for model in (tie[:2], tie[1::-1]):
-        omega = WeightedComb(np.array(model), np.array([0.25]), np.zeros(2, np.uint8),
-                             (-math.inf, math.inf))
+        omega = WeightedComb(combs._encode(np.array(model)), np.array([0.25]),
+                             np.zeros(2, np.uint8), (-math.inf, math.inf))
         for point in tie[:2]:
             nu = split_remainder(np.array([point]), omega)
             assert nu.atoms_dict() == {k: 0.75 if k == point else -0.25 for k in model}
@@ -329,24 +369,33 @@ def test_split_remainder_on_an_empty_model_set():
 
 @pytest.mark.parametrize("block", [8, 16, combs.ATOM_BLOCK])
 def test_membership_marks_the_first_of_equal_keys(monkeypatch, block):
-    # a key repeated within and across blocks of 8 and 16 is marked once, at
-    # its first place; the offenders and both errors are those of one scan
+    # keys repeated in runs of one position are marked once, at the first of
+    # the run; points taken in blocks of 8 and 16, in position order or not,
+    # mark the same keys, and the offenders and both errors are those of one
+    # search
     monkeypatch.setattr(combs, "ATOM_BLOCK", block)
-    keys = np.array([[m, 1] for m in range(20)])
-    keys[[3, 11, 19]] = [4, 0]
-    keys[[9, 10, 17]] = [1, 0]
+    keys = [[m, 1] for m in range(20)] + [[4, 0]] * 3 + [[1, 0]] * 3
+    codes = dirac_comb(keys, (-math.inf, math.inf)).codes
+    in_order = _decode(codes).tolist()
+    assert in_order[:3] == [[1, 0]] * 3 and in_order[6:9] == [[4, 0]] * 3
 
     def members(points):
-        marked = combs._members(np.array(points), keys)
-        return np.flatnonzero(np.unpackbits(marked, count=len(keys))).tolist()
+        marked = combs._members(combs._encode(np.array(points)), codes)
+        return np.flatnonzero(np.unpackbits(marked, count=len(codes))).tolist()
 
-    assert members([[1, 0], [4, 0]]) == [3, 9]
-    assert members([[12, 1], [4, 0], [0, 1]]) == [0, 3, 12]
+    def first_places(points):
+        return sorted(in_order.index(list(p)) for p in points)
+
+    for points in ([[1, 0], [4, 0]], [[12, 1], [4, 0], [0, 1]],
+                   [[m, 1] for m in range(20)], [[m, 1] for m in range(19, -1, -1)] + [[1, 0]]):
+        assert members(points) == first_places(points)
     with pytest.raises(ContainmentError, match="^3 point") as err:
-        combs._members(np.array([[9, 0], [1, 0], [2, 0], [9, 0]]), keys)
+        members([[9, 0], [1, 0], [2, 0], [9, 0]])
     assert err.value.offenders == [(9, 0), (2, 0), (9, 0)]
     with pytest.raises(ValueError, match="distinct"):
-        combs._members(np.array([[4, 0], [2, 1], [4, 0]]), keys)
+        members([[4, 0], [2, 1], [4, 0]])
+    with pytest.raises(ValueError, match="distinct"):
+        members([[m, 1] for m in range(20)] + [[7, 1]])
 
 
 @pytest.mark.parametrize("bad", [0, 8, 9, 19])
@@ -356,12 +405,12 @@ def test_coverage_check_reads_every_block(monkeypatch, bad):
     monkeypatch.setattr(combs, "ATOM_BLOCK", 8)
     keys = lattice_comb(0, 19).keys
     level = np.zeros(20, dtype=np.uint8)
-    WeightedComb(keys, np.array([1.0]), level, (0.0, 19.0 - 5e-10))
+    WeightedComb(combs._encode(keys), np.array([1.0]), level, (0.0, 19.0 - 5e-10))
     for outside in (40, -5):
         moved = keys.copy()
         moved[bad, 0] = outside
         with pytest.raises(ValueError, match="^atoms outside the coverage interval$"):
-            WeightedComb(moved, np.array([1.0]), level, (0.0, 19.0))
+            WeightedComb(combs._encode(moved), np.array([1.0]), level, (0.0, 19.0))
 
 
 def test_split_rejects_repeated_points():
@@ -404,6 +453,6 @@ def test_split_remainder_weights_are_one_minus_alpha_and_minus_alpha(alpha, leve
     in_p = rng.random(len(model)) < 0.5
     nu = split_remainder(model[in_p], omega)
     want = np.where(in_p, 1.0 - omega.weights, -omega.weights)
-    assert np.array_equal(nu.keys, model[want != 0])
+    assert np.array_equal(nu.codes, model[want != 0])
     assert nu.weights.dtype == want.dtype
     assert nu.weights.tobytes() == want[want != 0].tobytes()

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from combsplit import cps, inflate
 from combsplit.cps import (
@@ -17,7 +18,7 @@ from combsplit.cps import (
     twisted_fibonacci_windows,
     window_amplitude,
 )
-from combsplit.zroot5 import SQRT5, TAU, FourierModulePoint, QuadraticInt
+from combsplit.zroot5 import SQRT5, TAU, FourierModulePoint, QuadraticInt, _decode
 
 
 BOX = 40  # the exhaustive scan covers |m|, |n| <= BOX
@@ -52,7 +53,7 @@ def box_members(window):
 def test_cut_and_project_single_point():
     w = Window([Interval(QuadraticInt(-1, 0), QuadraticInt(-2, 1), True, False)])
     pts = cut_and_project(w, (0, 4))
-    assert pts.tolist() == [[0, 1]]
+    assert pts.dtype == np.int64 and _decode(pts).tolist() == [[0, 1]]
 
 
 def test_cut_and_project_empty_window():
@@ -104,8 +105,25 @@ def test_cut_and_project_matches_exhaustive_scan():
                 (p for p in members if rng[0] <= p[0] + p[1] * TAU <= rng[1]),
                 key=lambda k: k[0] + k[1] * TAU,
             )
-            got = [tuple(p) for p in cut_and_project(w, rng).tolist()]
+            got = [tuple(p) for p in _decode(cut_and_project(w, rng)).tolist()]
             assert got == expected, (w, rng)
+
+
+@given(st.integers(-8, 4), st.integers(1, 14), st.sampled_from([1, 2, 3, 7]),
+       st.floats(-60.0, 20.0), st.floats(0.0, 80.0))
+@settings(max_examples=60, deadline=None)
+def test_blocks_sorted_as_they_come_equal_one_stable_sort(lo, width, block, r_lo, span):
+    # windows up to 14 wide, so the position bands of neighbouring rows
+    # overlap by much more than one block of 1 to 7 rows: the result is the
+    # stable position sort of all rows in (n, m) order, array for array
+    window = Window([Interval(QuadraticInt(lo, 0), QuadraticInt(lo + width, 0))])
+    rng = (r_lo, r_lo + span)
+    rows = cps._project_rows(window, *rng, np.arange(-200, 201))
+    want = rows[0][np.argsort(rows[1], kind="stable")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cps, "ROW_BLOCK", block)
+        got = cut_and_project(window, rng)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_cut_and_project_density():
@@ -122,8 +140,8 @@ def test_cut_and_project_density():
 def test_monotonicity_in_window():
     small = fibonacci_windows()["a"]  # [tau-2, tau-1]
     large = Window([Interval(QuadraticInt(-1, 0), QuadraticInt(-1, 1))])  # [-1, tau-1]
-    inner = {tuple(p) for p in cut_and_project(small, (0, 200))}
-    outer = {tuple(p) for p in cut_and_project(large, (0, 200))}
+    inner = set(cut_and_project(small, (0, 200)).tolist())
+    outer = set(cut_and_project(large, (0, 200)).tolist())
     assert inner <= outer
 
 
@@ -187,7 +205,7 @@ def test_calibration_accepts_generated_fixed_point():
     for t, pts in tps.points.items():
         model = cut_and_project(cal.windows[t], (0.0, 1000.0))
         assert len(pts) > 0
-        assert set(map(tuple, pts.tolist())) <= set(map(tuple, model.tolist()))
+        assert set(map(tuple, pts.tolist())) <= set(map(tuple, _decode(model).tolist()))
 
 
 def test_calibration_projects_nothing(monkeypatch):

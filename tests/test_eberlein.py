@@ -410,9 +410,10 @@ def test_decomposition_is_five_roundings_of_one_count(R, shape, alpha_i, alpha_j
 
     # the tally of the one count: per lag and label pair (label 0 a point,
     # label 1 the rest of the model set), the pairs counted one by one
-    pos = model[:, 0] + model[:, 1] * TAU
-    inside = [tuple(k) for k in model[(pos >= rng[0] - 1e-12) & (pos <= rng[1] + 1e-12)].tolist()]
-    points = [set(map(tuple, P.tolist())) for P in (P_i, P_j)]
+    keys = _decode(model)
+    pos = keys[:, 0] + keys[:, 1] * TAU
+    inside = [tuple(k) for k in keys[(pos >= rng[0] - 1e-12) & (pos <= rng[1] + 1e-12)].tolist()]
+    points = [set(map(tuple, _decode(P).tolist())) for P in (P_i, P_j)]
     labels = [[(k, int(k not in point)) for k in inside] for point in points]
     want = {}
     for (x, a) in labels[0]:
@@ -434,7 +435,7 @@ def test_decomposition_rejects_other_splits():
     omega, nu = split
     two_levels = WeightedComb.from_weights(omega.keys, np.r_[0.5, omega.weights[1:]], omega.coverage)
     points_only = split_pp(model[::2], cps.fibonacci_windows()["a"], 1.0, (0.0, R), model)
-    fewer = WeightedComb(nu.keys[1:], nu.levels, nu.level[1:], nu.coverage)
+    fewer = WeightedComb(nu.codes[1:], nu.levels, nu.level[1:], nu.coverage)
     for bad in ((two_levels, nu), (omega, fewer), points_only):
         for split_i, split_j in ((bad, split), (split, bad)):
             with pytest.raises(ValueError, match="one level and nu on omega's keys") as info:
@@ -562,8 +563,8 @@ def test_averaging_spec_validation():
 
 def test_sweep_rejects_keys_beyond_encoder_range():
     # both atoms sit near the origin, but their difference key has m = 2**31
-    far = dirac_comb([(-(2**31), round(2**31 / TAU))], (-math.inf, math.inf))
-    near = dirac_comb([(0, 1)], (-math.inf, math.inf))
+    far = dirac_comb([(-(2**31) + 1, round((2**31 - 1) / TAU))], (-math.inf, math.inf))
+    near = dirac_comb([(1, 1)], (-math.inf, math.inf))
     assert abs(far.positions[0]) < 1.0
     with pytest.raises(ValueError, match="2\\*\\*31"):
         pair_correlation(far, near, "symmetric", 10.0, 5.0)
@@ -814,7 +815,7 @@ def leveled_comb_st(draw, complex_levels):
     order = np.argsort(keys[:, 0] + keys[:, 1] * TAU, kind="stable")
     level = np.array(list(atoms.values()), dtype=np.int64).reshape(-1)[order]
     index = np.min_scalar_type(n_levels - 1)
-    return WeightedComb(keys[order], levels, level.astype(index), (-math.inf, math.inf))
+    return WeightedComb(combs._encode(keys[order]), levels, level.astype(index), (-math.inf, math.inf))
 
 
 @given(
@@ -1089,11 +1090,11 @@ LEVEL_SETS = {
 
 def leveled_fibonacci_comb(levels, R, symmetric):
     # the Fibonacci chain on [0, R] (and its mirror), levels drawn per atom
-    keys = inflate.realize_geometric(inflate.fibonacci_rule(), "a", R).comb().keys
+    codes = inflate.realize_geometric(inflate.fibonacci_rule(), "a", R).comb().codes
     if symmetric:
-        keys = np.concatenate([-keys[::-1], keys[1:]])
-    level = np.random.default_rng(len(levels)).integers(0, len(levels), len(keys))
-    return WeightedComb(keys, np.array(levels), level.astype(np.uint8),
+        codes = np.concatenate([-codes[::-1], codes[1:]])
+    level = np.random.default_rng(len(levels)).integers(0, len(levels), len(codes))
+    return WeightedComb(codes, np.array(levels), level.astype(np.uint8),
                         (-R if symmetric else 0.0, R))
 
 
@@ -1244,7 +1245,7 @@ def test_bit_rows_count_the_pairs_of_the_sweep(data, n_x, n_y, r_max, word_block
             patch.setattr(eberlein, "WORD_BLOCK", word_block)
         bits = eberlein._count_bits(mx, lx, n_x, my, ly, n_y, r_max)
     assert bits[3].dtype == np.int64 and bits[3].all()
-    on_z = [np.stack([m, np.zeros_like(m)], axis=1) for m in (mx, my)]
+    on_z = [combs._encode(np.stack([m, np.zeros_like(m)], axis=1)) for m in (mx, my)]
     assert cells([bits]) == cells(eberlein._count_pairs(on_z[0], lx, on_z[1], ly, n_y, r_max))
 
 
@@ -1348,12 +1349,12 @@ def test_binary_search_restriction_equals_searchsorted(offsets, far):
         p - 1e-12, p, p + 1e-12, math.nextafter(p, -math.inf), math.nextafter(p, math.inf))})
     for v in values or [0.0]:
         for side in ("left", "right"):
-            assert combs._search(comb.keys, v, side) == np.searchsorted(pos, v, side=side)
+            assert combs._search(comb.codes, v, side) == np.searchsorted(pos, v, side=side)
     for lo, hi in zip(values, values[::-1]):
         i, j = np.searchsorted(pos, lo - 1e-12, "left"), np.searchsorted(pos, hi + 1e-12, "right")
         assert combs._bounds(comb, lo, hi) == (i, j)
-        keys_in, level_in = eberlein._restrict_arrays(comb, lo, hi)
-        assert np.array_equal(keys_in, comb.keys[i:j]) and np.array_equal(level_in, comb.level[i:j])
+        codes_in, level_in = eberlein._restrict_arrays(comb, lo, hi)
+        assert np.array_equal(codes_in, comb.codes[i:j]) and np.array_equal(level_in, comb.level[i:j])
 
 
 def _above_live(run):

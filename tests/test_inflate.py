@@ -19,7 +19,7 @@ from combsplit.inflate import (
     rule_from_json,
     substitution_matrix,
 )
-from combsplit.zroot5 import QuadraticInt, SQRT5, TAU, embed_array
+from combsplit.zroot5 import QuadraticInt, SQRT5, TAU, _decode, embed_array
 
 TWISTED_MATRIX = np.array(
     [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
@@ -409,8 +409,8 @@ def test_realize_matches_the_whole_word_path(monkeypatch, block, rule, rng_seed)
         word = inflate.realize_word(rule, "a", R, rng_seed=rng_seed)
         assert word.dtype == np.int8 and np.array_equal(word, want_word), R
         starts = inflate._typed_starts(word, lengths)
-        for t, keys in zip(want, starts):
-            assert np.array_equal(keys, want[t]), (R, t)
+        for t, codes in zip(want, starts):
+            assert np.array_equal(_decode(codes), want[t]), (R, t)
 
 
 @pytest.mark.parametrize("rule,rng_seed", REALIZED_RULES, ids=lambda x: getattr(x, "name", x))

@@ -304,3 +304,20 @@ def test_char_table_is_correctly_rounded_bit_for_bit():
             cos, sin = mpmath.cospi(mpmath.mpf(j) / 128), mpmath.sinpi(mpmath.mpf(j) / 128)
             want = float(cos) + 0.0, float(-sin) + 0.0  # float() rounds to nearest
             assert (value.real.hex(), value.imag.hex()) == (want[0].hex(), want[1].hex()), j
+
+
+def test_exact_zero_words_convert_without_the_python_loop():
+    # integer phases give the word 0, which converts to +0.0 as it is; the
+    # exact Python-int path for words below 2^54 now skips those words, and
+    # the bytes equal that path run over every small word, zeros included
+    from combsplit import zroot5
+
+    rng = np.random.default_rng(52)
+    m, n = (rng.integers(-PHASE_KEY_BOUND + 1, PHASE_KEY_BOUND, size=10**5) for _ in range(2))
+    for k in (FourierModulePoint(0, 0), FourierModulePoint(1, 0), FourierModulePoint(2, -1)):
+        hi, lo = zroot5._phase_words(k, *zroot5._key_offsets(m, n))
+        want = (hi | (lo != 0)).astype(np.float64) * 2.0**-64
+        for i in np.flatnonzero(hi < np.uint64(2**54)).tolist():
+            want[i] = (int(hi[i]) << 64 | int(lo[i])) / 2**128
+        assert frac_phases(k, m, n).tobytes() == want.tobytes()
+    assert frac_phases(FourierModulePoint(0, 0), m, n).tobytes() == bytes(8 * 10**5)
