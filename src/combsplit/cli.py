@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import sys
 from contextlib import ExitStack, contextmanager
 from itertools import repeat
@@ -131,6 +132,15 @@ def _need(cfg: dict, key: str, cast=None):
     return cast(cfg[key]) if cast else cfg[key]
 
 
+def _integer(cfg: dict, key: str, default=None) -> int:
+    # an integer option (required without a default), refused unless it is a
+    # whole number: a config document may give 20.0, not 20.7
+    value = _need(cfg, key) if default is None else cfg.get(key, default)
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise CliError(f"--{key.replace('_', '-')} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _whole_r_max(cfg: dict, default: int) -> int:
     # diffract --riesz-depth and sample take r_max as a whole number of sites
     r_max = float(cfg.get("r_max", default))
@@ -162,9 +172,8 @@ def _realize_from_config(cfg: dict) -> inflate.TypedPointSet:
     R = _need(cfg, "R", float)
     seed_letter = cfg.get("seed_letter", rule.alphabet[0])
     if rule.is_random:
-        seed = int(_need(cfg, "seed"))
         return inflate.realize_geometric(
-            rule, seed_letter, R, rng_seed=seed, stream=int(cfg.get("stream", 0))
+            rule, seed_letter, R, rng_seed=_integer(cfg, "seed"), stream=_integer(cfg, "stream", 0)
         )
     return inflate.realize_geometric(rule, seed_letter, R)
 
@@ -291,6 +300,8 @@ def cmd_project(cfg: dict) -> int:
     if t not in windows:
         raise CliError(f"no window for type {t!r}")
     R = _need(cfg, "R", float)
+    if not (math.isfinite(R) and R >= 0):  # as generate refuses it
+        raise CliError(f"R must be finite and nonnegative, got {R!r}")
     codes = cps.cut_and_project(windows[t], (0.0, R))
     out = _need(cfg, "out", str)
     if cfg.get("format", "csv") == "json":
@@ -348,7 +359,11 @@ def cmd_split(cfg: dict) -> int:
 
 def cmd_correlate(cfg: dict) -> int:
     cfg = dict(cfg)
-    cfg.setdefault("R", max(_parse_r_grid(cfg)))
+    R_grid = _parse_r_grid(cfg)
+    r_max = float(cfg.get("r_max", 20.0))
+    variant = cfg.get("variant", "both")
+    # variant one reads the second factor up to R + r_max
+    cfg.setdefault("R", max(R_grid) + r_max if variant == "one" else max(R_grid))
     tps = _realize_from_config(cfg)
     types = cfg.get("types")
     if types:
@@ -356,10 +371,7 @@ def cmd_correlate(cfg: dict) -> int:
         mu, nu = tps.comb(t_i), tps.comb(t_j)
     else:
         mu = nu = tps.comb()
-    r_max = float(cfg.get("r_max", 20.0))
-    variant = cfg.get("variant", "both")
     shape = cfg.get("shape", "one_sided")
-    R_grid = _parse_r_grid(cfg)
 
     def lines():
         # each R's atoms stream out as they are correlated, its R,variant
@@ -426,7 +438,7 @@ def cmd_fb(cfg: dict) -> int:
 def cmd_diffract(cfg: dict) -> int:
     out = _need(cfg, "out", str)
     if cfg.get("eta") is not None:
-        m_max = int(cfg["eta"])
+        m_max = _integer(cfg, "eta")
         table = spectra.tm_eta(m_max)
         rows = [
             (m, table[m].numerator, table[m].denominator, float(table[m]))
@@ -435,7 +447,7 @@ def cmd_diffract(cfg: dict) -> int:
         _write_csv(out, ["m", "eta_numerator", "eta_denominator", "eta_float"], rows, cfg)
         return 0
     if cfg.get("riesz_depth") is not None:
-        depth = int(cfg["riesz_depth"])
+        depth = _integer(cfg, "riesz_depth")
         # the depth is checked before r_max, then only the rows written are computed
         m_hi = min(spectra.riesz_coefficients(depth, 0).support(), _whole_r_max(cfg, 64))
         rz = spectra.riesz_coefficients(depth, m_hi)
@@ -452,11 +464,12 @@ def cmd_diffract(cfg: dict) -> int:
             out, ["m", "c_m_numerator", "c_m_denominator", "c_m_float"], rows, cfg
         )
         return 0
-    # pure-point amplitudes of a windowed system
+    # pure-point amplitudes of a windowed system: its calibrated windows and
+    # alphas, with no projection or split
     system = _need(cfg, "system", str)
     R = float(cfg.get("R", 10_000.0))
-    ctx = suites.system_context(system, R)
-    if ctx.windows is None:
+    rule, _, windows, alphas = suites._calibrated(system, R)
+    if windows is None:
         raise CliError(f"system {system!r} has no Euclidean windows")
     ks = [
         k
@@ -464,9 +477,9 @@ def cmd_diffract(cfg: dict) -> int:
             float(cfg.get("k_max", 3.0)), float(cfg.get("kstar_max", 3.0))
         )
     ]
-    weights = {t: 1.0 for t in ctx.rule.alphabet}
+    weights = {t: 1.0 for t in rule.alphabet}
     rows_out = []
-    for row in spectra.pp_intensity(ctx.windows, weights, ks, ctx.alphas):
+    for row in spectra.pp_intensity(windows, weights, ks, alphas):
         total = sum(row.amplitudes.values())
         rows_out.append(
             (row.k.value(), complex(total).real, complex(total).imag, row.intensity)
@@ -479,13 +492,13 @@ def cmd_diffract(cfg: dict) -> int:
 
 def cmd_sample(cfg: dict) -> int:
     model = _need(cfg, "system", str)
-    seed = int(_need(cfg, "seed"))
-    stream = int(cfg.get("stream", 0))
+    seed = _integer(cfg, "seed")
+    stream = _integer(cfg, "stream", 0)
     rng = stochastic.RngSpec(seed, stream)
     out = _need(cfg, "out", str)
     if model == "bernoulli":
         p = float(_need(cfg, "p"))
-        N, r_max = stochastic._whole_sizes(int(_need(cfg, "N")), _whole_r_max(cfg, 50))
+        N, r_max = stochastic._whole_sizes(_need(cfg, "N"), _whole_r_max(cfg, 50))
         # one draw serves the report and the points file
         row = stochastic._occupancy(p, N, rng)
         report = stochastic._verify_occupancy(p, rng, row, N, r_max)
@@ -523,8 +536,8 @@ def cmd_sample(cfg: dict) -> int:
 
 def cmd_verify(cfg: dict) -> int:
     suite = _need(cfg, "suite", str)
-    seed = cfg.get("seed")
-    reports = suites.run_suite(suite, None if seed is None else int(seed))
+    seed = None if cfg.get("seed") is None else _integer(cfg, "seed")
+    reports = suites.run_suite(suite, seed)
     all_ok = True
     for rep in reports:
         for check in rep.checks:

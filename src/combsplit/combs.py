@@ -7,7 +7,8 @@ coverage interval on which the atom list is complete.  Combs of point sets
 generated on a half line carry coverage (-inf, R]: there really are no
 atoms to the left, and correlation kernels rely on that.  The kernels'
 coverage check (_covers) and their cut of a comb to an interval (_search,
-_bounds) are written here once.
+_bounds) are written here once, and so is the layout of a split's levels,
+which split_remainder writes and split_points reads.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from . import cps
-from .zroot5 import TAU, _codes, _decode, _encode, _key_parts, embed_array
+from .zroot5 import _code, _code_position, _codes, _decode, _encode, _integer_sites, _key_parts
+from .zroot5 import embed_array
 
 __all__ = [
     "WeightedComb",
@@ -29,6 +31,7 @@ __all__ = [
     "linear_combine",
     "split_pp",
     "split_remainder",
+    "split_points",
     "ContainmentError",
 ]
 
@@ -140,14 +143,14 @@ class WeightedComb:
 
     def is_integer_supported(self) -> bool:
         """True when every atom sits on Z (n = 0 throughout)."""
-        return not np.any(self.codes & (2**32 - 1))
+        return _integer_sites(self.codes) is not None
 
     def atoms_dict(self) -> dict[tuple[int, int], complex]:
         return {(m, n): w for (m, n), w in zip(self.keys.tolist(), self.weights)}
 
     def atom(self, key: tuple[int, int]) -> complex:
-        m, n = key  # a key out of range has no atom, and no code
-        hits = np.flatnonzero(self.codes == (m << 32) + n) if max(abs(m), abs(n)) < 2**31 else []
+        code = _code(*key)  # a key out of range has no atom, and no code
+        hits = [] if code is None else np.flatnonzero(self.codes == code)
         return self.levels[self.level[hits[0]]] if len(hits) else 0.0
 
     def sup_norm(self) -> float:
@@ -156,15 +159,10 @@ class WeightedComb:
 
 def _search(codes, value, side="left"):
     """np.searchsorted(positions, value, side) for codes sorted by position,
-    by binary search over one key's position at a time: float(m) + float(n)
-    * TAU is the double embed_array forms, so no positions array is built."""
+    by binary search over one code's position at a time (_code_position, the
+    double embed_array forms), so no positions array is built."""
     find = bisect_left if side == "left" else bisect_right
-
-    def position(t):  # zroot5._key_parts in Python ints
-        m = (int(codes[t]) + 2**31) >> 32
-        return float(m) + float(int(codes[t]) - (m << 32)) * TAU
-
-    return find(range(len(codes)), value, key=position)
+    return find(range(len(codes)), value, key=lambda t: _code_position(codes[t]))
 
 
 def _bounds(comb: WeightedComb, lo: float, hi: float) -> tuple[int, int]:
@@ -307,6 +305,17 @@ def split_remainder(points: np.ndarray, omega: WeightedComb) -> WeightedComb:
     if not nonzero.all():  # alpha = 1 empties the points, alpha = 0 the rest
         codes, level = codes[nonzero], level[nonzero]
     return WeightedComb(codes, levels, level, (lo, hi))
+
+
+def split_points(omega: WeightedComb, nu: WeightedComb) -> np.ndarray:
+    """The point codes of a split made by split_remainder, sorted by position:
+    nu's atoms at level 0 (weight 1 - alpha), or, when alpha = 1 dropped
+    those, omega's atoms on nu's coverage that nu lacks."""
+    if nu.levels[0] != 0:
+        return nu.codes[nu.level == 0]
+    lo, hi = nu.coverage
+    model = omega.codes[_search(omega.codes, lo) : _search(omega.codes, hi, "right")]
+    return model[~np.isin(model, nu.codes)]
 
 
 def split_pp(

@@ -242,10 +242,14 @@ def fourier_module(k_max: float, kstar_max: float) -> list[FourierModulePoint]:
 
     Returns every k with |k| <= k_max and |k*| <= kstar_max, sorted by |k|
     with (a, b) as the deterministic tie-break.  The zero point is always
-    included.
+    included.  Bounds whose estimated count 4*sqrt(5)*k_max*kstar_max
+    exceeds MAX_POINTS raise ValueError before any point is made.
     """
     if k_max < 0 or kstar_max < 0:
         raise ValueError("bounds must be nonnegative")
+    # the module's points lie at density sqrt(5) in the (k, k*) plane
+    check_points_budget(4 * SQRT5 * k_max * kstar_max,
+                        f"the Fourier module with |k| <= {k_max:g}, |k*| <= {kstar_max:g}")
     pts: list[FourierModulePoint] = []
     v_bound = k_max * SQRT5
     s_bound = kstar_max * SQRT5

@@ -8,13 +8,15 @@ for one-sided ones.  One kernel backs the convolution: each comb is stored
 as its weight levels, sum_v v * 1_{S_v}, so every atom is a short sum of
 int64 pair counts N_ij(s) times level products.  The counts come from bit
 rows per lag when both combs live densely on the integers with few levels,
-and otherwise from a pair sweep.  A bit row holds 64 sites per word, and one
-kernel (_shift_counts) counts a lag's pairs as popcounts of words AND words
-shifted across word boundaries; the lattice rows of the Thue-Morse and
-lattice-gas suites (_lattice_tally) go through it too.  The sweep takes the
-first factor's atoms a chunk at a time, with the positions of only the
-chunk and of the atoms of the second factor it reaches, and forms the
-chunk's pairs block by block, so its memory grows with neither the pair
+and otherwise from a pair sweep.  A bit row holds 64 sites per word; it is
+built (_bit_rows) and read back (_row_sites) here only, and one kernel
+(_shift_counts) counts a lag's pairs as popcounts of words AND words
+shifted across word boundaries.  The lattice rows of the Thue-Morse and
+lattice-gas suites go through it too, by one entry (_lattice_correlations)
+that weighs one labelled tally of a row per pair of combs.  The sweep
+takes the first factor's atoms a chunk at a time, with the positions of
+only the chunk and of the atoms of the second factor it reaches, and forms
+the chunk's pairs block by block, so its memory grows with neither the pair
 count nor the factors.  It adds the combs' int64 key codes (the code of a
 sum of keys is the sum of their codes, zroot5._codes) and tallies a block's
 cells (code, level pair) by sorting one int64 per pair.  A
@@ -47,8 +49,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .combs import RangeError, WeightedComb, _bounds, _covers, _search, reflect_conjugate
-from .zroot5 import FourierModulePoint, _char_table, _codes, _key_offsets, _key_parts, _phase_words
-from .zroot5 import embed_array
+from .zroot5 import FourierModulePoint, _char_table, _codes, _integer_sites, _key_offsets, _key_parts
+from .zroot5 import _phase_words, embed_array
 from .zroot5 import frac_phases  # noqa: F401  (eberlein.frac_phases stays importable)
 
 __all__ = [
@@ -87,12 +89,15 @@ FB_BLOCK = 1 << 14
 # Integer supports use bit rows up to this many weight-level pairs P, where
 # both hold max(1/16, sqrt(P / ROW_LEVEL_PAIRS) / 5) atoms per site of their
 # span or more; the rows take (x levels + y levels) / 8 bytes per site and
-# are built and counted WORD_BLOCK words at a time.  On 2e5 sites, r_max =
-# 20 (2-core x86 machine), with 1, 4, 16 and 64 level pairs, the rows took
-# 2, 2, 9 and 34 ms at any density, the sweep 5, 4, 6 and 6 ms at 1/16, 9,
-# 7, 9 and 10 ms at 1/10 and 21, 27, 30 and 43 ms at 1/4.
+# are counted WORD_BLOCK words at a time.  On 2e5 sites, r_max = 20 (2-core
+# x86 machine), with 1, 4, 16 and 64 level pairs, the rows took 2, 2, 9 and
+# 34 ms at any density, the sweep 5, 4, 6 and 6 ms at 1/16, 9, 7, 9 and 10
+# ms at 1/10 and 21, 27, 30 and 43 ms at 1/4.  Every bit row, of a kernel, a
+# Thue-Morse word or a lattice gas, is built and read back whole words of
+# about SITE_BLOCK sites over all its rows at a time.
 ROW_LEVEL_PAIRS = 64
 WORD_BLOCK = 1 << 14
+SITE_BLOCK = 1 << 16
 _NOT_FINITE = "weights, their products and sums must be finite"
 
 
@@ -186,15 +191,20 @@ def _count(mu, nu, shape, R, r_max, variant):
     cx, lx = _restrict_arrays(mu, -hi, -lo)
     cy, ly = _restrict_arrays(nu, nu_lo, nu_hi)
     nx, ny = len(mu.levels), len(nu.levels)
-    # bit rows for nonempty integer supports (codes m << 32) dense enough for their level pairs
+    # bit rows for nonempty integer supports dense enough for their level pairs
     density = max(1 / 16, math.sqrt(nx * ny / ROW_LEVEL_PAIRS) / 5)
-    if nx * ny <= ROW_LEVEL_PAIRS and all(
-        len(c) and not (c & (2**32 - 1)).any()
-        and len(c) >= density * (((int(c[-1]) - int(c[0])) >> 32) + 1)
-        for c in (cx, cy)
-    ):
-        return [_count_bits(cx >> 32, lx, nx, cy >> 32, ly, ny, r_max)], spec.vol(R)
+    if (nx * ny <= ROW_LEVEL_PAIRS and (mx := _dense_sites(cx, density)) is not None
+            and (my := _dense_sites(cy, density)) is not None):
+        return [_count_bits(mx, lx, nx, my, ly, ny, r_max)], spec.vol(R)
     return _count_pairs(cx, lx, cy, ly, ny, r_max), spec.vol(R)
+
+
+def _dense_sites(codes, density):
+    # the integer sites of nonempty codes on Z that fill at least density of their span, else None
+    sites = _integer_sites(codes) if len(codes) else None
+    if sites is None or len(sites) < density * (int(sites[-1]) - int(sites[0]) + 1):
+        return None
+    return sites
 
 
 def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
@@ -211,37 +221,63 @@ def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
     return WeightedComb.from_weights(codes[keep], quotient, coverage)
 
 
-def _bit_rows(lead, n_sites, blocks):
-    """Bit rows of n_sites sites, shape lead + (words,), from their bool
-    blocks of shape lead + (sites,), in site order: site t of a row is bit
-    t % 64 of its word t // 64, the words little-endian '<u8', and the bits
-    past n_sites are 0.  No bool row over every site is made.  Each block
-    but the last must hold a whole number of bytes of sites; ValueError
-    otherwise."""
+def _weighed(tallies, vol, r_max, weighings) -> list[WeightedComb]:
+    # per level pair (vx, vy) of weighings, the averaged comb of the tallies on [-r_max, r_max]
+    return [_averaged_comb(tallies, vx, vy, vol, (-r_max, r_max)) for vx, vy in weighings]
+
+
+def _lattice_correlations(row, n, r_max, vol, weighings) -> list[WeightedComb]:
+    """Per (vx, vy) of weighings, the correlation on [-r_max, r_max], over
+    vol, of the combs on the n sites M of the bit row row (laid out as
+    _bit_rows makes it) that weigh the set sites P by vx[0] and vy[0] and the
+    sites of M \\ P by vx[1] and vy[1]: the comb pair_correlation gives on
+    them, atom for atom, when both are restricted to M.  The pairs are
+    counted once, in one labelled tally (_lattice_tally), and each weighing
+    only rounds its sums."""
+    return _weighed([_lattice_tally(row, n, r_max)], vol, r_max, weighings)
+
+
+def _bit_rows(lead, n_sites, block):
+    """Bit rows of n_sites sites, shape lead + (words,), from block(a, b),
+    the bools of sites a..b-1 of every row, shape lead + (b - a,): site t of
+    a row is bit t % 64 of its word t // 64, the words little-endian '<u8',
+    and the bits past n_sites are 0.  block is called once per block, in site
+    order, over whole words of about SITE_BLOCK bools in all, so no bool row
+    over every site is made."""
     words = np.zeros((*lead, -(-n_sites // 64)), dtype="<u8")
-    octets, sites = words.view(np.uint8), 0
-    for block in blocks:
-        if sites % 8:
-            raise ValueError("only the last block of a bit row may end inside a byte")
-        packed = np.packbits(block, axis=-1, bitorder="little")
-        octets[..., sites // 8 : sites // 8 + packed.shape[-1]] = packed
-        sites += block.shape[-1]
+    octets, step = words.view(np.uint8), _block_sites(math.prod(lead))
+    for a in range(0, n_sites, step):
+        b = min(a + step, n_sites)
+        octets[..., a // 8 : -(-b // 8)] = np.packbits(block(a, b), axis=-1, bitorder="little")
     return words
 
 
-def _packed(n_rows, n_sites, row, site):
-    # The bit rows (_bit_rows) with site[k] set in row row[k], site ascending,
-    # from bool blocks of about 8 * WORD_BLOCK bytes.
-    step = 64 * max(1, WORD_BLOCK // (8 * n_rows))
+def _row_sites(row, n_sites):
+    """The set sites t of a bit row of n_sites sites (laid out as _bit_rows
+    makes it), ascending, as int64 arrays of a block of sites at a time."""
+    octets, step = row.view(np.uint8), _block_sites(1)
+    for a in range(0, n_sites, step):
+        bits = np.unpackbits(octets[a // 8 : (a + step) // 8], count=min(step, n_sites - a),
+                             bitorder="little")
+        sites = np.flatnonzero(bits)
+        sites += a
+        yield sites
 
-    def blocks():
-        for s in range(0, n_sites, step):
-            i, j = np.searchsorted(site, [s, s + step])
-            block = np.zeros((n_rows, min(step, n_sites - s)), dtype=bool)
-            block[row[i:j], site[i:j] - s] = True
-            yield block
 
-    return _bit_rows((n_rows,), n_sites, blocks())
+def _block_sites(n_rows):
+    # sites per block of n_rows bit rows: whole words, about SITE_BLOCK bools in all
+    return 64 * max(1, SITE_BLOCK // (64 * n_rows))
+
+
+def _level_block(n_rows, row, site):
+    # the block function (_bit_rows) of the rows with site[k] set in row row[k], site ascending
+    def block(a, b):
+        i, j = np.searchsorted(site, [a, b])
+        bools = np.zeros((n_rows, b - a), dtype=bool)
+        bools[row[i:j], site[i:j] - a] = True
+        return bools
+
+    return block
 
 
 def _shift_counts(a, b, offsets):
@@ -275,11 +311,11 @@ def _count_bits(mx, lx, nx, my, ly, ny, r_max):
     r = math.floor(r_max + 1e-9)
     s_hi = min(r, x1 + y1)
     lags = np.arange(max(-r, x0 + y0), s_hi + 1)
-    a = _packed(nx, x1 - x0 + 1, lx, mx - x0)
+    a = _bit_rows((nx,), x1 - x0 + 1, _level_block(nx, lx, mx - x0))
     # the y rows reversed, behind pad zeros: y = s - x sits at site
     # pad + y1 - y = (x - x0) + d with offset d = pad + x0 + y1 - s >= 0
     pad = max(0, s_hi - x0 - y1)
-    b = _packed(ny, pad + y1 - y0 + 1, ly[::-1], pad + y1 - my[::-1])
+    b = _bit_rows((ny,), pad + y1 - y0 + 1, _level_block(ny, ly[::-1], pad + y1 - my[::-1]))
     counts = _shift_counts(a, b, pad + x0 + y1 - lags)
     lag, i, j = np.nonzero(counts)
     return _lag_codes(lags[lag]), i, j, counts[lag, i, j]
@@ -692,20 +728,16 @@ def decomposition_report(
                              "of one level and nu on omega's keys")
     (omega_i, nu_i), (omega_j, nu_j) = split_i, split_j
     tallies, vol = _count(reflect_conjugate(nu_i), nu_j, shape, R, r_max, "both")
-    tallies = list(tallies)
-
-    def correlation(x, y):  # x, y: levels per level of nu_i, nu_j; x is reflected
-        return _averaged_comb(tallies, np.conj(x), y, vol, (-r_max, r_max))
-
     alpha_i = np.full(len(nu_i.levels), omega_i.levels[0])
     alpha_j = np.full(len(nu_j.levels), omega_j.levels[0])
-    parts = (
-        correlation(alpha_i + nu_i.levels, alpha_j + nu_j.levels),
-        correlation(alpha_i, alpha_j),
-        correlation(nu_i.levels, nu_j.levels),
-        correlation(alpha_i, nu_j.levels),
-        correlation(nu_i.levels, alpha_j),
-    )
+    # levels per level of nu_i and nu_j; those of the reflected factor conjugated
+    parts = _weighed(list(tallies), vol, r_max, [(np.conj(x), y) for x, y in (
+        (alpha_i + nu_i.levels, alpha_j + nu_j.levels),
+        (alpha_i, alpha_j),
+        (nu_i.levels, nu_j.levels),
+        (alpha_i, nu_j.levels),
+        (nu_i.levels, alpha_j),
+    )])
     codes = np.unique(np.concatenate([part.codes for part in parts]))
     residual = np.zeros(len(codes), dtype=np.result_type(*(part.levels for part in parts)))
     for sign, part in zip((1, -1, -1, -1, -1), parts):

@@ -8,6 +8,7 @@ specs reproduce identical point sets bit-for-bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 from .combs import _bounds
 from .combs import linear_combine  # noqa: F401  (bench/spans.py traces this binding)
 from .cps import check_points_budget
-from .eberlein import AveragingSpec, FBRow, _averaged_comb, _bit_rows, _lattice_tally, fb_scan
+from .eberlein import AveragingSpec, FBRow, _bit_rows, _lattice_correlations, _row_sites, fb_scan
 from .eberlein import pair_correlation  # noqa: F401  (bench/spans.py traces this binding)
 from .inflate import (
     TypedPointSet,
@@ -58,11 +59,6 @@ class Check:
         return asdict(self)
 
 
-# the lattice gas is drawn, packed and unpacked GAS_BLOCK sites at a time,
-# a whole number of bytes of its bit row
-GAS_BLOCK = 1 << 16
-
-
 def bernoulli_gas(p: float, N: int, rng: RngSpec) -> np.ndarray:
     """Independent site occupation on {-N, ..., N} with probability p."""
     row = _occupancy(p, N, rng)
@@ -77,7 +73,7 @@ def bernoulli_gas(p: float, N: int, rng: RngSpec) -> np.ndarray:
 def _occupancy(p: float, N: int, rng: RngSpec) -> np.ndarray:
     # The occupied sites of the gas as a bit row over -N..N (eberlein._bit_rows'
     # layout, site -N first), from the same uniforms as one draw of 2N + 1,
-    # drawn and packed GAS_BLOCK at a time.
+    # drawn a block of the row at a time.
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     if N < 0:
@@ -85,17 +81,13 @@ def _occupancy(p: float, N: int, rng: RngSpec) -> np.ndarray:
     n = 2 * N + 1
     check_points_budget(n, f"a lattice gas on {{-{N}, ..., {N}}}")
     gen = _philox_generator(rng.seed, rng.stream, 0)
-    blocks = (gen.random(min(GAS_BLOCK, n - a)) < p for a in range(0, n, GAS_BLOCK))
-    return _bit_rows((), n, blocks)
+    return _bit_rows((), n, lambda a, b: gen.random(b - a) < p)
 
 
 def _sites(row: np.ndarray, N: int) -> Iterator[np.ndarray]:
-    # the occupied sites of a bit row over -N..N, GAS_BLOCK sites at a time
-    n, octets = 2 * N + 1, row.view(np.uint8)
-    for a in range(0, n, GAS_BLOCK):
-        bits = octets[a // 8 : (a + GAS_BLOCK) // 8]
-        sites = np.flatnonzero(np.unpackbits(bits, count=min(GAS_BLOCK, n - a), bitorder="little"))
-        sites += a - N
+    # the occupied sites of a bit row over -N..N, a block at a time
+    for sites in _row_sites(row, 2 * N + 1):
+        sites -= N
         yield sites
 
 
@@ -134,11 +126,11 @@ def bernoulli_verify(
     No comb over the 2N + 1 sites is built, nor any array of a byte per
     site.  The gas is drawn as a bit row over [-N, N], 64 sites to a word, M
     its sites and P the occupied ones, and every pair of the three
-    correlations is counted once, in the labelled tally of that row
-    (eberlein._lattice_tally, by popcounts of shifted words): per lag s and
-    label pair, label 0 for P and 1 for M \\ P.  Each correlation weighs
-    that one tally by a level per label, lambda by [1, 0], omega = p *
-    delta_M by [p, p] and nu = lambda - omega by [1 - p, -p], through the
+    correlations is counted once, in one labelled tally of that row
+    (eberlein._lattice_correlations, by popcounts of shifted words): per lag
+    s and label pair, label 0 for P and 1 for M \\ P.  Each correlation
+    weighs that one tally by a level per label, lambda by [1, 0], omega = p
+    * delta_M by [p, p] and nu = lambda - omega by [1 - p, -p], through the
     exact sums of every correlation, so each atom is the one
     pair_correlation gives for those combs, bit for bit.  N must be a
     whole number >= 1 and r_max a whole number >= 1; ValueError otherwise.
@@ -148,10 +140,10 @@ def bernoulli_verify(
 
 
 def _whole_sizes(N, r_max) -> tuple[int, int]:
-    if not (N >= 1 and float(N).is_integer()):
-        raise ValueError(f"N must be a whole number >= 1, got {N!r}")
-    if not (r_max >= 1 and float(r_max).is_integer()):
-        raise ValueError(f"r_max must be a whole number >= 1, got {r_max!r}")
+    # N and r_max as ints; ValueError unless each is a real number, whole and >= 1
+    for name, size in (("N", N), ("r_max", r_max)):
+        if not (isinstance(size, numbers.Real) and size >= 1 and float(size).is_integer()):
+            raise ValueError(f"{name} must be a whole number >= 1, got {size!r}")
     return int(N), int(r_max)
 
 
@@ -166,20 +158,16 @@ def _verify_occupancy(
     tol_nu: float = 3e-3,
 ) -> BernoulliReport:
     # bernoulli_verify on the gas drawn as the bit row over -N..N
-    tally = [_lattice_tally(row, 2 * N + 1, r_max)]
-
-    def correlation(vx, vy):
-        return _averaged_comb(tally, vx, vy, 2.0 * N, (-r_max, r_max))
-
     # levels per label, P then M \ P
     lam, nu_levels = np.array([1.0, 0.0]), np.array([1.0 - p, -p])
     omega_levels = np.full(2, float(p))
-    gamma = correlation(lam, lam)
-    nu_corr = correlation(nu_levels, nu_levels)
-    # both factors are real and restricted to [-N, N], so the other cross
-    # correlation is this one mirrored, c_nu_omega(s) = c_omega_nu(-s), atom
-    # for atom: each atom is the correctly rounded sum of the same products
-    cross = correlation(omega_levels, nu_levels)
+    # both factors of the cross correlation are real and restricted to
+    # [-N, N], so the other one is this one mirrored, c_nu_omega(s) =
+    # c_omega_nu(-s), atom for atom: each atom is the correctly rounded sum
+    # of the same products
+    gamma, nu_corr, cross = _lattice_correlations(
+        row, 2 * N + 1, r_max, 2.0 * N,
+        [(lam, lam), (nu_levels, nu_levels), (omega_levels, nu_levels)])
 
     g = {int(m): float(w.real) for (m, _), w in gamma.atoms_dict().items()}
     v = {int(m): float(w.real) for (m, _), w in nu_corr.atoms_dict().items()}

@@ -40,9 +40,6 @@ PRESET_NONMODULE = (
     math.e / 9,
     math.log(2),
 )
-# the Thue-Morse word is packed into its bit row TM_BLOCK letters at a time
-# (a whole number of bytes of the row)
-TM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,18 +91,33 @@ class SystemContext:
     @property
     def tps(self) -> inflate.TypedPointSet:
         """The realization, each type's points rebuilt when they are read."""
-        points = inflate._Derived(self.splits, lambda t: _points(*self.splits[t]))
+        points = inflate._Derived(self.splits, lambda t: combs.split_points(*self.splits[t]))
         return inflate.TypedPointSet(points, self.rng)
 
 
-def _points(omega: combs.WeightedComb, nu: combs.WeightedComb) -> np.ndarray:
-    # a split's points: nu's atoms at level 1 - alpha, or, when alpha = 1
-    # dropped those, omega's atoms on nu's coverage that nu lacks
-    if nu.levels[0] != 0:
-        return nu.codes[nu.level == 0]
-    lo, hi = nu.coverage
-    model = omega.codes[combs._search(omega.codes, lo) : combs._search(omega.codes, hi, "right")]
-    return model[~np.isin(model, nu.codes)]
+def _calibrated(name: str, R: float):
+    """A preset system realized on [0, R] (rule, realization), its calibrated
+    windows (None for the doubling chain, which has none) and the alphas of
+    its splitting, uncached; ValueError unless R is positive."""
+    if R <= 0:
+        raise ValueError(f"R must be positive, got {R!r}")
+    rule = inflate.builtin_rule(name)
+    tps = inflate.realize_geometric(rule, "a", R)
+    if name == "thue_morse":
+        return rule, tps, None, {t: 0.5 for t in rule.alphabet}
+    preset_windows = (
+        cps.fibonacci_windows() if name == "fibonacci"
+        else cps.twisted_fibonacci_windows()
+    )
+    # calibrate on the realized points in [0, min(R, 1000)], a prefix of each type's
+    cal_points = {t: _decode(c[: combs._search(c, min(R, 1000.0), "right")])
+                  for t, c in tps.codes.items()}
+    windows = cps.calibrate_closures(cal_points, preset_windows).windows
+    alphas = {
+        t: (tps.count(t) / R) / cps.model_set_density(windows[t])
+        for t in rule.alphabet
+    }
+    return rule, tps, windows, alphas
 
 
 @lru_cache(maxsize=8)
@@ -117,44 +129,28 @@ def system_context(name: str, R: float) -> SystemContext:
     half the integer comb directly.  R must be positive, for every system;
     otherwise ValueError is raised.
     """
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    rule = inflate.builtin_rule(name)
-    tps = inflate.realize_geometric(rule, "a", R)
+    rule, tps, windows, alphas = _calibrated(name, R)
     rng, counts = (0.0, R), {t: tps.count(t) for t in rule.alphabet}
-    if name == "thue_morse":
+    if windows is None:
         half_lattice = combs.lattice_comb(0, int(math.floor(R)), 0.5)
         splits = {
             t: (half_lattice, combs.split_remainder(tps.codes[t], half_lattice))
             for t in rule.alphabet
         }
-        alphas = {t: 0.5 for t in rule.alphabet}
         return SystemContext(rule, tps.rng, counts, None, None, alphas, splits)
 
-    preset_windows = (
-        cps.fibonacci_windows() if name == "fibonacci"
-        else cps.twisted_fibonacci_windows()
-    )
-    # calibrate on the realized points in [0, min(R, 1000)], a prefix of each type's
-    cal_points = {t: _decode(c[: combs._search(c, min(R, 1000.0), "right")])
-                  for t, c in tps.codes.items()}
-    cal = cps.calibrate_closures(cal_points, preset_windows)
     # types that share a window share one read-only projection of it
     projected: dict[tuple[cps.Interval, ...], np.ndarray] = {}
-    for w in cal.windows.values():
+    for w in windows.values():
         if w.intervals not in projected:
             projected[w.intervals] = cps.cut_and_project(w, rng)
             projected[w.intervals].setflags(write=False)
-    models = {t: projected[w.intervals] for t, w in cal.windows.items()}
-    alphas = {
-        t: (counts[t] / R) / cps.model_set_density(cal.windows[t])
-        for t in rule.alphabet
-    }
+    models = {t: projected[w.intervals] for t, w in windows.items()}
     splits = {
-        t: combs.split_pp(tps.codes[t], cal.windows[t], alphas[t], rng, models[t])
+        t: combs.split_pp(tps.codes[t], windows[t], alphas[t], rng, models[t])
         for t in rule.alphabet
     }
-    return SystemContext(rule, tps.rng, counts, cal.windows, models, alphas, splits)
+    return SystemContext(rule, tps.rng, counts, windows, models, alphas, splits)
 
 
 def suite_eberlein_exact(seed: int | None = None) -> SuiteReport:
@@ -215,8 +211,7 @@ def _tm_occupancy(rule: inflate.SubstitutionRule, R: float) -> tuple[np.ndarray,
         raise ValueError(f"the types of {rule.name} do not tile the integers: "
                          f"tile lengths {dict(rule.lengths)}")
     word, a = inflate.realize_word(rule, "a", R), rule.alphabet.index("a")
-    blocks = (word[s : s + TM_BLOCK] == a for s in range(0, len(word), TM_BLOCK))
-    return eberlein._bit_rows((), len(word), blocks), len(word)
+    return eberlein._bit_rows((), len(word), lambda s, t: word[s:t] == a), len(word)
 
 
 def _tm_correlations(
@@ -226,16 +221,14 @@ def _tm_correlations(
     realization whose sites 0..n-1 hold type a where the bit row is set and
     type b elsewhere: atom for atom those of pair_correlation on its combs.
 
-    The labelled tally of the bit row (eberlein._lattice_tally: label 0 for
-    type a, 1 for type b) counts every typed pair once; type a weighs it by
-    the levels [1, 0] per label and type b by [0, 1].
+    One labelled tally of the bit row (eberlein._lattice_correlations: label
+    0 for type a, 1 for type b) counts every typed pair once; type a weighs
+    it by the levels [1, 0] per label and type b by [0, 1].
     """
-    tally = [eberlein._lattice_tally(row, n, r_max)]
     levels = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-    return {
-        (a, b): eberlein._averaged_comb(tally, levels[a], levels[b], R, (-r_max, r_max))
-        for a in "ab" for b in "ab"
-    }
+    pairs = [(a, b) for a in "ab" for b in "ab"]
+    weighings = [(levels[a], levels[b]) for a, b in pairs]
+    return dict(zip(pairs, eberlein._lattice_correlations(row, n, r_max, R, weighings)))
 
 
 def suite_halfdensity(seed: int | None = None) -> SuiteReport:

@@ -92,6 +92,25 @@ def _decode(codes: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _code(m: int, n: int) -> int | None:
+    """The code of the key (m, n) of Python ints; None when |m| or |n|
+    reaches 2**31, where a key has no code."""
+    return (m << 32) + n if max(abs(m), abs(n)) < PHASE_KEY_BOUND else None
+
+
+def _code_position(code) -> float:
+    """float(m) + float(n) * TAU for the key of one code, in Python ints:
+    the double that embed_array forms from _key_parts."""
+    code = int(code)
+    m = (code + PHASE_KEY_BOUND) >> 32
+    return float(m) + float(code - (m << 32)) * TAU
+
+
+def _integer_sites(codes: np.ndarray) -> np.ndarray | None:
+    """The int64 m of the keys of codes when every n is 0, else None."""
+    return None if (codes & (2**32 - 1)).any() else codes >> 32
+
+
 def sign_of(m, n):
     """Exact sign of m + n*tau, computed with integer arithmetic only.
 

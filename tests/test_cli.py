@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from combsplit import __version__, cli
+from combsplit import __version__, cli, cps, suites
 from combsplit.cli import main
 from combsplit.zroot5 import TAU
 
@@ -555,3 +555,87 @@ def test_sample_points_out_draws_the_gas_once(tmp_path, monkeypatch):
                "--out", str(tmp_path / "bern.json"),
                "--points-out", str(tmp_path / "bern_points.csv")) == 0
     assert len(made) == 1
+
+
+def test_diffract_pure_point_reads_no_context(tmp_path, monkeypatch, capsys):
+    # the pure-point path needs only the calibrated windows and the alphas:
+    # no system context, no projection, and the bytes it wrote when it read
+    # them from the context
+    def refused(*args, **kwargs):
+        raise AssertionError("built more than the calibrated windows")
+
+    monkeypatch.setattr(suites, "system_context", refused)
+    monkeypatch.setattr(cps, "cut_and_project", refused)
+    out = tmp_path / "pp.csv"
+    assert run("diffract", "--system", "twisted_fibonacci", "--R", "2000", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1348fb02269d30902f13b63eaa0756c5124acd8f3b16a4899018df22f5bad2c2")
+    tm = tmp_path / "tm.csv"
+    assert run("diffract", "--system", "thue_morse", "--out", str(tm)) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "CliError", "message": "system 'thue_morse' has no Euclidean windows"}
+    assert not tm.exists()
+
+
+@pytest.mark.parametrize("r_max,R", [(None, "120"), ("5", "105")])
+def test_correlate_variant_one_defaults_R_past_the_grid(r_max, R, tmp_path):
+    # variant one reads the second factor up to R + r_max, so without --R the
+    # realization reaches max(R_grid) + r_max: the bytes of that --R given
+    argv = ["correlate", "--system", "fibonacci", "--R-grid", "100", "--variant", "one"]
+    argv += [] if r_max is None else ["--r-max", r_max]
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    assert run(*argv, "--out", str(default)) == 0
+    assert run(*argv, "--R", R, "--out", str(explicit)) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+    assert len(default.read_text().splitlines()) > 2
+
+
+BAD_INPUT_RUNS = (
+    (("project", "--window-preset", "fibonacci", "--R", "-10"), {},
+     "CliError", "R must be finite and nonnegative, got -10.0"),
+    (("sample", "--system", "bernoulli", "--p", "0.6", "--seed", "5"), {"N": 20.7},
+     "ValueError", "N must be a whole number >= 1, got 20.7"),
+    (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "20"), {"seed": 5.5},
+     "CliError", "--seed must be a whole number, got 5.5"),
+    (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "20", "--seed", "5"),
+     {"stream": 1.5}, "CliError", "--stream must be a whole number, got 1.5"),
+    (("generate", "--system", "random_fibonacci", "--R", "100"), {"seed": 2.5},
+     "CliError", "--seed must be a whole number, got 2.5"),
+    (("diffract", "--system", "thue_morse"), {"eta": 8.5},
+     "CliError", "--eta must be a whole number, got 8.5"),
+)
+
+
+@pytest.mark.parametrize("argv,config,error,message", BAD_INPUT_RUNS, ids=[
+    "project-R-negative", "sample-N-fraction", "sample-seed-fraction",
+    "sample-stream-fraction", "generate-seed-fraction", "diffract-eta-fraction"])
+def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert run("--config", str(cfg), *argv, "--out", str(out)) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
+    assert not out.exists()
+
+
+def test_whole_float_integer_options_are_accepted(tmp_path):
+    # a config document may write an integer option as a whole float
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 20.0, "seed": 5.0, "stream": 0.0}))
+    out = tmp_path / "bern.json"
+    assert run("--config", str(cfg), "sample", "--system", "bernoulli", "--p", "0.6",
+               "--r-max", "5", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["params"]["N"] == 20 and doc["seed"] == {"seed": 5, "stream": 0}
+
+
+def test_diffract_refuses_a_module_over_the_points_budget(tmp_path, monkeypatch, capsys):
+    # 4 sqrt(5) k_max kstar_max = 44,721 estimated module points, checked
+    # before any is made (at k_max = kstar_max = 1e9 enumeration ran on)
+    monkeypatch.setattr(cps, "MAX_POINTS", 40_000)
+    out = tmp_path / "pp.csv"
+    assert run("diffract", "--system", "fibonacci", "--R", "100", "--k-max", "100",
+               "--kstar-max", "50", "--out", str(out)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "the Fourier module" in err["message"]
+    assert not out.exists()

@@ -305,3 +305,14 @@ def test_cut_and_project_releases_its_row_blocks_before_sorting():
             tracemalloc.stop()
     (n0, peak0), (n1, peak1) = peaks
     assert (peak1 - peak0) / (n1 - n0) <= 32, peaks
+
+
+def test_fourier_module_checks_its_estimated_count(monkeypatch):
+    # about 4 sqrt(5) k_max kstar_max points: 80.5 estimated at (3, 3) and
+    # 44,721.4 at (100, 50); a bound over MAX_POINTS is refused first
+    assert len(fourier_module(3.0, 3.0)) == 83
+    assert len(fourier_module(100.0, 50.0)) == 44_721
+    monkeypatch.setattr(cps, "MAX_POINTS", 44_000)
+    with pytest.raises(ValueError, match="the Fourier module with"):
+        fourier_module(100.0, 50.0)
+    assert len(fourier_module(3.0, 3.0)) == 83

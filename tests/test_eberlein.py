@@ -1206,14 +1206,28 @@ def test_shift_counts_equal_a_count_per_site(data, n_a, n_b, word_block):
 
 
 def test_bit_rows_take_blocks_of_whole_bytes():
+    # one and two rows of 150 sites from block functions, which are asked for
+    # whole words of about SITE_BLOCK bools in all, in site order; and read back
     bits = np.random.default_rng(3).random((2, 150)) < 0.5
-    rows = eberlein._bit_rows((2,), 150, [bits[:, :8], bits[:, 8:72], bits[:, 72:]])
-    assert rows.dtype == np.dtype("<u8")
-    assert np.array_equal(rows, np.stack([bit_row(b) for b in bits]))
-    row = eberlein._bit_rows((), 150, [bits[0, :64], bits[0, 64:]])
-    assert np.array_equal(row, bit_row(bits[0]))
-    with pytest.raises(ValueError, match="inside a byte"):
-        eberlein._bit_rows((), 150, [bits[0, :5], bits[0, 5:]])
+    for site_block in (1, 64, 100, 128, eberlein.SITE_BLOCK):
+        asked = []
+
+        def block(a, b):
+            asked.append((a, b))
+            return bits[:, a:b]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eberlein, "SITE_BLOCK", site_block)
+            rows = eberlein._bit_rows((2,), 150, block)
+            row = eberlein._bit_rows((), 150, lambda a, b: bits[0, a:b])
+            sites = list(eberlein._row_sites(row, 150))
+        assert rows.dtype == np.dtype("<u8")
+        assert np.array_equal(rows, np.stack([bit_row(b) for b in bits]))
+        step = 64 * max(1, site_block // 128)
+        assert asked == [(a, min(a + step, 150)) for a in range(0, 150, step)]
+        assert np.array_equal(row, bit_row(bits[0]))
+        assert all(s.dtype == np.int64 for s in sites)
+        assert np.array_equal(np.concatenate(sites), np.flatnonzero(bits[0]))
 
 
 @given(st.data(), st.integers(1, 4), st.integers(1, 4),
@@ -1222,7 +1236,8 @@ def test_bit_rows_take_blocks_of_whole_bytes():
 def test_bit_rows_count_the_pairs_of_the_sweep(data, n_x, n_y, r_max, word_block):
     # integer supports on several levels: the bit rows' tally (code, i, j,
     # count) against the pair sweep's, cell by cell; a WORD_BLOCK of one word
-    # builds the rows 64 sites at a time
+    # counts them a word at a time, and a SITE_BLOCK of one builds them 64
+    # sites at a time
     def support(n_levels, label):
         start = data.draw(st.integers(-150, 0), label=f"{label} start")
         span = data.draw(st.integers(1, 300), label=f"{label} span")
@@ -1243,6 +1258,7 @@ def test_bit_rows_count_the_pairs_of_the_sweep(data, n_x, n_y, r_max, word_block
     with pytest.MonkeyPatch.context() as patch:
         if word_block:
             patch.setattr(eberlein, "WORD_BLOCK", word_block)
+            patch.setattr(eberlein, "SITE_BLOCK", word_block)
         bits = eberlein._count_bits(mx, lx, n_x, my, ly, n_y, r_max)
     assert bits[3].dtype == np.int64 and bits[3].all()
     on_z = [combs._encode(np.stack([m, np.zeros_like(m)], axis=1)) for m in (mx, my)]

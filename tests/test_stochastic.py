@@ -254,10 +254,10 @@ def test_empirical_pp_split_cauchy_stabilizes():
     assert report.max_cauchy <= 0.02
 
 
-@pytest.mark.parametrize("block", [8, 24, stochastic.GAS_BLOCK])
+@pytest.mark.parametrize("block", [64, 192, eberlein.SITE_BLOCK])
 def test_bernoulli_gas_blocks_equal_one_draw(monkeypatch, block):
-    # blocks are whole bytes of the row; 24 sites end mid-word
-    monkeypatch.setattr(stochastic, "GAS_BLOCK", block)
+    # a bit row of one row is drawn and read back SITE_BLOCK sites at a time
+    monkeypatch.setattr(eberlein, "SITE_BLOCK", block)
     # 2N + 1 one short of, on, and one past a whole number of blocks
     sizes = [k * block + d for k in (1, 2, 3) for d in (-1, 0, 1) if (k * block + d) % 2]
     for n in sizes:

@@ -97,7 +97,7 @@ def test_rebuilt_points_when_a_level_weighs_zero(alpha):
     model = cps.cut_and_project(window, (0.0, R))
     points = model[np.random.default_rng(5).random(len(model)) < 0.5]
     omega, nu = combs.split_pp(points, window, alpha, (0.0, R), model)
-    assert np.array_equal(suites._points(omega, nu), points)
+    assert np.array_equal(combs.split_points(omega, nu), points)
 
 
 def test_live_context_bytes_per_model_atom():

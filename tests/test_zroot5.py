@@ -16,6 +16,11 @@ from combsplit.zroot5 import (
     FourierModulePoint,
     QuadraticInt,
     _char_table,
+    _code,
+    _code_position,
+    _codes,
+    _integer_sites,
+    _key_parts,
     embed_array,
     frac_phase,
     frac_phases,
@@ -321,3 +326,25 @@ def test_exact_zero_words_convert_without_the_python_loop():
             want[i] = (int(hi[i]) << 64 | int(lo[i])) / 2**128
         assert frac_phases(k, m, n).tobytes() == want.tobytes()
     assert frac_phases(FourierModulePoint(0, 0), m, n).tobytes() == bytes(8 * 10**5)
+
+
+key_parts = st.integers(-(2**31) + 1, 2**31 - 1)
+
+
+@given(st.lists(st.tuples(key_parts, key_parts), min_size=1, max_size=20),
+       st.integers(-(2**40), 2**40))
+def test_one_code_helpers_agree_with_the_array_codes(keys, far):
+    m, n = (np.array(part, dtype=np.int64) for part in zip(*keys))
+    codes = _codes(m, n)
+    assert [_code(a, b) for a, b in keys] == codes.tolist()
+    # a key at 2**31 or beyond has no code
+    assert _code(2**31, 0) is None and _code(0, -(2**31)) is None
+    assert _code(far, 0) == (None if abs(far) >= 2**31 else far << 32)
+    # one code's position is the double that embed_array forms
+    assert [_code_position(c) for c in codes] == embed_array(*_key_parts(codes)).tolist()
+    sites = _integer_sites(codes)
+    if n.any():
+        assert sites is None
+    else:
+        assert sites.dtype == np.int64 and sites.tolist() == m.tolist()
+    assert _integer_sites(_codes(m, np.zeros_like(m))).tolist() == m.tolist()
