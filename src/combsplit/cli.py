@@ -133,11 +133,16 @@ def _need(cfg: dict, key: str, cast=None):
 
 
 def _integer(cfg: dict, key: str, default=None) -> int:
-    # an integer option (required without a default), refused unless it is a
-    # whole number: a config document may give 20.0, not 20.7
+    # an integer option (required without a default)
     value = _need(cfg, key) if default is None else cfg.get(key, default)
+    return _whole(value, f"--{key.replace('_', '-')}")
+
+
+def _whole(value, name: str) -> int:
+    # value as an int, refused unless it is a whole number: a JSON document
+    # may give 20.0, not 20.7
     if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise CliError(f"--{key.replace('_', '-')} must be a whole number, got {value!r}")
+        raise CliError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
 
@@ -192,8 +197,8 @@ def _windows_from_config(cfg: dict) -> dict[str, cps.Window]:
                     cps.Interval(
                         _endpoint(iv["lo"]),
                         _endpoint(iv["hi"]),
-                        bool(iv.get("lo_closed", True)),
-                        bool(iv.get("hi_closed", True)),
+                        _closed(iv, "lo_closed"),
+                        _closed(iv, "hi_closed"),
                     )
                 )
             out[t] = cps.Window(ivs)
@@ -211,8 +216,16 @@ def _endpoint(obj):
         extra = set(obj) - {"m", "n"}
         if extra:
             raise CliError(f"unknown endpoint keys {sorted(extra)}")
-        return QuadraticInt(int(obj.get("m", 0)), int(obj.get("n", 0)))
+        return QuadraticInt(*(_whole(obj.get(key, 0), f"endpoint {key}") for key in ("m", "n")))
     return float(obj)
+
+
+def _closed(iv: dict, key: str) -> bool:
+    # a window's closure flag, closed by default; only a JSON boolean is taken
+    value = iv.get(key, True)
+    if not isinstance(value, bool):
+        raise CliError(f"window {key} must be true or false, got {value!r}")
+    return value
 
 
 def _k_selection(cfg: dict) -> list:

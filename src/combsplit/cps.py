@@ -53,6 +53,12 @@ ROW_BLOCK = 1 << 12
 # 5e7 points are 0.4 GB of int64 key codes.  Requests above it fail before
 # anything is allocated.
 MAX_POINTS = 50_000_000
+# A Fourier module point costs this many 8-byte points of the budget: carried
+# through spectra.pp_intensity it took about 670 B (diffract --system
+# fibonacci --R 100 with 44,721, 89,443 and 178,885 module points peaked at
+# 63.5, 92.1 and 148.9 MiB against 33.6 MiB for an import, 2-core x86
+# machine), so the budget admits about 6e5 module points.
+MODULE_POINT_UNITS = 84
 
 
 def check_points_budget(count: float, what: str) -> None:
@@ -242,14 +248,16 @@ def fourier_module(k_max: float, kstar_max: float) -> list[FourierModulePoint]:
 
     Returns every k with |k| <= k_max and |k*| <= kstar_max, sorted by |k|
     with (a, b) as the deterministic tie-break.  The zero point is always
-    included.  Bounds whose estimated count 4*sqrt(5)*k_max*kstar_max
-    exceeds MAX_POINTS raise ValueError before any point is made.
+    included.  Bounds whose estimated count 4*sqrt(5)*k_max*kstar_max,
+    MODULE_POINT_UNITS budget points each, exceeds MAX_POINTS raise
+    ValueError before any point is made.
     """
     if k_max < 0 or kstar_max < 0:
         raise ValueError("bounds must be nonnegative")
     # the module's points lie at density sqrt(5) in the (k, k*) plane
-    check_points_budget(4 * SQRT5 * k_max * kstar_max,
-                        f"the Fourier module with |k| <= {k_max:g}, |k*| <= {kstar_max:g}")
+    check_points_budget(4 * SQRT5 * k_max * kstar_max * MODULE_POINT_UNITS,
+                        f"the Fourier module with |k| <= {k_max:g}, |k*| <= {kstar_max:g} "
+                        f"({MODULE_POINT_UNITS} budget points a module point)")
     pts: list[FourierModulePoint] = []
     v_bound = k_max * SQRT5
     s_bound = kstar_max * SQRT5

@@ -6,23 +6,24 @@ first factor is restricted to the reflected interval, which coincides with
 the usual recipe for symmetric intervals and is the consistent extension
 for one-sided ones.  One kernel backs the convolution: each comb is stored
 as its weight levels, sum_v v * 1_{S_v}, so every atom is a short sum of
-int64 pair counts N_ij(s) times level products.  The counts come from bit
-rows per lag when both combs live densely on the integers with few levels,
-and otherwise from a pair sweep.  A bit row holds 64 sites per word; it is
-built (_bit_rows) and read back (_row_sites) here only, and one kernel
-(_shift_counts) counts a lag's pairs as popcounts of words AND words
-shifted across word boundaries.  The lattice rows of the Thue-Morse and
-lattice-gas suites go through it too, by one entry (_lattice_correlations)
-that weighs one labelled tally of a row per pair of combs.  The sweep
-takes the first factor's atoms a chunk at a time, with the positions of
-only the chunk and of the atoms of the second factor it reaches, and forms
-the chunk's pairs block by block, so its memory grows with neither the pair
+int64 pair counts N_ij(s) times level products, and one pair sweep
+(_count_pairs) counts them, whatever the supports.  The sweep takes the
+first factor's atoms a chunk at a time, with the positions of only the
+chunk and of the atoms of the second factor it reaches, and forms the
+chunk's pairs block by block, so its memory grows with neither the pair
 count nor the factors.  It adds the combs' int64 key codes (the code of a
 sum of keys is the sum of their codes, zroot5._codes) and tallies a block's
-cells (code, level pair) by sorting one int64 per pair.  A
-restriction to an interval is an index range found by binary search over
-single keys' positions, so no kernel builds the positions of a whole comb;
-that search and the coverage check live in combs (_bounds, _covers).
+cells (code, level pair) by sorting one int64 per pair.  A restriction to
+an interval is an index range found by binary search over single keys'
+positions, so no kernel builds the positions of a whole comb; that search
+and the coverage check live in combs (_bounds, _covers).
+
+The lattice rows of the Thue-Morse and lattice-gas suites are counted from
+bit rows instead, by one entry (_lattice_correlations) that weighs one
+labelled tally of a row per pair of combs.  A bit row holds 64 sites per
+word; it is built (_bit_rows) and read back (_row_sites) here only, and one
+kernel (_shift_counts) counts a row's pairs per lag as popcounts of its
+words AND its words shifted across word boundaries.
 
 Correlation atoms go through one exact accumulator (a long accumulator
 after Kulisch & Miranker, binned by exponent as in Demmel & Hida).  A
@@ -49,7 +50,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .combs import RangeError, WeightedComb, _bounds, _covers, _search, reflect_conjugate
-from .zroot5 import FourierModulePoint, _char_table, _codes, _integer_sites, _key_offsets, _key_parts
+from .zroot5 import FourierModulePoint, _char_table, _codes, _key_offsets, _key_parts
 from .zroot5 import _phase_words, embed_array
 from .zroot5 import frac_phases  # noqa: F401  (eberlein.frac_phases stays importable)
 
@@ -86,16 +87,9 @@ __all__ = [
 PAIR_BLOCK = 1 << 15
 FOLD_CELLS = 1 << 18
 FB_BLOCK = 1 << 14
-# Integer supports use bit rows up to this many weight-level pairs P, where
-# both hold max(1/16, sqrt(P / ROW_LEVEL_PAIRS) / 5) atoms per site of their
-# span or more; the rows take (x levels + y levels) / 8 bytes per site and
-# are counted WORD_BLOCK words at a time.  On 2e5 sites, r_max = 20 (2-core
-# x86 machine), with 1, 4, 16 and 64 level pairs, the rows took 2, 2, 9 and
-# 34 ms at any density, the sweep 5, 4, 6 and 6 ms at 1/16, 9, 7, 9 and 10
-# ms at 1/10 and 21, 27, 30 and 43 ms at 1/4.  Every bit row, of a kernel, a
-# Thue-Morse word or a lattice gas, is built and read back whole words of
-# about SITE_BLOCK sites over all its rows at a time.
-ROW_LEVEL_PAIRS = 64
+# A bit row, of a Thue-Morse word or a lattice gas, is built and read back
+# SITE_BLOCK sites at a time (whole words, at least one) and counted
+# WORD_BLOCK words at a time.
 WORD_BLOCK = 1 << 14
 SITE_BLOCK = 1 << 16
 _NOT_FINITE = "weights, their products and sums must be finite"
@@ -190,21 +184,7 @@ def _count(mu, nu, shape, R, r_max, variant):
 
     cx, lx = _restrict_arrays(mu, -hi, -lo)
     cy, ly = _restrict_arrays(nu, nu_lo, nu_hi)
-    nx, ny = len(mu.levels), len(nu.levels)
-    # bit rows for nonempty integer supports dense enough for their level pairs
-    density = max(1 / 16, math.sqrt(nx * ny / ROW_LEVEL_PAIRS) / 5)
-    if (nx * ny <= ROW_LEVEL_PAIRS and (mx := _dense_sites(cx, density)) is not None
-            and (my := _dense_sites(cy, density)) is not None):
-        return [_count_bits(mx, lx, nx, my, ly, ny, r_max)], spec.vol(R)
-    return _count_pairs(cx, lx, cy, ly, ny, r_max), spec.vol(R)
-
-
-def _dense_sites(codes, density):
-    # the integer sites of nonempty codes on Z that fill at least density of their span, else None
-    sites = _integer_sites(codes) if len(codes) else None
-    if sites is None or len(sites) < density * (int(sites[-1]) - int(sites[0]) + 1):
-        return None
-    return sites
+    return _count_pairs(cx, lx, cy, ly, len(nu.levels), r_max), spec.vol(R)
 
 
 def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
@@ -237,25 +217,24 @@ def _lattice_correlations(row, n, r_max, vol, weighings) -> list[WeightedComb]:
     return _weighed([_lattice_tally(row, n, r_max)], vol, r_max, weighings)
 
 
-def _bit_rows(lead, n_sites, block):
-    """Bit rows of n_sites sites, shape lead + (words,), from block(a, b),
-    the bools of sites a..b-1 of every row, shape lead + (b - a,): site t of
-    a row is bit t % 64 of its word t // 64, the words little-endian '<u8',
-    and the bits past n_sites are 0.  block is called once per block, in site
-    order, over whole words of about SITE_BLOCK bools in all, so no bool row
-    over every site is made."""
-    words = np.zeros((*lead, -(-n_sites // 64)), dtype="<u8")
-    octets, step = words.view(np.uint8), _block_sites(math.prod(lead))
+def _bit_rows(n_sites, block):
+    """A bit row of n_sites sites from block(a, b), the bools of sites
+    a..b-1: site t is bit t % 64 of word t // 64, the words little-endian
+    '<u8', and the bits past n_sites are 0.  block is called once per block
+    of SITE_BLOCK sites (whole words), in site order, so no bool row over
+    every site is made."""
+    words = np.zeros(-(-n_sites // 64), dtype="<u8")
+    octets, step = words.view(np.uint8), 64 * max(1, SITE_BLOCK // 64)
     for a in range(0, n_sites, step):
         b = min(a + step, n_sites)
-        octets[..., a // 8 : -(-b // 8)] = np.packbits(block(a, b), axis=-1, bitorder="little")
+        octets[a // 8 : -(-b // 8)] = np.packbits(block(a, b), bitorder="little")
     return words
 
 
 def _row_sites(row, n_sites):
     """The set sites t of a bit row of n_sites sites (laid out as _bit_rows
-    makes it), ascending, as int64 arrays of a block of sites at a time."""
-    octets, step = row.view(np.uint8), _block_sites(1)
+    makes it), ascending, as int64 arrays of SITE_BLOCK sites at a time."""
+    octets, step = row.view(np.uint8), 64 * max(1, SITE_BLOCK // 64)
     for a in range(0, n_sites, step):
         bits = np.unpackbits(octets[a // 8 : (a + step) // 8], count=min(step, n_sites - a),
                              bitorder="little")
@@ -264,66 +243,29 @@ def _row_sites(row, n_sites):
         yield sites
 
 
-def _block_sites(n_rows):
-    # sites per block of n_rows bit rows: whole words, about SITE_BLOCK bools in all
-    return 64 * max(1, SITE_BLOCK // (64 * n_rows))
-
-
-def _level_block(n_rows, row, site):
-    # the block function (_bit_rows) of the rows with site[k] set in row row[k], site ascending
-    def block(a, b):
-        i, j = np.searchsorted(site, [a, b])
-        bools = np.zeros((n_rows, b - a), dtype=bool)
-        bools[row[i:j], site[i:j] - a] = True
-        return bools
-
-    return block
-
-
-def _shift_counts(a, b, offsets):
-    """counts[c, i, j] = #{t : site t of row a[i] and site t + offsets[c] of
-    row b[j]} for bit rows laid out as _bit_rows makes them, offsets >= 0.
-    Shifted down by d = 64 q + r sites, word w of a b row is b[w + q] >> r
-    | b[w + q + 1] << (64 - r), so no row is copied per shift; the pairs are
-    the popcounts of a's words AND those.  The words are taken a block at
-    a time, about WORD_BLOCK words over all level pairs, so temporaries stay
-    bounded."""
-    counts = np.zeros((len(offsets), len(a), len(b)), dtype=np.int64)
-    step = max(1, WORD_BLOCK // (len(a) * len(b)))
-    for w in range(0, a.shape[1], step):
-        rows = a[:, None, w : w + step]
+def _shift_counts(row, offsets):
+    """counts[c] = #{t : sites t and t + offsets[c] of the bit row row are
+    set} (laid out as _bit_rows makes it), offsets >= 0.  Shifted down by
+    d = 64 q + r sites, word w of the row is row[w + q] >> r | row[w + q +
+    1] << (64 - r), so the row is not copied per shift; the pairs are the
+    popcounts of its words AND those.  The words are taken WORD_BLOCK at a
+    time, so temporaries stay bounded."""
+    counts = np.zeros(len(offsets), dtype=np.int64)
+    for w in range(0, len(row), WORD_BLOCK):
+        words = row[w : w + WORD_BLOCK]
         for c, d in enumerate(offsets.tolist()):
             q, r = divmod(d, 64)
-            window = b[:, w + q : w + q + rows.shape[2]] >> r  # b's words past its end are 0
+            window = row[w + q : w + q + len(words)] >> r  # the words past the row's end are 0
             if r:
-                high = b[:, w + q + 1 : w + q + 1 + window.shape[1]] << (64 - r)
-                window[:, : high.shape[1]] |= high
-            both = rows[:, :, : window.shape[1]] & window[None]
-            counts[c] += np.bitwise_count(both).sum(axis=2, dtype=np.int64)
+                high = row[w + q + 1 : w + q + 1 + len(window)] << (64 - r)
+                window[: len(high)] |= high
+            counts[c] += np.bitwise_count(words[: len(window)] & window).sum(dtype=np.int64)
     return counts
-
-
-def _count_bits(mx, lx, nx, my, ly, ny, r_max):
-    # Integer supports: one bit row per weight level.  Per lag s, the pairs
-    # x + y = s of a level pair are the popcount of an x row AND a y row
-    # shifted by the lag's offset (_shift_counts).
-    x0, x1, y0, y1 = int(mx[0]), int(mx[-1]), int(my[0]), int(my[-1])
-    r = math.floor(r_max + 1e-9)
-    s_hi = min(r, x1 + y1)
-    lags = np.arange(max(-r, x0 + y0), s_hi + 1)
-    a = _bit_rows((nx,), x1 - x0 + 1, _level_block(nx, lx, mx - x0))
-    # the y rows reversed, behind pad zeros: y = s - x sits at site
-    # pad + y1 - y = (x - x0) + d with offset d = pad + x0 + y1 - s >= 0
-    pad = max(0, s_hi - x0 - y1)
-    b = _bit_rows((ny,), pad + y1 - y0 + 1, _level_block(ny, ly[::-1], pad + y1 - my[::-1]))
-    counts = _shift_counts(a, b, pad + x0 + y1 - lags)
-    lag, i, j = np.nonzero(counts)
-    return _lag_codes(lags[lag]), i, j, counts[lag, i, j]
 
 
 def _lattice_tally(row, n, r_max):
     """The tally (key code, i, j, count) of the pairs (x, y) of the n sites M
-    of the bit row row (laid out as _bit_rows makes them) per lag s = y - x =
+    of the bit row row (laid out as _bit_rows makes it) per lag s = y - x =
     -L..L, L = min(r_max, n - 1), and label pair (i, j), label 0 for P, the
     set sites, and 1 for M \\ P.  With N_AB(s) the pairs of A x B at lag s,
     N_PP(s) is the popcount of the row AND the row shifted by s
@@ -334,7 +276,7 @@ def _lattice_tally(row, n, r_max):
     lag = min(int(r_max), n - 1)  # no two sites lie farther apart
     lags = np.arange(-lag, lag + 1)
     n_pp = np.empty(len(lags), dtype=np.int64)
-    n_pp[lag:] = _shift_counts(row[None], row[None], np.arange(lag + 1))[:, 0, 0]
+    n_pp[lag:] = _shift_counts(row, np.arange(lag + 1))
     n_pp[:lag] = n_pp[: lag : -1]
     size = n_pp[lag]
     octets, first = row.view(np.uint8), (n - lag) // 8  # the byte of site n - lag
@@ -345,12 +287,8 @@ def _lattice_tally(row, n, r_max):
     n_mp, n_mm = n_pm[::-1], n - np.abs(lags)
     count = np.concatenate([n_pp, n_pm - n_pp, n_mp - n_pp, n_mm - n_pm - n_mp + n_pp])
     i, j = np.repeat([[0, 0, 1, 1], [0, 1, 0, 1]], len(lags), axis=1)
-    return _lag_codes(np.tile(lags, 4)), i, j, count
-
-
-def _lag_codes(lags):
-    # the key codes of the integer lags (lag, 0)
-    return _codes(lags, np.zeros_like(lags))
+    lags = np.tile(lags, 4)
+    return _codes(lags, np.zeros_like(lags)), i, j, count  # the codes of the keys (lag, 0)
 
 
 def _count_pairs(cx, lx, cy, ly, n_j, r_max):

@@ -81,7 +81,7 @@ def _occupancy(p: float, N: int, rng: RngSpec) -> np.ndarray:
     n = 2 * N + 1
     check_points_budget(n, f"a lattice gas on {{-{N}, ..., {N}}}")
     gen = _philox_generator(rng.seed, rng.stream, 0)
-    return _bit_rows((), n, lambda a, b: gen.random(b - a) < p)
+    return _bit_rows(n, lambda a, b: gen.random(b - a) < p)
 
 
 def _sites(row: np.ndarray, N: int) -> Iterator[np.ndarray]:

@@ -211,7 +211,7 @@ def _tm_occupancy(rule: inflate.SubstitutionRule, R: float) -> tuple[np.ndarray,
         raise ValueError(f"the types of {rule.name} do not tile the integers: "
                          f"tile lengths {dict(rule.lengths)}")
     word, a = inflate.realize_word(rule, "a", R), rule.alphabet.index("a")
-    return eberlein._bit_rows((), len(word), lambda s, t: word[s:t] == a), len(word)
+    return eberlein._bit_rows(len(word), lambda s, t: word[s:t] == a), len(word)
 
 
 def _tm_correlations(

@@ -196,6 +196,26 @@ def test_project_with_windows_file(tmp_path):
     assert len(rows) > 40  # about 100/sqrt(5) points
 
 
+@pytest.mark.parametrize("interval,message", [
+    ({"lo": {"m": -2.7, "n": 1}, "hi": {"m": -1, "n": 1}},
+     "endpoint m must be a whole number, got -2.7"),
+    ({"lo": {"m": -2, "n": 1}, "hi": {"m": -1, "n": "1"}},
+     "endpoint n must be a whole number, got '1'"),
+    ({"lo": {"m": -2, "n": 1}, "hi": {"m": -1, "n": 1}, "lo_closed": "no"},
+     "window lo_closed must be true or false, got 'no'"),
+    ({"lo": {"m": -2, "n": 1}, "hi": {"m": -1, "n": 1}, "hi_closed": 0},
+     "window hi_closed must be true or false, got 0"),
+], ids=["m-fraction", "n-string", "lo-closed-string", "hi-closed-integer"])
+def test_windows_file_refuses_what_it_would_coerce(interval, message, tmp_path, capsys):
+    wf = tmp_path / "win.json"
+    wf.write_text(json.dumps({"a": [interval]}))
+    out = tmp_path / "proj.csv"
+    assert run("project", "--windows-file", str(wf), "--type", "a",
+               "--R", "100", "--out", str(out)) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "CliError", "message": message}
+    assert not out.exists()
+
+
 def test_run_suite_all_aggregates(monkeypatch):
     from combsplit import suites
     from combsplit.stochastic import Check
@@ -326,6 +346,8 @@ GOLDEN_RUNS = (
     ("split", "--system", "thue_morse", "--R", "2000", "--out", "split_tm"),
     ("correlate", "--system", "twisted_fibonacci", "--types", "a,b",
      "--R-grid", "100,1000", "--r-max", "10", "--out", "corr.csv"),
+    ("correlate", "--system", "thue_morse", "--types", "a,b", "--R-grid", "100,1000",
+     "--r-max", "10", "--out", "corr_tm.csv"),
     ("fb", "--system", "fibonacci", "--k-preset", "module", "--shape", "one_sided",
      "--R-grid", "100,1000,2000", "--out", "fb_one.csv"),
     ("fb", "--system", "fibonacci", "--k-preset", "module", "--shape", "symmetric",
@@ -348,9 +370,10 @@ GOLDEN_RUNS = (
 # linear_combine's hash-and-merge split, (verify_bern.json) by three comb
 # correlations over the lattice gas's 2N + 1 sites, (verify_tm.json) by four
 # comb correlations of the doubling chain, (bern_points.csv) by a second
-# draw of the gas after its report, and (verify_all_41.json) by combs that
-# stored one weight per atom.  Re-pin only for a
-# deliberate output change, and list that change in CHANGES.md.
+# draw of the gas after its report, (verify_all_41.json) by combs that
+# stored one weight per atom, and (corr_tm.csv) by bit rows per weight level
+# over the integer supports, before the pair sweep counted them.  Re-pin only
+# for a deliberate output change, and list that change in CHANGES.md.
 PINNED_DIGESTS = {
     "bern.json":
         "5ed3b46972a285774872ec82405cd8aa6bf4401c2c0673a4d309d1e5c1292249",
@@ -358,6 +381,8 @@ PINNED_DIGESTS = {
         "b0e6694fbefdd7ae8f495fde6bb24c8286b96458cc4dc8cf5360cac0fe3b235a",
     "corr.csv":
         "2ea3f2a864bebe244eda5083b7b7b5d0b1e169a7b6526737cb5f9b470bf7f8da",
+    "corr_tm.csv":
+        "c955d478e93b1e1f8c816cf9ddd2759e2d5f46e4a4629be7f501c77d56fe9fe0",
     "fb_nu.csv":
         "22b28a84190a7c4f0c936a3d7f14c4608b87ec11607dd3325e79cebc9de06279",
     "fb_one.csv":

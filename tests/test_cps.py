@@ -316,3 +316,25 @@ def test_fourier_module_checks_its_estimated_count(monkeypatch):
     with pytest.raises(ValueError, match="the Fourier module with"):
         fourier_module(100.0, 50.0)
     assert len(fourier_module(3.0, 3.0)) == 83
+
+
+def test_fourier_module_charges_each_point_its_cost(monkeypatch):
+    # a module point takes MODULE_POINT_UNITS of the budget's points, so bounds
+    # whose estimate is a hair over MAX_POINTS / MODULE_POINT_UNITS (about
+    # 6e5 module points) are refused before any point is built
+    side = math.sqrt(cps.MAX_POINTS / (cps.MODULE_POINT_UNITS * 4 * SQRT5))
+    assert 5e5 < 4 * SQRT5 * side * side < 7e5
+
+    def refused(*args):
+        raise AssertionError("built a module point")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cps, "FourierModulePoint", refused)
+        with pytest.raises(ValueError, match=f"{cps.MODULE_POINT_UNITS} budget points a module"):
+            fourier_module(side * 1.001, side)
+    # the same charge at a small budget: 80.5 estimated points at (3, 3)
+    monkeypatch.setattr(cps, "MAX_POINTS", 81 * cps.MODULE_POINT_UNITS)
+    assert len(fourier_module(3.0, 3.0)) == 83
+    monkeypatch.setattr(cps, "MAX_POINTS", 80 * cps.MODULE_POINT_UNITS)
+    with pytest.raises(ValueError, match="the Fourier module with"):
+        fourier_module(3.0, 3.0)

@@ -113,9 +113,10 @@ def test_sweep_kernel_matches_brute_force_oracle():
 
 
 def test_dense_and_sweep_kernels_agree_on_integers(monkeypatch):
-    # a lattice comb plus one off-lattice atom forces the golden-ratio pair
-    # counts instead of the integer ones; both count the same integers, also
-    # when tiny blocks make every cell's count a sum over blocks and folds
+    # a lattice comb, and the same comb in complex weights with one
+    # off-lattice atom of weight 0: the second's pairs sum golden-ratio key
+    # codes, yet both count the same integers, also when tiny blocks make
+    # every cell's count a sum over blocks and folds
     z = lattice_comb(-50, 50)
     marked = linear_combine(
         [(1.0, z), (1.0, dirac_comb([(0, 1)], (-50.0, 50.0), weight=0.0 + 0j))]
@@ -380,9 +381,9 @@ def test_decomposition_is_five_roundings_of_one_count(R, shape, alpha_i, alpha_j
     split_j, P_j = _random_split(model, alpha_j, seed + 1, rng)
     tallies = []
 
-    def recorded(count, sweep):
+    def recorded(count):
         def counting(*args):
-            tallies.append(list(count(*args)) if sweep else [count(*args)])
+            tallies.append(list(count(*args)))
             return tallies[-1]
         return counting
 
@@ -390,8 +391,7 @@ def test_decomposition_is_five_roundings_of_one_count(R, shape, alpha_i, alpha_j
         raise AssertionError("called linear_combine")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(eberlein, "_count_pairs", recorded(eberlein._count_pairs, True))
-        patch.setattr(eberlein, "_count_bits", recorded(eberlein._count_bits, False))
+        patch.setattr(eberlein, "_count_pairs", recorded(eberlein._count_pairs))
         patch.setattr(eberlein, "linear_combine", refused, raising=False)
         patch.setattr(combs, "linear_combine", refused)
         report = decomposition_report(split_i, split_j, shape, R, r_max)
@@ -638,7 +638,7 @@ def test_pair_correlation_matches_exact_oracle(
 
 
 # finite random weights, far from overflow; many 1.0 draws leave few weight
-# levels, so integer supports take the bit rows as well as the pair sweep
+# levels
 random_real_st = st.one_of(st.just(1.0), st.floats(-1e3, 1e3, allow_subnormal=False).filter(bool))
 random_complex_st = st.builds(complex, random_real_st, random_real_st)
 
@@ -1176,99 +1176,54 @@ def test_lattice_tally_counts_every_label_pair(bits, data):
         assert got == pairs[a, b][s]
 
 
-@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 2, None]))
+@given(st.data(), st.sampled_from([1, 2, None]))
 @settings(max_examples=150, deadline=None)
-def test_shift_counts_equal_a_count_per_site(data, n_a, n_b, word_block):
-    # counts[c, i, j] = #{t : a[i, t] and b[j, t + d_c]}, site by site, for
-    # rows of n mod 64 in {0, 1, 63} sites, offsets across whole words and
-    # past b's end, and word blocks of one or two words
-    def rows(n_rows, label):
-        n = data.draw(row_length_st, label=f"{label} sites")
-        density = data.draw(st.sampled_from([0.05, 0.5, 1.0]), label=f"{label} density")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed"))
-        return rng.random((n_rows, n)) < density
-
-    a, b = rows(n_a, "a"), rows(n_b, "b")
-    offsets = data.draw(st.lists(st.integers(0, b.shape[1] + 70), min_size=1, max_size=8),
-                        label="offsets")
+def test_shift_counts_equal_a_count_per_site(data, word_block):
+    # counts[c] = #{t : row[t] and row[t + d_c]}, site by site, for rows of
+    # n mod 64 in {0, 1, 63} sites, offsets across whole words and past the
+    # row's end, and word blocks of one or two words
+    n = data.draw(row_length_st, label="sites")
+    density = data.draw(st.sampled_from([0.05, 0.5, 1.0]), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    bits = rng.random(n) < density
+    offsets = data.draw(st.lists(st.integers(0, n + 70), min_size=1, max_size=8), label="offsets")
     with pytest.MonkeyPatch.context() as patch:
         if word_block:
             patch.setattr(eberlein, "WORD_BLOCK", word_block)
-        got = eberlein._shift_counts(np.stack([bit_row(r) for r in a]),
-                                     np.stack([bit_row(r) for r in b]), np.array(offsets))
-    assert got.shape == (len(offsets), n_a, n_b) and got.dtype == np.int64
+        got = eberlein._shift_counts(bit_row(bits), np.array(offsets))
+    assert got.shape == (len(offsets),) and got.dtype == np.int64
     for c, d in enumerate(offsets):
-        for i in range(n_a):
-            for j in range(n_b):
-                want = sum(1 for t in range(a.shape[1])
-                           if a[i, t] and t + d < b.shape[1] and b[j, t + d])
-                assert got[c, i, j] == want, (c, i, j)
+        want = sum(1 for t in range(n) if bits[t] and t + d < n and bits[t + d])
+        assert got[c] == want, c
 
 
 def test_bit_rows_take_blocks_of_whole_bytes():
-    # one and two rows of 150 sites from block functions, which are asked for
-    # whole words of about SITE_BLOCK bools in all, in site order; and read back
-    bits = np.random.default_rng(3).random((2, 150)) < 0.5
+    # a row of 150 sites from a block function, which is asked for whole
+    # words of about SITE_BLOCK sites, in site order; and read back
+    bits = np.random.default_rng(3).random(150) < 0.5
     for site_block in (1, 64, 100, 128, eberlein.SITE_BLOCK):
         asked = []
 
         def block(a, b):
             asked.append((a, b))
-            return bits[:, a:b]
+            return bits[a:b]
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(eberlein, "SITE_BLOCK", site_block)
-            rows = eberlein._bit_rows((2,), 150, block)
-            row = eberlein._bit_rows((), 150, lambda a, b: bits[0, a:b])
+            row = eberlein._bit_rows(150, block)
             sites = list(eberlein._row_sites(row, 150))
-        assert rows.dtype == np.dtype("<u8")
-        assert np.array_equal(rows, np.stack([bit_row(b) for b in bits]))
-        step = 64 * max(1, site_block // 128)
+        assert row.dtype == np.dtype("<u8")
+        assert np.array_equal(row, bit_row(bits))
+        step = 64 * max(1, site_block // 64)
         assert asked == [(a, min(a + step, 150)) for a in range(0, 150, step)]
-        assert np.array_equal(row, bit_row(bits[0]))
         assert all(s.dtype == np.int64 for s in sites)
-        assert np.array_equal(np.concatenate(sites), np.flatnonzero(bits[0]))
-
-
-@given(st.data(), st.integers(1, 4), st.integers(1, 4),
-       st.sampled_from([0.0, 1.0, 5.5, 70.0, 300.0]), st.sampled_from([1, None]))
-@settings(max_examples=100, deadline=None)
-def test_bit_rows_count_the_pairs_of_the_sweep(data, n_x, n_y, r_max, word_block):
-    # integer supports on several levels: the bit rows' tally (code, i, j,
-    # count) against the pair sweep's, cell by cell; a WORD_BLOCK of one word
-    # counts them a word at a time, and a SITE_BLOCK of one builds them 64
-    # sites at a time
-    def support(n_levels, label):
-        start = data.draw(st.integers(-150, 0), label=f"{label} start")
-        span = data.draw(st.integers(1, 300), label=f"{label} span")
-        density = data.draw(st.sampled_from([0.1, 0.5, 1.0]), label=f"{label} density")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed"))
-        sites = start + np.flatnonzero(rng.random(span) < density)
-        sites = sites if len(sites) else np.array([start])
-        return sites.astype(np.int64), rng.integers(0, n_levels, len(sites)).astype(np.uint8)
-
-    def cells(tallies):
-        total = Counter()
-        for codes, i, j, count in tallies:
-            for code, a, b, c in zip(codes.tolist(), i.tolist(), j.tolist(), count.tolist()):
-                total[code, a, b] += c
-        return total
-
-    (mx, lx), (my, ly) = support(n_x, "x"), support(n_y, "y")
-    with pytest.MonkeyPatch.context() as patch:
-        if word_block:
-            patch.setattr(eberlein, "WORD_BLOCK", word_block)
-            patch.setattr(eberlein, "SITE_BLOCK", word_block)
-        bits = eberlein._count_bits(mx, lx, n_x, my, ly, n_y, r_max)
-    assert bits[3].dtype == np.int64 and bits[3].all()
-    on_z = [combs._encode(np.stack([m, np.zeros_like(m)], axis=1)) for m in (mx, my)]
-    assert cells([bits]) == cells(eberlein._count_pairs(on_z[0], lx, on_z[1], ly, n_y, r_max))
+        assert np.array_equal(np.concatenate(sites), np.flatnonzero(bits))
 
 
 @pytest.mark.parametrize("integer", [True, False])
-def test_more_than_255_levels_take_a_uint16_index(integer, monkeypatch):
-    # distinct random weights give every atom its own level; on Z the bit
-    # rows are forced as well as the pair sweep, so both read uint16 indices
+def test_more_than_255_levels_take_a_uint16_index(integer):
+    # distinct random weights give every atom its own level, so the pair
+    # sweep reads uint16 indices, on Z and off it
     rng = np.random.default_rng(21)
     if integer:
         keys = [(m, 0) for m in range(-150, 151)]
@@ -1280,19 +1235,15 @@ def test_more_than_255_levels_take_a_uint16_index(integer, monkeypatch):
     mu = exact_comb(dict(zip(keys, weights)))
     nu = exact_comb(dict(zip(keys, rng.normal(size=len(keys)))))
     assert len(mu.levels) == len(keys) > 256 and mu.level.dtype == np.uint16
-    rows = [None, 10**6] if integer else [None]
-    for row_level_pairs in rows:
-        if row_level_pairs:
-            monkeypatch.setattr(eberlein, "ROW_LEVEL_PAIRS", row_level_pairs)
-        for other in (nu, lattice_comb(-200, 200, 0.5)):
-            corr = pair_correlation(mu, other, "symmetric", 140.0, 9)
-            want = fsum_pair_correlation(mu, other, "symmetric", 140, 9, "both")
-            assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
+    for other in (nu, lattice_comb(-200, 200, 0.5)):
+        corr = pair_correlation(mu, other, "symmetric", 140.0, 9)
+        want = fsum_pair_correlation(mu, other, "symmetric", 140, 9, "both")
+        assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
 
 
 def test_sparse_integer_supports_take_the_pair_sweep():
     # bit rows would span all 1e8 sites between three atoms (hundreds of MiB);
-    # supports with fewer than one atom per 16 sites are swept pair by pair
+    # integer supports are swept pair by pair, in memory of their atoms
     comb = dirac_comb([(0, 0), (50_000_000, 0), (100_000_000, 0)], (0.0, 1e8))
     tracemalloc.start()
     try:
