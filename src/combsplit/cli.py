@@ -228,6 +228,15 @@ def _closed(iv: dict, key: str) -> bool:
     return value
 
 
+def _types_of(value: str, types: tuple[str, ...], option: str, count: int) -> list[str]:
+    # the comma-separated types an option names, refused unless they are
+    # count of the system's types
+    named = [t.strip() for t in value.split(",")]
+    if len(named) != count or not set(named) <= set(types):
+        raise CliError(f"{option} must name {count} of the system's types {list(types)}, got {value!r}")
+    return named
+
+
 def _k_selection(cfg: dict) -> list:
     if cfg.get("k_values"):
         raw = cfg["k_values"]
@@ -380,8 +389,7 @@ def cmd_correlate(cfg: dict) -> int:
     tps = _realize_from_config(cfg)
     types = cfg.get("types")
     if types:
-        t_i, t_j = (s.strip() for s in str(types).split(","))
-        mu, nu = tps.comb(t_i), tps.comb(t_j)
+        mu, nu = map(tps.comb, _types_of(str(types), tps.types(), "--types", 2))
     else:
         mu = nu = tps.comb()
     shape = cfg.get("shape", "one_sided")
@@ -412,11 +420,12 @@ def cmd_fb(cfg: dict) -> int:
     cfg.setdefault("R", max(R_grid))
     if measure == "points":
         tps = _realize_from_config(cfg)
-        comb = tps.comb(cfg.get("type"))
+        t = cfg.get("type")
+        comb = tps.comb(None if t is None else _types_of(t, tps.types(), "--type", 1)[0])
     elif measure in ("omega", "nu"):
         system = _need(cfg, "system", str)
         ctx = suites.system_context(system, max(R_grid))
-        t = cfg.get("type", "a")
+        (t,) = _types_of(cfg.get("type", "a"), tuple(ctx.splits), "--type", 1)
         comb = ctx.splits[t][0 if measure == "omega" else 1]
     else:
         raise CliError(f"unknown measure {measure!r}")
@@ -511,12 +520,10 @@ def cmd_sample(cfg: dict) -> int:
     out = _need(cfg, "out", str)
     if model == "bernoulli":
         p = float(_need(cfg, "p"))
-        N, r_max = stochastic._whole_sizes(_need(cfg, "N"), _whole_r_max(cfg, 50))
         # one draw serves the report and the points file
-        row = stochastic._occupancy(p, N, rng)
-        report = stochastic._verify_occupancy(p, rng, row, N, r_max)
+        report = stochastic.bernoulli_verify(p, _need(cfg, "N"), rng, _whole_r_max(cfg, 50))
         doc = {
-            "params": {"model": "bernoulli", "p": p, "N": N},
+            "params": {"model": "bernoulli", "p": p, "N": report.N},
             "seed": {"seed": seed, "stream": stream},
             "atoms": {
                 "gamma": {str(m): w for m, w in sorted(report.gamma.items())},
@@ -533,7 +540,7 @@ def cmd_sample(cfg: dict) -> int:
         if cfg.get("points_out"):
             lines = (
                 text
-                for sites in stochastic._sites(row, N)
+                for sites in report.sites()
                 for text, in _key_lines(_codes(sites, np.zeros_like(sites)))
             )
             _write_csv(cfg["points_out"], ["m", "n", "value"], lines, cfg)

@@ -88,9 +88,13 @@ class WeightedComb:
     of a few levels (one for a Dirac comb, 1 - alpha and -alpha for nu).
 
     codes     (N,) int64 key codes (zroot5._codes), positions sorted ascending
-    levels    (L,) float64 or complex128, distinct; no atom weighs exactly 0
+    levels    (L,) float64 or complex128, distinct, 0 allowed (linear_combine
+              and split_remainder drop the atoms of weight 0)
     level     (N,) smallest unsigned dtype; weights = levels[level] per atom
     coverage  interval on which the atom list is complete
+
+    ValueError for keys out of code range, codes out of position order,
+    atoms outside the coverage or a level index of L or more.
     """
 
     codes: np.ndarray
@@ -103,13 +107,19 @@ class WeightedComb:
             raise ValueError("codes must be an (N,) int64 array")
         if self.level.shape != self.codes.shape or self.level.dtype.kind != "u":
             raise ValueError("level must hold one unsigned index per key")
+        if len(self.level) and self.level.max() >= len(self.levels):
+            raise ValueError("level indices must be below the number of levels")
         lo, hi = self.coverage
+        last = -np.inf
         for a in range(0, len(self.codes), ATOM_BLOCK):
             m, n = _key_parts(self.codes[a : a + ATOM_BLOCK])
             _codes(m, n)  # ValueError unless every key is in range
             pos = embed_array(m, n)
             if pos.min() < lo - 1e-9 or pos.max() > hi + 1e-9:
                 raise ValueError("atoms outside the coverage interval")
+            if pos[0] < last or np.any(pos[1:] < pos[:-1]):
+                raise ValueError("codes must be sorted by position")
+            last = pos[-1]
 
     @classmethod
     def from_weights(cls, keys, weights, coverage) -> WeightedComb:
@@ -246,15 +256,15 @@ def linear_combine(
 
 
 def _members(points: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    # Which codes (in position order) are points, as np.packbits bits.  The
+    # Which codes (in position order) are points, as a bool mask.  The
     # points are taken in position order (argsorted unless they are in it, as
     # realizations are), ATOM_BLOCK at a time, and searched by position among
     # the codes their span reaches; a run of equal positions is walked to the
     # point's own code.  So each point marks the first code equal to its own,
-    # and beyond the bits only a byte per point spans the input.
+    # and beyond the mask only a byte per point spans the input.
     order = None if _in_position_order(points) else np.argsort(_positions(points), kind="stable")
     found = np.zeros(len(points), dtype=bool)
-    marked = np.zeros(-(-len(codes) // 8), dtype=np.uint8)
+    marked = np.zeros(len(codes), dtype=bool)
     for a in range(0, len(points), ATOM_BLOCK):
         at = slice(a, a + ATOM_BLOCK) if order is None else order[a : a + ATOM_BLOCK]
         block = points[at]
@@ -268,16 +278,14 @@ def _members(points: np.ndarray, codes: np.ndarray) -> np.ndarray:
             while cm[hit[t]] != block[t] and hit[t] + 1 < j - i and pm[hit[t] + 1] == px[t]:
                 hit[t] += 1
         found[at] = ok = cm[hit] == block
-        bits = np.zeros(j - (i & -8), dtype=bool)
-        bits[hit[ok] + (i & 7)] = True
-        marked[i // 8 : (j + 7) // 8] |= np.packbits(bits)
+        marked[i + hit[ok]] = True
     if not found.all():
         offenders = [(m, n) for m, n in _decode(points[~found][:20]).tolist()]
         raise ContainmentError(
             f"{len(points) - int(found.sum())} point(s) outside the model set of the window",
             offenders,
         )
-    if int(np.bitwise_count(marked).sum()) != len(points):
+    if np.count_nonzero(marked) != len(points):
         raise ValueError("split points must be distinct")
     return marked
 
@@ -293,7 +301,7 @@ def split_remainder(points: np.ndarray, omega: WeightedComb) -> WeightedComb:
     weight is the single rounding of 1 - alpha, so omega + nu reproduces the
     point comb atom for atom.  Membership is decided by exact key codes.
     """
-    in_points = np.unpackbits(_members(_as_codes(points), omega.codes), count=len(omega)).view(bool)
+    in_points = _members(_as_codes(points), omega.codes)
     # omega's atoms may sit a rounding outside its coverage; nu keeps none
     lo, hi = omega.coverage
     i, j = _search(omega.codes, lo), _search(omega.codes, hi, "right")
@@ -336,12 +344,9 @@ def split_pp(
     takes weight 1 - alpha where the points are and -alpha elsewhere
     (split_remainder).  omega keeps the model points' array itself, so given
     model_points must be sorted by position (as cut_and_project returns
-    them); unsorted ones raise ValueError.
+    them); WeightedComb refuses unsorted ones with ValueError.
     """
     if model_points is None:
         model_points = cps.cut_and_project(window, rng)
-    model_points = _as_codes(model_points)
-    if not _in_position_order(model_points):
-        raise ValueError("model points must be sorted by position")
-    omega = _uniform(model_points, float(alpha), rng)
+    omega = _uniform(_as_codes(model_points), float(alpha), rng)
     return omega, split_remainder(points, omega)

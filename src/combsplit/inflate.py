@@ -208,11 +208,16 @@ class PFData:
     right: np.ndarray  # normalized to sum 1 (letter frequencies)
 
 
-def pf_data(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> PFData:
+# pf_data's residual to reach, and the power iterations it may take
+PF_TOL = 1e-12
+PF_ITERATIONS = 100_000
+
+
+def pf_data(mat: np.ndarray) -> PFData:
     """Dominant eigenvalue and positive eigenvectors by power iteration.
 
     Iterates until the infinity-norm residual of both eigenvector equations
-    drops below tol.  Requires a primitive matrix.
+    drops to PF_TOL.  Requires a primitive matrix.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if not _is_primitive(mat.astype(np.int64) if mat.dtype != object else mat):
@@ -221,7 +226,7 @@ def pf_data(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> PFD
     right = np.full(s, 1.0 / s)
     left = np.full(s, 1.0 / s)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(PF_ITERATIONS):
         right_new = mat @ right
         lam = right_new.sum()
         right_new /= lam
@@ -232,10 +237,10 @@ def pf_data(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> PFD
             np.abs(left_new @ mat - lam * left_new).max(),
         )
         right, left = right_new, left_new
-        if res <= tol:
+        if res <= PF_TOL:
             break
     else:
-        raise RuleError(f"power iteration did not reach residual {tol}")
+        raise RuleError(f"power iteration did not reach residual {PF_TOL}")
     # bilinear quotient squares the residual error of the eigenvalue
     lam = float((left @ mat @ right) / (left @ right))
     return PFData(lam, left / left.min(), right / right.sum())

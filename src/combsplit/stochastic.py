@@ -9,7 +9,7 @@ specs reproduce identical point sets bit-for-bit.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -64,8 +64,8 @@ def bernoulli_gas(p: float, N: int, rng: RngSpec) -> np.ndarray:
     row = _occupancy(p, N, rng)
     sites = np.empty(int(np.bitwise_count(row).sum()), dtype=np.int64)
     at = 0
-    for block in _sites(row, N):
-        sites[at : at + len(block)] = block
+    for block in _row_sites(row, 2 * N + 1):
+        np.subtract(block, N, out=sites[at : at + len(block)])
         at += len(block)
     return sites
 
@@ -84,11 +84,10 @@ def _occupancy(p: float, N: int, rng: RngSpec) -> np.ndarray:
     return _bit_rows(n, lambda a, b: gen.random(b - a) < p)
 
 
-def _sites(row: np.ndarray, N: int) -> Iterator[np.ndarray]:
-    # the occupied sites of a bit row over -N..N, a block at a time
-    for sites in _row_sites(row, 2 * N + 1):
-        sites -= N
-        yield sites
+# the thresholds of bernoulli_verify's checks
+TOL_GAMMA0 = 2e-3  # |gamma(0) - p|
+TOL_GAMMA = 3e-3  # |gamma(m) - p^2| for 0 < m <= r_max
+TOL_NU = 3e-3  # |nu~*nu(0) - p(1-p)|, and |nu~*nu| off zero
 
 
 @dataclass(frozen=True)
@@ -100,21 +99,21 @@ class BernoulliReport:
     nu_corr: dict[int, float]  # correlation of the centered comb
     cross_sup: float
     checks: tuple[Check, ...]
+    row: np.ndarray = field(repr=False, compare=False)  # the drawn bit row over -N..N
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def sites(self) -> Iterator[np.ndarray]:
+        """The occupied sites of the drawn gas, ascending, a block at a time:
+        bernoulli_gas(p, N, rng) in pieces, from the same draw as the report."""
+        for sites in _row_sites(self.row, 2 * self.N + 1):
+            sites -= self.N
+            yield sites
 
-def bernoulli_verify(
-    p: float,
-    N: int,
-    rng: RngSpec,
-    r_max: int = 50,
-    tol_gamma0: float = 2e-3,
-    tol_gamma: float = 3e-3,
-    tol_nu: float = 3e-3,
-) -> BernoulliReport:
+
+def bernoulli_verify(p: float, N: int, rng: RngSpec, r_max: int = 50) -> BernoulliReport:
     """Sample a gas, split its comb as p * delta_Z plus fluctuation, verify.
 
     The occupation comb should correlate to p at lag zero and p^2 at every
@@ -134,30 +133,14 @@ def bernoulli_verify(
     exact sums of every correlation, so each atom is the one
     pair_correlation gives for those combs, bit for bit.  N must be a
     whole number >= 1 and r_max a whole number >= 1; ValueError otherwise.
+    The report keeps the row, so report.sites() gives the gas's sites with
+    no second draw.
     """
-    N, r_max = _whole_sizes(N, r_max)
-    return _verify_occupancy(p, rng, _occupancy(p, N, rng), N, r_max, tol_gamma0, tol_gamma, tol_nu)
-
-
-def _whole_sizes(N, r_max) -> tuple[int, int]:
-    # N and r_max as ints; ValueError unless each is a real number, whole and >= 1
     for name, size in (("N", N), ("r_max", r_max)):
         if not (isinstance(size, numbers.Real) and size >= 1 and float(size).is_integer()):
             raise ValueError(f"{name} must be a whole number >= 1, got {size!r}")
-    return int(N), int(r_max)
-
-
-def _verify_occupancy(
-    p: float,
-    rng: RngSpec,
-    row: np.ndarray,
-    N: int,
-    r_max: int,
-    tol_gamma0: float = 2e-3,
-    tol_gamma: float = 3e-3,
-    tol_nu: float = 3e-3,
-) -> BernoulliReport:
-    # bernoulli_verify on the gas drawn as the bit row over -N..N
+    N, r_max = int(N), int(r_max)
+    row = _occupancy(p, N, rng)
     # levels per label, P then M \ P
     lam, nu_levels = np.array([1.0, 0.0]), np.array([1.0 - p, -p])
     omega_levels = np.full(2, float(p))
@@ -172,20 +155,17 @@ def _verify_occupancy(
     g = {int(m): float(w.real) for (m, _), w in gamma.atoms_dict().items()}
     v = {int(m): float(w.real) for (m, _), w in nu_corr.atoms_dict().items()}
     gamma_err = max(abs(g.get(m, 0.0) - p * p) for m in range(1, r_max + 1))
-    nu_off = max(
-        (abs(w) for m, w in v.items() if m != 0),
-        default=0.0,
-    )
+    nu_off = max((abs(w) for m, w in v.items() if m != 0), default=0.0)
     checks = (
-        Check("gamma(0) = p", abs(g.get(0, 0.0) - p), tol_gamma0,
-              abs(g.get(0, 0.0) - p) <= tol_gamma0),
-        Check("gamma(m) = p^2 off zero", gamma_err, tol_gamma,
-              gamma_err <= tol_gamma),
-        Check("nu~*nu(0) = p(1-p)", abs(v.get(0, 0.0) - p * (1 - p)), tol_nu,
-              abs(v.get(0, 0.0) - p * (1 - p)) <= tol_nu),
-        Check("nu~*nu off zero", nu_off, tol_nu, nu_off <= tol_nu),
+        Check("gamma(0) = p", abs(g.get(0, 0.0) - p), TOL_GAMMA0,
+              abs(g.get(0, 0.0) - p) <= TOL_GAMMA0),
+        Check("gamma(m) = p^2 off zero", gamma_err, TOL_GAMMA,
+              gamma_err <= TOL_GAMMA),
+        Check("nu~*nu(0) = p(1-p)", abs(v.get(0, 0.0) - p * (1 - p)), TOL_NU,
+              abs(v.get(0, 0.0) - p * (1 - p)) <= TOL_NU),
+        Check("nu~*nu off zero", nu_off, TOL_NU, nu_off <= TOL_NU),
     )
-    return BernoulliReport(p, N, rng, g, v, cross.sup_norm(), checks)
+    return BernoulliReport(p, N, rng, g, v, cross.sup_norm(), checks, row)
 
 
 def random_fibonacci(p: float, R: float, rng: RngSpec) -> TypedPointSet:
@@ -214,19 +194,16 @@ def empirical_pp_split(
     tps: TypedPointSet,
     K: Sequence[FourierModulePoint],
     spec: AveragingSpec,
-    weights: dict[str, complex] | None = None,
 ) -> PPSplitReport:
     """Per-type FB amplitudes across R with the pure-point intensity tally.
 
     For each type and wave number the scan reports the FB value along the R
-    grid with Cauchy differences; at the final R the weighted amplitude sums
-    give the empirical sharp intensities.  The residual mass, total
-    autocorrelation mass at zero minus the captured intensity sum, bounds
-    what the listed wave numbers leave unexplained.  Diagnostic only: no
+    grid with Cauchy differences; at the final R the amplitude sums over the
+    types, each of unit weight, give the empirical sharp intensities.  The
+    residual mass, total autocorrelation mass at zero minus the captured
+    intensity sum, bounds what the listed wave numbers leave unexplained.  Diagnostic only: no
     continuous component is reconstructed.
     """
-    if weights is None:
-        weights = {t: 1.0 for t in tps.types()}
     R_final = spec.R_list[-1]
     lo, hi = spec.interval(R_final)
     vol = spec.vol(R_final)
@@ -244,10 +221,10 @@ def empirical_pp_split(
             max((r.cauchy for r in rows if r.cauchy is not None), default=0.0),
         )
         i, j = _bounds(comb, lo, hi)  # the atoms fb_scan sums at the final R
-        total += abs(weights[t]) ** 2 * (j - i) / vol
+        total += (j - i) / vol
 
     intensities = {
-        k: abs(sum(weights[t] * amplitudes[t][k] for t in tps.types())) ** 2
+        k: abs(sum(amplitudes[t][k] for t in tps.types())) ** 2
         for k in K
     }
 

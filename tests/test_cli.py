@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from combsplit import __version__, cli, cps, suites
+from combsplit import __version__, cli, cps, stochastic, suites
 from combsplit.cli import main
 from combsplit.zroot5 import TAU
 
@@ -568,18 +568,29 @@ def test_split_files_match_per_cell_reference(system, groups, tmp_path, monkeypa
 
 
 def test_sample_points_out_draws_the_gas_once(tmp_path, monkeypatch):
+    # the report and the points file come from one call of the public entry
     philox = np.random.Philox
     made = []
+    calls = {"bernoulli_verify": 0, "_occupancy": 0}
 
     def counting(*args, **kwargs):
         made.append(kwargs)
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
+    for name in calls:
+        def counted(*args, _fn=getattr(stochastic, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(stochastic, name, counted)
+    points = tmp_path / "bern_points.csv"
     assert run("sample", "--system", "bernoulli", "--p", "0.6", "--N", "2000", "--seed", "5",
-               "--out", str(tmp_path / "bern.json"),
-               "--points-out", str(tmp_path / "bern_points.csv")) == 0
+               "--out", str(tmp_path / "bern.json"), "--points-out", str(points)) == 0
     assert len(made) == 1
+    assert calls == {"bernoulli_verify": 1, "_occupancy": 1}
+    monkeypatch.undo()
+    sites = [int(line.split(",")[0]) for line in points.read_text().splitlines()[2:]]
+    assert sites == stochastic.bernoulli_gas(0.6, 2000, stochastic.RngSpec(5)).tolist()
 
 
 def test_diffract_pure_point_reads_no_context(tmp_path, monkeypatch, capsys):
@@ -628,12 +639,27 @@ BAD_INPUT_RUNS = (
      "CliError", "--seed must be a whole number, got 2.5"),
     (("diffract", "--system", "thue_morse"), {"eta": 8.5},
      "CliError", "--eta must be a whole number, got 8.5"),
+    (("correlate", "--system", "thue_morse", "--R-grid", "100"), {"types": "a"},
+     "CliError", "--types must name 2 of the system's types ['a', 'b'], got 'a'"),
+    (("correlate", "--system", "thue_morse", "--R-grid", "100"), {"types": "a,b,c"},
+     "CliError", "--types must name 2 of the system's types ['a', 'b'], got 'a,b,c'"),
+    (("correlate", "--system", "thue_morse", "--R-grid", "100"), {"types": "a,z"},
+     "CliError", "--types must name 2 of the system's types ['a', 'b'], got 'a,z'"),
+    (("fb", "--system", "fibonacci", "--R-grid", "100"), {"type": "q"},
+     "CliError", "--type must name 1 of the system's types ['a', 'b'], got 'q'"),
+    (("fb", "--system", "twisted_fibonacci", "--R-grid", "100", "--measure", "omega"),
+     {"type": "q"},
+     "CliError", "--type must name 1 of the system's types ['a', 'a_', 'b', 'b_'], got 'q'"),
+    (("fb", "--system", "fibonacci", "--R-grid", "100", "--measure", "nu"), {"type": "q"},
+     "CliError", "--type must name 1 of the system's types ['a', 'b'], got 'q'"),
 )
 
 
 @pytest.mark.parametrize("argv,config,error,message", BAD_INPUT_RUNS, ids=[
     "project-R-negative", "sample-N-fraction", "sample-seed-fraction",
-    "sample-stream-fraction", "generate-seed-fraction", "diffract-eta-fraction"])
+    "sample-stream-fraction", "generate-seed-fraction", "diffract-eta-fraction",
+    "correlate-one-type", "correlate-three-types", "correlate-unknown-type",
+    "fb-points-unknown-type", "fb-omega-unknown-type", "fb-nu-unknown-type"])
 def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -381,7 +381,8 @@ def test_membership_marks_the_first_of_equal_keys(monkeypatch, block):
 
     def members(points):
         marked = combs._members(combs._encode(np.array(points)), codes)
-        return np.flatnonzero(np.unpackbits(marked, count=len(codes))).tolist()
+        assert marked.dtype == bool and marked.shape == codes.shape
+        return np.flatnonzero(marked).tolist()
 
     def first_places(points):
         return sorted(in_order.index(list(p)) for p in points)
@@ -411,6 +412,26 @@ def test_coverage_check_reads_every_block(monkeypatch, bad):
         moved[bad, 0] = outside
         with pytest.raises(ValueError, match="^atoms outside the coverage interval$"):
             WeightedComb(combs._encode(moved), np.array([1.0]), level, (0.0, 19.0))
+
+
+@pytest.mark.parametrize("block", [8, combs.ATOM_BLOCK])
+def test_constructor_refuses_unsorted_codes_and_missing_levels(monkeypatch, block):
+    # the kernels read codes in position order and weights as levels[level]:
+    # shuffled codes made pair_correlation return an empty comb, and a level
+    # index past the levels raised IndexError inside a kernel
+    monkeypatch.setattr(combs, "ATOM_BLOCK", block)
+    z = lattice_comb(-10, 10)
+    shuffled = np.random.default_rng(1).permutation(z.codes)
+    # sorted within blocks of eight, out of order only where two blocks meet
+    swapped = np.concatenate([z.codes[8:16], z.codes[:8], z.codes[16:]])
+    for codes in (shuffled, swapped):
+        with pytest.raises(ValueError, match="^codes must be sorted by position$"):
+            WeightedComb(codes, z.levels, z.level, z.coverage)
+    level = np.zeros(len(z), dtype=np.uint8)
+    level[-1] = 3
+    with pytest.raises(ValueError, match="^level indices must be below the number of levels$"):
+        WeightedComb(z.codes, z.levels, level, z.coverage)
+    WeightedComb(z.codes, np.arange(4.0), level, z.coverage)  # 4 levels: index 3 exists
 
 
 def test_split_rejects_repeated_points():

@@ -54,8 +54,7 @@ def test_bernoulli_density_unbiased_over_seeds():
 
 
 def test_bernoulli_verify_structure():
-    report = bernoulli_verify(0.6, 10**5, RngSpec(42), r_max=20,
-                              tol_gamma0=5e-3, tol_gamma=8e-3, tol_nu=8e-3)
+    report = bernoulli_verify(0.6, 10**5, RngSpec(42), r_max=20)
     assert report.passed
     assert report.gamma[0] == pytest.approx(0.6, abs=5e-3)
     assert report.gamma[7] == pytest.approx(0.36, abs=8e-3)
@@ -65,6 +64,9 @@ def test_bernoulli_verify_structure():
     assert report.cross_sup < 8e-3
     names = [c.name for c in report.checks]
     assert len(names) == len(set(names)) == 4
+    # the report keeps the drawn row, neither shown nor compared
+    assert "row" not in repr(report)
+    assert report == bernoulli_verify(0.6, 10**5, RngSpec(42), r_max=20)
 
 
 def test_bernoulli_verify_correlates_without_the_kernel(monkeypatch):
@@ -269,6 +271,9 @@ def test_bernoulli_gas_blocks_equal_one_draw(monkeypatch, block):
         sites = bernoulli_gas(0.45, N, RngSpec(4, 2))
         assert sites.dtype == np.int64
         assert np.array_equal(sites, np.arange(-N, N + 1)[u < 0.45])
+        # a report's sites come from its own draw, in the same blocks
+        blocks = list(bernoulli_verify(0.45, N, RngSpec(4, 2), r_max=1).sites())
+        assert np.array_equal(np.concatenate(blocks), sites)
 
 
 def test_bernoulli_verify_holds_under_a_byte_per_site():
