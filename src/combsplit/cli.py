@@ -147,7 +147,7 @@ def _whole(value, name: str) -> int:
 
 
 def _whole_r_max(cfg: dict, default: int) -> int:
-    # diffract --riesz-depth and sample take r_max as a whole number of sites
+    # diffract --riesz-depth takes r_max, the largest index m it writes, as a whole number
     r_max = float(cfg.get("r_max", default))
     if not (0.0 <= r_max < math.inf and r_max.is_integer()):
         raise ValueError(f"r_max must be a finite, nonnegative integer, got {r_max!r}")
@@ -521,7 +521,7 @@ def cmd_sample(cfg: dict) -> int:
     if model == "bernoulli":
         p = float(_need(cfg, "p"))
         # one draw serves the report and the points file
-        report = stochastic.bernoulli_verify(p, _need(cfg, "N"), rng, _whole_r_max(cfg, 50))
+        report = stochastic.bernoulli_verify(p, _need(cfg, "N"), rng, cfg.get("r_max", 50))
         doc = {
             "params": {"model": "bernoulli", "p": p, "N": report.N},
             "seed": {"seed": seed, "stream": stream},

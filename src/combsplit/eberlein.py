@@ -25,20 +25,16 @@ word; it is built (_bit_rows) and read back (_row_sites) here only, and one
 kernel (_shift_counts) counts a row's pairs per lag as popcounts of its
 words AND its words shifted across word boundaries.
 
-Correlation atoms go through one exact accumulator (a long accumulator
-after Kulisch & Miranker, binned by exponent as in Demmel & Hida).  A
-finite double is an int64 mantissa M, |M| < 2**53, times 2**(e - 1126),
-with e = frexp's exponent + 1073 in [0, 2098).  M splits into a 27-bit high
-and a 26-bit low limb; each limb times its int64 count is added with
-np.add.at into a cell (group, part, e), where a part is the real or
-imaginary half of a complex product.  Only the nonzero cells are combined
-as Python ints, and each group is rounded once by int / int, so every atom
-is correctly rounded and reruns are bit-identical.  A complex product is
-formed from separately rounded real products, never from fused
-multiply-adds, and a non-finite product or sum raises ValueError.  An FB
-coefficient is sum_v v * S_v / vol over the weight levels v, with S_v the
-exact sum of the atoms' Q62 characters at level v (_characters, each within
-2**-51 of exp(-2 pi i frac(k x))), formed as Python ints and rounded once.
+Every exact sum, of a correlation atom or of an FB coefficient, is formed
+one way: its terms as exact Python ints in units of 2**-1074 (_units),
+added as ints and rounded once by int / int, so every value is correctly
+rounded and reruns are bit-identical.  A correlation atom is the sum of
+count * vx[i] * vy[j] over its tallied cells; a complex product is formed
+from separately rounded real products, never from fused multiply-adds, and
+a non-finite product or sum raises ValueError.  An FB coefficient is
+sum_v v * S_v / vol over the weight levels v, with S_v the exact sum of the
+atoms' Q62 characters at level v (_characters, each within 2**-51 of
+exp(-2 pi i frac(k x))).
 """
 
 from __future__ import annotations
@@ -71,10 +67,12 @@ __all__ = [
 
 # The pair sweep takes PAIR_BLOCK >> 3 atoms of the first factor at a time,
 # forms at most PAIR_BLOCK pairs at a time and keeps at most FOLD_CELLS
-# (key, level pair) counts before it sums them exactly, so its memory is
-# bounded whatever the pair count and the factors' size; the exact
-# accumulator likewise takes at most FOLD_CELLS terms at a time, and an FB
-# scan FB_BLOCK atoms.  Blocks this small keep their temporaries in cache.
+# (key, level pair) counts before it hands them on as one tally; the exact
+# sums take a tally's cells PAIR_BLOCK at a time, and an FB scan FB_BLOCK
+# atoms.  So memory is bounded whatever the pair count and the factors'
+# size, and blocks this small keep their temporaries in cache.  On 3,000
+# atoms with a level each, r_max = 60, whole tallies of Python ints peaked
+# at 259 MB and cells PAIR_BLOCK at a time at 91 MB.
 # On the twisted chain (2-core x86 machine, interleaved medians of 9 at
 # R = 1e5 and 5 at R = 1e6), orthogonality took 50, 51 and 65 ms at R = 1e5
 # and 416, 361 and 401 ms at R = 1e6 with pair blocks of 2**14, 2**15 and
@@ -191,14 +189,50 @@ def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
     """The comb of the correctly rounded atoms sum(count * vx[i] * vy[j]) / vol
     over the tallied cells (key, i, j, count), all-zero atoms dropped, sorted
     by position.  Every correlation, whatever counted its pairs, ends here.
-    The products are taken in the levels' dtype, at least double precision."""
+    The products are taken in the levels' dtype, at least double precision;
+    each tally is folded into the exact sums of the atoms seen so far as it
+    arrives, so memory grows with the atoms out, not with the tallies."""
     dtype = np.result_type(vx, vy, np.float64)
-    codes, sums = _exact_sums(tallies, vx.astype(dtype), vy.astype(dtype))
-    keep = sums.any(axis=1)
+    vx, vy = vx.astype(dtype), vy.astype(dtype)
+    codes, sums = np.empty(0, dtype=np.int64), np.zeros((0, 1 + (dtype.kind == "c")), dtype=object)
+    for new, i, j, count in tallies:
+        codes, atom = np.unique(np.concatenate([new, codes]), return_inverse=True)
+        # the sums so far move to their atoms' new places
+        moved = np.zeros((len(codes), sums.shape[1]), dtype=object)
+        moved[atom[len(new) :]] = sums
+        atom = atom[: len(new)]
+        for a in range(0, len(new), PAIR_BLOCK):
+            at = slice(a, a + PAIR_BLOCK)
+            x, y = vx[i[at]], vy[j[at]]
+            if dtype.kind == "c":  # rounded real products, unfused
+                xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+                parts = np.stack([xr * yr - xi * yi, xr * yi + xi * yr], axis=1)
+            else:
+                parts = (x * y)[:, None]
+            np.add.at(moved, atom[at], _units(parts) * count[at].astype(object)[:, None])
+        sums = moved
+    try:
+        rounded = (sums / 2**1074).astype(np.float64)
+    except OverflowError:
+        raise ValueError(_NOT_FINITE) from None
+    keep = rounded.any(axis=1)
     # divide real and imaginary parts separately: numpy's complex division
     # multiplies by a reciprocal and would round twice
-    quotient = (sums[keep] / vol).view(dtype).ravel()
+    quotient = (rounded[keep] / vol).view(dtype).ravel()
     return WeightedComb.from_weights(codes[keep], quotient, coverage)
+
+
+def _units(values):
+    """Finite doubles as exact Python ints in units of 2**-1074, an object
+    array of values' shape; ValueError for a non-finite value.  A normal
+    double is M * 2**(e - 53), e = frexp's exponent, with M = value *
+    2**(53 - e) a whole int64, so it is M << (e + 1021) units; a subnormal
+    is value * 2**1074 units, a whole int64 too."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(_NOT_FINITE)
+    shift = np.maximum(np.frexp(values)[1] + 1021, 0)
+    whole = np.ldexp(values, 1074 - shift).astype(np.int64).astype(object)
+    return whole << shift.astype(object)
 
 
 def _weighed(tallies, vol, r_max, weighings) -> list[WeightedComb]:
@@ -379,74 +413,6 @@ def _index(values, room):
     return rank, len(distinct), distinct.__getitem__
 
 
-def _exact_sums(tallies, vx, vy):
-    # Per atom, the exact sum of count * vx[i] * vy[j] over its cells, rounded
-    # once, with the atoms' key codes; each tally is folded into the limb
-    # rows of the atoms seen so far.
-    codes = np.empty(0, dtype=np.int64)
-    done = codes, np.zeros((0, 1 + (np.result_type(vx, vy).kind == "c"), 0, 2), dtype=np.int64)
-    for new, i, j, count in tallies:
-        codes, atom = np.unique(np.concatenate([new, codes]), return_inverse=True)
-        # the rows so far move to their atoms' new places
-        moved = np.zeros((len(codes), *done[1].shape[1:]), dtype=np.int64)
-        moved[atom[len(new) :]] = done[1]
-        done = _limb_rows(atom[: len(new)], vx[i], vy[j], count, len(codes), (done[0], moved))
-    return codes, _rounded(*done)
-
-
-def _limb_rows(group, x, y, count, n_groups, done=None):
-    """The exponents e that occur and the int64 limb rows (n_groups, parts,
-    exponents, 2) of the exact sums of count * x * y per group (see the module
-    docstring); done = (exponents, rows) adds rows of the same groups."""
-    if len(x) > FOLD_CELLS:  # block by block, so that temporaries stay bounded
-        for a in range(0, len(x), FOLD_CELLS):
-            at = slice(a, a + FOLD_CELLS)
-            done = _limb_rows(group[at], x[at], y[at], count[at], n_groups, done)
-        return done
-    if np.iscomplexobj(x) or np.iscomplexobj(y):  # rounded real products, unfused
-        xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-        parts = np.stack([xr * yr - xi * yi, xr * yi + xi * yr], axis=1)
-    else:
-        parts = (x * y)[:, None]
-    if not np.all(np.isfinite(parts)):
-        raise ValueError(_NOT_FINITE)
-    mantissa, exponent = np.frexp(parts)
-    m, e = (mantissa * 2.0**53).astype(np.int64), exponent + 1073
-    present = np.bincount(e.ravel(), minlength=2098).astype(bool)
-    if done is not None:
-        present[done[0]] = True
-    n_parts = parts.shape[1]
-    rows = np.zeros((n_groups, n_parts, int(present.sum()), 2), dtype=np.int64)
-    index = np.int32 if rows.size < 2**31 else np.int64
-    exponents, column = np.flatnonzero(present), np.cumsum(present, dtype=index) - 1
-    # cell (group, part, e) of rows, in place on the exponent columns
-    n_cells = n_parts * len(exponents)
-    cell = column[e]
-    cell += (group * n_cells).astype(index)[:, None]
-    cell += np.arange(n_parts, dtype=index) * len(exponents)
-    cell = cell.ravel()
-    # a cell sums less than 2**27 times the atoms of one factor, so it
-    # cannot wrap below 2**36 atoms
-    for limb, value in zip(rows.reshape(-1, 2).T, (m >> 26, m & (2**26 - 1))):
-        np.add.at(limb, cell, (value * count[:, None]).ravel())
-    if done is not None:
-        rows[:, :, column[done[0]]] += done[1]
-    return exponents, rows
-
-
-def _rounded(exponents, rows):
-    # Each group and part's nonzero cells as one exact Python int, rounded once
-    # by int / int, which Python rounds correctly.
-    sums = np.zeros(rows.shape[:2])
-    try:
-        for g, p in zip(*np.nonzero(rows.any(axis=(2, 3)))):
-            cells = zip(exponents.tolist(), rows[g, p].tolist())
-            sums[g, p] = sum(((high << 26) + low) << e for e, (high, low) in cells) / 2**1126
-    except OverflowError:
-        raise ValueError(_NOT_FINITE) from None
-    return sums
-
-
 def pair_correlation(
     mu: WeightedComb,
     nu: WeightedComb,
@@ -518,8 +484,7 @@ def _fb_values(
                 sums[q, 0, p, group[starts]] += np.add.reduceat(fixed >> 31, starts)
                 sums[q, 1, p, group[starts]] += np.add.reduceat(fixed & (2**31 - 1), starts)
     try:  # levels in units of 2**-1074 and sums of 2**-62: values over 2**1136 * vol
-        re, im = ([(n << 1074) // d for n, d in (v.as_integer_ratio() for v in part.tolist())]
-                  for part in (mu.levels.real, mu.levels.imag))
+        re, im = _units(mu.levels.real), _units(mu.levels.imag)
         vols = [spec.vol(R).as_integer_ratio() for R in spec.R_list]
         for k, (high, low) in zip(K, sums.reshape(len(K), 2, 2, len(intervals), n_levels)):
             s_re, s_im = (high.cumsum(axis=1).astype(object) << 31) + low.cumsum(axis=1)
@@ -613,7 +578,7 @@ def orthogonality_report(
         # Both factors are restricted to the same interval, so
         # c_nu_omega(s) = conj(c_omega_nu(-s)) atom for atom: each atom is the
         # correctly rounded sum of the same products, complex ones included,
-        # since _limb_rows forms those from separately rounded real products.
+        # since _averaged_comb forms those from separately rounded real products.
         sup = pair_correlation(omega, nu, spec.shape, R, r_max).sup_norm()
         rows.append(OrthogonalityRow(R, sup, sup))
     return rows

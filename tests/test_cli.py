@@ -312,9 +312,9 @@ BAD_BOUNDARY_RUNS = (
     (("diffract", "--riesz-depth", "20", "--r-max", "-3"),
      "r_max must be a finite, nonnegative integer, got -3.0"),
     (("sample", "--system", "bernoulli", "--seed", "5", "--p", "0.6", "--N", "200",
-      "--r-max", "2.9"), "r_max must be a finite, nonnegative integer, got 2.9"),
+      "--r-max", "2.9"), "r_max must be a whole number >= 1, got 2.9"),
     (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "200", "--seed", "5",
-      "--r-max", "0"), "r_max must be a whole number >= 1, got 0"),
+      "--r-max", "0"), "r_max must be a whole number >= 1, got 0.0"),
     (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "0", "--seed", "5"),
      "N must be a whole number >= 1, got 0"),
 )

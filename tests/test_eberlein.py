@@ -112,11 +112,11 @@ def test_sweep_kernel_matches_brute_force_oracle():
         assert got[k] == pytest.approx(want[k], abs=1e-12)
 
 
-def test_dense_and_sweep_kernels_agree_on_integers(monkeypatch):
-    # a lattice comb, and the same comb in complex weights with one
-    # off-lattice atom of weight 0: the second's pairs sum golden-ratio key
-    # codes, yet both count the same integers, also when tiny blocks make
-    # every cell's count a sum over blocks and folds
+def test_lattice_and_golden_ratio_sweeps_agree_on_integers(monkeypatch):
+    # one sweep over a lattice comb, and over the same comb in complex
+    # weights with one off-lattice atom of weight 0: the second's pairs sum
+    # golden-ratio key codes, yet both count the same integers, also when
+    # tiny blocks make every cell's count a sum over blocks and folds
     z = lattice_comb(-50, 50)
     marked = linear_combine(
         [(1.0, z), (1.0, dirac_comb([(0, 1)], (-50.0, 50.0), weight=0.0 + 0j))]
@@ -832,7 +832,7 @@ def test_sweep_and_fb_blocks_match_brute_force_over_many_levels(
     data, complex_x, complex_y, block, shape, R, r_max
 ):
     # blocks of 1, 3 and 7 pairs (or atoms) leave most blocks with a part of
-    # one x-atom's window, and make every tally, limb row and FB sum a sum over blocks
+    # one x-atom's window, and make every tally, exact sum and FB sum a sum over blocks
     mu = data.draw(leveled_comb_st(complex_x), label="mu")
     nu = data.draw(leveled_comb_st(complex_y), label="nu")
     spec = AveragingSpec(shape, (R / 2, float(R)))
@@ -947,11 +947,12 @@ double_st = st.one_of(st.floats(allow_nan=False, allow_infinity=False), special_
     st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_limb_rows_are_the_exact_sums(terms, reach, cancel):
-    # count * x summed per group and rounded once, against exact fractions.
-    # With reach, the counts of the first term's group sum to 2**35, inside
-    # the no-wrap bound; with cancel, group 3 holds terms and their
-    # negations, whatever the magnitudes, and one term that is left over.
+def test_averaged_atoms_are_the_exact_sums(terms, reach, cancel):
+    # count * x summed per group and rounded once, against exact fractions:
+    # one tally, with one level per term and the group as key code, over a
+    # volume of 1.  With reach, the counts of the first term's group sum to
+    # 2**35; with cancel, group 3 holds terms and their negations, whatever
+    # the magnitudes, and one term that is left over.
     if reach:
         g0, x0, _ = terms[0]
         terms[0] = (g0, x0, 2**35 - sum(c for g, _, c in terms[1:] if g == g0))
@@ -961,18 +962,19 @@ def test_limb_rows_are_the_exact_sums(terms, reach, cancel):
     group, x, count = (np.array(column) for column in zip(*terms))
     count = count.astype(np.int64)
     assert all(count[group == g].sum() <= 2**35 for g in range(4))
-    rows = eberlein._limb_rows(group, x, np.ones(len(x)), count, 4)
+    term = np.arange(len(x))
+    tally = [(group.astype(np.int64), term, np.zeros_like(term), count)]
     want = [sum((Fraction(v) * c for g_, v, c in terms if g_ == g), Fraction(0))
             for g in range(4)]
     try:
         expected = [float(w) for w in want]
     except OverflowError:
         with pytest.raises(ValueError, match="finite"):
-            eberlein._rounded(*rows)
+            eberlein._averaged_comb(tally, x, np.ones(1), 1.0, (0.0, 8.0))
         return
-    got = eberlein._rounded(*rows)
-    assert got.shape == (4, 1)
-    assert got[:, 0].tolist() == expected
+    got = eberlein._averaged_comb(tally, x, np.ones(1), 1.0, (0.0, 8.0))
+    assert got.codes.tolist() == [g for g in range(4) if expected[g] != 0]
+    assert got.weights.tolist() == [w for w in expected if w != 0]
 
 
 @given(
@@ -987,15 +989,18 @@ def test_limb_rows_are_the_exact_sums(terms, reach, cancel):
     )
 )
 @settings(max_examples=200, deadline=None)
-def test_limb_rows_of_complex_products(terms):
-    # each complex product from separately rounded real products
+def test_averaged_atoms_of_complex_products(terms):
+    # each complex product from separately rounded real products: one tally
+    # with one level per term on either side, all at key code 0
     x, y, count = (np.array(column) for column in zip(*terms))
     re = x.real * y.real - x.imag * y.imag
     im = x.real * y.imag + x.imag * y.real
-    want = [sum((Fraction(float(v)) * int(c) for v, c in zip(part, count)), Fraction(0))
-            for part in (re, im)]
-    rows = eberlein._limb_rows(np.zeros(len(x), dtype=np.int64), x, y, count.astype(np.int64), 1)
-    assert eberlein._rounded(*rows)[0].tolist() == [float(w) for w in want]
+    want = complex(*(float(sum((Fraction(float(v)) * int(c) for v, c in zip(part, count)),
+                               Fraction(0))) for part in (re, im)))
+    term = np.arange(len(x))
+    tally = [(np.zeros_like(term), term, term, count.astype(np.int64))]
+    got = eberlein._averaged_comb(tally, x, y, 1.0, (0.0, 1.0))
+    assert got.weights.tolist() == ([want] if want != 0 else [])
 
 
 @pytest.mark.parametrize("block", [None, 7])
@@ -1273,7 +1278,7 @@ def test_block_sizes_change_no_output(
 ):
     # x-chunks of PAIR_BLOCK >> 3 atoms (at least one), pair blocks, folds and
     # FB blocks of a few pairs, cells or atoms cut every y-window, tally and
-    # limb row somewhere else: a pair dropped or counted twice at a chunk or
+    # exact sum somewhere else: a pair dropped or counted twice at a chunk or
     # block edge changes some bit.  R = 0.25 leaves most restrictions empty.
     mu = data.draw(leveled_comb_st(complex_x), label="mu")
     nu = data.draw(leveled_comb_st(complex_y), label="nu")
