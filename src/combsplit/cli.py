@@ -13,10 +13,8 @@ import argparse
 import hashlib
 import json
 import math
-import numbers
 import sys
 from contextlib import ExitStack, contextmanager
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -94,64 +92,76 @@ def _write_json(path: str, obj: dict, cfg: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """The dest of every subcommand flag: each may come from the config document."""
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        a.dest for command in sub.choices.values() for a in command._actions
-        if a.option_strings and not isinstance(a, argparse._HelpAction)
-    }
+def _config_keys() -> set[str]:
+    """Every option of every command: each may come from the config document."""
+    return {key for options in _OPTIONS.values() for key in options}
 
 
-def _load_config(path: str | None, keys: set[str]) -> dict:
+def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object")
-    unknown = set(cfg) - keys
+    unknown = set(cfg) - _config_keys()
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
 def _merge(args: argparse.Namespace, cfg: dict) -> dict:
-    """Flags override config; untouched flags fall back to config values."""
-    merged = dict(cfg)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value
-    return merged
+    """Flags override config; untouched flags fall back to config values, and
+    a null config value counts as absent.  Each value of an option the
+    command declares is converted to its kind, so a flag and the same value
+    in a config document run and hash alike; other keys pass through."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    merged = {**cfg, **{k: v for k, v in flags.items() if v is not None}}
+    kinds = _OPTIONS[args.command]
+    return {key: _convert(key, kinds[key], value) if key in kinds else value
+            for key, value in merged.items() if value is not None}
 
 
-def _need(cfg: dict, key: str, cast=None):
-    if key not in cfg or cfg[key] is None:
+def _convert(key: str, kind, value):
+    """A flag's text or a config document's value as its option's kind, or
+    CliError: a number (float), a whole number (int, never a bool), text
+    (str; list also takes a JSON list) or one of a tuple of choices."""
+    flag = f"--{key.replace('_', '-')}"
+    if isinstance(kind, tuple):
+        ok, want = value in kind, f"one of {list(kind)}"
+    elif kind in (str, list):
+        ok, want = isinstance(value, (str, kind)), "text"
+    else:
+        if isinstance(value, str):
+            # a whole option's text is read by int() first, so a 20-digit
+            # seed stays exact; text that is no number stays text, refused
+            for parse in (int, float) if kind is int else (float,):
+                try:
+                    value = parse(value)
+                    break
+                except ValueError:
+                    pass
+        if kind is int:
+            return _whole(value, flag)
+        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        value = float(value) if ok else value
+    if not ok:
+        raise CliError(f"{flag} must be {want}, got {value!r}")
+    return value
+
+
+def _need(cfg: dict, key: str):
+    if key not in cfg:
         raise CliError(f"missing required option --{key.replace('_', '-')}")
-    return cast(cfg[key]) if cast else cfg[key]
-
-
-def _integer(cfg: dict, key: str, default=None) -> int:
-    # an integer option (required without a default)
-    value = _need(cfg, key) if default is None else cfg.get(key, default)
-    return _whole(value, f"--{key.replace('_', '-')}")
+    return cfg[key]
 
 
 def _whole(value, name: str) -> int:
     # value as an int, refused unless it is a whole number: a JSON document
-    # may give 20.0, not 20.7
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+    # may give 20.0, not 20.7 or true
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise CliError(f"{name} must be a whole number, got {value!r}")
     return int(value)
-
-
-def _whole_r_max(cfg: dict, default: int) -> int:
-    # diffract --riesz-depth takes r_max, the largest index m it writes, as a whole number
-    r_max = float(cfg.get("r_max", default))
-    if not (0.0 <= r_max < math.inf and r_max.is_integer()):
-        raise ValueError(f"r_max must be a finite, nonnegative integer, got {r_max!r}")
-    return int(r_max)
 
 
 def _parse_r_grid(cfg: dict) -> tuple[float, ...]:
@@ -166,19 +176,19 @@ def _parse_r_grid(cfg: dict) -> tuple[float, ...]:
 def _rule_from_config(cfg: dict) -> inflate.SubstitutionRule:
     if cfg.get("rule_file"):
         return inflate.rule_from_json(json.loads(Path(cfg["rule_file"]).read_text()))
-    system = _need(cfg, "system", str)
+    system = _need(cfg, "system")
     if system not in _PRESET_SYSTEMS:
         raise CliError(f"unknown system {system!r}; known: {_PRESET_SYSTEMS}")
-    return inflate.builtin_rule(system, float(cfg.get("p", 0.5)))
+    return inflate.builtin_rule(system, cfg.get("p", 0.5))
 
 
 def _realize_from_config(cfg: dict) -> inflate.TypedPointSet:
     rule = _rule_from_config(cfg)
-    R = _need(cfg, "R", float)
+    R = _need(cfg, "R")
     seed_letter = cfg.get("seed_letter", rule.alphabet[0])
     if rule.is_random:
         return inflate.realize_geometric(
-            rule, seed_letter, R, rng_seed=_integer(cfg, "seed"), stream=_integer(cfg, "stream", 0)
+            rule, seed_letter, R, rng_seed=_need(cfg, "seed"), stream=cfg.get("stream", 0)
         )
     return inflate.realize_geometric(rule, seed_letter, R)
 
@@ -282,24 +292,31 @@ def _key_lines(codes, tails=((None, ("\n",)),), lead=()):
     line m,n,value of a key code followed by texts[level[row]], after the
     constant cells of lead, if any.
 
-    The m,n,value text of a block is formatted once, column by column, and
-    shared by every tail; a tail with one text ignores its level.  So files
-    on the same keys format their keys once, and each distinct weight is
-    formatted once, by _level_text.
+    The m,n,value text of a block is formatted once, by one %-format of its
+    cells, and shared by every tail; a tail with one text ignores its level.
+    So files on the same keys format their keys once, and each distinct
+    weight is formatted once, by _level_text.
     """
-    for lo, columns in zip(range(0, len(codes), _ROW_BLOCK), _key_columns(codes)):
-        block = slice(lo, lo + _ROW_BLOCK)
-        heads = list(map(",".join, zip(*map(repeat, lead), *(map(str, c) for c in columns))))
-        yield [
-            texts[0].join(heads) + texts[0] if len(texts) == 1
-            else "".join(map(str.__add__, heads, map(texts.__getitem__, level[block].tolist())))
-            for level, texts in tails
-        ]
+    row = "".join(cell.replace("%", "%%") + "," for cell in lead) + "%d,%d,%r\0"
+    for lo, (m, n, value) in zip(range(0, len(codes), _ROW_BLOCK), _key_columns(codes)):
+        cells = [None] * (3 * len(m))
+        cells[0::3], cells[1::3], cells[2::3] = m, n, value
+        heads = (row * len(m) % tuple(cells)).split("\0")  # and a last, empty one
+        lines = [None] * (2 * len(m))
+        lines[0::2] = heads[:-1]
+        block = []
+        for level, texts in tails:
+            if len(texts) == 1:
+                block.append(texts[0].join(heads))
+            else:
+                lines[1::2] = map(texts.__getitem__, level[lo : lo + _ROW_BLOCK].tolist())
+                block.append("".join(lines))
+        yield block
 
 
 def cmd_generate(cfg: dict) -> int:
     tps = _realize_from_config(cfg)
-    out = _need(cfg, "out", str)
+    out = _need(cfg, "out")
     if cfg.get("format", "csv") == "json":
         doc = {
             "range": list(tps.rng),
@@ -321,11 +338,11 @@ def cmd_project(cfg: dict) -> int:
     t = cfg.get("type", next(iter(windows)))
     if t not in windows:
         raise CliError(f"no window for type {t!r}")
-    R = _need(cfg, "R", float)
+    R = _need(cfg, "R")
     if not (math.isfinite(R) and R >= 0):  # as generate refuses it
         raise CliError(f"R must be finite and nonnegative, got {R!r}")
     codes = cps.cut_and_project(windows[t], (0.0, R))
-    out = _need(cfg, "out", str)
+    out = _need(cfg, "out")
     if cfg.get("format", "csv") == "json":
         _write_json(out, {"type": t, "points": [
             {"m": m, "n": n, "value": v} for m, n, v in _key_rows(codes)
@@ -361,10 +378,10 @@ def _write_comb_csvs(out_dir: Path, named, cfg: dict) -> None:
 
 
 def cmd_split(cfg: dict) -> int:
-    system = _need(cfg, "system", str)
-    R = _need(cfg, "R", float)
+    system = _need(cfg, "system")
+    R = _need(cfg, "R")
     ctx = suites.system_context(system, R)
-    out_dir = Path(_need(cfg, "out", str))
+    out_dir = Path(_need(cfg, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_comb_csvs(out_dir, [
         (f"{name}_{t}", comb)
@@ -382,14 +399,14 @@ def cmd_split(cfg: dict) -> int:
 def cmd_correlate(cfg: dict) -> int:
     cfg = dict(cfg)
     R_grid = _parse_r_grid(cfg)
-    r_max = float(cfg.get("r_max", 20.0))
+    r_max = cfg.get("r_max", 20.0)
     variant = cfg.get("variant", "both")
     # variant one reads the second factor up to R + r_max
     cfg.setdefault("R", max(R_grid) + r_max if variant == "one" else max(R_grid))
     tps = _realize_from_config(cfg)
     types = cfg.get("types")
     if types:
-        mu, nu = map(tps.comb, _types_of(str(types), tps.types(), "--types", 2))
+        mu, nu = map(tps.comb, _types_of(types, tps.types(), "--types", 2))
     else:
         mu = nu = tps.comb()
     shape = cfg.get("shape", "one_sided")
@@ -404,7 +421,7 @@ def cmd_correlate(cfg: dict) -> int:
                 yield text
 
     _write_csv(
-        _need(cfg, "out", str),
+        _need(cfg, "out"),
         ["m", "n", "distance", "re_weight", "im_weight", "R", "variant"],
         lines(),
         cfg,
@@ -423,7 +440,7 @@ def cmd_fb(cfg: dict) -> int:
         t = cfg.get("type")
         comb = tps.comb(None if t is None else _types_of(t, tps.types(), "--type", 1)[0])
     elif measure in ("omega", "nu"):
-        system = _need(cfg, "system", str)
+        system = _need(cfg, "system")
         ctx = suites.system_context(system, max(R_grid))
         (t,) = _types_of(cfg.get("type", "a"), tuple(ctx.splits), "--type", 1)
         comb = ctx.splits[t][0 if measure == "omega" else 1]
@@ -449,7 +466,7 @@ def cmd_fb(cfg: dict) -> int:
             )
         )
     _write_csv(
-        _need(cfg, "out", str),
+        _need(cfg, "out"),
         ["k_a", "k_b", "k_value", "R", "re", "im", "abs", "cauchy_diff"],
         rows,
         cfg,
@@ -458,9 +475,9 @@ def cmd_fb(cfg: dict) -> int:
 
 
 def cmd_diffract(cfg: dict) -> int:
-    out = _need(cfg, "out", str)
-    if cfg.get("eta") is not None:
-        m_max = _integer(cfg, "eta")
+    out = _need(cfg, "out")
+    if "eta" in cfg:
+        m_max = cfg["eta"]
         table = spectra.tm_eta(m_max)
         rows = [
             (m, table[m].numerator, table[m].denominator, float(table[m]))
@@ -468,37 +485,28 @@ def cmd_diffract(cfg: dict) -> int:
         ]
         _write_csv(out, ["m", "eta_numerator", "eta_denominator", "eta_float"], rows, cfg)
         return 0
-    if cfg.get("riesz_depth") is not None:
-        depth = _integer(cfg, "riesz_depth")
-        # the depth is checked before r_max, then only the rows written are computed
-        m_hi = min(spectra.riesz_coefficients(depth, 0).support(), _whole_r_max(cfg, 64))
+    if "riesz_depth" in cfg:
+        depth = cfg["riesz_depth"]
+        # the depth is checked before r_max, the largest index m written, which
+        # must be whole; then only the rows written are computed
+        support = spectra.riesz_coefficients(depth, 0).support()
+        r_max = cfg.get("r_max", 64.0)
+        if not (0.0 <= r_max < math.inf and r_max.is_integer()):
+            raise ValueError(f"r_max must be a finite, nonnegative integer, got {r_max!r}")
+        m_hi = min(support, int(r_max))
         rz = spectra.riesz_coefficients(depth, m_hi)
-        rows = [
-            (
-                m,
-                rz.coefficient(m).numerator,
-                rz.coefficient(m).denominator,
-                rz.coefficient_float(m),
-            )
-            for m in range(-m_hi, m_hi + 1)
-        ]
-        _write_csv(
-            out, ["m", "c_m_numerator", "c_m_denominator", "c_m_float"], rows, cfg
-        )
+        rows = [(m, rz.coefficient(m).numerator, rz.coefficient(m).denominator,
+                 rz.coefficient_float(m)) for m in range(-m_hi, m_hi + 1)]
+        _write_csv(out, ["m", "c_m_numerator", "c_m_denominator", "c_m_float"], rows, cfg)
         return 0
     # pure-point amplitudes of a windowed system: its calibrated windows and
     # alphas, with no projection or split
-    system = _need(cfg, "system", str)
-    R = float(cfg.get("R", 10_000.0))
+    system = _need(cfg, "system")
+    R = cfg.get("R", 10_000.0)
     rule, _, windows, alphas = suites._calibrated(system, R)
     if windows is None:
         raise CliError(f"system {system!r} has no Euclidean windows")
-    ks = [
-        k
-        for k in cps.fourier_module(
-            float(cfg.get("k_max", 3.0)), float(cfg.get("kstar_max", 3.0))
-        )
-    ]
+    ks = list(cps.fourier_module(cfg.get("k_max", 3.0), cfg.get("kstar_max", 3.0)))
     weights = {t: 1.0 for t in rule.alphabet}
     rows_out = []
     for row in spectra.pp_intensity(windows, weights, ks, alphas):
@@ -513,13 +521,13 @@ def cmd_diffract(cfg: dict) -> int:
 
 
 def cmd_sample(cfg: dict) -> int:
-    model = _need(cfg, "system", str)
-    seed = _integer(cfg, "seed")
-    stream = _integer(cfg, "stream", 0)
+    model = _need(cfg, "system")
+    seed = _need(cfg, "seed")
+    stream = cfg.get("stream", 0)
     rng = stochastic.RngSpec(seed, stream)
-    out = _need(cfg, "out", str)
+    out = _need(cfg, "out")
     if model == "bernoulli":
-        p = float(_need(cfg, "p"))
+        p = _need(cfg, "p")
         # one draw serves the report and the points file
         report = stochastic.bernoulli_verify(p, _need(cfg, "N"), rng, cfg.get("r_max", 50))
         doc = {
@@ -546,8 +554,8 @@ def cmd_sample(cfg: dict) -> int:
             _write_csv(cfg["points_out"], ["m", "n", "value"], lines, cfg)
         return 0
     if model == "random_fibonacci":
-        p = float(cfg.get("p", 0.5))
-        R = _need(cfg, "R", float)
+        p = cfg.get("p", 0.5)
+        R = _need(cfg, "R")
         tps = stochastic.random_fibonacci(p, R, rng)
         _write_csv(out, ["type", "m", "n", "value"], _point_lines(tps), cfg)
         return 0
@@ -555,9 +563,8 @@ def cmd_sample(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    suite = _need(cfg, "suite", str)
-    seed = None if cfg.get("seed") is None else _integer(cfg, "seed")
-    reports = suites.run_suite(suite, seed)
+    suite = _need(cfg, "suite")
+    reports = suites.run_suite(suite, cfg.get("seed"))
     all_ok = True
     for rep in reports:
         for check in rep.checks:
@@ -589,6 +596,29 @@ _COMMANDS = {
 }
 
 
+# Every option of each command by kind, the one place it is written: float,
+# int (a whole number), str (text), list (text, or a JSON list, parsed by
+# the command) or a tuple of choices.  Flags and config values alike pass
+# through _convert.
+_FORMAT = ("csv", "json")
+_SHAPE = ("one_sided", "symmetric")
+_COMMON = {"system": str, "R": float, "seed": int, "stream": int, "out": str, "format": _FORMAT}
+_OPTIONS = {
+    "generate": {**_COMMON, "p": float, "rule_file": str, "seed_letter": str},
+    "project": {"window_preset": str, "windows_file": str, "type": str, "R": float,
+                "out": str, "format": _FORMAT, "system": str},
+    "split": _COMMON,
+    "correlate": {**_COMMON, "types": str, "r_max": float, "variant": ("both", "one"),
+                  "shape": _SHAPE, "R_grid": list, "p": float, "rule_file": str},
+    "fb": {**_COMMON, "measure": str, "type": str, "k_preset": str, "k_values": list,
+           "shape": _SHAPE, "R_grid": list, "p": float, "rule_file": str},
+    "diffract": {**_COMMON, "eta": int, "riesz_depth": int, "k_max": float,
+                 "kstar_max": float, "r_max": float},
+    "sample": {**_COMMON, "p": float, "N": int, "r_max": float, "points_out": str},
+    "verify": {"suite": str, "seed": int, "out": str},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="combsplit",
@@ -597,47 +627,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="JSON config document; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, *flags):
-        p = sub.add_parser(name)
-        for flag, kw in flags:
-            p.add_argument(flag, **kw)
-        return p
-
-    num = {"type": float, "default": None}
-    intarg = {"type": int, "default": None}
-    strarg = {"default": None}
-    common = [
-        ("--system", dict(strarg)),
-        ("--R", dict(num)),
-        ("--seed", dict(intarg)),
-        ("--stream", dict(intarg)),
-        ("--out", dict(strarg)),
-        ("--format", dict(choices=["csv", "json"], default=None)),
-    ]
-    add("generate", *common, ("--p", dict(num)), ("--rule-file", dict(strarg)),
-        ("--seed-letter", dict(strarg)))
-    add("project", ("--window-preset", dict(strarg)), ("--windows-file", dict(strarg)),
-        ("--type", dict(strarg)), ("--R", dict(num)), ("--out", dict(strarg)),
-        ("--format", dict(choices=["csv", "json"], default=None)),
-        ("--system", dict(strarg)))
-    add("split", *common)
-    add("correlate", *common, ("--types", dict(strarg)), ("--r-max", dict(num)),
-        ("--variant", dict(choices=["both", "one"], default=None)),
-        ("--shape", dict(choices=["one_sided", "symmetric"], default=None)),
-        ("--R-grid", dict(strarg)), ("--p", dict(num)),
-        ("--rule-file", dict(strarg)))
-    add("fb", *common, ("--measure", dict(strarg)), ("--type", dict(strarg)),
-        ("--k-preset", dict(strarg)), ("--k-values", dict(strarg)),
-        ("--shape", dict(choices=["one_sided", "symmetric"], default=None)),
-        ("--R-grid", dict(strarg)), ("--p", dict(num)),
-        ("--rule-file", dict(strarg)))
-    add("diffract", *common, ("--eta", dict(intarg)), ("--riesz-depth", dict(intarg)),
-        ("--k-max", dict(num)), ("--kstar-max", dict(num)), ("--r-max", dict(num)))
-    add("sample", *common, ("--p", dict(num)), ("--N", dict(intarg)),
-        ("--r-max", dict(num)), ("--points-out", dict(strarg)))
-    add("verify", ("--suite", dict(strarg)), ("--seed", dict(intarg)),
-        ("--out", dict(strarg)))
+    for name, options in _OPTIONS.items():
+        command = sub.add_parser(name)
+        for key, kind in options.items():
+            choices = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else None
+            command.add_argument(f"--{key.replace('_', '-')}", metavar=choices)
     return parser
 
 
@@ -645,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge(args, _load_config(args.config, _config_keys(parser)))
+        cfg = _merge(args, _load_config(args.config))
         return _COMMANDS[args.command](cfg)
     except (ValueError, KeyError, OSError, MemoryError, OverflowError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

@@ -167,19 +167,22 @@ def riesz_coefficients(L: int, m_max: int | None = None) -> RieszCoefficients:
     The numerators f_l of the depth-(L - l) product at 2^l k satisfy f_L(r) =
     [r = 0], f_l(2r) = 2 f_{l+1}(r) and f_l(2r + 1) = -f_{l+1}(r) - f_{l+1}(r + 1),
     exact in int64 as |f_l| <= 2^(L - l); level l needs |r| <= (m_max >> l) + 1
-    only.  The depth cap of 24 is no longer a memory bound, but its error
-    text is CLI output and stays as it was.
+    only.  The depth is at most 31, which keeps even the looser bound 4^L on
+    the numerators below 2^63, and the window's 2 m_max + 1 int64 entries
+    are charged to the points budget, so the whole support is refused from
+    depth 25 on.
     """
     if L < 1:
         raise ValueError("depth must be at least 1")
-    if L > 24:
-        raise ValueError("depth above 24 exceeds the memory budget")
+    if L > 31:
+        raise ValueError(f"depth must be at most 31, got {L}")
     support = 2**L - 1
     m_max = support if m_max is None else m_max
     if m_max > support:
         raise ValueError("m_max exceeds the support of the depth-L product")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
+    cps.check_points_budget(2 * m_max + 1, f"the depth-{L} cosine product on |m| <= {m_max}")
     f = np.array([0, 1, 0], dtype=np.int64)  # f_L on |r| <= 1
     for level in range(L - 1, -1, -1):
         reach = len(f) // 2

@@ -132,12 +132,14 @@ def bernoulli_verify(p: float, N: int, rng: RngSpec, r_max: int = 50) -> Bernoul
     * delta_M by [p, p] and nu = lambda - omega by [1 - p, -p], through the
     exact sums of every correlation, so each atom is the one
     pair_correlation gives for those combs, bit for bit.  N must be a
-    whole number >= 1 and r_max a whole number >= 1; ValueError otherwise.
+    whole number >= 1 and r_max a whole number >= 1, neither a bool;
+    ValueError otherwise.
     The report keeps the row, so report.sites() gives the gas's sites with
     no second draw.
     """
     for name, size in (("N", N), ("r_max", r_max)):
-        if not (isinstance(size, numbers.Real) and size >= 1 and float(size).is_integer()):
+        if isinstance(size, bool) or not (
+                isinstance(size, numbers.Real) and size >= 1 and float(size).is_integer()):
             raise ValueError(f"{name} must be a whole number >= 1, got {size!r}")
     N, r_max = int(N), int(r_max)
     row = _occupancy(p, N, rng)

@@ -93,7 +93,8 @@ def test_every_flag_is_accepted_from_the_config(tmp_path, capsys):
     assert len(dests) == 27
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict.fromkeys(dests, 1)))
-    assert cli._load_config(str(cfg), cli._config_keys(parser)) == dict.fromkeys(dests, 1)
+    assert cli._config_keys() == dests
+    assert cli._load_config(str(cfg)) == dict.fromkeys(dests, 1)
     # anything else is refused with the same message as before
     cfg.write_text(json.dumps({"system": "fibonacci", "zeta": 1, "bogus": 2, "help": 3}))
     assert run("--config", str(cfg), "generate", "--R", "10",
@@ -124,20 +125,27 @@ def test_point_files_match_per_cell_repr(tmp_path):
     # constant type cell: the bytes of one repr per cell, row by row
     from combsplit import inflate, stochastic
 
+    # a rule file's type names may hold a %, which the row format must not read
+    rule = {"alphabet": ["a%d", "b%"], "images": {"a%d": ["a%d", "b%"], "b%": ["a%d"]},
+            "lengths": {"a%d": {"m": 0, "n": 1}, "b%": 1}}
+    rule_file = tmp_path / "rule.json"
+    rule_file.write_text(json.dumps(rule))
     runs = (
         (("generate", "--system", "twisted_fibonacci", "--R", "700"),
          inflate.realize_geometric(inflate.twisted_fibonacci_rule(), "a", 700.0)),
+        (("generate", "--rule-file", str(rule_file), "--R", "700"),
+         inflate.realize_geometric(inflate.rule_from_json(rule), "a%d", 700.0)),
         (("sample", "--system", "random_fibonacci", "--R", "700", "--seed", "7"),
          stochastic.random_fibonacci(0.5, 700.0, stochastic.RngSpec(7))),
     )
     for argv, tps in runs:
-        out = tmp_path / f"{argv[0]}.csv"
+        out = tmp_path / "points.csv"
         assert run(*argv, "--out", str(out)) == 0
         want = ["type,m,n,value"] + [
             f"{t},{m},{n},{m + n * TAU!r}"
             for t, pts in tps.points.items() for m, n in pts.tolist()
         ]
-        assert out.read_text().splitlines()[1:] == want, argv[0]
+        assert out.read_text().splitlines()[1:] == want, argv
 
 
 def test_sample_bernoulli_report(tmp_path):
@@ -630,7 +638,7 @@ BAD_INPUT_RUNS = (
     (("project", "--window-preset", "fibonacci", "--R", "-10"), {},
      "CliError", "R must be finite and nonnegative, got -10.0"),
     (("sample", "--system", "bernoulli", "--p", "0.6", "--seed", "5"), {"N": 20.7},
-     "ValueError", "N must be a whole number >= 1, got 20.7"),
+     "CliError", "--N must be a whole number, got 20.7"),
     (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "20"), {"seed": 5.5},
      "CliError", "--seed must be a whole number, got 5.5"),
     (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "20", "--seed", "5"),
@@ -652,6 +660,32 @@ BAD_INPUT_RUNS = (
      "CliError", "--type must name 1 of the system's types ['a', 'a_', 'b', 'b_'], got 'q'"),
     (("fb", "--system", "fibonacci", "--R-grid", "100", "--measure", "nu"), {"type": "q"},
      "CliError", "--type must name 1 of the system's types ['a', 'b'], got 'q'"),
+    # flags and config values pass through one converter: the same refusal
+    # from either, before any command runs
+    (("generate", "--system", "fibonacci"), {"R": True},
+     "CliError", "--R must be a number, got True"),
+    (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "200", "--seed", "5"),
+     {"r_max": True}, "CliError", "--r-max must be a number, got True"),
+    (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "200"), {"seed": True},
+     "CliError", "--seed must be a whole number, got True"),
+    (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "200", "--seed", "2.5"), {},
+     "CliError", "--seed must be a whole number, got 2.5"),
+    (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "200"), {"seed": 2.5},
+     "CliError", "--seed must be a whole number, got 2.5"),
+    (("generate", "--system", "fibonacci", "--R", "abc"), {},
+     "CliError", "--R must be a number, got 'abc'"),
+    (("generate", "--system", "fibonacci"), {"R": "abc"},
+     "CliError", "--R must be a number, got 'abc'"),
+    (("correlate", "--system", "fibonacci", "--R-grid", "100", "--shape", "bogus"), {},
+     "CliError", "--shape must be one of ['one_sided', 'symmetric'], got 'bogus'"),
+    (("correlate", "--system", "fibonacci", "--R-grid", "100"), {"shape": "bogus"},
+     "CliError", "--shape must be one of ['one_sided', 'symmetric'], got 'bogus'"),
+    (("generate", "--system", "fibonacci", "--R", "100", "--format", "xml"), {},
+     "CliError", "--format must be one of ['csv', 'json'], got 'xml'"),
+    (("generate", "--system", "fibonacci", "--R", "100"), {"format": "xml"},
+     "CliError", "--format must be one of ['csv', 'json'], got 'xml'"),
+    (("generate", "--R", "100"), {"system": 5},
+     "CliError", "--system must be text, got 5"),
 )
 
 
@@ -659,7 +693,11 @@ BAD_INPUT_RUNS = (
     "project-R-negative", "sample-N-fraction", "sample-seed-fraction",
     "sample-stream-fraction", "generate-seed-fraction", "diffract-eta-fraction",
     "correlate-one-type", "correlate-three-types", "correlate-unknown-type",
-    "fb-points-unknown-type", "fb-omega-unknown-type", "fb-nu-unknown-type"])
+    "fb-points-unknown-type", "fb-omega-unknown-type", "fb-nu-unknown-type",
+    "generate-R-bool", "sample-r_max-bool", "sample-seed-bool", "sample-seed-fraction-flag",
+    "sample-seed-fraction-config", "generate-R-text-flag", "generate-R-text-config",
+    "correlate-shape-flag", "correlate-shape-config", "generate-format-flag",
+    "generate-format-config", "generate-system-number"])
 def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -667,6 +705,30 @@ def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_
     assert run("--config", str(cfg), *argv, "--out", str(out)) == 1
     assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flags,config", [
+    (("split", "--system", "twisted_fibonacci"), ("--R", "1e3"), {"R": 1000}),
+    (("sample", "--system", "random_fibonacci", "--R", "500"),
+     ("--seed", "7", "--stream", "2", "--p", "0.5"), {"seed": 7.0, "stream": "2", "p": 0.5}),
+    (("verify", "--suite", "bernoulli"), ("--seed", "12345678901234567890"),
+     {"seed": 12345678901234567890}),
+], ids=["split-R", "sample-seed-stream", "verify-20-digit-seed"])
+def test_a_flag_and_its_config_value_write_the_same_bytes(argv, flags, config, tmp_path):
+    # one converter for both: equal values run alike and hash alike
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    assert run(*argv, *flags, "--out", str(by_flag)) == 0
+    assert run("--config", str(cfg), *argv, "--out", str(by_config)) == 0
+    if by_flag.is_dir():
+        names = sorted(p.name for p in by_flag.iterdir())
+        assert names == sorted(p.name for p in by_config.iterdir()) and len(names) == 9
+        pairs = [(by_flag / name, by_config / name) for name in names]
+    else:
+        pairs = [(by_flag, by_config)]
+    for a, b in pairs:
+        assert a.read_bytes() == b.read_bytes(), a.name
 
 
 def test_whole_float_integer_options_are_accepted(tmp_path):

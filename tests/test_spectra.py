@@ -81,8 +81,22 @@ def test_riesz_positive_on_dyadic_grid():
 
 
 def test_riesz_depth_cap():
-    with pytest.raises(ValueError):
+    # the whole support at depth 25 is over the points budget; a window of it
+    # runs up to depth 31
+    with pytest.raises(ValueError, match="MAX_POINTS"):
         riesz_coefficients(25)
+    with pytest.raises(ValueError, match="^depth must be at most 31, got 32$"):
+        riesz_coefficients(32, 8)
+
+
+def test_riesz_depth_31_window():
+    rz = riesz_coefficients(31, 8)
+    assert rz.denominator == 2**31 and len(rz.numerators) == 17
+    assert int(abs(rz.numerators).max()) == 2**31  # the coefficient 1 at m = 0
+    eta = tm_eta(8)
+    for m in range(-8, 9):
+        assert rz.coefficient(m) == rz.coefficient(-m)
+        assert abs(rz.coefficient(m) - eta[m]) <= 1.3e-9
 
 
 def test_pp_intensity_zero_frequency_is_density():

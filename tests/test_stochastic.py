@@ -148,6 +148,8 @@ def test_bernoulli_verify_equals_the_comb_correlations(N, p, data, seed):
     (10, 0, "r_max must be a whole number >= 1, got 0"),
     (10, 2.9, "r_max must be a whole number >= 1, got 2.9"),
     (10, float("nan"), "r_max must be a whole number >= 1, got nan"),
+    (True, 5, "N must be a whole number >= 1, got True"),
+    (10, True, "r_max must be a whole number >= 1, got True"),
 ])
 def test_bernoulli_verify_rejects_empty_ranges(N, r_max, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
