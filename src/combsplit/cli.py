@@ -92,32 +92,27 @@ def _write_json(path: str, obj: dict, cfg: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
 
 
-def _config_keys() -> set[str]:
-    """Every option of every command: each may come from the config document."""
-    return {key for options in _OPTIONS.values() for key in options}
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object")
-    unknown = set(cfg) - _config_keys()
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
 def _merge(args: argparse.Namespace, cfg: dict) -> dict:
     """Flags override config; untouched flags fall back to config values, and
-    a null config value counts as absent.  Each value of an option the
-    command declares is converted to its kind, so a flag and the same value
-    in a config document run and hash alike; other keys pass through."""
+    a null config value counts as absent.  The config may hold only the
+    options the command declares, and each value is converted to its kind,
+    so a flag and the same value in a config document run and hash alike."""
+    kinds = _OPTIONS[args.command]
+    unknown = set(cfg) - set(kinds)
+    if unknown:
+        raise CliError(f"unknown config keys: {sorted(unknown)}")
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     merged = {**cfg, **{k: v for k, v in flags.items() if v is not None}}
-    kinds = _OPTIONS[args.command]
-    return {key: _convert(key, kinds[key], value) if key in kinds else value
+    return {key: _convert(key, kinds[key], value)
             for key, value in merged.items() if value is not None}
 
 
@@ -164,22 +159,26 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _numbers(cfg: dict, key: str) -> list[float]:
+    # a list option's entries, from comma-separated text or a JSON list, each
+    # converted as a number option is; the option's value stays as given
+    raw = cfg[key]
+    entries = raw.split(",") if isinstance(raw, str) else raw
+    if not entries:
+        raise CliError(f"--{key.replace('_', '-')} must list one or more numbers")
+    return [_convert(key, float, entry) for entry in entries]
+
+
 def _parse_r_grid(cfg: dict) -> tuple[float, ...]:
-    raw = cfg.get("R_grid")
-    if raw is None:
+    if "R_grid" not in cfg:
         return (100.0, 1000.0, 10_000.0)
-    if isinstance(raw, str):
-        return tuple(float(x) for x in raw.split(","))
-    return tuple(float(x) for x in raw)
+    return tuple(_numbers(cfg, "R_grid"))
 
 
 def _rule_from_config(cfg: dict) -> inflate.SubstitutionRule:
     if cfg.get("rule_file"):
         return inflate.rule_from_json(json.loads(Path(cfg["rule_file"]).read_text()))
-    system = _need(cfg, "system")
-    if system not in _PRESET_SYSTEMS:
-        raise CliError(f"unknown system {system!r}; known: {_PRESET_SYSTEMS}")
-    return inflate.builtin_rule(system, cfg.get("p", 0.5))
+    return inflate.builtin_rule(_need(cfg, "system"), cfg.get("p", 0.5))
 
 
 def _realize_from_config(cfg: dict) -> inflate.TypedPointSet:
@@ -196,23 +195,11 @@ def _realize_from_config(cfg: dict) -> inflate.TypedPointSet:
 def _windows_from_config(cfg: dict) -> dict[str, cps.Window]:
     if cfg.get("windows_file"):
         doc = json.loads(Path(cfg["windows_file"]).read_text())
-        out = {}
-        for t, intervals in doc.items():
-            ivs = []
-            for iv in intervals:
-                unknown = set(iv) - {"lo", "hi", "lo_closed", "hi_closed"}
-                if unknown:
-                    raise CliError(f"unknown window keys: {sorted(unknown)}")
-                ivs.append(
-                    cps.Interval(
-                        _endpoint(iv["lo"]),
-                        _endpoint(iv["hi"]),
-                        _closed(iv, "lo_closed"),
-                        _closed(iv, "hi_closed"),
-                    )
-                )
-            out[t] = cps.Window(ivs)
-        return out
+        if not (isinstance(doc, dict) and doc and all(
+                isinstance(ivs, list) and all(isinstance(iv, dict) for iv in ivs)
+                for ivs in doc.values())):
+            raise CliError("--windows-file must map one or more types to lists of interval objects")
+        return {t: cps.Window([_interval(iv) for iv in ivs]) for t, ivs in doc.items()}
     preset = cfg.get("window_preset") or cfg.get("system")
     if preset == "fibonacci":
         return cps.fibonacci_windows()
@@ -221,12 +208,26 @@ def _windows_from_config(cfg: dict) -> dict[str, cps.Window]:
     raise CliError("need --window-preset, --windows-file, or a windowed --system")
 
 
-def _endpoint(obj):
+def _interval(iv: dict) -> cps.Interval:
+    unknown = set(iv) - {"lo", "hi", "lo_closed", "hi_closed"}
+    if unknown:
+        raise CliError(f"unknown window keys: {sorted(unknown)}")
+    return cps.Interval(_endpoint(iv, "lo"), _endpoint(iv, "hi"),
+                        _closed(iv, "lo_closed"), _closed(iv, "hi_closed"))
+
+
+def _endpoint(iv: dict, key: str):
+    # an exact endpoint {"m", "n"}, or a finite JSON number (never a bool)
+    if key not in iv:
+        raise CliError(f"window interval has no {key}: {iv!r}")
+    obj = iv[key]
     if isinstance(obj, dict):
         extra = set(obj) - {"m", "n"}
         if extra:
             raise CliError(f"unknown endpoint keys {sorted(extra)}")
-        return QuadraticInt(*(_whole(obj.get(key, 0), f"endpoint {key}") for key in ("m", "n")))
+        return QuadraticInt(*(_whole(obj.get(k, 0), f"endpoint {k}") for k in ("m", "n")))
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not math.isfinite(obj):
+        raise CliError(f"window {key} must be a finite number or {{m, n}}, got {obj!r}")
     return float(obj)
 
 
@@ -248,16 +249,11 @@ def _types_of(value: str, types: tuple[str, ...], option: str, count: int) -> li
 
 
 def _k_selection(cfg: dict) -> list:
-    if cfg.get("k_values"):
-        raw = cfg["k_values"]
-        vals = raw.split(",") if isinstance(raw, str) else raw
-        return [float(v) for v in vals]
-    preset = cfg.get("k_preset", "standard")
-    if preset == "standard":
-        return suites.preset_k_points()
-    if preset == "module":
+    if "k_values" in cfg:
+        return _numbers(cfg, "k_values")
+    if cfg.get("k_preset") == "module":
         return list(suites.preset_module_points())
-    raise CliError(f"unknown k preset {preset!r}")
+    return suites.preset_k_points()
 
 
 def _point_lines(tps: inflate.TypedPointSet):
@@ -439,13 +435,10 @@ def cmd_fb(cfg: dict) -> int:
         tps = _realize_from_config(cfg)
         t = cfg.get("type")
         comb = tps.comb(None if t is None else _types_of(t, tps.types(), "--type", 1)[0])
-    elif measure in ("omega", "nu"):
-        system = _need(cfg, "system")
-        ctx = suites.system_context(system, max(R_grid))
+    else:
+        ctx = suites.system_context(_need(cfg, "system"), max(R_grid))
         (t,) = _types_of(cfg.get("type", "a"), tuple(ctx.splits), "--type", 1)
         comb = ctx.splits[t][0 if measure == "omega" else 1]
-    else:
-        raise CliError(f"unknown measure {measure!r}")
     spec = eberlein.AveragingSpec(shape, R_grid)
     rows = []
     for row in eberlein.fb_scan(comb, _k_selection(cfg), spec):
@@ -553,13 +546,9 @@ def cmd_sample(cfg: dict) -> int:
             )
             _write_csv(cfg["points_out"], ["m", "n", "value"], lines, cfg)
         return 0
-    if model == "random_fibonacci":
-        p = cfg.get("p", 0.5)
-        R = _need(cfg, "R")
-        tps = stochastic.random_fibonacci(p, R, rng)
-        _write_csv(out, ["type", "m", "n", "value"], _point_lines(tps), cfg)
-        return 0
-    raise CliError(f"unknown stochastic system {model!r}")
+    tps = stochastic.random_fibonacci(cfg.get("p", 0.5), _need(cfg, "R"), rng)
+    _write_csv(out, ["type", "m", "n", "value"], _point_lines(tps), cfg)
+    return 0
 
 
 def cmd_verify(cfg: dict) -> int:
@@ -596,31 +585,43 @@ _COMMANDS = {
 }
 
 
-# Every option of each command by kind, the one place it is written: float,
-# int (a whole number), str (text), list (text, or a JSON list, parsed by
-# the command) or a tuple of choices.  Flags and config values alike pass
-# through _convert.
+# The options each command reads by kind, the one place they are written:
+# float, int (a whole number), str (text), list (text, or a JSON list, of
+# numbers) or a tuple of choices.  The parser's flags and the config keys a
+# command takes are these, and flags and config values alike pass through
+# _convert.
 _FORMAT = ("csv", "json")
 _SHAPE = ("one_sided", "symmetric")
-_COMMON = {"system": str, "R": float, "seed": int, "stream": int, "out": str, "format": _FORMAT}
+# what _realize_from_config reads
+_REALIZE = {"system": _PRESET_SYSTEMS, "rule_file": str, "p": float, "R": float,
+            "seed_letter": str, "seed": int, "stream": int}
 _OPTIONS = {
-    "generate": {**_COMMON, "p": float, "rule_file": str, "seed_letter": str},
+    "generate": {**_REALIZE, "out": str, "format": _FORMAT},
     "project": {"window_preset": str, "windows_file": str, "type": str, "R": float,
                 "out": str, "format": _FORMAT, "system": str},
-    "split": _COMMON,
-    "correlate": {**_COMMON, "types": str, "r_max": float, "variant": ("both", "one"),
-                  "shape": _SHAPE, "R_grid": list, "p": float, "rule_file": str},
-    "fb": {**_COMMON, "measure": str, "type": str, "k_preset": str, "k_values": list,
-           "shape": _SHAPE, "R_grid": list, "p": float, "rule_file": str},
-    "diffract": {**_COMMON, "eta": int, "riesz_depth": int, "k_max": float,
-                 "kstar_max": float, "r_max": float},
-    "sample": {**_COMMON, "p": float, "N": int, "r_max": float, "points_out": str},
+    "split": {"system": str, "R": float, "out": str},
+    "correlate": {**_REALIZE, "out": str, "types": str, "r_max": float,
+                  "variant": ("both", "one"), "shape": _SHAPE, "R_grid": list},
+    "fb": {**_REALIZE, "out": str, "measure": ("points", "omega", "nu"), "type": str,
+           "k_preset": ("standard", "module"), "k_values": list, "shape": _SHAPE,
+           "R_grid": list},
+    "diffract": {"system": str, "R": float, "out": str, "eta": int, "riesz_depth": int,
+                 "k_max": float, "kstar_max": float, "r_max": float},
+    "sample": {"system": ("bernoulli", "random_fibonacci"), "R": float, "seed": int,
+               "stream": int, "out": str, "p": float, "N": int, "r_max": float,
+               "points_out": str},
     "verify": {"suite": str, "seed": int, "out": str},
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    # a bad command line is refused as a bad config is; subparsers inherit this
+    def error(self, message):
+        raise CliError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="combsplit",
         description="aperiodic point sets, comb splitting, averaged correlations",
     )
@@ -636,9 +637,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _merge(args, _load_config(args.config))
         return _COMMANDS[args.command](cfg)
     except (ValueError, KeyError, OSError, MemoryError, OverflowError) as exc:

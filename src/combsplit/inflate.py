@@ -514,6 +514,12 @@ def _json_int(obj) -> int:
     return obj
 
 
+def _json_prob(obj) -> float:
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not math.isfinite(obj):
+        raise RuleError(f"branch prob must be a finite JSON number, got {obj!r}")
+    return float(obj)
+
+
 def _length_from_json(obj) -> QuadraticInt:
     if isinstance(obj, dict):
         extra = set(obj) - {"m", "n"}
@@ -532,16 +538,23 @@ def rule_from_json(obj: dict) -> SubstitutionRule:
     factors are exact: a plain integer k means k + 0*tau, and any other
     number is rejected.
     """
+    if not isinstance(obj, dict):
+        raise RuleError("a rule must be a JSON object")
     known = {"name", "alphabet", "images", "lengths", "inflation_factor"}
     extra = set(obj) - known
     if extra:
         raise RuleError(f"unknown rule keys {sorted(extra)}")
-    alphabet = tuple(obj["alphabet"])
+    alphabet = obj.get("alphabet")
+    if not (isinstance(alphabet, list) and all(isinstance(letter, str) for letter in alphabet)):
+        raise RuleError(f"rule alphabet must be a list of letters, got {alphabet!r}")
+    for key in ("images", "lengths"):
+        if not isinstance(obj.get(key), dict):
+            raise RuleError(f"rule {key} must be an object per letter, got {obj.get(key)!r}")
     images = {}
     for letter, img in obj["images"].items():
         if isinstance(img, list) and img and isinstance(img[0], dict):
             images[letter] = tuple(
-                Branch(float(br["prob"]), tuple(br["word"])) for br in img
+                Branch(_json_prob(br["prob"]), tuple(br["word"])) for br in img
             )
         else:
             images[letter] = (Branch(1.0, tuple(img)),)
@@ -550,7 +563,7 @@ def rule_from_json(obj: dict) -> SubstitutionRule:
     if "inflation_factor" in obj:
         factor = _length_from_json(obj["inflation_factor"])
     return SubstitutionRule(
-        alphabet=alphabet,
+        alphabet=tuple(alphabet),
         images=images,
         lengths=lengths,
         name=str(obj.get("name", "custom")),

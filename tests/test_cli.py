@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -84,24 +85,37 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 def test_every_flag_is_accepted_from_the_config(tmp_path, capsys):
-    # each subcommand parses to its flags' dests, and every one of them may
-    # come from the config document; the hand-kept list this replaced had 27
+    # each subcommand's config keys are its flags' dests, and a config holding
+    # a valid value of every one of them is taken, converted as its flag is
     parser = cli._build_parser()
-    dests = set()
-    for command in cli._COMMANDS:
-        dests |= set(vars(parser.parse_args([command]))) - {"command", "config"}
-    assert len(dests) == 27
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict.fromkeys(dests, 1)))
-    assert cli._config_keys() == dests
-    assert cli._load_config(str(cfg)) == dict.fromkeys(dests, 1)
+    settable = 0
+    for command, kinds in cli._OPTIONS.items():
+        args = parser.parse_args([command])
+        assert set(vars(args)) - {"command", "config"} == set(kinds), command
+        config = {key: kind[0] if isinstance(kind, tuple) else {int: 1, float: 1.0}.get(kind, "1")
+                  for key, kind in kinds.items()}
+        assert cli._merge(args, config) == config
+        settable += len(kinds)
+    # 73 when every command took --seed, --stream and --format: 9 of those go,
+    # and correlate and fb gain --seed-letter, which their config could give
+    assert settable == 66
     # anything else is refused with the same message as before
+    cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "fibonacci", "zeta": 1, "bogus": 2, "help": 3}))
     assert run("--config", str(cfg), "generate", "--R", "10",
                "--out", str(tmp_path / "x.csv")) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "CliError",
                    "message": "unknown config keys: ['bogus', 'help', 'zeta']"}
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("split", "--help")])
+def test_help_and_version_still_exit_0(argv, capsys):
+    # the parser raises CliError on a bad command line, not on these
+    with pytest.raises(SystemExit) as done:
+        run(*argv)
+    assert done.value.code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_required_flag_errors(tmp_path, capsys):
@@ -634,6 +648,14 @@ def test_correlate_variant_one_defaults_R_past_the_grid(r_max, R, tmp_path):
     assert len(default.read_text().splitlines()) > 2
 
 
+def random_rule(prob=0.5, **changes):
+    """A random Fibonacci rule as a --rule-file document, the first branch of
+    a taking prob, with changes to its keys."""
+    branches = [{"prob": prob, "word": ["a", "b"]}, {"prob": 0.5, "word": ["b", "a"]}]
+    return {"alphabet": ["a", "b"], "lengths": {"a": {"n": 1}, "b": 1},
+            "images": {"a": branches, "b": ["a"]}, **changes}
+
+
 BAD_INPUT_RUNS = (
     (("project", "--window-preset", "fibonacci", "--R", "-10"), {},
      "CliError", "R must be finite and nonnegative, got -10.0"),
@@ -684,8 +706,73 @@ BAD_INPUT_RUNS = (
      "CliError", "--format must be one of ['csv', 'json'], got 'xml'"),
     (("generate", "--system", "fibonacci", "--R", "100"), {"format": "xml"},
      "CliError", "--format must be one of ['csv', 'json'], got 'xml'"),
-    (("generate", "--R", "100"), {"system": 5},
+    (("generate", "--R", "100"), {"system": 5}, "CliError",
+     "--system must be one of ['fibonacci', 'twisted_fibonacci', 'thue_morse', "
+     "'random_fibonacci'], got 5"),
+    (("split", "--R", "100"), {"system": 5},
      "CliError", "--system must be text, got 5"),
+    # each command takes only the options it reads, and a bad command line is
+    # refused as a bad config is
+    (("generate", "--system", "fibonacci", "--R", "100", "--bogus", "1"), {},
+     "CliError", "unrecognized arguments: --bogus 1"),
+    (("generate", "--system", "fibonacci", "--R"), {},
+     "CliError", "argument --R: expected one argument"),
+    (("correlate", "--system", "fibonacci", "--R-grid", "100", "--format", "json"), {},
+     "CliError", "unrecognized arguments: --format json"),
+    (("split", "--system", "fibonacci", "--R", "100", "--seed", "3"), {},
+     "CliError", "unrecognized arguments: --seed 3"),
+    (("diffract", "--system", "thue_morse", "--eta", "4", "--stream", "1"), {},
+     "CliError", "unrecognized arguments: --stream 1"),
+    (("split", "--system", "fibonacci", "--R", "100"), {"suite": "tm"},
+     "CliError", "unknown config keys: ['suite']"),
+    (("fb", "--system", "fibonacci", "--R-grid", "100", "--measure", "x"), {},
+     "CliError", "--measure must be one of ['points', 'omega', 'nu'], got 'x'"),
+    (("fb", "--system", "fibonacci", "--R-grid", "100", "--k-preset", "x"), {},
+     "CliError", "--k-preset must be one of ['standard', 'module'], got 'x'"),
+    (("sample", "--seed", "5", "--N", "20", "--p", "0.6"), {"system": "fibonacci"},
+     "CliError", "--system must be one of ['bernoulli', 'random_fibonacci'], got 'fibonacci'"),
+    # each entry of a list option is a number, converted as a number option is
+    (("correlate", "--system", "fibonacci"), {"R_grid": [True, 100]},
+     "CliError", "--R-grid must be a number, got True"),
+    (("fb", "--system", "fibonacci", "--R-grid", "100"), {"k_values": [True]},
+     "CliError", "--k-values must be a number, got True"),
+    (("correlate", "--system", "fibonacci", "--R-grid", "100,abc"), {},
+     "CliError", "--R-grid must be a number, got 'abc'"),
+    (("correlate", "--system", "fibonacci"), {"R_grid": []},
+     "CliError", "--R-grid must list one or more numbers"),
+    (("fb", "--system", "fibonacci", "--R-grid", "100"), {"k_values": []},
+     "CliError", "--k-values must list one or more numbers"),
+    # a *_file document in the config is written to a file of its own
+    (("project", "--R", "100"), {"windows_file": [1, 2]},
+     "CliError", "--windows-file must map one or more types to lists of interval objects"),
+    (("project", "--R", "100"), {"windows_file": {}},
+     "CliError", "--windows-file must map one or more types to lists of interval objects"),
+    (("project", "--R", "100"), {"windows_file": {"a": 5}},
+     "CliError", "--windows-file must map one or more types to lists of interval objects"),
+    (("project", "--R", "100"), {"windows_file": {"a": [5]}},
+     "CliError", "--windows-file must map one or more types to lists of interval objects"),
+    (("project", "--R", "100"), {"windows_file": {"a": [{"hi": 1}]}},
+     "CliError", "window interval has no lo: {'hi': 1}"),
+    (("project", "--R", "100"), {"windows_file": {"a": [{"lo": True, "hi": 1}]}},
+     "CliError", "window lo must be a finite number or {m, n}, got True"),
+    (("project", "--R", "100"), {"windows_file": {"a": [{"lo": "0.5", "hi": 1}]}},
+     "CliError", "window lo must be a finite number or {m, n}, got '0.5'"),
+    (("project", "--R", "100"), {"windows_file": {"a": [{"lo": math.nan, "hi": 1}]}},
+     "CliError", "window lo must be a finite number or {m, n}, got nan"),
+    (("project", "--R", "100"), {"windows_file": {"a": [{"lo": 0, "hi": math.inf}]}},
+     "CliError", "window hi must be a finite number or {m, n}, got inf"),
+    (("generate", "--R", "100", "--seed", "1"), {"rule_file": random_rule(True)},
+     "RuleError", "branch prob must be a finite JSON number, got True"),
+    (("generate", "--R", "100", "--seed", "1"), {"rule_file": random_rule("0.5")},
+     "RuleError", "branch prob must be a finite JSON number, got '0.5'"),
+    (("generate", "--R", "100", "--seed", "1"), {"rule_file": random_rule(math.nan)},
+     "RuleError", "branch prob must be a finite JSON number, got nan"),
+    (("generate", "--R", "100"), {"rule_file": random_rule(alphabet=5)},
+     "RuleError", "rule alphabet must be a list of letters, got 5"),
+    (("generate", "--R", "100"), {"rule_file": random_rule(images=["a"])},
+     "RuleError", "rule images must be an object per letter, got ['a']"),
+    (("generate", "--R", "100"), {"rule_file": random_rule(lengths=1)},
+     "RuleError", "rule lengths must be an object per letter, got 1"),
 )
 
 
@@ -697,8 +784,23 @@ BAD_INPUT_RUNS = (
     "generate-R-bool", "sample-r_max-bool", "sample-seed-bool", "sample-seed-fraction-flag",
     "sample-seed-fraction-config", "generate-R-text-flag", "generate-R-text-config",
     "correlate-shape-flag", "correlate-shape-config", "generate-format-flag",
-    "generate-format-config", "generate-system-number"])
+    "generate-format-config", "generate-system-number", "split-system-number",
+    "generate-unknown-flag", "generate-flag-without-value", "correlate-format",
+    "split-seed", "diffract-stream", "split-config-suite", "fb-measure-unknown",
+    "fb-k-preset-unknown", "sample-system-unknown", "correlate-R-grid-bool",
+    "fb-k-values-bool", "correlate-R-grid-text", "correlate-R-grid-empty",
+    "fb-k-values-empty", "windows-file-list", "windows-file-empty",
+    "windows-file-number", "windows-file-interval-number", "windows-file-no-lo",
+    "windows-file-lo-bool", "windows-file-lo-text", "windows-file-lo-nan", "windows-file-hi-inf",
+    "rule-prob-bool", "rule-prob-text", "rule-prob-nan", "rule-alphabet-number",
+    "rule-images-list", "rule-lengths-number"])
 def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_path, capsys):
+    config = dict(config)
+    for key in ("windows_file", "rule_file"):
+        if key in config:
+            doc = tmp_path / f"{key}.json"
+            doc.write_text(json.dumps(config[key]))
+            config[key] = str(doc)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out.csv"
@@ -713,7 +815,9 @@ def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_
      ("--seed", "7", "--stream", "2", "--p", "0.5"), {"seed": 7.0, "stream": "2", "p": 0.5}),
     (("verify", "--suite", "bernoulli"), ("--seed", "12345678901234567890"),
      {"seed": 12345678901234567890}),
-], ids=["split-R", "sample-seed-stream", "verify-20-digit-seed"])
+    (("correlate", "--system", "thue_morse", "--R-grid", "100"), ("--seed-letter", "b"),
+     {"seed_letter": "b"}),
+], ids=["split-R", "sample-seed-stream", "verify-20-digit-seed", "correlate-seed-letter"])
 def test_a_flag_and_its_config_value_write_the_same_bytes(argv, flags, config, tmp_path):
     # one converter for both: equal values run alike and hash alike
     cfg = tmp_path / "cfg.json"
