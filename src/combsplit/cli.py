@@ -10,12 +10,21 @@ a header comment (CSV) or a _meta object (JSON).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
+
+try:
+    # CPython's own SHA-256: hashlib maps OpenSSL's libcrypto, 3.6 MB of RSS,
+    # to hash a config of some 200 bytes (random.py takes _sha512 alike)
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -46,7 +55,7 @@ def _config_hash(cfg: dict) -> str:
         separators=(",", ":"),
         default=str,
     )
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return sha256(canon.encode()).hexdigest()[:16]
 
 
 @contextmanager
@@ -615,7 +624,11 @@ _OPTIONS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    # a bad command line is refused as a bad config is; subparsers inherit this
+    # a bad command line is refused as a bad config is, and a flag is taken
+    # only as _OPTIONS spells it, never by a prefix; subparsers inherit this
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise CliError(message)
 

@@ -4,8 +4,9 @@ The scheme is (R, R, L) with L the Minkowski embedding of Z[tau], a planar
 lattice of density 1/sqrt(5).  A window is a finite union of internal-space
 intervals; the projected set keeps exactly the module points whose Galois
 conjugate falls inside the window.  Window endpoints are usually exact
-Z[tau] elements, so boundary membership is decided with integer arithmetic
-and closure flags, never with float comparisons.
+Z[tau] elements, so membership is exact: a double decides it only where a
+proven error band separates the conjugate from the endpoint, and integer
+arithmetic with closure flags decides the rest.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from .zroot5 import (
     FourierModulePoint,
     QuadraticInt,
     _codes,
+    embed_star_array,
     sign_of,
+    star_sign,
 )
 
 __all__ = [
@@ -92,29 +95,6 @@ class Interval:
     def volume(self) -> float:
         return self.hi_value() - self.lo_value()
 
-    def contains_star(self, m, n):
-        """Membership of the conjugate of m + n*tau, exact on exact endpoints.
-
-        The conjugate is (m + n) - n*tau; against an exact endpoint p + q*tau
-        the comparison reduces to the sign of an integer pair.  Python ints
-        give a bool; int64 arrays give a bool array, elementwise, under the
-        bound of the array sign_of.
-        """
-        sm, sn = m + n, -n
-        if isinstance(self.lo, QuadraticInt):
-            s = sign_of(sm - self.lo.m, sn - self.lo.n)
-            lo_ok = (s > 0) | ((s == 0) & self.lo_closed)
-        else:
-            v = sm + sn * TAU
-            lo_ok = (v > self.lo) | ((v == self.lo) & self.lo_closed)
-        if isinstance(self.hi, QuadraticInt):
-            s = sign_of(sm - self.hi.m, sn - self.hi.n)
-            hi_ok = (s < 0) | ((s == 0) & self.hi_closed)
-        else:
-            v = sm + sn * TAU
-            hi_ok = (v < self.hi) | ((v == self.hi) & self.hi_closed)
-        return lo_ok & hi_ok
-
     def with_closure(self, lo_closed: bool, hi_closed: bool) -> "Interval":
         return Interval(self.lo, self.hi, lo_closed, hi_closed)
 
@@ -147,10 +127,24 @@ class Window:
         return (self.intervals[0].lo_value(), self.intervals[-1].hi_value())
 
     def contains_star(self, m, n):
-        """Membership in any interval; a bool, or a bool array for arrays."""
-        inside = np.zeros(np.shape(m), dtype=bool) if np.ndim(m) else False
+        """Whether the conjugate of m + n*tau lies in the window: a bool for
+        Python ints, a bool array for int64 arrays, elementwise.
+
+        The conjugate is (m + n) - n*tau, so against an exact endpoint p +
+        q*tau the comparison is the sign of (m + n - p) + (-n - q)*tau.  For
+        Python ints sign_of gives it.  For arrays zroot5.star_sign does, from
+        the conjugates' doubles, formed once for all intervals: floats decide
+        outside a proven band about each endpoint and sign_of inside it, with
+        the same results and under the same bound as sign_of alone.  A float
+        endpoint is compared with the double (m + n) - n*TAU.
+        """
+        if not (np.ndim(m) or np.ndim(n)):
+            return any(_inside(iv, m, n, None) for iv in self.intervals)
+        m, n = np.broadcast_arrays(np.asarray(m, dtype=np.int64), np.asarray(n, dtype=np.int64))
+        star = embed_star_array(m, n)
+        inside = np.zeros(m.shape, dtype=bool)
         for iv in self.intervals:
-            inside = inside | iv.contains_star(m, n)
+            inside |= _inside(iv, m, n, star)
         return inside
 
     def with_closure(self, lo_closed: bool, hi_closed: bool) -> "Window":
@@ -163,6 +157,24 @@ class Window:
             for iv in self.intervals
         )
         return f"Window({parts})"
+
+
+def _inside(iv: Interval, m, n, star):
+    """Whether the conjugates of m + n*tau lie in iv, given the doubles star
+    of array conjugates, or None for Python ints."""
+    lo, hi = _star_minus(m, n, star, iv.lo), _star_minus(m, n, star, iv.hi)
+    return (lo >= 0 if iv.lo_closed else lo > 0) & (hi <= 0 if iv.hi_closed else hi < 0)
+
+
+def _star_minus(m, n, star, end):
+    """A number, or array, with the sign of the conjugate of m + n*tau minus
+    end: exact for an exact end, the double's for a float one."""
+    if not isinstance(end, QuadraticInt):
+        # finite doubles differ by a nonzero double, so this sign is the comparison's
+        return (m + n) + (-n) * TAU - end
+    if star is None:
+        return sign_of(m + n - end.m, -n - end.n)
+    return star_sign(m, n, star, end)
 
 
 def model_set_density(window: Window) -> float:

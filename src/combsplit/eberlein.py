@@ -81,10 +81,15 @@ __all__ = [
 # (two series, medians of 9 at R = 1e5 and of 5 and 7 at R = 1e6),
 # orthogonality took 38/44, 38/39, 38/41 and 37/48 ms at R = 1e5 and 264/306,
 # 340/291, 259/315 and 262/309 ms at R = 1e6 with FOLD_CELLS of 2**16, 2**17,
-# 2**18 and 2**19: the same within noise.
+# 2**18 and 2**19: the same within noise.  An FB block's temporaries set
+# the peak of that chain at R = 1e5 (the character kernel alone held 1.9 MB
+# at 2**14 atoms): with blocks of 2**13 the peak RSS of bench/pipeline.py
+# read 35.80-36.04 MB against 36.25-36.41 MB with 2**14 (medians of 3, R =
+# 100327, 100761 and 100962), for FB scans of 43.4 against 41.9 ms at R =
+# 1e5 and 399 against 376 ms at R = 1e6 (interleaved medians of 14).
 PAIR_BLOCK = 1 << 15
 FOLD_CELLS = 1 << 18
-FB_BLOCK = 1 << 14
+FB_BLOCK = 1 << 13
 # A bit row, of a Thue-Morse word or a lattice gas, is built and read back
 # SITE_BLOCK sites at a time (whole words, at least one) and counted
 # WORD_BLOCK words at a time.

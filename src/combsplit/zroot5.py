@@ -8,8 +8,9 @@ systems share the same key space.
 
 Python integers are arbitrary precision, so ring operations can never
 overflow silently; products of desk-scale coordinates stay exact.  The
-array paths (sign_of on int64 arrays, frac_phases and its phase words) are
-exact inside stated bounds and raise ValueError outside them.
+array paths (sign_of and star_sign on int64 arrays, frac_phases and its
+phase words) are exact inside stated bounds and raise ValueError outside
+them.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ __all__ = [
     "QuadraticInt",
     "FourierModulePoint",
     "sign_of",
+    "star_sign",
     "SIGN_ARRAY_BOUND",
     "embed_array",
+    "embed_star_array",
     "frac_phase",
     "frac_phases",
     "PHASE_KEY_BOUND",
@@ -151,6 +154,49 @@ def _sign_of_array(m, n) -> np.ndarray:
 
 def _below(x: np.ndarray, bound: int) -> bool:
     return not x.size or bool(-bound < x.min() and x.max() < bound)
+
+
+def star_sign(m: np.ndarray, n: np.ndarray, star: np.ndarray, e: "QuadraticInt") -> np.ndarray:
+    """Exact sign of (m + n*tau)* - e, the sign of (m + n - p) + (-n - q)*tau
+    for e = p + q*tau, per entry of int64 arrays m and n of one shape, with
+    star = embed_star_array(m, n): the signs sign_of gives on those pairs (as
+    int8 or int64), and its ValueError where it would raise.
+
+    The bound check of the array sign_of runs on every array.  With M, N the
+    largest |m|, |n|, the pairs have |m + n - p|, |n + q| and |2(m + n - p)
+    - n - q| at most 2M + N + 2|p| + |q|; while that stays below
+    SIGN_ARRAY_BOUND sign_of cannot raise, and from there on every entry
+    takes sign_of, which checks and raises as before.
+
+    Below the bound, floats decide outside a band about e.  With u = 2^-53,
+    TAU_STAR and TAU are within u of tau* and tau (sqrt(5) is rounded once;
+    1 -+ it and the halving are exact), and m, n convert exactly.  So star =
+    fl(fl(n*TAU_STAR) + m) is within u(|n| + 0.62|n| + |m| + 0.62|n|) =
+    u(|m| + 2.24|n|) of the conjugate, and x = e.embed() = fl(p + fl(q*TAU))
+    within u(|p| + 4.24|q|) of e, up to second-order terms.  Rounding x +-
+    band costs u(|x| + band) <= u(|p| + 1.62|q| + band) more.  The errors add
+    to at most u(M + 2.24N + 2|p| + 5.86|q| + band) plus second-order terms,
+    below band = 2^-50 (M + N + |p| + 2|q|) = 8u(M + N + |p| + 2|q|) whenever
+    it is not 0 (and every error is 0 when it is).  So star > fl(x + band)
+    proves the sign +1, star < fl(x - band) proves -1, and only the entries
+    in between take sign_of.
+    """
+    p, q = e.m, e.n
+    big_m, big_n = _magnitude(m), _magnitude(n)
+    if 2 * big_m + big_n + 2 * abs(p) + abs(q) >= SIGN_ARRAY_BOUND:
+        return sign_of(m + n - p, -n - q)
+    band = (big_m + big_n + abs(p) + 2 * abs(q)) * 2.0**-50
+    x = e.embed()
+    above, below = star > x + band, star < x - band
+    signs = above.view(np.int8) - below.view(np.int8)
+    near = np.nonzero(above == below)
+    signs[near] = sign_of(m[near] + n[near] - p, -n[near] - q)
+    return signs
+
+
+def _magnitude(x: np.ndarray) -> int:
+    """The largest |x| of an int64 array as a Python int; 0 when empty."""
+    return max(-int(x.min()), int(x.max())) if x.size else 0
 
 
 @total_ordering
@@ -401,6 +447,16 @@ def _unit_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     out = (hi | (lo != 0)).astype(np.float64) * 2.0**-64
     for i in np.flatnonzero((hi < np.uint64(2**54)) & ((hi | lo) != 0)).tolist():
         out[i] = (int(hi[i]) << 64 | int(lo[i])) / 2**128
+    return out
+
+
+def embed_star_array(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Vectorized internal embedding: per entry float(m) + float(n) *
+    TAU_STAR, rounded after each operation, the double of
+    QuadraticInt.embed_star, which star_sign takes."""
+    out = n.astype(np.float64)
+    out *= TAU_STAR
+    out += m
     return out
 
 

@@ -1,9 +1,15 @@
 import hashlib
+import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from combsplit import __version__, cli, cps, stochastic, suites
 from combsplit.cli import main
@@ -476,6 +482,44 @@ def test_outputs_match_pinned_digests(tmp_path):
     assert golden_digests(tmp_path) == PINNED_DIGESTS
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda values: st.lists(values, max_size=3), max_leaves=6)
+
+
+@given(st.dictionaries(st.sampled_from(["R", "system", "out", "points_out"]) | st.text(),
+                       json_values, max_size=6))
+def test_config_hash_is_sha256_of_the_canonical_config(cfg):
+    canon = json.dumps({k: v for k, v in cfg.items() if k not in ("out", "points_out")},
+                       sort_keys=True, separators=(",", ":"), default=str)
+    assert cli._config_hash(cfg) == hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def test_deterministic_commands_leave_openssl_unloaded(tmp_path):
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("no built-in SHA-256 module: the config hash takes hashlib's")
+    runs = [
+        ["generate", "--system", "twisted_fibonacci", "--R", "300", "--out", "gen.csv"],
+        ["project", "--window-preset", "twisted_fibonacci", "--R", "300", "--out", "proj.csv"],
+        ["split", "--system", "twisted_fibonacci", "--R", "300", "--out", "split"],
+        ["correlate", "--system", "twisted_fibonacci", "--R-grid", "100", "--r-max", "5",
+         "--out", "corr.csv"],
+        ["fb", "--system", "twisted_fibonacci", "--R-grid", "100", "--out", "fb.csv"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from combsplit.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, '_hashlib' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0] * len(runs), False]
+    assert "config_hash=" in (tmp_path / "split" / "omega_a.csv").read_text()
+
+
 def per_cell(header, rows, cfg):
     """The reference formatting: repr for floats, str for everything else."""
     from combsplit import cli
@@ -723,6 +767,8 @@ BAD_INPUT_RUNS = (
      "CliError", "unrecognized arguments: --seed 3"),
     (("diffract", "--system", "thue_morse", "--eta", "4", "--stream", "1"), {},
      "CliError", "unrecognized arguments: --stream 1"),
+    (("split", "--sys", "fibonacci", "--R", "10"), {},
+     "CliError", "unrecognized arguments: --sys fibonacci"),
     (("split", "--system", "fibonacci", "--R", "100"), {"suite": "tm"},
      "CliError", "unknown config keys: ['suite']"),
     (("fb", "--system", "fibonacci", "--R-grid", "100", "--measure", "x"), {},
@@ -786,8 +832,9 @@ BAD_INPUT_RUNS = (
     "correlate-shape-flag", "correlate-shape-config", "generate-format-flag",
     "generate-format-config", "generate-system-number", "split-system-number",
     "generate-unknown-flag", "generate-flag-without-value", "correlate-format",
-    "split-seed", "diffract-stream", "split-config-suite", "fb-measure-unknown",
-    "fb-k-preset-unknown", "sample-system-unknown", "correlate-R-grid-bool",
+    "split-seed", "diffract-stream", "split-flag-prefix", "split-config-suite",
+    "fb-measure-unknown", "fb-k-preset-unknown", "sample-system-unknown",
+    "correlate-R-grid-bool",
     "fb-k-values-bool", "correlate-R-grid-text", "correlate-R-grid-empty",
     "fb-k-values-empty", "windows-file-list", "windows-file-empty",
     "windows-file-number", "windows-file-interval-number", "windows-file-no-lo",

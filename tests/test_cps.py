@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combsplit import cps, inflate
+from combsplit import cps, inflate, zroot5
 from combsplit.cps import (
     CalibrationError,
     Interval,
@@ -18,7 +18,17 @@ from combsplit.cps import (
     twisted_fibonacci_windows,
     window_amplitude,
 )
-from combsplit.zroot5 import SQRT5, TAU, FourierModulePoint, QuadraticInt, _decode
+from combsplit.zroot5 import (
+    SIGN_ARRAY_BOUND,
+    SQRT5,
+    TAU,
+    FourierModulePoint,
+    QuadraticInt,
+    _decode,
+    embed_star_array,
+    sign_of,
+    star_sign,
+)
 
 
 BOX = 40  # the exhaustive scan covers |m|, |n| <= BOX
@@ -250,6 +260,111 @@ def test_exact_boundary_membership():
     assert closed.contains_star(-1, -1)
     open_lo = closed.with_closure(False, True)
     assert not open_lo.contains_star(-1, -1)
+
+
+# tau - 2, tau - 1 and -1: every end of the preset windows
+PRESET_ENDS = (QuadraticInt(-2, 1), QuadraticInt(-1, 1), QuadraticInt(-1, 0))
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+@st.composite
+def near_end_keys(draw, e):
+    """A key m + n*tau whose conjugate is e plus up to three Fibonacci near
+    zeros F_k*tau - F_{k+1} = -(1 - tau)^k (the near-integers (1 - F_{k+1},
+    F_k) shifted from 1 to e), 32 <= k <= 43, so within 3 tau^-32 < 2^-20 of
+    e; with no term it is the exact hit e*."""
+    y = e
+    for s, k in draw(st.lists(st.tuples(st.sampled_from((-1, 1)), st.integers(32, 43)),
+                              max_size=3)):
+        y = y + QuadraticInt(-fibonacci(k + 1), fibonacci(k)) * s
+    x = y.star()  # conjugation is an involution: x* = y
+    return x.m, x.n
+
+
+def within_array_bound(m, n, e):
+    # the pairs (m + n - p, -n - q) that the array sign_of takes
+    a, b = m + n - e.m, -n - e.n
+    return max(abs(b), abs(2 * a + b)) < SIGN_ARRAY_BOUND
+
+
+def key_arrays(keys):
+    return (np.array([m for m, _ in keys], dtype=np.int64),
+            np.array([n for _, n in keys], dtype=np.int64))
+
+
+@st.composite
+def keys_near_a_preset_end(draw):
+    """A preset end and keys near it, beside keys anywhere in the int64 box
+    of the array bound, all within the bound for every preset end."""
+    e = draw(st.sampled_from(PRESET_ENDS))
+    box = st.integers(-SIGN_ARRAY_BOUND, SIGN_ARRAY_BOUND)
+    keys = draw(st.lists(near_end_keys(e), min_size=1, max_size=20))
+    keys += draw(st.lists(st.tuples(box, box), max_size=20))
+    keys = [k for k in keys if all(within_array_bound(*k, f) for f in PRESET_ENDS)]
+    return e, draw(st.permutations(keys))
+
+
+@given(keys_near_a_preset_end())
+def test_star_sign_is_the_exact_sign_near_the_preset_ends(drawn):
+    e, keys = drawn
+    m, n = key_arrays(keys)
+    got = star_sign(m, n, embed_star_array(m, n), e)
+    assert got.tolist() == [sign_of(m + n - e.m, -n - e.n) for m, n in keys]
+
+
+@given(keys_near_a_preset_end())
+def test_array_membership_is_exact_near_the_preset_ends(drawn):
+    _, keys = drawn
+    m, n = key_arrays(keys)
+    for w in (fibonacci_windows()["a"], fibonacci_windows()["b"]):
+        for closed in ((True, True), (False, False), (True, False), (False, True)):
+            trial = w.with_closure(*closed)
+            assert trial.contains_star(m, n).tolist() == [star_in(trial, *k) for k in keys]
+
+
+@pytest.mark.parametrize("keys", [
+    [(2**30, 0)],  # far above every end: floats alone would decide
+    [(0, 0), (2**29, 0)],  # 2(m + n - p) - n - q = 2^30 + 1 for tau - 1
+    [(0, 0), (0, -2**30 - 1)],  # |n + q| = 2^30 for tau - 1
+    [(2**29, -2**29), (-2**29 + 5, 2**29 - 7)],  # past the float filter's bound, inside sign_of's
+    [(2**28, 0), (-2**28, 1), (0, 0)],  # inside both: the float filter decides
+])
+def test_star_sign_keeps_the_bound_of_the_array_sign_of(keys):
+    e = QuadraticInt(-1, 1)
+    m, n = key_arrays(keys)
+    try:
+        want = sign_of(m + n - e.m, -n - e.n)
+    except ValueError:
+        with pytest.raises(ValueError, match="2m \\+ n"):
+            star_sign(m, n, embed_star_array(m, n), e)
+        with pytest.raises(ValueError, match="2m \\+ n"):
+            fibonacci_windows()["a"].contains_star(m, n)
+    else:
+        assert star_sign(m, n, embed_star_array(m, n), e).tolist() == want.tolist()
+
+
+def test_only_keys_in_the_band_take_exact_signs(monkeypatch):
+    entries = []
+
+    def counted(m, n):
+        entries.append(len(m))
+        return sign_of(m, n)
+
+    monkeypatch.setattr(zroot5, "sign_of", counted)
+    w = fibonacci_windows()["a"]
+    assert len(cut_and_project(w, (0.0, 1e4))) > 4000
+    assert entries and sum(entries) == 0  # every conjugate is far from both ends
+    entries.clear()
+    # the hits -tau^2 and -tau of the ends tau - 2 and tau - 1, one for each
+    codes = cut_and_project(w, (-5.0, 5.0))
+    assert sum(entries) == 2
+    assert {(-1, -1), (0, -1)} <= set(map(tuple, _decode(codes).tolist()))
 
 
 def test_cut_and_project_rejects_unbounded():
