@@ -502,11 +502,10 @@ def cmd_diffract(cfg: dict) -> int:
                  rz.coefficient_float(m)) for m in range(-m_hi, m_hi + 1)]
         _write_csv(out, ["m", "c_m_numerator", "c_m_denominator", "c_m_float"], rows, cfg)
         return 0
-    # pure-point amplitudes of a windowed system: its calibrated windows and
-    # alphas, with no projection or split
+    # pure-point amplitudes of a windowed system: its preset windows and exact
+    # alphas, with no realization, projection or split
     system = _need(cfg, "system")
-    R = cfg.get("R", 10_000.0)
-    rule, _, windows, alphas = suites._calibrated(system, R)
+    rule, windows, alphas = suites.preset_system(system)
     if windows is None:
         raise CliError(f"system {system!r} has no Euclidean windows")
     ks = list(cps.fourier_module(cfg.get("k_max", 3.0), cfg.get("kstar_max", 3.0)))
@@ -615,7 +614,7 @@ _OPTIONS = {
     "fb": {**_REALIZE, "out": str, "measure": ("points", "omega", "nu"), "type": str,
            "k_preset": ("standard", "module"), "k_values": list, "shape": _SHAPE,
            "R_grid": list},
-    "diffract": {"system": str, "R": float, "out": str, "eta": int, "riesz_depth": int,
+    "diffract": {"system": str, "out": str, "eta": int, "riesz_depth": int,
                  "k_max": float, "kstar_max": float, "r_max": float},
     "sample": {"system": ("bernoulli", "random_fibonacci"), "R": float, "seed": int,
                "stream": int, "out": str, "p": float, "N": int, "r_max": float,

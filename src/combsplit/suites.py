@@ -17,12 +17,13 @@ import numpy as np
 
 from . import combs, cps, eberlein, inflate, spectra, stochastic
 from .stochastic import Check, RngSpec
-from .zroot5 import SQRT5, TAU, FourierModulePoint, QuadraticInt, _decode
+from .zroot5 import SQRT5, TAU, FourierModulePoint, QuadraticInt
 
 __all__ = [
     "SuiteReport",
     "SystemContext",
     "system_context",
+    "preset_system",
     "preset_module_points",
     "preset_nonmodule_points",
     "preset_k_points",
@@ -77,7 +78,7 @@ def preset_k_points() -> list:
 
 @dataclass(frozen=True)
 class SystemContext:
-    """One generated system with calibrated windows, its model sets as key
+    """One generated system with its preset windows, its model sets as key
     codes, its point counts and its splitting; tps rebuilds the realization."""
 
     rule: inflate.SubstitutionRule
@@ -95,41 +96,50 @@ class SystemContext:
         return inflate.TypedPointSet(points, self.rng)
 
 
-def _calibrated(name: str, R: float):
-    """A preset system realized on [0, R] (rule, realization), its calibrated
-    windows (None for the doubling chain, which has none) and the alphas of
-    its splitting, uncached; ValueError unless R is positive."""
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R!r}")
+def _det(rows: list[list[QuadraticInt]]) -> QuadraticInt:
+    """Determinant of a square Z[tau] matrix, expanded along its first row."""
+    if not rows:
+        return QuadraticInt(1)
+    return sum((rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]]) * (-1) ** j
+                for j in range(len(rows))), QuadraticInt(0))
+
+
+def preset_system(name: str):
+    """A preset system's rule, windows (None where it has none: the doubling
+    chain's split takes 1/2) and alphas, exact and the same at every R: alpha_t =
+    dens(P_t) / dens(M_t) = v_t sqrt5 / (vol(W_t) sum_j v_j l_j), with v the
+    letter frequencies, column 0 of adj(S - lambda I).  Each preset's alpha
+    is rational; an irrational one raises ValueError."""
     rule = inflate.builtin_rule(name)
-    tps = inflate.realize_geometric(rule, "a", R)
-    if name == "thue_morse":
-        return rule, tps, None, {t: 0.5 for t in rule.alphabet}
-    preset_windows = (
-        cps.fibonacci_windows() if name == "fibonacci"
-        else cps.twisted_fibonacci_windows()
-    )
-    # calibrate on the realized points in [0, min(R, 1000)], a prefix of each type's
-    cal_points = {t: _decode(c[: combs._search(c, min(R, 1000.0), "right")])
-                  for t, c in tps.codes.items()}
-    windows = cps.calibrate_closures(cal_points, preset_windows).windows
-    alphas = {
-        t: (tps.count(t) / R) / cps.model_set_density(windows[t])
-        for t in rule.alphabet
-    }
-    return rule, tps, windows, alphas
+    if name not in ("fibonacci", "twisted_fibonacci"):
+        return rule, None, {t: 0.5 for t in rule.alphabet}
+    windows = cps.fibonacci_windows() if name == "fibonacci" else cps.twisted_fibonacci_windows()
+    mat, lam = inflate.substitution_matrix(rule), rule.inflation_factor
+    shifted = [[QuadraticInt(int(x)) - (lam if i == j else 0) for j, x in enumerate(row)]
+               for i, row in enumerate(mat)]
+    v = {t: _det([r[:i] + r[i + 1:] for r in shifted[1:]]) * (-1) ** i
+         for i, t in enumerate(rule.alphabet)}
+    mean_length = sum((v[t] * rule.lengths[t] for t in rule.alphabet), QuadraticInt(0))
+    alphas = {}
+    for t in rule.alphabet:
+        den = mean_length * sum((iv.hi - iv.lo for iv in windows[t].intervals), QuadraticInt(0))
+        # (p + q tau) / N over the integer N = den * den*, rounded once
+        num = v[t] * QuadraticInt(-1, 2) * den.star()  # sqrt 5 = 2 tau - 1
+        if num.n != 0:
+            raise ValueError(f"alpha of type {t!r} of {name} is irrational")
+        alphas[t] = float(Fraction(num.m, (den * den.star()).m))
+    return rule, windows, alphas
 
 
 @lru_cache(maxsize=8)
 def system_context(name: str, R: float) -> SystemContext:
-    """Generate a preset system on [0, R], calibrate, and split every type.
-
-    Splitting weights come from measured densities over the exact model-set
-    densities; for the lattice-based doubling chain the periodic part is
-    half the integer comb directly.  R must be positive, for every system;
-    otherwise ValueError is raised.
-    """
-    rule, tps, windows, alphas = _calibrated(name, R)
+    """Generate a preset system on [0, R] and split every type with
+    preset_system's windows and alphas (half the integer comb for the
+    doubling chain).  R must be positive, else ValueError is raised."""
+    if R <= 0:
+        raise ValueError(f"R must be positive, got {R!r}")
+    rule, windows, alphas = preset_system(name)
+    tps = inflate.realize_geometric(rule, "a", R)
     rng, counts = (0.0, R), {t: tps.count(t) for t in rule.alphabet}
     if windows is None:
         half_lattice = combs.lattice_comb(0, int(math.floor(R)), 0.5)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from combsplit import __version__, cli, cps, stochastic, suites
+from combsplit import __version__, cli, cps, inflate, stochastic, suites
 from combsplit.cli import main
 from combsplit.zroot5 import TAU
 
@@ -103,8 +103,9 @@ def test_every_flag_is_accepted_from_the_config(tmp_path, capsys):
         assert cli._merge(args, config) == config
         settable += len(kinds)
     # 73 when every command took --seed, --stream and --format: 9 of those go,
-    # and correlate and fb gain --seed-letter, which their config could give
-    assert settable == 66
+    # and correlate and fb gain --seed-letter, which their config could give;
+    # diffract's --R went with its measured alphas
+    assert settable == 65
     # anything else is refused with the same message as before
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "fibonacci", "zeta": 1, "bogus": 2, "help": 3}))
@@ -372,6 +373,7 @@ GOLDEN_RUNS = (
      "--format", "json", "--out", "proj_b.json"),
     ("split", "--system", "twisted_fibonacci", "--R", "2000", "--out", "split"),
     ("split", "--system", "thue_morse", "--R", "2000", "--out", "split_tm"),
+    ("split", "--system", "fibonacci", "--R", "2000", "--out", "split_fib"),
     ("correlate", "--system", "twisted_fibonacci", "--types", "a,b",
      "--R-grid", "100,1000", "--r-max", "10", "--out", "corr.csv"),
     ("correlate", "--system", "thue_morse", "--types", "a,b", "--R-grid", "100,1000",
@@ -400,8 +402,10 @@ GOLDEN_RUNS = (
 # comb correlations of the doubling chain, (bern_points.csv) by a second
 # draw of the gas after its report, (verify_all_41.json) by combs that
 # stored one weight per atom, and (corr_tm.csv) by bit rows per weight level
-# over the integer supports, before the pair sweep counted them.  Re-pin only
-# for a deliberate output change, and list that change in CHANGES.md.
+# over the integer supports, before the pair sweep counted them, and (split/*,
+# fb_nu.csv, verify_orth.json, verify_all_41.json) by alphas measured from
+# point counts at each R, not taken exactly from the rule and windows.  Re-pin
+# only for a deliberate output change, and list that change in CHANGES.md.
 PINNED_DIGESTS = {
     "bern.json":
         "5ed3b46972a285774872ec82405cd8aa6bf4401c2c0673a4d309d1e5c1292249",
@@ -412,7 +416,7 @@ PINNED_DIGESTS = {
     "corr_tm.csv":
         "c955d478e93b1e1f8c816cf9ddd2759e2d5f46e4a4629be7f501c77d56fe9fe0",
     "fb_nu.csv":
-        "22b28a84190a7c4f0c936a3d7f14c4608b87ec11607dd3325e79cebc9de06279",
+        "6f408e9db59f3bd6b880c7f2df46ea378d4f38bb0b82f094ccfb77e46d8805d1",
     "fb_one.csv":
         "03157692d5fffa515648d08f627df8dffce412e9aff23a95cf0c6dcb6a7b0601",
     "fb_sym.csv":
@@ -426,23 +430,33 @@ PINNED_DIGESTS = {
     "proj_b.json":
         "023d1816f7c8bbe2e4deb0763e8484e86bed4e5599a573efc9964597b269833c",
     "split/nu_a.csv":
-        "184bb54f84edacf10f299cef580f232decdf6cb14dd1c2c77c1d7f5bbde11bd6",
+        "2ba17b4cc50278c91a4602c3216175a55bc51f34b61e7f1bbf57a9da823ec4cc",
     "split/nu_a_.csv":
-        "2656ca469bd96289ca57df23ebfc692e3cce520862a28c7698753cba1f91fa0d",
+        "5d127db1a97c0dfbb080cf177c4638853085130ed2338630527bcd44ce407ca4",
     "split/nu_b.csv":
-        "dfd2c5b5338f12a5e224a59837822cca35a69346b92da79b8d750e2915086152",
+        "78b23ec3dc12ea8393bda2ee717f5bf10917e9859db361857e25b5a6c9d7f2e6",
     "split/nu_b_.csv":
-        "240cadaa7fcbfc806bd2096fb71549af6fb6994b1b9668e099d5447511d82901",
+        "11271cef5e030847092c6dc981e167bc15606ad92a03a1414c4e958764ef5206",
     "split/omega_a.csv":
-        "43f235a314b04864597552e6b5278a7ccf7b25689e86e9c1a1babd8bbf566637",
+        "ee34a212f0433914c42e75c7460c27d5f7cf0b402239c1fd09cec6e73cc8124e",
     "split/omega_a_.csv":
-        "de22ece6101aeed537e3094fe027383f4c9c06a384af3274eaded768841b222d",
+        "ee34a212f0433914c42e75c7460c27d5f7cf0b402239c1fd09cec6e73cc8124e",
     "split/omega_b.csv":
-        "d9dac2a8a366b14b637973f138ac82c34396aeb3c2314ba9334d1daf27f5af86",
+        "b034977e6008077eece3d47471c4be650885f8e52ba0ced1e230a6be42c293b7",
     "split/omega_b_.csv":
-        "a9d6a2c3c2c65ebdbd74b2dce0c65e286085b7173aa9727f3cf75f7676c233d0",
+        "b034977e6008077eece3d47471c4be650885f8e52ba0ced1e230a6be42c293b7",
     "split/splitting.json":
-        "85a12a8b740178ccdd8fcaf01894c1e4a17ab1e765df7772cd935256214f4ae1",
+        "9a793e4e43567039a49d5955a5d76f3966265fd718a86d17335204424f6b0a29",
+    "split_fib/nu_a.csv":
+        "2ac65b4571d886005f499e6518be5f12684e6caeab0fc201012a3580b2f913b5",
+    "split_fib/nu_b.csv":
+        "2ac65b4571d886005f499e6518be5f12684e6caeab0fc201012a3580b2f913b5",
+    "split_fib/omega_a.csv":
+        "be90b4301d7a63bf7b4e2fe30905654454dab9c3f81cc373d8edf090e0e299b9",
+    "split_fib/omega_b.csv":
+        "e22f87a8dd5d7ac4321de06f7e4b033a97ee4e8f2e009e0de3560a518966f346",
+    "split_fib/splitting.json":
+        "0bea92319a9a72d66a4efb8709d75af40297d7aed3a7c89da8faaf8339c14a86",
     "split_tm/nu_a.csv":
         "4f9aa9230690a1ec174e187465fae283284a36fee35798bde488046a837a69bc",
     "split_tm/nu_b.csv":
@@ -454,11 +468,11 @@ PINNED_DIGESTS = {
     "split_tm/splitting.json":
         "6b61c4261c9cc4422901bfc3adad0d65eb549ae918e9421db6034926e3917496",
     "verify_all_41.json":
-        "45b6049f23d7f20e5aa4f9d9948ae5f34e1497871084969a59e1ae79ef15cfc5",
+        "c27671e4cfa1f8064c69b231511f1a8bbe690a3cdd0b7c3e35d4f079c0e1ff88",
     "verify_bern.json":
         "e57aa1afb53a3e969a67d50e554ab95422849b1c7b018aafaf56753bf3455796",
     "verify_orth.json":
-        "f120bdaff7cd1042078b8c224e5305a83cc9f076767b67b38cd13a04ac13da5a",
+        "b3828e6e8392f11ec1f98d2417b3e7279640aad5f21667e7f0c09a227a4a2466",
     "verify_tm.json":
         "7d90a1a05c90e66e09af5b1fb54cea33c03158f93c0e055ef26b6780fa6aaaee",
 }
@@ -633,6 +647,19 @@ def test_split_files_match_per_cell_reference(system, groups, tmp_path, monkeypa
             assert written == per_cell(COMB_HEADER, comb_rows(comb), cfg), f"{name}_{t}"
 
 
+def test_golden_chain_splits_with_an_empty_nu(tmp_path):
+    # the golden chain is its model set: alpha 1, omega = delta_M and nu = 0
+    assert run("split", "--system", "fibonacci", "--R", "2000", "--out", str(tmp_path)) == 0
+    for t in "ab":
+        assert (tmp_path / f"nu_{t}.csv").read_text().splitlines()[1:] == [",".join(COMB_HEADER)]
+    assert json.loads((tmp_path / "splitting.json").read_text())["alphas"] == {"a": 1.0, "b": 1.0}
+    fb = tmp_path / "fb_nu.csv"
+    assert run("fb", "--measure", "nu", "--system", "fibonacci", "--R-grid", "100,2000",
+               "--out", str(fb)) == 0
+    rows = [line.split(",") for line in fb.read_text().splitlines()[2:]]
+    assert len(rows) == 50 and all(row[4:7] == ["0.0", "0.0", "0.0"] for row in rows)
+
+
 def test_sample_points_out_draws_the_gas_once(tmp_path, monkeypatch):
     # the report and the points file come from one call of the public entry
     philox = np.random.Philox
@@ -660,18 +687,27 @@ def test_sample_points_out_draws_the_gas_once(tmp_path, monkeypatch):
 
 
 def test_diffract_pure_point_reads_no_context(tmp_path, monkeypatch, capsys):
-    # the pure-point path needs only the calibrated windows and the alphas:
-    # no system context, no projection, and the bytes it wrote when it read
-    # them from the context
+    # the pure-point path needs only the preset windows and the exact alphas:
+    # no system context, no projection and no realization
+    words = []
+
     def refused(*args, **kwargs):
-        raise AssertionError("built more than the calibrated windows")
+        raise AssertionError("built more than the preset windows")
+
+    def counting(*args, realize=inflate.realize_word, **kwargs):
+        words.append(args)
+        return realize(*args, **kwargs)
 
     monkeypatch.setattr(suites, "system_context", refused)
     monkeypatch.setattr(cps, "cut_and_project", refused)
+    monkeypatch.setattr(inflate, "realize_word", counting)
     out = tmp_path / "pp.csv"
-    assert run("diffract", "--system", "twisted_fibonacci", "--R", "2000", "--out", str(out)) == 0
+    assert run("diffract", "--system", "twisted_fibonacci", "--out", str(out)) == 0
+    assert words == []
+    # its k = 0 amplitude is the density tau / sqrt 5 of the chain
+    assert out.read_text().splitlines()[2].startswith("0.0,0.723606797749979,0.0,")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "1348fb02269d30902f13b63eaa0756c5124acd8f3b16a4899018df22f5bad2c2")
+        "733b594fd8252b8a87017b3afc0866ec9ee1ce1b50950c41566326168c547f99")
     tm = tmp_path / "tm.csv"
     assert run("diffract", "--system", "thue_morse", "--out", str(tm)) == 1
     assert json.loads(capsys.readouterr().err) == {
@@ -767,6 +803,10 @@ BAD_INPUT_RUNS = (
      "CliError", "unrecognized arguments: --seed 3"),
     (("diffract", "--system", "thue_morse", "--eta", "4", "--stream", "1"), {},
      "CliError", "unrecognized arguments: --stream 1"),
+    (("diffract", "--system", "fibonacci", "--R", "1e4"), {},
+     "CliError", "unrecognized arguments: --R 1e4"),
+    (("diffract", "--system", "random_fibonacci"), {},
+     "CliError", "system 'random_fibonacci' has no Euclidean windows"),
     (("split", "--sys", "fibonacci", "--R", "10"), {},
      "CliError", "unrecognized arguments: --sys fibonacci"),
     (("split", "--system", "fibonacci", "--R", "100"), {"suite": "tm"},
@@ -832,7 +872,8 @@ BAD_INPUT_RUNS = (
     "correlate-shape-flag", "correlate-shape-config", "generate-format-flag",
     "generate-format-config", "generate-system-number", "split-system-number",
     "generate-unknown-flag", "generate-flag-without-value", "correlate-format",
-    "split-seed", "diffract-stream", "split-flag-prefix", "split-config-suite",
+    "split-seed", "diffract-stream", "diffract-R", "diffract-random_fibonacci",
+    "split-flag-prefix", "split-config-suite",
     "fb-measure-unknown", "fb-k-preset-unknown", "sample-system-unknown",
     "correlate-R-grid-bool",
     "fb-k-values-bool", "correlate-R-grid-text", "correlate-R-grid-empty",
@@ -898,7 +939,7 @@ def test_diffract_refuses_a_module_over_the_points_budget(tmp_path, monkeypatch,
     # before any is made (at k_max = kstar_max = 1e9 enumeration ran on)
     monkeypatch.setattr(cps, "MAX_POINTS", 40_000)
     out = tmp_path / "pp.csv"
-    assert run("diffract", "--system", "fibonacci", "--R", "100", "--k-max", "100",
+    assert run("diffract", "--system", "fibonacci", "--k-max", "100",
                "--kstar-max", "50", "--out", str(out)) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "the Fourier module" in err["message"]

@@ -241,6 +241,21 @@ def test_calibration_reports_failure():
         calibrate_closures(tps.points, bad)
 
 
+def test_preset_window_ends_are_stars_of_negative_points():
+    # the one module point whose star is an end e is e* itself: -1, -tau and
+    # -tau^2, all below 0, so on [0, R] each closure choice gives the same
+    # model sets and the presets need none chosen
+    windows = [*fibonacci_windows().values(), *twisted_fibonacci_windows().values()]
+    ends = {e for w in windows for iv in w.intervals for e in (iv.lo, iv.hi)}
+    stars = {e.star() for e in ends}
+    assert stars == {QuadraticInt(-1, 0), QuadraticInt(0, -1), QuadraticInt(-1, -1)}
+    assert all(x < 0 for x in stars)
+    for w in windows:
+        closed = cut_and_project(w, (0.0, 1000.0))
+        for closure in ((True, False), (False, True), (False, False)):
+            assert np.array_equal(cut_and_project(w.with_closure(*closure), (0.0, 1000.0)), closed)
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         Window([Interval(0.0, 1.0), Interval(0.5, 2.0)])

@@ -23,7 +23,7 @@ def test_system_context_projects_each_distinct_window_once(monkeypatch):
     ctx = suites.system_context.__wrapped__("twisted_fibonacci", R)
     monkeypatch.undo()
 
-    # the four types share two windows; calibration projects nothing
+    # the four types share two windows, projected once each
     assert ranges == [(0.0, R)] * 2
     assert ctx.models["a"] is ctx.models["a_"]
     assert ctx.models["b"] is ctx.models["b_"]
@@ -32,11 +32,11 @@ def test_system_context_projects_each_distinct_window_once(monkeypatch):
     for t, (omega, _) in ctx.splits.items():
         assert np.shares_memory(omega.codes, ctx.models[t])
 
-    # the same context built with one projection per type
-    rng = (0.0, R)
+    # the same context built with one projection per type and the exact
+    # alpha, 1/2: the rule is symmetric under the bar swap
+    rng, alpha = (0.0, R), 0.5
     for t, w in ctx.windows.items():
         model = cps.cut_and_project(w, rng)
-        alpha = (len(ctx.tps.points[t]) / R) / cps.model_set_density(w)
         omega, nu = combs.split_pp(ctx.tps.points[t], w, alpha, rng, model)
         assert np.array_equal(ctx.models[t], model)
         assert ctx.alphas[t] == alpha
@@ -45,33 +45,26 @@ def test_system_context_projects_each_distinct_window_once(monkeypatch):
             assert np.array_equal(got.weights, want.weights)
 
 
-@pytest.mark.parametrize("name", ["fibonacci", "twisted_fibonacci"])
+@pytest.mark.parametrize("name,alpha", [("fibonacci", 1.0), ("twisted_fibonacci", 0.5)],
+                         ids=["fibonacci", "twisted_fibonacci"])
 @pytest.mark.parametrize("R", [500.0, 1e3, 1000.3, 1e4, 1.00311e5])
-def test_system_context_calibrates_on_a_prefix_of_its_realization(monkeypatch, name, R):
-    # the calibration points are those of the one realization in [0, 1000],
-    # and equal the points of a realization on [0, min(R, 1000)]
-    seen, realized = [], []
-    calibrate, realize = cps.calibrate_closures, inflate.realize_geometric
+def test_system_context_alphas_are_exact_at_every_R(name, alpha, R):
+    # alpha_t = dens(P_t) / dens(M_t) from the rule and the windows, not from
+    # the realization: the golden chain is its model set (alpha 1, nu empty),
+    # and the twisted chain fills half of each (alpha 1/2)
+    ctx = suites.system_context.__wrapped__(name, R)
+    assert ctx.alphas == dict.fromkeys(ctx.rule.alphabet, alpha)
+    assert ctx.alphas == suites.preset_system(name)[2]
+    if name == "fibonacci":
+        assert all(len(nu.codes) == 0 for _, nu in ctx.splits.values())
 
-    def capturing(points, windows):
-        seen.append(points)
-        return calibrate(points, windows)
 
-    def counting(*args, **kwargs):
-        realized.append(args)
-        return realize(*args, **kwargs)
-
-    monkeypatch.setattr(cps, "calibrate_closures", capturing)
-    monkeypatch.setattr(inflate, "realize_geometric", counting)
-    suites.system_context.__wrapped__(name, R)
-    monkeypatch.undo()
-
-    rule = inflate.builtin_rule(name)
-    assert len(realized) == 1 and len(seen) == 1
-    want = inflate.realize_geometric(rule, "a", min(R, 1000.0)).points
-    assert list(seen[0]) == list(want)
-    for t, points in want.items():
-        assert np.array_equal(seen[0][t], points)
+def test_an_irrational_alpha_is_refused(monkeypatch):
+    # a type-a window of volume tau^2 would fill 1/tau^2 of its model set
+    wide = cps.Window([cps.Interval(QuadraticInt(-2, 1), QuadraticInt(-1, 2))])
+    monkeypatch.setattr(cps, "fibonacci_windows", lambda: {"a": wide, "b": wide})
+    with pytest.raises(ValueError, match="alpha of type 'a' of fibonacci is irrational"):
+        suites.preset_system("fibonacci")
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "twisted_fibonacci", "thue_morse"])
