@@ -210,12 +210,9 @@ def _windows_from_config(cfg: dict) -> dict[str, cps.Window]:
                 for ivs in doc.values())):
             raise CliError("--windows-file must map one or more types to lists of interval objects")
         return {t: cps.Window([_interval(iv) for iv in ivs]) for t, ivs in doc.items()}
-    preset = cfg.get("window_preset") or cfg.get("system")
-    if preset == "fibonacci":
-        return cps.fibonacci_windows()
-    if preset == "twisted_fibonacci":
-        return cps.twisted_fibonacci_windows()
-    raise CliError("need --window-preset, --windows-file, or a windowed --system")
+    if "window_preset" not in cfg:
+        raise CliError("need --window-preset or --windows-file")
+    return dict(suites.MODEL_SETS[cfg["window_preset"]])
 
 
 def _interval(iv: dict) -> cps.Interval:
@@ -439,6 +436,9 @@ def cmd_fb(cfg: dict) -> int:
     measure = cfg.get("measure", "points")
     shape = cfg.get("shape", "one_sided")
     R_grid = _parse_r_grid(cfg)
+    unread = [f"--{key.replace('_', '-')}" for key in _REALIZE if key != "system" and key in cfg]
+    if measure != "points" and unread:
+        raise CliError(f"--measure {measure} splits --system and reads no {', '.join(unread)}")
     cfg = dict(cfg)
     cfg.setdefault("R", max(R_grid))
     if measure == "points":
@@ -506,7 +506,7 @@ def cmd_diffract(cfg: dict) -> int:
     # alphas, with no realization, projection or split
     system = _need(cfg, "system")
     rule, windows, alphas = suites.preset_system(system)
-    if windows is None:
+    if None in windows.values():
         raise CliError(f"system {system!r} has no Euclidean windows")
     ks = list(cps.fourier_module(cfg.get("k_max", 3.0), cfg.get("kstar_max", 3.0)))
     weights = {t: 1.0 for t in rule.alphabet}
@@ -601,14 +601,16 @@ _COMMANDS = {
 # _convert.
 _FORMAT = ("csv", "json")
 _SHAPE = ("one_sided", "symmetric")
+# the presets whose every type has a window
+_WINDOW_PRESETS = tuple(k for k, sets in suites.MODEL_SETS.items() if None not in sets.values())
 # what _realize_from_config reads
 _REALIZE = {"system": _PRESET_SYSTEMS, "rule_file": str, "p": float, "R": float,
             "seed_letter": str, "seed": int, "stream": int}
 _OPTIONS = {
     "generate": {**_REALIZE, "out": str, "format": _FORMAT},
-    "project": {"window_preset": str, "windows_file": str, "type": str, "R": float,
-                "out": str, "format": _FORMAT, "system": str},
-    "split": {"system": str, "R": float, "out": str},
+    "project": {"window_preset": _WINDOW_PRESETS, "windows_file": str, "type": str,
+                "R": float, "out": str, "format": _FORMAT},
+    "split": {"system": _PRESET_SYSTEMS, "R": float, "out": str},
     "correlate": {**_REALIZE, "out": str, "types": str, "r_max": float,
                   "variant": ("both", "one"), "shape": _SHAPE, "R_grid": list},
     "fb": {**_REALIZE, "out": str, "measure": ("points", "omega", "nu"), "type": str,

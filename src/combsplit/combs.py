@@ -316,9 +316,10 @@ def split_remainder(points: np.ndarray, omega: WeightedComb) -> WeightedComb:
 
 
 def split_points(omega: WeightedComb, nu: WeightedComb) -> np.ndarray:
-    """The point codes of a split made by split_remainder, sorted by position:
-    nu's atoms at level 0 (weight 1 - alpha), or, when alpha = 1 dropped
-    those, omega's atoms on nu's coverage that nu lacks."""
+    """The point codes of a split made by split_remainder, sorted by position
+    (read by SystemContext.tps, for bench/pipeline.py only): nu's atoms at
+    level 0 (weight 1 - alpha), or, when alpha = 1 dropped those, omega's
+    atoms on nu's coverage that nu lacks."""
     if nu.levels[0] != 0:
         return nu.codes[nu.level == 0]
     lo, hi = nu.coverage
@@ -328,7 +329,7 @@ def split_points(omega: WeightedComb, nu: WeightedComb) -> np.ndarray:
 
 def split_pp(
     points: np.ndarray,
-    window: "cps.Window",
+    window: "cps.Window | None",
     alpha: float,
     rng: tuple[float, float],
     model_points: np.ndarray | None = None,
@@ -342,9 +343,9 @@ def split_pp(
 
     Both combs are built on the model set's codes, sorted by position: nu
     takes weight 1 - alpha where the points are and -alpha elsewhere
-    (split_remainder).  omega keeps the model points' array itself, so given
-    model_points must be sorted by position (as cut_and_project returns
-    them); WeightedComb refuses unsorted ones with ValueError.
+    (split_remainder).  Given model_points, the window is not read, and
+    omega keeps their array itself, so they must be sorted by position (as
+    cut_and_project returns them); WeightedComb refuses others with ValueError.
     """
     if model_points is None:
         model_points = cps.cut_and_project(window, rng)

@@ -41,7 +41,6 @@ __all__ = [
     "window_amplitude",
     "calibrate_closures",
     "fibonacci_windows",
-    "twisted_fibonacci_windows",
     "MAX_POINTS",
     "check_points_budget",
 ]
@@ -346,9 +345,3 @@ def fibonacci_windows() -> dict[str, Window]:
     w_a = Window([Interval(QuadraticInt(-2, 1), QuadraticInt(-1, 1))])
     w_b = Window([Interval(QuadraticInt(-1, 0), QuadraticInt(-2, 1))])
     return {"a": w_a, "b": w_b}
-
-
-def twisted_fibonacci_windows() -> dict[str, Window]:
-    """Windows of the four-letter twisted chain; barred types share windows."""
-    base = fibonacci_windows()
-    return {"a": base["a"], "a_": base["a"], "b": base["b"], "b_": base["b"]}

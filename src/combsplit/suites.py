@@ -21,6 +21,7 @@ from .zroot5 import SQRT5, TAU, FourierModulePoint, QuadraticInt
 
 __all__ = [
     "SuiteReport",
+    "MODEL_SETS",
     "SystemContext",
     "system_context",
     "preset_system",
@@ -76,22 +77,32 @@ def preset_k_points() -> list:
     return preset_module_points() + preset_nonmodule_points()
 
 
+# Each splittable preset's model set per type, the one place that names a
+# preset's windows: the window it is cut and projected from, or None for Z.
+_GOLDEN = cps.fibonacci_windows()
+MODEL_SETS: dict[str, dict[str, cps.Window | None]] = {
+    "fibonacci": _GOLDEN,
+    "twisted_fibonacci": {t: _GOLDEN[t[0]] for t in ("a", "a_", "b", "b_")},
+    "thue_morse": {"a": None, "b": None},
+}
+
+
 @dataclass(frozen=True)
 class SystemContext:
-    """One generated system with its preset windows, its model sets as key
-    codes, its point counts and its splitting; tps rebuilds the realization."""
+    """One generated system: per type its MODEL_SETS entry (windows), model
+    set codes on [0, R] (models), point count, alpha and (omega, nu)."""
 
     rule: inflate.SubstitutionRule
     rng: tuple[float, float]
     counts: dict[str, int]
-    windows: dict[str, cps.Window] | None
-    models: dict[str, np.ndarray] | None
+    windows: dict[str, cps.Window | None]
+    models: dict[str, np.ndarray]
     alphas: dict[str, float]
     splits: dict[str, tuple[combs.WeightedComb, combs.WeightedComb]]
 
     @property
     def tps(self) -> inflate.TypedPointSet:
-        """The realization, each type's points rebuilt when they are read."""
+        """The realization, rebuilt a type at a time when read (by bench/pipeline.py only)."""
         points = inflate._Derived(self.splits, lambda t: combs.split_points(*self.splits[t]))
         return inflate.TypedPointSet(points, self.rng)
 
@@ -105,15 +116,15 @@ def _det(rows: list[list[QuadraticInt]]) -> QuadraticInt:
 
 
 def preset_system(name: str):
-    """A preset system's rule, windows (None where it has none: the doubling
-    chain's split takes 1/2) and alphas, exact and the same at every R: alpha_t =
-    dens(P_t) / dens(M_t) = v_t sqrt5 / (vol(W_t) sum_j v_j l_j), with v the
-    letter frequencies, column 0 of adj(S - lambda I).  Each preset's alpha
-    is rational; an irrational one raises ValueError."""
+    """A preset system's rule, model sets (MODEL_SETS[name]) and alphas, exact
+    and the same at every R: alpha_t = v_t / (sum_j v_j l_j * dens(M_t)), with
+    v the letter frequencies, column 0 of adj(S - lambda I).  Each alpha is
+    rational; an irrational one raises ValueError, as does a system with no
+    model set (random_fibonacci)."""
     rule = inflate.builtin_rule(name)
-    if name not in ("fibonacci", "twisted_fibonacci"):
-        return rule, None, {t: 0.5 for t in rule.alphabet}
-    windows = cps.fibonacci_windows() if name == "fibonacci" else cps.twisted_fibonacci_windows()
+    if name not in MODEL_SETS:
+        raise ValueError(f"system {name!r} has no model set")
+    model_sets = dict(MODEL_SETS[name])
     mat, lam = inflate.substitution_matrix(rule), rule.inflation_factor
     shifted = [[QuadraticInt(int(x)) - (lam if i == j else 0) for j, x in enumerate(row)]
                for i, row in enumerate(mat)]
@@ -121,46 +132,39 @@ def preset_system(name: str):
          for i, t in enumerate(rule.alphabet)}
     mean_length = sum((v[t] * rule.lengths[t] for t in rule.alphabet), QuadraticInt(0))
     alphas = {}
-    for t in rule.alphabet:
-        den = mean_length * sum((iv.hi - iv.lo for iv in windows[t].intervals), QuadraticInt(0))
+    for t, w in model_sets.items():
+        # dens(M_t) = vol / root5: vol(W_t) / sqrt 5 (= 2 tau - 1), or 1 / 1 for Z
+        vol, root5 = (1, 1) if w is None else (
+            sum(iv.hi - iv.lo for iv in w.intervals), QuadraticInt(-1, 2))
+        den = mean_length * vol
         # (p + q tau) / N over the integer N = den * den*, rounded once
-        num = v[t] * QuadraticInt(-1, 2) * den.star()  # sqrt 5 = 2 tau - 1
+        num = v[t] * root5 * den.star()
         if num.n != 0:
             raise ValueError(f"alpha of type {t!r} of {name} is irrational")
         alphas[t] = float(Fraction(num.m, (den * den.star()).m))
-    return rule, windows, alphas
+    return rule, model_sets, alphas
 
 
 @lru_cache(maxsize=8)
 def system_context(name: str, R: float) -> SystemContext:
     """Generate a preset system on [0, R] and split every type with
-    preset_system's windows and alphas (half the integer comb for the
-    doubling chain).  R must be positive, else ValueError is raised."""
+    preset_system's model set M and alpha: omega = alpha * delta_M covers
+    (0, R).  R must be positive, else ValueError is raised."""
     if R <= 0:
         raise ValueError(f"R must be positive, got {R!r}")
-    rule, windows, alphas = preset_system(name)
+    rule, model_sets, alphas = preset_system(name)
     tps = inflate.realize_geometric(rule, "a", R)
     rng, counts = (0.0, R), {t: tps.count(t) for t in rule.alphabet}
-    if windows is None:
-        half_lattice = combs.lattice_comb(0, int(math.floor(R)), 0.5)
-        splits = {
-            t: (half_lattice, combs.split_remainder(tps.codes[t], half_lattice))
-            for t in rule.alphabet
-        }
-        return SystemContext(rule, tps.rng, counts, None, None, alphas, splits)
-
-    # types that share a window share one read-only projection of it
-    projected: dict[tuple[cps.Interval, ...], np.ndarray] = {}
-    for w in windows.values():
-        if w.intervals not in projected:
-            projected[w.intervals] = cps.cut_and_project(w, rng)
-            projected[w.intervals].setflags(write=False)
-    models = {t: projected[w.intervals] for t, w in windows.items()}
-    splits = {
-        t: combs.split_pp(tps.codes[t], windows[t], alphas[t], rng, models[t])
-        for t in rule.alphabet
-    }
-    return SystemContext(rule, tps.rng, counts, windows, models, alphas, splits)
+    # types on one model set share one read-only array of its codes
+    codes: dict[cps.Window | None, np.ndarray] = {}
+    for w in dict.fromkeys(model_sets.values()):
+        codes[w] = (combs.lattice_comb(0, math.floor(R)).codes if w is None
+                    else cps.cut_and_project(w, rng))
+        codes[w].setflags(write=False)
+    models = {t: codes[w] for t, w in model_sets.items()}
+    splits = {t: combs.split_pp(tps.codes[t], w, alphas[t], rng, codes[w])
+              for t, w in model_sets.items()}
+    return SystemContext(rule, tps.rng, counts, model_sets, models, alphas, splits)
 
 
 def suite_eberlein_exact(seed: int | None = None) -> SuiteReport:
@@ -344,8 +348,7 @@ def suite_polarisation(seed: int | None = None) -> SuiteReport:
     """Zero-frequency mass of the golden-chain correlation equals the
     squared density, within one percent."""
     R = 10_000.0
-    ctx = system_context("fibonacci", R)
-    comb = ctx.tps.comb()
+    comb = inflate.realize_geometric(inflate.fibonacci_rule(), "a", R).comb()
     expected = (TAU / SQRT5) ** 2
     residual = spectra.polarisation_zero_check(comb, comb, "one_sided", R, expected)
     rel = residual / expected

@@ -104,8 +104,9 @@ def test_every_flag_is_accepted_from_the_config(tmp_path, capsys):
         settable += len(kinds)
     # 73 when every command took --seed, --stream and --format: 9 of those go,
     # and correlate and fb gain --seed-letter, which their config could give;
-    # diffract's --R went with its measured alphas
-    assert settable == 65
+    # diffract's --R went with its measured alphas, and project's --system,
+    # an alias of --window-preset
+    assert settable == 64
     # anything else is refused with the same message as before
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "fibonacci", "zeta": 1, "bogus": 2, "help": 3}))
@@ -201,6 +202,17 @@ def test_fb_scan_csv(tmp_path):
     # first row of each k has an empty cauchy field
     first = rows[2].split(",")
     assert first[-1] == ""
+
+
+def test_fb_of_the_doubling_chain_split_covers_R(tmp_path):
+    # omega is 1/2 on the sites 0..100 of Z and covers (0, 100.5): at k = 1
+    # every site adds 1/2, at k = 1/2 the sites alternate in sign
+    out = tmp_path / "omega.csv"
+    assert run("fb", "--system", "thue_morse", "--measure", "omega", "--R-grid", "100.5",
+               "--k-values", "1,0.5", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [tuple(map(float, row[2:6])) for row in rows] == [
+        (1.0, 100.5, 0.5 * 101 / 100.5, 0.0), (0.5, 100.5, 0.5 / 100.5, 0.0)]
 
 
 def test_project_json_format(tmp_path):
@@ -789,8 +801,9 @@ BAD_INPUT_RUNS = (
     (("generate", "--R", "100"), {"system": 5}, "CliError",
      "--system must be one of ['fibonacci', 'twisted_fibonacci', 'thue_morse', "
      "'random_fibonacci'], got 5"),
-    (("split", "--R", "100"), {"system": 5},
-     "CliError", "--system must be text, got 5"),
+    (("split", "--R", "100"), {"system": 5}, "CliError",
+     "--system must be one of ['fibonacci', 'twisted_fibonacci', 'thue_morse', "
+     "'random_fibonacci'], got 5"),
     # each command takes only the options it reads, and a bad command line is
     # refused as a bad config is
     (("generate", "--system", "fibonacci", "--R", "100", "--bogus", "1"), {},
@@ -806,7 +819,7 @@ BAD_INPUT_RUNS = (
     (("diffract", "--system", "fibonacci", "--R", "1e4"), {},
      "CliError", "unrecognized arguments: --R 1e4"),
     (("diffract", "--system", "random_fibonacci"), {},
-     "CliError", "system 'random_fibonacci' has no Euclidean windows"),
+     "ValueError", "system 'random_fibonacci' has no model set"),
     (("split", "--sys", "fibonacci", "--R", "10"), {},
      "CliError", "unrecognized arguments: --sys fibonacci"),
     (("split", "--system", "fibonacci", "--R", "100"), {"suite": "tm"},
@@ -859,6 +872,25 @@ BAD_INPUT_RUNS = (
      "RuleError", "rule images must be an object per letter, got ['a']"),
     (("generate", "--R", "100"), {"rule_file": random_rule(lengths=1)},
      "RuleError", "rule lengths must be an object per letter, got 1"),
+    # only the presets with model sets split; the random chain has none
+    (("split", "--system", "random_fibonacci", "--R", "10"), {},
+     "ValueError", "system 'random_fibonacci' has no model set"),
+    (("fb", "--system", "random_fibonacci", "--R-grid", "100", "--measure", "nu"), {},
+     "ValueError", "system 'random_fibonacci' has no model set"),
+    (("split", "--system", "penrose", "--R", "10"), {}, "CliError",
+     "--system must be one of ['fibonacci', 'twisted_fibonacci', 'thue_morse', "
+     "'random_fibonacci'], got 'penrose'"),
+    (("project", "--window-preset", "thue_morse", "--R", "10"), {}, "CliError",
+     "--window-preset must be one of ['fibonacci', 'twisted_fibonacci'], got 'thue_morse'"),
+    (("project", "--system", "fibonacci", "--R", "10"), {},
+     "CliError", "unrecognized arguments: --system fibonacci"),
+    # fb splits a preset system for omega and nu, so no realization option is read
+    (("fb", "--system", "twisted_fibonacci", "--R-grid", "100", "--measure", "nu",
+      "--seed", "5", "--p", "0.9", "--rule-file", "nonexist.json", "--R", "50"), {},
+     "CliError", "--measure nu splits --system and reads no --rule-file, --p, --R, --seed"),
+    (("fb", "--system", "thue_morse", "--R-grid", "100", "--measure", "omega"),
+     {"seed_letter": "b", "stream": 1},
+     "CliError", "--measure omega splits --system and reads no --seed-letter, --stream"),
 )
 
 
@@ -881,7 +913,9 @@ BAD_INPUT_RUNS = (
     "windows-file-number", "windows-file-interval-number", "windows-file-no-lo",
     "windows-file-lo-bool", "windows-file-lo-text", "windows-file-lo-nan", "windows-file-hi-inf",
     "rule-prob-bool", "rule-prob-text", "rule-prob-nan", "rule-alphabet-number",
-    "rule-images-list", "rule-lengths-number"])
+    "rule-images-list", "rule-lengths-number", "split-random_fibonacci",
+    "fb-nu-random_fibonacci", "split-system-unknown", "project-window-preset-no-window",
+    "project-system", "fb-nu-realization-options", "fb-omega-realization-config"])
 def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_path, capsys):
     config = dict(config)
     for key in ("windows_file", "rule_file"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combsplit import combs, cps, inflate
+from combsplit import combs, cps, inflate, suites
 from combsplit.combs import (
     ContainmentError,
     WeightedComb,
@@ -124,7 +124,7 @@ def test_reflect_of_combination_is_combination_of_reflections(mu, c):
 def _twisted_split(R=500.0):
     rule = inflate.twisted_fibonacci_rule()
     tps = inflate.realize_geometric(rule, "a", R)
-    window = cps.twisted_fibonacci_windows()["a"]
+    window = suites.MODEL_SETS["twisted_fibonacci"]["a"]
     model = cps.cut_and_project(window, (0.0, R))
     alpha = (len(tps.points["a"]) / R) / cps.model_set_density(window)
     omega, nu = split_pp(tps.points["a"], window, alpha, (0.0, R), model)
@@ -147,7 +147,7 @@ def test_split_pp_reconstruction_is_exact():
 
 def test_split_pp_rejects_unsorted_model_points():
     tps, *_ = _twisted_split()
-    window = cps.twisted_fibonacci_windows()["a"]
+    window = suites.MODEL_SETS["twisted_fibonacci"]["a"]
     model = cps.cut_and_project(window, (0.0, 500.0))
     with pytest.raises(ValueError, match="sorted by position"):
         split_pp(tps.points["a"], window, 0.5, (0.0, 500.0), model[::-1])
@@ -155,7 +155,7 @@ def test_split_pp_rejects_unsorted_model_points():
 
 def test_split_pp_reports_containment_violation():
     tps, *_ = _twisted_split()
-    window = cps.twisted_fibonacci_windows()["a"]
+    window = suites.MODEL_SETS["twisted_fibonacci"]["a"]
     bad_points = np.vstack([tps.points["a"], [[1, 0]]])  # star(1) = 1, outside
     with pytest.raises(ContainmentError) as err:
         split_pp(bad_points, window, 0.5, (0.0, 500.0))
@@ -257,7 +257,7 @@ def _model_set(draw):
         keys = [(2**30 + a - t * F36, b + t * F35) for a, b, ts in runs for t in ts]
         rng = (2.0**30 - 40.0, 2.0**30 + 40.0)  # |a + b tau| < 40
         return dirac_comb(keys, rng).keys, rng
-    windows = draw(st.sampled_from([cps.fibonacci_windows(), cps.twisted_fibonacci_windows()]))
+    windows = draw(st.sampled_from([cps.fibonacci_windows(), suites.MODEL_SETS["twisted_fibonacci"]]))
     window = windows[draw(st.sampled_from(sorted(windows)))]
     rng = (draw(st.floats(-40.0, 0.0)), draw(st.floats(0.0, 40.0)))
     return _decode(cps.cut_and_project(window, rng)), rng
@@ -463,7 +463,7 @@ def test_from_weights_returns_the_input_bits(dtype, n_values, seed):
 def test_split_remainder_weights_are_one_minus_alpha_and_minus_alpha(alpha, levels):
     # nu's weights are bit for bit np.where(in_P, 1 - w, -w), zeros dropped,
     # w being omega's weight per atom, also when omega has several levels
-    window = cps.twisted_fibonacci_windows()["a"]
+    window = suites.MODEL_SETS["twisted_fibonacci"]["a"]
     model = cps.cut_and_project(window, (0.0, 300.0))
     rng = np.random.default_rng(len(model))
     if levels == 1:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combsplit import cps, inflate, zroot5
+from combsplit import cps, inflate, suites, zroot5
 from combsplit.cps import (
     CalibrationError,
     Interval,
@@ -15,7 +15,6 @@ from combsplit.cps import (
     fibonacci_windows,
     fourier_module,
     model_set_density,
-    twisted_fibonacci_windows,
     window_amplitude,
 )
 from combsplit.zroot5 import (
@@ -210,7 +209,7 @@ def test_window_amplitude_bounded_by_density():
 
 def test_calibration_accepts_generated_fixed_point():
     tps = inflate.realize_geometric(inflate.twisted_fibonacci_rule(), "a", 1000.0)
-    cal = calibrate_closures(tps.points, twisted_fibonacci_windows())
+    cal = calibrate_closures(tps.points, suites.MODEL_SETS["twisted_fibonacci"])
     assert cal.closure == (True, True)
     for t, pts in tps.points.items():
         model = cut_and_project(cal.windows[t], (0.0, 1000.0))
@@ -225,7 +224,7 @@ def test_calibration_projects_nothing(monkeypatch):
         raise AssertionError("calibration projected a window")
 
     monkeypatch.setattr(cps, "cut_and_project", no_projection)
-    cal = calibrate_closures(tps.points, twisted_fibonacci_windows())
+    cal = calibrate_closures(tps.points, suites.MODEL_SETS["twisted_fibonacci"])
     assert cal.closure == (True, True)
     assert set(cal.windows) == set(tps.points)
 
@@ -245,7 +244,7 @@ def test_preset_window_ends_are_stars_of_negative_points():
     # the one module point whose star is an end e is e* itself: -1, -tau and
     # -tau^2, all below 0, so on [0, R] each closure choice gives the same
     # model sets and the presets need none chosen
-    windows = [*fibonacci_windows().values(), *twisted_fibonacci_windows().values()]
+    windows = [*fibonacci_windows().values(), *suites.MODEL_SETS["twisted_fibonacci"].values()]
     ends = {e for w in windows for iv in w.intervals for e in (iv.lo, iv.hi)}
     stars = {e.star() for e in ends}
     assert stars == {QuadraticInt(-1, 0), QuadraticInt(0, -1), QuadraticInt(-1, -1)}
@@ -423,7 +422,7 @@ def test_cut_and_project_releases_its_row_blocks_before_sorting():
     # from R = 4e4 to 2e5 (17889 and 89443 points; ROW_BLOCK rows cancel).
     # The result's keys take 16 B per point; holding the row blocks through
     # the concatenation and the position sort took 43 B per point.
-    window = twisted_fibonacci_windows()["a"]
+    window = suites.MODEL_SETS["twisted_fibonacci"]["a"]
     peaks = []
     for R in (4e4, 2e5):
         tracemalloc.start()

@@ -282,7 +282,7 @@ def _twisted_splitting(R):
     rng = (0.0, R)
     splits = {}
     for t in ("a", "b"):
-        window = cps.twisted_fibonacci_windows()[t]
+        window = suites.MODEL_SETS["twisted_fibonacci"][t]
         alpha = (len(tps.points[t]) / R) / cps.model_set_density(window)
         splits[t] = split_pp(tps.points[t], window, alpha, rng)
     return tps, splits

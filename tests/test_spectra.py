@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combsplit import cps, inflate, spectra
+from combsplit import cps, inflate, spectra, suites
 from combsplit.combs import dirac_comb, lattice_comb
 from combsplit.spectra import (
     polarisation_zero_check,
@@ -116,7 +116,7 @@ def test_pp_intensity_nonnegative():
 
 
 def test_pp_intensity_respects_alphas():
-    windows = cps.twisted_fibonacci_windows()
+    windows = suites.MODEL_SETS["twisted_fibonacci"]
     alphas = {t: 0.5 for t in windows}
     rows = pp_intensity(
         windows, {t: 1.0 for t in windows}, [FourierModulePoint(0, 0)], alphas

@@ -45,24 +45,44 @@ def test_system_context_projects_each_distinct_window_once(monkeypatch):
             assert np.array_equal(got.weights, want.weights)
 
 
-@pytest.mark.parametrize("name,alpha", [("fibonacci", 1.0), ("twisted_fibonacci", 0.5)],
-                         ids=["fibonacci", "twisted_fibonacci"])
+@pytest.mark.parametrize("name,alpha", [("fibonacci", 1.0), ("twisted_fibonacci", 0.5),
+                                        ("thue_morse", 0.5)],
+                         ids=["fibonacci", "twisted_fibonacci", "thue_morse"])
 @pytest.mark.parametrize("R", [500.0, 1e3, 1000.3, 1e4, 1.00311e5])
 def test_system_context_alphas_are_exact_at_every_R(name, alpha, R):
-    # alpha_t = dens(P_t) / dens(M_t) from the rule and the windows, not from
-    # the realization: the golden chain is its model set (alpha 1, nu empty),
-    # and the twisted chain fills half of each (alpha 1/2)
+    # alpha_t = dens(P_t) / dens(M_t) from the rule and the model sets, not
+    # from the realization: the golden chain is its model set (alpha 1, nu
+    # empty), the twisted chain fills half of each window's, and the doubling
+    # chain half of Z (dens 1)
     ctx = suites.system_context.__wrapped__(name, R)
     assert ctx.alphas == dict.fromkeys(ctx.rule.alphabet, alpha)
     assert ctx.alphas == suites.preset_system(name)[2]
     if name == "fibonacci":
         assert all(len(nu.codes) == 0 for _, nu in ctx.splits.values())
+    # every omega covers (0, R), on its type's model set
+    for t, (omega, nu) in ctx.splits.items():
+        assert omega.coverage == nu.coverage == (0.0, R)
+        assert omega.codes is ctx.models[t] and not ctx.models[t].flags.writeable
+        window = ctx.windows[t]
+        if window is None:
+            assert np.array_equal(ctx.models[t] >> 32, np.arange(int(R) + 1))
+            assert not (ctx.models[t] & (2**32 - 1)).any()
+        else:
+            assert np.array_equal(ctx.models[t], cps.cut_and_project(window, (0.0, R)))
+
+
+def test_only_presets_with_model_sets_split():
+    with pytest.raises(ValueError, match="'random_fibonacci' has no model set"):
+        suites.preset_system("random_fibonacci")
+    with pytest.raises(ValueError, match="'random_fibonacci' has no model set"):
+        suites.system_context.__wrapped__("random_fibonacci", 100.0)
+    assert suites.preset_system("thue_morse")[1] == {"a": None, "b": None}
 
 
 def test_an_irrational_alpha_is_refused(monkeypatch):
     # a type-a window of volume tau^2 would fill 1/tau^2 of its model set
     wide = cps.Window([cps.Interval(QuadraticInt(-2, 1), QuadraticInt(-1, 2))])
-    monkeypatch.setattr(cps, "fibonacci_windows", lambda: {"a": wide, "b": wide})
+    monkeypatch.setitem(suites.MODEL_SETS, "fibonacci", {"a": wide, "b": wide})
     with pytest.raises(ValueError, match="alpha of type 'a' of fibonacci is irrational"):
         suites.preset_system("fibonacci")
 
@@ -86,7 +106,7 @@ def test_rebuilt_realization_equals_the_realization(name, R):
 def test_rebuilt_points_when_a_level_weighs_zero(alpha):
     # alpha = 1 drops nu's atoms at the points, alpha = 0 those at the rest
     R = 300.0
-    window = cps.twisted_fibonacci_windows()["a"]
+    window = suites.MODEL_SETS["twisted_fibonacci"]["a"]
     model = cps.cut_and_project(window, (0.0, R))
     points = model[np.random.default_rng(5).random(len(model)) < 0.5]
     omega, nu = combs.split_pp(points, window, alpha, (0.0, R), model)
