@@ -203,15 +203,15 @@ def _realize_from_config(cfg: dict) -> inflate.TypedPointSet:
 
 
 def _windows_from_config(cfg: dict) -> dict[str, cps.Window]:
-    if cfg.get("windows_file"):
+    if ("window_preset" in cfg) == ("windows_file" in cfg):
+        raise CliError("project takes exactly one of --window-preset and --windows-file")
+    if "windows_file" in cfg:
         doc = json.loads(Path(cfg["windows_file"]).read_text())
         if not (isinstance(doc, dict) and doc and all(
                 isinstance(ivs, list) and all(isinstance(iv, dict) for iv in ivs)
                 for ivs in doc.values())):
             raise CliError("--windows-file must map one or more types to lists of interval objects")
         return {t: cps.Window([_interval(iv) for iv in ivs]) for t, ivs in doc.items()}
-    if "window_preset" not in cfg:
-        raise CliError("need --window-preset or --windows-file")
     return dict(suites.MODEL_SETS[cfg["window_preset"]])
 
 

@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import cps
 from .zroot5 import _code, _code_position, _codes, _decode, _encode, _integer_sites, _key_parts
 from .zroot5 import embed_array
 
@@ -328,26 +327,19 @@ def split_points(omega: WeightedComb, nu: WeightedComb) -> np.ndarray:
 
 
 def split_pp(
-    points: np.ndarray,
-    window: "cps.Window | None",
-    alpha: float,
-    rng: tuple[float, float],
-    model_points: np.ndarray | None = None,
+    points: np.ndarray, model: np.ndarray, alpha: float, rng: tuple[float, float]
 ) -> tuple[WeightedComb, WeightedComb]:
     """Split a point comb into its model-set part and the remainder.
 
-    Returns (omega, nu) with omega = alpha * delta_{model set} on rng and
-    nu = delta_points - omega, so that omega + nu reproduces the input comb
-    atom-for-atom.  Requires every input point to lie in the model set of
-    the window; violations raise ContainmentError with the offenders.
+    Returns (omega, nu) with omega = alpha * delta_M on rng, for the model
+    set M of codes model, and nu = delta_points - omega, so that omega + nu
+    reproduces the input comb atom-for-atom.  Requires every input point to
+    lie in M; violations raise ContainmentError with the offenders.
 
-    Both combs are built on the model set's codes, sorted by position: nu
-    takes weight 1 - alpha where the points are and -alpha elsewhere
-    (split_remainder).  Given model_points, the window is not read, and
-    omega keeps their array itself, so they must be sorted by position (as
-    cut_and_project returns them); WeightedComb refuses others with ValueError.
+    Both combs are built on M's codes: nu takes weight 1 - alpha where the
+    points are and -alpha elsewhere (split_remainder).  omega keeps the
+    array model itself, so it must be sorted by position, as cut_and_project
+    returns it; WeightedComb refuses others with ValueError.
     """
-    if model_points is None:
-        model_points = cps.cut_and_project(window, rng)
-    omega = _uniform(_as_codes(model_points), float(alpha), rng)
+    omega = _uniform(model, float(alpha), rng)
     return omega, split_remainder(points, omega)

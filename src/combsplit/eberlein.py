@@ -192,11 +192,12 @@ def _count(mu, nu, shape, R, r_max, variant):
 
 def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
     """The comb of the correctly rounded atoms sum(count * vx[i] * vy[j]) / vol
-    over the tallied cells (key, i, j, count), all-zero atoms dropped, sorted
-    by position.  Every correlation, whatever counted its pairs, ends here.
-    The products are taken in the levels' dtype, at least double precision;
-    each tally is folded into the exact sums of the atoms seen so far as it
-    arrives, so memory grows with the atoms out, not with the tallies."""
+    over the tallied cells (key, i, j, count), all-zero atoms and atoms off
+    coverage dropped, sorted by position.  Every correlation, whatever
+    counted its pairs, ends here.  The products are taken in the levels'
+    dtype, at least double precision; each tally is folded into the exact
+    sums of the atoms seen so far as it arrives, so memory grows with the
+    atoms out, not with the tallies."""
     dtype = np.result_type(vx, vy, np.float64)
     vx, vy = vx.astype(dtype), vy.astype(dtype)
     codes, sums = np.empty(0, dtype=np.int64), np.zeros((0, 1 + (dtype.kind == "c")), dtype=object)
@@ -220,7 +221,10 @@ def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
         rounded = (sums / 2**1074).astype(np.float64)
     except OverflowError:
         raise ValueError(_NOT_FINITE) from None
-    keep = rounded.any(axis=1)
+    # the atoms on the coverage by their own positions, as linear_combine
+    # keeps them: the pair sweep admits lags up to a hair beyond it
+    pos = embed_array(*_key_parts(codes))
+    keep = rounded.any(axis=1) & (pos >= coverage[0]) & (pos <= coverage[1])
     # divide real and imaginary parts separately: numpy's complex division
     # multiplies by a reciprocal and would round twice
     quotient = (rounded[keep] / vol).view(dtype).ravel()

@@ -26,8 +26,6 @@ __all__ = [
     "TypedPointSet",
     "RuleError",
     "substitution_matrix",
-    "pf_data",
-    "PFData",
     "realize_word",
     "realize_geometric",
     "densities",
@@ -53,7 +51,10 @@ class Branch:
 
 @dataclass(frozen=True)
 class SubstitutionRule:
-    """Alphabet, per-letter images (possibly probabilistic), exact tile lengths."""
+    """Alphabet, per-letter images (possibly probabilistic), exact tile lengths.
+
+    A declared inflation factor must satisfy check_length_identity, else
+    RuleError is raised at construction."""
 
     alphabet: tuple[str, ...]
     images: Mapping[str, tuple[Branch, ...]]
@@ -94,6 +95,8 @@ class SubstitutionRule:
                 )
         if not _is_primitive(substitution_matrix(self)):
             raise RuleError("substitution matrix is not primitive")
+        if self.inflation_factor is not None:
+            self.check_length_identity()
 
     @property
     def is_random(self) -> bool:
@@ -115,7 +118,8 @@ class SubstitutionRule:
                     got = got + self.lengths[sym]
                 if got != want:
                     raise RuleError(
-                        f"image of {letter!r} spans {got}, expected {want}"
+                        f"image of {letter!r} spans {got}, not the inflation factor "
+                        f"times its length, {want}"
                     )
 
 
@@ -201,51 +205,6 @@ def _is_primitive(mat: np.ndarray) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class PFData:
-    eigenvalue: float
-    left: np.ndarray  # normalized so the minimum entry is 1 (tile lengths)
-    right: np.ndarray  # normalized to sum 1 (letter frequencies)
-
-
-# pf_data's residual to reach, and the power iterations it may take
-PF_TOL = 1e-12
-PF_ITERATIONS = 100_000
-
-
-def pf_data(mat: np.ndarray) -> PFData:
-    """Dominant eigenvalue and positive eigenvectors by power iteration.
-
-    Iterates until the infinity-norm residual of both eigenvector equations
-    drops to PF_TOL.  Requires a primitive matrix.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    if not _is_primitive(mat.astype(np.int64) if mat.dtype != object else mat):
-        raise RuleError("matrix is not primitive")
-    s = mat.shape[0]
-    right = np.full(s, 1.0 / s)
-    left = np.full(s, 1.0 / s)
-    lam = 0.0
-    for _ in range(PF_ITERATIONS):
-        right_new = mat @ right
-        lam = right_new.sum()
-        right_new /= lam
-        left_new = left @ mat
-        left_new /= left_new.sum()
-        res = max(
-            np.abs(mat @ right_new - lam * right_new).max(),
-            np.abs(left_new @ mat - lam * left_new).max(),
-        )
-        right, left = right_new, left_new
-        if res <= PF_TOL:
-            break
-    else:
-        raise RuleError(f"power iteration did not reach residual {PF_TOL}")
-    # bilinear quotient squares the residual error of the eigenvalue
-    lam = float((left @ mat @ right) / (left @ right))
-    return PFData(lam, left / left.min(), right / right.sum())
-
-
 def _philox_generator(seed: int, stream: int, level: int) -> np.random.Generator:
     # Stable per-(level, tile-index) stream: one counter-based generator per
     # level, consumed positionally, so larger targets extend earlier draws.
@@ -314,21 +273,24 @@ def realize_word(
     ]
     lengths = [rule.lengths[l] for l in rule.alphabet]
     len_values = np.array([l.embed() for l in lengths])
-    mat = substitution_matrix(rule)
-    # letter frequencies over mean tile length: points per unit length
-    freqs = pf_data(mat).right
-    check_points_budget(R / float(freqs @ len_values), f"realizing {rule.name} on [0, {R:g}]")
-
-    # the letter counts of each level follow from the substitution matrix
+    mat = substitution_matrix(rule).tolist()
+    # The letter counts of each level are exact Python ints, S**level applied
+    # to the seed's unit vector; the first level whose tiles cover R is the
+    # depth.  Its points per unit length size the budget before any inflation,
+    # even past the depth limit: R * (count / length) stays finite where
+    # R * count would overflow.
+    tally = [int(i == idx[seed]) for i in range(len(idx))]
+    depth = 0
+    while ((length := float(np.array(tally, dtype=np.float64) @ len_values)) < R
+           and depth <= 128):
+        tally = [sum(a * t for a, t in zip(row, tally)) for row in mat]
+        depth += 1
+    check_points_budget(R * (sum(tally) / length), f"realizing {rule.name} on [0, {R:g}]")
+    if depth > 128:
+        raise RuleError("inflation did not reach the requested length")
     word = np.array([idx[seed]], dtype=letter_type)
-    tally = np.bincount(word, minlength=len(idx))
-    level = 0
-    while float(tally @ len_values) < R:
+    for level in range(depth):
         word = _inflate_word(word, br_words, br_cumprob, rng_seed, stream, level)
-        tally = mat @ tally
-        level += 1
-        if level > 128:
-            raise RuleError("inflation did not reach the requested length")
 
     # Tiles have positive lengths, so the starts grow along the word, and so
     # do their embeddings while a tile is longer than their rounding (under

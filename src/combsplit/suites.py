@@ -162,8 +162,7 @@ def system_context(name: str, R: float) -> SystemContext:
                     else cps.cut_and_project(w, rng))
         codes[w].setflags(write=False)
     models = {t: codes[w] for t, w in model_sets.items()}
-    splits = {t: combs.split_pp(tps.codes[t], w, alphas[t], rng, codes[w])
-              for t, w in model_sets.items()}
+    splits = {t: combs.split_pp(tps.codes[t], models[t], alphas[t], rng) for t in models}
     return SystemContext(rule, tps.rng, counts, model_sets, models, alphas, splits)
 
 

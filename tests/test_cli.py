@@ -891,6 +891,18 @@ BAD_INPUT_RUNS = (
     (("fb", "--system", "thue_morse", "--R-grid", "100", "--measure", "omega"),
      {"seed_letter": "b", "stream": 1},
      "CliError", "--measure omega splits --system and reads no --seed-letter, --stream"),
+    # project reads its windows from exactly one source
+    (("project", "--window-preset", "twisted_fibonacci", "--R", "10"),
+     {"windows_file": {"a": [{"lo": -1, "hi": 0.5}]}},
+     "CliError", "project takes exactly one of --window-preset and --windows-file"),
+    (("project", "--R", "10"), {},
+     "CliError", "project takes exactly one of --window-preset and --windows-file"),
+    # a declared inflation factor must match the tile lengths
+    (("generate", "--R", "20"),
+     {"rule_file": {"alphabet": ["a", "b"], "images": {"a": ["a", "b"], "b": ["a"]},
+                    "lengths": {"a": 1, "b": 1}, "inflation_factor": {"n": 1}}},
+     "RuleError",
+     "image of 'a' spans 2+0\u03c4, not the inflation factor times its length, 0+1\u03c4"),
 )
 
 
@@ -915,7 +927,8 @@ BAD_INPUT_RUNS = (
     "rule-prob-bool", "rule-prob-text", "rule-prob-nan", "rule-alphabet-number",
     "rule-images-list", "rule-lengths-number", "split-random_fibonacci",
     "fb-nu-random_fibonacci", "split-system-unknown", "project-window-preset-no-window",
-    "project-system", "fb-nu-realization-options", "fb-omega-realization-config"])
+    "project-system", "fb-nu-realization-options", "fb-omega-realization-config",
+    "project-two-window-sources", "project-no-window-source", "rule-factor-contradicts-lengths"])
 def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_path, capsys):
     config = dict(config)
     for key in ("windows_file", "rule_file"):

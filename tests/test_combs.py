@@ -127,7 +127,7 @@ def _twisted_split(R=500.0):
     window = suites.MODEL_SETS["twisted_fibonacci"]["a"]
     model = cps.cut_and_project(window, (0.0, R))
     alpha = (len(tps.points["a"]) / R) / cps.model_set_density(window)
-    omega, nu = split_pp(tps.points["a"], window, alpha, (0.0, R), model)
+    omega, nu = split_pp(tps.points["a"], model, alpha, (0.0, R))
     return tps, omega, nu, alpha
 
 
@@ -150,7 +150,7 @@ def test_split_pp_rejects_unsorted_model_points():
     window = suites.MODEL_SETS["twisted_fibonacci"]["a"]
     model = cps.cut_and_project(window, (0.0, 500.0))
     with pytest.raises(ValueError, match="sorted by position"):
-        split_pp(tps.points["a"], window, 0.5, (0.0, 500.0), model[::-1])
+        split_pp(tps.points["a"], model[::-1], 0.5, (0.0, 500.0))
 
 
 def test_split_pp_reports_containment_violation():
@@ -158,7 +158,7 @@ def test_split_pp_reports_containment_violation():
     window = suites.MODEL_SETS["twisted_fibonacci"]["a"]
     bad_points = np.vstack([tps.points["a"], [[1, 0]]])  # star(1) = 1, outside
     with pytest.raises(ContainmentError) as err:
-        split_pp(bad_points, window, 0.5, (0.0, 500.0))
+        split_pp(bad_points, cps.cut_and_project(window, (0.0, 500.0)), 0.5, (0.0, 500.0))
     assert (1, 0) in err.value.offenders
 
 
@@ -193,8 +193,7 @@ def test_keys_beyond_encoder_range_raise():
                          (-math.inf, math.inf))
     pts = np.array([[0, 0], [2**31, 0]], dtype=np.int64)
     with pytest.raises(ValueError, match=r"2\*\*31") as err:
-        split_pp(pts, cps.fibonacci_windows()["a"], 1.0, (0.0, 3e9),
-                 model_points=pts)
+        split_pp(pts, np.zeros(1, dtype=np.int64), 1.0, (0.0, 3e9))
     assert not isinstance(err.value, ContainmentError)
     # just inside the bound the codes stay distinct
     edge = small_comb([((2**31 - 1, 0), 1.0), ((-(2**31) + 1, 2**31 - 1), 2.0)],
@@ -338,7 +337,7 @@ def test_split_containment_is_checked_outside_the_coverage():
     model = cps.cut_and_project(window, (0.0, 50.0))
     outside = [(m, 0) for m in range(100, 125)]
     with pytest.raises(ContainmentError, match="^25 point") as err:
-        split_pp(np.vstack([_decode(model[:5]), outside]), window, 0.5, (0.0, 50.0), model)
+        split_pp(np.vstack([_decode(model[:5]), outside]), model, 0.5, (0.0, 50.0))
     assert err.value.offenders == outside[:20]
 
 

@@ -284,7 +284,7 @@ def _twisted_splitting(R):
     for t in ("a", "b"):
         window = suites.MODEL_SETS["twisted_fibonacci"][t]
         alpha = (len(tps.points[t]) / R) / cps.model_set_density(window)
-        splits[t] = split_pp(tps.points[t], window, alpha, rng)
+        splits[t] = split_pp(tps.points[t], cps.cut_and_project(window, rng), alpha, rng)
     return tps, splits
 
 
@@ -354,7 +354,7 @@ def test_decomposition_zero_fb_uses_exact_phases():
 def _random_split(model, alpha, seed, rng):
     # the split of a random subset P of the model points, and P
     chosen = np.random.default_rng(seed).random(len(model)) < 0.5
-    omega, nu = split_pp(model[chosen], cps.fibonacci_windows()["a"], alpha, rng, model)
+    omega, nu = split_pp(model[chosen], model, alpha, rng)
     return (omega, nu), model[chosen]
 
 
@@ -372,6 +372,7 @@ def same_atoms(a, b):
     st.floats(0.0, 25.0),
     st.integers(0, 2**32 - 1),
 )
+@example(R=5.0, shape="symmetric", alpha_i=0.5, alpha_j=0.75, r_max=0.9999999999999998, seed=0)
 @settings(max_examples=40, deadline=None)
 def test_decomposition_is_five_roundings_of_one_count(R, shape, alpha_i, alpha_j, r_max, seed):
     spec = AveragingSpec(shape, (R,))
@@ -434,7 +435,7 @@ def test_decomposition_rejects_other_splits():
     split, _ = _random_split(model, 0.4, 7, (0.0, R))
     omega, nu = split
     two_levels = WeightedComb.from_weights(omega.keys, np.r_[0.5, omega.weights[1:]], omega.coverage)
-    points_only = split_pp(model[::2], cps.fibonacci_windows()["a"], 1.0, (0.0, R), model)
+    points_only = split_pp(model[::2], model, 1.0, (0.0, R))
     fewer = WeightedComb(nu.codes[1:], nu.levels, nu.level[1:], nu.coverage)
     for bad in ((two_levels, nu), (omega, fewer), points_only):
         for split_i, split_j in ((bad, split), (split, bad)):

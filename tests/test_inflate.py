@@ -1,7 +1,9 @@
 import bisect
 import json
 import math
+import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from combsplit.inflate import (
     SubstitutionRule,
     builtin_rule,
     densities,
-    pf_data,
     realize_geometric,
+    realize_word,
     rule_from_json,
     substitution_matrix,
 )
@@ -44,24 +46,6 @@ def test_matrix_column_sums_are_image_lengths():
         mat = substitution_matrix(rule)
         for j, letter in enumerate(rule.alphabet):
             assert mat[:, j].sum() == len(rule.images[letter][0].word)
-
-
-def test_pf_data():
-    pf = pf_data(substitution_matrix(inflate.twisted_fibonacci_rule()))
-    assert pf.eigenvalue == pytest.approx(TAU, abs=1e-12)
-    assert pf.left == pytest.approx([TAU, TAU, 1.0, 1.0], abs=1e-10)
-
-    assert pf_data(substitution_matrix(inflate.thue_morse_rule())).eigenvalue == (
-        pytest.approx(2.0, abs=1e-12)
-    )
-    fib = pf_data(substitution_matrix(inflate.fibonacci_rule()))
-    assert fib.eigenvalue == pytest.approx(1.6180339887, abs=1e-9)
-    assert fib.right.sum() == pytest.approx(1.0)
-
-
-def test_pf_rejects_non_primitive():
-    with pytest.raises(RuleError):
-        pf_data(np.array([[1, 0], [0, 1]]))
 
 
 def test_realize_fibonacci_small():
@@ -94,6 +78,88 @@ def test_length_identity_exact():
     for name in ("fibonacci", "twisted_fibonacci", "thue_morse"):
         builtin_rule(name).check_length_identity()
     inflate.random_fibonacci_rule(0.3).check_length_identity()
+
+
+def test_declared_inflation_factor_is_checked_at_construction():
+    images = {"a": (Branch(1.0, ("a", "b")),), "b": (Branch(1.0, ("a",)),)}
+    one, tau = QuadraticInt(1, 0), QuadraticInt(0, 1)
+    with pytest.raises(RuleError, match="not the inflation factor times its length"):
+        SubstitutionRule(alphabet=("a", "b"), images=images, lengths={"a": one, "b": one},
+                         inflation_factor=tau)
+    # without a factor the same lengths make a rule
+    SubstitutionRule(alphabet=("a", "b"), images=images, lengths={"a": one, "b": one})
+    SubstitutionRule(alphabet=("a", "b"), images=images, lengths={"a": tau, "b": one},
+                     inflation_factor=tau)
+
+
+def _level_ends(rule, R):
+    # the embedded length of the level-L word for L = 0, 1, ... until one
+    # reaches R, from the letter counts of words substituted letter by
+    # letter (the first branch: the counts do not depend on it)
+    word, ends = ["a"], []
+    while not ends or ends[-1] < R:
+        tally = Counter(word)
+        end = sum((rule.lengths[l] * tally[l] for l in rule.alphabet), QuadraticInt(0, 0))
+        ends.append(float(embed_array(np.array([end.m]), np.array([end.n]))[0]))
+        word = [s for l in word for s in rule.images[l][0].word]
+    return ends
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "twisted_fibonacci", "thue_morse",
+                                  "random_fibonacci"])
+def test_inflation_depth_is_the_first_level_that_covers_R(name, monkeypatch):
+    rule = builtin_rule(name)
+    rng_seed = 11 if rule.is_random else None
+    ends = _level_ends(rule, 1e4)
+    tiles = realize_geometric(rule, "a", 1e3, rng_seed).comb().positions
+    levels = []
+    inflate_word = inflate._inflate_word
+
+    def counting(*args):
+        levels.append(args[-1])
+        return inflate_word(*args)
+
+    monkeypatch.setattr(inflate, "_inflate_word", counting)
+    drawn = np.random.default_rng(3).uniform(0.0, 1e4, 40).tolist()
+    for R in [0.0, 1e4, *drawn, *np.sort(tiles)[1:].tolist()]:
+        levels.clear()
+        realize_word(rule, "a", R, rng_seed)
+        assert levels == list(range(bisect.bisect_left(ends, R))), R
+
+
+def test_rule_without_inflation_factor_realizes_within_the_budget(monkeypatch):
+    doc = {"alphabet": ["a", "b"], "images": {"a": ["a", "b"], "b": ["a"]},
+           "lengths": {"a": {"n": 1}, "b": 1}}
+    rule = rule_from_json(doc)
+    assert rule.inflation_factor is None
+    got = realize_geometric(rule, "a", 1000.0)
+    want = realize_geometric(inflate.fibonacci_rule(), "a", 1000.0)
+    for t in ("a", "b"):
+        assert np.array_equal(got.codes[t], want.codes[t])
+
+    def no_inflation(*args):
+        raise AssertionError("inflated a word over the points budget")
+
+    monkeypatch.setattr(cps, "MAX_POINTS", 1000)
+    monkeypatch.setattr(inflate, "_inflate_word", no_inflation)
+    with pytest.raises(ValueError, match=r"realizing custom on \[0, 1400\] needs about "
+                                         r"1\.01e\+03 points, over the budget of MAX_POINTS"):
+        realize_geometric(rule, "a", 1400.0)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "twisted_fibonacci", "thue_morse",
+                                  "random_fibonacci"])
+def test_huge_R_is_refused_by_the_budget_with_a_finite_count(name, monkeypatch):
+    # the tallies run past the depth limit, but the budget refuses R first
+    def no_inflation(*args):
+        raise AssertionError("inflated a word over the points budget")
+
+    monkeypatch.setattr(inflate, "_inflate_word", no_inflation)
+    with pytest.raises(ValueError, match="over the budget of MAX_POINTS") as err:
+        realize_word(builtin_rule(name), "a", 1e300, rng_seed=1)
+    assert not isinstance(err.value, RuleError)
+    count = float(re.search(r"needs about (\S+) points", str(err.value)).group(1))
+    assert math.isfinite(count) and count > cps.MAX_POINTS
 
 
 def test_densities_converge():

@@ -37,7 +37,7 @@ def test_system_context_projects_each_distinct_window_once(monkeypatch):
     rng, alpha = (0.0, R), 0.5
     for t, w in ctx.windows.items():
         model = cps.cut_and_project(w, rng)
-        omega, nu = combs.split_pp(ctx.tps.points[t], w, alpha, rng, model)
+        omega, nu = combs.split_pp(ctx.tps.points[t], model, alpha, rng)
         assert np.array_equal(ctx.models[t], model)
         assert ctx.alphas[t] == alpha
         for got, want in zip(ctx.splits[t], (omega, nu)):
@@ -109,7 +109,7 @@ def test_rebuilt_points_when_a_level_weighs_zero(alpha):
     window = suites.MODEL_SETS["twisted_fibonacci"]["a"]
     model = cps.cut_and_project(window, (0.0, R))
     points = model[np.random.default_rng(5).random(len(model)) < 0.5]
-    omega, nu = combs.split_pp(points, window, alpha, (0.0, R), model)
+    omega, nu = combs.split_pp(points, model, alpha, (0.0, R))
     assert np.array_equal(combs.split_points(omega, nu), points)
 
 
