@@ -505,16 +505,15 @@ def cmd_diffract(cfg: dict) -> int:
     # pure-point amplitudes of a windowed system: its preset windows and exact
     # alphas, with no realization, projection or split
     system = _need(cfg, "system")
-    rule, windows, alphas = suites.preset_system(system)
+    _, windows, alphas = suites.preset_system(system)
     if None in windows.values():
         raise CliError(f"system {system!r} has no Euclidean windows")
     ks = list(cps.fourier_module(cfg.get("k_max", 3.0), cfg.get("kstar_max", 3.0)))
-    weights = {t: 1.0 for t in rule.alphabet}
     rows_out = []
-    for row in spectra.pp_intensity(windows, weights, ks, alphas):
+    for row in spectra.pp_intensity(windows, ks, alphas):
         total = sum(row.amplitudes.values())
         rows_out.append(
-            (row.k.value(), complex(total).real, complex(total).imag, row.intensity)
+            (row.k.value(), complex(total).real, complex(total).imag, abs(total) ** 2)
         )
     _write_csv(
         out, ["k_value", "re_amplitude", "im_amplitude", "intensity"], rows_out, cfg

@@ -27,14 +27,16 @@ words AND its words shifted across word boundaries.
 
 Every exact sum, of a correlation atom or of an FB coefficient, is formed
 one way: its terms as exact Python ints in units of 2**-1074 (_units),
-added as ints and rounded once by int / int, so every value is correctly
-rounded and reruns are bit-identical.  A correlation atom is the sum of
-count * vx[i] * vy[j] over its tallied cells; a complex product is formed
-from separately rounded real products, never from fused multiply-adds, and
-a non-finite product or sum raises ValueError.  An FB coefficient is
-sum_v v * S_v / vol over the weight levels v, with S_v the exact sum of the
-atoms' Q62 characters at level v (_characters, each within 2**-51 of
-exp(-2 pi i frac(k x))).
+added as ints and rounded once by int / int, so reruns are bit-identical.
+A correlation atom is the sum of count * vx[i] * vy[j] over its tallied
+cells, rounded, then divided by vol in floating point, so it is correctly
+rounded where the rounded sum is exact (dyadic levels) or vol is 1.  A
+complex product is formed from separately rounded real products, never
+from fused multiply-adds, and a non-finite product or sum raises
+ValueError.  An FB coefficient is sum_v v * S_v / vol over the weight
+levels v, with S_v the exact sum of the atoms' Q62 characters at level v
+(_characters, each within 2**-51 of exp(-2 pi i frac(k x))), divided by
+vol before its one rounding, so it is correctly rounded.
 """
 
 from __future__ import annotations
@@ -191,13 +193,14 @@ def _count(mu, nu, shape, R, r_max, variant):
 
 
 def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
-    """The comb of the correctly rounded atoms sum(count * vx[i] * vy[j]) / vol
-    over the tallied cells (key, i, j, count), all-zero atoms and atoms off
-    coverage dropped, sorted by position.  Every correlation, whatever
-    counted its pairs, ends here.  The products are taken in the levels'
-    dtype, at least double precision; each tally is folded into the exact
-    sums of the atoms seen so far as it arrives, so memory grows with the
-    atoms out, not with the tallies."""
+    """The comb of the atoms sum(count * vx[i] * vy[j]) / vol over the
+    tallied cells (key, i, j, count), all-zero atoms and atoms off coverage
+    dropped, sorted by position.  Every correlation, whatever counted its
+    pairs, ends here.  The products are taken in the levels' dtype, at least
+    double precision; each tally is folded into the exact sums of the atoms
+    seen so far as it arrives, so memory grows with the atoms out, not with
+    the tallies.  Each sum is rounded once, then divided by vol: an atom is
+    correctly rounded when its rounded sum is exact (dyadic levels) or vol = 1."""
     dtype = np.result_type(vx, vy, np.float64)
     vx, vy = vx.astype(dtype), vy.astype(dtype)
     codes, sums = np.empty(0, dtype=np.int64), np.zeros((0, 1 + (dtype.kind == "c")), dtype=object)

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .combs import WeightedComb, dirac_comb
-from .cps import MAX_POINTS, check_points_budget  # the budget lives in cps; re-exported
+from .cps import check_points_budget
 from .zroot5 import QuadraticInt, _codes, _decode, embed_array
 
 __all__ = [
@@ -28,15 +28,12 @@ __all__ = [
     "substitution_matrix",
     "realize_word",
     "realize_geometric",
-    "densities",
     "fibonacci_rule",
     "twisted_fibonacci_rule",
     "thue_morse_rule",
     "random_fibonacci_rule",
     "builtin_rule",
     "rule_from_json",
-    "MAX_POINTS",
-    "check_points_budget",
 ]
 
 class RuleError(ValueError):
@@ -68,6 +65,11 @@ class SubstitutionRule:
             if letter in seen:
                 raise RuleError(f"duplicate letter {letter!r}")
             seen.add(letter)
+        stray = [f"{key} {[l for l in getattr(self, key) if l not in seen]}"
+                 for key in ("images", "lengths") if not set(getattr(self, key)) <= seen]
+        if stray:
+            raise RuleError(f"letters outside the alphabet {list(self.alphabet)}: "
+                            + ", ".join(stray))
         for letter in self.alphabet:
             branches = self.images.get(letter)
             if not branches:
@@ -385,14 +387,6 @@ def _typed_starts(word, lengths):
             out[filled[t] : filled[t] + len(rows)] = rows
             filled[t] += len(rows)
     return starts
-
-
-def densities(tps: TypedPointSet) -> dict[str, float]:
-    """Per-type point count divided by the covered length."""
-    lo, hi = tps.rng
-    if hi <= lo:
-        raise ValueError("densities need a range of positive length")
-    return {t: len(c) / (hi - lo) for t, c in tps.codes.items()}
 
 
 def fibonacci_rule() -> SubstitutionRule:

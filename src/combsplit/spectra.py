@@ -25,7 +25,6 @@ from .zroot5 import FourierModulePoint
 __all__ = [
     "EtaTable",
     "tm_eta",
-    "tm_signed_sequence",
     "tm_eta_bruteforce",
     "RieszCoefficients",
     "riesz_coefficients",
@@ -37,6 +36,10 @@ __all__ = [
 # the signed sequence is made, and its products taken, SEQUENCE_BLOCK letters
 # at a time
 SEQUENCE_BLOCK = 1 << 16
+# An eta table entry costs this many 8-byte budget points: diffract --eta 1e5,
+# 2e5, 4e5 and 8e5 peaked at 50.1, 70.3, 110.7 and 191.9 MiB spawned (30.3 MiB
+# at --eta 0, 2-core x86 machine), about 212 B an entry.
+ETA_ENTRY_UNITS = 27
 
 
 @dataclass(frozen=True)
@@ -56,10 +59,13 @@ def tm_eta(m_max: int) -> EtaTable:
     """Exact eta table from the two-scale recursion.
 
     eta(2m) = eta(m) and eta(2m+1) = -(eta(m) + eta(m+1))/2 with eta(0) = 1.
-    At m = 0 the odd rule is self-referential and pins eta(1) = -1/3.
+    At m = 0 the odd rule is self-referential and pins eta(1) = -1/3.  The
+    table is charged to the points budget, ETA_ENTRY_UNITS an entry, first.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
+    cps.check_points_budget((m_max + 1) * ETA_ENTRY_UNITS, f"the eta table on 0 <= m <= "
+                            f"{m_max} ({ETA_ENTRY_UNITS} budget points an entry)")
     vals: list[Fraction] = [Fraction(1)]
     if m_max >= 1:
         vals.append(Fraction(-1, 3))
@@ -70,15 +76,6 @@ def tm_eta(m_max: int) -> EtaTable:
             # both indices m//2 and m//2 + 1 lie strictly below m here
             vals.append(-(vals[m // 2] + vals[m // 2 + 1]) / 2)
     return EtaTable(tuple(vals[: m_max + 1]))
-
-
-def tm_signed_sequence(n: int) -> np.ndarray:
-    """First n letters of the signed doubling sequence as +-1.
-
-    Generated from the bit-parity of the index, deliberately independent of
-    the substitution machinery it cross-checks.
-    """
-    return _signs(0, n)
 
 
 def _signs(lo: int, hi: int) -> np.ndarray:
@@ -149,16 +146,6 @@ class RieszCoefficients:
     def coefficient_float(self, m: int) -> float:
         return self._numerator(m) / self.denominator
 
-    def evaluate_dyadic(self, grid_log2: int) -> np.ndarray:
-        """Values on the grid j / 2^grid_log2 via folded coefficients."""
-        if self.window < self.support():
-            raise ValueError("evaluating the product needs the whole support")
-        n = 2**grid_log2
-        folded = np.zeros(n)
-        ms = np.arange(-self.support(), self.support() + 1)
-        np.add.at(folded, ms % n, self.numerators / self.denominator)
-        return np.fft.fft(folded).real
-
 
 def riesz_coefficients(L: int, m_max: int | None = None) -> RieszCoefficients:
     """Coefficients of the depth-L cosine product for |m| <= m_max (None: the
@@ -198,32 +185,19 @@ def riesz_coefficients(L: int, m_max: int | None = None) -> RieszCoefficients:
 class IntensityRow:
     k: FourierModulePoint
     amplitudes: dict[str, complex]
-    intensity: float
 
 
 def pp_intensity(
     windows: dict[str, cps.Window],
-    weights: dict[str, complex],
     k_list: Sequence[FourierModulePoint],
-    alphas: dict[str, float] | None = None,
+    alphas: dict[str, float],
 ) -> list[IntensityRow]:
-    """Pure-point amplitudes and intensities of a weighted model-set family.
-
-    windows maps each type to its acceptance window.  The per-type
-    amplitude at k is alpha_type times the window transform; the intensity
-    is the squared modulus of the weighted amplitude sum.  With alpha = 1
-    (full model sets), the amplitude at k = 0 is the type density.
-    """
-    rows = []
-    for k in k_list:
-        amps = {
-            t: (1.0 if alphas is None else alphas[t])
-            * cps.window_amplitude(w, k)
-            for t, w in windows.items()
-        }
-        total = sum(weights.get(t, 0.0) * a for t, a in amps.items())
-        rows.append(IntensityRow(k, amps, abs(total) ** 2))
-    return rows
+    """Per type, alpha_type times its window's transform at each k: the
+    pure-point amplitudes of a model-set family of unit weights, whose sum
+    over the types is the family's amplitude.  With alpha = 1, a type's
+    amplitude at k = 0 is its density."""
+    return [IntensityRow(k, {t: alphas[t] * cps.window_amplitude(w, k)
+                             for t, w in windows.items()}) for k in k_list]
 
 
 def polarisation_zero_check(

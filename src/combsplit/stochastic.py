@@ -17,7 +17,7 @@ import numpy as np
 from .combs import _bounds
 from .combs import linear_combine  # noqa: F401  (bench/spans.py traces this binding)
 from .cps import check_points_budget
-from .eberlein import AveragingSpec, FBRow, _bit_rows, _lattice_correlations, _row_sites, fb_scan
+from .eberlein import AveragingSpec, _bit_rows, _lattice_correlations, _row_sites, fb_scan
 from .eberlein import pair_correlation  # noqa: F401  (bench/spans.py traces this binding)
 from .inflate import (
     TypedPointSet,
@@ -94,7 +94,6 @@ TOL_NU = 3e-3  # |nu~*nu(0) - p(1-p)|, and |nu~*nu| off zero
 class BernoulliReport:
     p: float
     N: int
-    rng: RngSpec
     gamma: dict[int, float]  # correlation atoms at integer lags
     nu_corr: dict[int, float]  # correlation of the centered comb
     cross_sup: float
@@ -167,7 +166,7 @@ def bernoulli_verify(p: float, N: int, rng: RngSpec, r_max: int = 50) -> Bernoul
               abs(v.get(0, 0.0) - p * (1 - p)) <= TOL_NU),
         Check("nu~*nu off zero", nu_off, TOL_NU, nu_off <= TOL_NU),
     )
-    return BernoulliReport(p, N, rng, g, v, cross.sup_norm(), checks, row)
+    return BernoulliReport(p, N, g, v, cross.sup_norm(), checks, row)
 
 
 def random_fibonacci(p: float, R: float, rng: RngSpec) -> TypedPointSet:
@@ -183,10 +182,7 @@ def random_fibonacci(p: float, R: float, rng: RngSpec) -> TypedPointSet:
 
 @dataclass(frozen=True)
 class PPSplitReport:
-    rows: tuple[FBRow, ...]  # per (type, k, R); row order follows the types
-    types: tuple[str, ...]
     amplitudes: dict[str, dict[FourierModulePoint, complex]]  # at the final R
-    intensities: dict[FourierModulePoint, float]
     total_mass: float
     residual_mass: float
     max_cauchy: float
@@ -209,15 +205,12 @@ def empirical_pp_split(
     R_final = spec.R_list[-1]
     lo, hi = spec.interval(R_final)
     vol = spec.vol(R_final)
-    all_rows: list[FBRow] = []
     amplitudes: dict[str, dict[FourierModulePoint, complex]] = {}
     max_cauchy = total = 0.0
     for t in tps.types():
         comb = tps.comb(t)
         rows = fb_scan(comb, K, spec)
-        all_rows.extend(rows)
-        final = {r.k: r.value for r in rows if r.R == R_final}
-        amplitudes[t] = final
+        amplitudes[t] = {r.k: r.value for r in rows if r.R == R_final}
         max_cauchy = max(
             max_cauchy,
             max((r.cauchy for r in rows if r.cauchy is not None), default=0.0),
@@ -225,18 +218,6 @@ def empirical_pp_split(
         i, j = _bounds(comb, lo, hi)  # the atoms fb_scan sums at the final R
         total += (j - i) / vol
 
-    intensities = {
-        k: abs(sum(amplitudes[t][k] for t in tps.types())) ** 2
-        for k in K
-    }
-
+    intensities = {k: abs(sum(amplitudes[t][k] for t in tps.types())) ** 2 for k in K}
     residual = total - sum(intensities.values())
-    return PPSplitReport(
-        tuple(all_rows),
-        tps.types(),
-        amplitudes,
-        intensities,
-        float(total),
-        float(residual),
-        float(max_cauchy),
-    )
+    return PPSplitReport(amplitudes, float(total), float(residual), float(max_cauchy))

@@ -26,7 +26,6 @@ __all__ = [
     "system_context",
     "preset_system",
     "preset_module_points",
-    "preset_nonmodule_points",
     "preset_k_points",
     "run_suite",
     "suite_names",
@@ -69,12 +68,8 @@ def preset_module_points(count: int = PRESET_MODULE_COUNT) -> list[FourierModule
     return pts[:count]
 
 
-def preset_nonmodule_points() -> list[float]:
-    return list(PRESET_NONMODULE)
-
-
 def preset_k_points() -> list:
-    return preset_module_points() + preset_nonmodule_points()
+    return preset_module_points() + list(PRESET_NONMODULE)
 
 
 # Each splittable preset's model set per type, the one place that names a
@@ -312,7 +307,7 @@ def suite_phase(seed: int | None = None) -> SuiteReport:
     R = 10_000.0
     ctx = system_context("fibonacci", R)
     window = ctx.windows["a"]
-    comb = combs.dirac_comb(ctx.models["a"], (0.0, R))
+    comb, _ = ctx.splits["a"]  # omega = 1 * delta_M on (0, R): the model set's comb
     ks = [k for k in cps.fourier_module(8.0, 2.0) if k.value() > 1e-12][:10]
     worst = max(
         abs(

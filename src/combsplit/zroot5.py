@@ -31,7 +31,6 @@ __all__ = [
     "SIGN_ARRAY_BOUND",
     "embed_array",
     "embed_star_array",
-    "frac_phase",
     "frac_phases",
     "PHASE_KEY_BOUND",
     "PHASE_K_BOUND",
@@ -40,15 +39,6 @@ __all__ = [
 SQRT5: float = math.sqrt(5.0)
 TAU: float = (1.0 + SQRT5) / 2.0
 TAU_STAR: float = (1.0 - SQRT5) / 2.0
-
-# sqrt(5) to 40 decimal digits, held as the integer floor(sqrt(5) * 10^40).
-# This drives the scalar phase path; the float constants above are only
-# used for embeddings and coarse bounds.
-_PHASE_DIGITS = 40
-_PHASE_SCALE = 10**_PHASE_DIGITS
-_SQRT5_SCALED = math.isqrt(5 * _PHASE_SCALE * _PHASE_SCALE)
-_PHASE_DENOM = 10 * _PHASE_SCALE
-
 
 # Array signs square |2m + n| and |n|; below this bound 5*n^2 and u^2 stay
 # far inside int64, so the comparison is exact.
@@ -245,9 +235,6 @@ class QuadraticInt:
     def __sub__(self, other: "QuadraticInt | int") -> "QuadraticInt":
         return self + (-other if isinstance(other, QuadraticInt) else -other)
 
-    def __rsub__(self, other: "QuadraticInt | int") -> "QuadraticInt":
-        return (-self) + other
-
     def __mul__(self, other: "QuadraticInt | int") -> "QuadraticInt":
         if isinstance(other, int):
             return QuadraticInt(self.m * other, self.n * other)
@@ -261,18 +248,6 @@ class QuadraticInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "QuadraticInt":
-        if k < 0:
-            raise ValueError("negative powers are not in Z[tau]")
-        out = QuadraticInt(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def star(self) -> "QuadraticInt":
         """Galois conjugate: m + n*tau maps to (m + n) - n*tau."""
         return QuadraticInt(self.m + self.n, -self.n)
@@ -281,15 +256,6 @@ class QuadraticInt:
         """Physical embedding m + n*tau in double precision."""
         return self.m + self.n * TAU
 
-    def embed_star(self) -> float:
-        """Internal embedding m + n*(1 - tau) in double precision."""
-        return self.m + self.n * TAU_STAR
-
-    def key(self) -> tuple[int, int]:
-        return (self.m, self.n)
-
-    def is_zero(self) -> bool:
-        return self.m == 0 and self.n == 0
 
 
 class FourierModulePoint:
@@ -317,9 +283,6 @@ class FourierModulePoint:
             return self.a == other.a and self.b == other.b
         return NotImplemented
 
-    def __neg__(self) -> "FourierModulePoint":
-        return FourierModulePoint(-self.a, -self.b)
-
     def value(self) -> float:
         """The real wave number (a + b*tau)/sqrt(5)."""
         return (self.a + self.b * TAU) / SQRT5
@@ -328,28 +291,9 @@ class FourierModulePoint:
         """The internal-space wave number -(a + b*(1 - tau))/sqrt(5)."""
         return -(self.a + self.b * TAU_STAR) / SQRT5
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-
-def frac_phase(k: FourierModulePoint, x: QuadraticInt) -> float:
-    """Fractional part of k*x in [0, 1), to absolute error below 1e-12.
-
-    With A + B*tau = (a + b*tau)(m + n*tau), the product k*x equals
-    ((2A + B)*sqrt(5) + 5B) / 10.  The fractional part is taken with
-    sqrt(5) held to 40 decimal digits in pure integer arithmetic, so the
-    result is reliable even when the head term is of order 1e18.  This is
-    the scalar reference for frac_phases.
-    """
-    a, b, m, n = k.a, k.b, x.m, x.n
-    A = a * m + b * n
-    B = a * n + b * m + b * n
-    num = (2 * A + B) * _SQRT5_SCALED + 5 * B * _PHASE_SCALE
-    return (num % _PHASE_DENOM) / _PHASE_DENOM
-
 
 def frac_phases(k: FourierModulePoint, ms, ns) -> np.ndarray:
-    """frac_phase(k, m + n*tau) over int64 arrays (or lists) ms, ns: the phase
+    """frac(k*(m + n*tau)) over int64 arrays (or lists) ms, ns: the phase
     words (_phase_words) correctly rounded, in [0, 1) and within half an ulp
     plus 2^-96; ValueError at PHASE_KEY_BOUND or PHASE_K_BOUND, not wrapping."""
     return _unit_double(*_phase_words(k, *_key_offsets(ms, ns)))
@@ -452,8 +396,7 @@ def _unit_double(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 def embed_star_array(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Vectorized internal embedding: per entry float(m) + float(n) *
-    TAU_STAR, rounded after each operation, the double of
-    QuadraticInt.embed_star, which star_sign takes."""
+    TAU_STAR, rounded after each operation, the double star_sign takes."""
     out = n.astype(np.float64)
     out *= TAU_STAR
     out += m

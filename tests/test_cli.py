@@ -316,7 +316,7 @@ def test_points_budget_rejects_huge_R_before_inflating(monkeypatch, tmp_path, ca
     assert run("generate", "--system", "fibonacci", "--R", "1e12", "--out", str(out)) == 1
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "ValueError"
-    assert f"MAX_POINTS = {inflate.MAX_POINTS}" in error["message"]
+    assert f"MAX_POINTS = {cps.MAX_POINTS}" in error["message"]
     assert not out.exists()
 
 
@@ -903,6 +903,15 @@ BAD_INPUT_RUNS = (
                     "lengths": {"a": 1, "b": 1}, "inflation_factor": {"n": 1}}},
      "RuleError",
      "image of 'a' spans 2+0\u03c4, not the inflation factor times its length, 0+1\u03c4"),
+    # a rule file names no letter outside its alphabet
+    (("generate", "--R", "10"),
+     {"rule_file": {"alphabet": ["a", "b"], "images": {"a": ["a", "b"], "b": ["a"], "c": ["a"]},
+                    "lengths": {"a": 1, "b": 1, "c": 5}}},
+     "RuleError", "letters outside the alphabet ['a', 'b']: images ['c'], lengths ['c']"),
+    # the eta table is charged to the points budget before any entry is made
+    (("diffract", "--system", "thue_morse", "--eta", "100000000"), {},
+     "ValueError", "the eta table on 0 <= m <= 100000000 (27 budget points an entry) needs "
+     "about 2.7e+09 points, over the budget of MAX_POINTS = 50000000 points"),
 )
 
 
@@ -928,7 +937,8 @@ BAD_INPUT_RUNS = (
     "rule-images-list", "rule-lengths-number", "split-random_fibonacci",
     "fb-nu-random_fibonacci", "split-system-unknown", "project-window-preset-no-window",
     "project-system", "fb-nu-realization-options", "fb-omega-realization-config",
-    "project-two-window-sources", "project-no-window-source", "rule-factor-contradicts-lengths"])
+    "project-two-window-sources", "project-no-window-source", "rule-factor-contradicts-lengths",
+    "rule-stray-letters", "diffract-eta-over-budget"])
 def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_path, capsys):
     config = dict(config)
     for key in ("windows_file", "rule_file"):

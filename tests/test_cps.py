@@ -269,7 +269,7 @@ def test_window_validation():
 def test_exact_boundary_membership():
     # star of -1 - tau is exactly tau - 2, the left edge of the type-a window
     edge_point = QuadraticInt(-1, -1)
-    assert edge_point.star().key() == (-2, 1)
+    assert (edge_point.star().m, edge_point.star().n) == (-2, 1)
     closed = fibonacci_windows()["a"]
     assert closed.contains_star(-1, -1)
     open_lo = closed.with_closure(False, True)

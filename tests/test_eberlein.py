@@ -35,9 +35,10 @@ from combsplit.zroot5 import (
     QuadraticInt,
     _key_offsets,
     embed_array,
-    frac_phase,
     sign_of,
 )
+
+from phase_oracle import frac_phase
 
 
 def brute_convolve(mu, nu, shape, R, r_max):

@@ -15,7 +15,6 @@ from combsplit.inflate import (
     RuleError,
     SubstitutionRule,
     builtin_rule,
-    densities,
     realize_geometric,
     realize_word,
     rule_from_json,
@@ -170,27 +169,19 @@ def test_densities_converge():
     }
     for name, want in predictions.items():
         rule = builtin_rule(name)
-        coarse = sum(densities(realize_geometric(rule, "a", 100.0)).values())
-        fine = sum(densities(realize_geometric(rule, "a", 10_000.0)).values())
+        coarse = realize_geometric(rule, "a", 100.0).count() / 100.0
+        fine = realize_geometric(rule, "a", 10_000.0).count() / 10_000.0
         assert abs(fine - want) < abs(coarse - want)
         assert abs(fine - want) / want < 0.01
 
 
 def test_densities_examples():
-    tm = densities(realize_geometric(inflate.thue_morse_rule(), "a", 10_000.0))
-    assert tm["a"] == pytest.approx(0.5, rel=0.01)
-    assert tm["b"] == pytest.approx(0.5, rel=0.01)
+    tm = realize_geometric(inflate.thue_morse_rule(), "a", 10_000.0)
+    assert tm.count("a") / 10_000.0 == pytest.approx(0.5, rel=0.01)
+    assert tm.count("b") / 10_000.0 == pytest.approx(0.5, rel=0.01)
 
-    tw = densities(
-        realize_geometric(inflate.twisted_fibonacci_rule(), "a", 10_000.0)
-    )
-    assert tw["a"] == pytest.approx(0.2236, rel=0.01)
-
-
-def test_densities_need_positive_range():
-    tps = realize_geometric(inflate.fibonacci_rule(), "a", 0)
-    with pytest.raises(ValueError):
-        densities(tps)
+    tw = realize_geometric(inflate.twisted_fibonacci_rule(), "a", 10_000.0)
+    assert tw.count("a") / 10_000.0 == pytest.approx(0.2236, rel=0.01)
 
 
 def test_branch_dependent_counts_rejected():
@@ -212,6 +203,17 @@ def test_non_primitive_rule_rejected():
             images={"a": (Branch(1.0, ("a",)),), "b": (Branch(1.0, ("b",)),)},
             lengths={"a": QuadraticInt(1, 0), "b": QuadraticInt(1, 0)},
         )
+
+
+def test_letters_outside_the_alphabet_rejected():
+    one, word = QuadraticInt(1, 0), (Branch(1.0, ("a", "b")),)
+    fib = {"a": word, "b": (Branch(1.0, ("a",)),)}
+    with pytest.raises(RuleError, match=r"^letters outside the alphabet \['a', 'b'\]: "
+                                        r"images \['c'\]$"):
+        SubstitutionRule(("a", "b"), {**fib, "c": word}, {"a": one, "b": one})
+    with pytest.raises(RuleError, match=r"^letters outside the alphabet \['a', 'b'\]: "
+                                        r"lengths \['c', 'd'\]$"):
+        SubstitutionRule(("a", "b"), fib, {"a": one, "b": one, "c": one, "d": one})
 
 
 def test_bad_probabilities_rejected():
@@ -372,8 +374,7 @@ def test_mixed_branch_counts_realize():
         lengths={"a": QuadraticInt(0, 1), "b": QuadraticInt(1, 0)},
     )
     tps = realize_geometric(rule, "a", 2000.0, rng_seed=13)
-    dens = densities(tps)
-    assert sum(dens.values()) == pytest.approx(TAU / SQRT5, rel=0.02)
+    assert tps.count() / 2000.0 == pytest.approx(TAU / SQRT5, rel=0.02)
 
 
 def test_typed_point_set_invariants():

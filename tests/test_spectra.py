@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from combsplit import cps, inflate, spectra, suites
 from combsplit.combs import dirac_comb, lattice_comb
 from combsplit.spectra import (
+    _signs,
     polarisation_zero_check,
     pp_intensity,
     riesz_coefficients,
     tm_eta,
     tm_eta_bruteforce,
-    tm_signed_sequence,
 )
 from combsplit.zroot5 import SQRT5, TAU, FourierModulePoint
 
@@ -28,6 +28,13 @@ def test_eta_small_values():
     assert abs(table[6]) <= 1 and table.values[0] == 1
 
 
+def test_eta_table_is_charged_to_the_points_budget(monkeypatch):
+    monkeypatch.setattr(cps, "MAX_POINTS", 9 * spectra.ETA_ENTRY_UNITS)
+    assert len(tm_eta(8).values) == 9
+    with pytest.raises(ValueError, match=r"^the eta table on 0 <= m <= 9 .* over the budget"):
+        tm_eta(9)
+
+
 def test_eta_recursion_matches_bruteforce():
     brute = tm_eta_bruteforce(64, 2**20)
     rec = tm_eta(64).as_floats()
@@ -36,7 +43,7 @@ def test_eta_recursion_matches_bruteforce():
 
 def test_signed_sequence_prefix():
     # fixed point from the unbarred letter: + - - + - + + -
-    assert tm_signed_sequence(8).tolist() == [1, -1, -1, 1, -1, 1, 1, -1]
+    assert _signs(0, 8).tolist() == [1, -1, -1, 1, -1, 1, 1, -1]
 
 
 def test_signed_sequence_matches_substitution():
@@ -44,7 +51,7 @@ def test_signed_sequence_matches_substitution():
     tps = inflate.realize_geometric(inflate.thue_morse_rule(), "a", float(n))
     letters = np.zeros(n, dtype=np.int8)
     letters[tps.points["b"][:, 0][tps.points["b"][:, 0] < n]] = 1
-    assert np.array_equal(1 - 2 * letters, tm_signed_sequence(n))
+    assert np.array_equal(1 - 2 * letters, _signs(0, n))
 
 
 def test_riesz_coefficient_values():
@@ -76,8 +83,12 @@ def test_riesz_symmetry_and_level_contraction():
 
 
 def test_riesz_positive_on_dyadic_grid():
-    vals = riesz_coefficients(14).evaluate_dyadic(14)
-    assert vals.min() >= -1e-9
+    # the product's values on the grid j / 2^14, from its folded coefficients
+    rz = riesz_coefficients(14)
+    folded = np.zeros(2**14)
+    np.add.at(folded, np.arange(-rz.support(), rz.support() + 1) % 2**14,
+              rz.numerators / rz.denominator)
+    assert np.fft.fft(folded).real.min() >= -1e-9
 
 
 def test_riesz_depth_cap():
@@ -101,28 +112,32 @@ def test_riesz_depth_31_window():
 
 def test_pp_intensity_zero_frequency_is_density():
     rows = pp_intensity(
-        cps.fibonacci_windows(), {"a": 1.0, "b": 1.0}, [FourierModulePoint(0, 0)]
+        cps.fibonacci_windows(), [FourierModulePoint(0, 0)], {"a": 1.0, "b": 1.0}
     )
     amps = rows[0].amplitudes
     assert amps["a"].real == pytest.approx(1 / SQRT5)
     assert amps["b"].real == pytest.approx((TAU - 1) / SQRT5)
-    assert rows[0].intensity == pytest.approx((TAU / SQRT5) ** 2)
-
-
-def test_pp_intensity_nonnegative():
-    ks = cps.fourier_module(2.0, 2.0)
-    rows = pp_intensity(cps.fibonacci_windows(), {"a": 1.0, "b": -0.5j}, ks)
-    assert all(r.intensity >= 0 for r in rows)
+    assert abs(sum(amps.values())) ** 2 == pytest.approx((TAU / SQRT5) ** 2)
 
 
 def test_pp_intensity_respects_alphas():
     windows = suites.MODEL_SETS["twisted_fibonacci"]
     alphas = {t: 0.5 for t in windows}
-    rows = pp_intensity(
-        windows, {t: 1.0 for t in windows}, [FourierModulePoint(0, 0)], alphas
-    )
+    rows = pp_intensity(windows, [FourierModulePoint(0, 0)], alphas)
     # four types at half weight add up to the full chain density
     assert sum(rows[0].amplitudes.values()).real == pytest.approx(2 * TAU / SQRT5 / 2)
+
+
+@pytest.mark.parametrize("system", ["fibonacci", "twisted_fibonacci"])
+def test_pp_intensity_summed_amplitude_at_zero(system):
+    # with the preset alphas, sum_t alpha_t vol(W_t) / sqrt 5 is the chain's density
+    _, windows, alphas = suites.preset_system(system)
+    (row,) = pp_intensity(windows, [FourierModulePoint(0, 0)], alphas)
+    want = sum(alphas[t] * w.volume() / SQRT5 for t, w in windows.items())
+    total = sum(row.amplitudes.values())
+    assert total.imag == 0.0
+    assert total.real == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert want == pytest.approx(TAU / SQRT5, rel=1e-15)
 
 
 def test_polarisation_lattice_counting():
@@ -217,8 +232,6 @@ def test_riesz_window_is_a_slice_of_the_dense_update(case):
                 rz.coefficient(m)
             with pytest.raises(ValueError, match="outside the window"):
                 rz.coefficient_float(m)
-        with pytest.raises(ValueError, match="whole support"):
-            rz.evaluate_dyadic(L)
     with pytest.raises(ValueError, match="exceeds the support"):
         riesz_coefficients(L, support + 1)
 
@@ -233,7 +246,7 @@ def test_riesz_window_at_depth_20_equals_the_dense_update():
 
 @pytest.mark.parametrize("n_letters", [1, 2, 65, 1000, 4096, 2**20])
 def test_eta_oracle_equals_the_float_mean(n_letters):
-    t = tm_signed_sequence(n_letters).astype(np.float64)
+    t = _signs(0, n_letters).astype(np.float64)
     m_max = min(64, n_letters - 1)
     want = [1.0] + [float(np.mean(t[: n_letters - m] * t[m:])) for m in range(1, m_max + 1)]
     # bit-equal doubles
