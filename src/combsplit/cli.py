@@ -246,6 +246,14 @@ def _closed(iv: dict, key: str) -> bool:
     return value
 
 
+def _refuse(cfg: dict, keys, what: str) -> None:
+    # CliError naming each option of keys that cfg sets: the options that the
+    # mode what of a command does not read
+    unread = [f"--{key.replace('_', '-')}" for key in keys if key in cfg]
+    if unread:
+        raise CliError(f"{what} reads no {', '.join(unread)}")
+
+
 def _types_of(value: str, types: tuple[str, ...], option: str, count: int) -> list[str]:
     # the comma-separated types an option names, refused unless they are
     # count of the system's types
@@ -285,9 +293,9 @@ def _key_rows(codes):
 
 
 def _level_text(levels, tail: str = "") -> list[str]:
-    """The text ",re,im<tail>\\n" that ends the line of an atom, per level."""
-    return [f",{re!r},{im!r}{tail}\n"
-            for re, im in zip(levels.real.tolist(), levels.imag.tolist())]
+    """The text ",re,0.0<tail>\\n" that ends the line of an atom, per level:
+    levels are real, and the im_weight cell is kept."""
+    return [f",{re!r},0.0{tail}\n" for re in levels.tolist()]
 
 
 def _key_lines(codes, tails=((None, ("\n",)),), lead=()):
@@ -436,9 +444,11 @@ def cmd_fb(cfg: dict) -> int:
     measure = cfg.get("measure", "points")
     shape = cfg.get("shape", "one_sided")
     R_grid = _parse_r_grid(cfg)
-    unread = [f"--{key.replace('_', '-')}" for key in _REALIZE if key != "system" and key in cfg]
-    if measure != "points" and unread:
-        raise CliError(f"--measure {measure} splits --system and reads no {', '.join(unread)}")
+    if measure != "points":
+        _refuse(cfg, [key for key in _REALIZE if key != "system"],
+                f"--measure {measure} splits --system and")
+    if "k_values" in cfg:
+        _refuse(cfg, ["k_preset"], "--k-values")
     cfg = dict(cfg)
     cfg.setdefault("R", max(R_grid))
     if measure == "points":
@@ -477,18 +487,27 @@ def cmd_fb(cfg: dict) -> int:
     return 0
 
 
+# diffract's three tables by the option that selects each, with the options
+# each reads; the eta table is thue_morse's, so it also reads that --system
+_DIFFRACT_TABLES = {"eta": ("eta",), "riesz_depth": ("riesz_depth", "r_max"),
+                    "system": ("system", "k_max", "kstar_max")}
+
+
 def cmd_diffract(cfg: dict) -> int:
     out = _need(cfg, "out")
-    if "eta" in cfg:
+    table = next((t for t in ("eta", "riesz_depth") if t in cfg), "system")
+    unread = [key for t, keys in _DIFFRACT_TABLES.items() if t != table for key in keys]
+    if table == "eta" and cfg.get("system") == "thue_morse":
+        unread.remove("system")
+    _refuse(cfg, unread, f"diffract --{table.replace('_', '-')}")
+    if table == "eta":
         m_max = cfg["eta"]
-        table = spectra.tm_eta(m_max)
-        rows = [
-            (m, table[m].numerator, table[m].denominator, float(table[m]))
-            for m in range(m_max + 1)
-        ]
+        eta = spectra.tm_eta(m_max)
+        rows = ((m, eta[m].numerator, eta[m].denominator, float(eta[m]))
+                for m in range(m_max + 1))
         _write_csv(out, ["m", "eta_numerator", "eta_denominator", "eta_float"], rows, cfg)
         return 0
-    if "riesz_depth" in cfg:
+    if table == "riesz_depth":
         depth = cfg["riesz_depth"]
         # the depth is checked before r_max, the largest index m written, which
         # must be whole; then only the rows written are computed
@@ -523,6 +542,8 @@ def cmd_diffract(cfg: dict) -> int:
 
 def cmd_sample(cfg: dict) -> int:
     model = _need(cfg, "system")
+    _refuse(cfg, ["R"] if model == "bernoulli" else ["N", "r_max", "points_out"],
+            f"sample --system {model}")
     seed = _need(cfg, "seed")
     stream = cfg.get("stream", 0)
     rng = stochastic.RngSpec(seed, stream)

@@ -1,9 +1,9 @@
 """Weighted Dirac combs on exact point sets, and the omega/nu splitting.
 
-A comb is a finite collection of atoms, keyed by exact coordinates (m, n)
-for the position m + n*tau (pure integers use n = 0) and stored as their
-int64 key codes (zroot5._codes), together with a
-coverage interval on which the atom list is complete.  Combs of point sets
+A comb is a finite collection of atoms of real weight, keyed by exact
+coordinates (m, n) for the position m + n*tau (pure integers use n = 0) and
+stored as their int64 key codes (zroot5._codes), together with a coverage
+interval on which the atom list is complete.  Combs of point sets
 generated on a half line carry coverage (-inf, R]: there really are no
 atoms to the left, and correlation kernels rely on that.  The kernels'
 coverage check (_covers) and their cut of a comb to an interval (_search,
@@ -56,6 +56,12 @@ class RangeError(ValueError):
     """A comb does not cover the interval a kernel needs."""
 
 
+def _real(values):
+    if np.iscomplexobj(values):
+        raise ValueError("comb weights must be real, got complex ones")
+    return values
+
+
 def _as_codes(points) -> np.ndarray:
     # the int64 key codes of points given as codes (N,) or as keys (N, 2)
     points = np.asarray(points, dtype=np.int64)
@@ -87,13 +93,13 @@ class WeightedComb:
     of a few levels (one for a Dirac comb, 1 - alpha and -alpha for nu).
 
     codes     (N,) int64 key codes (zroot5._codes), positions sorted ascending
-    levels    (L,) float64 or complex128, distinct, 0 allowed (linear_combine
-              and split_remainder drop the atoms of weight 0)
+    levels    (L,) float64, distinct, 0 allowed (linear_combine and
+              split_remainder drop the atoms of weight 0)
     level     (N,) smallest unsigned dtype; weights = levels[level] per atom
     coverage  interval on which the atom list is complete
 
-    ValueError for keys out of code range, codes out of position order,
-    atoms outside the coverage or a level index of L or more.
+    ValueError for complex levels, keys out of code range, codes out of
+    position order, atoms outside the coverage or a level index of L or more.
     """
 
     codes: np.ndarray
@@ -102,6 +108,7 @@ class WeightedComb:
     coverage: tuple[float, float]
 
     def __post_init__(self):
+        _real(self.levels)
         if self.codes.ndim != 1 or self.codes.dtype != np.int64:
             raise ValueError("codes must be an (N,) int64 array")
         if self.level.shape != self.codes.shape or self.level.dtype.kind != "u":
@@ -154,13 +161,13 @@ class WeightedComb:
         """True when every atom sits on Z (n = 0 throughout)."""
         return _integer_sites(self.codes) is not None
 
-    def atoms_dict(self) -> dict[tuple[int, int], complex]:
+    def atoms_dict(self) -> dict[tuple[int, int], float]:
         return {(m, n): w for (m, n), w in zip(self.keys.tolist(), self.weights)}
 
-    def atom(self, key: tuple[int, int]) -> complex:
+    def atom(self, key: tuple[int, int]) -> float:
         code = _code(*key)  # a key out of range has no atom, and no code
         hits = [] if code is None else np.flatnonzero(self.codes == code)
-        return self.levels[self.level[hits[0]]] if len(hits) else 0.0
+        return float(self.levels[self.level[hits[0]]]) if len(hits) else 0.0
 
     def sup_norm(self) -> float:
         return float(np.abs(self.weights).max()) if len(self) else 0.0
@@ -185,18 +192,18 @@ def _covers(comb: WeightedComb, lo: float, hi: float, what: str, tail: str = "")
         raise RangeError(f"{what} covers {comb.coverage}, needs [{lo}, {hi}]{tail}")
 
 
-def _uniform(codes: np.ndarray, weight: complex, coverage) -> WeightedComb:
+def _uniform(codes: np.ndarray, weight: float, coverage) -> WeightedComb:
     # weight * delta on codes sorted by position: one level, and index 0
     # throughout as a zero-stride view, not a byte per atom
-    dtype = np.float64 if isinstance(weight, (int, float)) else np.complex128
     level = np.broadcast_to(np.uint8(0), codes.shape)
-    return WeightedComb(codes, np.array([weight], dtype=dtype), level, coverage)
+    levels = np.array([weight], dtype=np.result_type(weight, 1.0))
+    return WeightedComb(codes, levels, level, coverage)
 
 
 def dirac_comb(
     keys: np.ndarray | Sequence[tuple[int, int]],
     coverage: tuple[float, float],
-    weight: complex = 1.0,
+    weight: float = 1.0,
 ) -> WeightedComb:
     """Comb with a constant weight on each of the given exact points, as
     (N, 2) keys or codes (N,)."""
@@ -204,26 +211,27 @@ def dirac_comb(
     return _uniform(codes[np.argsort(_positions(codes), kind="stable")], weight, coverage)
 
 
-def lattice_comb(lo: int, hi: int, weight: complex = 1.0) -> WeightedComb:
+def lattice_comb(lo: int, hi: int, weight: float = 1.0) -> WeightedComb:
     """The comb weight * delta_Z on the integer sites lo..hi inclusive."""
     ms = np.arange(lo, hi + 1, dtype=np.int64)
     return _uniform(_codes(ms, np.zeros_like(ms)), weight, (float(lo), float(hi)))  # ascending
 
 
 def reflect_conjugate(mu: WeightedComb) -> WeightedComb:
-    """Atom w at x becomes conj(w) at -x; coverage is negated.  The code of
-    -k is minus the code of k, so the reflected codes are -codes reversed."""
+    """Atom w at x becomes w (its own conjugate) at -x; coverage is negated.
+    The code of -k is minus the code of k: the codes are -codes reversed."""
     lo, hi = mu.coverage
-    return WeightedComb(-mu.codes[::-1], np.conj(mu.levels), mu.level[::-1], (-hi, -lo))
+    return WeightedComb(-mu.codes[::-1], mu.levels, mu.level[::-1], (-hi, -lo))
 
 
 def linear_combine(
-    terms: Sequence[tuple[complex, WeightedComb]],
+    terms: Sequence[tuple[float, WeightedComb]],
 ) -> WeightedComb:
     """Atomwise combination sum_i c_i * mu_i on the common coverage.
 
     Atoms outside the coverage intersection are dropped, exact zero
-    weights are removed, and the result is sorted by position.
+    weights are removed, and the result is sorted by position; a complex
+    coefficient is refused with ValueError.
     """
     if not terms:
         raise ValueError("linear_combine needs at least one term")
@@ -232,24 +240,14 @@ def linear_combine(
 
     code_parts = []
     weight_parts = []
-    complex_out = any(
-        np.iscomplexobj(mu.weights) or isinstance(c, complex) for c, mu in terms
-    )
-    dtype = np.complex128 if complex_out else np.float64
     for c, mu in terms:
         pos = mu.positions
         mask = (pos >= lo) & (pos <= hi)
         code_parts.append(mu.codes[mask])
-        weight_parts.append(mu.weights[mask].astype(dtype) * c)
-    weights = np.concatenate(weight_parts)
+        weight_parts.append(mu.weights[mask].astype(np.float64) * _real(c))
     uniq, inverse = np.unique(np.concatenate(code_parts), return_inverse=True)
     # bincount adds the weights of each bin in input order
-    merged = np.empty(len(uniq), dtype=dtype)
-    if complex_out:
-        merged.real = np.bincount(inverse, weights.real, len(uniq))
-        merged.imag = np.bincount(inverse, weights.imag, len(uniq))
-    else:
-        merged[:] = np.bincount(inverse, weights, len(uniq))
+    merged = np.bincount(inverse, np.concatenate(weight_parts), len(uniq))
     keep = merged != 0
     return WeightedComb.from_weights(uniq[keep], merged[keep], (lo, hi))
 

@@ -25,18 +25,14 @@ word; it is built (_bit_rows) and read back (_row_sites) here only, and one
 kernel (_shift_counts) counts a row's pairs per lag as popcounts of its
 words AND its words shifted across word boundaries.
 
-Every exact sum, of a correlation atom or of an FB coefficient, is formed
-one way: its terms as exact Python ints in units of 2**-1074 (_units),
-added as ints and rounded once by int / int, so reruns are bit-identical.
-A correlation atom is the sum of count * vx[i] * vy[j] over its tallied
-cells, rounded, then divided by vol in floating point, so it is correctly
-rounded where the rounded sum is exact (dyadic levels) or vol is 1.  A
-complex product is formed from separately rounded real products, never
-from fused multiply-adds, and a non-finite product or sum raises
-ValueError.  An FB coefficient is sum_v v * S_v / vol over the weight
-levels v, with S_v the exact sum of the atoms' Q62 characters at level v
-(_characters, each within 2**-51 of exp(-2 pi i frac(k x))), divided by
-vol before its one rounding, so it is correctly rounded.
+Every averaged value is finished one way: its terms as exact Python ints
+(_units), added as ints, divided by vol's integer ratio and rounded once
+(_quotient), so it is correctly rounded and reruns are bit-identical.  A
+correlation atom is the sum of count * vx[i] * vy[j] over its tallied
+cells, over vol; an FB coefficient is sum_v v * S_v / vol over the (real)
+weight levels v, with S_v the exact sum of the atoms' Q62 characters at
+level v (_characters, each within 2**-51 of exp(-2 pi i frac(k x))).  A
+non-finite weight, product or quotient raises ValueError.
 """
 
 from __future__ import annotations
@@ -193,45 +189,40 @@ def _count(mu, nu, shape, R, r_max, variant):
 
 
 def _averaged_comb(tallies, vx, vy, vol, coverage) -> WeightedComb:
-    """The comb of the atoms sum(count * vx[i] * vy[j]) / vol over the
-    tallied cells (key, i, j, count), all-zero atoms and atoms off coverage
-    dropped, sorted by position.  Every correlation, whatever counted its
-    pairs, ends here.  The products are taken in the levels' dtype, at least
-    double precision; each tally is folded into the exact sums of the atoms
-    seen so far as it arrives, so memory grows with the atoms out, not with
-    the tallies.  Each sum is rounded once, then divided by vol: an atom is
-    correctly rounded when its rounded sum is exact (dyadic levels) or vol = 1."""
-    dtype = np.result_type(vx, vy, np.float64)
-    vx, vy = vx.astype(dtype), vy.astype(dtype)
-    codes, sums = np.empty(0, dtype=np.int64), np.zeros((0, 1 + (dtype.kind == "c")), dtype=object)
+    """The comb of the atoms sum(count * vx[i] * vy[j]) / vol, rounded once,
+    over the tallied cells (key, i, j, count), atoms of weight 0 and atoms
+    off coverage dropped, sorted by position.  Every correlation, whatever
+    counted its pairs, ends here.  The products are taken in double
+    precision; each tally is folded into the exact sums of the atoms seen so
+    far as it arrives, so memory grows with the atoms out, not the tallies."""
+    vx, vy = vx.astype(np.float64), vy.astype(np.float64)
+    codes, sums = np.empty(0, dtype=np.int64), np.zeros(0, dtype=object)
     for new, i, j, count in tallies:
         codes, atom = np.unique(np.concatenate([new, codes]), return_inverse=True)
         # the sums so far move to their atoms' new places
-        moved = np.zeros((len(codes), sums.shape[1]), dtype=object)
+        moved = np.zeros(len(codes), dtype=object)
         moved[atom[len(new) :]] = sums
         atom = atom[: len(new)]
         for a in range(0, len(new), PAIR_BLOCK):
             at = slice(a, a + PAIR_BLOCK)
-            x, y = vx[i[at]], vy[j[at]]
-            if dtype.kind == "c":  # rounded real products, unfused
-                xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-                parts = np.stack([xr * yr - xi * yi, xr * yi + xi * yr], axis=1)
-            else:
-                parts = (x * y)[:, None]
-            np.add.at(moved, atom[at], _units(parts) * count[at].astype(object)[:, None])
+            np.add.at(moved, atom[at], _units(vx[i[at]] * vy[j[at]]) * count[at].astype(object))
         sums = moved
-    try:
-        rounded = (sums / 2**1074).astype(np.float64)
-    except OverflowError:
-        raise ValueError(_NOT_FINITE) from None
     # the atoms on the coverage by their own positions, as linear_combine
     # keeps them: the pair sweep admits lags up to a hair beyond it
     pos = embed_array(*_key_parts(codes))
-    keep = rounded.any(axis=1) & (pos >= coverage[0]) & (pos <= coverage[1])
-    # divide real and imaginary parts separately: numpy's complex division
-    # multiplies by a reciprocal and would round twice
-    quotient = (rounded[keep] / vol).view(dtype).ravel()
-    return WeightedComb.from_weights(codes[keep], quotient, coverage)
+    quotient = _quotient(sums, 1074, vol).astype(np.float64)
+    keep = (quotient != 0) & (pos >= coverage[0]) & (pos <= coverage[1])
+    return WeightedComb.from_weights(codes[keep], quotient[keep], coverage)
+
+
+def _quotient(units, shift, vol):
+    # units * 2**-shift / vol rounded once, units * d / (n << shift) with n / d
+    # = vol, for an exact int or an object array of them; ValueError past a double
+    n, d = vol.as_integer_ratio()
+    try:
+        return units * d / (n << shift)
+    except OverflowError:
+        raise ValueError(_NOT_FINITE) from None
 
 
 def _units(values):
@@ -433,7 +424,7 @@ def pair_correlation(
     r_max: float = 20.0,
     variant: str = "both",
 ) -> WeightedComb:
-    """Averaged correlation: the reflected conjugate of mu convolved with nu.
+    """Averaged correlation: the reflection of mu convolved with nu.
 
     Atoms sit at differences y - x of the two supports.
     """
@@ -495,15 +486,12 @@ def _fb_values(
             for p, fixed in enumerate(_characters(k, offsets, x)):
                 sums[q, 0, p, group[starts]] += np.add.reduceat(fixed >> 31, starts)
                 sums[q, 1, p, group[starts]] += np.add.reduceat(fixed & (2**31 - 1), starts)
-    try:  # levels in units of 2**-1074 and sums of 2**-62: values over 2**1136 * vol
-        re, im = _units(mu.levels.real), _units(mu.levels.imag)
-        vols = [spec.vol(R).as_integer_ratio() for R in spec.R_list]
-        for k, (high, low) in zip(K, sums.reshape(len(K), 2, 2, len(intervals), n_levels)):
-            s_re, s_im = (high.cumsum(axis=1).astype(object) << 31) + low.cumsum(axis=1)
-            yield k, [complex(u * d / (n << 1136), w * d / (n << 1136)) for u, w, (n, d)
-                      in zip(s_re @ re - s_im @ im, s_im @ re + s_re @ im, vols)]
-    except (ValueError, OverflowError):
-        raise ValueError(_NOT_FINITE) from None
+    # levels in units of 2**-1074 and sums of 2**-62: values over 2**1136 * vol
+    units = _units(mu.levels)
+    for k, (high, low) in zip(K, sums.reshape(len(K), 2, 2, len(intervals), n_levels)):
+        s_re, s_im = (high.cumsum(axis=1).astype(object) << 31) + low.cumsum(axis=1)
+        yield k, [complex(_quotient(u, 1136, vol), _quotient(w, 1136, vol))
+                  for u, w, vol in zip(s_re @ units, s_im @ units, map(spec.vol, spec.R_list))]
 
 
 def _characters(k, offsets, x):
@@ -587,10 +575,8 @@ def orthogonality_report(
     """
     rows = []
     for R in spec.R_list:
-        # Both factors are restricted to the same interval, so
-        # c_nu_omega(s) = conj(c_omega_nu(-s)) atom for atom: each atom is the
-        # correctly rounded sum of the same products, complex ones included,
-        # since _averaged_comb forms those from separately rounded real products.
+        # Both factors are restricted to the same interval, so c_nu_omega(s) =
+        # c_omega_nu(-s) atom for atom: the same exact sum, rounded once.
         sup = pair_correlation(omega, nu, spec.shape, R, r_max).sup_norm()
         rows.append(OrthogonalityRow(R, sup, sup))
     return rows
@@ -645,16 +631,16 @@ def decomposition_report(
     tallies, vol = _count(reflect_conjugate(nu_i), nu_j, shape, R, r_max, "both")
     alpha_i = np.full(len(nu_i.levels), omega_i.levels[0])
     alpha_j = np.full(len(nu_j.levels), omega_j.levels[0])
-    # levels per level of nu_i and nu_j; those of the reflected factor conjugated
-    parts = _weighed(list(tallies), vol, r_max, [(np.conj(x), y) for x, y in (
+    # levels per level of nu_i and nu_j
+    parts = _weighed(list(tallies), vol, r_max, [
         (alpha_i + nu_i.levels, alpha_j + nu_j.levels),
         (alpha_i, alpha_j),
         (nu_i.levels, nu_j.levels),
         (alpha_i, nu_j.levels),
         (nu_i.levels, alpha_j),
-    )])
+    ])
     codes = np.unique(np.concatenate([part.codes for part in parts]))
-    residual = np.zeros(len(codes), dtype=np.result_type(*(part.levels for part in parts)))
+    residual = np.zeros(len(codes))
     for sign, part in zip((1, -1, -1, -1, -1), parts):
         residual[np.searchsorted(codes, part.codes)] += sign * part.weights
     gamma, s_part, zero_part, cross_ij, cross_ji = parts

@@ -37,9 +37,9 @@ __all__ = [
 # at a time
 SEQUENCE_BLOCK = 1 << 16
 # An eta table entry costs this many 8-byte budget points: diffract --eta 1e5,
-# 2e5, 4e5 and 8e5 peaked at 50.1, 70.3, 110.7 and 191.9 MiB spawned (30.3 MiB
-# at --eta 0, 2-core x86 machine), about 212 B an entry.
-ETA_ENTRY_UNITS = 27
+# 2e5, 4e5 and 8e5 (rows streamed) peaked at 37.1, 44.1, 58.5 and 87.7 MiB
+# spawned (30.3 MiB at --eta 0, 2-core x86 machine), about 76 B an entry.
+ETA_ENTRY_UNITS = 10
 
 
 @dataclass(frozen=True)
@@ -222,5 +222,5 @@ def polarisation_zero_check(
     _covers(Q, lo, hi, "second comb")
     # the masses of the atoms fb_scan sums on [lo, hi]
     mass_p, mass_q = (c.levels[c.level[slice(*_bounds(c, lo, hi))]].sum() for c in (P, Q))
-    c0 = np.conj(mass_p) * mass_q / (vol * vol)
+    c0 = mass_p * mass_q / (vol * vol)
     return float(abs(c0 - expected))

@@ -153,8 +153,8 @@ def bernoulli_verify(p: float, N: int, rng: RngSpec, r_max: int = 50) -> Bernoul
         row, 2 * N + 1, r_max, 2.0 * N,
         [(lam, lam), (nu_levels, nu_levels), (omega_levels, nu_levels)])
 
-    g = {int(m): float(w.real) for (m, _), w in gamma.atoms_dict().items()}
-    v = {int(m): float(w.real) for (m, _), w in nu_corr.atoms_dict().items()}
+    g = {int(m): float(w) for (m, _), w in gamma.atoms_dict().items()}
+    v = {int(m): float(w) for (m, _), w in nu_corr.atoms_dict().items()}
     gamma_err = max(abs(g.get(m, 0.0) - p * p) for m in range(1, r_max + 1))
     nu_off = max((abs(w) for m, w in v.items() if m != 0), default=0.0)
     checks = (

@@ -167,7 +167,7 @@ def suite_eberlein_exact(seed: int | None = None) -> SuiteReport:
     z = combs.lattice_comb(-R, R)
     g = eberlein.eberlein_convolve(z, z, "symmetric", float(R), r_max, "both")
     worst = max(
-        abs(complex(g.atom((m, 0))) - (2 * R + 1 - abs(m)) / (2 * R))
+        abs(g.atom((m, 0)) - (2 * R + 1 - abs(m)) / (2 * R))
         for m in range(-r_max, r_max + 1)
     )
     checks = (
@@ -191,8 +191,8 @@ def suite_tm(seed: int | None = None) -> SuiteReport:
     for (a, b), g in correlations.items():
         sign = 1.0 if a == b else -1.0
         for m in range(-32, 33):
-            want = 0.25 * (1.0 + sign * brute[abs(m)])
-            worst_atom = max(worst_atom, abs(complex(g.atom((m, 0))) - want))
+            want = 0.25 * (1.0 + sign * float(brute[abs(m)]))
+            worst_atom = max(worst_atom, abs(g.atom((m, 0)) - want))
 
     # wall time stays out of the report so reruns are byte-identical; the
     # acceptance gate asserts the runtime budget separately

@@ -44,10 +44,10 @@ def test_verify_bernoulli_reports_byte_identical(tmp_path):
     assert run("verify", "--suite", "bernoulli", "--seed", "42",
                "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    # as written by three comb correlations over the 2N + 1 sites; an explicit
-    # seed enters the config hash, so this differs from verify_bern.json
+    # each atom its exact sum over vol, rounded once; an explicit seed enters
+    # the config hash, so this differs from verify_bern.json
     assert hashlib.sha256(out1.read_bytes()).hexdigest() == (
-        "d9d66b80c4ae593d080a59e589ef50db20eb3ad99bf4626ba7dd788965caaaa4")
+        "cb351eb337c5ec2d58f31ab02c36334bfbe95be4b9dc101c722285539f897dd9")
     doc = json.loads(out1.read_text())
     assert doc["passed"] is True
     assert doc["_meta"]["version"] == __version__
@@ -416,11 +416,13 @@ GOLDEN_RUNS = (
 # stored one weight per atom, and (corr_tm.csv) by bit rows per weight level
 # over the integer supports, before the pair sweep counted them, and (split/*,
 # fb_nu.csv, verify_orth.json, verify_all_41.json) by alphas measured from
-# point counts at each R, not taken exactly from the rule and windows.  Re-pin
-# only for a deliberate output change, and list that change in CHANGES.md.
+# point counts at each R, not taken exactly from the rule and windows, and
+# (bern.json, verify_bern.json, verify_all_41.json) by lattice-gas atoms whose
+# exact sums were rounded before their division by vol.  Re-pin only for a
+# deliberate output change, and list that change in CHANGES.md.
 PINNED_DIGESTS = {
     "bern.json":
-        "5ed3b46972a285774872ec82405cd8aa6bf4401c2c0673a4d309d1e5c1292249",
+        "b37ef675b370b6c3841b01da7bff642dd1f1f2520874e6a082de828e1b3cb6b5",
     "bern_points.csv":
         "b0e6694fbefdd7ae8f495fde6bb24c8286b96458cc4dc8cf5360cac0fe3b235a",
     "corr.csv":
@@ -480,9 +482,9 @@ PINNED_DIGESTS = {
     "split_tm/splitting.json":
         "6b61c4261c9cc4422901bfc3adad0d65eb549ae918e9421db6034926e3917496",
     "verify_all_41.json":
-        "c27671e4cfa1f8064c69b231511f1a8bbe690a3cdd0b7c3e35d4f079c0e1ff88",
+        "576d85974036d94da17ddf6a8605bcab541ad4f9d846e9b097a1d380f2d08824",
     "verify_bern.json":
-        "e57aa1afb53a3e969a67d50e554ab95422849b1c7b018aafaf56753bf3455796",
+        "76942286fa229fd538c9d5cdbf56a7e9cee77a6dc8c49360ba6b6130d014af57",
     "verify_orth.json":
         "b3828e6e8392f11ec1f98d2417b3e7279640aad5f21667e7f0c09a227a4a2466",
     "verify_tm.json":
@@ -561,11 +563,12 @@ COMB_HEADER = ["m", "n", "value", "re_weight", "im_weight"]
 
 
 def comb_rows(comb):
-    """One row (m, n, position, re, im) of Python scalars per atom, gathered
-    atom by atom with no block or level structure."""
+    """One row (m, n, position, weight, 0.0) of Python scalars per atom,
+    gathered atom by atom with no block or level structure: weights are real,
+    and the im_weight cell reads 0.0."""
     return [
-        (int(m), int(n), float(x), float(w.real), float(w.imag))
-        for (m, n), x, w in zip(comb.keys, comb.positions, comb.weights.astype(complex))
+        (int(m), int(n), float(x), float(w), 0.0)
+        for (m, n), x, w in zip(comb.keys, comb.positions, comb.weights)
     ]
 
 
@@ -613,16 +616,16 @@ def test_write_csv_matches_per_cell_repr(tmp_path, monkeypatch):
         assert out.read_bytes() == per_cell(["m", "n", "value"], rows, cfg)
 
     # the grouped comb writer: one shared group of 300 atoms (1, 2 and 300
-    # levels, real and complex), as many atoms on other keys, a strict slice
-    # of the shared keys (a group of one, 296 atoms, so its last block is
-    # partial), a short complex comb and an empty one
+    # levels, signed zeros and a subnormal among them), as many atoms on other
+    # keys, a strict slice of the shared keys (a group of one, 296 atoms, so
+    # its last block is partial), a short comb of weight -0.0 and an empty one
     ms = np.arange(300, dtype=np.int64)
     shared = np.stack([3 * ms - 450, ms % 7 - 3], axis=1)
     shared = shared[np.argsort(shared[:, 0] + shared[:, 1] * (1 + 5**0.5) / 2)]
     cover = (-1e4, 1e4)
     third = 0.1 + 0.2
-    spread = (np.arange(300) - 150) * third + 1j * np.where(ms % 2, -0.0, 1.5)
-    spread[:3] = [-0.0 + 5e-324j, 1e16 - 0.0j, 5e-324 + 0j]
+    spread = (np.arange(300) - 150) * third
+    spread[:3] = [-0.0, 1e16, 5e-324]
     two = np.where(ms % 3 == 0, 1.0 - third, -third)
     named = [
         ("omega_a", WeightedComb.from_weights(shared, np.full(300, third), cover)),
@@ -630,7 +633,7 @@ def test_write_csv_matches_per_cell_repr(tmp_path, monkeypatch):
         ("spread", WeightedComb.from_weights(shared, spread, cover)),
         ("shifted", WeightedComb.from_weights(shared + [1, 0], two, cover)),
         ("nu_slice", WeightedComb.from_weights(shared[2:-2], two[2:-2], cover)),
-        ("short", WeightedComb.from_weights(shared[:7], np.full(7, -0.0 + 1e16j), cover)),
+        ("short", WeightedComb.from_weights(shared[:7], np.full(7, -0.0), cover)),
         ("empty", WeightedComb.from_weights(shared[:0], two[:0], cover)),
     ]
     assert [len(c.levels) for _, c in named] == [1, 2, 300, 2, 2, 1, 0]
@@ -910,8 +913,25 @@ BAD_INPUT_RUNS = (
      "RuleError", "letters outside the alphabet ['a', 'b']: images ['c'], lengths ['c']"),
     # the eta table is charged to the points budget before any entry is made
     (("diffract", "--system", "thue_morse", "--eta", "100000000"), {},
-     "ValueError", "the eta table on 0 <= m <= 100000000 (27 budget points an entry) needs "
-     "about 2.7e+09 points, over the budget of MAX_POINTS = 50000000 points"),
+     "ValueError", "the eta table on 0 <= m <= 100000000 (10 budget points an entry) needs "
+     "about 1e+09 points, over the budget of MAX_POINTS = 50000000 points"),
+    # a command's modes read their own options only; an option of another
+    # mode is refused, not ignored
+    (("fb", "--system", "fibonacci", "--R-grid", "100", "--k-preset", "module",
+      "--k-values", "0.3"), {}, "CliError", "--k-values reads no --k-preset"),
+    (("diffract", "--system", "fibonacci", "--eta", "4"), {},
+     "CliError", "diffract --eta reads no --system"),
+    (("diffract", "--eta", "4", "--riesz-depth", "3", "--k-max", "9"), {},
+     "CliError", "diffract --eta reads no --riesz-depth, --k-max"),
+    (("diffract", "--riesz-depth", "3", "--system", "fibonacci"), {"kstar_max": 2},
+     "CliError", "diffract --riesz-depth reads no --system, --kstar-max"),
+    (("diffract", "--system", "fibonacci"), {"r_max": 8},
+     "CliError", "diffract --system reads no --r-max"),
+    (("sample", "--system", "bernoulli", "--p", "0.6", "--N", "100", "--seed", "1",
+      "--R", "5"), {}, "CliError", "sample --system bernoulli reads no --R"),
+    (("sample", "--system", "random_fibonacci", "--R", "100", "--seed", "1", "--N", "5",
+      "--points-out", "pts.csv"), {"r_max": 3},
+     "CliError", "sample --system random_fibonacci reads no --N, --r-max, --points-out"),
 )
 
 
@@ -938,8 +958,12 @@ BAD_INPUT_RUNS = (
     "fb-nu-random_fibonacci", "split-system-unknown", "project-window-preset-no-window",
     "project-system", "fb-nu-realization-options", "fb-omega-realization-config",
     "project-two-window-sources", "project-no-window-source", "rule-factor-contradicts-lengths",
-    "rule-stray-letters", "diffract-eta-over-budget"])
-def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_path, capsys):
+    "rule-stray-letters", "diffract-eta-over-budget", "fb-two-k-sources",
+    "diffract-eta-fibonacci", "diffract-three-tables", "diffract-riesz-and-pure-point",
+    "diffract-pure-point-r_max", "sample-bernoulli-R", "sample-random_fibonacci-gas-options"])
+def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)  # so an output named by a relative path lands here
     config = dict(config)
     for key in ("windows_file", "rule_file"):
         if key in config:
@@ -951,7 +975,8 @@ def test_bad_inputs_are_refused_not_truncated(argv, config, error, message, tmp_
     out = tmp_path / "out.csv"
     assert run("--config", str(cfg), *argv, "--out", str(out)) == 1
     assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
-    assert not out.exists()
+    assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json", "windows_file.json",
+                                                    "rule_file.json"}
 
 
 @pytest.mark.parametrize("argv,flags,config", [

@@ -74,8 +74,8 @@ def test_lattice_convolution_counting_formula_exact():
     z = lattice_comb(-100, 100)
     g = eberlein_convolve(z, z, "symmetric", 100.0, 20, "both")
     for m in range(-20, 21):
-        assert complex(g.atom((m, 0))) == (201 - abs(m)) / 200
-    assert complex(g.atom((5, 0))) == 0.98
+        assert g.atom((m, 0)) == (201 - abs(m)) / 200
+    assert g.atom((5, 0)) == 0.98
 
 
 def test_lattice_convolution_approaches_unit_atoms():
@@ -84,7 +84,7 @@ def test_lattice_convolution_approaches_unit_atoms():
     for R in (100, 10_000):
         z = lattice_comb(-R, R)
         g = eberlein_convolve(z, z, "symmetric", float(R), 20, "both")
-        errs.append(max(abs(complex(g.atom((m, 0))) - 1.0) for m in range(-20, 21)))
+        errs.append(max(abs(g.atom((m, 0)) - 1.0) for m in range(-20, 21)))
     assert errs[1] < errs[0]
     assert errs[1] <= 1.5e-3
 
@@ -100,11 +100,10 @@ def test_sweep_kernel_matches_brute_force_oracle():
     keys = np.unique(
         rng.integers(-8, 9, size=(30, 2)).astype(np.int64), axis=0
     )
-    weights = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    weights = rng.normal(size=len(keys))
     pos = keys[:, 0] + keys[:, 1] * TAU
     order = np.argsort(pos)
-    mu = WeightedComb.from_weights(keys[order], weights[order].astype(np.complex128),
-                                   (-40.0, 40.0))
+    mu = WeightedComb.from_weights(keys[order], weights[order], (-40.0, 40.0))
     nu = reflect_conjugate(mu)
     got = eberlein_convolve(mu, nu, "symmetric", 20.0, 6).atoms_dict()
     want = brute_convolve(mu, nu, "symmetric", 20.0, 6)
@@ -114,17 +113,12 @@ def test_sweep_kernel_matches_brute_force_oracle():
 
 
 def test_lattice_and_golden_ratio_sweeps_agree_on_integers(monkeypatch):
-    # one sweep over a lattice comb, and over the same comb in complex
-    # weights with one off-lattice atom of weight 0: the second's pairs sum
-    # golden-ratio key codes, yet both count the same integers, also when
-    # tiny blocks make every cell's count a sum over blocks and folds
+    # one sweep over a lattice comb, and over the same comb with one
+    # off-lattice atom of weight 0: the second's pairs sum golden-ratio key
+    # codes, yet both count the same integers, also when tiny blocks make
+    # every cell's count a sum over blocks and folds
     z = lattice_comb(-50, 50)
-    marked = linear_combine(
-        [(1.0, z), (1.0, dirac_comb([(0, 1)], (-50.0, 50.0), weight=0.0 + 0j))]
-    )
     dense = eberlein_convolve(z, z, "symmetric", 40.0, 10).atoms_dict()
-    # same atoms, golden-ratio path (complex dtype + off-lattice key)
-    z_complex = WeightedComb.from_weights(z.keys, z.weights.astype(np.complex128), z.coverage)
     marked_z = WeightedComb.from_weights(
         np.vstack([z.keys, [[0, 1]]])[np.argsort(np.r_[z.positions, [TAU]], kind="stable")],
         np.r_[z.weights, [0.0]][np.argsort(np.r_[z.positions, [TAU]], kind="stable")],
@@ -134,11 +128,8 @@ def test_lattice_and_golden_ratio_sweeps_agree_on_integers(monkeypatch):
         if blocks:
             monkeypatch.setattr(eberlein, "PAIR_BLOCK", blocks[0])
             monkeypatch.setattr(eberlein, "FOLD_CELLS", blocks[1])
-        forced = eberlein_convolve(marked_z, z_complex, "symmetric", 40.0, 10).atoms_dict()
-        forced = {k: v for k, v in forced.items() if v != 0}
-        assert set(dense) == set(forced)
-        for k in dense:
-            assert complex(dense[k]) == complex(forced[k])
+        forced = eberlein_convolve(marked_z, z, "symmetric", 40.0, 10).atoms_dict()
+        assert forced == dense
 
 
 def test_pair_correlation_hermitian_symmetry():
@@ -148,7 +139,7 @@ def test_pair_correlation_hermitian_symmetry():
                             "one_sided", 250.0, 15)
     g_ba = pair_correlation(combs_by_type["b"], combs_by_type["a"],
                             "one_sided", 250.0, 15)
-    reflected = {(-m, -n): np.conj(w) for (m, n), w in g_ba.atoms_dict().items()}
+    reflected = {(-m, -n): w for (m, n), w in g_ba.atoms_dict().items()}
     assert g_ab.atoms_dict() == reflected
 
 
@@ -157,22 +148,22 @@ def test_pair_correlation_atom_at_zero_is_density():
     comb = tps.comb()
     g = pair_correlation(comb, comb, "one_sided", 2000.0, 5)
     count = np.count_nonzero(comb.positions <= 2000.0)
-    assert complex(g.atom((0, 0))).real == pytest.approx(count / 2000.0)
-    assert complex(g.atom((0, 0))).real > 0
+    assert g.atom((0, 0)) == pytest.approx(count / 2000.0)
+    assert g.atom((0, 0)) > 0
 
 
 def test_fibonacci_correlation_has_atom_at_tau():
     tps = inflate.realize_geometric(inflate.fibonacci_rule(), "a", 500.0)
     comb = tps.comb()
     g = pair_correlation(comb, comb, "one_sided", 400.0, 5)
-    assert abs(complex(g.atom((0, 1)))) > 0.1  # adjacent long-short pair
+    assert abs(g.atom((0, 1))) > 0.1  # adjacent long-short pair
 
 
 def test_thue_morse_gamma_aa_at_zero():
     n = 2**16
     tps = inflate.realize_geometric(inflate.thue_morse_rule(), "a", float(n))
     g = pair_correlation(tps.comb("a"), tps.comb("a"), "one_sided", float(n), 4)
-    assert complex(g.atom((0, 0))).real == pytest.approx(0.5, abs=1e-3)
+    assert g.atom((0, 0)) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_fb_coefficient_examples():
@@ -193,12 +184,10 @@ def test_fb_coefficient_is_linear():
     pos = keys[:, 0] + keys[:, 1] * TAU
     order = np.argsort(pos)
     keys = keys[order]
-    w1 = (rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys)))
-    w2 = (rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys)))
     cov = (-80.0, 80.0)
-    mu = WeightedComb.from_weights(keys, w1.astype(np.complex128), cov)
-    nu = WeightedComb.from_weights(keys, w2.astype(np.complex128), cov)
-    a, b = 0.7 - 0.2j, -1.3 + 0.4j
+    mu = WeightedComb.from_weights(keys, rng.normal(size=len(keys)), cov)
+    nu = WeightedComb.from_weights(keys, rng.normal(size=len(keys)), cov)
+    a, b = 0.7, -1.3
     combo = linear_combine([(a, mu), (b, nu)])
     for k in (FourierModulePoint(1, 0), FourierModulePoint(-1, 1), 0.37):
         lhs = fb_coefficient(combo, k, "symmetric", 60.0)
@@ -220,14 +209,13 @@ def test_fb_scan_rows_and_cauchy():
 
 
 def _golden_comb(seed=5):
-    """Complex weights on golden keys at positions in [5, 60], covering [-100, 100]."""
+    """Random weights on golden keys at positions in [5, 60], covering [-100, 100]."""
     rng = np.random.default_rng(seed)
     keys = np.unique(rng.integers(-40, 41, size=(400, 2)).astype(np.int64), axis=0)
     pos = keys[:, 0] + keys[:, 1] * TAU
     keys = keys[(pos >= 5.0) & (pos <= 60.0)]
     keys = keys[np.argsort(keys[:, 0] + keys[:, 1] * TAU)]
-    w = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
-    return WeightedComb.from_weights(keys, w, (-100.0, 100.0))
+    return WeightedComb.from_weights(keys, rng.normal(size=len(keys)), (-100.0, 100.0))
 
 
 @pytest.mark.parametrize("shape", ["one_sided", "symmetric"])
@@ -455,7 +443,7 @@ def test_variant_consistency_on_lattice():
         both = eberlein_convolve(z, z, "symmetric", R, 20, "both")
         one = eberlein_convolve(z, z, "symmetric", R, 20, "one")
         diffs = {
-            m: abs(complex(one.atom((m, 0))) - complex(both.atom((m, 0))))
+            m: abs(one.atom((m, 0)) - both.atom((m, 0)))
             for m in range(-20, 21)
         }
         # exact: the one-restricted value is constant (2R+1)/2R
@@ -475,7 +463,7 @@ def test_variant_consistency_on_golden_chain():
         one = pair_correlation(comb, comb, "one_sided", R, 20, "one")
         keys = set(both.atoms_dict()) | set(one.atoms_dict())
         sup = max(
-            abs(complex(one.atom(k)) - complex(both.atom(k))) for k in keys
+            abs(one.atom(k) - both.atom(k)) for k in keys
         )
         bound = boundary_fraction("one_sided", R, 20) * max(
             1.0, both.sup_norm()
@@ -589,9 +577,9 @@ def exact_pair_correlation(mu, nu, shape, R, r_max, variant):
         for y, wy in nu.items():
             d = (y[0] - x[0], y[1] - x[1])
             if inside(y, nu_lo, nu_hi) and inside(d, -r_max, r_max):
-                sums[d] = sums.get(d, 0) + wx.conjugate() * wy
+                sums[d] = sums.get(d, 0) + wx * wy
     vol = R if shape == "one_sided" else 2 * R
-    return {d: complex(w) / vol for d, w in sums.items() if w != 0}
+    return {d: w / vol for d, w in sums.items() if w != 0}
 
 
 def exact_comb(atoms):
@@ -604,7 +592,6 @@ def exact_comb(atoms):
 # dyadic weights keep every product and every per-atom sum exact
 dyadic_st = st.integers(-8, 8).filter(bool).map(lambda k: k / 4)
 real_w_st = st.one_of(st.just(1.0), dyadic_st)
-complex_w_st = st.builds(complex, dyadic_st, dyadic_st)
 
 
 @st.composite
@@ -617,24 +604,21 @@ def atoms_st(draw, integer, weight_st):
 @given(
     st.data(),
     st.booleans(),
-    st.sampled_from([real_w_st, complex_w_st]),
     st.sampled_from(["one_sided", "symmetric"]),
     st.sampled_from(["both", "one"]),
     st.sampled_from([3, 5, 8, 13]),
     st.sampled_from([1, 2, 4, 7]),
 )
 @settings(max_examples=200, deadline=None)
-def test_pair_correlation_matches_exact_oracle(
-    data, integer, weight_st, shape, variant, R, r_max
-):
+def test_pair_correlation_matches_exact_oracle(data, integer, shape, variant, R, r_max):
     # integer supports are counted by lag, mixed ones by exact key
-    mu_atoms = data.draw(atoms_st(integer, weight_st))
+    mu_atoms = data.draw(atoms_st(integer, real_w_st))
     nu_atoms = data.draw(atoms_st(integer, real_w_st))
     corr = pair_correlation(
         exact_comb(mu_atoms), exact_comb(nu_atoms), shape, float(R), r_max, variant
     )
     want = exact_pair_correlation(mu_atoms, nu_atoms, shape, R, r_max, variant)
-    assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
+    assert corr.atoms_dict() == want
     assert corr.coverage == (-r_max, r_max)
     assert np.all(np.diff(corr.positions) > 0)
 
@@ -642,83 +626,59 @@ def test_pair_correlation_matches_exact_oracle(
 # finite random weights, far from overflow; many 1.0 draws leave few weight
 # levels
 random_real_st = st.one_of(st.just(1.0), st.floats(-1e3, 1e3, allow_subnormal=False).filter(bool))
-random_complex_st = st.builds(complex, random_real_st, random_real_st)
 
 
 @given(
     st.data(),
     st.booleans(),
-    st.sampled_from([(random_real_st, random_real_st), (random_real_st, random_complex_st),
-                     (random_complex_st, random_real_st),
-                     (random_complex_st, random_complex_st)]),
     st.sampled_from(["one_sided", "symmetric"]),
     st.sampled_from([3, 5, 13]),
     st.sampled_from([1, 2, 7]),
 )
 @settings(max_examples=200, deadline=None)
-def test_cross_correlations_mirror_bit_for_bit(data, integer, weight_sts, shape, R, r_max):
+def test_cross_correlations_mirror_bit_for_bit(data, integer, shape, R, r_max):
     # With both factors restricted to the same interval, c_nu_omega(s) =
-    # conj(c_omega_nu(-s)): each atom is the correctly rounded sum of the same
-    # products.  That holds when both factors are complex too, because the
-    # kernel forms each complex product from separately rounded real products
-    # and conj(b) * a then has exactly the negated imaginary part of
-    # conj(a) * b.  Adding +0.0 maps a zero imaginary part that conj made
-    # negative back to +0.0.
-    omega = exact_comb(data.draw(atoms_st(integer, weight_sts[0])))
-    nu = exact_comb(data.draw(atoms_st(integer, weight_sts[1])))
+    # c_omega_nu(-s): each atom is the correctly rounded quotient of the
+    # exact sum of the same products.
+    omega = exact_comb(data.draw(atoms_st(integer, random_real_st)))
+    nu = exact_comb(data.draw(atoms_st(integer, random_real_st)))
     direct = pair_correlation(nu, omega, shape, float(R), r_max)
     mirrored = reflect_conjugate(pair_correlation(omega, nu, shape, float(R), r_max))
     assert np.array_equal(direct.keys, mirrored.keys)
     assert direct.weights.dtype == mirrored.weights.dtype
-    assert (direct.weights + 0.0).tobytes() == (mirrored.weights + 0.0).tobytes()
+    assert direct.weights.tobytes() == mirrored.weights.tobytes()
     assert direct.coverage == mirrored.coverage
 
 
-def fsum_pair_correlation(mu, nu, shape, R, r_max, variant):
-    """Oracle: math.fsum of the per-pair products at each difference, over vol.
+def rounded_pair_correlation(mu, nu, shape, R, r_max, variant):
+    """Oracle: per difference, the Fraction sum of the double products of the
+    admitted pairs' weights, over vol, rounded once.
 
-    Admission is decided exactly, as in exact_pair_correlation.  Complex
-    products are formed as in the kernel, from four separately rounded real
-    products, one subtraction and one addition.
+    Admission is decided exactly, as in exact_pair_correlation.
     """
     lo, hi = (0, R) if shape == "one_sided" else (-R, R)
     nu_lo, nu_hi = (lo, hi) if variant == "both" else (lo - r_max, hi + r_max)
-    dtype = np.result_type(mu.weights, nu.weights, np.float64)
 
     def inside(key, a, b):
         m, n = key
         return sign_of(m - a, n) >= 0 and sign_of(m - b, n) <= 0
 
-    pairs = {}
-    for x, wx in zip(map(tuple, mu.keys.tolist()), np.conj(mu.weights)):
+    sums = {}
+    for x, wx in zip(map(tuple, mu.keys.tolist()), mu.weights.astype(np.float64).tolist()):
         if not inside(x, lo, hi):
             continue
-        for y, wy in zip(map(tuple, nu.keys.tolist()), nu.weights):
+        for y, wy in zip(map(tuple, nu.keys.tolist()), nu.weights.astype(np.float64).tolist()):
             d = (y[0] - x[0], y[1] - x[1])
             if inside(y, nu_lo, nu_hi) and inside(d, -r_max, r_max):
-                xs, ys = pairs.setdefault(d, ([], []))
-                xs.append(wx)
-                ys.append(wy)
-    vol = float(R if shape == "one_sided" else 2 * R)
-    out = {}
-    for d, (xs, ys) in pairs.items():
-        x = np.array(xs, dtype=mu.weights.dtype).astype(dtype)
-        y = np.array(ys, dtype=nu.weights.dtype).astype(dtype)
-        re = math.fsum((x.real * y.real - x.imag * y.imag).tolist())
-        im = math.fsum((x.real * y.imag + x.imag * y.real).tolist())
-        if re != 0 or im != 0:
-            out[d] = complex(re / vol, im / vol)
-    return out
+                sums[d] = sums.get(d, 0) + Fraction(wx * wy)
+    vol = Fraction(R if shape == "one_sided" else 2 * R)
+    return {d: float(w / vol) for d, w in sums.items() if w != 0}
 
 
 # non-dyadic weights: products and per-atom sums round
 inexact_real_st = st.sampled_from([0.6, -0.4, 1 / 3, 0.1, -2.7, 1.0])
-inexact_complex_st = st.builds(complex, inexact_real_st, inexact_real_st)
 # single-precision weights: products are still taken in double precision
-inexact_single_st = st.one_of(
-    inexact_real_st.map(np.float32), inexact_complex_st.map(np.complex64)
-)
-inexact_st = [inexact_real_st, inexact_complex_st, inexact_single_st]
+inexact_st = [inexact_real_st, inexact_real_st.map(np.float32)]
 
 
 @given(
@@ -738,8 +698,8 @@ def test_every_atom_is_the_correctly_rounded_pair_sum(
     mu = exact_comb(data.draw(atoms_st(integer, mu_w_st)))
     nu = exact_comb(data.draw(atoms_st(integer, nu_w_st)))
     corr = pair_correlation(mu, nu, shape, float(R), r_max, variant)
-    want = fsum_pair_correlation(mu, nu, shape, R, r_max, variant)
-    assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
+    want = rounded_pair_correlation(mu, nu, shape, R, r_max, variant)
+    assert corr.atoms_dict() == want
 
 
 @pytest.mark.parametrize("blocks", [None, (7, 50)])
@@ -759,12 +719,12 @@ def test_many_distinct_weights_are_correctly_rounded(integer, blocks, monkeypatc
         keys = [(m, n) for m, n in tps.points["a"].tolist()]
         keys += [(-m, -n) for m, n in keys if (m, n) != (0, 0)]
     weights = rng.normal(size=len(keys))
-    mu = exact_comb(dict(zip(keys, weights + 1j * rng.normal(size=len(keys)))))
+    mu = exact_comb(dict(zip(keys, rng.normal(size=len(keys)))))
     nu = exact_comb(dict(zip(keys, rng.permutation(weights))))
     for shape in ("one_sided", "symmetric"):
         corr = pair_correlation(mu, nu, shape, 60.0, 7)
-        want = fsum_pair_correlation(mu, nu, shape, 60, 7, "both")
-        assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
+        want = rounded_pair_correlation(mu, nu, shape, 60, 7, "both")
+        assert corr.atoms_dict() == want
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -774,10 +734,17 @@ def test_non_finite_weights_and_products_raise():
         bad = WeightedComb.from_weights(z.keys, np.r_[z.weights[:-1], w], z.coverage)
         with pytest.raises(ValueError, match="finite"):
             pair_correlation(bad, bad, "symmetric", 20.0, 3)
-    # each product 1.69e308 is finite, their sum at lag 0 is not
-    big = WeightedComb.from_weights(z.keys, np.full(len(z), 1.3e154), z.coverage)
+    # each product 1.796e308 is finite, their sum at lag 0 over vol = 40 is
+    # not: 41 pairs there
+    big = WeightedComb.from_weights(z.keys, np.full(len(z), 1.34e154), z.coverage)
     with pytest.raises(ValueError, match="finite"):
         pair_correlation(big, big, "symmetric", 20.0, 3)
+    # products of 1.69e308 sum past the largest double at lag 0, yet over vol
+    # the sum is finite: it is divided exactly and rounded once
+    w = 1.3e154
+    fits = WeightedComb.from_weights(z.keys, np.full(len(z), w), z.coverage)
+    assert pair_correlation(fits, fits, "symmetric", 20.0, 3).atom((0, 0)) == float(
+        41 * Fraction(w * w) / 40)
 
 
 def test_pair_sweep_memory_is_bounded_by_its_blocks(monkeypatch):
@@ -803,14 +770,12 @@ def test_pair_sweep_memory_is_bounded_by_its_blocks(monkeypatch):
 
 
 @st.composite
-def leveled_comb_st(draw, complex_levels):
+def leveled_comb_st(draw):
     """Atoms on small random Z[tau] keys, each on one of 1-300 random levels
     (not all of them used, so level pairs run up to 300 * 300)."""
     n_levels = draw(st.integers(1, 300), label="levels")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     levels = rng.normal(size=n_levels)
-    if complex_levels:
-        levels = levels + 1j * rng.normal(size=n_levels)
     keys_st = st.tuples(st.integers(-15, 15), st.integers(-6, 6))
     atoms = draw(st.dictionaries(keys_st, st.integers(0, n_levels - 1), max_size=24))
     keys = np.array(list(atoms), dtype=np.int64).reshape(-1, 2)
@@ -822,21 +787,17 @@ def leveled_comb_st(draw, complex_levels):
 
 @given(
     st.data(),
-    st.booleans(),
-    st.booleans(),
     st.sampled_from([None, 1, 3, 7]),
     st.sampled_from(["one_sided", "symmetric"]),
     st.sampled_from([3, 13]),
     st.sampled_from([1, 2, 7]),
 )
 @settings(max_examples=150, deadline=None)
-def test_sweep_and_fb_blocks_match_brute_force_over_many_levels(
-    data, complex_x, complex_y, block, shape, R, r_max
-):
+def test_sweep_and_fb_blocks_match_brute_force_over_many_levels(data, block, shape, R, r_max):
     # blocks of 1, 3 and 7 pairs (or atoms) leave most blocks with a part of
     # one x-atom's window, and make every tally, exact sum and FB sum a sum over blocks
-    mu = data.draw(leveled_comb_st(complex_x), label="mu")
-    nu = data.draw(leveled_comb_st(complex_y), label="nu")
+    mu = data.draw(leveled_comb_st(), label="mu")
+    nu = data.draw(leveled_comb_st(), label="nu")
     spec = AveragingSpec(shape, (R / 2, float(R)))
     K = [FourierModulePoint(0, 0), FourierModulePoint(1, 0), FourierModulePoint(-3, 2), 0.37]
     with pytest.MonkeyPatch.context() as patch:
@@ -845,8 +806,8 @@ def test_sweep_and_fb_blocks_match_brute_force_over_many_levels(
             patch.setattr(eberlein, "FB_BLOCK", block)
         corr = pair_correlation(mu, nu, shape, float(R), r_max)
         rows = fb_scan(nu, K, spec)
-    want = fsum_pair_correlation(mu, nu, shape, R, r_max, "both")
-    assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
+    want = rounded_pair_correlation(mu, nu, shape, R, r_max, "both")
+    assert corr.atoms_dict() == want
     for row in rows:
         assert row.value == exact_fb_value(nu, row.k, spec, row.R)
 
@@ -859,7 +820,7 @@ def test_fb_blocks_equal_one_block(monkeypatch):
     spec = AveragingSpec("one_sided", (40.0, 150.0, 400.0))
     K = [*(FourierModulePoint(a, b) for a in (-2, 0, 1) for b in (-1, 0, 3)), 0.0, 0.37]
     for weights in (np.where(rng.random(len(keys)) < 0.4, 0.6, -0.4),
-                    rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))):
+                    rng.normal(size=len(keys))):
         comb = WeightedComb.from_weights(keys, weights, (0.0, 400.0))
         monkeypatch.setattr(eberlein, "FB_BLOCK", len(keys))
         whole = [row.value for row in fb_scan(comb, K, spec)]
@@ -947,14 +908,19 @@ double_st = st.one_of(st.floats(allow_nan=False, allow_infinity=False), special_
     ),
     st.booleans(),
     st.booleans(),
+    st.sampled_from([1.0, 0.6, -0.4, 1 / 3]),
+    st.one_of(st.sampled_from([1.0, 0.1, 3.0, 2e5, 1 / 3]), st.floats(1e-3, 1e6)),
 )
 @settings(max_examples=300, deadline=None)
-def test_averaged_atoms_are_the_exact_sums(terms, reach, cancel):
-    # count * x summed per group and rounded once, against exact fractions:
-    # one tally, with one level per term and the group as key code, over a
-    # volume of 1.  With reach, the counts of the first term's group sum to
-    # 2**35; with cancel, group 3 holds terms and their negations, whatever
-    # the magnitudes, and one term that is left over.
+@example([(0, 0.6, 7), (0, -0.4, 3), (1, 1 / 3, 5)], False, False, 0.6, 2e5)
+def test_averaged_atoms_are_the_exact_sums(terms, reach, cancel, y, vol):
+    # count * fl(x * y) summed exactly per group, over vol and rounded once,
+    # against float(Fraction(exact sum) / Fraction(vol)): one tally, with one
+    # level x per term, the level y on the other side and the group as key
+    # code.  Levels and vol need not be dyadic, so a sum rounded before its
+    # division would be one rounding off.  With reach, the counts of the
+    # first term's group sum to 2**35; with cancel, group 3 holds terms and
+    # their negations, whatever the magnitudes, and one term that is left over.
     if reach:
         g0, x0, _ = terms[0]
         terms[0] = (g0, x0, 2**35 - sum(c for g, _, c in terms[1:] if g == g0))
@@ -966,59 +932,19 @@ def test_averaged_atoms_are_the_exact_sums(terms, reach, cancel):
     assert all(count[group == g].sum() <= 2**35 for g in range(4))
     term = np.arange(len(x))
     tally = [(group.astype(np.int64), term, np.zeros_like(term), count)]
-    want = [sum((Fraction(v) * c for g_, v, c in terms if g_ == g), Fraction(0))
-            for g in range(4)]
+    with np.errstate(over="ignore"):
+        products = (x * y).tolist()
+    want = [sum((Fraction(p) * c for g_, p, c in zip(group.tolist(), products, count.tolist())
+                 if g_ == g), Fraction(0)) for g in range(4)]
     try:
-        expected = [float(w) for w in want]
-    except OverflowError:
+        expected = [float(w / Fraction(vol)) for w in want]
+    except (ValueError, OverflowError):  # an infinite product, or a quotient past the doubles
         with pytest.raises(ValueError, match="finite"):
-            eberlein._averaged_comb(tally, x, np.ones(1), 1.0, (0.0, 8.0))
+            eberlein._averaged_comb(tally, x, np.array([y]), vol, (0.0, 8.0))
         return
-    got = eberlein._averaged_comb(tally, x, np.ones(1), 1.0, (0.0, 8.0))
+    got = eberlein._averaged_comb(tally, x, np.array([y]), vol, (0.0, 8.0))
     assert got.codes.tolist() == [g for g in range(4) if expected[g] != 0]
     assert got.weights.tolist() == [w for w in expected if w != 0]
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
-            st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
-            st.integers(1, 2**20),
-        ),
-        min_size=1,
-        max_size=30,
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_averaged_atoms_of_complex_products(terms):
-    # each complex product from separately rounded real products: one tally
-    # with one level per term on either side, all at key code 0
-    x, y, count = (np.array(column) for column in zip(*terms))
-    re = x.real * y.real - x.imag * y.imag
-    im = x.real * y.imag + x.imag * y.real
-    want = complex(*(float(sum((Fraction(float(v)) * int(c) for v, c in zip(part, count)),
-                               Fraction(0))) for part in (re, im)))
-    term = np.arange(len(x))
-    tally = [(np.zeros_like(term), term, term, count.astype(np.int64))]
-    got = eberlein._averaged_comb(tally, x, y, 1.0, (0.0, 1.0))
-    assert got.weights.tolist() == ([want] if want != 0 else [])
-
-
-@pytest.mark.parametrize("block", [None, 7])
-@pytest.mark.parametrize("shape", ["one_sided", "symmetric"])
-def test_fb_scan_with_complex_weights_matches_an_fsum_oracle(shape, block, monkeypatch):
-    # every value is the exact sum of the complex weights times their Q62
-    # characters, over the volume, rounded once (exact_fb_value; the name is
-    # kept from an oracle that summed rounded products with math.fsum); a
-    # tiny block makes the sums carry from block to block
-    if block:
-        monkeypatch.setattr(eberlein, "FB_BLOCK", block)
-    comb = _golden_comb(seed=9)
-    spec = AveragingSpec(shape, (7.0, 20.0, 41.5, 60.0))
-    K = [FourierModulePoint(1, 0), FourierModulePoint(-3, 2), 0.37]
-    for row in fb_scan(comb, K, spec):
-        assert row.value == exact_fb_value(comb, row.k, spec, row.R)
 
 
 def q62_character(k, m, n):
@@ -1037,9 +963,8 @@ def exact_fb_value(comb, k, spec, R):
     for (m, n), w, x in zip(comb.keys.tolist(), comb.weights.tolist(), comb.positions.tolist()):
         if lo - 1e-12 <= x <= hi + 1e-12:
             re, im = q62_character(k, m, n)
-            a, b = Fraction(complex(w).real), Fraction(complex(w).imag)
-            total_re += a * re - b * im
-            total_im += a * im + b * re
+            total_re += Fraction(w) * re
+            total_im += Fraction(w) * im
     vol = Fraction(spec.vol(R))
     return complex(float(total_re / vol), float(total_im / vol))
 
@@ -1091,7 +1016,7 @@ def test_integer_phases_give_the_character_one_exactly():
 LEVEL_SETS = {
     "one": [0.7],
     "two": [1 - 0.6180339887498949, -0.6180339887498949],
-    "complex": [0.3 + 1.1j, -0.25 - 0.5j, 2.0],
+    "three": [0.3, -0.25, 2.0],
 }
 
 
@@ -1125,17 +1050,15 @@ def test_fb_at_zero_is_the_level_weighted_count_over_vol(levels):
     for row in fb_scan(comb, [FourierModulePoint(0, 0), 0.0], spec):
         i, j = combs._bounds(comb, 0.0, row.R)
         counts = np.bincount(comb.level[i:j], minlength=len(levels)).tolist()
-        re, im = (sum(Fraction(getattr(complex(v), part)) * c for v, c in zip(levels, counts))
-                  / Fraction(row.R) for part in ("real", "imag"))
-        assert row.value == complex(float(re), float(im))
+        re = sum(Fraction(v) * c for v, c in zip(levels, counts)) / Fraction(row.R)
+        assert row.value == complex(float(re), 0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_non_finite_fb_weights_and_sums_raise():
     z = lattice_comb(-20, 20)
-    for w in (math.nan, math.inf, complex(0.0, math.inf)):
-        w_bad = np.r_[z.weights[:-1].astype(type(w)), w]
-        bad = WeightedComb.from_weights(z.keys, w_bad, z.coverage)
+    for w in (math.nan, math.inf):
+        bad = WeightedComb.from_weights(z.keys, np.r_[z.weights[:-1], w], z.coverage)
         for k in (FourierModulePoint(0, 0), FourierModulePoint(1, 0), 0.3):
             with pytest.raises(ValueError, match="finite"):
                 fb_coefficient(bad, k, "symmetric", 20.0)
@@ -1238,14 +1161,13 @@ def test_more_than_255_levels_take_a_uint16_index(integer):
         tps = inflate.realize_geometric(inflate.fibonacci_rule(), "a", 200.0)
         keys = [(m, n) for m, n in tps.comb().keys.tolist()]
         keys += [(-m, -n) for m, n in keys if (m, n) != (0, 0)]
-    weights = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
-    mu = exact_comb(dict(zip(keys, weights)))
+    mu = exact_comb(dict(zip(keys, rng.normal(size=len(keys)))))
     nu = exact_comb(dict(zip(keys, rng.normal(size=len(keys)))))
     assert len(mu.levels) == len(keys) > 256 and mu.level.dtype == np.uint16
     for other in (nu, lattice_comb(-200, 200, 0.5)):
         corr = pair_correlation(mu, other, "symmetric", 140.0, 9)
-        want = fsum_pair_correlation(mu, other, "symmetric", 140, 9, "both")
-        assert {k: complex(w) for k, w in corr.atoms_dict().items()} == want
+        want = rounded_pair_correlation(mu, other, "symmetric", 140, 9, "both")
+        assert corr.atoms_dict() == want
 
 
 def test_sparse_integer_supports_take_the_pair_sweep():
@@ -1264,8 +1186,6 @@ def test_sparse_integer_supports_take_the_pair_sweep():
 
 @given(
     st.data(),
-    st.booleans(),
-    st.booleans(),
     st.sampled_from([1, 3, 7, 24]),
     st.sampled_from([1, 3, 7]),
     st.sampled_from([1, 3, 7]),
@@ -1276,14 +1196,14 @@ def test_sparse_integer_supports_take_the_pair_sweep():
 )
 @settings(max_examples=150, deadline=None)
 def test_block_sizes_change_no_output(
-    data, complex_x, complex_y, pair_block, fold_cells, fb_block, shape, variant, R, r_max
+    data, pair_block, fold_cells, fb_block, shape, variant, R, r_max
 ):
     # x-chunks of PAIR_BLOCK >> 3 atoms (at least one), pair blocks, folds and
     # FB blocks of a few pairs, cells or atoms cut every y-window, tally and
     # exact sum somewhere else: a pair dropped or counted twice at a chunk or
     # block edge changes some bit.  R = 0.25 leaves most restrictions empty.
-    mu = data.draw(leveled_comb_st(complex_x), label="mu")
-    nu = data.draw(leveled_comb_st(complex_y), label="nu")
+    mu = data.draw(leveled_comb_st(), label="mu")
+    nu = data.draw(leveled_comb_st(), label="nu")
     spec = AveragingSpec(shape, (R / 2, R))
     K = [FourierModulePoint(0, 0), FourierModulePoint(1, 0), FourierModulePoint(-3, 2), 0.37]
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,13 +132,41 @@ def test_bernoulli_verify_equals_the_comb_correlations(N, p, data, seed):
     nu = split_remainder(np.stack([sites, np.zeros_like(sites)], axis=1), omega)
     def atoms(mu, other):
         corr = pair_correlation(mu, other, "symmetric", float(N), r_max)
-        return {int(m): float(w.real) for (m, _), w in corr.atoms_dict().items()}
+        return {int(m): float(w) for (m, _), w in corr.atoms_dict().items()}
     # bit-equal floats, in the same order: repr tells -0.0 from 0.0
     assert repr(report.gamma) == repr(atoms(lam, lam))
     assert repr(report.nu_corr) == repr(atoms(nu, nu))
     for a, b in ((omega, nu), (nu, omega)):
         cross = pair_correlation(a, b, "symmetric", float(N), r_max).sup_norm()
         assert repr(report.cross_sup) == repr(cross)
+
+
+def test_bernoulli_atoms_are_the_correctly_rounded_quotients():
+    # at p = 0.6 the levels of nu, 0.4 and -0.6, are not dyadic, yet each of
+    # the 303 atoms of the three correlations is its exact sum over vol = 2N,
+    # rounded once: float(Fraction(sum) / Fraction(vol)), the sums taken from
+    # the report's own row (a sum rounded before its division by vol missed
+    # 77 of them)
+    p, N, r_max = 0.6, 10**5, 50
+    report = bernoulli_verify(p, N, RngSpec(42), r_max=r_max)
+    codes, i, j, count = eberlein._lattice_tally(report.row, 2 * N + 1, r_max)
+    lags = combs._decode(codes)[:, 0].tolist()
+
+    def oracle(vx, vy):
+        sums = {}
+        for s, a, b, c in zip(lags, i.tolist(), j.tolist(), count.tolist()):
+            sums[s] = sums.get(s, 0) + Fraction(vx[a] * vy[b]) * c
+        return {s: float(total / Fraction(2.0 * N)) for s, total in sums.items() if total}
+
+    lam, omega, nu = [1.0, 0.0], [p, p], [1.0 - p, -p]
+    (cross,) = eberlein._lattice_correlations(report.row, 2 * N + 1, r_max, 2.0 * N,
+                                              [(np.array(omega), np.array(nu))])
+    cross = {m: w for (m, _), w in cross.atoms_dict().items()}
+    assert report.gamma == oracle(lam, lam)
+    assert report.nu_corr == oracle(nu, nu)
+    assert cross == oracle(omega, nu)
+    assert report.cross_sup == max(map(abs, cross.values()))
+    assert len(report.gamma) + len(report.nu_corr) + len(cross) == 303
 
 
 @pytest.mark.parametrize("N,r_max,message", [
