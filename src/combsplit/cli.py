@@ -34,14 +34,6 @@ from .zroot5 import FourierModulePoint, QuadraticInt, _codes, _key_parts, embed_
 
 _PRESET_SYSTEMS = ("fibonacci", "twisted_fibonacci", "thue_morse", "random_fibonacci")
 
-# rows per block when array columns become Python scalars or text for a
-# writer.  With `split` writing up to 4 files' text per block, 8 alternating
-# `bench/run.py --workload split_csv` runs (R = 1e5) gave medians of
-# 0.567 s / 39.46 MB at 256 rows, 0.542 s / 39.73 MB at 1024 and
-# 0.564 s / 41.94 MB at 4096 (2-core x86-64, Python 3.11, numpy 2.4): the
-# same speed within the runs' quartiles, and the least memory at 256
-_ROW_BLOCK = 256
-
 
 class CliError(ValueError):
     pass
@@ -61,16 +53,17 @@ def _config_hash(cfg: dict) -> str:
 
 @contextmanager
 def _open_csv(path, header: list[str], cfg: dict):
-    """A new CSV file holding its comment and header lines, open for rows.
+    """A new CSV file holding its comment and header lines, open in binary
+    mode for rows.
 
     Rows may be computed while they stream out; if that raises, the partial
     file is removed, so a failed command leaves no truncated output.
     """
-    fh = open(path, "w")
+    fh = open(path, "wb")
     try:
         with fh:
-            fh.write(f"# combsplit {__version__} config_hash={_config_hash(cfg)}\n")
-            fh.write(",".join(header) + "\n")
+            fh.write(f"# combsplit {__version__} config_hash={_config_hash(cfg)}\n".encode())
+            fh.write((",".join(header) + "\n").encode())
             yield fh
     except BaseException:
         Path(path).unlink(missing_ok=True)
@@ -78,16 +71,13 @@ def _open_csv(path, header: list[str], cfg: dict):
 
 
 def _write_csv(path, header: list[str], rows, cfg: dict) -> None:
-    """Stream rows of Python scalars, or whole lines of text from _key_lines,
-    to a CSV file.
+    """Stream rows of Python scalars to a CSV file.
 
     Cells are written with str, which for Python floats is the shortest
     repr; callers pass columns through .tolist(), never numpy scalars.
     """
     with _open_csv(path, header, cfg) as fh:
-        fh.writelines(
-            row if isinstance(row, str) else ",".join(map(str, row)) + "\n" for row in rows
-        )
+        fh.writelines((",".join(map(str, row)) + "\n").encode() for row in rows)
 
 
 def _write_json(path: str, obj: dict, cfg: dict) -> None:
@@ -271,58 +261,34 @@ def _k_selection(cfg: dict) -> list:
     return suites.preset_k_points()
 
 
-def _point_lines(tps: inflate.TypedPointSet):
-    """CSV text of the rows type,m,n,value, a block of rows at a time."""
-    for t, codes in tps.codes.items():
-        for text, in _key_lines(codes, lead=(t,)):
-            yield text
+def _write_keys(codes, outputs, lead: str = "") -> None:
+    """keytext.write_keys, with keytext imported by the commands that write
+    key rows only: `verify`, `fb` and `diffract` never compile it, and a
+    spawned `split` peaked about 0.1 MB lower (median over 16 seeds of
+    split_csv) than with keytext imported at the top of cli."""
+    from .keytext import write_keys
+
+    write_keys(codes, outputs, lead)
 
 
-def _key_columns(codes):
-    """Per block of rows, the columns m, n and value = m + n*tau of the key
-    codes as lists of Python scalars, so a large comb never holds all of its
-    keys, or its cells as Python objects, at once."""
-    for lo in range(0, len(codes), _ROW_BLOCK):
-        m, n = _key_parts(codes[lo : lo + _ROW_BLOCK])
-        yield m.tolist(), n.tolist(), embed_array(m, n).tolist()
+def _write_points(path, tps: inflate.TypedPointSet, cfg: dict) -> None:
+    """Write the rows type,m,n,value of a typed point set to a CSV file."""
+    with _open_csv(path, ["type", "m", "n", "value"], cfg) as fh:
+        for t, codes in tps.codes.items():
+            _write_keys(codes, [(fh, None, ["\n"])], lead=f"{t},")
 
 
 def _key_rows(codes):
-    """Rows (m, n, value) of Python scalars from key codes."""
-    return (row for columns in _key_columns(codes) for row in zip(*columns))
+    """Rows (m, n, value) of Python scalars from key codes, for a JSON
+    document, which holds them all."""
+    m, n = _key_parts(codes)
+    return zip(m.tolist(), n.tolist(), embed_array(m, n).tolist())
 
 
 def _level_text(levels, tail: str = "") -> list[str]:
     """The text ",re,0.0<tail>\\n" that ends the line of an atom, per level:
     levels are real, and the im_weight cell is kept."""
     return [f",{re!r},0.0{tail}\n" for re in levels.tolist()]
-
-
-def _key_lines(codes, tails=((None, ("\n",)),), lead=()):
-    """CSV text per block of rows: one string per (level, texts) tail, each
-    line m,n,value of a key code followed by texts[level[row]], after the
-    constant cells of lead, if any.
-
-    The m,n,value text of a block is formatted once, by one %-format of its
-    cells, and shared by every tail; a tail with one text ignores its level.
-    So files on the same keys format their keys once, and each distinct
-    weight is formatted once, by _level_text.
-    """
-    row = "".join(cell.replace("%", "%%") + "," for cell in lead) + "%d,%d,%r\0"
-    for lo, (m, n, value) in zip(range(0, len(codes), _ROW_BLOCK), _key_columns(codes)):
-        cells = [None] * (3 * len(m))
-        cells[0::3], cells[1::3], cells[2::3] = m, n, value
-        heads = (row * len(m) % tuple(cells)).split("\0")  # and a last, empty one
-        lines = [None] * (2 * len(m))
-        lines[0::2] = heads[:-1]
-        block = []
-        for level, texts in tails:
-            if len(texts) == 1:
-                block.append(texts[0].join(heads))
-            else:
-                lines[1::2] = map(texts.__getitem__, level[lo : lo + _ROW_BLOCK].tolist())
-                block.append("".join(lines))
-        yield block
 
 
 def cmd_generate(cfg: dict) -> int:
@@ -340,7 +306,7 @@ def cmd_generate(cfg: dict) -> int:
         }
         _write_json(out, doc, cfg)
     else:
-        _write_csv(out, ["type", "m", "n", "value"], _point_lines(tps), cfg)
+        _write_points(out, tps, cfg)
     return 0
 
 
@@ -359,7 +325,8 @@ def cmd_project(cfg: dict) -> int:
             {"m": m, "n": n, "value": v} for m, n, v in _key_rows(codes)
         ]}, cfg)
     else:
-        _write_csv(out, ["m", "n", "value"], (t for t, in _key_lines(codes)), cfg)
+        with _open_csv(out, ["m", "n", "value"], cfg) as fh:
+            _write_keys(codes, [(fh, None, ["\n"])])
     return 0
 
 
@@ -378,14 +345,11 @@ def _write_comb_csvs(out_dir: Path, named, cfg: dict) -> None:
             group.append((stem, comb))
     header = ["m", "n", "value", "re_weight", "im_weight"]
     for group in groups:
-        first = group[0][1]
-        tails = [(comb.level, _level_text(comb.levels)) for _, comb in group]
         with ExitStack() as stack:
-            files = [stack.enter_context(_open_csv(out_dir / f"{stem}.csv", header, cfg))
-                     for stem, _ in group]
-            for texts in _key_lines(first.codes, tails):
-                for fh, text in zip(files, texts):
-                    fh.write(text)
+            _write_keys(group[0][1].codes, [
+                (stack.enter_context(_open_csv(out_dir / f"{stem}.csv", header, cfg)),
+                 comb.level, _level_text(comb.levels))
+                for stem, comb in group])
 
 
 def cmd_split(cfg: dict) -> int:
@@ -422,21 +386,14 @@ def cmd_correlate(cfg: dict) -> int:
         mu = nu = tps.comb()
     shape = cfg.get("shape", "one_sided")
 
-    def lines():
+    header = ["m", "n", "distance", "re_weight", "im_weight", "R", "variant"]
+    with _open_csv(_need(cfg, "out"), header, cfg) as fh:
         # each R's atoms stream out as they are correlated, its R,variant
         # text formatted once into the text of each level
         for R in R_grid:
             corr = eberlein.pair_correlation(mu, nu, shape, R, r_max, variant)
-            tail = (corr.level, _level_text(corr.levels, f",{R!r},{variant}"))
-            for text, in _key_lines(corr.codes, [tail]):
-                yield text
-
-    _write_csv(
-        _need(cfg, "out"),
-        ["m", "n", "distance", "re_weight", "im_weight", "R", "variant"],
-        lines(),
-        cfg,
-    )
+            _write_keys(corr.codes, [
+                (fh, corr.level, _level_text(corr.levels, f",{R!r},{variant}"))])
     return 0
 
 
@@ -517,8 +474,9 @@ def cmd_diffract(cfg: dict) -> int:
             raise ValueError(f"r_max must be a finite, nonnegative integer, got {r_max!r}")
         m_hi = min(support, int(r_max))
         rz = spectra.riesz_coefficients(depth, m_hi)
-        rows = [(m, rz.coefficient(m).numerator, rz.coefficient(m).denominator,
-                 rz.coefficient_float(m)) for m in range(-m_hi, m_hi + 1)]
+        coefficients = ((m, rz.coefficient(m)) for m in range(-m_hi, m_hi + 1))
+        rows = ((m, c.numerator, c.denominator, rz.coefficient_float(m))
+                for m, c in coefficients)
         _write_csv(out, ["m", "c_m_numerator", "c_m_denominator", "c_m_float"], rows, cfg)
         return 0
     # pure-point amplitudes of a windowed system: its preset windows and exact
@@ -568,15 +526,11 @@ def cmd_sample(cfg: dict) -> int:
         }
         _write_json(out, doc, cfg)
         if cfg.get("points_out"):
-            lines = (
-                text
-                for sites in report.sites()
-                for text, in _key_lines(_codes(sites, np.zeros_like(sites)))
-            )
-            _write_csv(cfg["points_out"], ["m", "n", "value"], lines, cfg)
+            with _open_csv(cfg["points_out"], ["m", "n", "value"], cfg) as fh:
+                for sites in report.sites():
+                    _write_keys(_codes(sites, np.zeros_like(sites)), [(fh, None, ["\n"])])
         return 0
-    tps = stochastic.random_fibonacci(cfg.get("p", 0.5), _need(cfg, "R"), rng)
-    _write_csv(out, ["type", "m", "n", "value"], _point_lines(tps), cfg)
+    _write_points(out, stochastic.random_fibonacci(cfg.get("p", 0.5), _need(cfg, "R"), rng), cfg)
     return 0
 
 

@@ -140,7 +140,9 @@ def preset_system(name: str):
     return rule, model_sets, alphas
 
 
-@lru_cache(maxsize=8)
+# verify reads two contexts and split and fb one; a context at R = 1e7
+# holds about 69 MiB, so a session over several large R keeps two at most
+@lru_cache(maxsize=2)
 def system_context(name: str, R: float) -> SystemContext:
     """Generate a preset system on [0, R] and split every type with
     preset_system's model set M and alpha: omega = alpha * delta_M covers

@@ -63,6 +63,25 @@ def test_diffract_eta_table(tmp_path):
     assert len(rows) == 2 + 33
 
 
+def test_diffract_riesz_depth_rows_stream(tmp_path):
+    # the cosine-product rows stream out as the eta rows do: at 200,001 rows a
+    # list of them held 39.6 MB traced (about 198 B a row), while the table
+    # of 2 * m_max + 1 int64 entries, which the budget charges, takes 1.6 MB
+    import tracemalloc
+
+    out = tmp_path / "riesz.csv"
+    tracemalloc.start()
+    try:
+        assert run("diffract", "--riesz-depth", "20", "--r-max", "100000",
+                   "--out", str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fe64d5ac585ce024687cb290ac41deb9a454e60e0479863fc0f1b05bf8069bc3")
+
+
 def test_verify_unknown_suite_errors(tmp_path, capsys):
     assert run("verify", "--suite", "nope") == 1
     err = json.loads(capsys.readouterr().err)
@@ -143,8 +162,8 @@ def test_sample_random_fibonacci_points(tmp_path):
 
 
 def test_point_files_match_per_cell_repr(tmp_path):
-    # generate and sample write type,m,n,value from _key_lines with a
-    # constant type cell: the bytes of one repr per cell, row by row
+    # generate and sample write type,m,n,value through keytext.write_keys
+    # with a constant type cell: the bytes of one repr per cell, row by row
     from combsplit import inflate, stochastic
 
     # a rule file's type names may hold a %, which the row format must not read
@@ -572,17 +591,18 @@ def comb_rows(comb):
     ]
 
 
-def counting_key_lines(monkeypatch):
-    """Record the keys of every _key_lines call; returns the record."""
-    from combsplit import cli
+def counting_write_keys(monkeypatch):
+    """Record the key codes of every keytext.write_keys call; returns the
+    record."""
+    from combsplit import keytext
 
-    key_lines, seen = cli._key_lines, []
+    write_keys, seen = keytext.write_keys, []
 
-    def counting(keys, *args):
-        seen.append(keys)
-        return key_lines(keys, *args)
+    def counting(codes, *args, **kwargs):
+        seen.append(codes)
+        return write_keys(codes, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_key_lines", counting)
+    monkeypatch.setattr(keytext, "write_keys", counting)
     return seen
 
 
@@ -602,15 +622,17 @@ def test_write_csv_matches_per_cell_repr(tmp_path, monkeypatch):
         out = tmp_path / "rows.csv"
         cli._write_csv(out, header, iter(case), cfg)
         assert out.read_bytes() == per_cell(header, case, cfg)
-    # lines from _key_lines, over full, partial and no blocks, match the rows
-    # of the keys (m, n, m + n*tau), at the ends of the key range too
-    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
+    # rows from keytext.write_keys, over full, partial and no blocks, match
+    # the rows of the keys (m, n, m + n*tau), at the ends of the key range too
+    from combsplit import keytext
+
+    monkeypatch.setattr(keytext, "BLOCK", 3)
     B = 2**31 - 1
     keys = [(B, -3), (0, 1), (-7, 0), (-B, B), (1, -1)]
     codes = np.array([(m << 32) + n for m, n in keys], dtype=np.int64)
     for n in (5, 3, 0):
-        lines = (text for text, in cli._key_lines(codes[:n]))
-        cli._write_csv(out, ["m", "n", "value"], lines, cfg)
+        with cli._open_csv(out, ["m", "n", "value"], cfg) as fh:
+            keytext.write_keys(codes[:n], [(fh, None, ["\n"])])
         rows = [(m, k, m + k * TAU) for m, k in keys[:n]]
         assert list(cli._key_rows(codes[:n])) == rows
         assert out.read_bytes() == per_cell(["m", "n", "value"], rows, cfg)
@@ -637,7 +659,7 @@ def test_write_csv_matches_per_cell_repr(tmp_path, monkeypatch):
         ("empty", WeightedComb.from_weights(shared[:0], two[:0], cover)),
     ]
     assert [len(c.levels) for _, c in named] == [1, 2, 300, 2, 2, 1, 0]
-    seen = counting_key_lines(monkeypatch)
+    seen = counting_write_keys(monkeypatch)
     cli._write_comb_csvs(tmp_path, named, cfg)
     assert [len(k) for k in seen] == [300, 300, 296, 7, 0]
     for stem, comb in named:
@@ -649,7 +671,7 @@ def test_write_csv_matches_per_cell_repr(tmp_path, monkeypatch):
 def test_split_files_match_per_cell_reference(system, groups, tmp_path, monkeypatch):
     from combsplit import suites
 
-    seen = counting_key_lines(monkeypatch)
+    seen = counting_write_keys(monkeypatch)
     assert run("split", "--system", system, "--R", "2000", "--out", str(tmp_path)) == 0
     # each distinct key array is formatted once, for all the files on it
     assert len(seen) == groups

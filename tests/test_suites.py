@@ -9,6 +9,15 @@ from combsplit import combs, cps, eberlein, inflate, stochastic, suites
 from combsplit.zroot5 import QuadraticInt
 
 
+def test_verify_all_builds_each_system_context_once():
+    # the cache keeps two contexts, and verify --suite all reads two, the
+    # twisted chain's three times and then the golden chain's, at R = 1e4
+    suites.system_context.cache_clear()
+    suites.run_suite("all", 3)
+    info = suites.system_context.cache_info()
+    assert (info.maxsize, info.misses, info.hits, info.currsize) == (2, 2, 2, 2)
+
+
 def test_system_context_projects_each_distinct_window_once(monkeypatch):
     R = 2000.0
     ranges = []
